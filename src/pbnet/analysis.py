@@ -52,7 +52,8 @@ class RegimeReport:
 
     ``rate`` is the asymptotic slope of log mu(theta)/mu(tx) under partial
     sharing: D_KL[L(true)||L(tx)] - D_KL[L(true)||mix(tx-complement)].
-    ``empirical`` is filled by the harness after simulation, if requested.
+    ``empirical`` is never set by the library; a caller may attach measured
+    values to it, and ``to_dict`` passes them through.
     """
 
     strategy: str

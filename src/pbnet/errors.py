@@ -46,7 +46,7 @@ class NumericalError(PbnetError):
 
 
 class NonConvergenceError(NumericalError):
-    """Iterative solver hit its iteration cap before converging."""
+    """A solve returned a result that fails its residual or sign check."""
 
 
 class MeasurementError(NumericalError):

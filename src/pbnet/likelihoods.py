@@ -6,8 +6,8 @@ Strict positivity of discrete rows is enforced at construction so that
 log-likelihood ratios are always finite and integrable; test code may
 bypass with ``validate=False``.
 
-All indices are 0-based inside the library. The config layer translates
-the 1-based labels used in config files and reports.
+All indices are 0-based inside the library; only the ``to_dict`` forms
+of the analysis results write hypothesis indices 1-based.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 
 from .errors import (
     ConnectivityError,
@@ -29,8 +30,7 @@ from .errors import (
 
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
-PERRON_ITER_TOL = 1e-12
-PERRON_MAX_ITERS = 100_000
+SPARSE_SOLVE_MIN_AGENTS = 200
 
 
 def strongly_connected_component_count(adjacency: np.ndarray) -> int:
@@ -49,25 +49,49 @@ def is_strongly_connected(adjacency: np.ndarray) -> bool:
 
 
 def perron_vector(matrix: np.ndarray) -> np.ndarray:
-    """Leading eigenvector v with A v = v, v > 0, sum(v) = 1.
+    """Leading eigenvector v with A v = v, v > 0, sum(v) = 1, by a direct solve.
 
-    Power iteration from the uniform vector; stops when successive iterates
-    differ by less than 1e-12 in max norm. The matrix must be left-stochastic
-    and primitive (strongly connected with at least one self-loop), which
-    guarantees geometric convergence.
+    Fixing v_N = 1 leaves (I - A)' v' = A[:N-1, N-1], with (I - A)' the
+    leading (N-1) x (N-1) block, which is nonsingular when A is irreducible
+    (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
+    agents the block is solved dense; from there on by sparse LU on the
+    nonzeros of A, so no further N x N array is allocated.
     """
     A = np.asarray(matrix, dtype=float)
-    n = A.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(PERRON_MAX_ITERS):
-        nxt = A @ v
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - v)) < PERRON_ITER_TOL:
-            return nxt
-        v = nxt
-    raise NonConvergenceError(
-        f"power iteration did not converge within {PERRON_MAX_ITERS} iterations"
-    )
+    m = A.shape[0] - 1
+    if A.shape[0] < SPARSE_SOLVE_MIN_AGENTS:
+        head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
+    else:
+        rows, cols = np.nonzero(A[:m, :m])
+        block = identity(m, format="csc") - csc_matrix(
+            (A[rows, cols], (rows, cols)), shape=(m, m)
+        )
+        head = spsolve(block, A[:m, m])
+    v = np.append(head, 1.0)
+    return v / v.sum()
+
+
+def _listener_sum(matrix: np.ndarray, perron: np.ndarray, self_weighted: bool) -> float:
+    """sum_l v_l * sum_{m != l} a_ml * w_m, where w_m = 1 / (1 - a_mm), times
+    a_mm when ``self_weighted``.
+
+    Swapping the sums gives sum_m w_m * ((A v)_m - a_mm v_m). An agent with
+    a_mm >= 1 has w_m masked to 0; that is only sound when nobody listens to it.
+    """
+    A = np.asarray(matrix, dtype=float)
+    d = np.diag(A)
+    full = np.flatnonzero(d >= 1.0)
+    heard = A[full] != 0.0
+    heard[np.arange(full.size), full] = False
+    if heard.any():
+        l, i = np.argwhere(heard.T)[0]
+        raise DivisionDegeneracyError(
+            f"agent {full[i]} has full self-weight but agent {l} listens to it"
+        )
+    w = np.divide(1.0, 1.0 - d, out=np.zeros_like(d), where=d < 1.0)
+    if self_weighted:
+        w *= d
+    return float(w @ (A @ perron - d * perron))
 
 
 def alpha_constant(matrix: np.ndarray, perron: np.ndarray) -> float:
@@ -76,22 +100,7 @@ def alpha_constant(matrix: np.ndarray, perron: np.ndarray) -> float:
     Equals 1 for every averaging-rule matrix regardless of the self-weight
     parameter; see the property tests.
     """
-    A = np.asarray(matrix, dtype=float)
-    n = A.shape[0]
-    diag = np.diag(A)
-    total = 0.0
-    for l in range(n):
-        inner = 0.0
-        for m in range(n):
-            if m == l or A[m, l] == 0.0:
-                continue
-            if diag[m] >= 1.0:
-                raise DivisionDegeneracyError(
-                    f"agent {m} has full self-weight but agent {l} listens to it"
-                )
-            inner += A[m, l] / (1.0 - diag[m])
-        total += perron[l] * inner
-    return total
+    return _listener_sum(matrix, perron, self_weighted=False)
 
 
 def mislearning_weight_sum(matrix: np.ndarray, perron: np.ndarray) -> float:
@@ -101,22 +110,7 @@ def mislearning_weight_sum(matrix: np.ndarray, perron: np.ndarray) -> float:
     (it gets multiplied by the likelihood bound). For an averaging-rule
     matrix with self-weight lam this collapses to exactly lam.
     """
-    A = np.asarray(matrix, dtype=float)
-    n = A.shape[0]
-    diag = np.diag(A)
-    total = 0.0
-    for l in range(n):
-        inner = 0.0
-        for m in range(n):
-            if m == l or A[m, l] == 0.0:
-                continue
-            if diag[m] >= 1.0:
-                raise DivisionDegeneracyError(
-                    f"agent {m} has full self-weight but agent {l} listens to it"
-                )
-            inner += A[m, l] * diag[m] / (1.0 - diag[m])
-        total += perron[l] * inner
-    return total
+    return _listener_sum(matrix, perron, self_weighted=True)
 
 
 @dataclass(frozen=True)
@@ -158,13 +152,13 @@ class Network:
                 raise ValidationError("adjacency shape does not match the matrix")
             if np.any((A > 0) & ~adj):
                 raise ValidationError("nonzero weight on a non-edge")
-        if not is_strongly_connected(adj):
+        if not is_strongly_connected(A > 0):
             raise ConnectivityError("graph is not strongly connected")
         if not np.any(np.diag(A) > 0):
             raise ValidationError("at least one agent must have a positive self-loop")
         v = perron_vector(A)
         residual = np.max(np.abs(A @ v - v))
-        if residual > PERRON_RESIDUAL_TOL:
+        if not residual <= PERRON_RESIDUAL_TOL:
             raise NonConvergenceError(
                 f"Perron residual {residual:.3g} exceeds {PERRON_RESIDUAL_TOL:.1g}"
             )
@@ -183,7 +177,7 @@ class Network:
         )
 
     def describe(self) -> dict:
-        """Summary used by the `network describe` CLI subcommand."""
+        """Plain-Python summary of the network and its derived constants."""
         return {
             "agents": self.size,
             "strongly_connected": True,
@@ -216,8 +210,6 @@ def build_averaging_matrix(adjacency: np.ndarray, self_weight: float) -> Network
         raise DegenerateDegreeError(
             f"node {lonely} has no neighbors besides itself; cannot split weight 1-lam"
         )
-    if not is_strongly_connected(adj):
-        raise ConnectivityError("graph is not strongly connected")
     A = np.zeros((n, n))
     for k in range(n):
         share = (1.0 - lam) / (degrees[k] - 1)

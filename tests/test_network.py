@@ -32,6 +32,13 @@ def random_connected_adjacency(rng, n):
     return generate_strongly_connected_adjacency(n, 0.4, rng)
 
 
+def path_adjacency(n):
+    adj = np.eye(n, dtype=bool)
+    i = np.arange(n - 1)
+    adj[i, i + 1] = adj[i + 1, i] = True
+    return adj
+
+
 class TestConnectivity:
     def test_cycle_is_strongly_connected(self):
         adj = np.zeros((4, 4), dtype=bool)
@@ -72,6 +79,20 @@ class TestPerron:
             assert net.perron.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(net.perron > 0)
 
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_path_matches_closed_form(self, n):
+        # Averaging rule on an undirected graph is reversible, so v_k is
+        # proportional to (deg_k - 1), deg counting the self-loop. Power
+        # iteration stopped on successive iterates missed this by 8e-7 at
+        # n = 200 (|lambda_2| = 0.99994) and hit its cap at n = 400.
+        adj = path_adjacency(n)
+        net = build_averaging_matrix(adj, 0.5)
+        residual = np.max(np.abs(net.matrix @ net.perron - net.perron))
+        assert residual <= 1e-10  # False for a NaN from a singular solve
+        assert np.all(net.perron > 0)
+        degrees = adj.sum(axis=0) - 1.0
+        np.testing.assert_allclose(net.perron, degrees / degrees.sum(), rtol=1e-12, atol=0)
+
 
 class TestDerivedConstants:
     def test_alpha_hand_example(self):
@@ -96,6 +117,24 @@ class TestDerivedConstants:
             alpha_constant(A, v)
         with pytest.raises(DivisionDegeneracyError):
             mislearning_weight_sum(A, v)
+
+    def test_matches_loop_reference_on_random_weights(self):
+        # the defining double sums, evaluated term by term
+        def reference(A, v, numerator):
+            d = np.diag(A)
+            return sum(
+                v[l] * A[m, l] * numerator(d[m]) / (1.0 - d[m])
+                for l in range(len(v)) for m in range(len(v)) if m != l
+            )
+
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            adj = random_connected_adjacency(rng, int(rng.integers(2, 15)))
+            weights = rng.random(adj.shape) * adj
+            net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+            A, v = net.matrix, net.perron
+            assert net.alpha == pytest.approx(reference(A, v, lambda d: 1.0), rel=1e-12)
+            assert net.weight_sum == pytest.approx(reference(A, v, lambda d: d), rel=1e-12)
 
     def test_averaging_rule_alpha_one_and_weight_sum_lambda(self):
         # property over 100 random strongly connected graphs and lambdas
@@ -168,6 +207,11 @@ class TestFromMatrix:
         adj[1, 0] = True
         with pytest.raises(ValidationError, match="non-edge"):
             Network.from_matrix(A_2X2, adjacency=adj)
+
+    def test_connectivity_of_weights_not_declared_adjacency(self):
+        # the declared graph is complete, but nobody listens to anybody
+        with pytest.raises(ConnectivityError):
+            Network.from_matrix(np.eye(2), adjacency=np.ones((2, 2), dtype=bool))
 
     def test_single_agent(self):
         net = Network.from_matrix([[1.0]])
