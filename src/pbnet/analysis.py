@@ -174,9 +174,19 @@ def predict_self_aware_regime(
     conditions are sufficient, not exhaustive.
     """
     h = model.hypothesis_count
-    mix = MixtureSpec.uniform_complement(h, tx_index)
     d_tx = kl_divergence(model, true_index, tx_index)
-    d_mix = kl_divergence(model, true_index, mix)
+    if tx_index != true_index:
+        # rejections come before the mixture KL, which may need quadrature
+        if d_tx == 0.0:
+            raise IndistinguishableHypothesesError(
+                f"hypotheses {true_index} and {tx_index} have identical likelihoods"
+            )
+        if not isinstance(model, DiscreteFamily):
+            raise UnboundedLikelihoodError(
+                "the self-aware mislearning condition needs a finite likelihood "
+                "bound; only discrete families qualify"
+            )
+    d_mix = kl_divergence(model, true_index, MixtureSpec.uniform_complement(h, tx_index))
     rate = d_tx - d_mix
     values = {}
 
@@ -197,16 +207,6 @@ def predict_self_aware_regime(
             rate=rate,
             predicted=predicted,
             condition_values=values,
-        )
-
-    if d_tx == 0.0:
-        raise IndistinguishableHypothesesError(
-            f"hypotheses {true_index} and {tx_index} have identical likelihoods"
-        )
-    if not isinstance(model, DiscreteFamily):
-        raise UnboundedLikelihoodError(
-            "the self-aware mislearning condition needs a finite likelihood "
-            "bound; only discrete families qualify"
         )
 
     other_sum = sum(

@@ -19,9 +19,11 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .likelihoods import (
     LikelihoodModel,
+    StackedModels,
     log_likelihood_row,
     log_likelihood_rows,
     sample_observation,
+    stack_models,
 )
 from .network import Network
 
@@ -176,14 +178,13 @@ def combine_step(
     of its modified one.
     """
     shared = np.asarray(log_shared, dtype=float)
-    pooled = net.matrix.T @ shared
+    pooled = net.pool @ shared
     self_aware = isinstance(strategy, SelfAwarePartialSharing) or (
         isinstance(strategy, MaxBeliefSharing) and strategy.self_aware
     )
     if self_aware:
         own = np.asarray(log_own, dtype=float)
-        akk = np.diag(net.matrix)[:, None]
-        pooled = pooled + akk * (own - shared)
+        pooled = pooled + net.diagonal[:, None] * (own - shared)
     out = pooled - _row_logsumexp(pooled)
     check_log_beliefs(out)
     return out
@@ -191,20 +192,29 @@ def combine_step(
 
 # -- full iteration -----------------------------------------------------------
 
-def _draw_observations(models, true_index: int, n_agents: int, rng) -> np.ndarray:
+def _stacked(models, n_agents: int):
+    """A per-agent model list stacked by family type; a single family, or
+    models stacked already, as they are."""
     if isinstance(models, (list, tuple)):
-        if len(models) != n_agents:
-            raise ValidationError("need one likelihood model per agent")
-        return np.array(
-            [sample_observation(m, true_index, rng) for m in models]
-        )
-    return sample_observation(models, true_index, rng, size=n_agents)
+        return stack_models(models, n_agents)
+    if isinstance(models, StackedModels) and models.n_agents != n_agents:
+        raise ValidationError("need one likelihood model per agent")
+    return models
 
 
-def _log_likelihood_table(models, xi: np.ndarray) -> np.ndarray:
-    if isinstance(models, (list, tuple)):
-        return np.vstack([log_likelihood_row(m, x) for m, x in zip(models, xi)])
-    return log_likelihood_rows(models, xi)
+def _observe(models, true_index: int, n_agents: int, rng):
+    """One observation per agent and the (N, H) table of their
+    log-likelihoods: one draw and one scoring call per family group."""
+    if not isinstance(models, StackedModels):
+        xi = sample_observation(models, true_index, rng, size=n_agents)
+        return xi, log_likelihood_rows(models, xi)
+    xi = np.empty(n_agents, dtype=models.obs_dtype)
+    table = np.empty((n_agents, models.hypothesis_count))
+    for group in models.groups:
+        x = sample_observation(group, true_index, rng)
+        xi[group.agents] = x
+        table[group.agents] = log_likelihood_rows(group, x)
+    return xi, table
 
 
 def run_iteration(
@@ -221,12 +231,15 @@ def run_iteration(
     performs the Bayesian update, applies the sharing modification, and pools.
     Returns the new state together with the drawn observations (needed by the
     recursion checks and optional trajectory retention).
+
+    With one model per agent, the agents are stacked by family type and the
+    draws are made group by group, each group in agent order.
     """
     n = net.size
     if state.log_beliefs.shape[0] != n:
         raise ValidationError("state size does not match the network")
-    xi = _draw_observations(models, true_index, n, rng)
-    unnorm = state.log_beliefs + _log_likelihood_table(models, xi)
+    xi, loglik = _observe(_stacked(models, n), true_index, n, rng)
+    unnorm = state.log_beliefs + loglik
     log_psi = unnorm - _row_logsumexp(unnorm)
     log_shared = modify_for_sharing(log_psi, strategy)
     log_next = combine_step(net, log_shared, log_psi, strategy)
@@ -253,6 +266,7 @@ def run_trajectory(
     out = np.empty((horizon + 1, n, h))
     out[0] = init
     obs = None
+    models = _stacked(models, n)
     state = NetworkState(init, 0)
     for i in range(1, horizon + 1):
         state, xi = run_iteration(state, net, models, true_index, strategy, rng)

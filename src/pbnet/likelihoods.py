@@ -127,6 +127,97 @@ class DiscreteFamily:
 LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
 
 
+class AgentGroup:
+    """The agents of one family type in a per-agent model list, with their
+    parameters stacked along a leading agent axis, so that one
+    :func:`sample_observation` and one :func:`log_likelihood_rows` call serve
+    the whole group. ``agents`` holds their positions in the list, ascending.
+    """
+
+    def __init__(self, agents: np.ndarray, models: Sequence[LikelihoodModel]):
+        self.agents = agents
+        self.hypothesis_count = models[0].hypothesis_count
+
+
+class GaussianGroup(AgentGroup):
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, agents, models):
+        super().__init__(agents, models)
+        self.means = np.stack([m.means for m in models])  # (n, H)
+
+    def sample(self, theta: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.means[:, theta], 1.0)
+
+    def log_rows(self, xi: np.ndarray) -> np.ndarray:
+        d = np.asarray(xi, dtype=float)[:, None] - self.means
+        return -0.5 * d * d - _LOG_SQRT_2PI
+
+
+class DiscreteGroup(AgentGroup):
+    """Tables are (n, H, S) over the widest support S; an agent's columns
+    past its own support hold log-pmf -inf and cdf +inf."""
+
+    dtype = np.dtype(np.int64)
+
+    def __init__(self, agents, models):
+        super().__init__(agents, models)
+        self.support = np.array([m.support_size for m in models])
+        shape = (len(models), self.hypothesis_count, int(self.support.max()))
+        self.log_pmf = np.full(shape, -np.inf)
+        self.cdf = np.full(shape, np.inf)
+        for i, m in enumerate(models):
+            self.log_pmf[i, :, : m.support_size] = m._log_pmf
+            self.cdf[i, :, : m.support_size] = m._cdf
+
+    def sample(self, theta: int, rng: np.random.Generator) -> np.ndarray:
+        # inverse-CDF lookup as in sample_observation: the count of cdf
+        # entries <= u is searchsorted(cdf, u, side="right")
+        u = rng.random(self.agents.size)
+        idx = np.count_nonzero(self.cdf[:, theta, :] <= u[:, None], axis=1)
+        return np.minimum(idx, self.support - 1)
+
+    def log_rows(self, xi: np.ndarray) -> np.ndarray:
+        idx = np.asarray(xi, dtype=np.int64)
+        if np.any(idx < 0) or np.any(idx >= self.support):
+            raise InvalidObservationError("observation outside discrete support")
+        return self.log_pmf[np.arange(idx.size), :, idx]
+
+
+_GROUP_OF = {GaussianFamily: GaussianGroup, DiscreteFamily: DiscreteGroup}
+
+
+@dataclass(frozen=True)
+class StackedModels:
+    """A per-agent model list stacked by family type, built once per
+    trajectory by :func:`stack_models`."""
+
+    groups: tuple  # one AgentGroup per family type, in order of first appearance
+    n_agents: int
+    hypothesis_count: int
+    obs_dtype: np.dtype  # int64 when every agent is discrete, else float64
+
+
+def stack_models(models: Sequence[LikelihoodModel], n_agents: int) -> StackedModels:
+    if len(models) != n_agents:
+        raise ValidationError("need one likelihood model per agent")
+    positions: dict = {}
+    for k, m in enumerate(models):
+        if type(m) not in _GROUP_OF:
+            raise ValidationError(f"agent {k} has no likelihood family: {m!r}")
+        positions.setdefault(type(m), []).append(k)
+    counts = {m.hypothesis_count for m in models}
+    if len(counts) != 1:
+        raise ValidationError("per-agent models must share one hypothesis count")
+    groups = tuple(
+        _GROUP_OF[kind](np.array(agents), [models[k] for k in agents])
+        for kind, agents in positions.items()
+    )
+    return StackedModels(
+        groups, n_agents, counts.pop(), np.result_type(*(g.dtype for g in groups))
+    )
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """A mixture of the likelihoods of every hypothesis except ``excluded``.
@@ -227,8 +318,11 @@ def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
     return model._log_pmf[:, _check_discrete_obs(model, xi)].copy()
 
 
-def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndarray:
-    """(n, H) matrix of log-likelihoods for a batch of observations."""
+def log_likelihood_rows(model, xi_array: np.ndarray) -> np.ndarray:
+    """(n, H) matrix of log-likelihoods for a batch of observations; for an
+    :class:`AgentGroup`, row i scores observation i under agent i's model."""
+    if isinstance(model, AgentGroup):
+        return model.log_rows(xi_array)
     if isinstance(model, GaussianFamily):
         x = np.asarray(xi_array, dtype=float)
         d = x[:, None] - model.means[None, :]
@@ -250,11 +344,20 @@ def mixture_log_density(model: LikelihoodModel, spec: MixtureSpec, xi) -> float:
     return float(m + np.log(np.exp(vals - m).sum()))
 
 
+def _point_or_mixture(model: LikelihoodModel, which):
+    """An index, or a MixtureSpec checked against the model; a mixture with
+    one positive weight is that hypothesis's index."""
+    if not isinstance(which, MixtureSpec):
+        return which
+    if which.weights.size != model.hypothesis_count:
+        raise ValidationError("mixture weights length does not match the model")
+    support = np.flatnonzero(which.weights)
+    return int(support[0]) if support.size == 1 else which
+
+
 def _discrete_pmf_of(model: DiscreteFamily, which) -> np.ndarray:
     """Resolve an index or MixtureSpec into a pmf vector over the support."""
     if isinstance(which, MixtureSpec):
-        if which.weights.size != model.hypothesis_count:
-            raise ValidationError("mixture weights length does not match the model")
         return which.weights @ model.pmf
     _check_hypothesis(model, int(which))
     return model.pmf[int(which)]
@@ -270,8 +373,6 @@ def _kl_discrete(p: np.ndarray, q: np.ndarray) -> float:
 
 def _gaussian_log_density_fn(model: GaussianFamily, which):
     if isinstance(which, MixtureSpec):
-        if which.weights.size != model.hypothesis_count:
-            raise ValidationError("mixture weights length does not match the model")
         active = np.where(which.weights > 0)[0]
         logw = np.log(which.weights[active])
         means = model.means[active]
@@ -297,11 +398,15 @@ def kl_divergence(model: LikelihoodModel, p, q) -> float:
 
     ``p`` and ``q`` are each a hypothesis index or a :class:`MixtureSpec`.
     Discrete families use the exact finite sum. Gaussian point-vs-point uses
-    the closed form (m_p - m_q)^2 / 2. Any Gaussian case involving a mixture
-    falls back to adaptive quadrature with absolute tolerance ``KL_QUAD_TOL``,
-    truncated ``KL_QUAD_SIGMA_SPAN`` standard deviations beyond the extreme
-    means; failure to meet the tolerance raises instead of returning a guess.
+    the closed form (m_p - m_q)^2 / 2. A mixture with one positive weight,
+    such as a vertex probe, is that hypothesis and takes the point forms. Any
+    other Gaussian case involving a mixture falls back to adaptive quadrature
+    with absolute tolerance ``KL_QUAD_TOL``, truncated ``KL_QUAD_SIGMA_SPAN``
+    standard deviations beyond the extreme means; failure to meet the
+    tolerance raises instead of returning a guess.
     """
+    p = _point_or_mixture(model, p)
+    q = _point_or_mixture(model, q)
     if isinstance(model, DiscreteFamily):
         return _kl_discrete(_discrete_pmf_of(model, p), _discrete_pmf_of(model, q))
 
@@ -360,14 +465,17 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
     return best
 
 
-def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Generator,
-                       size=None):
-    """Draw from L(. | theta). Scalar when ``size`` is None, else an array.
+def sample_observation(model, theta: int, rng: np.random.Generator, size=None):
+    """Draw from L(. | theta). Scalar when ``size`` is None, else an array;
+    an :class:`AgentGroup` draws one observation per agent, in agent order,
+    and ignores ``size``.
 
     Deterministic given the generator state. Discrete draws use inverse-CDF
     lookup so the same uniform stream yields the same observations everywhere.
     """
     _check_hypothesis(model, theta)
+    if isinstance(model, AgentGroup):
+        return model.sample(theta, rng)
     if isinstance(model, GaussianFamily):
         return rng.normal(model.means[theta], 1.0, size=size)
     cdf = model._cdf[theta]

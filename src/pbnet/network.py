@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
@@ -30,43 +30,62 @@ from .errors import (
 
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
+#: From this many agents on, A is also kept sparse: the Perron solve and the
+#: step's pooling read one CSC copy of it (see Network).
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
-def strongly_connected_component_count(adjacency: np.ndarray) -> int:
-    """Number of strongly connected components of a directed 0/1 adjacency."""
-    adj = np.asarray(adjacency, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+def strongly_connected_component_count(adjacency) -> int:
+    """Number of strongly connected components of a directed 0/1 adjacency,
+    dense, or sparse with one stored entry per edge."""
+    if not issparse(adjacency):
+        adjacency = np.asarray(adjacency, dtype=bool)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValidationError("adjacency must be a square matrix")
     n_comp, _ = connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
+        csr_matrix(adjacency), directed=True, connection="strong"
     )
     return int(n_comp)
 
 
-def is_strongly_connected(adjacency: np.ndarray) -> bool:
+def is_strongly_connected(adjacency) -> bool:
     return strongly_connected_component_count(adjacency) == 1
 
 
-def perron_vector(matrix: np.ndarray) -> np.ndarray:
+def _sparse_copy(matrix: np.ndarray, nonzero: np.ndarray):
+    """CSC copy of a dense matrix, given the boolean mask of its nonzeros.
+
+    One row-major scan of the mask finds the entries; the CSR matrix they
+    form converts to CSC in O(nnz).
+    """
+    n_rows, n_cols = matrix.shape
+    flat = np.flatnonzero(nonzero)
+    rows, cols = np.divmod(flat, n_cols)
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    return csr_matrix((matrix.ravel()[flat], cols, indptr), shape=matrix.shape).tocsc()
+
+
+def perron_vector(matrix) -> np.ndarray:
     """Leading eigenvector v with A v = v, v > 0, sum(v) = 1, by a direct solve.
 
     Fixing v_N = 1 leaves (I - A)' v' = A[:N-1, N-1], with (I - A)' the
     leading (N-1) x (N-1) block, which is nonsingular when A is irreducible
     (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
-    agents the block is solved dense; from there on by sparse LU on the
-    nonzeros of A, so no further N x N array is allocated.
+    agents the block is solved dense; from there on by sparse LU on a CSC
+    copy of A, so no further N x N array is allocated. ``matrix`` is dense,
+    or from the cutoff on may be that CSC copy already.
     """
-    A = np.asarray(matrix, dtype=float)
-    m = A.shape[0] - 1
-    if A.shape[0] < SPARSE_SOLVE_MIN_AGENTS:
+    n = matrix.shape[0]
+    m = n - 1
+    if n < SPARSE_SOLVE_MIN_AGENTS:
+        A = np.asarray(matrix, dtype=float)
         head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
     else:
-        rows, cols = np.nonzero(A[:m, :m])
-        block = identity(m, format="csc") - csc_matrix(
-            (A[rows, cols], (rows, cols)), shape=(m, m)
-        )
-        head = spsolve(block, A[:m, m])
+        if not issparse(matrix):
+            A = np.asarray(matrix, dtype=float)
+            matrix = _sparse_copy(A, A != 0)
+        block = identity(m, format="csc") - matrix[:m, :m]
+        head = spsolve(block, matrix[:m, [m]].toarray().ravel())
     v = np.append(head, 1.0)
     return v / v.sum()
 
@@ -117,11 +136,21 @@ def mislearning_weight_sum(matrix: np.ndarray, perron: np.ndarray) -> float:
 class Network:
     """Validated network: graph, combination matrix, and derived constants.
 
+    ``matrix`` is A, dense. ``pool`` is A.T in the form the step multiplies
+    by, ``pool @ shared``: below SPARSE_SOLVE_MIN_AGENTS agents the dense
+    transposed view of ``matrix``, from there on CSR. The same cutoff picks
+    the Perron solve: from it on, ``from_matrix`` scans A for its nonzeros
+    once into a CSC copy that the strong-connectivity check and the sparse
+    LU solve read, and ``pool`` is that copy transposed, which is CSR with
+    no further copy. ``diagonal`` holds the self-weights a_kk.
+
     Immutable after construction; safe to share across concurrent runs.
     """
 
     adjacency: np.ndarray
     matrix: np.ndarray
+    pool: object = field(repr=False)  # np.ndarray or scipy.sparse.csr_matrix
+    diagonal: np.ndarray = field(repr=False)
     perron: np.ndarray
     alpha: float
     weight_sum: float
@@ -144,19 +173,24 @@ class Network:
             raise ValidationError(
                 f"column {bad[0]} sums to {colsums[bad[0]]:.12g}; columns must sum to 1"
             )
+        positive = A > 0
         if adjacency is None:
-            adj = A > 0
+            adj = positive
         else:
             adj = np.array(adjacency, dtype=bool)
             if adj.shape != A.shape:
                 raise ValidationError("adjacency shape does not match the matrix")
-            if np.any((A > 0) & ~adj):
+            if np.any(positive & ~adj):
                 raise ValidationError("nonzero weight on a non-edge")
-        if not is_strongly_connected(A > 0):
+        # Below the cutoff everything reads the dense A; from it on, one
+        # sparse copy serves the connectivity check, the solve and the step.
+        weights = A if A.shape[0] < SPARSE_SOLVE_MIN_AGENTS else _sparse_copy(A, positive)
+        if not is_strongly_connected(weights):
             raise ConnectivityError("graph is not strongly connected")
-        if not np.any(np.diag(A) > 0):
+        diagonal = np.diag(A).copy()
+        if not np.any(diagonal > 0):
             raise ValidationError("at least one agent must have a positive self-loop")
-        v = perron_vector(A)
+        v = perron_vector(weights)
         residual = np.max(np.abs(A @ v - v))
         if not residual <= PERRON_RESIDUAL_TOL:
             raise NonConvergenceError(
@@ -164,12 +198,16 @@ class Network:
             )
         if np.any(v <= 0):
             raise NonConvergenceError("Perron vector has non-positive entries")
-        A.setflags(write=False)
-        adj.setflags(write=False)
-        v.setflags(write=False)
+        stored = (A, adj, diagonal, v)
+        if weights is not A:
+            stored += (weights.data, weights.indices, weights.indptr)
+        for arr in stored:
+            arr.setflags(write=False)
         return cls(
             adjacency=adj,
             matrix=A,
+            pool=weights.T,
+            diagonal=diagonal,
             perron=v,
             alpha=alpha_constant(A, v),
             weight_sum=mislearning_weight_sum(A, v),

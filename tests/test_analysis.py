@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pbnet.errors import (
     UnboundedLikelihoodError,
     ValidationError,
 )
+from pbnet import likelihoods
 from pbnet.fixtures import bundled_discrete_family, bundled_gaussian_family
 from pbnet.likelihoods import DiscreteFamily, GaussianFamily, MixtureSpec, kl_divergence
 from pbnet.network import build_averaging_matrix, ring_adjacency
@@ -123,6 +125,14 @@ class TestPredictSelfAware:
         assert rep.predicted is Regime.SUFFICIENT_COND_ONE
 
     def test_gaussian_family_rejected_for_mislearning_check(self):
+        with pytest.raises(UnboundedLikelihoodError):
+            predict_self_aware_regime(GAUSS3, self.net, 0, 1)
+
+    def test_gaussian_rejected_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran for a rejected input")
+
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=no_quadrature))
         with pytest.raises(UnboundedLikelihoodError):
             predict_self_aware_regime(GAUSS3, self.net, 0, 1)
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
+from pbnet import dynamics
 from pbnet.dynamics import (
     FullSharing,
     MaxBeliefSharing,
@@ -19,15 +21,22 @@ from pbnet.dynamics import (
     run_trajectory,
     uniform_log_beliefs,
 )
-from pbnet.errors import NumericalError, ValidationError
+from pbnet.errors import InvalidObservationError, NumericalError, ValidationError
 from pbnet.likelihoods import (
     DiscreteFamily,
+    DiscreteGroup,
     GaussianFamily,
     MixtureSpec,
     log_likelihood,
+    log_likelihood_rows,
     mixture_log_density,
 )
-from pbnet.network import Network, build_averaging_matrix, ring_adjacency
+from pbnet.network import (
+    SPARSE_SOLVE_MIN_AGENTS,
+    Network,
+    build_averaging_matrix,
+    ring_adjacency,
+)
 
 GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
 DISC2 = DiscreteFamily([[0.8, 0.2], [0.2, 0.8]])
@@ -267,3 +276,79 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0,
                            FullSharing(), 0, np.random.default_rng(0))
+
+
+DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+SHARINGS = [FullSharing(), PartialSharing(1), SelfAwarePartialSharing(1)]
+
+
+def mixed_models(n):
+    """Alternating Gaussian and discrete agents with distinct parameters."""
+    rng = np.random.default_rng(n)
+    return [
+        GaussianFamily(rng.normal(0.0, 0.5, 3)) if k % 2 == 0
+        else DiscreteFamily(0.5 * rng.dirichlet(np.ones(2 + k % 3), 3) + 0.5 / (2 + k % 3))
+        for k in range(n)
+    ]
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("fam", [GAUSS3, DISC3], ids=["gaussian", "discrete"])
+    @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
+    def test_list_of_copies_equals_the_family_bitwise(self, fam, strat):
+        init = uniform_log_beliefs(5, 3)
+        a, obs_a = run_trajectory(init, RING5, fam, 0, strat, 40,
+                                  np.random.default_rng(5), keep_observations=True)
+        b, obs_b = run_trajectory(init, RING5, [fam] * 5, 0, strat, 40,
+                                  np.random.default_rng(5), keep_observations=True)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(obs_a, obs_b)
+        assert obs_a.dtype == obs_b.dtype
+
+    @pytest.mark.parametrize("n", [30, 300], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("strat", SHARINGS[1:], ids=["partial", "self_aware"])
+    def test_pool_matches_dense_recomputation(self, n, strat):
+        # a ring with random weights: A is not symmetric, its diagonal not constant
+        adj = ring_adjacency(n)
+        weights = np.where(adj, np.random.default_rng(n).uniform(0.1, 1.0, adj.shape), 0.0)
+        net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+        assert issparse(net.pool) == (n >= SPARSE_SOLVE_MIN_AGENTS)
+        traj, obs = run_trajectory(uniform_log_beliefs(n, 3), net, DISC3, 0, strat, 50,
+                                   np.random.default_rng(2), keep_observations=True)
+        self_aware = isinstance(strat, SelfAwarePartialSharing)
+        for i in range(1, 51):
+            unnorm = traj[i - 1] + log_likelihood_rows(DISC3, obs[i - 1])
+            psi = unnorm - np.log(np.exp(unnorm).sum(axis=1, keepdims=True))
+            shared = modify_for_sharing(psi, strat)
+            pooled = net.matrix.T @ shared
+            if self_aware:
+                pooled += np.diag(net.matrix)[:, None] * (psi - shared)
+            want = pooled - np.log(np.exp(pooled).sum(axis=1, keepdims=True))
+            np.testing.assert_allclose(traj[i], want, rtol=0, atol=1e-12)
+
+    def test_mixed_list_model_count_mismatch(self):
+        with pytest.raises(ValidationError):
+            run_iteration(NetworkState(uniform_log_beliefs(5, 3)), RING5,
+                          mixed_models(4), 0, FullSharing(), np.random.default_rng(0))
+
+    def test_mixed_list_rejects_out_of_range_observation(self, monkeypatch):
+        draw = dynamics.sample_observation
+
+        def off_support(model, theta, rng, size=None):
+            x = draw(model, theta, rng, size)
+            return x + 10 if isinstance(model, DiscreteGroup) else x
+
+        monkeypatch.setattr(dynamics, "sample_observation", off_support)
+        with pytest.raises(InvalidObservationError):
+            run_iteration(NetworkState(uniform_log_beliefs(5, 3)), RING5,
+                          mixed_models(5), 0, FullSharing(), np.random.default_rng(0))
+
+    def test_observation_dtype(self):
+        init = uniform_log_beliefs(5, 3)
+        discrete = [DISC3, DiscreteFamily([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])] * 2 + [DISC3]
+        _, obs = run_trajectory(init, RING5, discrete, 0, FullSharing(), 5,
+                                np.random.default_rng(0), keep_observations=True)
+        assert obs.dtype == np.int64
+        _, obs = run_trajectory(init, RING5, mixed_models(5), 0, FullSharing(), 5,
+                                np.random.default_rng(0), keep_observations=True)
+        assert obs.dtype == np.float64

@@ -180,6 +180,16 @@ class TestKLDivergence:
                 brute_kl_discrete(fam.pmf[0], fam.pmf[2]), abs=1e-9
             )
 
+    @pytest.mark.parametrize("fam", [GAUSS3, DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])])
+    def test_vertex_mixture_is_the_point_bitwise(self, fam):
+        for p in range(3):
+            for q in range(3):
+                if q == p:
+                    continue
+                vertex = MixtureSpec.vertex(3, p, q)
+                assert kl_divergence(fam, p, vertex) == kl_divergence(fam, p, q)
+                assert kl_divergence(fam, vertex, p) == kl_divergence(fam, q, p)
+
     def test_kl_nonnegative_random_families(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
