@@ -19,11 +19,9 @@ from .errors import (
     InconsistentConditionsError,
     IndistinguishableHypothesesError,
     MeasurementError,
-    UnboundedLikelihoodError,
     ValidationError,
 )
 from .likelihoods import (
-    DiscreteFamily,
     LikelihoodModel,
     MixtureSpec,
     kl_divergence,
@@ -181,13 +179,8 @@ def predict_self_aware_regime(
             raise IndistinguishableHypothesesError(
                 f"hypotheses {true_index} and {tx_index} have identical likelihoods"
             )
-        if not isinstance(model, DiscreteFamily):
-            raise UnboundedLikelihoodError(
-                "the self-aware mislearning condition needs a finite likelihood "
-                "bound; only discrete families qualify"
-            )
+        bound = likelihood_bound(model, tx_index)  # a Gaussian family raises
     d_mix = kl_divergence(model, true_index, MixtureSpec.uniform_complement(h, tx_index))
-    rate = d_tx - d_mix
     values = {}
 
     if tx_index == true_index:
@@ -198,49 +191,37 @@ def predict_self_aware_regime(
             if values["thm2_probe_min"] > PROBE_TOL
             else Regime.INCONCLUSIVE
         )
-        return RegimeReport(
-            strategy="self_aware_partial",
-            true_index=true_index,
-            tx_index=tx_index,
-            kl_true_vs_tx=d_tx,
-            kl_true_vs_mixture=d_mix,
-            rate=rate,
-            predicted=predicted,
-            condition_values=values,
-        )
-
-    other_sum = sum(
-        kl_divergence(model, true_index, tau) for tau in range(h) if tau != tx_index
-    )
-    values["lem3"] = d_tx - (net.alpha / (h - 1)) * other_sum
-
-    bound = likelihood_bound(model, tx_index)
-    values["likelihood_bound"] = bound
-    values["lem4"] = d_mix - d_tx - bound * net.weight_sum
-    # reported with the weight term on the other side as well, for comparison
-    # against summaries that fold it into the left side
-    values["lem4_plus_weight"] = d_mix - d_tx + bound * net.weight_sum
-
-    zero_fires = values["lem3"] > KL_MARGIN_TOL
-    one_fires = values["lem4"] > KL_MARGIN_TOL
-    if zero_fires and one_fires:
-        raise InconsistentConditionsError(
-            "both self-aware sufficient conditions fired; they predict "
-            "contradictory limits"
-        )
-    if zero_fires:
-        predicted = Regime.SUFFICIENT_COND_ZERO
-    elif one_fires:
-        predicted = Regime.SUFFICIENT_COND_ONE
     else:
-        predicted = Regime.INCONCLUSIVE
+        other_sum = sum(
+            kl_divergence(model, true_index, tau) for tau in range(h) if tau != tx_index
+        )
+        values["lem3"] = d_tx - (net.alpha / (h - 1)) * other_sum
+        values["likelihood_bound"] = bound
+        values["lem4"] = d_mix - d_tx - bound * net.weight_sum
+        # reported with the weight term on the other side as well, for
+        # comparison against summaries that fold it into the left side
+        values["lem4_plus_weight"] = d_mix - d_tx + bound * net.weight_sum
+
+        zero_fires = values["lem3"] > KL_MARGIN_TOL
+        one_fires = values["lem4"] > KL_MARGIN_TOL
+        if zero_fires and one_fires:
+            raise InconsistentConditionsError(
+                "both self-aware sufficient conditions fired; they predict "
+                "contradictory limits"
+            )
+        if zero_fires:
+            predicted = Regime.SUFFICIENT_COND_ZERO
+        elif one_fires:
+            predicted = Regime.SUFFICIENT_COND_ONE
+        else:
+            predicted = Regime.INCONCLUSIVE
     return RegimeReport(
         strategy="self_aware_partial",
         true_index=true_index,
         tx_index=tx_index,
         kl_true_vs_tx=d_tx,
         kl_true_vs_mixture=d_mix,
-        rate=rate,
+        rate=d_tx - d_mix,
         predicted=predicted,
         condition_values=values,
     )

@@ -30,40 +30,59 @@ from .network import Network
 BELIEF_SUM_TOL = 1e-9
 
 
-# -- sharing strategies -------------------------------------------------------
+# -- sharing rules ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FullSharing:
-    """Agents exchange entire belief vectors (classic log-linear learning)."""
+class Sharing:
+    """What each agent transmits, and which belief it pools for itself.
 
+    ``transmit`` is None (the whole belief vector), a hypothesis index, or
+    ``"argmax"`` (each agent's strongest component, ties toward the lowest
+    index so runs are reproducible). Receivers of one component spread the
+    rest of the mass evenly over the other hypotheses, and agents pool that
+    same modified belief for themselves unless ``self_aware``: then each pools
+    its own unmodified belief at weight a_kk. "argmax" with ``self_aware``
+    runs, but is beyond the behavior validated by the bundled experiments.
+    """
 
-@dataclass(frozen=True)
-class PartialSharing:
-    """Only the tx component is transmitted; receivers spread the remaining
-    mass uniformly, and agents apply the same segmentation to themselves."""
-
-    tx_index: int
-
-
-@dataclass(frozen=True)
-class SelfAwarePartialSharing:
-    """Like partial sharing, but each agent combines its own unmodified
-    intermediate belief (weight a_kk) with neighbors' modified ones."""
-
-    tx_index: int
-
-
-@dataclass(frozen=True)
-class MaxBeliefSharing:
-    """Each agent transmits its currently strongest component. Ties break
-    toward the lowest hypothesis index so runs are reproducible. The
-    self-aware flavor is accepted by the engine but is beyond the behavior
-    validated by the bundled experiments."""
-
+    transmit: Union[None, int, str] = None
     self_aware: bool = False
 
+    def __post_init__(self):
+        t = self.transmit
+        index = isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0
+        if not (index or t is None or (isinstance(t, str) and t == "argmax")):
+            raise ValidationError(
+                f"transmit must be None, a hypothesis index or 'argmax', got {t!r}"
+            )
 
-SharingStrategy = Union[FullSharing, PartialSharing, SelfAwarePartialSharing, MaxBeliefSharing]
+
+class FullSharing(Sharing):
+    """``Sharing()``: entire belief vectors (classic log-linear learning)."""
+
+    def __init__(self):
+        super().__init__(None, False)
+
+
+class PartialSharing(Sharing):
+    """``Sharing(tx_index)``: only the tx component is transmitted."""
+
+    def __init__(self, tx_index: int):
+        super().__init__(tx_index, False)
+
+
+class SelfAwarePartialSharing(Sharing):
+    """``Sharing(tx_index, self_aware=True)``: self-aware partial sharing."""
+
+    def __init__(self, tx_index: int):
+        super().__init__(tx_index, True)
+
+
+class MaxBeliefSharing(Sharing):
+    """``Sharing("argmax", self_aware)``: the strongest component is transmitted."""
+
+    def __init__(self, self_aware: bool = False):
+        super().__init__("argmax", self_aware)
 
 
 @dataclass(frozen=True)
@@ -145,23 +164,21 @@ def _spread_rows(log_psi: np.ndarray, tx_per_row: np.ndarray) -> np.ndarray:
     return out
 
 
-def modify_for_sharing(log_psi: np.ndarray, strategy: SharingStrategy) -> np.ndarray:
-    """Belief vector as reconstructed by receivers under the given strategy."""
+def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
+    """Belief vector as reconstructed by receivers under the given rule."""
     v = np.asarray(log_psi, dtype=float)
     single = v.ndim == 1
     rows = v[None, :] if single else v
     n, h = rows.shape
-    if isinstance(strategy, FullSharing):
+    tx = sharing.transmit
+    if tx is None:
         out = rows.copy()
-    elif isinstance(strategy, (PartialSharing, SelfAwarePartialSharing)):
-        tx = strategy.tx_index
-        if not 0 <= tx < h:
-            raise ValidationError(f"tx index {tx} out of range for H={h}")
-        out = _spread_rows(rows, np.full(n, tx))
-    elif isinstance(strategy, MaxBeliefSharing):
+    elif tx == "argmax":
         out = _spread_rows(rows, np.argmax(rows, axis=1))
     else:
-        raise ValidationError(f"unknown strategy {strategy!r}")
+        if tx >= h:
+            raise ValidationError(f"tx index {tx} out of range for H={h}")
+        out = _spread_rows(rows, np.full(n, tx))
     return out[0] if single else out
 
 
@@ -169,20 +186,16 @@ def combine_step(
     net: Network,
     log_shared: np.ndarray,
     log_own: np.ndarray,
-    strategy: SharingStrategy,
+    sharing: Sharing,
 ) -> np.ndarray:
     """Log-linear pooling of the (modified) neighbor beliefs.
 
-    Full/partial/max-belief: row k of the result is sum_l a_lk * shared_l.
-    Self-aware: the a_kk term uses the agent's own unmodified belief instead
-    of its modified one.
+    Row k of the result is sum_l a_lk * shared_l. Self-aware: the a_kk term
+    uses the agent's own unmodified belief instead of its modified one.
     """
     shared = np.asarray(log_shared, dtype=float)
     pooled = net.pool @ shared
-    self_aware = isinstance(strategy, SelfAwarePartialSharing) or (
-        isinstance(strategy, MaxBeliefSharing) and strategy.self_aware
-    )
-    if self_aware:
+    if sharing.self_aware:
         own = np.asarray(log_own, dtype=float)
         pooled = pooled + net.diagonal[:, None] * (own - shared)
     out = pooled - _row_logsumexp(pooled)
@@ -208,10 +221,10 @@ def _observe(models, true_index: int, n_agents: int, rng):
     if not isinstance(models, StackedModels):
         xi = sample_observation(models, true_index, rng, size=n_agents)
         return xi, log_likelihood_rows(models, xi)
-    xi = np.empty(n_agents, dtype=models.obs_dtype)
+    xi = np.empty(n_agents, dtype=models.dtype)
     table = np.empty((n_agents, models.hypothesis_count))
     for group in models.groups:
-        x = sample_observation(group, true_index, rng)
+        x = sample_observation(group, true_index, rng, size=group.agents.size)
         xi[group.agents] = x
         table[group.agents] = log_likelihood_rows(group, x)
     return xi, table
@@ -222,7 +235,7 @@ def run_iteration(
     net: Network,
     models: Union[LikelihoodModel, Sequence[LikelihoodModel]],
     true_index: int,
-    strategy: SharingStrategy,
+    sharing: Sharing,
     rng: np.random.Generator,
 ):
     """Advance the network by one step.
@@ -241,8 +254,8 @@ def run_iteration(
     xi, loglik = _observe(_stacked(models, n), true_index, n, rng)
     unnorm = state.log_beliefs + loglik
     log_psi = unnorm - _row_logsumexp(unnorm)
-    log_shared = modify_for_sharing(log_psi, strategy)
-    log_next = combine_step(net, log_shared, log_psi, strategy)
+    log_shared = modify_for_sharing(log_psi, sharing)
+    log_next = combine_step(net, log_shared, log_psi, sharing)
     return NetworkState(log_next, state.iteration + 1), xi
 
 
@@ -251,7 +264,7 @@ def run_trajectory(
     net: Network,
     models,
     true_index: int,
-    strategy: SharingStrategy,
+    sharing: Sharing,
     horizon: int,
     rng: np.random.Generator,
     keep_observations: bool = False,
@@ -265,14 +278,12 @@ def run_trajectory(
     n, h = init.shape
     out = np.empty((horizon + 1, n, h))
     out[0] = init
-    obs = None
     models = _stacked(models, n)
+    obs = np.empty((horizon, n), dtype=models.dtype) if keep_observations else None
     state = NetworkState(init, 0)
     for i in range(1, horizon + 1):
-        state, xi = run_iteration(state, net, models, true_index, strategy, rng)
+        state, xi = run_iteration(state, net, models, true_index, sharing, rng)
         out[i] = state.log_beliefs
         if keep_observations:
-            if obs is None:
-                obs = np.empty((horizon, n), dtype=np.asarray(xi).dtype)
             obs[i - 1] = xi
     return out, obs

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes: ValidationError -> 1,
-NumericalError -> 2, AcceptanceFailure -> 3.
+There is no command-line entry point yet; the one planned in ROADMAP item 5
+is to map these onto exit codes: ValidationError -> 1, NumericalError -> 2,
+AcceptanceFailure -> 3.
 """
 
 

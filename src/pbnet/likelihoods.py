@@ -59,8 +59,12 @@ class GaussianFamily:
     """Unit-variance Gaussian observation model, one mean per hypothesis.
 
     The variance is fixed to 1; only the means distinguish hypotheses.
-    Observations are real numbers.
+    Observations are real numbers. ``means`` is (H,); a :class:`GaussianGroup`
+    stacks it to (n, H), one row per agent, and ``log_rows`` and ``sample``
+    broadcast over that leading agent axis.
     """
+
+    dtype = np.dtype(np.float64)
 
     def __init__(self, means: Sequence[float]):
         arr = np.asarray(means, dtype=float)
@@ -73,10 +77,74 @@ class GaussianFamily:
 
     @property
     def hypothesis_count(self) -> int:
-        return int(self.means.size)
+        return int(self.means.shape[-1])
 
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
+
+    def log_rows(self, xi) -> np.ndarray:
+        d = np.asarray(xi, dtype=float)[:, None] - self.means
+        return -0.5 * d * d - _LOG_SQRT_2PI
+
+    def sample(self, theta: int, rng: np.random.Generator, size=None):
+        _check_hypothesis(self, theta)
+        return rng.normal(self.means[..., theta], 1.0, size=size)
+
+    def kl(self, p, q) -> float:
+        p = _point_or_mixture(self, p)
+        q = _point_or_mixture(self, q)
+        if not isinstance(p, MixtureSpec) and not isinstance(q, MixtureSpec):
+            diff = self.means[p] - self.means[q]
+            return 0.5 * float(diff * diff)
+
+        logp = self._log_density_fn(p)
+        logq = self._log_density_fn(q)
+        lo = float(self.means.min() - KL_QUAD_SIGMA_SPAN)
+        hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
+
+        def integrand(x):
+            lp = logp(x)
+            return math.exp(lp) * (lp - logq(x))
+
+        out = integrate.quad(
+            integrand, lo, hi, epsabs=KL_QUAD_TOL, epsrel=1e-10, limit=200, full_output=1
+        )
+        if len(out) > 3:  # an error message element is appended on trouble
+            raise NumericalError(f"KL quadrature failed: {out[3]}")
+        value, abserr = out[0], out[1]
+        if abserr > KL_QUAD_TOL:
+            raise NumericalError(
+                f"KL quadrature error estimate {abserr:.3g} exceeds tolerance {KL_QUAD_TOL:.3g}"
+            )
+        if value < -KL_QUAD_TOL:
+            raise NumericalError(f"KL quadrature produced a negative value {value:.3g}")
+        return max(value, 0.0)
+
+    def _log_density_fn(self, which):
+        if isinstance(which, MixtureSpec):
+            active = np.where(which.weights > 0)[0]
+            logw = np.log(which.weights[active])
+            means = self.means[active]
+
+            def logq(x):
+                vals = logw - 0.5 * (x - means) ** 2 - _LOG_SQRT_2PI
+                m = vals.max()
+                return m + np.log(np.exp(vals - m).sum())
+
+            return logq
+        mean = self.means[which]
+
+        def logp(x):
+            return -0.5 * (x - mean) ** 2 - _LOG_SQRT_2PI
+
+        return logp
+
+    def bound(self, excluded: int) -> float:
+        _check_hypothesis(self, excluded)
+        raise UnboundedLikelihoodError(
+            "Gaussian log-likelihood ratios are unbounded; the boundedness "
+            "constant exists only for finite-support families"
+        )
 
 
 class DiscreteFamily:
@@ -85,7 +153,17 @@ class DiscreteFamily:
     Every row must sum to 1 (within 1e-12) and every entry must be
     strictly positive, which keeps all log-likelihood ratios finite.
     ``validate=False`` skips the positivity check (test fixtures only).
+
+    ``log_pmf`` is (1, H, S), ``cdf`` is (H, S, 1) and ``support_size`` is
+    S; a :class:`DiscreteGroup` stacks them to (n, H, S), (H, S, n) and an
+    (n,) array, one entry per agent, and ``log_rows`` and ``sample``
+    broadcast over that agent axis. ``cdf`` holds the cumulative sums with
+    the last one set to +inf, so that the count of its entries <= u is the
+    inverse-CDF draw for a uniform u; its agent axis comes last so that a
+    draw compares contiguous rows.
     """
+
+    dtype = np.dtype(np.int64)
 
     def __init__(self, pmf: Sequence[Sequence[float]], validate: bool = True):
         table = np.asarray(pmf, dtype=float)
@@ -107,81 +185,84 @@ class DiscreteFamily:
             raise ValidationError("pmf entries must be nonnegative")
         table.setflags(write=False)
         self.pmf = table
+        self.support_size = table.shape[1]
         with np.errstate(divide="ignore"):
-            self._log_pmf = np.log(table)
-        self._log_pmf.setflags(write=False)
-        self._cdf = np.cumsum(table, axis=1)
+            self.log_pmf = np.log(table)[None]
+        self.log_pmf.setflags(write=False)
+        self.cdf = np.cumsum(table, axis=1)[:, :, None]
+        self.cdf[:, -1] = np.inf
 
     @property
     def hypothesis_count(self) -> int:
-        return int(self.pmf.shape[0])
-
-    @property
-    def support_size(self) -> int:
-        return int(self.pmf.shape[1])
+        return int(self.log_pmf.shape[1])
 
     def __repr__(self):
         return f"DiscreteFamily(pmf={self.pmf.tolist()})"
+
+    def log_rows(self, xi) -> np.ndarray:
+        idx = np.asarray(xi, dtype=np.int64)
+        if np.any(idx < 0) or np.any(idx >= self.support_size):
+            raise InvalidObservationError("observation outside discrete support")
+        return self.log_pmf[np.arange(len(self.log_pmf)), :, idx]
+
+    def sample(self, theta: int, rng: np.random.Generator, size=None):
+        _check_hypothesis(self, theta)
+        u = rng.random(1 if size is None else size)  # random(1) is random()'s draw
+        idx = (self.cdf[theta] <= u.ravel()).sum(axis=0).reshape(u.shape)
+        return int(idx[0]) if size is None else idx
+
+    def kl(self, p, q) -> float:
+        p = self._pmf_of(p)
+        q = self._pmf_of(q)
+        # 0 * log(0/q) = 0; q may contain zeros only for unvalidated tables.
+        mask = p > 0
+        if np.any(q[mask] == 0.0):
+            return math.inf
+        return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+    def _pmf_of(self, which) -> np.ndarray:
+        """Resolve an index or MixtureSpec into a pmf vector over the support."""
+        which = _point_or_mixture(self, which)
+        if isinstance(which, MixtureSpec):
+            return which.weights @ self.pmf
+        return self.pmf[which]
+
+    def bound(self, excluded: int) -> float:
+        _check_hypothesis(self, excluded)
+        logs = np.delete(self.log_pmf[0], excluded, axis=0)
+        a, b = logs[:, None], logs[None, :]
+        # a column where both rows are zero contributes no ratio
+        both_zero = (a == -np.inf) & (b == -np.inf)
+        diff = np.subtract(a, b, out=np.zeros(both_zero.shape), where=~both_zero)
+        return float(np.abs(diff).max(initial=0.0))
 
 
 LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
 
 
-class AgentGroup:
-    """The agents of one family type in a per-agent model list, with their
-    parameters stacked along a leading agent axis, so that one
-    :func:`sample_observation` and one :func:`log_likelihood_rows` call serve
-    the whole group. ``agents`` holds their positions in the list, ascending.
-    """
+class GaussianGroup(GaussianFamily):
+    """The Gaussian agents of a per-agent model list, means stacked (n, H).
+    ``agents`` holds their positions in the list, ascending."""
 
-    def __init__(self, agents: np.ndarray, models: Sequence[LikelihoodModel]):
+    def __init__(self, agents: np.ndarray, models: Sequence[GaussianFamily]):
         self.agents = agents
-        self.hypothesis_count = models[0].hypothesis_count
+        self.means = np.stack([m.means for m in models])
 
 
-class GaussianGroup(AgentGroup):
-    dtype = np.dtype(np.float64)
+class DiscreteGroup(DiscreteFamily):
+    """The discrete agents of a per-agent model list. Tables span the widest
+    support S; an agent's entries past its own support hold log-pmf -inf and
+    cdf +inf. ``agents`` holds their positions in the list, ascending."""
 
-    def __init__(self, agents, models):
-        super().__init__(agents, models)
-        self.means = np.stack([m.means for m in models])  # (n, H)
-
-    def sample(self, theta: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.means[:, theta], 1.0)
-
-    def log_rows(self, xi: np.ndarray) -> np.ndarray:
-        d = np.asarray(xi, dtype=float)[:, None] - self.means
-        return -0.5 * d * d - _LOG_SQRT_2PI
-
-
-class DiscreteGroup(AgentGroup):
-    """Tables are (n, H, S) over the widest support S; an agent's columns
-    past its own support hold log-pmf -inf and cdf +inf."""
-
-    dtype = np.dtype(np.int64)
-
-    def __init__(self, agents, models):
-        super().__init__(agents, models)
-        self.support = np.array([m.support_size for m in models])
-        shape = (len(models), self.hypothesis_count, int(self.support.max()))
-        self.log_pmf = np.full(shape, -np.inf)
-        self.cdf = np.full(shape, np.inf)
+    def __init__(self, agents: np.ndarray, models: Sequence[DiscreteFamily]):
+        self.agents = agents
+        self.support_size = np.array([m.support_size for m in models])
+        n, h, s = len(models), models[0].hypothesis_count, int(self.support_size.max())
+        self.log_pmf = np.full((n, h, s), -np.inf)
+        self.cdf = np.full((h, s, n), np.inf)
         for i, m in enumerate(models):
-            self.log_pmf[i, :, : m.support_size] = m._log_pmf
-            self.cdf[i, :, : m.support_size] = m._cdf
-
-    def sample(self, theta: int, rng: np.random.Generator) -> np.ndarray:
-        # inverse-CDF lookup as in sample_observation: the count of cdf
-        # entries <= u is searchsorted(cdf, u, side="right")
-        u = rng.random(self.agents.size)
-        idx = np.count_nonzero(self.cdf[:, theta, :] <= u[:, None], axis=1)
-        return np.minimum(idx, self.support - 1)
-
-    def log_rows(self, xi: np.ndarray) -> np.ndarray:
-        idx = np.asarray(xi, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.support):
-            raise InvalidObservationError("observation outside discrete support")
-        return self.log_pmf[np.arange(idx.size), :, idx]
+            self.log_pmf[i, :, : m.support_size] = m.log_pmf[0]
+            self.cdf[:, : m.support_size, i] = m.cdf[:, :, 0]
 
 
 _GROUP_OF = {GaussianFamily: GaussianGroup, DiscreteFamily: DiscreteGroup}
@@ -192,10 +273,10 @@ class StackedModels:
     """A per-agent model list stacked by family type, built once per
     trajectory by :func:`stack_models`."""
 
-    groups: tuple  # one AgentGroup per family type, in order of first appearance
+    groups: tuple  # one group per family type, in order of first appearance
     n_agents: int
     hypothesis_count: int
-    obs_dtype: np.dtype  # int64 when every agent is discrete, else float64
+    dtype: np.dtype  # observations': int64 when every agent is discrete, else float64
 
 
 def stack_models(models: Sequence[LikelihoodModel], n_agents: int) -> StackedModels:
@@ -298,7 +379,7 @@ def log_likelihood(model: LikelihoodModel, theta: int, xi) -> float:
         d = x - model.means[theta]
         return -0.5 * d * d - _LOG_SQRT_2PI
     x = _check_discrete_obs(model, xi)
-    return float(model._log_pmf[theta, x])
+    return float(model.log_pmf[0, theta, x])
 
 
 def likelihood(model: LikelihoodModel, theta: int, xi) -> float:
@@ -311,26 +392,16 @@ def likelihood(model: LikelihoodModel, theta: int, xi) -> float:
 
 def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
     """Vector of log L(xi | theta) over all hypotheses, for one observation."""
-    if isinstance(model, GaussianFamily):
-        x = _check_gaussian_obs(xi)
-        d = x - model.means
-        return -0.5 * d * d - _LOG_SQRT_2PI
-    return model._log_pmf[:, _check_discrete_obs(model, xi)].copy()
+    gaussian = isinstance(model, GaussianFamily)
+    x = _check_gaussian_obs(xi) if gaussian else _check_discrete_obs(model, xi)
+    return model.log_rows([x])[0]
 
 
-def log_likelihood_rows(model, xi_array: np.ndarray) -> np.ndarray:
-    """(n, H) matrix of log-likelihoods for a batch of observations; for an
-    :class:`AgentGroup`, row i scores observation i under agent i's model."""
-    if isinstance(model, AgentGroup):
-        return model.log_rows(xi_array)
-    if isinstance(model, GaussianFamily):
-        x = np.asarray(xi_array, dtype=float)
-        d = x[:, None] - model.means[None, :]
-        return -0.5 * d * d - _LOG_SQRT_2PI
-    idx = np.asarray(xi_array, dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= model.support_size):
-        raise InvalidObservationError("observation outside discrete support")
-    return model._log_pmf[:, idx].T.copy()
+def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndarray:
+    """(n, H) matrix of log-likelihoods for a batch of observations; for a
+    :class:`GaussianGroup` or :class:`DiscreteGroup`, row i scores observation
+    i under agent i's model."""
+    return model.log_rows(xi_array)
 
 
 def mixture_log_density(model: LikelihoodModel, spec: MixtureSpec, xi) -> float:
@@ -345,52 +416,15 @@ def mixture_log_density(model: LikelihoodModel, spec: MixtureSpec, xi) -> float:
 
 
 def _point_or_mixture(model: LikelihoodModel, which):
-    """An index, or a MixtureSpec checked against the model; a mixture with
+    """An index or a MixtureSpec, checked against the model; a mixture with
     one positive weight is that hypothesis's index."""
     if not isinstance(which, MixtureSpec):
-        return which
+        _check_hypothesis(model, int(which))
+        return int(which)
     if which.weights.size != model.hypothesis_count:
         raise ValidationError("mixture weights length does not match the model")
     support = np.flatnonzero(which.weights)
     return int(support[0]) if support.size == 1 else which
-
-
-def _discrete_pmf_of(model: DiscreteFamily, which) -> np.ndarray:
-    """Resolve an index or MixtureSpec into a pmf vector over the support."""
-    if isinstance(which, MixtureSpec):
-        return which.weights @ model.pmf
-    _check_hypothesis(model, int(which))
-    return model.pmf[int(which)]
-
-
-def _kl_discrete(p: np.ndarray, q: np.ndarray) -> float:
-    # 0 * log(0/q) = 0; q may contain zeros only for unvalidated tables.
-    mask = p > 0
-    if np.any(q[mask] == 0.0):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def _gaussian_log_density_fn(model: GaussianFamily, which):
-    if isinstance(which, MixtureSpec):
-        active = np.where(which.weights > 0)[0]
-        logw = np.log(which.weights[active])
-        means = model.means[active]
-
-        def logq(x):
-            vals = logw - 0.5 * (x - means) ** 2 - _LOG_SQRT_2PI
-            m = vals.max()
-            return m + np.log(np.exp(vals - m).sum())
-
-        return logq
-    theta = int(which)
-    _check_hypothesis(model, theta)
-    mean = model.means[theta]
-
-    def logp(x):
-        return -0.5 * (x - mean) ** 2 - _LOG_SQRT_2PI
-
-    return logp
 
 
 def kl_divergence(model: LikelihoodModel, p, q) -> float:
@@ -405,39 +439,7 @@ def kl_divergence(model: LikelihoodModel, p, q) -> float:
     standard deviations beyond the extreme means; failure to meet the
     tolerance raises instead of returning a guess.
     """
-    p = _point_or_mixture(model, p)
-    q = _point_or_mixture(model, q)
-    if isinstance(model, DiscreteFamily):
-        return _kl_discrete(_discrete_pmf_of(model, p), _discrete_pmf_of(model, q))
-
-    if not isinstance(p, MixtureSpec) and not isinstance(q, MixtureSpec):
-        _check_hypothesis(model, int(p))
-        _check_hypothesis(model, int(q))
-        diff = model.means[int(p)] - model.means[int(q)]
-        return 0.5 * float(diff * diff)
-
-    logp = _gaussian_log_density_fn(model, p)
-    logq = _gaussian_log_density_fn(model, q)
-    lo = float(model.means.min() - KL_QUAD_SIGMA_SPAN)
-    hi = float(model.means.max() + KL_QUAD_SIGMA_SPAN)
-
-    def integrand(x):
-        lp = logp(x)
-        return math.exp(lp) * (lp - logq(x))
-
-    out = integrate.quad(
-        integrand, lo, hi, epsabs=KL_QUAD_TOL, epsrel=1e-10, limit=200, full_output=1
-    )
-    if len(out) > 3:  # an error message element is appended on trouble
-        raise NumericalError(f"KL quadrature failed: {out[3]}")
-    value, abserr = out[0], out[1]
-    if abserr > KL_QUAD_TOL:
-        raise NumericalError(
-            f"KL quadrature error estimate {abserr:.3g} exceeds tolerance {KL_QUAD_TOL:.3g}"
-        )
-    if value < -KL_QUAD_TOL:
-        raise NumericalError(f"KL quadrature produced a negative value {value:.3g}")
-    return max(value, 0.0)
+    return model.kl(p, q)
 
 
 def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
@@ -445,41 +447,20 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
     a, b != excluded.
 
     This is the boundedness constant used by the self-aware mislearning
-    condition. It is finite only for discrete families; a Gaussian family
-    raises, since its log-ratios are unbounded in xi.
+    condition. It is finite only for discrete families (and infinite for an
+    unvalidated table in which one row of a pair is zero where the other is
+    not); a Gaussian family raises UnboundedLikelihoodError, since its
+    log-ratios are unbounded in xi.
     """
-    _check_hypothesis(model, excluded)
-    if isinstance(model, GaussianFamily):
-        raise UnboundedLikelihoodError(
-            "Gaussian log-likelihood ratios are unbounded; the boundedness "
-            "constant exists only for finite-support families"
-        )
-    keep = [h for h in range(model.hypothesis_count) if h != excluded]
-    if len(keep) < 2:
-        return 0.0
-    logs = model._log_pmf[keep]
-    best = 0.0
-    for i in range(len(keep)):
-        for j in range(i + 1, len(keep)):
-            best = max(best, float(np.max(np.abs(logs[i] - logs[j]))))
-    return best
+    return model.bound(excluded)
 
 
-def sample_observation(model, theta: int, rng: np.random.Generator, size=None):
+def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Generator, size=None):
     """Draw from L(. | theta). Scalar when ``size`` is None, else an array;
-    an :class:`AgentGroup` draws one observation per agent, in agent order,
-    and ignores ``size``.
+    a :class:`GaussianGroup` or :class:`DiscreteGroup` draws one observation
+    per agent, in agent order, with ``size`` its agent count.
 
     Deterministic given the generator state. Discrete draws use inverse-CDF
     lookup so the same uniform stream yields the same observations everywhere.
     """
-    _check_hypothesis(model, theta)
-    if isinstance(model, AgentGroup):
-        return model.sample(theta, rng)
-    if isinstance(model, GaussianFamily):
-        return rng.normal(model.means[theta], 1.0, size=size)
-    cdf = model._cdf[theta]
-    u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, model.support_size - 1)
-    return int(idx) if size is None else idx.astype(np.int64)
+    return model.sample(theta, rng, size)

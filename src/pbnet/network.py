@@ -238,7 +238,6 @@ def build_averaging_matrix(adjacency: np.ndarray, self_weight: float) -> Network
     lam = float(self_weight)
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"self-weight must lie in (0, 1), got {lam}")
-    n = adj.shape[0]
     if not np.all(np.diag(adj)):
         missing = int(np.where(~np.diag(adj))[0][0])
         raise ValidationError(f"averaging rule needs a self-loop at every node; node {missing} has none")
@@ -248,11 +247,10 @@ def build_averaging_matrix(adjacency: np.ndarray, self_weight: float) -> Network
         raise DegenerateDegreeError(
             f"node {lonely} has no neighbors besides itself; cannot split weight 1-lam"
         )
-    A = np.zeros((n, n))
-    for k in range(n):
-        share = (1.0 - lam) / (degrees[k] - 1)
-        A[adj[:, k], k] = share
-        A[k, k] = lam
+    # through the mask, not np.where: only the pages holding edges get written
+    A = np.zeros(adj.shape)
+    A[adj] = ((1.0 - lam) / (degrees - 1))[np.nonzero(adj)[1]]
+    np.fill_diagonal(A, lam)
     return Network.from_matrix(A, adjacency=adj, self_weight=lam)
 
 

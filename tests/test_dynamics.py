@@ -11,6 +11,7 @@ from pbnet.dynamics import (
     NetworkState,
     PartialSharing,
     SelfAwarePartialSharing,
+    Sharing,
     bayesian_update,
     check_log_beliefs,
     combine_step,
@@ -352,3 +353,32 @@ class TestStepKernel:
         _, obs = run_trajectory(init, RING5, mixed_models(5), 0, FullSharing(), 5,
                                 np.random.default_rng(0), keep_observations=True)
         assert obs.dtype == np.float64
+
+
+class TestSharing:
+    @pytest.mark.parametrize("old, fields", [
+        (FullSharing(), (None, False)),
+        (PartialSharing(2), (2, False)),
+        (SelfAwarePartialSharing(2), (2, True)),
+        (MaxBeliefSharing(), ("argmax", False)),
+        (MaxBeliefSharing(self_aware=True), ("argmax", True)),
+    ], ids=["full", "partial", "self_aware", "max_belief", "max_belief_self_aware"])
+    def test_old_names_set_the_two_fields(self, old, fields):
+        assert isinstance(old, Sharing)
+        assert (old.transmit, old.self_aware) == fields
+
+    @pytest.mark.parametrize("fam", [GAUSS3, DISC3], ids=["gaussian", "discrete"])
+    @pytest.mark.parametrize("new, old", [
+        (Sharing(1, self_aware=True), SelfAwarePartialSharing(1)),
+        (Sharing("argmax", True), MaxBeliefSharing(self_aware=True)),
+    ], ids=["self_aware", "max_belief_self_aware"])
+    def test_trajectory_equals_old_name_bitwise(self, fam, new, old):
+        init = uniform_log_beliefs(5, 3)
+        a, _ = run_trajectory(init, RING5, fam, 0, new, 60, np.random.default_rng(9))
+        b, _ = run_trajectory(init, RING5, fam, 0, old, 60, np.random.default_rng(9))
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("transmit", ["max", 1.5, True, -1])
+    def test_invalid_transmit_rejected_at_construction(self, transmit):
+        with pytest.raises(ValidationError, match="transmit"):
+            Sharing(transmit)

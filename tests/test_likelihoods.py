@@ -238,6 +238,14 @@ class TestLikelihoodBound:
         fam = DiscreteFamily([[0.7, 0.3], [0.4, 0.6]])
         assert likelihood_bound(fam, 1) == 0.0
 
+    def test_unvalidated_zero_against_positive_is_infinite(self):
+        # xi = 2 gives log 0 against log 0.5; xi = 1 is zero in both rows
+        fam = DiscreteFamily([[1, 0, 0], [0.5, 0, 0.5], [0.2, 0.3, 0.5]], validate=False)
+        assert likelihood_bound(fam, 2) == math.inf
+        # a column that is zero in both rows carries no ratio
+        fam = DiscreteFamily([[0.5, 0, 0.5], [0.2, 0, 0.8], [1, 0, 0]], validate=False)
+        assert likelihood_bound(fam, 2) == pytest.approx(math.log(0.5 / 0.2), abs=1e-12)
+
     def test_gaussian_unbounded(self):
         with pytest.raises(UnboundedLikelihoodError):
             likelihood_bound(GAUSS3, 0)
@@ -290,8 +298,27 @@ class TestSampling:
         freq = np.bincount(draws, minlength=3) / 1e6
         np.testing.assert_allclose(freq, [0.5, 0.3, 0.2], atol=0.005)
 
+    @pytest.mark.parametrize("fam", [GAUSS3, DISC], ids=["gaussian", "discrete"])
+    def test_shaped_draw_is_the_flat_draw_reshaped(self, fam):
+        flat = sample_observation(fam, 1, np.random.default_rng(4), size=6)
+        shaped = sample_observation(fam, 1, np.random.default_rng(4), size=(2, 3))
+        np.testing.assert_array_equal(shaped, flat.reshape(2, 3))
+
     def test_scalar_draw(self):
         rng = np.random.default_rng(1)
         xi = sample_observation(DISC, 1, rng)
         assert isinstance(xi, int)
         assert 0 <= xi < 3
+
+    def test_uniform_above_the_last_cumulative_sum_draws_the_last_point(self):
+        # the cumulative sum of ten 0.1s ends at the largest double below 1,
+        # which a uniform draw can reach
+        class TopUniform:
+            def random(self, size=None):
+                u = 1.0 - 2.0**-53
+                return u if size is None else np.full(size, u)
+
+        fam = DiscreteFamily([[0.1] * 10, [0.5] + [0.5 / 9] * 9])
+        assert np.cumsum(fam.pmf[0])[-1] <= 1.0 - 2.0**-53
+        np.testing.assert_array_equal(sample_observation(fam, 0, TopUniform(), size=3), [9] * 3)
+        assert sample_observation(fam, 0, TopUniform()) == 9

@@ -168,6 +168,18 @@ class TestAveragingMatrix:
         # zero weight off the graph
         assert np.all(net.matrix[~net.adjacency] == 0.0)
 
+    @pytest.mark.parametrize("n, p", [(5, 0.5), (40, 0.2), (120, 0.05), (250, 0.02)])
+    def test_fill_matches_column_loop(self, n, p):
+        rng = np.random.default_rng(n)
+        adj = generate_strongly_connected_adjacency(n, p, rng)
+        lam = float(rng.uniform(0.05, 0.95))
+        want = np.zeros((n, n))
+        degrees = adj.sum(axis=0)
+        for k in range(n):
+            want[adj[:, k], k] = (1.0 - lam) / (degrees[k] - 1)
+            want[k, k] = lam
+        np.testing.assert_array_equal(build_averaging_matrix(adj, lam).matrix, want)
+
     def test_requires_self_loops_everywhere(self):
         adj = complete_adjacency(3).copy()
         adj[1, 1] = False

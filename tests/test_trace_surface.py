@@ -1,7 +1,10 @@
-"""The benchmark's traced run wraps pbnet's module attributes by name
-(perfbench/workloads.py, TRACE_TARGETS); every one of them must exist."""
+"""The benchmark drives pbnet through names that must keep working: its
+traced run wraps pbnet's module attributes by name (perfbench/workloads.py,
+TRACE_TARGETS), and its workloads build sharing rules by their old names."""
 
 from pathlib import Path
+
+from pbnet import dynamics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -16,3 +19,9 @@ def test_every_trace_target_resolves(monkeypatch):
         for part in attr.split("."):
             target = getattr(target, part)  # AttributeError names what is gone
         assert callable(target), f"{module.__name__}.{attr} is not callable"
+
+
+def test_benchmark_sharing_constructors_build_sharing_rules():
+    for rule in (dynamics.FullSharing(), dynamics.PartialSharing(0),
+                 dynamics.SelfAwarePartialSharing(0)):
+        assert isinstance(rule, dynamics.Sharing)
