@@ -85,12 +85,30 @@ def theoretical_rate(model: LikelihoodModel, true_index: int, tx_index: int) -> 
     Positive: the transmitted component decays (its log-ratio grows); negative:
     the transmitted hypothesis absorbs all belief under partial sharing.
     """
-    h = model.hypothesis_count
-    if h < 2:
-        raise ValidationError("need at least two hypotheses")
-    mix = MixtureSpec.uniform_complement(h, tx_index)
-    return kl_divergence(model, true_index, tx_index) - kl_divergence(
-        model, true_index, mix
+    d_tx = _kl_true_vs_tx(model, true_index, tx_index)
+    return d_tx - _kl_true_vs_mixture(model, true_index, tx_index)
+
+
+def _kl_true_vs_tx(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
+    """D_KL[L(true)||L(tx)]. For tx != true a zero divergence raises here,
+    before any mixture KL, which may need quadrature, runs."""
+    d_tx = kl_divergence(model, true_index, tx_index)
+    if tx_index != true_index and d_tx == 0.0:
+        raise IndistinguishableHypothesesError(
+            f"hypotheses {true_index} and {tx_index} have identical likelihoods"
+        )
+    return d_tx
+
+
+def _kl_true_vs_mixture(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
+    """D_KL[L(true)||uniform mixture of every hypothesis except tx]."""
+    mix = MixtureSpec.uniform_complement(model.hypothesis_count, tx_index)
+    return kl_divergence(model, true_index, mix)
+
+
+def _report(strategy, true_index, tx_index, d_tx, d_mix, predicted, values) -> RegimeReport:
+    return RegimeReport(
+        strategy, true_index, tx_index, d_tx, d_mix, d_tx - d_mix, predicted, values
     )
 
 
@@ -103,20 +121,13 @@ def predict_partial_regime(
     positive. tx != true: the sign of the rate decides between collapse onto
     tx and a uniform split over the other hypotheses.
     """
-    h = model.hypothesis_count
-    mix = MixtureSpec.uniform_complement(h, tx_index)
-    d_tx = kl_divergence(model, true_index, tx_index)
-    d_mix = kl_divergence(model, true_index, mix)
-    rate = d_tx - d_mix
+    d_tx = _kl_true_vs_tx(model, true_index, tx_index)
+    d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
     values = {}
     if tx_index == true_index:
         values["thm1_true"] = d_mix
         predicted = Regime.TRUTH_LEARNING if d_mix > KL_MARGIN_TOL else Regime.INCONCLUSIVE
     else:
-        if d_tx == 0.0:
-            raise IndistinguishableHypothesesError(
-                f"hypotheses {true_index} and {tx_index} have identical likelihoods"
-            )
         # margin of mixture-vs-tx divergence: positive means tx is the easier
         # explanation and absorbs the belief
         margin = d_mix - d_tx
@@ -127,33 +138,7 @@ def predict_partial_regime(
             predicted = Regime.UNIFORM_SPLIT
         else:
             predicted = Regime.INCONCLUSIVE
-    return RegimeReport(
-        strategy="partial",
-        true_index=true_index,
-        tx_index=tx_index,
-        kl_true_vs_tx=d_tx,
-        kl_true_vs_mixture=d_mix,
-        rate=rate,
-        predicted=predicted,
-        condition_values=values,
-    )
-
-
-def _truth_probe_margins(model: LikelihoodModel, true_index: int) -> dict:
-    """KL of the true likelihood against every vertex mixture and the uniform
-    one. A practical screen for the all-mixtures quantifier: necessary, and
-    for these families in practice sufficient."""
-    h = model.hypothesis_count
-    margins = {}
-    for tau in range(h):
-        if tau == true_index:
-            continue
-        probe = MixtureSpec.vertex(h, true_index, tau)
-        margins[f"vertex_{tau}"] = kl_divergence(model, true_index, probe)
-    margins["uniform"] = kl_divergence(
-        model, true_index, MixtureSpec.uniform_complement(h, true_index)
-    )
-    return margins
+    return _report("partial", true_index, tx_index, d_tx, d_mix, predicted, values)
 
 
 def predict_self_aware_regime(
@@ -172,30 +157,27 @@ def predict_self_aware_regime(
     conditions are sufficient, not exhaustive.
     """
     h = model.hypothesis_count
-    d_tx = kl_divergence(model, true_index, tx_index)
+    d_tx = _kl_true_vs_tx(model, true_index, tx_index)
     if tx_index != true_index:
         # rejections come before the mixture KL, which may need quadrature
-        if d_tx == 0.0:
-            raise IndistinguishableHypothesesError(
-                f"hypotheses {true_index} and {tx_index} have identical likelihoods"
-            )
         bound = likelihood_bound(model, tx_index)  # a Gaussian family raises
-    d_mix = kl_divergence(model, true_index, MixtureSpec.uniform_complement(h, tx_index))
+    d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
+    # divergences to every hypothesis except tx: closed forms or exact sums
+    others = [kl_divergence(model, true_index, tau) for tau in range(h) if tau != tx_index]
     values = {}
 
     if tx_index == true_index:
-        probes = _truth_probe_margins(model, true_index)
-        values["thm2_probe_min"] = min(probes.values())
+        # probes: every vertex of the complement simplex (a point likelihood)
+        # and its uniform mixture. A practical screen for the all-mixtures
+        # quantifier: necessary, and for these families in practice sufficient.
+        values["thm2_probe_min"] = min(others + [d_mix])
         predicted = (
             Regime.TRUTH_LEARNING
             if values["thm2_probe_min"] > PROBE_TOL
             else Regime.INCONCLUSIVE
         )
     else:
-        other_sum = sum(
-            kl_divergence(model, true_index, tau) for tau in range(h) if tau != tx_index
-        )
-        values["lem3"] = d_tx - (net.alpha / (h - 1)) * other_sum
+        values["lem3"] = d_tx - (net.alpha / (h - 1)) * sum(others)
         values["likelihood_bound"] = bound
         values["lem4"] = d_mix - d_tx - bound * net.weight_sum
         # reported with the weight term on the other side as well, for
@@ -215,16 +197,7 @@ def predict_self_aware_regime(
             predicted = Regime.SUFFICIENT_COND_ONE
         else:
             predicted = Regime.INCONCLUSIVE
-    return RegimeReport(
-        strategy="self_aware_partial",
-        true_index=true_index,
-        tx_index=tx_index,
-        kl_true_vs_tx=d_tx,
-        kl_true_vs_mixture=d_mix,
-        rate=d_tx - d_mix,
-        predicted=predicted,
-        condition_values=values,
-    )
+    return _report("self_aware_partial", true_index, tx_index, d_tx, d_mix, predicted, values)
 
 
 # -- empirical measurements ---------------------------------------------------

@@ -56,6 +56,15 @@ class Sharing:
                 f"transmit must be None, a hypothesis index or 'argmax', got {t!r}"
             )
 
+    # equal by the two fields, whichever constructor below built the rule
+    def __eq__(self, other):
+        if not isinstance(other, Sharing):
+            return NotImplemented
+        return (self.transmit, self.self_aware) == (other.transmit, other.self_aware)
+
+    def __hash__(self):
+        return hash((self.transmit, self.self_aware))
+
 
 class FullSharing(Sharing):
     """``Sharing()``: entire belief vectors (classic log-linear learning)."""

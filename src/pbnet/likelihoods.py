@@ -1,4 +1,4 @@
-"""Hypothesis sets and per-hypothesis observation models.
+"""Per-hypothesis observation models.
 
 Two families are supported: unit-variance Gaussians (one mean per
 hypothesis) and strictly positive finite-support pmfs over {0..S-1}.
@@ -34,25 +34,6 @@ KL_QUAD_TOL = 1e-6
 KL_QUAD_SIGMA_SPAN = 10.0
 
 PMF_ROW_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HypothesisSet:
-    """The finite hypothesis space with the true and the transmitted index."""
-
-    count: int
-    true_index: int
-    tx_index: int
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValidationError(f"hypothesis count must be >= 2, got {self.count}")
-        for name in ("true_index", "tx_index"):
-            idx = getattr(self, name)
-            if not 0 <= idx < self.count:
-                raise ValidationError(
-                    f"{name} must be in [0, {self.count - 1}], got {idx}"
-                )
 
 
 class GaussianFamily:
@@ -306,8 +287,8 @@ class MixtureSpec:
     ``weights`` is a full-length vector over all H hypotheses whose entry at
     ``excluded`` is zero; the rest are nonnegative and sum to one. The uniform
     case (1/(H-1) each) is the averaged complement distribution used by the
-    convergence-rate formula; point-mass weights give the vertex probes of the
-    self-aware truth-learning check.
+    convergence-rate formula; point-mass weights (:meth:`vertex`) are a single
+    hypothesis, and KL takes its point forms.
     """
 
     excluded: int
@@ -363,7 +344,10 @@ def _check_gaussian_obs(xi) -> float:
 
 
 def _check_discrete_obs(model: DiscreteFamily, xi) -> int:
-    x = int(xi)
+    try:
+        x = int(xi)
+    except (ValueError, OverflowError):  # NaN or an infinity: outside the support
+        x = -1
     if x != xi or not 0 <= x < model.support_size:
         raise InvalidObservationError(
             f"observation {xi!r} outside discrete support 0..{model.support_size - 1}"

@@ -50,6 +50,11 @@ class TestTheoreticalRate:
         fam = DiscreteFamily([[0.6, 0.3, 0.1], [0.4, 0.3, 0.3], [0.2, 0.3, 0.5]])
         assert theoretical_rate(fam, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
+    def test_indistinguishable_raises(self):
+        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]], validate=False)
+        with pytest.raises(IndistinguishableHypothesesError):
+            theoretical_rate(fam, 0, 1)
+
     def test_antisymmetric_under_role_swap(self):
         mix = MixtureSpec.uniform_complement(3, 2)
         swapped = kl_divergence(GAUSS3, 0, mix) - kl_divergence(GAUSS3, 0, 2)
@@ -84,6 +89,18 @@ class TestPredictPartial:
         fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]], validate=False)
         with pytest.raises(IndistinguishableHypothesesError):
             predict_partial_regime(fam, 0, 1)
+
+    def test_indistinguishable_rejected_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran for a rejected input")
+
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=no_quadrature))
+        with pytest.raises(IndistinguishableHypothesesError):
+            predict_partial_regime(GaussianFamily([0.0, 0.0, 1.0]), 0, 1)
+
+    def test_tx_out_of_range_raises(self):
+        with pytest.raises(ValidationError):
+            predict_partial_regime(GAUSS3, 0, 3)
 
     def test_report_json_round_trip(self):
         rep = predict_partial_regime(GAUSS3, 0, 1)
@@ -135,6 +152,19 @@ class TestPredictSelfAware:
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=no_quadrature))
         with pytest.raises(UnboundedLikelihoodError):
             predict_self_aware_regime(GAUSS3, self.net, 0, 1)
+
+    def test_truth_learning_runs_one_quadrature(self, monkeypatch):
+        calls = []
+
+        def counted_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        quad = likelihoods.integrate.quad
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
+        rep = predict_self_aware_regime(GAUSS3, self.net, 0, 0)
+        assert rep.predicted is Regime.TRUTH_LEARNING
+        assert len(calls) == 1  # the complement mixture, shared with the uniform probe
 
     def test_gaussian_family_fine_when_tx_is_true(self):
         rep = predict_self_aware_regime(GAUSS3, self.net, 0, 0)

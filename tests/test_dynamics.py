@@ -382,3 +382,12 @@ class TestSharing:
     def test_invalid_transmit_rejected_at_construction(self, transmit):
         with pytest.raises(ValidationError, match="transmit"):
             Sharing(transmit)
+
+    def test_rules_are_equal_by_their_two_fields(self):
+        assert PartialSharing(1) == Sharing(1)
+        assert Sharing(1) == PartialSharing(1)
+        assert FullSharing() == Sharing()
+        assert MaxBeliefSharing(self_aware=True) == Sharing("argmax", True)
+        assert len({PartialSharing(1), Sharing(1)}) == 1
+        assert SelfAwarePartialSharing(1) != PartialSharing(1)
+        assert PartialSharing(1) != PartialSharing(2)

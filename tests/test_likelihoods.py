@@ -11,7 +11,6 @@ from pbnet.errors import (
 from pbnet.likelihoods import (
     DiscreteFamily,
     GaussianFamily,
-    HypothesisSet,
     MixtureSpec,
     kl_divergence,
     likelihood,
@@ -67,15 +66,6 @@ def brute_bound(pmf, excluded):
 # ---------------------------------------------------------------------------
 
 class TestConstruction:
-    def test_hypothesis_set_bounds(self):
-        HypothesisSet(3, 0, 2)
-        with pytest.raises(ValidationError):
-            HypothesisSet(1, 0, 0)
-        with pytest.raises(ValidationError):
-            HypothesisSet(3, 3, 0)
-        with pytest.raises(ValidationError):
-            HypothesisSet(3, 0, -1)
-
     def test_discrete_rows_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="row 0"):
             DiscreteFamily([[0.5, 0.3, 0.1], [0.2, 0.3, 0.5]])
@@ -122,6 +112,16 @@ class TestLikelihood:
             likelihood(DISC, 0, 3)
         with pytest.raises(InvalidObservationError):
             log_likelihood(DISC, 0, -1)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("score", [
+        lambda xi: log_likelihood(DISC, 0, xi),
+        lambda xi: likelihood(DISC, 0, xi),
+        lambda xi: log_likelihood_row(DISC, xi),
+    ], ids=["log_likelihood", "likelihood", "log_likelihood_row"])
+    def test_discrete_rejects_non_finite(self, score, xi):
+        with pytest.raises(InvalidObservationError):
+            score(xi)
 
     def test_gaussian_rejects_non_finite(self):
         with pytest.raises(InvalidObservationError):
