@@ -91,7 +91,7 @@ def theoretical_rate(model: LikelihoodModel, true_index: int, tx_index: int) -> 
 
 def _kl_true_vs_tx(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
     """D_KL[L(true)||L(tx)]. For tx != true a zero divergence raises here,
-    before any mixture KL, which may need quadrature, runs."""
+    before any mixture KL runs; a Gaussian one needs a numerical rule."""
     d_tx = kl_divergence(model, true_index, tx_index)
     if tx_index != true_index and d_tx == 0.0:
         raise IndistinguishableHypothesesError(
@@ -159,7 +159,7 @@ def predict_self_aware_regime(
     h = model.hypothesis_count
     d_tx = _kl_true_vs_tx(model, true_index, tx_index)
     if tx_index != true_index:
-        # rejections come before the mixture KL, which may need quadrature
+        # rejections come before the mixture KL, numerical for a Gaussian family
         bound = likelihood_bound(model, tx_index)  # a Gaussian family raises
     d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
     # divergences to every hypothesis except tx: closed forms or exact sums

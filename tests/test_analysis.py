@@ -98,6 +98,14 @@ class TestPredictPartial:
         with pytest.raises(IndistinguishableHypothesesError):
             predict_partial_regime(GaussianFamily([0.0, 0.0, 1.0]), 0, 1)
 
+    def test_indistinguishable_rejected_before_the_rule(self, monkeypatch):
+        def no_rule(*args, **kwargs):
+            raise AssertionError("the Gauss-Hermite rule ran for a rejected input")
+
+        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", no_rule)
+        with pytest.raises(IndistinguishableHypothesesError):
+            predict_partial_regime(GaussianFamily([0.0, 0.0, 1.0]), 0, 1)
+
     def test_tx_out_of_range_raises(self):
         with pytest.raises(ValidationError):
             predict_partial_regime(GAUSS3, 0, 3)
@@ -153,18 +161,32 @@ class TestPredictSelfAware:
         with pytest.raises(UnboundedLikelihoodError):
             predict_self_aware_regime(GAUSS3, self.net, 0, 1)
 
+    def test_gaussian_rejected_before_the_rule(self, monkeypatch):
+        def no_rule(*args, **kwargs):
+            raise AssertionError("the Gauss-Hermite rule ran for a rejected input")
+
+        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", no_rule)
+        with pytest.raises(UnboundedLikelihoodError):
+            predict_self_aware_regime(GAUSS3, self.net, 0, 1)
+
     def test_truth_learning_runs_one_quadrature(self, monkeypatch):
         calls = []
 
+        def counted_rule(*args, **kwargs):
+            calls.append("rule")
+            return rule(*args, **kwargs)
+
         def counted_quad(*args, **kwargs):
-            calls.append(args)
+            calls.append("quad")
             return quad(*args, **kwargs)
 
-        quad = likelihoods.integrate.quad
+        rule, quad = likelihoods.gauss_hermite_kl, likelihoods.integrate.quad
+        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", counted_rule)
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
         rep = predict_self_aware_regime(GAUSS3, self.net, 0, 0)
         assert rep.predicted is Regime.TRUTH_LEARNING
-        assert len(calls) == 1  # the complement mixture, shared with the uniform probe
+        # the complement mixture, shared with the uniform probe; the rule certifies it
+        assert calls == ["rule"]
 
     def test_gaussian_family_fine_when_tx_is_true(self):
         rep = predict_self_aware_regime(GAUSS3, self.net, 0, 0)

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pbnet import likelihoods
 from pbnet.errors import (
     InvalidObservationError,
     UnboundedLikelihoodError,
@@ -12,6 +14,7 @@ from pbnet.likelihoods import (
     DiscreteFamily,
     GaussianFamily,
     MixtureSpec,
+    gauss_hermite_kl,
     kl_divergence,
     likelihood,
     likelihood_bound,
@@ -123,6 +126,18 @@ class TestLikelihood:
         with pytest.raises(InvalidObservationError):
             score(xi)
 
+    @pytest.mark.parametrize("score", [
+        lambda: log_likelihood(DISC, 0, None),
+        lambda: log_likelihood(GAUSS3, 0, None),
+        lambda: likelihood(DISC, 0, None),
+        lambda: log_likelihood_row(GAUSS3, "x"),
+        lambda: log_likelihood_row(DISC, "x"),
+    ], ids=["discrete-log_likelihood", "gaussian-log_likelihood", "discrete-likelihood",
+            "gaussian-row", "discrete-row"])
+    def test_non_numeric_observation_is_invalid(self, score):
+        with pytest.raises(InvalidObservationError):
+            score()
+
     def test_gaussian_rejects_non_finite(self):
         with pytest.raises(InvalidObservationError):
             log_likelihood(GAUSS3, 0, math.nan)
@@ -186,7 +201,7 @@ class TestKLDivergence:
             for q in range(3):
                 if q == p:
                     continue
-                vertex = MixtureSpec.vertex(3, p, q)
+                vertex = MixtureSpec(p, np.eye(3)[q])
                 assert kl_divergence(fam, p, vertex) == kl_divergence(fam, p, q)
                 assert kl_divergence(fam, vertex, p) == kl_divergence(fam, q, p)
 
@@ -211,6 +226,43 @@ class TestKLDivergence:
         want = trapezoid_kl(
             [0.0, 0.2, 1.0], np.array([0, 0.5, 0.5]), np.array([1.0, 0, 0])
         )
+        assert got == pytest.approx(want, abs=5e-6)
+
+    @pytest.mark.parametrize("h", [3, 5, 10])
+    def test_rule_matches_quadrature(self, h):
+        rng = np.random.default_rng(h)
+        point = np.eye(h)
+        for _ in range(3):
+            fam = GaussianFamily(rng.normal(0.0, 1.0, h))
+            for tx in range(h):
+                mix = MixtureSpec.uniform_complement(h, tx)
+                for p, q, p_w, q_w in ((0, mix, point[0], mix.weights),
+                                       (mix, tx, mix.weights, point[tx])):
+                    got = gauss_hermite_kl(fam.means, p_w, q_w)
+                    assert got is not None  # certified
+                    assert got == pytest.approx(fam._quad_kl(p, q), abs=1e-8)
+
+    def test_uncertified_rule_falls_back_to_quadrature(self, monkeypatch):
+        # the complement's dominant component switches at x = 3, under p's mass
+        fam = GaussianFamily([0.0, 3.0, 6.0])
+        mix = MixtureSpec.uniform_complement(3, 1)
+        assert gauss_hermite_kl(fam.means, np.eye(3)[1], mix.weights) is None
+        want = fam._quad_kl(1, mix)
+        calls = []
+
+        def counted_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        quad = likelihoods.integrate.quad
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
+        assert kl_divergence(fam, 1, mix) == want
+        assert len(calls) == 1
+
+    def test_uncertified_case_matches_dense_grid(self):
+        mix = MixtureSpec.uniform_complement(3, 1)
+        got = kl_divergence(GaussianFamily([0.0, 3.0, 6.0]), 1, mix)
+        want = trapezoid_kl([0.0, 3.0, 6.0], np.array([0, 1.0, 0]), mix.weights)
         assert got == pytest.approx(want, abs=5e-6)
 
     def test_reported_gaussian_margins(self):
