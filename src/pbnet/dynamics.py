@@ -29,6 +29,10 @@ from .network import Network
 
 BELIEF_SUM_TOL = 1e-9
 
+#: Steps whose observations ``run_trajectory`` draws and scores at once. It
+#: caps the side buffer of log-likelihoods at _BLOCK * N * H doubles.
+_BLOCK = 64
+
 
 # -- sharing rules ------------------------------------------------------------
 
@@ -105,8 +109,9 @@ class NetworkState:
 # -- log-domain helpers -------------------------------------------------------
 
 def _row_logsumexp(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    # the reductions behind x.max and x.sum, without their method dispatch
+    m = np.maximum.reduce(x, axis=1, keepdims=True)
+    return m + np.log(np.add.reduce(np.exp(x - m), axis=1, keepdims=True))
 
 
 def log_normalize(log_values: np.ndarray) -> np.ndarray:
@@ -120,14 +125,17 @@ def check_log_beliefs(log_beliefs: np.ndarray) -> None:
     """Hard invariant: finite entries, rows exp-summing to 1 within 1e-9.
 
     Raises instead of clamping; a violation means the engine lost positivity.
+    The message names the first offending row, i.e. agent.
     """
-    b = np.atleast_2d(log_beliefs)
-    if not np.all(np.isfinite(b)):
-        raise NumericalError("non-finite log-belief entry")
-    sums = np.exp(b).sum(axis=1)
-    worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > BELIEF_SUM_TOL:
-        raise NumericalError(f"belief normalization off by {worst:.3g}")
+    b = log_beliefs if getattr(log_beliefs, "ndim", 0) == 2 else np.atleast_2d(log_beliefs)
+    finite = np.isfinite(b)
+    if not finite.all():
+        agent = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise NumericalError(f"agent {agent}: non-finite log-belief entry")
+    off = np.abs(np.add.reduce(np.exp(b), axis=1) - 1.0)
+    if off.max() > BELIEF_SUM_TOL:
+        agent = int(np.flatnonzero(off > BELIEF_SUM_TOL)[0])
+        raise NumericalError(f"agent {agent}: belief normalization off by {off[agent]:.3g}")
 
 
 def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
@@ -157,19 +165,21 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
     return out
 
 
-def _spread_rows(log_psi: np.ndarray, tx_per_row: np.ndarray) -> np.ndarray:
+def _spread_rows(log_psi: np.ndarray, tx) -> np.ndarray:
     """Rowwise sharing modification: keep the tx entry, split the rest evenly.
 
+    ``tx`` is one column for every row, or an array of one column per row.
     The split value is logsumexp of the non-tx entries minus log(H-1), i.e.
     the exact log of (1 - psi_tx)/(H-1) computed from the surviving mass.
     """
     n, h = log_psi.shape
-    rows = np.arange(n)
+    # one column is a basic slice, which is cheaper than fancy indexing
+    kept = (np.arange(n), tx) if isinstance(tx, np.ndarray) else (slice(None), tx)
     masked = log_psi.copy()
-    masked[rows, tx_per_row] = -np.inf
-    spread = _row_logsumexp(masked) - np.log(h - 1)
-    out = np.broadcast_to(spread, (n, h)).copy()
-    out[rows, tx_per_row] = log_psi[rows, tx_per_row]
+    masked[kept] = -np.inf
+    out = np.empty((n, h))
+    out[:] = _row_logsumexp(masked) - np.log(h - 1)
+    out[kept] = log_psi[kept]
     return out
 
 
@@ -178,7 +188,7 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     v = np.asarray(log_psi, dtype=float)
     single = v.ndim == 1
     rows = v[None, :] if single else v
-    n, h = rows.shape
+    h = rows.shape[1]
     tx = sharing.transmit
     if tx is None:
         out = rows.copy()
@@ -187,7 +197,7 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     else:
         if tx >= h:
             raise ValidationError(f"tx index {tx} out of range for H={h}")
-        out = _spread_rows(rows, np.full(n, tx))
+        out = _spread_rows(rows, tx)
     return out[0] if single else out
 
 
@@ -224,18 +234,29 @@ def _stacked(models, n_agents: int):
     return models
 
 
-def _observe(models, true_index: int, n_agents: int, rng):
-    """One observation per agent and the (N, H) table of their
-    log-likelihoods: one draw and one scoring call per family group."""
+def _observe(models, true_index: int, n_agents: int, steps: int, rng):
+    """(steps, N) observations, one per agent and step, and their
+    (steps, N, H) log-likelihoods.
+
+    A single family, or a list whose agents share one family type, draws the
+    block in one call, which equals ``steps`` per-step draws bitwise. Mixed
+    lists draw step by step and group by group, the order a single step
+    draws in, and score each group once per block.
+    """
+    if isinstance(models, StackedModels) and len(models.groups) == 1:
+        models = models.groups[0]  # every agent, in order
     if not isinstance(models, StackedModels):
-        xi = sample_observation(models, true_index, rng, size=n_agents)
+        xi = sample_observation(models, true_index, rng, size=(steps, n_agents))
         return xi, log_likelihood_rows(models, xi)
-    xi = np.empty(n_agents, dtype=models.dtype)
-    table = np.empty((n_agents, models.hypothesis_count))
+    xi = np.empty((steps, n_agents), dtype=models.dtype)
+    for t in range(steps):
+        for group in models.groups:
+            xi[t, group.agents] = sample_observation(
+                group, true_index, rng, size=group.agents.size
+            )
+    table = np.empty((steps, n_agents, models.hypothesis_count))
     for group in models.groups:
-        x = sample_observation(group, true_index, rng, size=group.agents.size)
-        xi[group.agents] = x
-        table[group.agents] = log_likelihood_rows(group, x)
+        table[:, group.agents] = log_likelihood_rows(group, xi[:, group.agents])
     return xi, table
 
 
@@ -246,6 +267,8 @@ def run_iteration(
     true_index: int,
     sharing: Sharing,
     rng: np.random.Generator,
+    *,
+    observed=None,
 ):
     """Advance the network by one step.
 
@@ -255,12 +278,19 @@ def run_iteration(
     recursion checks and optional trajectory retention).
 
     With one model per agent, the agents are stacked by family type and the
-    draws are made group by group, each group in agent order.
+    draws are made group by group, each group in agent order. ``observed``,
+    an (xi, loglik) pair of the (N,) observations and their (N, H)
+    log-likelihoods, is a row drawn ahead of time: the step then draws
+    nothing and returns that xi.
     """
     n = net.size
     if state.log_beliefs.shape[0] != n:
         raise ValidationError("state size does not match the network")
-    xi, loglik = _observe(_stacked(models, n), true_index, n, rng)
+    if observed is None:
+        xi, loglik = _observe(_stacked(models, n), true_index, n, 1, rng)
+        xi, loglik = xi[0], loglik[0]
+    else:
+        xi, loglik = observed
     unnorm = state.log_beliefs + loglik
     log_psi = unnorm - _row_logsumexp(unnorm)
     log_shared = modify_for_sharing(log_psi, sharing)
@@ -279,7 +309,18 @@ def run_trajectory(
     keep_observations: bool = False,
 ):
     """Run ``horizon`` iterations; return ((horizon+1, N, H) log-beliefs,
-    observations or None). Index 0 holds the initial beliefs."""
+    observations or None). Index 0 holds the initial beliefs.
+
+    Observations are drawn and scored ``_BLOCK`` steps at a time, and each
+    step goes through :func:`run_iteration` with its pre-drawn row. A single
+    family, or a list whose agents share one family type, draws each block
+    in one call; mixed lists draw step by step, group by group. Either way
+    the generator yields what ``horizon`` calls of ``run_iteration`` without
+    ``observed`` would draw, so trajectories and observations equal that
+    loop's bitwise. A ``NumericalError`` of a step is raised again with the
+    iteration (1-based, as the index into the result) in its message, and
+    with the first agent whose log-likelihood was non-finite, if any.
+    """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     init = np.asarray(initial_log_beliefs, dtype=float)
@@ -290,9 +331,20 @@ def run_trajectory(
     models = _stacked(models, n)
     obs = np.empty((horizon, n), dtype=models.dtype) if keep_observations else None
     state = NetworkState(init, 0)
-    for i in range(1, horizon + 1):
-        state, xi = run_iteration(state, net, models, true_index, sharing, rng)
-        out[i] = state.log_beliefs
+    for start in range(0, horizon, _BLOCK):
+        steps = min(_BLOCK, horizon - start)
+        xi, loglik = _observe(models, true_index, n, steps, rng)
         if keep_observations:
-            obs[i - 1] = xi
+            obs[start:start + steps] = xi
+        try:
+            for j in range(steps):
+                state, _ = run_iteration(
+                    state, net, models, true_index, sharing, rng, observed=(xi[j], loglik[j])
+                )
+                out[start + j + 1] = state.log_beliefs
+        except NumericalError as exc:
+            # dense pooling spreads a NaN to every agent: name the one it came from
+            scored = np.flatnonzero(~np.isfinite(loglik[j]).all(axis=1))
+            origin = f"agent {scored[0]} scored a non-finite log-likelihood; " if scored.size else ""
+            raise NumericalError(f"iteration {start + j + 1}: {origin}{exc}") from exc
     return out, obs

@@ -46,7 +46,7 @@ class GaussianFamily:
     The variance is fixed to 1; only the means distinguish hypotheses.
     Observations are real numbers. ``means`` is (H,); a :class:`GaussianGroup`
     stacks it to (n, H), one row per agent, and ``log_rows`` and ``sample``
-    broadcast over that leading agent axis.
+    broadcast over that agent axis, and over a step axis before it.
     """
 
     dtype = np.dtype(np.float64)
@@ -68,7 +68,7 @@ class GaussianFamily:
         return f"GaussianFamily(means={self.means.tolist()})"
 
     def log_rows(self, xi) -> np.ndarray:
-        d = np.asarray(xi, dtype=float)[:, None] - self.means
+        d = np.asarray(xi, dtype=float)[..., None] - self.means
         return -0.5 * d * d - _LOG_SQRT_2PI
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
@@ -160,6 +160,11 @@ class DiscreteFamily:
     the last one set to +inf, so that the count of its entries <= u is the
     inverse-CDF draw for a uniform u; its agent axis comes last so that a
     draw compares contiguous rows.
+
+    Both methods also take a leading step axis: ``sample`` with ``size``
+    (steps, n) draws ``rng.random((steps, n))``, which consumes the stream
+    exactly as ``steps`` draws of size n do, so a block of steps drawn at
+    once equals the same steps drawn one at a time, bitwise.
     """
 
     dtype = np.dtype(np.int64)
@@ -207,7 +212,7 @@ class DiscreteFamily:
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
         u = rng.random(1 if size is None else size)  # random(1) is random()'s draw
-        idx = (self.cdf[theta] <= u.ravel()).sum(axis=0).reshape(u.shape)
+        idx = (self.cdf[theta] <= u[..., None, :]).sum(axis=-2)
         return int(idx[0]) if size is None else idx
 
     def kl(self, p, q) -> float:
@@ -348,7 +353,8 @@ def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
 
 def _check_gaussian_obs(xi) -> float:
     try:
-        x = float(xi)
+        # float() would parse a numeric string, which is no observation
+        x = math.nan if isinstance(xi, (str, bytes, bytearray)) else float(xi)
     except (TypeError, ValueError):  # not a number
         x = math.nan
     if not math.isfinite(x):
@@ -399,7 +405,8 @@ def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
 def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndarray:
     """(n, H) matrix of log-likelihoods for a batch of observations; for a
     :class:`GaussianGroup` or :class:`DiscreteGroup`, row i scores observation
-    i under agent i's model."""
+    i under agent i's model. A (steps, n) block of observations gives
+    (steps, n, H)."""
     return model.log_rows(xi_array)
 
 
@@ -499,9 +506,12 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
 def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Generator, size=None):
     """Draw from L(. | theta). Scalar when ``size`` is None, else an array;
     a :class:`GaussianGroup` or :class:`DiscreteGroup` draws one observation
-    per agent, in agent order, with ``size`` its agent count.
+    per agent, in agent order, with ``size`` its agent count, or (steps, n)
+    for a block of steps.
 
     Deterministic given the generator state. Discrete draws use inverse-CDF
     lookup so the same uniform stream yields the same observations everywhere.
+    A (steps, n) block consumes the stream as ``steps`` draws of size n in
+    turn and equals them bitwise, for a family and for a group alike.
     """
     return model.sample(theta, rng, size)

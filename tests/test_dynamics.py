@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import issparse
 
 from pbnet import dynamics
@@ -36,6 +39,7 @@ from pbnet.network import (
     SPARSE_SOLVE_MIN_AGENTS,
     Network,
     build_averaging_matrix,
+    generate_strongly_connected_adjacency,
     ring_adjacency,
 )
 
@@ -391,3 +395,103 @@ class TestSharing:
         assert len({PartialSharing(1), Sharing(1)}) == 1
         assert SelfAwarePartialSharing(1) != PartialSharing(1)
         assert PartialSharing(1) != PartialSharing(2)
+
+
+# -- the draw contract: run_trajectory is a loop of run_iteration ------------
+
+# the five rules, each built from a transmitted index that only some use
+STEP_RULES = [lambda tx: FullSharing(), PartialSharing, SelfAwarePartialSharing,
+              lambda tx: MaxBeliefSharing(), lambda tx: MaxBeliefSharing(self_aware=True)]
+
+
+def random_family(kind, h, rng):
+    if kind == "gaussian":
+        return GaussianFamily(rng.normal(0.0, 1.0, h))
+    s = int(rng.integers(2, 5))
+    return DiscreteFamily(0.5 * rng.dirichlet(np.ones(s), h) + 0.5 / s)
+
+
+def random_models(form, kind, n, h, rng):
+    """A family, a list of n copies of one, or a list mixing both families
+    (agent 0 Gaussian, agent 1 discrete, the rest drawn)."""
+    if form == "family":
+        return random_family(kind, h, rng)
+    if form == "copies":
+        return [random_family(kind, h, rng)] * n
+    kinds = ["gaussian", "discrete"] + list(rng.choice(["gaussian", "discrete"], n - 2))
+    return [random_family(k, h, rng) for k in kinds]
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def assert_trajectory_is_the_step_loop(net, models, true_index, rule, horizon, seed):
+    n, h = net.size, (models[0] if isinstance(models, list) else models).hypothesis_count
+    init = uniform_log_beliefs(n, h)
+    rng = np.random.default_rng(seed)
+    traj, obs = run_trajectory(init, net, models, true_index, rule, horizon, rng,
+                               keep_observations=True)
+    loop_rng = np.random.default_rng(seed)
+    state, states, draws = NetworkState(init), [init], []
+    for _ in range(horizon):
+        state, xi = run_iteration(state, net, models, true_index, rule, loop_rng)
+        states.append(state.log_beliefs)
+        draws.append(xi)
+    assert_bitwise(traj, np.stack(states))
+    assert_bitwise(obs, np.stack(draws))
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class TestDrawContract:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), h=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["gaussian", "discrete"]),
+           form=st.sampled_from(["family", "copies", "mixed"]),
+           rule=st.integers(0, len(STEP_RULES) - 1),
+           horizon=st.sampled_from([1, 63, 64, 65, 130]), data=st.data())
+    def test_trajectory_equals_the_step_loop_bitwise(self, n, h, seed, kind, form, rule,
+                                                      horizon, data):
+        rng = np.random.default_rng(seed)
+        adj = generate_strongly_connected_adjacency(n, 0.3, rng)
+        weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+        net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+        models = random_models(form, kind, n, h, rng)
+        sharing = STEP_RULES[rule](data.draw(st.integers(0, h - 1), label="tx"))
+        true_index = data.draw(st.integers(0, h - 1), label="true_index")
+        assert_trajectory_is_the_step_loop(net, models, true_index, sharing, horizon, seed)
+
+    @pytest.mark.parametrize("form", ["family", "copies", "mixed"])
+    def test_sparse_pool_trajectory_equals_the_step_loop_bitwise(self, form):
+        net = build_averaging_matrix(ring_adjacency(300), 0.5)
+        assert issparse(net.pool)
+        models = random_models(form, "discrete", 300, 3, np.random.default_rng(300))
+        assert_trajectory_is_the_step_loop(net, models, 0, SelfAwarePartialSharing(1), 65, 4)
+
+
+class TestStepErrors:
+    def test_nan_names_the_iteration_and_the_agent(self, monkeypatch):
+        score = dynamics.log_likelihood_rows
+        seen = [0]  # observation rows scored so far
+
+        def nan_at_row_69(model, xi):
+            table = score(model, xi)
+            row = 69 - seen[0]
+            if 0 <= row < len(table):
+                table[row, 3] = np.nan
+            seen[0] += len(table)
+            return table
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", nan_at_row_69)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # dense pooling spreads the NaN to every row, agent 0 first
+            with pytest.raises(NumericalError, match=r"^iteration 70: agent 3 scored a "
+                               r"non-finite log-likelihood; agent 0: non-finite log-belief"):
+                run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
+                               130, np.random.default_rng(0))
+
+    def test_check_names_the_first_bad_row(self):
+        with pytest.raises(NumericalError, match="agent 1: belief normalization"):
+            check_log_beliefs(np.log([[0.5, 0.5], [0.7, 0.7], [0.9, 0.9]]))

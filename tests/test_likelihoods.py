@@ -138,6 +138,18 @@ class TestLikelihood:
         with pytest.raises(InvalidObservationError):
             score()
 
+    @pytest.mark.parametrize("xi", ["1.5", b"2", bytearray(b"0.3")], ids=["str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("score", [
+        lambda xi: log_likelihood(GAUSS3, 0, xi),
+        lambda xi: likelihood(GAUSS3, 0, xi),
+        lambda xi: log_likelihood_row(GAUSS3, xi),
+        lambda xi: mixture_log_density(GAUSS3, MixtureSpec.uniform_complement(3, 0), xi),
+    ], ids=["log_likelihood", "likelihood", "log_likelihood_row", "mixture_log_density"])
+    def test_gaussian_rejects_numeric_text(self, score, xi):
+        # float() parses these, but text is no observation
+        with pytest.raises(InvalidObservationError):
+            score(xi)
+
     def test_gaussian_rejects_non_finite(self):
         with pytest.raises(InvalidObservationError):
             log_likelihood(GAUSS3, 0, math.nan)
