@@ -117,8 +117,7 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
 def log_normalize(log_values: np.ndarray) -> np.ndarray:
     """Normalize a single log-probability vector to exp-sum one."""
     v = np.asarray(log_values, dtype=float)
-    m = v.max()
-    return v - (m + np.log(np.exp(v - m).sum()))
+    return v - _row_logsumexp(v[None])[0]
 
 
 def check_log_beliefs(log_beliefs: np.ndarray) -> None:
@@ -278,7 +277,10 @@ def run_iteration(
     recursion checks and optional trajectory retention).
 
     With one model per agent, the agents are stacked by family type and the
-    draws are made group by group, each group in agent order. ``observed``,
+    draws are made group by group, each group in agent order. A list is
+    restacked on every call, so a caller that loops over steps should pass
+    ``stack_models(models, n)`` once instead: it steps and draws bitwise like
+    the list. ``observed``,
     an (xi, loglik) pair of the (N,) observations and their (N, H)
     log-likelihoods, is a row drawn ahead of time: the step then draws
     nothing and returns that xi.

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-There is no command-line entry point yet; the one planned in ROADMAP item 5
+There is no command-line entry point yet; the one planned in ROADMAP item 4
 is to map these onto exit codes: ValidationError -> 1, NumericalError -> 2,
 AcceptanceFailure -> 3.
 """

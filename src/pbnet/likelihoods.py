@@ -71,6 +71,19 @@ class GaussianFamily:
         d = np.asarray(xi, dtype=float)[..., None] - self.means
         return -0.5 * d * d - _LOG_SQRT_2PI
 
+    def check_observation(self, xi) -> float:
+        """One observation as a float, or InvalidObservationError."""
+        try:
+            # float() would parse a numeric string, which is no observation
+            x = math.nan if isinstance(xi, (str, bytes, bytearray)) else float(xi)
+        except (TypeError, ValueError):  # not a number
+            x = math.nan
+        if not math.isfinite(x):
+            raise InvalidObservationError(
+                f"Gaussian observation must be a finite number, got {xi!r}"
+            )
+        return x
+
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
         return rng.normal(self.means[..., theta], 1.0, size=size)
@@ -96,14 +109,14 @@ class GaussianFamily:
 
     def _quad_kl(self, p, q) -> float:
         """The KL by adaptive quadrature over a truncated window."""
-        logp = self._log_density_fn(p)
-        logq = self._log_density_fn(q)
+        wp, wq = self._weights(p), self._weights(q)
         lo = float(self.means.min() - KL_QUAD_SIGMA_SPAN)
         hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
 
         def integrand(x):
-            lp = logp(x)
-            return math.exp(lp) * (lp - logq(x))
+            logs = self.log_rows(x)
+            lp = _log_mix(logs, wp)
+            return math.exp(lp) * (lp - _log_mix(logs, wq))
 
         out = integrate.quad(
             integrand, lo, hi, epsabs=KL_QUAD_TOL, epsrel=1e-10, limit=200, full_output=1
@@ -118,25 +131,6 @@ class GaussianFamily:
         if value < -KL_QUAD_TOL:
             raise NumericalError(f"KL quadrature produced a negative value {value:.3g}")
         return max(value, 0.0)
-
-    def _log_density_fn(self, which):
-        if isinstance(which, MixtureSpec):
-            active = np.where(which.weights > 0)[0]
-            logw = np.log(which.weights[active])
-            means = self.means[active]
-
-            def logq(x):
-                vals = logw - 0.5 * (x - means) ** 2 - _LOG_SQRT_2PI
-                m = vals.max()
-                return m + np.log(np.exp(vals - m).sum())
-
-            return logq
-        mean = self.means[which]
-
-        def logp(x):
-            return -0.5 * (x - mean) ** 2 - _LOG_SQRT_2PI
-
-        return logp
 
     def bound(self, excluded: int) -> float:
         _check_hypothesis(self, excluded)
@@ -208,6 +202,18 @@ class DiscreteFamily:
         if np.any(idx < 0) or np.any(idx >= self.support_size):
             raise InvalidObservationError("observation outside discrete support")
         return self.log_pmf[np.arange(len(self.log_pmf)), :, idx]
+
+    def check_observation(self, xi) -> int:
+        """One observation as a support index, or InvalidObservationError."""
+        try:
+            x = int(xi)
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN or an infinity
+            x = -1
+        if x != xi or not 0 <= x < self.support_size:
+            raise InvalidObservationError(
+                f"observation {xi!r} outside discrete support 0..{self.support_size - 1}"
+            )
+        return x
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
@@ -351,55 +357,24 @@ def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
         )
 
 
-def _check_gaussian_obs(xi) -> float:
-    try:
-        # float() would parse a numeric string, which is no observation
-        x = math.nan if isinstance(xi, (str, bytes, bytearray)) else float(xi)
-    except (TypeError, ValueError):  # not a number
-        x = math.nan
-    if not math.isfinite(x):
-        raise InvalidObservationError(
-            f"Gaussian observation must be a finite number, got {xi!r}"
-        )
-    return x
-
-
-def _check_discrete_obs(model: DiscreteFamily, xi) -> int:
-    try:
-        x = int(xi)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN or an infinity
-        x = -1
-    if x != xi or not 0 <= x < model.support_size:
-        raise InvalidObservationError(
-            f"observation {xi!r} outside discrete support 0..{model.support_size - 1}"
-        )
-    return x
-
-
 def log_likelihood(model: LikelihoodModel, theta: int, xi) -> float:
     """log L(xi | theta) for a single hypothesis and observation."""
     _check_hypothesis(model, theta)
-    if isinstance(model, GaussianFamily):
-        x = _check_gaussian_obs(xi)
-        d = x - model.means[theta]
-        return -0.5 * d * d - _LOG_SQRT_2PI
-    x = _check_discrete_obs(model, xi)
-    return float(model.log_pmf[0, theta, x])
+    return log_likelihood_row(model, xi)[theta]
 
 
 def likelihood(model: LikelihoodModel, theta: int, xi) -> float:
     """L(xi | theta), strictly positive for validated models."""
     if isinstance(model, DiscreteFamily):
+        # the table entry itself: exp(log(p)) need not give p back
         _check_hypothesis(model, theta)
-        return float(model.pmf[theta, _check_discrete_obs(model, xi)])
+        return float(model.pmf[theta, model.check_observation(xi)])
     return math.exp(log_likelihood(model, theta, xi))
 
 
 def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
     """Vector of log L(xi | theta) over all hypotheses, for one observation."""
-    gaussian = isinstance(model, GaussianFamily)
-    x = _check_gaussian_obs(xi) if gaussian else _check_discrete_obs(model, xi)
-    return model.log_rows([x])[0]
+    return model.log_rows([model.check_observation(xi)])[0]
 
 
 def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndarray:
@@ -484,7 +459,8 @@ def kl_divergence(model: LikelihoodModel, p, q) -> float:
     dominant component switches, and the rule converges slowly when that kink
     sits under p's mass), adaptive quadrature takes over, with absolute
     tolerance ``KL_QUAD_TOL`` on a window ``KL_QUAD_SIGMA_SPAN`` standard
-    deviations beyond the extreme means; if it cannot meet the tolerance,
+    deviations beyond the extreme means, whose integrand is the family's own
+    ``log_rows`` mixed by p's and q's weights; if it cannot meet the tolerance,
     ``NumericalError`` is raised instead of returning a guess.
     """
     return model.kl(p, q)

@@ -283,12 +283,6 @@ def star_adjacency(n: int) -> np.ndarray:
     return adj
 
 
-PRESETS = {
-    "ring": ring_adjacency,
-    "complete": complete_adjacency,
-    "star": star_adjacency,
-}
-
 GENERATION_MAX_ATTEMPTS = 1000
 
 

@@ -34,6 +34,7 @@ from pbnet.likelihoods import (
     log_likelihood,
     log_likelihood_rows,
     mixture_log_density,
+    stack_models,
 )
 from pbnet.network import (
     SPARSE_SOLVE_MIN_AGENTS,
@@ -347,6 +348,19 @@ class TestStepKernel:
         with pytest.raises(InvalidObservationError):
             run_iteration(NetworkState(uniform_log_beliefs(5, 3)), RING5,
                           mixed_models(5), 0, FullSharing(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
+    def test_stacked_list_steps_like_the_list_bitwise(self, strat):
+        models = mixed_models(5)
+        stacked = stack_models(models, 5)
+        rng_list, rng_stacked = np.random.default_rng(9), np.random.default_rng(9)
+        a = b = NetworkState(uniform_log_beliefs(5, 3))
+        for _ in range(20):
+            a, xi_a = run_iteration(a, RING5, models, 0, strat, rng_list)
+            b, xi_b = run_iteration(b, RING5, stacked, 0, strat, rng_stacked)
+            assert_bitwise(xi_b, xi_a)
+            assert_bitwise(b.log_beliefs, a.log_beliefs)
+        assert rng_list.bit_generator.state == rng_stacked.bit_generator.state
 
     def test_observation_dtype(self):
         init = uniform_log_beliefs(5, 3)

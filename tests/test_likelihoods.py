@@ -162,6 +162,24 @@ class TestLikelihood:
         assert rows.shape == (3, 2)
         assert rows[1, 0] == pytest.approx(math.log(0.2))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+    def test_scalar_scores_are_the_batch_row_bitwise(self, kind):
+        rng = np.random.default_rng(11)
+        for h in (2, 3, 7):
+            if kind == "gaussian":
+                fam = GaussianFamily(rng.normal(0.0, 3.0, h))
+                observations = rng.normal(0.0, 5.0, 50)
+            else:
+                fam = DiscreteFamily(0.5 * rng.dirichlet(np.ones(4), h) + 0.125)
+                observations = rng.integers(0, 4, 50)
+            for xi in observations:
+                want = log_likelihood_rows(fam, [xi])[0]
+                row = log_likelihood_row(fam, xi)
+                scalars = np.array([log_likelihood(fam, theta, xi) for theta in range(h)])
+                for got in (row, scalars):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
     def test_mixture_density_h2_equals_other_likelihood(self):
         # with H=2 the complement "mixture" is exactly the other hypothesis
         fam = DiscreteFamily([[0.7, 0.3], [0.4, 0.6]])
