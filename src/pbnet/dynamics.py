@@ -45,8 +45,9 @@ class Sharing:
     index so runs are reproducible). Receivers of one component spread the
     rest of the mass evenly over the other hypotheses, and agents pool that
     same modified belief for themselves unless ``self_aware``: then each pools
-    its own unmodified belief at weight a_kk. "argmax" with ``self_aware``
-    runs, but is beyond the behavior validated by the bundled experiments.
+    its own unmodified belief at weight a_kk. At H = 2 the spread returns a
+    belief as it is, so every rule, "argmax" with ``self_aware`` included,
+    steps bitwise like full sharing.
     """
 
     transmit: Union[None, int, str] = None
@@ -60,50 +61,25 @@ class Sharing:
                 f"transmit must be None, a hypothesis index or 'argmax', got {t!r}"
             )
 
-    # equal by the two fields, whichever constructor below built the rule
-    def __eq__(self, other):
-        if not isinstance(other, Sharing):
-            return NotImplemented
-        return (self.transmit, self.self_aware) == (other.transmit, other.self_aware)
 
-    def __hash__(self):
-        return hash((self.transmit, self.self_aware))
-
-
-class FullSharing(Sharing):
+def FullSharing() -> Sharing:
     """``Sharing()``: entire belief vectors (classic log-linear learning)."""
-
-    def __init__(self):
-        super().__init__(None, False)
+    return Sharing(None, False)
 
 
-class PartialSharing(Sharing):
+def PartialSharing(tx_index: int) -> Sharing:
     """``Sharing(tx_index)``: only the tx component is transmitted."""
-
-    def __init__(self, tx_index: int):
-        super().__init__(tx_index, False)
+    return Sharing(tx_index, False)
 
 
-class SelfAwarePartialSharing(Sharing):
+def SelfAwarePartialSharing(tx_index: int) -> Sharing:
     """``Sharing(tx_index, self_aware=True)``: self-aware partial sharing."""
-
-    def __init__(self, tx_index: int):
-        super().__init__(tx_index, True)
+    return Sharing(tx_index, True)
 
 
-class MaxBeliefSharing(Sharing):
+def MaxBeliefSharing(self_aware: bool = False) -> Sharing:
     """``Sharing("argmax", self_aware)``: the strongest component is transmitted."""
-
-    def __init__(self, self_aware: bool = False):
-        super().__init__("argmax", self_aware)
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Per-agent log-beliefs at one iteration."""
-
-    log_beliefs: np.ndarray  # (N, H)
-    iteration: int = 0
+    return Sharing("argmax", self_aware)
 
 
 # -- log-domain helpers -------------------------------------------------------
@@ -149,7 +125,7 @@ def log_beliefs_from_table(table) -> np.ndarray:
     if np.any(t <= 0):
         raise ValidationError("initial beliefs must be strictly positive")
     sums = t.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > BELIEF_SUM_TOL):
+    if not np.all(np.abs(sums - 1.0) <= BELIEF_SUM_TOL):
         raise ValidationError("initial belief rows must sum to 1")
     return np.log(t)
 
@@ -260,7 +236,7 @@ def _observe(models, true_index: int, n_agents: int, steps: int, rng):
 
 
 def run_iteration(
-    state: NetworkState,
+    log_beliefs: np.ndarray,
     net: Network,
     models: Union[LikelihoodModel, Sequence[LikelihoodModel]],
     true_index: int,
@@ -273,31 +249,30 @@ def run_iteration(
 
     Draws one observation per agent from the true-hypothesis distribution,
     performs the Bayesian update, applies the sharing modification, and pools.
-    Returns the new state together with the drawn observations (needed by the
-    recursion checks and optional trajectory retention).
+    Takes the (N, H) log-beliefs and returns ``(log_next, xi)``: the next
+    (N, H) log-beliefs and the drawn observations (needed by the recursion
+    checks and optional trajectory retention).
 
     With one model per agent, the agents are stacked by family type and the
     draws are made group by group, each group in agent order. A list is
     restacked on every call, so a caller that loops over steps should pass
     ``stack_models(models, n)`` once instead: it steps and draws bitwise like
-    the list. ``observed``,
-    an (xi, loglik) pair of the (N,) observations and their (N, H)
-    log-likelihoods, is a row drawn ahead of time: the step then draws
-    nothing and returns that xi.
+    the list. ``observed``, an (xi, loglik) pair of the (N,) observations and
+    their (N, H) log-likelihoods, is a row drawn ahead of time: the step then
+    draws nothing and returns that xi.
     """
     n = net.size
-    if state.log_beliefs.shape[0] != n:
-        raise ValidationError("state size does not match the network")
+    if log_beliefs.shape[0] != n:
+        raise ValidationError("log-beliefs size does not match the network")
     if observed is None:
         xi, loglik = _observe(_stacked(models, n), true_index, n, 1, rng)
         xi, loglik = xi[0], loglik[0]
     else:
         xi, loglik = observed
-    unnorm = state.log_beliefs + loglik
+    unnorm = log_beliefs + loglik
     log_psi = unnorm - _row_logsumexp(unnorm)
     log_shared = modify_for_sharing(log_psi, sharing)
-    log_next = combine_step(net, log_shared, log_psi, sharing)
-    return NetworkState(log_next, state.iteration + 1), xi
+    return combine_step(net, log_shared, log_psi, sharing), xi
 
 
 def run_trajectory(
@@ -332,7 +307,7 @@ def run_trajectory(
     out[0] = init
     models = _stacked(models, n)
     obs = np.empty((horizon, n), dtype=models.dtype) if keep_observations else None
-    state = NetworkState(init, 0)
+    log_b = init
     for start in range(0, horizon, _BLOCK):
         steps = min(_BLOCK, horizon - start)
         xi, loglik = _observe(models, true_index, n, steps, rng)
@@ -340,10 +315,10 @@ def run_trajectory(
             obs[start:start + steps] = xi
         try:
             for j in range(steps):
-                state, _ = run_iteration(
-                    state, net, models, true_index, sharing, rng, observed=(xi[j], loglik[j])
+                log_b, _ = run_iteration(
+                    log_b, net, models, true_index, sharing, rng, observed=(xi[j], loglik[j])
                 )
-                out[start + j + 1] = state.log_beliefs
+                out[start + j + 1] = log_b
         except NumericalError as exc:
             # dense pooling spreads a NaN to every agent: name the one it came from
             scored = np.flatnonzero(~np.isfinite(loglik[j]).all(axis=1))

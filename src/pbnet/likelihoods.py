@@ -168,7 +168,7 @@ class DiscreteFamily:
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValidationError("pmf must be a 2-D table with at least one row")
         row_sums = table.sum(axis=1)
-        bad = np.where(np.abs(row_sums - 1.0) > PMF_ROW_TOL)[0]
+        bad = np.where(~(np.abs(row_sums - 1.0) <= PMF_ROW_TOL))[0]
         if bad.size:
             raise ValidationError(
                 f"pmf row {bad[0]} sums to {row_sums[bad[0]]:.12g}, expected 1"
@@ -189,6 +189,7 @@ class DiscreteFamily:
         self.log_pmf.setflags(write=False)
         self.cdf = np.cumsum(table, axis=1)[:, :, None]
         self.cdf[:, -1] = np.inf
+        self.cdf.setflags(write=False)
 
     @property
     def hypothesis_count(self) -> int:
@@ -334,7 +335,7 @@ class MixtureSpec:
             raise ValidationError("mixture weights must be nonnegative")
         if w[self.excluded] != 0.0:
             raise ValidationError("mixture weight on the excluded hypothesis must be 0")
-        if abs(w.sum() - 1.0) > PMF_ROW_TOL:
+        if not abs(w.sum() - 1.0) <= PMF_ROW_TOL:
             raise ValidationError(f"mixture weights sum to {w.sum():.12g}, expected 1")
         w = w.copy()
         w.setflags(write=False)

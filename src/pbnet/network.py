@@ -168,7 +168,7 @@ class Network:
         if np.any(A < 0):
             raise ValidationError("combination weights must be nonnegative")
         colsums = A.sum(axis=0)
-        bad = np.where(np.abs(colsums - 1.0) > COLUMN_SUM_TOL)[0]
+        bad = np.where(~(np.abs(colsums - 1.0) <= COLUMN_SUM_TOL))[0]
         if bad.size:
             raise ValidationError(
                 f"column {bad[0]} sums to {colsums[bad[0]]:.12g}; columns must sum to 1"

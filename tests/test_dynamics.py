@@ -11,7 +11,6 @@ from pbnet import dynamics
 from pbnet.dynamics import (
     FullSharing,
     MaxBeliefSharing,
-    NetworkState,
     PartialSharing,
     SelfAwarePartialSharing,
     Sharing,
@@ -47,6 +46,11 @@ from pbnet.network import (
 GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
 DISC2 = DiscreteFamily([[0.8, 0.2], [0.2, 0.8]])
 RING5 = build_averaging_matrix(ring_adjacency(5), 0.5)
+
+# the five rules, each built from a transmitted index that only some use
+STEP_RULES = [lambda tx: FullSharing(), PartialSharing, SelfAwarePartialSharing,
+              lambda tx: MaxBeliefSharing(), lambda tx: MaxBeliefSharing(self_aware=True)]
+RULE_IDS = ["full", "partial", "self_aware", "max_belief", "max_belief_self_aware"]
 
 
 def beliefs(log_b):
@@ -170,14 +174,17 @@ class TestRunIteration:
         spread = traj[1:, :, others].max(axis=2) - traj[1:, :, others].min(axis=2)
         assert np.max(spread) < 1e-9
 
-    def test_h2_partial_equals_full_bitwise(self):
+    @pytest.mark.parametrize("fam", [GaussianFamily([0.0, 0.6]), DISC2],
+                             ids=["gaussian", "discrete"])
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_h2_partial_equals_full_bitwise(self, fam, rule):
+        # at H = 2 the spread returns a belief as it is, so every rule is full sharing
         rng = np.random.default_rng(31)
         init = np.log(rng.dirichlet(np.ones(2), size=5))
-        a, _ = run_trajectory(init, RING5, DISC2, 0, PartialSharing(1), 500,
+        a, _ = run_trajectory(init, RING5, fam, 0, rule(1), 500, np.random.default_rng(7))
+        b, _ = run_trajectory(init, RING5, fam, 0, FullSharing(), 500,
                               np.random.default_rng(7))
-        b, _ = run_trajectory(init, RING5, DISC2, 0, FullSharing(), 500,
-                              np.random.default_rng(7))
-        assert np.max(np.abs(a - b)) < 1e-12
+        np.testing.assert_array_equal(a, b)
 
     def test_full_sharing_learns_the_truth(self):
         init = uniform_log_beliefs(5, 3)
@@ -197,7 +204,7 @@ class TestRunIteration:
 
     def test_model_count_mismatch(self):
         with pytest.raises(ValidationError):
-            run_iteration(NetworkState(uniform_log_beliefs(5, 2)), RING5,
+            run_iteration(uniform_log_beliefs(5, 2), RING5,
                           [DISC2, DISC2], 0, FullSharing(), np.random.default_rng(0))
 
 
@@ -272,6 +279,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             log_beliefs_from_table([[0.6, 0.5]])
 
+    def test_initial_table_rejects_nan(self):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            log_beliefs_from_table([[np.nan, 0.5], [0.5, 0.5]])
+
     def test_check_log_beliefs_rejects_nan(self):
         with pytest.raises(NumericalError):
             check_log_beliefs(np.array([[0.0, np.nan]]))
@@ -321,20 +332,19 @@ class TestStepKernel:
         assert issparse(net.pool) == (n >= SPARSE_SOLVE_MIN_AGENTS)
         traj, obs = run_trajectory(uniform_log_beliefs(n, 3), net, DISC3, 0, strat, 50,
                                    np.random.default_rng(2), keep_observations=True)
-        self_aware = isinstance(strat, SelfAwarePartialSharing)
         for i in range(1, 51):
             unnorm = traj[i - 1] + log_likelihood_rows(DISC3, obs[i - 1])
             psi = unnorm - np.log(np.exp(unnorm).sum(axis=1, keepdims=True))
             shared = modify_for_sharing(psi, strat)
             pooled = net.matrix.T @ shared
-            if self_aware:
+            if strat.self_aware:
                 pooled += np.diag(net.matrix)[:, None] * (psi - shared)
             want = pooled - np.log(np.exp(pooled).sum(axis=1, keepdims=True))
             np.testing.assert_allclose(traj[i], want, rtol=0, atol=1e-12)
 
     def test_mixed_list_model_count_mismatch(self):
         with pytest.raises(ValidationError):
-            run_iteration(NetworkState(uniform_log_beliefs(5, 3)), RING5,
+            run_iteration(uniform_log_beliefs(5, 3), RING5,
                           mixed_models(4), 0, FullSharing(), np.random.default_rng(0))
 
     def test_mixed_list_rejects_out_of_range_observation(self, monkeypatch):
@@ -346,7 +356,7 @@ class TestStepKernel:
 
         monkeypatch.setattr(dynamics, "sample_observation", off_support)
         with pytest.raises(InvalidObservationError):
-            run_iteration(NetworkState(uniform_log_beliefs(5, 3)), RING5,
+            run_iteration(uniform_log_beliefs(5, 3), RING5,
                           mixed_models(5), 0, FullSharing(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
@@ -354,12 +364,12 @@ class TestStepKernel:
         models = mixed_models(5)
         stacked = stack_models(models, 5)
         rng_list, rng_stacked = np.random.default_rng(9), np.random.default_rng(9)
-        a = b = NetworkState(uniform_log_beliefs(5, 3))
+        a = b = uniform_log_beliefs(5, 3)
         for _ in range(20):
             a, xi_a = run_iteration(a, RING5, models, 0, strat, rng_list)
             b, xi_b = run_iteration(b, RING5, stacked, 0, strat, rng_stacked)
             assert_bitwise(xi_b, xi_a)
-            assert_bitwise(b.log_beliefs, a.log_beliefs)
+            assert_bitwise(b, a)
         assert rng_list.bit_generator.state == rng_stacked.bit_generator.state
 
     def test_observation_dtype(self):
@@ -413,11 +423,6 @@ class TestSharing:
 
 # -- the draw contract: run_trajectory is a loop of run_iteration ------------
 
-# the five rules, each built from a transmitted index that only some use
-STEP_RULES = [lambda tx: FullSharing(), PartialSharing, SelfAwarePartialSharing,
-              lambda tx: MaxBeliefSharing(), lambda tx: MaxBeliefSharing(self_aware=True)]
-
-
 def random_family(kind, h, rng):
     if kind == "gaussian":
         return GaussianFamily(rng.normal(0.0, 1.0, h))
@@ -448,10 +453,10 @@ def assert_trajectory_is_the_step_loop(net, models, true_index, rule, horizon, s
     traj, obs = run_trajectory(init, net, models, true_index, rule, horizon, rng,
                                keep_observations=True)
     loop_rng = np.random.default_rng(seed)
-    state, states, draws = NetworkState(init), [init], []
+    log_b, states, draws = init, [init], []
     for _ in range(horizon):
-        state, xi = run_iteration(state, net, models, true_index, rule, loop_rng)
-        states.append(state.log_beliefs)
+        log_b, xi = run_iteration(log_b, net, models, true_index, rule, loop_rng)
+        states.append(log_b)
         draws.append(xi)
     assert_bitwise(traj, np.stack(states))
     assert_bitwise(obs, np.stack(draws))

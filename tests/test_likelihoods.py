@@ -73,6 +73,17 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="row 0"):
             DiscreteFamily([[0.5, 0.3, 0.1], [0.2, 0.3, 0.5]])
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_discrete_nan_row_rejected(self, validate):
+        with pytest.raises(ValidationError, match="row 0"):
+            DiscreteFamily([[math.nan, 0.5], [0.5, 0.5]], validate=validate)
+
+    def test_discrete_tables_are_read_only(self):
+        fam = DiscreteFamily([[0.5, 0.5], [0.2, 0.8]])
+        for table in (fam.pmf, fam.log_pmf, fam.cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
     def test_discrete_rows_must_be_positive(self):
         with pytest.raises(ValidationError, match="strictly positive"):
             DiscreteFamily([[1.0, 0.0], [0.5, 0.5]])
@@ -92,6 +103,10 @@ class TestConstruction:
             MixtureSpec(1, np.array([0.5, 0.0, 0.4]))  # does not sum to 1
         with pytest.raises(ValidationError):
             MixtureSpec(1, np.array([-0.1, 0.0, 1.1]))
+
+    def test_mixture_nan_weight_rejected(self):
+        with pytest.raises(ValidationError, match="sum to nan"):
+            MixtureSpec(0, np.array([0.0, math.nan, 0.5]))
 
 
 # ---------------------------------------------------------------------------

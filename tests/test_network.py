@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,6 +93,21 @@ class TestPerron:
         assert np.all(net.perron > 0)
         degrees = adj.sum(axis=0) - 1.0
         np.testing.assert_allclose(net.perron, degrees / degrees.sum(), rtol=1e-12, atol=0)
+
+    def test_matches_high_precision_solve(self):
+        # (A - I) v = 0 with sum(v) = 1, solved again at 30 digits: the last
+        # equation of A - I is replaced by the sum, not dropped as in the solve
+        rng = np.random.default_rng(30)
+        for n in [2, 3, 5, 8, 13, 21, 30]:
+            adj = generate_strongly_connected_adjacency(n, 0.2, rng)
+            weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+            A = weights / weights.sum(axis=0)
+            with mpmath.workdps(30):
+                system = mpmath.matrix(A.tolist()) - mpmath.eye(n)
+                system[n - 1, :] = mpmath.ones(1, n)
+                exact = mpmath.lu_solve(system, mpmath.matrix([0] * (n - 1) + [1]))
+                exact = np.array(exact.tolist(), dtype=float).ravel()
+            np.testing.assert_allclose(perron_vector(A), exact, rtol=1e-12, atol=0)
 
 
 class TestDerivedConstants:
@@ -209,6 +225,10 @@ class TestFromMatrix:
     def test_rejects_bad_column_sum(self):
         with pytest.raises(ValidationError, match="column"):
             Network.from_matrix([[0.8, 0.3], [0.3, 0.7]])
+
+    def test_rejects_nan_column_sum(self):
+        with pytest.raises(ValidationError, match="column 0"):
+            Network.from_matrix([[np.nan, 0.5], [0.5, 0.5]])
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
