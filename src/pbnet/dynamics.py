@@ -7,6 +7,13 @@ hundred steps; exponentiate only at the edges (export, verdicts). The mass
 spread over the non-transmitted hypotheses is computed as a log-sum-exp of
 the *other* components rather than log(1 - exp(tx)), which stays finite even
 when the transmitted component is within one ulp of probability one.
+
+A step pools the posterior unnormalized: the normalization of the pooled rows
+cancels its normalizer exactly, because a per-row shift passes through the
+spread (the kept entry and the log-sum-exp of the rest both move), argmax,
+pooling (for any A) and the self-aware own - shared term (where it cancels).
+The invariant check runs after each ``run_iteration`` called alone, and once
+per ``_BLOCK`` steps, over all their rows, in ``run_trajectory``.
 """
 
 from __future__ import annotations
@@ -185,16 +192,16 @@ def combine_step(
     """Log-linear pooling of the (modified) neighbor beliefs.
 
     Row k of the result is sum_l a_lk * shared_l. Self-aware: the a_kk term
-    uses the agent's own unmodified belief instead of its modified one.
+    uses the agent's own unmodified belief instead of its modified one. The
+    rows are normalized here, so the inputs may carry a per-row shift, and the
+    caller runs :func:`check_log_beliefs`.
     """
     shared = np.asarray(log_shared, dtype=float)
     pooled = net.pool @ shared
     if sharing.self_aware:
         own = np.asarray(log_own, dtype=float)
         pooled = pooled + net.diagonal[:, None] * (own - shared)
-    out = pooled - _row_logsumexp(pooled)
-    check_log_beliefs(out)
-    return out
+    return pooled - _row_logsumexp(pooled)
 
 
 # -- full iteration -----------------------------------------------------------
@@ -259,7 +266,9 @@ def run_iteration(
     ``stack_models(models, n)`` once instead: it steps and draws bitwise like
     the list. ``observed``, an (xi, loglik) pair of the (N,) observations and
     their (N, H) log-likelihoods, is a row drawn ahead of time: the step then
-    draws nothing and returns that xi.
+    draws nothing, returns that xi and leaves the result unchecked, because
+    :func:`run_trajectory` checks its steps once per block. The posterior is
+    pooled unnormalized (see the module docstring).
     """
     n = net.size
     if log_beliefs.shape[0] != n:
@@ -269,10 +278,11 @@ def run_iteration(
         xi, loglik = xi[0], loglik[0]
     else:
         xi, loglik = observed
-    unnorm = log_beliefs + loglik
-    log_psi = unnorm - _row_logsumexp(unnorm)
-    log_shared = modify_for_sharing(log_psi, sharing)
-    return combine_step(net, log_shared, log_psi, sharing), xi
+    log_psi = log_beliefs + loglik
+    log_next = combine_step(net, modify_for_sharing(log_psi, sharing), log_psi, sharing)
+    if observed is None:
+        check_log_beliefs(log_next)
+    return log_next, xi
 
 
 def run_trajectory(
@@ -294,9 +304,11 @@ def run_trajectory(
     in one call; mixed lists draw step by step, group by group. Either way
     the generator yields what ``horizon`` calls of ``run_iteration`` without
     ``observed`` would draw, so trajectories and observations equal that
-    loop's bitwise. A ``NumericalError`` of a step is raised again with the
-    iteration (1-based, as the index into the result) in its message, and
-    with the first agent whose log-likelihood was non-finite, if any.
+    loop's bitwise. The beliefs of each block are checked at once, after its
+    last step; a step past a bad one still runs, so NaN arithmetic may warn
+    before the error. The error names the first failing step's iteration
+    (1-based, as the index into the result) and the first agent whose
+    log-likelihood was non-finite at that step, if any.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
@@ -313,15 +325,29 @@ def run_trajectory(
         xi, loglik = _observe(models, true_index, n, steps, rng)
         if keep_observations:
             obs[start:start + steps] = xi
+        for j in range(steps):
+            log_b, _ = run_iteration(
+                log_b, net, models, true_index, sharing, rng, observed=(xi[j], loglik[j])
+            )
+            out[start + j + 1] = log_b
+        block = out[start + 1:start + steps + 1]
         try:
-            for j in range(steps):
-                log_b, _ = run_iteration(
-                    log_b, net, models, true_index, sharing, rng, observed=(xi[j], loglik[j])
-                )
-                out[start + j + 1] = log_b
+            check_log_beliefs(block.reshape(-1, h))
+        except NumericalError:
+            _raise_first_failure(block, loglik, start)
+            raise
+    return out, obs
+
+
+def _raise_first_failure(block: np.ndarray, loglik: np.ndarray, start: int) -> None:
+    """Raise the error of the first step of a block whose beliefs fail the
+    check, named by its iteration and, if any, by the first agent whose
+    log-likelihood was non-finite at that step."""
+    for j, log_b in enumerate(block):
+        try:
+            check_log_beliefs(log_b)
         except NumericalError as exc:
             # dense pooling spreads a NaN to every agent: name the one it came from
             scored = np.flatnonzero(~np.isfinite(loglik[j]).all(axis=1))
             origin = f"agent {scored[0]} scored a non-finite log-likelihood; " if scored.size else ""
             raise NumericalError(f"iteration {start + j + 1}: {origin}{exc}") from exc
-    return out, obs

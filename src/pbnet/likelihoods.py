@@ -253,17 +253,21 @@ LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
 
 class GaussianGroup(GaussianFamily):
     """The Gaussian agents of a per-agent model list, means stacked (n, H).
-    ``agents`` holds their positions in the list, ascending."""
+    ``agents`` holds their positions in the list, ascending. Both are
+    read-only, like a family's tables, so a stack can be reused."""
 
     def __init__(self, agents: np.ndarray, models: Sequence[GaussianFamily]):
         self.agents = agents
         self.means = np.stack([m.means for m in models])
+        for a in (self.agents, self.means):
+            a.setflags(write=False)
 
 
 class DiscreteGroup(DiscreteFamily):
     """The discrete agents of a per-agent model list. Tables span the widest
     support S; an agent's entries past its own support hold log-pmf -inf and
-    cdf +inf. ``agents`` holds their positions in the list, ascending."""
+    cdf +inf. ``agents`` holds their positions in the list, ascending. All
+    four arrays are read-only."""
 
     def __init__(self, agents: np.ndarray, models: Sequence[DiscreteFamily]):
         self.agents = agents
@@ -274,6 +278,8 @@ class DiscreteGroup(DiscreteFamily):
         for i, m in enumerate(models):
             self.log_pmf[i, :, : m.support_size] = m.log_pmf[0]
             self.cdf[:, : m.support_size, i] = m.cdf[:, :, 0]
+        for a in (self.agents, self.support_size, self.log_pmf, self.cdf):
+            a.setflags(write=False)
 
 
 _GROUP_OF = {GaussianFamily: GaussianGroup, DiscreteFamily: DiscreteGroup}

@@ -323,9 +323,11 @@ class TestStepKernel:
         assert obs_a.dtype == obs_b.dtype
 
     @pytest.mark.parametrize("n", [30, 300], ids=["dense", "sparse"])
-    @pytest.mark.parametrize("strat", SHARINGS[1:], ids=["partial", "self_aware"])
-    def test_pool_matches_dense_recomputation(self, n, strat):
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_pool_matches_dense_recomputation(self, n, rule):
+        # the textbook step, with the posterior normalized before it is shared;
         # a ring with random weights: A is not symmetric, its diagonal not constant
+        strat = rule(1)
         adj = ring_adjacency(n)
         weights = np.where(adj, np.random.default_rng(n).uniform(0.1, 1.0, adj.shape), 0.0)
         net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
@@ -510,6 +512,55 @@ class TestStepErrors:
                                r"non-finite log-likelihood; agent 0: non-finite log-belief"):
                 run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
                                130, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("iteration", [64, 65, 130],
+                             ids=["block_end", "block_start", "partial_block_end"])
+    def test_nan_names_the_iteration_within_a_block(self, monkeypatch, iteration):
+        # beliefs are checked once per 64-step block; the error still names the step
+        score = dynamics.log_likelihood_rows
+        seen = [0]  # observation rows scored so far
+
+        def nan_at_iteration(model, xi):
+            table = score(model, xi)
+            row = iteration - 1 - seen[0]
+            if 0 <= row < len(table):
+                table[row, 3] = np.nan
+            seen[0] += len(table)
+            return table
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", nan_at_iteration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^iteration {iteration}: agent 3 scored "
+                               r"a non-finite log-likelihood; agent 0: non-finite log-belief"):
+                run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
+                               130, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
+    def test_zero_probability_names_the_first_step(self, strat):
+        # the truth always draws 1, which hypothesis 1 (the transmitted one) gives
+        # probability 0; the rest of the block runs on, so its NaN arithmetic may warn
+        fam = DiscreteFamily([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], validate=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"^iteration 1: agent 0 scored a "
+                               r"non-finite log-likelihood; "):
+                run_trajectory(uniform_log_beliefs(5, 3), RING5, fam, 0, strat, 10,
+                               np.random.default_rng(0))
+
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
+    def test_check_runs_once_per_block(self, monkeypatch, horizon):
+        calls = {}
+        for name in ("run_iteration", "check_log_beliefs"):
+            def counted(*args, _fn=getattr(dynamics, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dynamics, name, counted)
+        run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
+                       horizon, np.random.default_rng(0))
+        # the initial beliefs, then each stored block
+        assert calls == {"run_iteration": horizon,
+                         "check_log_beliefs": 1 + math.ceil(horizon / 64)}
 
     def test_check_names_the_first_bad_row(self):
         with pytest.raises(NumericalError, match="agent 1: belief normalization"):

@@ -23,6 +23,7 @@ from pbnet.likelihoods import (
     log_likelihood_rows,
     mixture_log_density,
     sample_observation,
+    stack_models,
 )
 
 GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
@@ -83,6 +84,17 @@ class TestConstruction:
         for table in (fam.pmf, fam.log_pmf, fam.cdf):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
+
+    def test_stacked_group_tables_are_read_only(self):
+        # a stack is built once and reused across steps, so no write may change it
+        d = DiscreteFamily([[0.5, 0.5], [0.2, 0.8]])
+        g = GaussianFamily([0.0, 1.0])
+        discrete, gaussian = stack_models([d, g, d], 3).groups
+        tables = [discrete.cdf, discrete.log_pmf, discrete.support_size, discrete.agents,
+                  gaussian.means, gaussian.agents]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
 
     def test_discrete_rows_must_be_positive(self):
         with pytest.raises(ValidationError, match="strictly positive"):
