@@ -4,22 +4,27 @@ combination.
 Everything stays in the log domain. Belief ratios decay linearly in the
 iteration index, so linear-domain probabilities underflow within a few
 hundred steps; exponentiate only at the edges (export, verdicts). The mass
-spread over the non-transmitted hypotheses is computed as a log-sum-exp of
-the *other* components rather than log(1 - exp(tx)), which stays finite even
-when the transmitted component is within one ulp of probability one.
+spread over the non-transmitted hypotheses is a log-sum-exp of the *other*
+components (one ``np.logaddexp.reduce``, as is the pooled rows'
+normalization) rather than log(1 - exp(tx)), which stays finite even when
+the transmitted component is within one ulp of probability one.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
 spread (the kept entry and the log-sum-exp of the rest both move), argmax,
 pooling (for any A) and the self-aware own - shared term (where it cancels).
-The invariant check runs after each ``run_iteration`` called alone, and once
-per ``_BLOCK`` steps, over all their rows, in ``run_trajectory``.
+
+``run_iteration`` called alone checks its result. ``run_trajectory`` resolves
+its ``Sharing`` into a step plan before the first draw, so a bad tx is
+rejected before the generator moves; it checks each ``_BLOCK`` steps at once,
+and runs them with invalid-value warnings off, because ``np.logaddexp`` warns
+on the NaN that the check reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,16 +96,10 @@ def MaxBeliefSharing(self_aware: bool = False) -> Sharing:
 
 # -- log-domain helpers -------------------------------------------------------
 
-def _row_logsumexp(x: np.ndarray) -> np.ndarray:
-    # the reductions behind x.max and x.sum, without their method dispatch
-    m = np.maximum.reduce(x, axis=1, keepdims=True)
-    return m + np.log(np.add.reduce(np.exp(x - m), axis=1, keepdims=True))
-
-
 def log_normalize(log_values: np.ndarray) -> np.ndarray:
     """Normalize a single log-probability vector to exp-sum one."""
     v = np.asarray(log_values, dtype=float)
-    return v - _row_logsumexp(v[None])[0]
+    return v - np.logaddexp.reduce(v)
 
 
 def check_log_beliefs(log_beliefs: np.ndarray) -> None:
@@ -147,48 +146,45 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
     return out
 
 
-def _spread_rows(log_psi: np.ndarray, tx) -> np.ndarray:
-    """Rowwise sharing modification: keep the tx entry, split the rest evenly.
+@dataclass(frozen=True)
+class _Plan:
+    """A ``Sharing`` resolved for H hypotheses, once per trajectory."""
 
-    ``tx`` is one column for every row, or an array of one column per row.
-    The split value is logsumexp of the non-tx entries minus log(H-1), i.e.
-    the exact log of (1 - psi_tx)/(H-1) computed from the surviving mass.
-    """
-    n, h = log_psi.shape
-    # one column is a basic slice, which is cheaper than fancy indexing
-    kept = (np.arange(n), tx) if isinstance(tx, np.ndarray) else (slice(None), tx)
-    masked = log_psi.copy()
-    masked[kept] = -np.inf
-    out = np.empty((n, h))
-    out[:] = _row_logsumexp(masked) - np.log(h - 1)
-    out[kept] = log_psi[kept]
-    return out
+    transmit: Union[None, int, str]
+    self_aware: bool
+    others: Optional[np.ndarray]  # the columns a fixed tx's spread sums
+    log_rest: float  # log(H - 1)
+
+
+def _plan(sharing, h: int) -> _Plan:
+    if isinstance(sharing, _Plan):
+        return sharing
+    tx, fixed = sharing.transmit, isinstance(sharing.transmit, (int, np.integer))
+    if fixed and tx >= h:
+        raise ValidationError(f"tx index {tx} out of range for H={h}")
+    others = np.arange(h) != tx if fixed else None
+    return _Plan(tx, sharing.self_aware, others, 0.0 if tx is None else np.log(h - 1))
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
-    """Belief vector as reconstructed by receivers under the given rule."""
-    v = np.asarray(log_psi, dtype=float)
-    single = v.ndim == 1
-    rows = v[None, :] if single else v
-    h = rows.shape[1]
-    tx = sharing.transmit
-    if tx is None:
-        out = rows.copy()
-    elif tx == "argmax":
-        out = _spread_rows(rows, np.argmax(rows, axis=1))
-    else:
-        if tx >= h:
-            raise ValidationError(f"tx index {tx} out of range for H={h}")
-        out = _spread_rows(rows, tx)
-    return out[0] if single else out
+    """Belief vector as reconstructed by receivers under the given rule: each
+    row keeps its tx entry and splits the rest evenly, at the exact log of
+    (1 - psi_tx)/(H-1) computed from the surviving mass."""
+    rows = np.asarray(log_psi, dtype=float)
+    plan = _plan(sharing, rows.shape[-1])
+    if plan.transmit is None:
+        return rows.copy()
+    others = plan.others
+    if others is None:  # argmax, ties toward the lowest index
+        others = np.argmax(rows, axis=-1, keepdims=True) != np.arange(rows.shape[-1])
+    # logaddexp(-inf, a) is a exactly, so the masked-out entries add nothing
+    rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=others, initial=-np.inf)
+    rest -= plan.log_rest
+    return np.where(others, rest, rows)
 
 
-def combine_step(
-    net: Network,
-    log_shared: np.ndarray,
-    log_own: np.ndarray,
-    sharing: Sharing,
-) -> np.ndarray:
+def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
+                 sharing: Sharing) -> np.ndarray:
     """Log-linear pooling of the (modified) neighbor beliefs.
 
     Row k of the result is sum_l a_lk * shared_l. Self-aware: the a_kk term
@@ -199,9 +195,9 @@ def combine_step(
     shared = np.asarray(log_shared, dtype=float)
     pooled = net.pool @ shared
     if sharing.self_aware:
-        own = np.asarray(log_own, dtype=float)
-        pooled = pooled + net.diagonal[:, None] * (own - shared)
-    return pooled - _row_logsumexp(pooled)
+        pooled += net.diagonal[:, None] * (np.asarray(log_own, dtype=float) - shared)
+    pooled -= np.logaddexp.reduce(pooled, axis=1, keepdims=True)
+    return pooled
 
 
 # -- full iteration -----------------------------------------------------------
@@ -305,10 +301,10 @@ def run_trajectory(
     the generator yields what ``horizon`` calls of ``run_iteration`` without
     ``observed`` would draw, so trajectories and observations equal that
     loop's bitwise. The beliefs of each block are checked at once, after its
-    last step; a step past a bad one still runs, so NaN arithmetic may warn
-    before the error. The error names the first failing step's iteration
-    (1-based, as the index into the result) and the first agent whose
-    log-likelihood was non-finite at that step, if any.
+    last step; a step past a bad one still runs, with invalid-value warnings
+    off. The error names the first failing step's iteration (1-based, as the
+    index into the result) and the first agent whose log-likelihood was
+    non-finite at that step, if any.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
@@ -317,6 +313,7 @@ def run_trajectory(
     n, h = init.shape
     out = np.empty((horizon + 1, n, h))
     out[0] = init
+    plan = _plan(sharing, h)
     models = _stacked(models, n)
     obs = np.empty((horizon, n), dtype=models.dtype) if keep_observations else None
     log_b = init
@@ -325,11 +322,12 @@ def run_trajectory(
         xi, loglik = _observe(models, true_index, n, steps, rng)
         if keep_observations:
             obs[start:start + steps] = xi
-        for j in range(steps):
-            log_b, _ = run_iteration(
-                log_b, net, models, true_index, sharing, rng, observed=(xi[j], loglik[j])
-            )
-            out[start + j + 1] = log_b
+        with np.errstate(invalid="ignore"):  # a NaN is reported by the block check
+            for j in range(steps):
+                log_b, _ = run_iteration(
+                    log_b, net, models, true_index, plan, rng, observed=(xi[j], loglik[j])
+                )
+                out[start + j + 1] = log_b
         block = out[start + 1:start + steps + 1]
         try:
             check_log_beliefs(block.reshape(-1, h))

@@ -107,6 +107,10 @@ class TestModifyForSharing:
         assert np.all(np.isfinite(out))
         assert out[1] == pytest.approx(-800.0, abs=1e-9)
 
+    def test_tx_out_of_range_rejected(self):
+        with pytest.raises(ValidationError, match="tx index 3 out of range for H=3"):
+            modify_for_sharing(np.log([[0.6, 0.3, 0.1]]), PartialSharing(3))
+
     def test_normalization_preserved_random(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -289,6 +293,14 @@ class TestValidation:
         with pytest.raises(NumericalError):
             check_log_beliefs(np.log([[0.7, 0.7]]))
 
+    def test_bad_tx_rejected_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="tx index 3 out of range for H=3"):
+            run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0, PartialSharing(3),
+                           10, rng)
+        assert rng.bit_generator.state == state
+
     def test_horizon_positive(self):
         with pytest.raises(ValidationError):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0,
@@ -343,6 +355,24 @@ class TestStepKernel:
                 pooled += np.diag(net.matrix)[:, None] * (psi - shared)
             want = pooled - np.log(np.exp(pooled).sum(axis=1, keepdims=True))
             np.testing.assert_allclose(traj[i], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_large_log_likelihood_gaps_stay_normalized(self, rule):
+        # means 25 apart: per-step log-likelihood gaps reach about 400, the
+        # log-beliefs about -4e4, and 130 steps cross a block boundary
+        fam, strat = GaussianFamily([0.0, 25.0, 50.0]), rule(0)
+        traj, obs = run_trajectory(uniform_log_beliefs(5, 3), RING5, fam, 1, strat, 130,
+                                   np.random.default_rng(6), keep_observations=True)
+        assert np.all(np.isfinite(traj))
+        assert np.max(np.abs(np.exp(traj).sum(axis=2) - 1.0)) <= 1e-12
+        # the kernel updates in place, but never its inputs
+        psi = traj[64] + log_likelihood_rows(fam, obs[64])
+        psi_before = psi.copy()
+        shared = modify_for_sharing(psi, strat)
+        shared_before = shared.copy()
+        combine_step(RING5, shared, psi, strat)
+        assert_bitwise(psi, psi_before)
+        assert_bitwise(shared, shared_before)
 
     def test_mixed_list_model_count_mismatch(self):
         with pytest.raises(ValidationError):

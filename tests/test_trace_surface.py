@@ -41,9 +41,11 @@ DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
 ], ids=["gaussian", "discrete", "copies", "mixed"])
 def test_seam_calls_per_trajectory(monkeypatch, models, groups):
     # perfbench divides every per-layer time by the dynamics.step count, so a
-    # trajectory steps once per iteration and draws and scores per 64-step block
+    # trajectory steps, modifies and combines once per iteration through the
+    # module attributes, and draws and scores per 64-step block
     calls = {}
-    for name in ("run_iteration", "sample_observation", "log_likelihood_rows"):
+    for name in ("run_iteration", "modify_for_sharing", "combine_step",
+                 "sample_observation", "log_likelihood_rows"):
         def counted(*args, _fn=getattr(dynamics, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -53,5 +55,6 @@ def test_seam_calls_per_trajectory(monkeypatch, models, groups):
                             dynamics.PartialSharing(1), 130, np.random.default_rng(0))
     blocks = 3  # 64 + 64 + 2 steps
     draws = blocks if groups == 1 else 130 * groups
-    assert calls == {"run_iteration": 130, "sample_observation": draws,
+    assert calls == {"run_iteration": 130, "modify_for_sharing": 130, "combine_step": 130,
+                     "sample_observation": draws,
                      "log_likelihood_rows": blocks * groups}
