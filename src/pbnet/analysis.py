@@ -150,11 +150,14 @@ def predict_self_aware_regime(
     from the true likelihood. tx != true: two mutually exclusive sufficient
     conditions are checked. "lem3": the tx belief collapses to zero and the
     others oscillate, when D_KL[L(true)||L(tx)] exceeds alpha/(H-1) times the
-    summed divergences to the other hypotheses. "lem4": the tx belief
-    collapses to one, when the complement-mixture divergence exceeds the tx
-    divergence plus bound * weight_sum; requires the finite likelihood bound,
-    hence a discrete family. Neither firing yields Inconclusive: the
-    conditions are sufficient, not exhaustive.
+    summed divergences to the other hypotheses. As defined here alpha is 1
+    on every network of two or more agents (see
+    :func:`pbnet.network.alpha_constant`), so lem3 does not depend on the
+    network. "lem4": the tx belief collapses to one, when the
+    complement-mixture divergence exceeds the tx divergence plus
+    bound * weight_sum; requires the finite likelihood bound, hence a
+    discrete family. Neither firing yields Inconclusive: the conditions are
+    sufficient, not exhaustive.
     """
     h = model.hypothesis_count
     d_tx = _kl_true_vs_tx(model, true_index, tx_index)
@@ -202,6 +205,11 @@ def predict_self_aware_regime(
 
 # -- empirical measurements ---------------------------------------------------
 
+def _check_index(what: str, index: int, count: int) -> None:
+    if not 0 <= index < count:
+        raise ValidationError(f"{what} index {index} out of range [0, {count - 1}]")
+
+
 def measure_empirical_rate(
     log_beliefs: np.ndarray, theta: int, tx_index: int, burn_in: int
 ) -> float:
@@ -210,6 +218,8 @@ def measure_empirical_rate(
     the initial beliefs."""
     if theta == tx_index:
         raise ValidationError("rate is defined for theta != tx")
+    _check_index("theta", theta, log_beliefs.shape[2])
+    _check_index("tx", tx_index, log_beliefs.shape[2])
     t_max = log_beliefs.shape[0] - 1
     if t_max <= burn_in:
         raise ValidationError(f"trajectory length {t_max} must exceed burn-in {burn_in}")
@@ -261,6 +271,8 @@ def detect_convergence(
     if window < 1 or window > t_max:
         raise ValidationError(f"window must lie in [1, {t_max}]")
     h = log_beliefs.shape[2]
+    if tx_index is not None:
+        _check_index("tx", tx_index, h)
     tail = log_beliefs[t_max - window + 1:]
     probs = np.exp(tail)
 
@@ -293,6 +305,9 @@ def oscillation_amplitude(
     t_max = log_beliefs.shape[0] - 1
     if window < 2 or window > t_max:
         raise ValidationError(f"window must lie in [2, {t_max}]")
+    _check_index("agent", agent, log_beliefs.shape[1])
+    _check_index("theta_a", theta_a, log_beliefs.shape[2])
+    _check_index("theta_b", theta_b, log_beliefs.shape[2])
     series = (
         log_beliefs[t_max - window + 1:, agent, theta_a]
         - log_beliefs[t_max - window + 1:, agent, theta_b]

@@ -202,13 +202,17 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
 
 # -- full iteration -----------------------------------------------------------
 
-def _stacked(models, n_agents: int):
+def _stacked(models, n_agents: int, h: int):
     """A per-agent model list stacked by family type; a single family, or
-    models stacked already, as they are."""
+    models stacked already, as they are. Their hypothesis count must be h."""
     if isinstance(models, (list, tuple)):
-        return stack_models(models, n_agents)
-    if isinstance(models, StackedModels) and models.n_agents != n_agents:
+        models = stack_models(models, n_agents)
+    elif isinstance(models, StackedModels) and models.n_agents != n_agents:
         raise ValidationError("need one likelihood model per agent")
+    if models.hypothesis_count != h:
+        raise ValidationError(
+            f"log-beliefs hold {h} hypotheses but the models {models.hypothesis_count}"
+        )
     return models
 
 
@@ -270,7 +274,8 @@ def run_iteration(
     if log_beliefs.shape[0] != n:
         raise ValidationError("log-beliefs size does not match the network")
     if observed is None:
-        xi, loglik = _observe(_stacked(models, n), true_index, n, 1, rng)
+        models = _stacked(models, n, log_beliefs.shape[-1])
+        xi, loglik = _observe(models, true_index, n, 1, rng)
         xi, loglik = xi[0], loglik[0]
     else:
         xi, loglik = observed
@@ -304,17 +309,21 @@ def run_trajectory(
     last step; a step past a bad one still runs, with invalid-value warnings
     off. The error names the first failing step's iteration (1-based, as the
     index into the result) and the first agent whose log-likelihood was
-    non-finite at that step, if any.
+    non-finite at that step, if any. The beliefs' agent and hypothesis counts
+    are checked against the network and the models, and a fixed tx against
+    H, before the first draw.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     init = np.asarray(initial_log_beliefs, dtype=float)
     check_log_beliefs(init)
     n, h = init.shape
+    if n != net.size:
+        raise ValidationError("log-beliefs size does not match the network")
+    plan = _plan(sharing, h)
+    models = _stacked(models, n, h)
     out = np.empty((horizon + 1, n, h))
     out[0] = init
-    plan = _plan(sharing, h)
-    models = _stacked(models, n)
     obs = np.empty((horizon, n), dtype=models.dtype) if keep_observations else None
     log_b = init
     for start in range(0, horizon, _BLOCK):

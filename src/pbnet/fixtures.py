@@ -13,7 +13,9 @@ structure and a likelihood bound of about 3.5 (self-computed, see
   mixture is far (KL 0.463), so with a small self-weight the mislearning
   condition fires for tx = 2;
 * hypothesis 3 is well separated (KL 2.721), so the collapse-to-zero
-  condition fires for tx = 3 regardless of the self-weight;
+  condition fires for tx = 3 on every network: as defined here that
+  condition reads only alpha, which is 1 on every network of two or more
+  agents, so it does not depend on the network;
 * max |log ratio| between hypotheses 1 and 3 is log(0.8/0.024) = 3.507.
 """
 

@@ -40,16 +40,42 @@ KL_QUAD_SIGMA_SPAN = 10.0
 PMF_ROW_TOL = 1e-12
 
 
-class GaussianFamily:
-    """Unit-variance Gaussian observation model, one mean per hypothesis.
-
-    The variance is fixed to 1; only the means distinguish hypotheses.
-    Observations are real numbers. ``means`` is (H,); a :class:`GaussianGroup`
-    stacks it to (n, H), one row per agent, and ``log_rows`` and ``sample``
-    broadcast over that agent axis, and over a step axis before it.
+class GaussianGroup:
+    """Unit-variance Gaussian agents of a per-agent model list: ``means``
+    stacked (n, H), one row per agent, and ``agents``, their positions in the
+    list, ascending. Both are read-only, like a family's tables, so a stack
+    can be reused. ``log_rows`` and ``sample`` broadcast over the agent axis,
+    and over a step axis before it.
     """
 
     dtype = np.dtype(np.float64)
+
+    def __init__(self, agents: np.ndarray, models: Sequence["GaussianFamily"]):
+        self.agents = agents
+        self.means = np.stack([m.means for m in models])
+        for a in (self.agents, self.means):
+            a.setflags(write=False)
+
+    @property
+    def hypothesis_count(self) -> int:
+        return int(self.means.shape[-1])
+
+    def log_rows(self, xi) -> np.ndarray:
+        d = np.asarray(xi, dtype=float)[..., None] - self.means
+        return -0.5 * d * d - _LOG_SQRT_2PI
+
+    def sample(self, theta: int, rng: np.random.Generator, size=None):
+        _check_hypothesis(self, theta)
+        return rng.normal(self.means[..., theta], 1.0, size=size)
+
+
+class GaussianFamily(GaussianGroup):
+    """Unit-variance Gaussian observation model, one mean per hypothesis.
+
+    The variance is fixed to 1; only the means distinguish hypotheses.
+    Observations are real numbers. ``means`` is (H,), so that the group's
+    ``log_rows`` and ``sample`` broadcast it over any agent and step axes.
+    """
 
     def __init__(self, means: Sequence[float]):
         arr = np.asarray(means, dtype=float)
@@ -60,16 +86,8 @@ class GaussianFamily:
         arr.setflags(write=False)
         self.means = arr
 
-    @property
-    def hypothesis_count(self) -> int:
-        return int(self.means.shape[-1])
-
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
-
-    def log_rows(self, xi) -> np.ndarray:
-        d = np.asarray(xi, dtype=float)[..., None] - self.means
-        return -0.5 * d * d - _LOG_SQRT_2PI
 
     def check_observation(self, xi) -> float:
         """One observation as a float, or InvalidObservationError."""
@@ -83,10 +101,6 @@ class GaussianFamily:
                 f"Gaussian observation must be a finite number, got {xi!r}"
             )
         return x
-
-    def sample(self, theta: int, rng: np.random.Generator, size=None):
-        _check_hypothesis(self, theta)
-        return rng.normal(self.means[..., theta], 1.0, size=size)
 
     def kl(self, p, q) -> float:
         p = _point_or_mixture(self, p)
@@ -140,28 +154,73 @@ class GaussianFamily:
         )
 
 
-class DiscreteFamily:
+class DiscreteGroup:
+    """Discrete agents of a per-agent model list. ``log_pmf`` is (n, H, S),
+    ``cdf`` is (H, S, n) and ``support_size`` (n,), one entry per agent, and
+    ``agents`` holds their positions in the list, ascending. All four arrays
+    are read-only.
+
+    The tables span the widest support S; an agent's entries past its own
+    support hold log-pmf -inf and cdf +inf. ``cdf`` holds each agent's
+    cumulative sums with the last one set to +inf, so that the count of its
+    entries <= u is the inverse-CDF draw for a uniform u; its agent axis comes
+    last so that a draw compares contiguous rows. ``log_rows`` and ``sample``
+    broadcast over the agent axis, and over a step axis before it: ``sample``
+    with ``size`` (steps, n) draws ``rng.random((steps, n))``, which consumes
+    the stream exactly as ``steps`` draws of size n do, so a block of steps
+    drawn at once equals the same steps drawn one at a time, bitwise.
+    """
+
+    dtype = np.dtype(np.int64)
+
+    def __init__(self, agents: np.ndarray, models: Sequence["DiscreteFamily"]):
+        self.agents = agents
+        self.support_size = np.array([m.support_size for m in models])
+        self._tabulate([m.pmf for m in models])
+        for a in (self.agents, self.support_size):
+            a.setflags(write=False)
+
+    def _tabulate(self, pmfs) -> None:
+        """Set the read-only ``log_pmf`` and ``cdf`` of pmf tables, one per agent."""
+        padded = np.zeros((len(pmfs), pmfs[0].shape[0], max(p.shape[1] for p in pmfs)))
+        for i, p in enumerate(pmfs):
+            padded[i, :, : p.shape[1]] = p
+        with np.errstate(divide="ignore"):  # the padding, and an unvalidated table's 0
+            self.log_pmf = np.log(padded)
+        cdf = padded.cumsum(axis=2)
+        for i, p in enumerate(pmfs):  # +inf from each agent's last entry on
+            cdf[i, :, p.shape[1] - 1:] = np.inf
+        self.cdf = np.ascontiguousarray(cdf.transpose(1, 2, 0))
+        self.log_pmf.setflags(write=False)
+        self.cdf.setflags(write=False)
+
+    @property
+    def hypothesis_count(self) -> int:
+        return int(self.log_pmf.shape[1])
+
+    def log_rows(self, xi) -> np.ndarray:
+        idx = np.asarray(xi, dtype=np.int64)
+        if np.any(idx < 0) or np.any(idx >= self.support_size):
+            raise InvalidObservationError("observation outside discrete support")
+        return self.log_pmf[np.arange(len(self.log_pmf)), :, idx]
+
+    def sample(self, theta: int, rng: np.random.Generator, size=None):
+        _check_hypothesis(self, theta)
+        u = rng.random(1 if size is None else size)  # random(1) is random()'s draw
+        idx = (self.cdf[theta] <= u[..., None, :]).sum(axis=-2)
+        return int(idx[0]) if size is None else idx
+
+
+class DiscreteFamily(DiscreteGroup):
     """Finite-support observation model: an H x S table of pmf rows.
 
     Every row must sum to 1 (within 1e-12) and every entry must be
     strictly positive, which keeps all log-likelihood ratios finite.
     ``validate=False`` skips the positivity check (test fixtures only).
 
-    ``log_pmf`` is (1, H, S), ``cdf`` is (H, S, 1) and ``support_size`` is
-    S; a :class:`DiscreteGroup` stacks them to (n, H, S), (H, S, n) and an
-    (n,) array, one entry per agent, and ``log_rows`` and ``sample``
-    broadcast over that agent axis. ``cdf`` holds the cumulative sums with
-    the last one set to +inf, so that the count of its entries <= u is the
-    inverse-CDF draw for a uniform u; its agent axis comes last so that a
-    draw compares contiguous rows.
-
-    Both methods also take a leading step axis: ``sample`` with ``size``
-    (steps, n) draws ``rng.random((steps, n))``, which consumes the stream
-    exactly as ``steps`` draws of size n do, so a block of steps drawn at
-    once equals the same steps drawn one at a time, bitwise.
+    The tables are the group's for one agent: ``log_pmf`` is (1, H, S),
+    ``cdf`` is (H, S, 1), and ``support_size`` is S.
     """
-
-    dtype = np.dtype(np.int64)
 
     def __init__(self, pmf: Sequence[Sequence[float]], validate: bool = True):
         table = np.asarray(pmf, dtype=float)
@@ -174,35 +233,20 @@ class DiscreteFamily:
                 f"pmf row {bad[0]} sums to {row_sums[bad[0]]:.12g}, expected 1"
             )
         if validate:
-            if np.any(table <= 0.0):
+            if (table <= 0.0).any():
                 r, s = map(int, np.argwhere(table <= 0.0)[0])
                 raise ValidationError(
                     f"pmf entry [{r}][{s}] must be strictly positive"
                 )
-        elif np.any(table < 0.0):
+        elif (table < 0.0).any():
             raise ValidationError("pmf entries must be nonnegative")
         table.setflags(write=False)
         self.pmf = table
         self.support_size = table.shape[1]
-        with np.errstate(divide="ignore"):
-            self.log_pmf = np.log(table)[None]
-        self.log_pmf.setflags(write=False)
-        self.cdf = np.cumsum(table, axis=1)[:, :, None]
-        self.cdf[:, -1] = np.inf
-        self.cdf.setflags(write=False)
-
-    @property
-    def hypothesis_count(self) -> int:
-        return int(self.log_pmf.shape[1])
+        self._tabulate([table])
 
     def __repr__(self):
         return f"DiscreteFamily(pmf={self.pmf.tolist()})"
-
-    def log_rows(self, xi) -> np.ndarray:
-        idx = np.asarray(xi, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.support_size):
-            raise InvalidObservationError("observation outside discrete support")
-        return self.log_pmf[np.arange(len(self.log_pmf)), :, idx]
 
     def check_observation(self, xi) -> int:
         """One observation as a support index, or InvalidObservationError."""
@@ -215,12 +259,6 @@ class DiscreteFamily:
                 f"observation {xi!r} outside discrete support 0..{self.support_size - 1}"
             )
         return x
-
-    def sample(self, theta: int, rng: np.random.Generator, size=None):
-        _check_hypothesis(self, theta)
-        u = rng.random(1 if size is None else size)  # random(1) is random()'s draw
-        idx = (self.cdf[theta] <= u[..., None, :]).sum(axis=-2)
-        return int(idx[0]) if size is None else idx
 
     def kl(self, p, q) -> float:
         p = self._pmf_of(p)
@@ -249,37 +287,6 @@ class DiscreteFamily:
 
 
 LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
-
-
-class GaussianGroup(GaussianFamily):
-    """The Gaussian agents of a per-agent model list, means stacked (n, H).
-    ``agents`` holds their positions in the list, ascending. Both are
-    read-only, like a family's tables, so a stack can be reused."""
-
-    def __init__(self, agents: np.ndarray, models: Sequence[GaussianFamily]):
-        self.agents = agents
-        self.means = np.stack([m.means for m in models])
-        for a in (self.agents, self.means):
-            a.setflags(write=False)
-
-
-class DiscreteGroup(DiscreteFamily):
-    """The discrete agents of a per-agent model list. Tables span the widest
-    support S; an agent's entries past its own support hold log-pmf -inf and
-    cdf +inf. ``agents`` holds their positions in the list, ascending. All
-    four arrays are read-only."""
-
-    def __init__(self, agents: np.ndarray, models: Sequence[DiscreteFamily]):
-        self.agents = agents
-        self.support_size = np.array([m.support_size for m in models])
-        n, h, s = len(models), models[0].hypothesis_count, int(self.support_size.max())
-        self.log_pmf = np.full((n, h, s), -np.inf)
-        self.cdf = np.full((h, s, n), np.inf)
-        for i, m in enumerate(models):
-            self.log_pmf[i, :, : m.support_size] = m.log_pmf[0]
-            self.cdf[:, : m.support_size, i] = m.cdf[:, :, 0]
-        for a in (self.agents, self.support_size, self.log_pmf, self.cdf):
-            a.setflags(write=False)
 
 
 _GROUP_OF = {GaussianFamily: GaussianGroup, DiscreteFamily: DiscreteGroup}

@@ -94,8 +94,11 @@ def _listener_sum(matrix: np.ndarray, perron: np.ndarray, self_weighted: bool) -
     """sum_l v_l * sum_{m != l} a_ml * w_m, where w_m = 1 / (1 - a_mm), times
     a_mm when ``self_weighted``.
 
-    Swapping the sums gives sum_m w_m * ((A v)_m - a_mm v_m). An agent with
-    a_mm >= 1 has w_m masked to 0; that is only sound when nobody listens to it.
+    Swapping the sums gives sum_m w_m * ((A v)_m - a_mm v_m), and A v = v
+    turns the bracket into (1 - a_mm) v_m, which w_m cancels: the sum is
+    sum_{m : a_mm < 1} v_m, each term times a_mm when ``self_weighted``. So no
+    product with A is needed. An agent with a_mm >= 1 drops out; that is only
+    sound when nobody listens to it.
     """
     A = np.asarray(matrix, dtype=float)
     d = np.diag(A)
@@ -107,17 +110,18 @@ def _listener_sum(matrix: np.ndarray, perron: np.ndarray, self_weighted: bool) -
         raise DivisionDegeneracyError(
             f"agent {full[i]} has full self-weight but agent {l} listens to it"
         )
-    w = np.divide(1.0, 1.0 - d, out=np.zeros_like(d), where=d < 1.0)
-    if self_weighted:
-        w *= d
-    return float(w @ (A @ perron - d * perron))
+    w = np.where(d < 1.0, d if self_weighted else 1.0, 0.0)
+    return float(w @ perron)
 
 
 def alpha_constant(matrix: np.ndarray, perron: np.ndarray) -> float:
     """sum_l v_l * sum_{n != l} a_{nl} / (1 - a_{nn}).
 
-    Equals 1 for every averaging-rule matrix regardless of the self-weight
-    parameter; see the property tests.
+    By A v = v this is sum_{n : a_nn < 1} v_n (see ``_listener_sum``). A
+    strongly connected network of N >= 2 agents has no a_nn = 1, since
+    agent n would then hear nobody; so alpha is sum(v) = 1 for every network
+    ``Network.from_matrix`` accepts with N >= 2, whatever its weights, and 0
+    for a single agent. As defined here it does not depend on the graph.
     """
     return _listener_sum(matrix, perron, self_weighted=False)
 
@@ -126,8 +130,10 @@ def mislearning_weight_sum(matrix: np.ndarray, perron: np.ndarray) -> float:
     """sum_l v_l * sum_{n != l} a_{nl} * a_{nn} / (1 - a_{nn}).
 
     The network-dependent factor of the self-aware mislearning condition
-    (it gets multiplied by the likelihood bound). For an averaging-rule
-    matrix with self-weight lam this collapses to exactly lam.
+    (it gets multiplied by the likelihood bound). By A v = v it is
+    sum_{n : a_nn < 1} a_nn v_n, which is diag(A) @ v for every accepted
+    network with N >= 2 (see ``alpha_constant``). For an averaging-rule
+    matrix with self-weight lam every a_nn is lam, so it is exactly lam.
     """
     return _listener_sum(matrix, perron, self_weighted=True)
 
@@ -140,9 +146,10 @@ class Network:
     by, ``pool @ shared``: below SPARSE_SOLVE_MIN_AGENTS agents the dense
     transposed view of ``matrix``, from there on CSR. The same cutoff picks
     the Perron solve: from it on, ``from_matrix`` scans A for its nonzeros
-    once into a CSC copy that the strong-connectivity check and the sparse
-    LU solve read, and ``pool`` is that copy transposed, which is CSR with
-    no further copy. ``diagonal`` holds the self-weights a_kk.
+    once into a CSC copy that the strong-connectivity check, the sparse LU
+    solve and the Perron residual read, and ``pool`` is that copy transposed,
+    which is CSR with no further copy. ``diagonal`` holds the self-weights
+    a_kk; ``alpha`` and ``weight_sum`` are closed forms in it and ``perron``.
 
     Immutable after construction; safe to share across concurrent runs.
     """
@@ -154,14 +161,13 @@ class Network:
     perron: np.ndarray
     alpha: float
     weight_sum: float
-    self_weight: float | None = field(default=None)  # averaging-rule lambda, if built that way
 
     @property
     def size(self) -> int:
         return int(self.matrix.shape[0])
 
     @classmethod
-    def from_matrix(cls, matrix, adjacency=None, self_weight=None) -> "Network":
+    def from_matrix(cls, matrix, adjacency=None) -> "Network":
         A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError("combination matrix must be square")
@@ -182,8 +188,8 @@ class Network:
                 raise ValidationError("adjacency shape does not match the matrix")
             if np.any(positive & ~adj):
                 raise ValidationError("nonzero weight on a non-edge")
-        # Below the cutoff everything reads the dense A; from it on, one
-        # sparse copy serves the connectivity check, the solve and the step.
+        # Below the cutoff everything reads the dense A; from it on, one sparse
+        # copy serves the connectivity check, the solve, its residual and the step.
         weights = A if A.shape[0] < SPARSE_SOLVE_MIN_AGENTS else _sparse_copy(A, positive)
         if not is_strongly_connected(weights):
             raise ConnectivityError("graph is not strongly connected")
@@ -191,7 +197,7 @@ class Network:
         if not np.any(diagonal > 0):
             raise ValidationError("at least one agent must have a positive self-loop")
         v = perron_vector(weights)
-        residual = np.max(np.abs(A @ v - v))
+        residual = np.max(np.abs(weights @ v - v))
         if not residual <= PERRON_RESIDUAL_TOL:
             raise NonConvergenceError(
                 f"Perron residual {residual:.3g} exceeds {PERRON_RESIDUAL_TOL:.1g}"
@@ -211,7 +217,6 @@ class Network:
             perron=v,
             alpha=alpha_constant(A, v),
             weight_sum=mislearning_weight_sum(A, v),
-            self_weight=self_weight,
         )
 
     def describe(self) -> dict:
@@ -219,7 +224,6 @@ class Network:
         return {
             "agents": self.size,
             "strongly_connected": True,
-            "self_weight": self.self_weight,
             "perron": [float(x) for x in self.perron],
             "alpha": float(self.alpha),
             "mislearn_weight_sum": float(self.weight_sum),
@@ -251,7 +255,7 @@ def build_averaging_matrix(adjacency: np.ndarray, self_weight: float) -> Network
     A = np.zeros(adj.shape)
     A[adj] = ((1.0 - lam) / (degrees - 1))[np.nonzero(adj)[1]]
     np.fill_diagonal(A, lam)
-    return Network.from_matrix(A, adjacency=adj, self_weight=lam)
+    return Network.from_matrix(A, adjacency=adj)
 
 
 # -- adjacency builders ------------------------------------------------------

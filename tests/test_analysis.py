@@ -315,3 +315,16 @@ class TestOscillationAmplitude:
         log_b = np.zeros((10, 1, 2))
         with pytest.raises(ValidationError):
             oscillation_amplitude(log_b, 0, 1, window=20)
+
+
+@pytest.mark.parametrize("measure, name", [
+    (lambda b: measure_empirical_rate(b, 5, 1, 5), "theta index 5"),
+    (lambda b: measure_empirical_rate(b, 0, 4, 5), "tx index 4"),
+    (lambda b: detect_convergence(b, window=5, tx_index=7), "tx index 7"),
+    (lambda b: oscillation_amplitude(b, 0, 1, 5, agent=9), "agent index 9"),
+    (lambda b: oscillation_amplitude(b, 0, 3, 5), "theta_b index 3"),
+], ids=["rate_theta", "rate_tx", "convergence_tx", "amplitude_agent", "amplitude_theta"])
+def test_out_of_range_index_is_a_validation_error(measure, name):
+    log_b = synth_beliefs([[0.5, 0.3, 0.2]] * 2, 20)
+    with pytest.raises(ValidationError, match=name):
+        measure(log_b)

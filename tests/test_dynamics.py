@@ -301,6 +301,19 @@ class TestValidation:
                            10, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("step", ["trajectory", "iteration"])
+    @pytest.mark.parametrize("n, h", [(5, 2), (4, 3)], ids=["hypotheses", "agents"])
+    def test_mismatched_beliefs_rejected_before_any_draw(self, step, n, h):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError):
+            if step == "trajectory":
+                run_trajectory(uniform_log_beliefs(n, h), RING5, GAUSS3, 0, FullSharing(),
+                               100, rng)
+            else:
+                run_iteration(uniform_log_beliefs(n, h), RING5, GAUSS3, 0, FullSharing(), rng)
+        assert rng.bit_generator.state == state
+
     def test_horizon_positive(self):
         with pytest.raises(ValidationError):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0,

@@ -96,6 +96,15 @@ class TestConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0
 
+    def test_stack_repr_and_family_tables(self):
+        d = DiscreteFamily([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        g = GaussianFamily([0.0, 1.0])
+        assert "StackedModels(groups=" in repr(stack_models([d, g, d], 3))
+        np.testing.assert_array_equal(d.log_pmf, np.log(d.pmf)[None])
+        cdf = np.cumsum(d.pmf, axis=1)
+        cdf[:, -1] = np.inf
+        np.testing.assert_array_equal(d.cdf, cdf[:, :, None])
+
     def test_discrete_rows_must_be_positive(self):
         with pytest.raises(ValidationError, match="strictly positive"):
             DiscreteFamily([[1.0, 0.0], [0.5, 0.5]])

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbnet.errors import (
     ConnectivityError,
@@ -162,6 +164,20 @@ class TestDerivedConstants:
             net = build_averaging_matrix(adj, lam)
             assert net.alpha == pytest.approx(1.0, abs=1e-9)
             assert net.weight_sum == pytest.approx(lam, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40) | st.integers(200, 320), seed=st.integers(0, 2**32 - 1))
+    def test_closed_forms_on_random_weights(self, n, seed):
+        # random weights on a random strongly connected graph, some agents
+        # with no self-loop: alpha = 1 and weight_sum = diag(A) @ v anyway
+        rng = np.random.default_rng(seed)
+        adj = generate_strongly_connected_adjacency(n, min(1.0, 4.0 * np.log(n) / n), rng)
+        adj[np.diag_indices(n)] = rng.random(n) < 0.5
+        adj[0, 0] = True
+        weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+        net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+        assert net.alpha == pytest.approx(1.0, abs=1e-12)
+        assert net.weight_sum == pytest.approx(net.diagonal @ net.perron, abs=1e-12)
 
 
 class TestAveragingMatrix:
