@@ -220,6 +220,8 @@ def measure_empirical_rate(
         raise ValidationError("rate is defined for theta != tx")
     _check_index("theta", theta, log_beliefs.shape[2])
     _check_index("tx", tx_index, log_beliefs.shape[2])
+    if burn_in < 0:
+        raise ValidationError(f"burn-in must be >= 0, got {burn_in}")
     t_max = log_beliefs.shape[0] - 1
     if t_max <= burn_in:
         raise ValidationError(f"trajectory length {t_max} must exceed burn-in {burn_in}")

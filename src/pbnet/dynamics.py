@@ -14,11 +14,13 @@ cancels its normalizer exactly, because a per-row shift passes through the
 spread (the kept entry and the log-sum-exp of the rest both move), argmax,
 pooling (for any A) and the self-aware own - shared term (where it cancels).
 
-``run_iteration`` called alone checks its result. ``run_trajectory`` resolves
-its ``Sharing`` into a step plan before the first draw, so a bad tx is
-rejected before the generator moves; it checks each ``_BLOCK`` steps at once,
-and runs them with invalid-value warnings off, because ``np.logaddexp`` warns
-on the NaN that the check reports.
+``run_trajectory`` is the one path that validates, draws and checks: it
+rejects bad inputs, and resolves its ``Sharing`` into a step plan, before the
+first draw, so the generator moves only for a valid run; it draws and checks
+each ``_BLOCK`` steps at once, and runs them with invalid-value warnings off,
+because ``np.logaddexp`` warns on the NaN that the check reports.
+``run_iteration`` called alone is a one-step ``run_trajectory``; given its
+observations, it is the step itself, which ``run_trajectory`` calls.
 """
 
 from __future__ import annotations
@@ -162,8 +164,10 @@ def _plan(sharing, h: int) -> _Plan:
     tx, fixed = sharing.transmit, isinstance(sharing.transmit, (int, np.integer))
     if fixed and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
+    if tx is None or h == 1:  # a single hypothesis has nothing to spread
+        return _Plan(None, sharing.self_aware, None, 0.0)
     others = np.arange(h) != tx if fixed else None
-    return _Plan(tx, sharing.self_aware, others, 0.0 if tx is None else np.log(h - 1))
+    return _Plan(tx, sharing.self_aware, others, np.log(h - 1))
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
@@ -260,30 +264,29 @@ def run_iteration(
     (N, H) log-beliefs and the drawn observations (needed by the recursion
     checks and optional trajectory retention).
 
-    With one model per agent, the agents are stacked by family type and the
-    draws are made group by group, each group in agent order. A list is
-    restacked on every call, so a caller that loops over steps should pass
+    Without ``observed`` the step is a one-step :func:`run_trajectory`: its
+    inputs are validated before the draw, the draw is a one-step block, the
+    result is checked, and an error names iteration 1 and the agent. With one
+    model per agent, the agents are stacked by family type and the draws are
+    made group by group, each group in agent order. A list is restacked on
+    every call, so a caller that loops over steps should pass
     ``stack_models(models, n)`` once instead: it steps and draws bitwise like
     the list. ``observed``, an (xi, loglik) pair of the (N,) observations and
     their (N, H) log-likelihoods, is a row drawn ahead of time: the step then
-    draws nothing, returns that xi and leaves the result unchecked, because
-    :func:`run_trajectory` checks its steps once per block. The posterior is
-    pooled unnormalized (see the module docstring).
+    checks only the agent count, draws nothing, returns that xi and leaves the
+    result unchecked, because :func:`run_trajectory` validates its inputs once
+    and checks its steps once per block. The posterior is pooled unnormalized
+    (see the module docstring).
     """
-    n = net.size
-    if log_beliefs.shape[0] != n:
+    if observed is None:
+        out, obs = run_trajectory(log_beliefs, net, models, true_index, sharing, 1, rng,
+                                  keep_observations=True)
+        return out[1], obs[0]
+    if log_beliefs.shape[0] != net.size:
         raise ValidationError("log-beliefs size does not match the network")
-    if observed is None:
-        models = _stacked(models, n, log_beliefs.shape[-1])
-        xi, loglik = _observe(models, true_index, n, 1, rng)
-        xi, loglik = xi[0], loglik[0]
-    else:
-        xi, loglik = observed
+    xi, loglik = observed
     log_psi = log_beliefs + loglik
-    log_next = combine_step(net, modify_for_sharing(log_psi, sharing), log_psi, sharing)
-    if observed is None:
-        check_log_beliefs(log_next)
-    return log_next, xi
+    return combine_step(net, modify_for_sharing(log_psi, sharing), log_psi, sharing), xi
 
 
 def run_trajectory(
@@ -309,17 +312,18 @@ def run_trajectory(
     last step; a step past a bad one still runs, with invalid-value warnings
     off. The error names the first failing step's iteration (1-based, as the
     index into the result) and the first agent whose log-likelihood was
-    non-finite at that step, if any. The beliefs' agent and hypothesis counts
-    are checked against the network and the models, and a fixed tx against
-    H, before the first draw.
+    non-finite at that step, if any. The beliefs' shape, agent and hypothesis
+    counts and normalization are checked against the network and the models,
+    and a fixed tx against H, before the first draw. A lone
+    :func:`run_iteration` is this with ``horizon`` 1.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     init = np.asarray(initial_log_beliefs, dtype=float)
+    if init.ndim != 2 or init.shape[0] != net.size:
+        raise ValidationError(f"log-beliefs of shape {init.shape} are not (N={net.size}, H)")
     check_log_beliefs(init)
     n, h = init.shape
-    if n != net.size:
-        raise ValidationError("log-beliefs size does not match the network")
     plan = _plan(sharing, h)
     models = _stacked(models, n, h)
     out = np.empty((horizon + 1, n, h))

@@ -40,6 +40,30 @@ KL_QUAD_SIGMA_SPAN = 10.0
 PMF_ROW_TOL = 1e-12
 
 
+def _numbers(xi) -> np.ndarray:
+    """A batch of observations as an array of numbers (bool, integer or
+    float), or InvalidObservationError."""
+    x = np.asarray(xi)
+    if x.dtype.kind not in "biuf":
+        raise InvalidObservationError(f"observations must be numbers, got {x.dtype} entries")
+    return x
+
+
+def _one(xi) -> list:
+    """One observation as a batch of one, or InvalidObservationError."""
+    if np.ndim(xi) != 0:  # a sequence, or a bytearray, would score as a batch
+        raise InvalidObservationError(f"expected one observation, got {xi!r}")
+    return [xi]
+
+
+def _reject_first(x: np.ndarray, ok: np.ndarray, why: str) -> None:
+    """InvalidObservationError naming the first entry of ``x`` where ``ok``
+    fails, in row-major order, if any."""
+    if not ok.all():
+        bad = np.broadcast_to(x, ok.shape)[~ok][0]
+        raise InvalidObservationError(f"observation {bad.item()!r} {why}")
+
+
 class GaussianGroup:
     """Unit-variance Gaussian agents of a per-agent model list: ``means``
     stacked (n, H), one row per agent, and ``agents``, their positions in the
@@ -61,7 +85,13 @@ class GaussianGroup:
         return int(self.means.shape[-1])
 
     def log_rows(self, xi) -> np.ndarray:
-        d = np.asarray(xi, dtype=float)[..., None] - self.means
+        x = _numbers(xi).astype(float, copy=False)
+        _reject_first(x, np.isfinite(x), "is not a finite number")
+        return self._log_density(x)
+
+    def _log_density(self, x) -> np.ndarray:
+        """``log_rows`` of observations known to be finite numbers."""
+        d = np.asarray(x, dtype=float)[..., None] - self.means
         return -0.5 * d * d - _LOG_SQRT_2PI
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
@@ -89,19 +119,6 @@ class GaussianFamily(GaussianGroup):
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
 
-    def check_observation(self, xi) -> float:
-        """One observation as a float, or InvalidObservationError."""
-        try:
-            # float() would parse a numeric string, which is no observation
-            x = math.nan if isinstance(xi, (str, bytes, bytearray)) else float(xi)
-        except (TypeError, ValueError):  # not a number
-            x = math.nan
-        if not math.isfinite(x):
-            raise InvalidObservationError(
-                f"Gaussian observation must be a finite number, got {xi!r}"
-            )
-        return x
-
     def kl(self, p, q) -> float:
         p = _point_or_mixture(self, p)
         q = _point_or_mixture(self, q)
@@ -128,7 +145,7 @@ class GaussianFamily(GaussianGroup):
         hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
 
         def integrand(x):
-            logs = self.log_rows(x)
+            logs = self._log_density(x)  # quad's nodes are finite
             lp = _log_mix(logs, wp)
             return math.exp(lp) * (lp - _log_mix(logs, wq))
 
@@ -199,10 +216,17 @@ class DiscreteGroup:
         return int(self.log_pmf.shape[1])
 
     def log_rows(self, xi) -> np.ndarray:
-        idx = np.asarray(xi, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.support_size):
-            raise InvalidObservationError("observation outside discrete support")
-        return self.log_pmf[np.arange(len(self.log_pmf)), :, idx]
+        return self.log_pmf[np.arange(len(self.log_pmf)), :, self._support_index(xi)]
+
+    def _support_index(self, xi) -> np.ndarray:
+        """Observations as int64 indices into each agent's support, or
+        InvalidObservationError naming the first that is no support point."""
+        x = _numbers(xi)
+        with np.errstate(invalid="ignore"):  # a NaN or an infinity casts to junk, rejected below
+            idx = x.astype(np.int64, copy=False)
+        _reject_first(x, (idx == x) & (idx >= 0) & (idx < self.support_size),
+                      "outside discrete support")
+        return idx
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
@@ -247,18 +271,6 @@ class DiscreteFamily(DiscreteGroup):
 
     def __repr__(self):
         return f"DiscreteFamily(pmf={self.pmf.tolist()})"
-
-    def check_observation(self, xi) -> int:
-        """One observation as a support index, or InvalidObservationError."""
-        try:
-            x = int(xi)
-        except (TypeError, ValueError, OverflowError):  # not a number, NaN or an infinity
-            x = -1
-        if x != xi or not 0 <= x < self.support_size:
-            raise InvalidObservationError(
-                f"observation {xi!r} outside discrete support 0..{self.support_size - 1}"
-            )
-        return x
 
     def kl(self, p, q) -> float:
         p = self._pmf_of(p)
@@ -371,6 +383,15 @@ def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
         )
 
 
+def _family(model) -> LikelihoodModel:
+    """``model`` if it is one likelihood family. A group of per-agent models
+    or a stack of them scores and samples in batches, but has no single
+    scalar score, divergence or bound."""
+    if type(model) not in _GROUP_OF:  # the two families, as stack_models accepts them
+        raise ValidationError(f"expected one likelihood family, got {type(model).__name__}")
+    return model
+
+
 def log_likelihood(model: LikelihoodModel, theta: int, xi) -> float:
     """log L(xi | theta) for a single hypothesis and observation."""
     _check_hypothesis(model, theta)
@@ -382,20 +403,23 @@ def likelihood(model: LikelihoodModel, theta: int, xi) -> float:
     if isinstance(model, DiscreteFamily):
         # the table entry itself: exp(log(p)) need not give p back
         _check_hypothesis(model, theta)
-        return float(model.pmf[theta, model.check_observation(xi)])
+        return float(model.pmf[theta, model._support_index(_one(xi))[0]])
     return math.exp(log_likelihood(model, theta, xi))
 
 
 def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
     """Vector of log L(xi | theta) over all hypotheses, for one observation."""
-    return model.log_rows([model.check_observation(xi)])[0]
+    return _family(model).log_rows(_one(xi))[0]
 
 
 def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndarray:
     """(n, H) matrix of log-likelihoods for a batch of observations; for a
     :class:`GaussianGroup` or :class:`DiscreteGroup`, row i scores observation
     i under agent i's model. A (steps, n) block of observations gives
-    (steps, n, H)."""
+    (steps, n, H). The batch obeys the scalar scorers' value rules: a
+    non-numeric batch, a non-finite Gaussian observation or a discrete one
+    off its agent's support raises InvalidObservationError, which names the
+    first bad value."""
     return model.log_rows(xi_array)
 
 
@@ -477,7 +501,7 @@ def kl_divergence(model: LikelihoodModel, p, q) -> float:
     ``log_rows`` mixed by p's and q's weights; if it cannot meet the tolerance,
     ``NumericalError`` is raised instead of returning a guess.
     """
-    return model.kl(p, q)
+    return _family(model).kl(p, q)
 
 
 def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
@@ -490,7 +514,7 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
     not); a Gaussian family raises UnboundedLikelihoodError, since its
     log-ratios are unbounded in xi.
     """
-    return model.bound(excluded)
+    return _family(model).bound(excluded)
 
 
 def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Generator, size=None):

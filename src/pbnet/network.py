@@ -255,7 +255,8 @@ def build_averaging_matrix(adjacency: np.ndarray, self_weight: float) -> Network
     A = np.zeros(adj.shape)
     A[adj] = ((1.0 - lam) / (degrees - 1))[np.nonzero(adj)[1]]
     np.fill_diagonal(A, lam)
-    return Network.from_matrix(A, adjacency=adj)
+    # every weight is positive, so A > 0 is the adjacency: from_matrix derives it
+    return Network.from_matrix(A)
 
 
 # -- adjacency builders ------------------------------------------------------

@@ -250,6 +250,14 @@ class TestEmpiricalRate:
         with pytest.raises(ValidationError):
             measure_empirical_rate(log_b, 1, 1, 2)
 
+    def test_negative_burn_in_rejected(self):
+        # a negative burn-in would wrap its indices to the end of the series
+        log_b = np.zeros((21, 1, 2))
+        log_b[:, 0, 0] = 0.3 * np.arange(21)
+        assert measure_empirical_rate(log_b, 0, 1, 0) == pytest.approx(0.3, abs=1e-9)
+        with pytest.raises(ValidationError, match="burn-in must be >= 0"):
+            measure_empirical_rate(log_b, 0, 1, -5)
+
     def test_non_finite_raises(self):
         log_b = np.zeros((21, 1, 2))
         log_b[15, 0, 0] = -np.inf

@@ -190,6 +190,22 @@ class TestRunIteration:
                               np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("fam", [GaussianFamily([0.4]), DiscreteFamily([[0.3, 0.7]])],
+                             ids=["gaussian", "discrete"])
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_h1_equals_full_bitwise_without_warnings(self, fam, rule):
+        # a single hypothesis has nothing to spread, so no rule takes log(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, _ = run_trajectory(uniform_log_beliefs(5, 1), RING5, fam, 0, rule(0), 70,
+                                  np.random.default_rng(7))
+            b, _ = run_trajectory(uniform_log_beliefs(5, 1), RING5, fam, 0, FullSharing(), 70,
+                                  np.random.default_rng(7))
+            step, _ = run_iteration(uniform_log_beliefs(5, 1), RING5, fam, 0, rule(0),
+                                    np.random.default_rng(7))
+        assert_bitwise(a, b)
+        assert_bitwise(step, b[1])
+
     def test_full_sharing_learns_the_truth(self):
         init = uniform_log_beliefs(5, 3)
         traj, _ = run_trajectory(init, RING5, GAUSS3, 0, FullSharing(), 1500,
@@ -312,6 +328,30 @@ class TestValidation:
                                100, rng)
             else:
                 run_iteration(uniform_log_beliefs(n, h), RING5, GAUSS3, 0, FullSharing(), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("step", ["trajectory", "iteration"])
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 5, 3)], ids=["1d", "1d_n", "3d"])
+    def test_beliefs_not_two_dimensional_rejected_before_any_draw(self, step, shape):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        init = np.full(shape, -np.log(3.0))
+        with pytest.raises(ValidationError, match=r"not \(N=5, H\)"):
+            if step == "trajectory":
+                run_trajectory(init, RING5, GAUSS3, 0, FullSharing(), 10, rng)
+            else:
+                run_iteration(init, RING5, GAUSS3, 0, FullSharing(), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("row", [[0.7, 0.7, 0.7], [np.nan, 0.5, 0.5]],
+                             ids=["unnormalized", "nan"])
+    def test_lone_step_rejects_bad_rows_before_any_draw(self, row):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        init = uniform_log_beliefs(5, 3)
+        init[2] = np.log(row)
+        with pytest.raises(NumericalError, match="^agent 2: "):
+            run_iteration(init, RING5, GAUSS3, 0, FullSharing(), rng)
         assert rng.bit_generator.state == state
 
     def test_horizon_positive(self):
@@ -555,6 +595,23 @@ class TestStepErrors:
                                r"non-finite log-likelihood; agent 0: non-finite log-belief"):
                 run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
                                130, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_lone_step_nan_names_iteration_one_and_the_agent(self, monkeypatch, rule):
+        score = dynamics.log_likelihood_rows
+
+        def nan_at_agent_3(model, xi):
+            table = score(model, xi)
+            table[0, 3] = np.nan
+            return table
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", nan_at_agent_3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^iteration 1: agent 3 scored a "
+                               r"non-finite log-likelihood"):
+                run_iteration(uniform_log_beliefs(5, 3), RING5, DISC3, 0, rule(1),
+                              np.random.default_rng(0))
 
     @pytest.mark.parametrize("iteration", [64, 65, 130],
                              ids=["block_end", "block_start", "partial_block_end"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +217,37 @@ class TestLikelihood:
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("model, xi, bad", [
+        (DISC, [0, 1.5, 0.0], 1.5),
+        (DISC, [2.0, math.nan], math.nan),
+        (DISC, [0, 3], 3),
+        (GAUSS3, [0.1, math.nan, math.inf], math.nan),
+        (GAUSS3, [[0.0, 1.0], [-math.inf, 2.0]], -math.inf),
+    ], ids=["discrete-fraction", "discrete-nan", "discrete-off-support", "gaussian-nan",
+            "gaussian-block-inf"])
+    def test_batch_obeys_the_scalar_value_rules(self, model, xi, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidObservationError, match=rf"^observation {bad!r} "):
+                log_likelihood_rows(model, xi)
+            with pytest.raises(InvalidObservationError):  # the scalar rule it follows
+                log_likelihood_row(model, bad)
+
+    def test_grouped_batch_names_the_first_bad_value(self):
+        group = stack_models([DISC, DiscreteFamily([[0.5, 0.5], [0.1, 0.9]])], 2).groups[0]
+        # agent 1's support is {0, 1}: its 2.0 is off support, agent 0's is not
+        np.testing.assert_array_equal(log_likelihood_rows(group, [2.0, 1.0]),
+                                      [DISC.log_pmf[0, :, 2], np.log([0.5, 0.9])])
+        with pytest.raises(InvalidObservationError, match=r"^observation 2\.0 "):
+            log_likelihood_rows(group, [[2.0, 1.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("xi", [[1.0], bytearray(b"1")], ids=["list", "bytearray"])
+    @pytest.mark.parametrize("model", [GAUSS3, DISC], ids=["gaussian", "discrete"])
+    def test_scalar_scorers_take_one_observation(self, model, xi):
+        for score in (lambda: log_likelihood_row(model, xi), lambda: likelihood(model, 0, xi)):
+            with pytest.raises(InvalidObservationError):
+                score()
+
     def test_mixture_density_h2_equals_other_likelihood(self):
         # with H=2 the complement "mixture" is exactly the other hypothesis
         fam = DiscreteFamily([[0.7, 0.3], [0.4, 0.6]])
@@ -230,6 +262,29 @@ class TestLikelihood:
             assert mixture_log_density(g, gspec, xi) == pytest.approx(
                 log_likelihood(g, 0, xi), abs=1e-12
             )
+
+
+GAUSS2 = GaussianFamily([0.0, 1.0])
+GROUPS = {
+    "gaussian_group": stack_models([GAUSS2, DISC], 2).groups[0],
+    "discrete_group": stack_models([GAUSS2, DISC], 2).groups[1],
+    "stack": stack_models([DISC, DISC], 2),
+}
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m: kl_divergence(m, 0, 1),
+    lambda m: likelihood_bound(m, 0),
+    lambda m: log_likelihood(m, 0, 0),
+    lambda m: likelihood(m, 0, 0),
+    lambda m: log_likelihood_row(m, 0),
+    lambda m: mixture_log_density(m, MixtureSpec.uniform_complement(2, 0), 0),
+], ids=["kl_divergence", "likelihood_bound", "log_likelihood", "likelihood",
+        "log_likelihood_row", "mixture_log_density"])
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_single_model_entry_points_reject_stacked_models(entry, name):
+    with pytest.raises(ValidationError, match="expected one likelihood family"):
+        entry(GROUPS[name])
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,16 @@ class TestAveragingMatrix:
             want[k, k] = lam
         np.testing.assert_array_equal(build_averaging_matrix(adj, lam).matrix, want)
 
+    @pytest.mark.parametrize("lam", [1e-12, 0.5, 1.0 - 2.0**-52])
+    def test_adjacency_is_the_input_graph(self, lam):
+        # the builder lets from_matrix derive the adjacency from A > 0
+        rng = np.random.default_rng(17)
+        for adj in (ring_adjacency(10), path_adjacency(300),
+                    generate_strongly_connected_adjacency(100, 0.05, rng)):
+            net = build_averaging_matrix(adj, lam)
+            np.testing.assert_array_equal(net.adjacency, adj)
+            assert net.adjacency.dtype == bool
+
     def test_requires_self_loops_everywhere(self):
         adj = complete_adjacency(3).copy()
         adj[1, 1] = False
