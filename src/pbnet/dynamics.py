@@ -5,9 +5,15 @@ Everything stays in the log domain. Belief ratios decay linearly in the
 iteration index, so linear-domain probabilities underflow within a few
 hundred steps; exponentiate only at the edges (export, verdicts). The mass
 spread over the non-transmitted hypotheses is a log-sum-exp of the *other*
-components (one ``np.logaddexp.reduce``, as is the pooled rows'
-normalization) rather than log(1 - exp(tx)), which stays finite even when
-the transmitted component is within one ulp of probability one.
+components rather than log(1 - exp(tx)), which stays finite even when the
+transmitted component is within one ulp of probability one. On many rows
+(``_FOLD_MIN_ROWS``), that log-sum-exp for a fixed tx, and the pooled rows'
+normalization under every rule, fold ``np.logaddexp`` across the columns in
+index order, one ufunc call per column over every row: the left fold
+``np.logaddexp.reduce`` makes, so the same bits, without the reduce's inner
+loop per row of only H entries. On fewer rows the one reduce call is cheaper
+and is kept, and argmax's spread, whose columns differ from row to row, is
+always one masked reduce.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -26,7 +32,7 @@ observations, it is the step itself, which ``run_trajectory`` calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -105,20 +111,29 @@ def log_normalize(log_values: np.ndarray) -> np.ndarray:
 
 
 def check_log_beliefs(log_beliefs: np.ndarray) -> None:
-    """Hard invariant: finite entries, rows exp-summing to 1 within 1e-9.
+    """Hard invariant: finite entries, rows (along the last axis) exp-summing
+    to 1 within 1e-9.
 
     Raises instead of clamping; a violation means the engine lost positivity.
-    The message names the first offending row, i.e. agent.
+    The message names the first offending row: its agent for an (N, H) table
+    (or one belief vector, agent 0), its index tuple for a stack of tables.
+    The exponentials are summed column by column, over every row at once.
     """
-    b = log_beliefs if getattr(log_beliefs, "ndim", 0) == 2 else np.atleast_2d(log_beliefs)
+    b = log_beliefs if getattr(log_beliefs, "ndim", 0) >= 2 else np.atleast_2d(log_beliefs)
     finite = np.isfinite(b)
     if not finite.all():
-        agent = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise NumericalError(f"agent {agent}: non-finite log-belief entry")
-    off = np.abs(np.add.reduce(np.exp(b), axis=1) - 1.0)
+        raise NumericalError(f"{_first_row(~finite.all(axis=-1))}: non-finite log-belief entry")
+    off = np.abs(np.add.reduce(np.exp(b, order="F"), axis=-1) - 1.0)
     if off.max() > BELIEF_SUM_TOL:
-        agent = int(np.flatnonzero(off > BELIEF_SUM_TOL)[0])
-        raise NumericalError(f"agent {agent}: belief normalization off by {off[agent]:.3g}")
+        bad = off > BELIEF_SUM_TOL
+        raise NumericalError(f"{_first_row(bad)}: belief normalization off by {off[bad][0]:.3g}")
+
+
+def _first_row(bad: np.ndarray) -> str:
+    """The first row a mask over rows flags: ``agent k`` for one table's
+    rows, ``row (i, ..., k)`` for a stack's."""
+    index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return f"agent {index[0]}" if bad.ndim == 1 else f"row {tuple(map(int, index))}"
 
 
 def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
@@ -148,26 +163,57 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
     return out
 
 
+#: Rows (N, or every leading index of a stack) from which log-sum-exps fold
+#: over the columns instead of calling ``np.logaddexp.reduce``: a ufunc call
+#: per column costs more than the reduce's inner loop per row on few rows. The
+#: fold broke even near 40 rows (numpy 2.4 on a shared 2-core Xeon VM); folding
+#: on every size cost ``repro_grid`` (N = 10) about 27% of its wall time.
+_FOLD_MIN_ROWS = 64
+
+
+def _logsumexp_columns(rows: np.ndarray, columns) -> np.ndarray:
+    """``np.logaddexp.reduce`` over ``columns`` of the last axis (ascending
+    ints), keeping that axis, made as one ``np.logaddexp`` call per column
+    over every row.
+
+    The reduce folds left in index order from logaddexp's identity -inf, and
+    so does this, so the two agree bitwise, NaN and infinities included.
+    Folding a into -inf gives a + 0.0, which is a except that -0.0 turns
+    +0.0, so that is how the first column enters.
+    """
+    first, *rest = columns
+    acc = rows[..., first:first + 1] + 0.0  # a new array, as if folded into -inf
+    for c in rest:
+        np.logaddexp(acc, rows[..., c:c + 1], out=acc)
+    return acc
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """A ``Sharing`` resolved for H hypotheses, once per trajectory."""
+    """A ``Sharing`` resolved for a shape of rows, once per trajectory."""
 
     transmit: Union[None, int, str]
     self_aware: bool
-    others: Optional[np.ndarray]  # the columns a fixed tx's spread sums
+    fold: bool  # at least _FOLD_MIN_ROWS rows: log-sum-exps fold over columns
+    others: Union[None, tuple, np.ndarray]  # a fixed tx's spread columns: ints to fold, else a mask
     log_rest: float  # log(H - 1)
 
 
-def _plan(sharing, h: int) -> _Plan:
+def _plan(sharing, shape) -> _Plan:
+    """``sharing`` resolved for rows of ``shape`` (..., H); a plan as it is."""
     if isinstance(sharing, _Plan):
         return sharing
+    h = shape[-1]
+    fold = int(np.prod(shape[:-1])) >= _FOLD_MIN_ROWS
     tx, fixed = sharing.transmit, isinstance(sharing.transmit, (int, np.integer))
     if fixed and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
     if tx is None or h == 1:  # a single hypothesis has nothing to spread
-        return _Plan(None, sharing.self_aware, None, 0.0)
-    others = np.arange(h) != tx if fixed else None
-    return _Plan(tx, sharing.self_aware, others, np.log(h - 1))
+        return _Plan(None, sharing.self_aware, fold, None, 0.0)
+    others = None
+    if fixed:
+        others = tuple(c for c in range(h) if c != tx) if fold else np.arange(h) != tx
+    return _Plan(tx, sharing.self_aware, fold, others, np.log(h - 1))
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
@@ -175,16 +221,25 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     row keeps its tx entry and splits the rest evenly, at the exact log of
     (1 - psi_tx)/(H-1) computed from the surviving mass."""
     rows = np.asarray(log_psi, dtype=float)
-    plan = _plan(sharing, rows.shape[-1])
+    plan = _plan(sharing, rows.shape)
     if plan.transmit is None:
         return rows.copy()
-    others = plan.others
-    if others is None:  # argmax, ties toward the lowest index
+    if plan.transmit == "argmax":  # ties toward the lowest index
         others = np.argmax(rows, axis=-1, keepdims=True) != np.arange(rows.shape[-1])
-    # logaddexp(-inf, a) is a exactly, so the masked-out entries add nothing
-    rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=others, initial=-np.inf)
+        # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
+        rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=others, initial=-np.inf)
+        rest -= plan.log_rest
+        return np.where(others, rest, rows)
+    if plan.fold:
+        rest = _logsumexp_columns(rows, plan.others)
+    else:
+        rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=plan.others,
+                                   initial=-np.inf)
     rest -= plan.log_rest
-    return np.where(others, rest, rows)
+    out = np.empty_like(rows)
+    out[...] = rest
+    out[..., plan.transmit] = rows[..., plan.transmit]
+    return out
 
 
 def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
@@ -198,9 +253,13 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     """
     shared = np.asarray(log_shared, dtype=float)
     pooled = net.pool @ shared
-    if sharing.self_aware:
+    plan = _plan(sharing, pooled.shape)
+    if plan.self_aware:
         pooled += net.diagonal[:, None] * (np.asarray(log_own, dtype=float) - shared)
-    pooled -= np.logaddexp.reduce(pooled, axis=1, keepdims=True)
+    if plan.fold:
+        pooled -= _logsumexp_columns(pooled, range(pooled.shape[1]))
+    else:
+        pooled -= np.logaddexp.reduce(pooled, axis=1, keepdims=True)
     return pooled
 
 
@@ -324,7 +383,7 @@ def run_trajectory(
         raise ValidationError(f"log-beliefs of shape {init.shape} are not (N={net.size}, H)")
     check_log_beliefs(init)
     n, h = init.shape
-    plan = _plan(sharing, h)
+    plan = _plan(sharing, init.shape)
     models = _stacked(models, n, h)
     out = np.empty((horizon + 1, n, h))
     out[0] = init

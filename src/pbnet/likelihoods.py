@@ -172,13 +172,16 @@ class GaussianFamily(GaussianGroup):
 
 
 class DiscreteGroup:
-    """Discrete agents of a per-agent model list. ``log_pmf`` is (n, H, S),
-    ``cdf`` is (H, S, n) and ``support_size`` (n,), one entry per agent, and
-    ``agents`` holds their positions in the list, ascending. All four arrays
-    are read-only.
+    """Discrete agents of a per-agent model list. ``log_table`` is (n·S, H),
+    ``log_pmf`` (n, H, S), ``cdf`` (H, S, n) and ``support_size`` (n,), one
+    entry per agent, and ``agents`` holds their positions in the list,
+    ascending. All five arrays are read-only.
 
     The tables span the widest support S; an agent's entries past its own
-    support hold log-pmf -inf and cdf +inf. ``cdf`` holds each agent's
+    support hold log-pmf -inf and cdf +inf. Row k·S + s of ``log_table`` is
+    agent k's log-likelihood row of observation s, so that ``log_rows`` is one
+    ``np.take`` of whole rows, for a family (n = 1) and a group alike;
+    ``log_pmf`` is a view of it. ``cdf`` holds each agent's
     cumulative sums with the last one set to +inf, so that the count of its
     entries <= u is the inverse-CDF draw for a uniform u; its agent axis comes
     last so that a draw compares contiguous rows. ``log_rows`` and ``sample``
@@ -198,25 +201,30 @@ class DiscreteGroup:
             a.setflags(write=False)
 
     def _tabulate(self, pmfs) -> None:
-        """Set the read-only ``log_pmf`` and ``cdf`` of pmf tables, one per agent."""
-        padded = np.zeros((len(pmfs), pmfs[0].shape[0], max(p.shape[1] for p in pmfs)))
+        """Set the read-only ``log_table``, ``log_pmf`` and ``cdf`` of pmf
+        tables, one per agent."""
+        n, h, s = len(pmfs), pmfs[0].shape[0], max(p.shape[1] for p in pmfs)
+        padded = np.zeros((n, h, s))
         for i, p in enumerate(pmfs):
             padded[i, :, : p.shape[1]] = p
         with np.errstate(divide="ignore"):  # the padding, and an unvalidated table's 0
-            self.log_pmf = np.log(padded)
+            log_pmf = np.log(padded)
+        self.log_table = np.ascontiguousarray(log_pmf.transpose(0, 2, 1)).reshape(n * s, h)
+        self.log_pmf = self.log_table.reshape(n, s, h).transpose(0, 2, 1)
+        self._row_start = np.arange(n) * s
         cdf = padded.cumsum(axis=2)
         for i, p in enumerate(pmfs):  # +inf from each agent's last entry on
             cdf[i, :, p.shape[1] - 1:] = np.inf
         self.cdf = np.ascontiguousarray(cdf.transpose(1, 2, 0))
-        self.log_pmf.setflags(write=False)
-        self.cdf.setflags(write=False)
+        for a in (self.log_table, self.log_pmf, self._row_start, self.cdf):
+            a.setflags(write=False)
 
     @property
     def hypothesis_count(self) -> int:
         return int(self.log_pmf.shape[1])
 
     def log_rows(self, xi) -> np.ndarray:
-        return self.log_pmf[np.arange(len(self.log_pmf)), :, self._support_index(xi)]
+        return np.take(self.log_table, self._support_index(xi) + self._row_start, axis=0)
 
     def _support_index(self, xi) -> np.ndarray:
         """Observations as int64 indices into each agent's support, or
@@ -242,8 +250,8 @@ class DiscreteFamily(DiscreteGroup):
     strictly positive, which keeps all log-likelihood ratios finite.
     ``validate=False`` skips the positivity check (test fixtures only).
 
-    The tables are the group's for one agent: ``log_pmf`` is (1, H, S),
-    ``cdf`` is (H, S, 1), and ``support_size`` is S.
+    The tables are the group's for one agent: ``log_table`` is (S, H),
+    ``log_pmf`` (1, H, S), ``cdf`` (H, S, 1), and ``support_size`` is S.
     """
 
     def __init__(self, pmf: Sequence[Sequence[float]], validate: bool = True):

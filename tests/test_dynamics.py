@@ -665,3 +665,81 @@ class TestStepErrors:
     def test_check_names_the_first_bad_row(self):
         with pytest.raises(NumericalError, match="agent 1: belief normalization"):
             check_log_beliefs(np.log([[0.5, 0.5], [0.7, 0.7], [0.9, 0.9]]))
+
+    def test_check_reduces_over_the_last_axis_of_a_stack(self):
+        check_log_beliefs(np.log(np.full((2, 5, 3), 1 / 3)))
+        stack = np.log(np.full((2, 5, 3), 1 / 3))
+        stack[1, 3] = np.log([0.7, 0.7, 0.7])
+        with pytest.raises(NumericalError, match=r"^row \(1, 3\): belief normalization off by"):
+            check_log_beliefs(stack)
+        stack[0, 2, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"^row \(0, 2\): non-finite log-belief"):
+            check_log_beliefs(stack)
+
+
+def reduce_reference(rows, where=None):
+    """The log-sum-exp the column fold replaces, as one reduce call."""
+    if where is None:
+        return np.logaddexp.reduce(rows, axis=-1, keepdims=True)
+    return np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=where, initial=-np.inf)
+
+
+class TestColumnFold:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(n=st.integers(1, 300), h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           special=st.sampled_from([0.0, 0.02, 0.3]), data=st.data())
+    def test_fold_equals_the_reduce_bitwise(self, n, h, seed, special, data):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(0.0, 30.0, (n, h))
+        hit = rng.random((n, h)) < special
+        rows[hit] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 0.0], hit.sum())
+        fold = dynamics._logsumexp_columns
+        tx = data.draw(st.integers(0, h - 1), label="tx")
+        with np.errstate(invalid="ignore"):  # NaN entries, as a run steps them
+            assert fold(rows, range(h)).tobytes() == reduce_reference(rows).tobytes()
+            if h >= 2:
+                kept = [c for c in range(h) if c != tx]
+                assert (fold(rows, kept).tobytes()
+                        == reduce_reference(rows, np.arange(h) != tx).tobytes())
+            # a NaN among the summed entries stays NaN, so the block check still fires
+            nan_rows = np.isnan(rows).any(axis=-1)
+            normalized = rows - fold(rows, range(h))
+        assert np.isnan(normalized[nan_rows]).all()
+        if nan_rows.any():
+            with pytest.raises(NumericalError, match="non-finite"):
+                check_log_beliefs(normalized)
+
+    def test_a_single_entry_enters_as_the_reduce_takes_it(self):
+        # the reduce folds from -inf, which turns -0.0 into +0.0
+        rows = np.array([[-0.0, 1.0], [2.0, -0.0]])
+        fold = dynamics._logsumexp_columns
+        for tx in (0, 1):
+            got = fold(rows, [1 - tx])
+            assert got.tobytes() == reduce_reference(rows, np.arange(2) != tx).tobytes()
+        assert fold(rows[:, :1], [0]).tobytes() == reduce_reference(rows[:, :1]).tobytes()
+        assert fold(rows[:, :1], [0]).tobytes() == np.array([[0.0], [2.0]]).tobytes()
+
+    @pytest.mark.parametrize("n", [10, 63, 64, 200], ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_seams_equal_one_reduce_per_step_bitwise(self, n, rule):
+        # both sides of the row-count switch give the reduce's bits
+        rng = np.random.default_rng(n)
+        h = 4
+        log_psi = rng.normal(0.0, 5.0, (n, h))
+        log_psi[0, 1] = log_psi[0, 2]  # an argmax tie
+        sharing = rule(2)
+        shared = modify_for_sharing(log_psi, sharing)
+        if sharing.transmit is None:
+            want = log_psi
+        else:
+            others = (np.arange(h) != 2 if sharing.transmit == 2
+                      else np.argmax(log_psi, axis=-1, keepdims=True) != np.arange(h))
+            rest = reduce_reference(log_psi, others) - np.log(h - 1)
+            want = np.where(others, rest, log_psi)
+        assert shared.tobytes() == want.tobytes()
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        pooled = net.pool @ shared
+        if sharing.self_aware:
+            pooled += net.diagonal[:, None] * (log_psi - shared)
+        want = pooled - reduce_reference(pooled)
+        assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()

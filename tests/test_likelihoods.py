@@ -495,3 +495,58 @@ class TestSampling:
         assert np.cumsum(fam.pmf[0])[-1] <= 1.0 - 2.0**-53
         np.testing.assert_array_equal(sample_observation(fam, 0, TopUniform(), size=3), [9] * 3)
         assert sample_observation(fam, 0, TopUniform()) == 9
+
+
+class TestDiscreteRowTable:
+    """``log_rows`` is one ``np.take`` of whole rows of the (n·S, H) table."""
+
+    @staticmethod
+    def old_gather(model, xi):
+        idx = np.asarray(xi, dtype=np.int64)
+        return model.log_pmf[np.arange(len(model.log_pmf)), :, idx]
+
+    def test_family_rows_equal_the_fancy_index_bitwise(self):
+        fam = DiscreteFamily([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        xi = np.random.default_rng(0).integers(0, 3, size=(7, 11))
+        for batch in (xi, xi[0], xi[:1, :1]):
+            got = log_likelihood_rows(fam, batch)
+            want = self.old_gather(fam, batch)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert fam.log_table.shape == (3, 3)
+        np.testing.assert_array_equal(fam.log_table, np.log(fam.pmf).T)
+
+    def test_group_with_unequal_supports_equals_the_fancy_index_bitwise(self):
+        pmfs = [[[0.5, 0.5], [0.1, 0.9]],
+                [[0.2, 0.3, 0.1, 0.4], [0.4, 0.3, 0.2, 0.1]],
+                [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]]
+        models = [DiscreteFamily(p) for p in pmfs]
+        group = stack_models(models, 3).groups[0]
+        assert group.log_table.shape == (3 * 4, 2)
+        for k, p in enumerate(pmfs):  # each agent's rows, then -inf padding
+            rows = group.log_table[4 * k:4 * (k + 1)]
+            s = len(p[0])
+            np.testing.assert_array_equal(rows[:s], np.log(p).T)
+            assert (rows[s:] == -np.inf).all()
+        rng = np.random.default_rng(1)
+        xi = np.stack([rng.integers(0, m.support_size, size=5) for m in models], axis=1)
+        for batch in (xi, xi[2]):
+            got = log_likelihood_rows(group, batch)
+            want = self.old_gather(group, batch)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_row_tables_are_read_only(self):
+        fam = DiscreteFamily([[0.5, 0.5], [0.2, 0.8]])
+        group = stack_models([fam, DiscreteFamily([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])],
+                             2).groups[0]
+        for table in (fam.log_table, group.log_table):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
+    def test_off_support_value_is_named(self):
+        fam = DiscreteFamily([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        with pytest.raises(InvalidObservationError, match=r"^observation 3 outside discrete"):
+            log_likelihood_rows(fam, [[0, 1], [3, 2]])
+        # agent 0's support is {0, 1}: its 2 lies in the padding, not in agent 1's rows
+        group = stack_models([DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), fam], 2).groups[0]
+        with pytest.raises(InvalidObservationError, match=r"^observation 2 outside discrete"):
+            log_likelihood_rows(group, [[1, 2], [2, 0]])
