@@ -96,7 +96,10 @@ class GaussianGroup:
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
-        return rng.normal(self.means[..., theta], 1.0, size=size)
+        # rng.normal(loc, 1.0, size) is loc + z bitwise, but an array loc sends
+        # it through a slow scale check
+        loc = self.means[..., theta]
+        return loc + rng.standard_normal(loc.shape if size is None else size)
 
 
 class GaussianFamily(GaussianGroup):

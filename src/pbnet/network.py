@@ -13,9 +13,10 @@ neighbor of k (an edge l -> k, "k listens to l").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, issparse
+from scipy.sparse import csc_matrix, csr_matrix, identity, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
@@ -30,8 +31,9 @@ from .errors import (
 
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
-#: From this many agents on, A is also kept sparse: the Perron solve and the
-#: step's pooling read one CSC copy of it (see Network).
+#: From this many agents on, a Network keeps A and its graph only as CSC
+#: matrices, built and checked in O(nnz) with no N x N array; the Perron solve,
+#: the step's pooling and the constants read them (see Network).
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
@@ -52,17 +54,31 @@ def is_strongly_connected(adjacency) -> bool:
     return strongly_connected_component_count(adjacency) == 1
 
 
-def _sparse_copy(matrix: np.ndarray, nonzero: np.ndarray):
-    """CSC copy of a dense matrix, given the boolean mask of its nonzeros.
+def _shape(matrix) -> tuple:
+    return matrix.shape if issparse(matrix) else np.shape(matrix)
 
-    One row-major scan of the mask finds the entries; the CSR matrix they
-    form converts to CSC in O(nnz).
+
+def _csc(matrix, dtype=float):
+    """CSC copy of a dense or scipy.sparse matrix with sorted indices and
+    no stored zeros, so its stored entries are exactly its nonzeros.
+
+    A dense input is scanned once, row-major, for its nonzeros, which
+    convert to CSC in O(nnz). A sparse input has its duplicates summed and
+    its explicit zeros dropped, and is never made dense.
     """
-    n_rows, n_cols = matrix.shape
-    flat = np.flatnonzero(nonzero)
-    rows, cols = np.divmod(flat, n_cols)
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-    return csr_matrix((matrix.ravel()[flat], cols, indptr), shape=matrix.shape).tocsc()
+    if issparse(matrix):
+        out = csc_matrix(matrix, dtype=dtype, copy=True)
+        out.sum_duplicates()
+        out.eliminate_zeros()
+        return out
+    m = np.asarray(matrix, dtype=dtype)
+    flat = np.flatnonzero(m)
+    return csc_matrix((m.ravel()[flat], np.divmod(flat, m.shape[1])), shape=m.shape)
+
+
+def _columns(matrix) -> np.ndarray:
+    """Column index of each stored entry of a CSC matrix, in storage order."""
+    return np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
 
 
 def perron_vector(matrix) -> np.ndarray:
@@ -72,8 +88,8 @@ def perron_vector(matrix) -> np.ndarray:
     leading (N-1) x (N-1) block, which is nonsingular when A is irreducible
     (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
     agents the block is solved dense; from there on by sparse LU on a CSC
-    copy of A, so no further N x N array is allocated. ``matrix`` is dense,
-    or from the cutoff on may be that CSC copy already.
+    copy of A, so no N x N array is allocated. ``matrix`` is dense, or from
+    the cutoff on may be CSC already, as a Network stores it.
     """
     n = matrix.shape[0]
     m = n - 1
@@ -82,15 +98,14 @@ def perron_vector(matrix) -> np.ndarray:
         head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
     else:
         if not issparse(matrix):
-            A = np.asarray(matrix, dtype=float)
-            matrix = _sparse_copy(A, A != 0)
+            matrix = _csc(matrix)
         block = identity(m, format="csc") - matrix[:m, :m]
         head = spsolve(block, matrix[:m, [m]].toarray().ravel())
     v = np.append(head, 1.0)
     return v / v.sum()
 
 
-def _listener_sum(matrix: np.ndarray, perron: np.ndarray, self_weighted: bool) -> float:
+def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
     """sum_l v_l * sum_{m != l} a_ml * w_m, where w_m = 1 / (1 - a_mm), times
     a_mm when ``self_weighted``.
 
@@ -98,23 +113,27 @@ def _listener_sum(matrix: np.ndarray, perron: np.ndarray, self_weighted: bool) -
     turns the bracket into (1 - a_mm) v_m, which w_m cancels: the sum is
     sum_{m : a_mm < 1} v_m, each term times a_mm when ``self_weighted``. So no
     product with A is needed. An agent with a_mm >= 1 drops out; that is only
-    sound when nobody listens to it.
+    sound when nobody listens to it, which is the one check that reads rows
+    of A, and only those rows. ``matrix`` is dense or scipy.sparse.
     """
-    A = np.asarray(matrix, dtype=float)
-    d = np.diag(A)
+    if not issparse(matrix):
+        matrix = np.asarray(matrix, dtype=float)
+    d = matrix.diagonal()
     full = np.flatnonzero(d >= 1.0)
-    heard = A[full] != 0.0
-    heard[np.arange(full.size), full] = False
-    if heard.any():
-        l, i = np.argwhere(heard.T)[0]
-        raise DivisionDegeneracyError(
-            f"agent {full[i]} has full self-weight but agent {l} listens to it"
-        )
+    if full.size:
+        rows = matrix[full]
+        heard = (rows.toarray() if issparse(rows) else rows) != 0.0
+        heard[np.arange(full.size), full] = False
+        if heard.any():
+            l, i = np.argwhere(heard.T)[0]
+            raise DivisionDegeneracyError(
+                f"agent {full[i]} has full self-weight but agent {l} listens to it"
+            )
     w = np.where(d < 1.0, d if self_weighted else 1.0, 0.0)
     return float(w @ perron)
 
 
-def alpha_constant(matrix: np.ndarray, perron: np.ndarray) -> float:
+def alpha_constant(matrix, perron: np.ndarray) -> float:
     """sum_l v_l * sum_{n != l} a_{nl} / (1 - a_{nn}).
 
     By A v = v this is sum_{n : a_nn < 1} v_n (see ``_listener_sum``). A
@@ -126,7 +145,7 @@ def alpha_constant(matrix: np.ndarray, perron: np.ndarray) -> float:
     return _listener_sum(matrix, perron, self_weighted=False)
 
 
-def mislearning_weight_sum(matrix: np.ndarray, perron: np.ndarray) -> float:
+def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
     """sum_l v_l * sum_{n != l} a_{nl} * a_{nn} / (1 - a_{nn}).
 
     The network-dependent factor of the self-aware mislearning condition
@@ -138,24 +157,36 @@ def mislearning_weight_sum(matrix: np.ndarray, perron: np.ndarray) -> float:
     return _listener_sum(matrix, perron, self_weighted=True)
 
 
+def _dense(matrix):
+    """A scipy.sparse matrix as a read-only dense array; anything else as is."""
+    if not issparse(matrix):
+        return matrix
+    out = matrix.toarray()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Network:
     """Validated network: graph, combination matrix, and derived constants.
 
-    ``matrix`` is A, dense. ``pool`` is A.T in the form the step multiplies
-    by, ``pool @ shared``: below SPARSE_SOLVE_MIN_AGENTS agents the dense
-    transposed view of ``matrix``, from there on CSR. The same cutoff picks
-    the Perron solve: from it on, ``from_matrix`` scans A for its nonzeros
-    once into a CSC copy that the strong-connectivity check, the sparse LU
-    solve and the Perron residual read, and ``pool`` is that copy transposed,
-    which is CSR with no further copy. ``diagonal`` holds the self-weights
-    a_kk; ``alpha`` and ``weight_sum`` are closed forms in it and ``perron``.
+    ``weights`` is A and ``edges`` its graph, in the form they are stored:
+    dense arrays below SPARSE_SOLVE_MIN_AGENTS agents, CSC matrices from
+    there on, so that no N x N array is built or kept. ``matrix`` and
+    ``adjacency`` are their dense, read-only forms; from the cutoff on they
+    are built on first read and cached, and nothing in pbnet reads them.
+    ``pool`` is A.T in the form the step multiplies by, ``pool @ shared``:
+    the dense transposed view below the cutoff, from it on CSR with no copy.
+    The strong-connectivity check, the Perron solve (dense or sparse LU by
+    the same cutoff) and its residual all read ``weights``. ``diagonal``
+    holds the self-weights a_kk; ``alpha`` and ``weight_sum`` are closed
+    forms in it and ``perron``.
 
     Immutable after construction; safe to share across concurrent runs.
     """
 
-    adjacency: np.ndarray
-    matrix: np.ndarray
+    weights: object = field(repr=False)  # np.ndarray or scipy.sparse.csc_matrix
+    edges: object = field(repr=False)  # bool, in the form of ``weights``
     pool: object = field(repr=False)  # np.ndarray or scipy.sparse.csr_matrix
     diagonal: np.ndarray = field(repr=False)
     perron: np.ndarray
@@ -164,36 +195,63 @@ class Network:
 
     @property
     def size(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.diagonal.shape[0])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """A, dense and read-only."""
+        return _dense(self.weights)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The graph, dense, boolean and read-only."""
+        return _dense(self.edges)
 
     @classmethod
     def from_matrix(cls, matrix, adjacency=None) -> "Network":
-        A = np.array(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        """Validate A and derive its constants. ``matrix`` and ``adjacency``
+        may each be dense or scipy.sparse; ``adjacency`` defaults to the
+        pattern of A's nonzeros.
+
+        From SPARSE_SOLVE_MIN_AGENTS agents on, A is read once into a CSC
+        copy with no stored zeros (``_csc``) and every check runs on its
+        stored entries, in O(nnz); a stored zero is no edge. Below the cutoff
+        A is copied dense and checked as an array.
+        """
+        shape = _shape(matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValidationError("combination matrix must be square")
-        if np.any(A < 0):
+        sparse = shape[0] >= SPARSE_SOLVE_MIN_AGENTS
+        if sparse:
+            weights = _csc(matrix)
+            values = weights.data
+            colsums = np.bincount(_columns(weights), values, minlength=shape[1])
+        else:
+            weights = values = np.array(_dense(matrix), dtype=float)
+            colsums = weights.sum(axis=0)
+        if np.any(values < 0):
             raise ValidationError("combination weights must be nonnegative")
-        colsums = A.sum(axis=0)
-        bad = np.where(~(np.abs(colsums - 1.0) <= COLUMN_SUM_TOL))[0]
+        bad = np.flatnonzero(~(np.abs(colsums - 1.0) <= COLUMN_SUM_TOL))
         if bad.size:
             raise ValidationError(
                 f"column {bad[0]} sums to {colsums[bad[0]]:.12g}; columns must sum to 1"
             )
-        positive = A > 0
         if adjacency is None:
-            adj = positive
+            edges = weights > 0
         else:
-            adj = np.array(adjacency, dtype=bool)
-            if adj.shape != A.shape:
+            if _shape(adjacency) != shape:
                 raise ValidationError("adjacency shape does not match the matrix")
-            if np.any(positive & ~adj):
+            if sparse:
+                edges = _csc(adjacency, bool)
+                off_edge = ~edges[weights.indices, _columns(weights)]
+            else:
+                edges = np.array(_dense(adjacency), dtype=bool)
+                off_edge = (weights > 0) & ~edges
+            if np.any(off_edge):
                 raise ValidationError("nonzero weight on a non-edge")
-        # Below the cutoff everything reads the dense A; from it on, one sparse
-        # copy serves the connectivity check, the solve, its residual and the step.
-        weights = A if A.shape[0] < SPARSE_SOLVE_MIN_AGENTS else _sparse_copy(A, positive)
         if not is_strongly_connected(weights):
             raise ConnectivityError("graph is not strongly connected")
-        diagonal = np.diag(A).copy()
+        diagonal = weights.diagonal().copy()
         if not np.any(diagonal > 0):
             raise ValidationError("at least one agent must have a positive self-loop")
         v = perron_vector(weights)
@@ -204,19 +262,19 @@ class Network:
             )
         if np.any(v <= 0):
             raise NonConvergenceError("Perron vector has non-positive entries")
-        stored = (A, adj, diagonal, v)
-        if weights is not A:
-            stored += (weights.data, weights.indices, weights.indptr)
+        stored = [diagonal, v]
+        for m in (weights, edges):
+            stored += (m.data, m.indices, m.indptr) if sparse else (m,)
         for arr in stored:
             arr.setflags(write=False)
         return cls(
-            adjacency=adj,
-            matrix=A,
+            weights=weights,
+            edges=edges,
             pool=weights.T,
             diagonal=diagonal,
             perron=v,
-            alpha=alpha_constant(A, v),
-            weight_sum=mislearning_weight_sum(A, v),
+            alpha=alpha_constant(weights, v),
+            weight_sum=mislearning_weight_sum(weights, v),
         )
 
     def describe(self) -> dict:
@@ -230,32 +288,48 @@ class Network:
         }
 
 
-def build_averaging_matrix(adjacency: np.ndarray, self_weight: float) -> Network:
+def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     """Averaging-rule network: a_kk = lam, a_lk = (1-lam)/(n_k - 1).
 
     n_k is the neighborhood size of agent k including itself. Requires a
     self-loop at every node and at least one other neighbor per node.
+    ``adjacency`` is dense or scipy.sparse. Its edges are read once: by one
+    row-major scan of a dense array, or from the stored pattern of a sparse
+    one. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A; from
+    there on they go straight into CSC, and no N x N array is made.
     """
-    adj = np.array(adjacency, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+    shape = _shape(adjacency)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("adjacency must be a square matrix")
     lam = float(self_weight)
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"self-weight must lie in (0, 1), got {lam}")
-    if not np.all(np.diag(adj)):
-        missing = int(np.where(~np.diag(adj))[0][0])
+    n = shape[0]
+    if issparse(adjacency):
+        pattern = _csc(adjacency, bool)
+        rows, cols = pattern.indices, _columns(pattern)
+    else:
+        rows, cols = np.divmod(np.flatnonzero(np.asarray(adjacency, dtype=bool)), n)
+    loops = rows == cols
+    looped = np.zeros(n, dtype=bool)
+    looped[cols[loops]] = True
+    if not np.all(looped):
+        missing = int(np.argmin(looped))
         raise ValidationError(f"averaging rule needs a self-loop at every node; node {missing} has none")
-    degrees = adj.sum(axis=0)  # includes self
+    degrees = np.bincount(cols, minlength=n)  # includes self
     if np.any(degrees == 1):
-        lonely = int(np.where(degrees == 1)[0][0])
+        lonely = int(np.flatnonzero(degrees == 1)[0])
         raise DegenerateDegreeError(
             f"node {lonely} has no neighbors besides itself; cannot split weight 1-lam"
         )
-    # through the mask, not np.where: only the pages holding edges get written
-    A = np.zeros(adj.shape)
-    A[adj] = ((1.0 - lam) / (degrees - 1))[np.nonzero(adj)[1]]
-    np.fill_diagonal(A, lam)
-    # every weight is positive, so A > 0 is the adjacency: from_matrix derives it
+    weights = ((1.0 - lam) / (degrees - 1))[cols]
+    weights[loops] = lam
+    # every weight is positive, so A's nonzeros are the adjacency: from_matrix derives it
+    if n < SPARSE_SOLVE_MIN_AGENTS:
+        A = np.zeros((n, n))
+        A[rows, cols] = weights
+    else:
+        A = csc_matrix((weights, (rows, cols)), shape=shape)
     return Network.from_matrix(A)
 
 
@@ -266,9 +340,9 @@ def ring_adjacency(n: int) -> np.ndarray:
     if n < 2:
         raise ValidationError("ring preset needs at least 2 nodes")
     adj = np.eye(n, dtype=bool)
-    for k in range(n):
-        adj[(k - 1) % n, k] = True
-        adj[(k + 1) % n, k] = True
+    k = np.arange(n)
+    adj[k, (k + 1) % n] = True
+    adj[(k + 1) % n, k] = True
     return adj
 
 

@@ -483,6 +483,25 @@ class TestSampling:
         assert isinstance(xi, int)
         assert 0 <= xi < 3
 
+    @pytest.mark.parametrize("size", [None, 4, (3, 4)], ids=["none", "n", "steps-n"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["family", "group"])
+    def test_gaussian_draws_equal_rng_normal_bitwise(self, size, stacked):
+        # a group of 4 Gaussian agents draws one value per agent; a family
+        # draws `size` values, and with size None a float
+        model = GAUSS3
+        if stacked:
+            disc3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]])
+            models = [GaussianFamily([0.0, 0.2, k]) for k in (1.0, 2.0, 3.0, 4.0)] + [disc3]
+            model = stack_models(models, 5).groups[0]
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for theta in (0, 2, 1):
+            got = sample_observation(model, theta, ours, size=size)
+            want = ref.normal(model.means[..., theta], 1.0, size=size)
+            np.testing.assert_array_equal(got, want)
+            assert np.shape(got) == np.shape(want)
+            assert isinstance(got, float) == (size is None and not stacked)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_uniform_above_the_last_cumulative_sum_draws_the_last_point(self):
         # the cumulative sum of ten 0.1s ends at the largest double below 1,
         # which a uniform draw can reach

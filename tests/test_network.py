@@ -1,9 +1,13 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, issparse
 
+from pbnet.dynamics import SelfAwarePartialSharing, run_trajectory, uniform_log_beliefs
 from pbnet.errors import (
     ConnectivityError,
     DegenerateDegreeError,
@@ -11,6 +15,7 @@ from pbnet.errors import (
     GraphGenerationError,
     ValidationError,
 )
+from pbnet.likelihoods import DiscreteFamily
 from pbnet.network import (
     Network,
     alpha_constant,
@@ -311,3 +316,165 @@ class TestGenerator:
     def test_bad_probability(self):
         with pytest.raises(ValidationError):
             generate_strongly_connected_adjacency(3, 0.0, np.random.default_rng(0))
+
+
+def old_ring_adjacency(n):
+    # the per-node loop ring_adjacency replaced
+    adj = np.eye(n, dtype=bool)
+    for k in range(n):
+        adj[(k - 1) % n, k] = True
+        adj[(k + 1) % n, k] = True
+    return adj
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+def test_ring_adjacency_equals_the_node_loop(n):
+    adj = ring_adjacency(n)
+    assert adj.dtype == bool
+    np.testing.assert_array_equal(adj, old_ring_adjacency(n))
+
+
+def column_stochastic(adj, rng):
+    weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+    return weights / weights.sum(axis=0)
+
+
+class TestSparseInput:
+    """From SPARSE_SOLVE_MIN_AGENTS on a Network keeps A and its graph as CSC;
+    scipy.sparse input must give what the same dense input gives."""
+
+    @staticmethod
+    def build(kind, n, sparse):
+        rng = np.random.default_rng(n)
+        to = csr_matrix if sparse else np.asarray
+        if kind == "weights":
+            adj = generate_strongly_connected_adjacency(n, 4.0 * np.log(n) / n, rng)
+            A = column_stochastic(adj, rng)
+            return Network.from_matrix(to(A), adjacency=coo_matrix(adj) if sparse else adj)
+        adj = {"ring": ring_adjacency, "path": path_adjacency}.get(kind)
+        if adj is None:
+            adj = generate_strongly_connected_adjacency(n, 4.0 * np.log(n) / n, rng)
+        else:
+            adj = adj(n)
+        return build_averaging_matrix(to(adj), 0.3)
+
+    @pytest.mark.parametrize("n", [200, 250, 1000])
+    @pytest.mark.parametrize("kind", ["ring", "path", "random", "weights"])
+    def test_sparse_input_equals_dense_bitwise(self, kind, n):
+        dense, sparse = self.build(kind, n, False), self.build(kind, n, True)
+        assert issparse(dense.weights) and issparse(dense.edges) and issparse(dense.pool)
+        for name in ("perron", "diagonal", "matrix", "adjacency"):
+            np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name))
+        assert (sparse.alpha, sparse.weight_sum) == (dense.alpha, dense.weight_sum)
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(sparse.pool, part), getattr(dense.pool, part))
+        # the dense accessors are built once, read-only
+        assert dense.matrix is dense.matrix and not dense.matrix.flags.writeable
+        assert dense.adjacency.dtype == bool and not dense.adjacency.flags.writeable
+        fam = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]])
+        runs = [
+            run_trajectory(uniform_log_beliefs(n, 3), net, fam, 0, SelfAwarePartialSharing(1),
+                           50, np.random.default_rng(3))[0]
+            for net in (dense, sparse)
+        ]
+        np.testing.assert_array_equal(*runs)
+
+    def test_constants_take_sparse_input(self):
+        # agent 0 keeps everything, agent 1 still listens to it
+        A = np.array([[1.0, 0.3], [0.0, 0.7]])
+        for constant in (alpha_constant, mislearning_weight_sum):
+            with pytest.raises(DivisionDegeneracyError, match="agent 0 .* agent 1 listens"):
+                constant(csc_matrix(A), np.array([0.5, 0.5]))
+            assert constant(csc_matrix(A_2X2), perron_vector(A_2X2)) == constant(A_2X2, perron_vector(A_2X2))
+
+    @staticmethod
+    def averaging(n):
+        return build_averaging_matrix(ring_adjacency(n), 0.5).matrix.copy()
+
+    @staticmethod
+    def two_rings(n):
+        # two disjoint rings, so two strongly connected components
+        A = np.zeros((n, n))
+        half = n // 2
+        A[:half, :half] = build_averaging_matrix(ring_adjacency(half), 0.5).matrix
+        A[half:, half:] = build_averaging_matrix(ring_adjacency(n - half), 0.5).matrix
+        return A
+
+    def from_matrix_cases(self, n):
+        negative = self.averaging(n)
+        negative[0, 1] -= 0.6
+        negative[1, 1] += 0.6
+        nan = self.averaging(n)
+        nan[2, 3] = np.nan
+        bad_sum = self.averaging(n)
+        bad_sum[5, 5] += 0.1
+        off_edge = self.averaging(n)
+        off_edge[n // 2, 0] = 0.1
+        off_edge[0, 0] -= 0.1
+        cycle = np.zeros((n, n))  # strongly connected, columns sum to 1, no self-loop
+        cycle[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+        return [
+            (negative, None, ValidationError),
+            (nan, None, ValidationError),
+            (bad_sum, None, ValidationError),
+            (off_edge, ring_adjacency(n), ValidationError),
+            (cycle, None, ValidationError),
+        ]
+
+    @pytest.mark.parametrize("n", [10, 250])
+    def test_from_matrix_errors_match_dense(self, n):
+        expected = ["nonnegative", "column 3 sums to nan", "column 5 sums to 1.1", "non-edge",
+                    "positive self-loop"]
+        for (A, adj, error), match in zip(self.from_matrix_cases(n), expected):
+            with pytest.raises(error, match=match) as dense:
+                Network.from_matrix(A, adjacency=adj)
+            sparse_adj = None if adj is None else csc_matrix(adj)
+            with pytest.raises(error) as sparse:
+                Network.from_matrix(csc_matrix(A), adjacency=sparse_adj)
+            assert str(sparse.value) == str(dense.value)
+
+    @pytest.mark.parametrize("n", [10, 250])
+    def test_stored_zero_is_no_edge(self, n):
+        # explicit zeros join the two rings both ways; dropped, they leave two
+        A = coo_matrix(self.two_rings(n))
+        half = n // 2
+        joined = coo_matrix(
+            (np.append(A.data, [0.0, 0.0]), (np.append(A.row, [0, half]), np.append(A.col, [half, 0]))),
+            shape=A.shape,
+        )
+        assert joined.nnz == A.nnz + 2 and is_strongly_connected(joined)
+        with pytest.raises(ConnectivityError):
+            Network.from_matrix(self.two_rings(n))
+        with pytest.raises(ConnectivityError):
+            Network.from_matrix(joined)
+
+    @pytest.mark.parametrize("n", [10, 250])
+    def test_builder_errors_match_dense(self, n):
+        no_loop = ring_adjacency(n)
+        no_loop[7, 7] = False
+        lonely = ring_adjacency(n)
+        lonely[:, 3] = False
+        lonely[3, 3] = True
+        for adj, error, match in ((no_loop, ValidationError, "node 7 has none"),
+                                  (lonely, DegenerateDegreeError, "node 3 has no neighbors")):
+            with pytest.raises(error, match=match) as dense:
+                build_averaging_matrix(adj, 0.5)
+            with pytest.raises(error) as sparse:
+                build_averaging_matrix(csr_matrix(adj), 0.5)
+            assert str(sparse.value) == str(dense.value)
+
+    def test_sparse_ring_allocates_no_dense_matrix(self):
+        # a dense float A of 5000 agents would be 200 MB
+        n = 5000
+        k = np.arange(n)
+        rows = np.concatenate([k, (k + 1) % n, (k - 1) % n])
+        adj = csc_matrix((np.ones(3 * n, dtype=bool), (rows, np.tile(k, 3))), shape=(n, n))
+        tracemalloc.start()
+        try:
+            net = build_averaging_matrix(adj, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert net.size == n and net.pool.nnz == 3 * n
+        np.testing.assert_allclose(net.perron, 1.0 / n, rtol=1e-10, atol=0)
