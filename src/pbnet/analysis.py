@@ -24,6 +24,8 @@ from .errors import (
 from .likelihoods import (
     LikelihoodModel,
     MixtureSpec,
+    _check_index,
+    _check_integer,
     kl_divergence,
     likelihood_bound,
 )
@@ -171,8 +173,10 @@ def predict_self_aware_regime(
 
     if tx_index == true_index:
         # probes: every vertex of the complement simplex (a point likelihood)
-        # and its uniform mixture. A practical screen for the all-mixtures
-        # quantifier: necessary, and for these families in practice sufficient.
+        # and its uniform mixture. A screen for the all-mixtures quantifier
+        # that is necessary only: L(true) may lie in the convex hull of the
+        # other likelihoods, so that some mixture matches it exactly, while
+        # every probe stays positive. Its TruthLearning is not certified.
         values["thm2_probe_min"] = min(others + [d_mix])
         predicted = (
             Regime.TRUTH_LEARNING
@@ -183,9 +187,6 @@ def predict_self_aware_regime(
         values["lem3"] = d_tx - (net.alpha / (h - 1)) * sum(others)
         values["likelihood_bound"] = bound
         values["lem4"] = d_mix - d_tx - bound * net.weight_sum
-        # reported with the weight term on the other side as well, for
-        # comparison against summaries that fold it into the left side
-        values["lem4_plus_weight"] = d_mix - d_tx + bound * net.weight_sum
 
         zero_fires = values["lem3"] > KL_MARGIN_TOL
         one_fires = values["lem4"] > KL_MARGIN_TOL
@@ -205,11 +206,6 @@ def predict_self_aware_regime(
 
 # -- empirical measurements ---------------------------------------------------
 
-def _check_index(what: str, index: int, count: int) -> None:
-    if not 0 <= index < count:
-        raise ValidationError(f"{what} index {index} out of range [0, {count - 1}]")
-
-
 def measure_empirical_rate(
     log_beliefs: np.ndarray, theta: int, tx_index: int, burn_in: int
 ) -> float:
@@ -220,6 +216,7 @@ def measure_empirical_rate(
         raise ValidationError("rate is defined for theta != tx")
     _check_index("theta", theta, log_beliefs.shape[2])
     _check_index("tx", tx_index, log_beliefs.shape[2])
+    _check_integer("burn-in", burn_in)
     if burn_in < 0:
         raise ValidationError(f"burn-in must be >= 0, got {burn_in}")
     t_max = log_beliefs.shape[0] - 1
@@ -270,6 +267,7 @@ def detect_convergence(
     if not 0.5 < threshold < 1.0:
         raise ValidationError("threshold must lie in (0.5, 1)")
     t_max = log_beliefs.shape[0] - 1
+    _check_integer("window", window)
     if window < 1 or window > t_max:
         raise ValidationError(f"window must lie in [1, {t_max}]")
     h = log_beliefs.shape[2]
@@ -305,6 +303,7 @@ def oscillation_amplitude(
     """Standard deviation of one agent's log mu(a)/mu(b) over the last
     ``window`` iterations."""
     t_max = log_beliefs.shape[0] - 1
+    _check_integer("window", window)
     if window < 2 or window > t_max:
         raise ValidationError(f"window must lie in [2, {t_max}]")
     _check_index("agent", agent, log_beliefs.shape[1])

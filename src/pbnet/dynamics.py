@@ -40,6 +40,7 @@ from .errors import NumericalError, ValidationError
 from .likelihoods import (
     LikelihoodModel,
     StackedModels,
+    _check_integer,
     log_likelihood_row,
     log_likelihood_rows,
     sample_observation,
@@ -376,6 +377,7 @@ def run_trajectory(
     and a fixed tx against H, before the first draw. A lone
     :func:`run_iteration` is this with ``horizon`` 1.
     """
+    _check_integer("horizon", horizon)
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     init = np.asarray(initial_log_beliefs, dtype=float)

@@ -3,8 +3,7 @@
 Two families are supported: unit-variance Gaussians (one mean per
 hypothesis) and strictly positive finite-support pmfs over {0..S-1}.
 Strict positivity of discrete rows is enforced at construction so that
-log-likelihood ratios are always finite and integrable; test code may
-bypass with ``validate=False``.
+log-likelihood ratios are always finite and integrable.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -210,7 +209,7 @@ class DiscreteGroup:
         padded = np.zeros((n, h, s))
         for i, p in enumerate(pmfs):
             padded[i, :, : p.shape[1]] = p
-        with np.errstate(divide="ignore"):  # the padding, and an unvalidated table's 0
+        with np.errstate(divide="ignore"):  # the padding's 0
             log_pmf = np.log(padded)
         self.log_table = np.ascontiguousarray(log_pmf.transpose(0, 2, 1)).reshape(n * s, h)
         self.log_pmf = self.log_table.reshape(n, s, h).transpose(0, 2, 1)
@@ -251,13 +250,12 @@ class DiscreteFamily(DiscreteGroup):
 
     Every row must sum to 1 (within 1e-12) and every entry must be
     strictly positive, which keeps all log-likelihood ratios finite.
-    ``validate=False`` skips the positivity check (test fixtures only).
 
     The tables are the group's for one agent: ``log_table`` is (S, H),
     ``log_pmf`` (1, H, S), ``cdf`` (H, S, 1), and ``support_size`` is S.
     """
 
-    def __init__(self, pmf: Sequence[Sequence[float]], validate: bool = True):
+    def __init__(self, pmf: Sequence[Sequence[float]]):
         table = np.asarray(pmf, dtype=float)
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValidationError("pmf must be a 2-D table with at least one row")
@@ -267,14 +265,9 @@ class DiscreteFamily(DiscreteGroup):
             raise ValidationError(
                 f"pmf row {bad[0]} sums to {row_sums[bad[0]]:.12g}, expected 1"
             )
-        if validate:
-            if (table <= 0.0).any():
-                r, s = map(int, np.argwhere(table <= 0.0)[0])
-                raise ValidationError(
-                    f"pmf entry [{r}][{s}] must be strictly positive"
-                )
-        elif (table < 0.0).any():
-            raise ValidationError("pmf entries must be nonnegative")
+        if (table <= 0.0).any():
+            r, s = map(int, np.argwhere(table <= 0.0)[0])
+            raise ValidationError(f"pmf entry [{r}][{s}] must be strictly positive")
         table.setflags(write=False)
         self.pmf = table
         self.support_size = table.shape[1]
@@ -286,11 +279,7 @@ class DiscreteFamily(DiscreteGroup):
     def kl(self, p, q) -> float:
         p = self._pmf_of(p)
         q = self._pmf_of(q)
-        # 0 * log(0/q) = 0; q may contain zeros only for unvalidated tables.
-        mask = p > 0
-        if np.any(q[mask] == 0.0):
-            return math.inf
-        return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+        return float(np.sum(p * (np.log(p) - np.log(q))))
 
     def _pmf_of(self, which) -> np.ndarray:
         """Resolve an index or MixtureSpec into a pmf vector over the support."""
@@ -302,11 +291,7 @@ class DiscreteFamily(DiscreteGroup):
     def bound(self, excluded: int) -> float:
         _check_hypothesis(self, excluded)
         logs = np.delete(self.log_pmf[0], excluded, axis=0)
-        a, b = logs[:, None], logs[None, :]
-        # a column where both rows are zero contributes no ratio
-        both_zero = (a == -np.inf) & (b == -np.inf)
-        diff = np.subtract(a, b, out=np.zeros(both_zero.shape), where=~both_zero)
-        return float(np.abs(diff).max(initial=0.0))
+        return float(np.abs(logs[:, None] - logs[None, :]).max(initial=0.0))
 
 
 LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
@@ -365,8 +350,7 @@ class MixtureSpec:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValidationError("mixture weights must be a 1-D vector, length >= 2")
-        if not 0 <= self.excluded < w.size:
-            raise ValidationError(f"excluded index {self.excluded} out of range")
+        _check_index("excluded", self.excluded, w.size)
         if np.any(w < 0):
             raise ValidationError("mixture weights must be nonnegative")
         if w[self.excluded] != 0.0:
@@ -382,16 +366,26 @@ class MixtureSpec:
         """Equal weights 1/(H-1) on every hypothesis other than ``excluded``."""
         if count < 2:
             raise ValidationError("uniform complement needs at least 2 hypotheses")
-        w = np.full(count, 1.0 / (count - 1))
-        w[excluded] = 0.0
-        return cls(excluded, w)
+        # no item assignment, so that an invalid ``excluded`` meets the spec's
+        # own check rather than an IndexError
+        return cls(excluded, np.where(np.arange(count) == excluded, 0.0, 1.0 / (count - 1)))
+
+
+def _check_integer(name: str, value) -> None:
+    """ValidationError unless ``value`` is a Python or numpy integer; a bool
+    is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_index(what: str, index, count: int) -> None:
+    _check_integer(f"{what} index", index)
+    if not 0 <= index < count:
+        raise ValidationError(f"{what} index {index} out of range [0, {count - 1}]")
 
 
 def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
-    if not 0 <= theta < model.hypothesis_count:
-        raise ValidationError(
-            f"hypothesis index {theta} out of range [0, {model.hypothesis_count - 1}]"
-        )
+    _check_index("hypothesis", theta, model.hypothesis_count)
 
 
 def _family(model) -> LikelihoodModel:
@@ -409,15 +403,6 @@ def log_likelihood(model: LikelihoodModel, theta: int, xi) -> float:
     return log_likelihood_row(model, xi)[theta]
 
 
-def likelihood(model: LikelihoodModel, theta: int, xi) -> float:
-    """L(xi | theta), strictly positive for validated models."""
-    if isinstance(model, DiscreteFamily):
-        # the table entry itself: exp(log(p)) need not give p back
-        _check_hypothesis(model, theta)
-        return float(model.pmf[theta, model._support_index(_one(xi))[0]])
-    return math.exp(log_likelihood(model, theta, xi))
-
-
 def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
     """Vector of log L(xi | theta) over all hypotheses, for one observation."""
     return _family(model).log_rows(_one(xi))[0]
@@ -432,13 +417,6 @@ def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndar
     off its agent's support raises InvalidObservationError, which names the
     first bad value."""
     return model.log_rows(xi_array)
-
-
-def mixture_log_density(model: LikelihoodModel, spec: MixtureSpec, xi) -> float:
-    """log of sum_tau q(tau) L(xi | tau)."""
-    if spec.weights.size != model.hypothesis_count:
-        raise ValidationError("mixture weights length does not match the model")
-    return float(_log_mix(log_likelihood_row(model, xi), spec.weights))
 
 
 def _log_mix(logs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -487,8 +465,8 @@ def _point_or_mixture(model: LikelihoodModel, which):
     """An index or a MixtureSpec, checked against the model; a mixture with
     one positive weight is that hypothesis's index."""
     if not isinstance(which, MixtureSpec):
-        _check_hypothesis(model, int(which))
-        return int(which)
+        _check_hypothesis(model, which)
+        return which
     if which.weights.size != model.hypothesis_count:
         raise ValidationError("mixture weights length does not match the model")
     support = np.flatnonzero(which.weights)
@@ -520,10 +498,8 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
     a, b != excluded.
 
     This is the boundedness constant used by the self-aware mislearning
-    condition. It is finite only for discrete families (and infinite for an
-    unvalidated table in which one row of a pair is zero where the other is
-    not); a Gaussian family raises UnboundedLikelihoodError, since its
-    log-ratios are unbounded in xi.
+    condition. It is finite only for discrete families; a Gaussian family
+    raises UnboundedLikelihoodError, since its log-ratios are unbounded in xi.
     """
     return _family(model).bound(excluded)
 

@@ -37,9 +37,9 @@ PERRON_RESIDUAL_TOL = 1e-10
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
-def strongly_connected_component_count(adjacency) -> int:
-    """Number of strongly connected components of a directed 0/1 adjacency,
-    dense, or sparse with one stored entry per edge."""
+def is_strongly_connected(adjacency) -> bool:
+    """Whether a directed 0/1 adjacency, dense, or sparse with one stored
+    entry per edge, has one strongly connected component."""
     if not issparse(adjacency):
         adjacency = np.asarray(adjacency, dtype=bool)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
@@ -47,11 +47,7 @@ def strongly_connected_component_count(adjacency) -> int:
     n_comp, _ = connected_components(
         csr_matrix(adjacency), directed=True, connection="strong"
     )
-    return int(n_comp)
-
-
-def is_strongly_connected(adjacency) -> bool:
-    return strongly_connected_component_count(adjacency) == 1
+    return int(n_comp) == 1
 
 
 def _shape(matrix) -> tuple:

@@ -51,7 +51,7 @@ class TestTheoreticalRate:
         assert theoretical_rate(fam, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_indistinguishable_raises(self):
-        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]], validate=False)
+        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(IndistinguishableHypothesesError):
             theoretical_rate(fam, 0, 1)
 
@@ -86,7 +86,7 @@ class TestPredictPartial:
         assert rep.predicted is Regime.INCONCLUSIVE
 
     def test_indistinguishable_raises(self):
-        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]], validate=False)
+        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(IndistinguishableHypothesesError):
             predict_partial_regime(fam, 0, 1)
 
@@ -257,6 +257,8 @@ class TestEmpiricalRate:
         assert measure_empirical_rate(log_b, 0, 1, 0) == pytest.approx(0.3, abs=1e-9)
         with pytest.raises(ValidationError, match="burn-in must be >= 0"):
             measure_empirical_rate(log_b, 0, 1, -5)
+        with pytest.raises(ValidationError, match="burn-in must be an integer, got 1.5"):
+            measure_empirical_rate(log_b, 0, 1, 1.5)
 
     def test_non_finite_raises(self):
         log_b = np.zeros((21, 1, 2))
@@ -307,6 +309,8 @@ class TestDetectConvergence:
             detect_convergence(log_b, threshold=0.4)
         with pytest.raises(ValidationError):
             detect_convergence(log_b, window=40)
+        with pytest.raises(ValidationError, match="window must be an integer, got 2.5"):
+            detect_convergence(log_b, window=2.5)
 
 
 class TestOscillationAmplitude:
@@ -323,6 +327,8 @@ class TestOscillationAmplitude:
         log_b = np.zeros((10, 1, 2))
         with pytest.raises(ValidationError):
             oscillation_amplitude(log_b, 0, 1, window=20)
+        with pytest.raises(ValidationError, match="window must be an integer, got 2.5"):
+            oscillation_amplitude(log_b, 0, 1, window=2.5)
 
 
 @pytest.mark.parametrize("measure, name", [
@@ -331,7 +337,9 @@ class TestOscillationAmplitude:
     (lambda b: detect_convergence(b, window=5, tx_index=7), "tx index 7"),
     (lambda b: oscillation_amplitude(b, 0, 1, 5, agent=9), "agent index 9"),
     (lambda b: oscillation_amplitude(b, 0, 3, 5), "theta_b index 3"),
-], ids=["rate_theta", "rate_tx", "convergence_tx", "amplitude_agent", "amplitude_theta"])
+    (lambda b: oscillation_amplitude(b, 0.5, 1, 5), "theta_a index must be an integer"),
+], ids=["rate_theta", "rate_tx", "convergence_tx", "amplitude_agent", "amplitude_theta",
+        "amplitude_fraction"])
 def test_out_of_range_index_is_a_validation_error(measure, name):
     log_b = synth_beliefs([[0.5, 0.3, 0.2]] * 2, 20)
     with pytest.raises(ValidationError, match=name):

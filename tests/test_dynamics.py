@@ -32,7 +32,6 @@ from pbnet.likelihoods import (
     MixtureSpec,
     log_likelihood,
     log_likelihood_rows,
-    mixture_log_density,
     stack_models,
 )
 from pbnet.network import (
@@ -59,7 +58,7 @@ def beliefs(log_b):
 
 class TestBayesianUpdate:
     def test_symmetric_likelihoods_keep_uniform(self):
-        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]], validate=False)
+        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]])
         prior = np.log([0.5, 0.5])
         post = bayesian_update(prior, fam, 0)
         np.testing.assert_allclose(beliefs(post), [0.5, 0.5], atol=1e-15)
@@ -245,10 +244,8 @@ class TestRecursionOracles:
         ratios = traj[:, :, theta] - traj[:, :, tx]
         worst = 0.0
         for i in range(2, 201):
-            inc = np.array([
-                mixture_log_density(GAUSS3, mix, x) - log_likelihood(GAUSS3, tx, x)
-                for x in obs[i - 1]
-            ])
+            rows = log_likelihood_rows(GAUSS3, obs[i - 1])
+            inc = np.log(np.exp(rows) @ mix.weights) - rows[:, tx]
             rhs = net.matrix.T @ (ratios[i - 1] + inc)
             worst = max(worst, float(np.max(np.abs(ratios[i] - rhs))))
         assert worst < 1e-8
@@ -263,10 +260,8 @@ class TestRecursionOracles:
         mix = MixtureSpec.uniform_complement(3, tx)
         ratios = traj[:, :, 0] - traj[:, :, tx]
         for i in range(1, 51):
-            inc = np.array([
-                mixture_log_density(GAUSS3, mix, x) - log_likelihood(GAUSS3, tx, x)
-                for x in obs[i - 1]
-            ])
+            rows = log_likelihood_rows(GAUSS3, obs[i - 1])
+            inc = np.log(np.exp(rows) @ mix.weights) - rows[:, tx]
             rhs = net.matrix.T @ (ratios[i - 1] + inc)
             np.testing.assert_allclose(ratios[i], rhs, atol=1e-8)
 
@@ -358,6 +353,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0,
                            FullSharing(), 0, np.random.default_rng(0))
+
+    def test_fractional_horizon_rejected_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="horizon must be an integer, got 2.0"):
+            run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0, FullSharing(), 2.0, rng)
+        assert rng.bit_generator.state == state
 
 
 DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
@@ -637,15 +639,22 @@ class TestStepErrors:
                                130, np.random.default_rng(0))
 
     @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
-    def test_zero_probability_names_the_first_step(self, strat):
-        # the truth always draws 1, which hypothesis 1 (the transmitted one) gives
-        # probability 0; the rest of the block runs on, so its NaN arithmetic may warn
-        fam = DiscreteFamily([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], validate=False)
+    def test_zero_probability_names_the_first_step(self, monkeypatch, strat):
+        # agent 0's first observation has probability 0 under hypothesis 1 (the
+        # transmitted one); the rest of the block runs on, so its NaN arithmetic may warn
+        score = dynamics.log_likelihood_rows
+
+        def zero_at_agent_0(model, xi):
+            table = score(model, xi)
+            table[0, 0, 1] = -np.inf
+            return table
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", zero_at_agent_0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericalError, match=r"^iteration 1: agent 0 scored a "
                                r"non-finite log-likelihood; "):
-                run_trajectory(uniform_log_beliefs(5, 3), RING5, fam, 0, strat, 10,
+                run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, strat, 10,
                                np.random.default_rng(0))
 
     @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])

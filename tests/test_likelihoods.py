@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pbnet import likelihoods
+from pbnet.analysis import theoretical_rate
 from pbnet.errors import (
     InvalidObservationError,
     UnboundedLikelihoodError,
@@ -17,12 +18,10 @@ from pbnet.likelihoods import (
     MixtureSpec,
     gauss_hermite_kl,
     kl_divergence,
-    likelihood,
     likelihood_bound,
     log_likelihood,
     log_likelihood_row,
     log_likelihood_rows,
-    mixture_log_density,
     sample_observation,
     stack_models,
 )
@@ -75,10 +74,9 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="row 0"):
             DiscreteFamily([[0.5, 0.3, 0.1], [0.2, 0.3, 0.5]])
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_discrete_nan_row_rejected(self, validate):
+    def test_discrete_nan_row_rejected(self):
         with pytest.raises(ValidationError, match="row 0"):
-            DiscreteFamily([[math.nan, 0.5], [0.5, 0.5]], validate=validate)
+            DiscreteFamily([[math.nan, 0.5], [0.5, 0.5]])
 
     def test_discrete_tables_are_read_only(self):
         fam = DiscreteFamily([[0.5, 0.5], [0.2, 0.8]])
@@ -109,9 +107,6 @@ class TestConstruction:
     def test_discrete_rows_must_be_positive(self):
         with pytest.raises(ValidationError, match="strictly positive"):
             DiscreteFamily([[1.0, 0.0], [0.5, 0.5]])
-        # test-only bypass keeps the row-sum check
-        fam = DiscreteFamily([[1.0, 0.0], [0.5, 0.5]], validate=False)
-        assert fam.support_size == 2
 
     def test_gaussian_means_finite(self):
         with pytest.raises(ValidationError):
@@ -125,6 +120,14 @@ class TestConstruction:
             MixtureSpec(1, np.array([0.5, 0.0, 0.4]))  # does not sum to 1
         with pytest.raises(ValidationError):
             MixtureSpec(1, np.array([-0.1, 0.0, 1.1]))
+        # an excluded index off the hypotheses, or no integer, is no IndexError
+        with pytest.raises(ValidationError, match="excluded index 5 out of range"):
+            MixtureSpec.uniform_complement(3, 5)
+        for excluded in (1.5, True):
+            with pytest.raises(ValidationError, match="excluded index must be an integer"):
+                MixtureSpec.uniform_complement(3, excluded)
+        with pytest.raises(ValidationError, match="hypothesis index must be an integer"):
+            theoretical_rate(GAUSS3, 0, 1.5)
 
     def test_mixture_nan_weight_rejected(self):
         with pytest.raises(ValidationError, match="sum to nan"):
@@ -137,28 +140,24 @@ class TestConstruction:
 
 class TestLikelihood:
     def test_gaussian_density_at_mean(self):
-        assert likelihood(GaussianFamily([0.0]), 0, 0.0) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi), rel=1e-12
+        assert log_likelihood(GaussianFamily([0.0]), 0, 0.0) == pytest.approx(
+            -0.5 * math.log(2 * math.pi), rel=1e-12
         )
-        assert likelihood(GaussianFamily([1.0]), 0, 1.0) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi), rel=1e-12
+        assert log_likelihood(GaussianFamily([1.0]), 0, 1.0) == pytest.approx(
+            -0.5 * math.log(2 * math.pi), rel=1e-12
         )
-
-    def test_discrete_table_lookup(self):
-        assert likelihood(DISC, 0, 2) == 0.2
 
     def test_discrete_rejects_out_of_support(self):
         with pytest.raises(InvalidObservationError):
-            likelihood(DISC, 0, 3)
+            log_likelihood(DISC, 0, 3)
         with pytest.raises(InvalidObservationError):
             log_likelihood(DISC, 0, -1)
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("score", [
         lambda xi: log_likelihood(DISC, 0, xi),
-        lambda xi: likelihood(DISC, 0, xi),
         lambda xi: log_likelihood_row(DISC, xi),
-    ], ids=["log_likelihood", "likelihood", "log_likelihood_row"])
+    ], ids=["log_likelihood", "log_likelihood_row"])
     def test_discrete_rejects_non_finite(self, score, xi):
         with pytest.raises(InvalidObservationError):
             score(xi)
@@ -166,11 +165,10 @@ class TestLikelihood:
     @pytest.mark.parametrize("score", [
         lambda: log_likelihood(DISC, 0, None),
         lambda: log_likelihood(GAUSS3, 0, None),
-        lambda: likelihood(DISC, 0, None),
         lambda: log_likelihood_row(GAUSS3, "x"),
         lambda: log_likelihood_row(DISC, "x"),
-    ], ids=["discrete-log_likelihood", "gaussian-log_likelihood", "discrete-likelihood",
-            "gaussian-row", "discrete-row"])
+    ], ids=["discrete-log_likelihood", "gaussian-log_likelihood", "gaussian-row",
+            "discrete-row"])
     def test_non_numeric_observation_is_invalid(self, score):
         with pytest.raises(InvalidObservationError):
             score()
@@ -178,10 +176,8 @@ class TestLikelihood:
     @pytest.mark.parametrize("xi", ["1.5", b"2", bytearray(b"0.3")], ids=["str", "bytes", "bytearray"])
     @pytest.mark.parametrize("score", [
         lambda xi: log_likelihood(GAUSS3, 0, xi),
-        lambda xi: likelihood(GAUSS3, 0, xi),
         lambda xi: log_likelihood_row(GAUSS3, xi),
-        lambda xi: mixture_log_density(GAUSS3, MixtureSpec.uniform_complement(3, 0), xi),
-    ], ids=["log_likelihood", "likelihood", "log_likelihood_row", "mixture_log_density"])
+    ], ids=["log_likelihood", "log_likelihood_row"])
     def test_gaussian_rejects_numeric_text(self, score, xi):
         # float() parses these, but text is no observation
         with pytest.raises(InvalidObservationError):
@@ -244,24 +240,9 @@ class TestLikelihood:
     @pytest.mark.parametrize("xi", [[1.0], bytearray(b"1")], ids=["list", "bytearray"])
     @pytest.mark.parametrize("model", [GAUSS3, DISC], ids=["gaussian", "discrete"])
     def test_scalar_scorers_take_one_observation(self, model, xi):
-        for score in (lambda: log_likelihood_row(model, xi), lambda: likelihood(model, 0, xi)):
+        for score in (lambda: log_likelihood_row(model, xi), lambda: log_likelihood(model, 0, xi)):
             with pytest.raises(InvalidObservationError):
                 score()
-
-    def test_mixture_density_h2_equals_other_likelihood(self):
-        # with H=2 the complement "mixture" is exactly the other hypothesis
-        fam = DiscreteFamily([[0.7, 0.3], [0.4, 0.6]])
-        spec = MixtureSpec.uniform_complement(2, 0)
-        for xi in range(2):
-            assert mixture_log_density(fam, spec, xi) == pytest.approx(
-                log_likelihood(fam, 1, xi), abs=1e-15
-            )
-        g = GaussianFamily([0.0, 1.3])
-        gspec = MixtureSpec.uniform_complement(2, 1)
-        for xi in (-2.0, 0.0, 0.9):
-            assert mixture_log_density(g, gspec, xi) == pytest.approx(
-                log_likelihood(g, 0, xi), abs=1e-12
-            )
 
 
 GAUSS2 = GaussianFamily([0.0, 1.0])
@@ -276,15 +257,36 @@ GROUPS = {
     lambda m: kl_divergence(m, 0, 1),
     lambda m: likelihood_bound(m, 0),
     lambda m: log_likelihood(m, 0, 0),
-    lambda m: likelihood(m, 0, 0),
     lambda m: log_likelihood_row(m, 0),
-    lambda m: mixture_log_density(m, MixtureSpec.uniform_complement(2, 0), 0),
-], ids=["kl_divergence", "likelihood_bound", "log_likelihood", "likelihood",
-        "log_likelihood_row", "mixture_log_density"])
+], ids=["kl_divergence", "likelihood_bound", "log_likelihood", "log_likelihood_row"])
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_single_model_entry_points_reject_stacked_models(entry, name):
     with pytest.raises(ValidationError, match="expected one likelihood family"):
         entry(GROUPS[name])
+
+
+DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, i: kl_divergence(m, i, 1),
+    lambda m, i: kl_divergence(m, 0, i),
+    lambda m, i: log_likelihood(m, i, 0),
+    lambda m, i: sample_observation(m, i, np.random.default_rng(0)),
+    lambda m, i: likelihood_bound(m, i),
+], ids=["kl_divergence-p", "kl_divergence-q", "log_likelihood", "sample_observation",
+        "likelihood_bound"])
+@pytest.mark.parametrize("index", [0.9, 1.5, 2.7, True])
+@pytest.mark.parametrize("model", [GAUSS3, DISC3], ids=["gaussian", "discrete"])
+def test_hypothesis_index_must_be_an_integer(model, index, entry):
+    # a fraction is not truncated to an index, and a bool is no index
+    with pytest.raises(ValidationError, match="hypothesis index must be an integer"):
+        entry(model, index)
+
+
+def test_numpy_integer_is_a_hypothesis_index():
+    assert kl_divergence(GAUSS3, np.int64(0), np.int32(2)) == kl_divergence(GAUSS3, 0, 2)
+    assert likelihood_bound(DISC3, np.int8(2)) == likelihood_bound(DISC3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +308,7 @@ class TestKLDivergence:
         rng = np.random.default_rng(7)
         for _ in range(25):
             pmf = rng.dirichlet(np.ones(4) * 2.0, size=3)
-            fam = DiscreteFamily(pmf / pmf.sum(axis=1, keepdims=True), validate=False)
+            fam = DiscreteFamily(pmf / pmf.sum(axis=1, keepdims=True))
             spec = MixtureSpec.uniform_complement(3, 1)
             got = kl_divergence(fam, 0, spec)
             want = brute_kl_discrete(fam.pmf[0], (fam.pmf[0] + fam.pmf[2]) / 2)
@@ -411,14 +413,6 @@ class TestLikelihoodBound:
         fam = DiscreteFamily([[0.7, 0.3], [0.4, 0.6]])
         assert likelihood_bound(fam, 1) == 0.0
 
-    def test_unvalidated_zero_against_positive_is_infinite(self):
-        # xi = 2 gives log 0 against log 0.5; xi = 1 is zero in both rows
-        fam = DiscreteFamily([[1, 0, 0], [0.5, 0, 0.5], [0.2, 0.3, 0.5]], validate=False)
-        assert likelihood_bound(fam, 2) == math.inf
-        # a column that is zero in both rows carries no ratio
-        fam = DiscreteFamily([[0.5, 0, 0.5], [0.2, 0, 0.8], [1, 0, 0]], validate=False)
-        assert likelihood_bound(fam, 2) == pytest.approx(math.log(0.5 / 0.2), abs=1e-12)
-
     def test_gaussian_unbounded(self):
         with pytest.raises(UnboundedLikelihoodError):
             likelihood_bound(GAUSS3, 0)
@@ -427,7 +421,7 @@ class TestLikelihoodBound:
         rng = np.random.default_rng(3)
         for _ in range(20):
             pmf = rng.dirichlet(np.ones(4), size=4)
-            fam = DiscreteFamily(pmf, validate=True)
+            fam = DiscreteFamily(pmf)
             excluded = int(rng.integers(4))
             got = likelihood_bound(fam, excluded)
             assert got == pytest.approx(brute_bound(fam.pmf, excluded), abs=1e-12)
@@ -446,12 +440,6 @@ class TestLikelihoodBound:
 # ---------------------------------------------------------------------------
 
 class TestSampling:
-    def test_point_mass_row(self):
-        fam = DiscreteFamily([[1.0, 0.0, 0.0], [0.1, 0.1, 0.8]], validate=False)
-        rng = np.random.default_rng(0)
-        draws = sample_observation(fam, 0, rng, size=1000)
-        assert np.all(draws == 0)
-
     def test_deterministic_given_seed(self):
         a = sample_observation(GAUSS3, 1, np.random.default_rng(42), size=8)
         b = sample_observation(GAUSS3, 1, np.random.default_rng(42), size=8)

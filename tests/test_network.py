@@ -27,7 +27,6 @@ from pbnet.network import (
     perron_vector,
     ring_adjacency,
     star_adjacency,
-    strongly_connected_component_count,
 )
 
 # Hand-solved 2x2 example: (A - I)v = 0 with 1^T v = 1 gives v = (0.6, 0.4);
@@ -58,7 +57,6 @@ class TestConnectivity:
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 2] = True
         assert not is_strongly_connected(adj)
-        assert strongly_connected_component_count(adj) == 3
 
     def test_presets_are_strongly_connected(self):
         for build in (ring_adjacency, complete_adjacency, star_adjacency):

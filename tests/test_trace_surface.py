@@ -1,7 +1,10 @@
 """The benchmark drives pbnet through names that must keep working: its
 traced run wraps pbnet's module attributes by name (perfbench/workloads.py,
-TRACE_TARGETS), and its workloads build sharing rules by their old names."""
+TRACE_TARGETS), its workloads build sharing rules by their old names, and
+every pbnet name its scripts read must resolve."""
 
+import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,38 @@ def test_every_trace_target_resolves(monkeypatch):
         for part in attr.split("."):
             target = getattr(target, part)  # AttributeError names what is gone
         assert callable(target), f"{module.__name__}.{attr} is not callable"
+
+
+def pbnet_reads(tree):
+    """(line, module name, attribute) for every pbnet name a module reads:
+    each name a ``from pbnet... import`` brings in, and each attribute read
+    on a pbnet module bound by ``import pbnet`` or ``from pbnet import``."""
+    bound = {}  # local name -> pbnet module name
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: a.name for a in node.names if a.name == "pbnet"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "pbnet":
+            bound.update({a.asname or a.name: f"pbnet.{a.name}" for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pbnet."):
+            reads += [(node.lineno, node.module, a.name) for a in node.names]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            reads.append((node.lineno, bound[node.value.id], node.attr))
+    return reads
+
+
+def test_every_pbnet_name_the_benchmark_reads_resolves():
+    # a surface trim that breaks a benchmark script fails here, not in its run
+    reads = {}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for line, module, attr in pbnet_reads(ast.parse(path.read_text(), str(path))):
+            reads[f"{path.name}:{line} {module}.{attr}"] = (module, attr)
+    assert len(reads) > 30  # workloads.py alone reads more; the walk found them
+    gone = [where for where, (module, attr) in reads.items()
+            if not hasattr(importlib.import_module(module), attr)]
+    assert not gone, f"perfbench reads names pbnet no longer has: {gone}"
 
 
 def test_benchmark_sharing_constructors_build_sharing_rules():
