@@ -20,12 +20,12 @@ from .errors import (
     IndistinguishableHypothesesError,
     MeasurementError,
     ValidationError,
+    _check_integer,
 )
 from .likelihoods import (
     LikelihoodModel,
     MixtureSpec,
     _check_index,
-    _check_integer,
     kl_divergence,
     likelihood_bound,
 )

@@ -36,11 +36,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_integer, _is_integer
 from .likelihoods import (
     LikelihoodModel,
     StackedModels,
-    _check_integer,
     log_likelihood_row,
     log_likelihood_rows,
     sample_observation,
@@ -76,7 +75,7 @@ class Sharing:
 
     def __post_init__(self):
         t = self.transmit
-        index = isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0
+        index = _is_integer(t) and t >= 0
         if not (index or t is None or (isinstance(t, str) and t == "argmax")):
             raise ValidationError(
                 f"transmit must be None, a hypothesis index or 'argmax', got {t!r}"
@@ -138,6 +137,8 @@ def _first_row(bad: np.ndarray) -> str:
 
 
 def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
+    _check_integer("n_agents", n_agents)
+    _check_integer("n_hypotheses", n_hypotheses)
     return np.full((n_agents, n_hypotheses), -np.log(n_hypotheses))
 
 
@@ -206,7 +207,7 @@ def _plan(sharing, shape) -> _Plan:
         return sharing
     h = shape[-1]
     fold = int(np.prod(shape[:-1])) >= _FOLD_MIN_ROWS
-    tx, fixed = sharing.transmit, isinstance(sharing.transmit, (int, np.integer))
+    tx, fixed = sharing.transmit, _is_integer(sharing.transmit)
     if fixed and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
     if tx is None or h == 1:  # a single hypothesis has nothing to spread

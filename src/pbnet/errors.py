@@ -1,9 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one integer rule every index and count the
+package takes goes through.
 
 There is no command-line entry point yet; the one planned in ROADMAP item 4
 is to map these onto exit codes: ValidationError -> 1, NumericalError -> 2,
 AcceptanceFailure -> 3.
 """
+
+import numpy as np
 
 
 class PbnetError(Exception):
@@ -60,3 +63,14 @@ class InconsistentConditionsError(NumericalError):
 
 class AcceptanceFailure(PbnetError):
     """A reproduction-suite criterion failed."""
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value) -> None:
+    """ValidationError naming ``name`` unless ``value`` is an integer."""
+    if not _is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -24,6 +24,7 @@ from .errors import (
     NumericalError,
     UnboundedLikelihoodError,
     ValidationError,
+    _check_integer,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -279,7 +280,11 @@ class DiscreteFamily(DiscreteGroup):
     def kl(self, p, q) -> float:
         p = self._pmf_of(p)
         q = self._pmf_of(q)
-        return float(np.sum(p * (np.log(p) - np.log(q))))
+        # a mixture's entry can underflow to 0 on a positive table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * (np.log(p) - np.log(q))
+        value = float(terms.sum())  # NaN only from a 0 in p, where 0 log 0 = 0
+        return float(np.where(p > 0, terms, 0.0).sum()) if math.isnan(value) else value
 
     def _pmf_of(self, which) -> np.ndarray:
         """Resolve an index or MixtureSpec into a pmf vector over the support."""
@@ -364,18 +369,12 @@ class MixtureSpec:
     @classmethod
     def uniform_complement(cls, count: int, excluded: int) -> "MixtureSpec":
         """Equal weights 1/(H-1) on every hypothesis other than ``excluded``."""
+        _check_integer("count", count)
         if count < 2:
             raise ValidationError("uniform complement needs at least 2 hypotheses")
         # no item assignment, so that an invalid ``excluded`` meets the spec's
         # own check rather than an IndexError
         return cls(excluded, np.where(np.arange(count) == excluded, 0.0, 1.0 / (count - 1)))
-
-
-def _check_integer(name: str, value) -> None:
-    """ValidationError unless ``value`` is a Python or numpy integer; a bool
-    is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_index(what: str, index, count: int) -> None:

@@ -27,13 +27,14 @@ from .errors import (
     GraphGenerationError,
     NonConvergenceError,
     ValidationError,
+    _check_integer,
 )
 
 COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
-#: From this many agents on, a Network keeps A and its graph only as CSC
-#: matrices, built and checked in O(nnz) with no N x N array; the Perron solve,
-#: the step's pooling and the constants read them (see Network).
+#: From this many agents on, a Network keeps A only as a CSC matrix, built and
+#: checked in O(nnz) with no N x N array, and the Perron system is solved by
+#: sparse LU; the step's pooling and the constants read that form (see Network).
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
@@ -50,31 +51,41 @@ def is_strongly_connected(adjacency) -> bool:
     return int(n_comp) == 1
 
 
-def _shape(matrix) -> tuple:
-    return matrix.shape if issparse(matrix) else np.shape(matrix)
+def _entries(matrix) -> tuple:
+    """(rows, cols, values) of a matrix's nonzeros: a dense array's in
+    row-major order, or a CSC matrix's stored entries in storage order, which
+    ``_csc`` makes exactly its nonzeros. Every check on A or on a graph reads
+    them, at every size."""
+    if issparse(matrix):
+        cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+        return matrix.indices, cols, matrix.data
+    # a flat scan of a boolean mask is far cheaper than np.nonzero on floats
+    flat = np.flatnonzero(matrix.astype(bool, copy=False))
+    return (*np.divmod(flat, matrix.shape[1]), matrix.ravel()[flat])
 
 
 def _csc(matrix, dtype=float):
     """CSC copy of a dense or scipy.sparse matrix with sorted indices and
     no stored zeros, so its stored entries are exactly its nonzeros.
 
-    A dense input is scanned once, row-major, for its nonzeros, which
-    convert to CSC in O(nnz). A sparse input has its duplicates summed and
-    its explicit zeros dropped, and is never made dense.
+    A dense input converts from its nonzeros (``_entries``) in O(nnz). A
+    sparse input has its duplicates summed and its explicit zeros dropped,
+    and is never made dense.
     """
-    if issparse(matrix):
-        out = csc_matrix(matrix, dtype=dtype, copy=True)
-        out.sum_duplicates()
-        out.eliminate_zeros()
-        return out
-    m = np.asarray(matrix, dtype=dtype)
-    flat = np.flatnonzero(m)
-    return csc_matrix((m.ravel()[flat], np.divmod(flat, m.shape[1])), shape=m.shape)
+    if not issparse(matrix):
+        rows, cols, values = _entries(np.asarray(matrix, dtype=dtype))
+        return csc_matrix((values, (rows, cols)), shape=np.shape(matrix))
+    out = csc_matrix(matrix, dtype=dtype, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
-def _columns(matrix) -> np.ndarray:
-    """Column index of each stored entry of a CSC matrix, in storage order."""
-    return np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+def _graph(adjacency):
+    """A dense or scipy.sparse adjacency as a boolean array or a ``_csc``
+    copy, which ``_entries`` reads and which index alike: a nonzero entry is
+    an edge, a stored zero is none."""
+    return _csc(adjacency, bool) if issparse(adjacency) else np.asarray(adjacency, dtype=bool)
 
 
 def perron_vector(matrix) -> np.ndarray:
@@ -109,22 +120,19 @@ def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
     turns the bracket into (1 - a_mm) v_m, which w_m cancels: the sum is
     sum_{m : a_mm < 1} v_m, each term times a_mm when ``self_weighted``. So no
     product with A is needed. An agent with a_mm >= 1 drops out; that is only
-    sound when nobody listens to it, which is the one check that reads rows
-    of A, and only those rows. ``matrix`` is dense or scipy.sparse.
+    sound when nobody listens to it, which is the one check that reads A's
+    entries (``_entries``); a matrix with no such agent is never scanned.
+    ``matrix`` is dense or scipy.sparse. The error names the lowest listener,
+    then the lowest agent it hears with full self-weight.
     """
-    if not issparse(matrix):
-        matrix = np.asarray(matrix, dtype=float)
-    d = matrix.diagonal()
-    full = np.flatnonzero(d >= 1.0)
-    if full.size:
-        rows = matrix[full]
-        heard = (rows.toarray() if issparse(rows) else rows) != 0.0
-        heard[np.arange(full.size), full] = False
-        if heard.any():
-            l, i = np.argwhere(heard.T)[0]
-            raise DivisionDegeneracyError(
-                f"agent {full[i]} has full self-weight but agent {l} listens to it"
-            )
+    d = (matrix if issparse(matrix) else np.asarray(matrix, dtype=float)).diagonal()
+    full = d >= 1.0
+    if full.any():
+        rows, cols, _ = _entries(_csc(matrix))  # column by column, rows ascending
+        heard = np.flatnonzero(full[rows] & (rows != cols))
+        if heard.size:
+            m, l = rows[heard[0]], cols[heard[0]]
+            raise DivisionDegeneracyError(f"agent {m} has full self-weight but agent {l} listens to it")
     w = np.where(d < 1.0, d if self_weighted else 1.0, 0.0)
     return float(w @ perron)
 
@@ -153,36 +161,26 @@ def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
     return _listener_sum(matrix, perron, self_weighted=True)
 
 
-def _dense(matrix):
-    """A scipy.sparse matrix as a read-only dense array; anything else as is."""
-    if not issparse(matrix):
-        return matrix
-    out = matrix.toarray()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Network:
-    """Validated network: graph, combination matrix, and derived constants.
+    """Validated network: combination matrix and derived constants.
 
-    ``weights`` is A and ``edges`` its graph, in the form they are stored:
-    dense arrays below SPARSE_SOLVE_MIN_AGENTS agents, CSC matrices from
-    there on, so that no N x N array is built or kept. ``matrix`` and
-    ``adjacency`` are their dense, read-only forms; from the cutoff on they
-    are built on first read and cached, and nothing in pbnet reads them.
-    ``pool`` is A.T in the form the step multiplies by, ``pool @ shared``:
-    the dense transposed view below the cutoff, from it on CSR with no copy.
-    The strong-connectivity check, the Perron solve (dense or sparse LU by
-    the same cutoff) and its residual all read ``weights``. ``diagonal``
-    holds the self-weights a_kk; ``alpha`` and ``weight_sum`` are closed
-    forms in it and ``perron``.
+    ``weights`` is A in the form it is stored: a dense array below
+    SPARSE_SOLVE_MIN_AGENTS agents, a CSC matrix from there on, so that no
+    N x N array is built or kept. Its nonzeros are the graph; a declared
+    adjacency is checked against them and not kept. ``matrix`` is A's dense,
+    read-only form; from the cutoff on it is built on first read and cached,
+    and nothing in pbnet reads it. ``pool`` is A.T in the form the step
+    multiplies by, ``pool @ shared``: the dense transposed view below the
+    cutoff, from it on CSR with no copy. The strong-connectivity check, the
+    Perron solve (dense or sparse LU by the same cutoff) and its residual all
+    read ``weights``. ``diagonal`` holds the self-weights a_kk; ``alpha`` and
+    ``weight_sum`` are closed forms in it and ``perron``.
 
     Immutable after construction; safe to share across concurrent runs.
     """
 
     weights: object = field(repr=False)  # np.ndarray or scipy.sparse.csc_matrix
-    edges: object = field(repr=False)  # bool, in the form of ``weights``
     pool: object = field(repr=False)  # np.ndarray or scipy.sparse.csr_matrix
     diagonal: np.ndarray = field(repr=False)
     perron: np.ndarray
@@ -195,55 +193,47 @@ class Network:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """A, dense and read-only."""
-        return _dense(self.weights)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """The graph, dense, boolean and read-only."""
-        return _dense(self.edges)
+        """A, dense and read-only: ``weights`` itself below the cutoff."""
+        if not issparse(self.weights):
+            return self.weights
+        out = self.weights.toarray()
+        out.setflags(write=False)
+        return out
 
     @classmethod
     def from_matrix(cls, matrix, adjacency=None) -> "Network":
         """Validate A and derive its constants. ``matrix`` and ``adjacency``
-        may each be dense or scipy.sparse; ``adjacency`` defaults to the
-        pattern of A's nonzeros.
+        may each be dense or scipy.sparse. A given ``adjacency`` only checks
+        that no nonzero weight sits off its edges; the graph the network
+        keeps and checks for strong connectivity is A's nonzeros.
 
-        From SPARSE_SOLVE_MIN_AGENTS agents on, A is read once into a CSC
-        copy with no stored zeros (``_csc``) and every check runs on its
-        stored entries, in O(nnz); a stored zero is no edge. Below the cutoff
-        A is copied dense and checked as an array.
+        A is copied once into its stored form (see Network), a CSC copy with
+        no stored zeros (``_csc``) from SPARSE_SOLVE_MIN_AGENTS agents on.
+        Every check reads A's nonzeros by ``_entries`` (O(nnz) from the cutoff
+        on), and a given adjacency is indexed at them; a stored zero is no edge.
         """
-        shape = _shape(matrix)
+        shape = np.shape(matrix)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValidationError("combination matrix must be square")
-        sparse = shape[0] >= SPARSE_SOLVE_MIN_AGENTS
-        if sparse:
+        n = shape[0]
+        if n >= SPARSE_SOLVE_MIN_AGENTS:
             weights = _csc(matrix)
-            values = weights.data
-            colsums = np.bincount(_columns(weights), values, minlength=shape[1])
-        else:
-            weights = values = np.array(_dense(matrix), dtype=float)
-            colsums = weights.sum(axis=0)
-        if np.any(values < 0):
+        else:  # a float copy, which nothing else holds
+            weights = np.array(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
+        rows, cols, values = _entries(weights)
+        if (values < 0).any():
             raise ValidationError("combination weights must be nonnegative")
+        # per column in row order, as sum(axis=0) adds a dense A: the same sums
+        colsums = np.bincount(cols, values, minlength=n)
         bad = np.flatnonzero(~(np.abs(colsums - 1.0) <= COLUMN_SUM_TOL))
         if bad.size:
             raise ValidationError(
                 f"column {bad[0]} sums to {colsums[bad[0]]:.12g}; columns must sum to 1"
             )
-        if adjacency is None:
-            edges = weights > 0
-        else:
-            if _shape(adjacency) != shape:
+        if adjacency is not None:
+            if np.shape(adjacency) != shape:
                 raise ValidationError("adjacency shape does not match the matrix")
-            if sparse:
-                edges = _csc(adjacency, bool)
-                off_edge = ~edges[weights.indices, _columns(weights)]
-            else:
-                edges = np.array(_dense(adjacency), dtype=bool)
-                off_edge = (weights > 0) & ~edges
-            if np.any(off_edge):
+            if not np.all(_graph(adjacency)[rows, cols]):
                 raise ValidationError("nonzero weight on a non-edge")
         if not is_strongly_connected(weights):
             raise ConnectivityError("graph is not strongly connected")
@@ -258,14 +248,11 @@ class Network:
             )
         if np.any(v <= 0):
             raise NonConvergenceError("Perron vector has non-positive entries")
-        stored = [diagonal, v]
-        for m in (weights, edges):
-            stored += (m.data, m.indices, m.indptr) if sparse else (m,)
-        for arr in stored:
+        parts = (weights.data, weights.indices, weights.indptr) if issparse(weights) else (weights,)
+        for arr in (diagonal, v, *parts):
             arr.setflags(write=False)
         return cls(
             weights=weights,
-            edges=edges,
             pool=weights.T,
             diagonal=diagonal,
             perron=v,
@@ -289,27 +276,22 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
 
     n_k is the neighborhood size of agent k including itself. Requires a
     self-loop at every node and at least one other neighbor per node.
-    ``adjacency`` is dense or scipy.sparse. Its edges are read once: by one
-    row-major scan of a dense array, or from the stored pattern of a sparse
-    one. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A; from
-    there on they go straight into CSC, and no N x N array is made.
+    ``adjacency`` is dense or scipy.sparse; its edges are read once, by
+    ``_entries``. Every weight is positive, so A's nonzeros are exactly the
+    edges. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A;
+    from there on they go straight into CSC, and no N x N array is made.
     """
-    shape = _shape(adjacency)
+    shape = np.shape(adjacency)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("adjacency must be a square matrix")
     lam = float(self_weight)
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"self-weight must lie in (0, 1), got {lam}")
     n = shape[0]
-    if issparse(adjacency):
-        pattern = _csc(adjacency, bool)
-        rows, cols = pattern.indices, _columns(pattern)
-    else:
-        rows, cols = np.divmod(np.flatnonzero(np.asarray(adjacency, dtype=bool)), n)
+    rows, cols, _ = _entries(_graph(adjacency))
     loops = rows == cols
-    looped = np.zeros(n, dtype=bool)
-    looped[cols[loops]] = True
-    if not np.all(looped):
+    looped = np.bincount(cols[loops], minlength=n)
+    if not looped.all():
         missing = int(np.argmin(looped))
         raise ValidationError(f"averaging rule needs a self-loop at every node; node {missing} has none")
     degrees = np.bincount(cols, minlength=n)  # includes self
@@ -320,7 +302,6 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
         )
     weights = ((1.0 - lam) / (degrees - 1))[cols]
     weights[loops] = lam
-    # every weight is positive, so A's nonzeros are the adjacency: from_matrix derives it
     if n < SPARSE_SOLVE_MIN_AGENTS:
         A = np.zeros((n, n))
         A[rows, cols] = weights
@@ -333,6 +314,7 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
 
 def ring_adjacency(n: int) -> np.ndarray:
     """Bidirectional ring with self-loops."""
+    _check_integer("n", n)
     if n < 2:
         raise ValidationError("ring preset needs at least 2 nodes")
     adj = np.eye(n, dtype=bool)
@@ -343,6 +325,7 @@ def ring_adjacency(n: int) -> np.ndarray:
 
 
 def complete_adjacency(n: int) -> np.ndarray:
+    _check_integer("n", n)
     if n < 2:
         raise ValidationError("complete preset needs at least 2 nodes")
     return np.ones((n, n), dtype=bool)
@@ -350,6 +333,7 @@ def complete_adjacency(n: int) -> np.ndarray:
 
 def star_adjacency(n: int) -> np.ndarray:
     """Hub node 0 linked both ways with every spoke; self-loops everywhere."""
+    _check_integer("n", n)
     if n < 2:
         raise ValidationError("star preset needs at least 2 nodes")
     adj = np.eye(n, dtype=bool)
@@ -366,6 +350,7 @@ def generate_strongly_connected_adjacency(
 ) -> np.ndarray:
     """Random directed graph with all self-loops, resampled until strongly
     connected. Deterministic given the generator state."""
+    _check_integer("n", n)
     if n < 1:
         raise ValidationError("need at least one node")
     p = float(edge_probability)

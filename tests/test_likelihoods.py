@@ -328,6 +328,15 @@ class TestKLDivergence:
                 assert kl_divergence(fam, p, vertex) == kl_divergence(fam, p, q)
                 assert kl_divergence(fam, vertex, p) == kl_divergence(fam, q, p)
 
+    def test_underflowed_mixture_entry_is_zero_mass(self):
+        # each mixed entry 0.5 * 5e-324 rounds to 0, so p = (0, 1): 0 log 0 = 0
+        fam = DiscreteFamily([[5e-324, 1.0], [5e-324, 1.0], [0.5, 0.5]])
+        p = MixtureSpec(2, [0.5, 0.5, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kl_divergence(fam, p, 2) == pytest.approx(math.log(2), rel=1e-15)
+            assert kl_divergence(fam, 2, p) == math.inf
+
     def test_kl_nonnegative_random_families(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, issparse
 
-from pbnet.dynamics import SelfAwarePartialSharing, run_trajectory, uniform_log_beliefs
+from pbnet import network
+from pbnet.dynamics import Sharing, SelfAwarePartialSharing, run_trajectory, uniform_log_beliefs
 from pbnet.errors import (
     ConnectivityError,
     DegenerateDegreeError,
@@ -15,7 +16,7 @@ from pbnet.errors import (
     GraphGenerationError,
     ValidationError,
 )
-from pbnet.likelihoods import DiscreteFamily
+from pbnet.likelihoods import DiscreteFamily, MixtureSpec
 from pbnet.network import (
     Network,
     alpha_constant,
@@ -139,6 +140,29 @@ class TestDerivedConstants:
         with pytest.raises(DivisionDegeneracyError):
             mislearning_weight_sum(A, v)
 
+    def test_division_degeneracy_names_the_lowest_listener(self):
+        # agents 0 and 1 keep everything; agent 2 listens to 1, agent 3 to 0
+        A = np.array([[1.0, 0.0, 0.0, 0.5],
+                      [0.0, 1.0, 0.5, 0.0],
+                      [0.0, 0.0, 0.5, 0.0],
+                      [0.0, 0.0, 0.0, 0.5]])
+        v = np.full(4, 0.25)
+        for matrix in (A, csc_matrix(A), csr_matrix(A)):
+            for constant in (alpha_constant, mislearning_weight_sum):
+                with pytest.raises(DivisionDegeneracyError) as err:
+                    constant(matrix, v)
+                assert str(err.value) == "agent 1 has full self-weight but agent 2 listens to it"
+
+    def test_no_full_self_weight_reads_no_rows(self, monkeypatch):
+        def scan(matrix):
+            raise AssertionError("rows of A were read")
+
+        monkeypatch.setattr(network, "_entries", scan)
+        v = perron_vector(A_2X2)
+        for matrix in (A_2X2, csc_matrix(A_2X2)):
+            assert alpha_constant(matrix, v) == pytest.approx(1.0, abs=1e-10)
+            assert mislearning_weight_sum(matrix, v) == pytest.approx(0.76, abs=1e-10)
+
     def test_matches_loop_reference_on_random_weights(self):
         # the defining double sums, evaluated term by term
         def reference(A, v, numerator):
@@ -201,7 +225,7 @@ class TestAveragingMatrix:
         net = build_averaging_matrix(adj, 0.37)
         np.testing.assert_allclose(net.matrix.sum(axis=0), 1.0, atol=1e-12)
         # zero weight off the graph
-        assert np.all(net.matrix[~net.adjacency] == 0.0)
+        assert np.all(net.matrix[~adj] == 0.0)
 
     @pytest.mark.parametrize("n, p", [(5, 0.5), (40, 0.2), (120, 0.05), (250, 0.02)])
     def test_fill_matches_column_loop(self, n, p):
@@ -217,13 +241,12 @@ class TestAveragingMatrix:
 
     @pytest.mark.parametrize("lam", [1e-12, 0.5, 1.0 - 2.0**-52])
     def test_adjacency_is_the_input_graph(self, lam):
-        # the builder lets from_matrix derive the adjacency from A > 0
+        # no weight underflows, so A's nonzeros, the graph the network keeps, are the input
         rng = np.random.default_rng(17)
         for adj in (ring_adjacency(10), path_adjacency(300),
                     generate_strongly_connected_adjacency(100, 0.05, rng)):
             net = build_averaging_matrix(adj, lam)
-            np.testing.assert_array_equal(net.adjacency, adj)
-            assert net.adjacency.dtype == bool
+            np.testing.assert_array_equal(net.matrix != 0, adj)
 
     def test_requires_self_loops_everywhere(self):
         adj = complete_adjacency(3).copy()
@@ -316,6 +339,24 @@ class TestGenerator:
             generate_strongly_connected_adjacency(3, 0.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda: ring_adjacency(10.0)),
+    ("n", lambda: ring_adjacency(True)),
+    ("n", lambda: star_adjacency(10.0)),
+    ("n", lambda: complete_adjacency(10.0)),
+    ("n", lambda: generate_strongly_connected_adjacency(10.0, 0.5, np.random.default_rng(0))),
+    ("n_agents", lambda: uniform_log_beliefs(10.0, 3)),
+    ("n_hypotheses", lambda: uniform_log_beliefs(10, 3.0)),
+    ("count", lambda: MixtureSpec.uniform_complement(3.0, 0)),
+    ("transmit", lambda: Sharing(1.0)),
+], ids=["ring", "ring-bool", "star", "complete", "random", "beliefs-agents",
+        "beliefs-hypotheses", "complement", "sharing"])
+def test_counts_must_be_integers(name, call):
+    # one shared rule: a Python or numpy integer other than a bool
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        call()
+
+
 def old_ring_adjacency(n):
     # the per-node loop ring_adjacency replaced
     adj = np.eye(n, dtype=bool)
@@ -338,7 +379,7 @@ def column_stochastic(adj, rng):
 
 
 class TestSparseInput:
-    """From SPARSE_SOLVE_MIN_AGENTS on a Network keeps A and its graph as CSC;
+    """From SPARSE_SOLVE_MIN_AGENTS on a Network keeps A as CSC;
     scipy.sparse input must give what the same dense input gives."""
 
     @staticmethod
@@ -360,15 +401,14 @@ class TestSparseInput:
     @pytest.mark.parametrize("kind", ["ring", "path", "random", "weights"])
     def test_sparse_input_equals_dense_bitwise(self, kind, n):
         dense, sparse = self.build(kind, n, False), self.build(kind, n, True)
-        assert issparse(dense.weights) and issparse(dense.edges) and issparse(dense.pool)
-        for name in ("perron", "diagonal", "matrix", "adjacency"):
+        assert issparse(dense.weights) and issparse(dense.pool)
+        for name in ("perron", "diagonal", "matrix"):
             np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name))
         assert (sparse.alpha, sparse.weight_sum) == (dense.alpha, dense.weight_sum)
         for part in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(sparse.pool, part), getattr(dense.pool, part))
-        # the dense accessors are built once, read-only
+        # the dense accessor is built once, read-only
         assert dense.matrix is dense.matrix and not dense.matrix.flags.writeable
-        assert dense.adjacency.dtype == bool and not dense.adjacency.flags.writeable
         fam = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]])
         runs = [
             run_trajectory(uniform_log_beliefs(n, 3), net, fam, 0, SelfAwarePartialSharing(1),
