@@ -206,12 +206,21 @@ def predict_self_aware_regime(
 
 # -- empirical measurements ---------------------------------------------------
 
+def _check_trajectory(log_beliefs) -> None:
+    """ValidationError unless ``log_beliefs`` is a (T+1, N, H) array with no
+    empty axis."""
+    shape = getattr(log_beliefs, "shape", None)
+    if shape is None or len(shape) != 3 or 0 in shape:
+        raise ValidationError(f"log-beliefs must be a (T+1, N, H) array, got shape {shape}")
+
+
 def measure_empirical_rate(
     log_beliefs: np.ndarray, theta: int, tx_index: int, burn_in: int
 ) -> float:
     """Least-squares slope of agent 1's log mu(theta)/mu(tx) over iterations
     (burn_in, end]. The trajectory array is (T+1, N, H) with index 0 holding
     the initial beliefs."""
+    _check_trajectory(log_beliefs)
     if theta == tx_index:
         raise ValidationError("rate is defined for theta != tx")
     _check_index("theta", theta, log_beliefs.shape[2])
@@ -264,6 +273,7 @@ def detect_convergence(
     1e-3, or (oscillating) agent 1's log-ratio of the two lowest non-tx
     hypotheses changing sign at least 3 times.
     """
+    _check_trajectory(log_beliefs)
     if not 0.5 < threshold < 1.0:
         raise ValidationError("threshold must lie in (0.5, 1)")
     t_max = log_beliefs.shape[0] - 1
@@ -302,6 +312,7 @@ def oscillation_amplitude(
 ) -> float:
     """Standard deviation of one agent's log mu(a)/mu(b) over the last
     ``window`` iterations."""
+    _check_trajectory(log_beliefs)
     t_max = log_beliefs.shape[0] - 1
     _check_integer("window", window)
     if window < 2 or window > t_max:

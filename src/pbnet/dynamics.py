@@ -39,7 +39,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError, _check_integer, _is_integer
 from .likelihoods import (
     LikelihoodModel,
-    StackedModels,
     log_likelihood_row,
     log_likelihood_rows,
     sample_observation,
@@ -80,6 +79,8 @@ class Sharing:
             raise ValidationError(
                 f"transmit must be None, a hypothesis index or 'argmax', got {t!r}"
             )
+        if not isinstance(self.self_aware, (bool, np.bool_)):
+            raise ValidationError(f"self_aware must be a bool, got {self.self_aware!r}")
 
 
 def FullSharing() -> Sharing:
@@ -137,8 +138,10 @@ def _first_row(bad: np.ndarray) -> str:
 
 
 def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
-    _check_integer("n_agents", n_agents)
-    _check_integer("n_hypotheses", n_hypotheses)
+    for name, count in (("n_agents", n_agents), ("n_hypotheses", n_hypotheses)):
+        _check_integer(name, count)
+        if count < 1:
+            raise ValidationError(f"{name} must be >= 1, got {count}")
     return np.full((n_agents, n_hypotheses), -np.log(n_hypotheses))
 
 
@@ -267,42 +270,26 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
 
 # -- full iteration -----------------------------------------------------------
 
-def _stacked(models, n_agents: int, h: int):
-    """A per-agent model list stacked by family type; a single family, or
-    models stacked already, as they are. Their hypothesis count must be h."""
-    if isinstance(models, (list, tuple)):
-        models = stack_models(models, n_agents)
-    elif isinstance(models, StackedModels) and models.n_agents != n_agents:
-        raise ValidationError("need one likelihood model per agent")
-    if models.hypothesis_count != h:
-        raise ValidationError(
-            f"log-beliefs hold {h} hypotheses but the models {models.hypothesis_count}"
-        )
-    return models
+def _observe(groups: tuple, true_index: int, n_agents: int, steps: int, dtype, rng):
+    """(steps, N) observations of ``dtype``, one per agent and step, and their
+    (steps, N, H) log-likelihoods, from the groups of :func:`stack_models`.
 
-
-def _observe(models, true_index: int, n_agents: int, steps: int, rng):
-    """(steps, N) observations, one per agent and step, and their
-    (steps, N, H) log-likelihoods.
-
-    A single family, or a list whose agents share one family type, draws the
-    block in one call, which equals ``steps`` per-step draws bitwise. Mixed
-    lists draw step by step and group by group, the order a single step
-    draws in, and score each group once per block.
+    One group, a family or a list whose agents share one family type, draws
+    the block in one call, which equals ``steps`` per-step draws bitwise.
+    Several groups draw step by step and group by group, the order a single
+    step draws in, and score each group once per block.
     """
-    if isinstance(models, StackedModels) and len(models.groups) == 1:
-        models = models.groups[0]  # every agent, in order
-    if not isinstance(models, StackedModels):
-        xi = sample_observation(models, true_index, rng, size=(steps, n_agents))
-        return xi, log_likelihood_rows(models, xi)
-    xi = np.empty((steps, n_agents), dtype=models.dtype)
+    if len(groups) == 1:
+        xi = sample_observation(groups[0], true_index, rng, size=(steps, n_agents))
+        return xi, log_likelihood_rows(groups[0], xi)
+    xi = np.empty((steps, n_agents), dtype=dtype)
     for t in range(steps):
-        for group in models.groups:
+        for group in groups:
             xi[t, group.agents] = sample_observation(
                 group, true_index, rng, size=group.agents.size
             )
-    table = np.empty((steps, n_agents, models.hypothesis_count))
-    for group in models.groups:
+    table = np.empty((steps, n_agents, groups[0].hypothesis_count))
+    for group in groups:
         table[:, group.agents] = log_likelihood_rows(group, xi[:, group.agents])
     return xi, table
 
@@ -328,16 +315,15 @@ def run_iteration(
     Without ``observed`` the step is a one-step :func:`run_trajectory`: its
     inputs are validated before the draw, the draw is a one-step block, the
     result is checked, and an error names iteration 1 and the agent. With one
-    model per agent, the agents are stacked by family type and the draws are
-    made group by group, each group in agent order. A list is restacked on
-    every call, so a caller that loops over steps should pass
-    ``stack_models(models, n)`` once instead: it steps and draws bitwise like
-    the list. ``observed``, an (xi, loglik) pair of the (N,) observations and
-    their (N, H) log-likelihoods, is a row drawn ahead of time: the step then
-    checks only the agent count, draws nothing, returns that xi and leaves the
-    result unchecked, because :func:`run_trajectory` validates its inputs once
-    and checks its steps once per block. The posterior is pooled unnormalized
-    (see the module docstring).
+    model per agent, the agents are stacked by family type
+    (:func:`stack_models`) on every call, and the draws are made group by
+    group, each group in agent order. ``observed``, an (xi, loglik) pair of
+    the (N,) observations and their (N, H) log-likelihoods, is a row drawn
+    ahead of time: the step then checks only the agent count, draws nothing,
+    returns that xi and leaves the result unchecked, because
+    :func:`run_trajectory` validates its inputs once and checks its steps
+    once per block. The posterior is pooled unnormalized (see the module
+    docstring).
     """
     if observed is None:
         out, obs = run_trajectory(log_beliefs, net, models, true_index, sharing, 1, rng,
@@ -387,14 +373,19 @@ def run_trajectory(
     check_log_beliefs(init)
     n, h = init.shape
     plan = _plan(sharing, init.shape)
-    models = _stacked(models, n, h)
+    groups = stack_models(models, n)
+    if groups[0].hypothesis_count != h:
+        raise ValidationError(
+            f"log-beliefs hold {h} hypotheses but the models {groups[0].hypothesis_count}"
+        )
+    dtype = np.result_type(*(g.dtype for g in groups))
     out = np.empty((horizon + 1, n, h))
     out[0] = init
-    obs = np.empty((horizon, n), dtype=models.dtype) if keep_observations else None
+    obs = np.empty((horizon, n), dtype=dtype) if keep_observations else None
     log_b = init
     for start in range(0, horizon, _BLOCK):
         steps = min(_BLOCK, horizon - start)
-        xi, loglik = _observe(models, true_index, n, steps, rng)
+        xi, loglik = _observe(groups, true_index, n, steps, dtype, rng)
         if keep_observations:
             obs[start:start + steps] = xi
         with np.errstate(invalid="ignore"):  # a NaN is reported by the block check

@@ -305,18 +305,14 @@ LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
 _GROUP_OF = {GaussianFamily: GaussianGroup, DiscreteFamily: DiscreteGroup}
 
 
-@dataclass(frozen=True)
-class StackedModels:
-    """A per-agent model list stacked by family type, built once per
-    trajectory by :func:`stack_models`."""
-
-    groups: tuple  # one group per family type, in order of first appearance
-    n_agents: int
-    hypothesis_count: int
-    dtype: np.dtype  # observations': int64 when every agent is discrete, else float64
-
-
-def stack_models(models: Sequence[LikelihoodModel], n_agents: int) -> StackedModels:
+def stack_models(models, n_agents: int) -> tuple:
+    """The groups a models argument scores and samples by: ``(family,)`` for
+    one family, or for a list or tuple of ``n_agents`` families one group per
+    family type, in order of first appearance. Anything else, a bare group
+    included, raises ValidationError, as does a list of another length or of
+    mixed hypothesis counts."""
+    if not isinstance(models, (list, tuple)):
+        return (_family(models),)
     if len(models) != n_agents:
         raise ValidationError("need one likelihood model per agent")
     positions: dict = {}
@@ -327,12 +323,9 @@ def stack_models(models: Sequence[LikelihoodModel], n_agents: int) -> StackedMod
     counts = {m.hypothesis_count for m in models}
     if len(counts) != 1:
         raise ValidationError("per-agent models must share one hypothesis count")
-    groups = tuple(
+    return tuple(
         _GROUP_OF[kind](np.array(agents), [models[k] for k in agents])
         for kind, agents in positions.items()
-    )
-    return StackedModels(
-        groups, n_agents, counts.pop(), np.result_type(*(g.dtype for g in groups))
     )
 
 
@@ -388,9 +381,9 @@ def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
 
 
 def _family(model) -> LikelihoodModel:
-    """``model`` if it is one likelihood family. A group of per-agent models
-    or a stack of them scores and samples in batches, but has no single
-    scalar score, divergence or bound."""
+    """``model`` if it is one likelihood family, else ValidationError. A
+    group of :func:`stack_models` scores and samples in batches, but has no
+    single scalar score, divergence or bound."""
     if type(model) not in _GROUP_OF:  # the two families, as stack_models accepts them
         raise ValidationError(f"expected one likelihood family, got {type(model).__name__}")
     return model
@@ -409,8 +402,8 @@ def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
 
 def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndarray:
     """(n, H) matrix of log-likelihoods for a batch of observations; for a
-    :class:`GaussianGroup` or :class:`DiscreteGroup`, row i scores observation
-    i under agent i's model. A (steps, n) block of observations gives
+    group of :func:`stack_models`, row i scores observation i under the
+    model of the group's i-th agent. A (steps, n) block of observations gives
     (steps, n, H). The batch obeys the scalar scorers' value rules: a
     non-numeric batch, a non-finite Gaussian observation or a discrete one
     off its agent's support raises InvalidObservationError, which names the

@@ -96,12 +96,13 @@ def perron_vector(matrix) -> np.ndarray:
     (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
     agents the block is solved dense; from there on by sparse LU on a CSC
     copy of A, so no N x N array is allocated. ``matrix`` is dense, or from
-    the cutoff on may be CSC already, as a Network stores it.
+    the cutoff on may be CSC already, as a Network stores it; below it,
+    sparse input is read densely.
     """
     n = matrix.shape[0]
     m = n - 1
     if n < SPARSE_SOLVE_MIN_AGENTS:
-        A = np.asarray(matrix, dtype=float)
+        A = np.asarray(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
         head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
     else:
         if not issparse(matrix):

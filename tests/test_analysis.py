@@ -344,3 +344,17 @@ def test_out_of_range_index_is_a_validation_error(measure, name):
     log_b = synth_beliefs([[0.5, 0.3, 0.2]] * 2, 20)
     with pytest.raises(ValidationError, match=name):
         measure(log_b)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda b: measure_empirical_rate(b, 0, 1, 1),
+    lambda b: detect_convergence(b, window=2),
+    lambda b: oscillation_amplitude(b, 0, 1, 2),
+], ids=["rate", "convergence", "amplitude"])
+@pytest.mark.parametrize("log_b", [
+    np.zeros((5, 3)), np.zeros((5, 2, 3, 1)), np.zeros((5, 0, 3)), np.zeros((5, 2, 0)),
+    np.zeros((5, 2, 3)).tolist(),
+], ids=["2d", "4d", "no_agents", "no_hypotheses", "list"])
+def test_trajectory_must_be_three_dimensional(measure, log_b):
+    with pytest.raises(ValidationError, match=r"^log-beliefs must be a \(T\+1, N, H\)"):
+        measure(log_b)

@@ -349,6 +349,21 @@ class TestValidation:
             run_iteration(init, RING5, GAUSS3, 0, FullSharing(), rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("step", ["trajectory", "iteration"])
+    @pytest.mark.parametrize("models", [
+        "gaussian", None, stack_models([GAUSS3] * 5, 5)[0], stack_models([GAUSS3] * 5, 5),
+    ], ids=["string", "none", "bare_group", "stacked_groups"])
+    def test_models_of_no_family_rejected_before_any_draw(self, step, models):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError):
+            if step == "trajectory":
+                run_trajectory(uniform_log_beliefs(5, 3), RING5, models, 0, FullSharing(),
+                               10, rng)
+            else:
+                run_iteration(uniform_log_beliefs(5, 3), RING5, models, 0, FullSharing(), rng)
+        assert rng.bit_generator.state == state
+
     def test_horizon_positive(self):
         with pytest.raises(ValidationError):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0,
@@ -446,19 +461,6 @@ class TestStepKernel:
             run_iteration(uniform_log_beliefs(5, 3), RING5,
                           mixed_models(5), 0, FullSharing(), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
-    def test_stacked_list_steps_like_the_list_bitwise(self, strat):
-        models = mixed_models(5)
-        stacked = stack_models(models, 5)
-        rng_list, rng_stacked = np.random.default_rng(9), np.random.default_rng(9)
-        a = b = uniform_log_beliefs(5, 3)
-        for _ in range(20):
-            a, xi_a = run_iteration(a, RING5, models, 0, strat, rng_list)
-            b, xi_b = run_iteration(b, RING5, stacked, 0, strat, rng_stacked)
-            assert_bitwise(xi_b, xi_a)
-            assert_bitwise(b, a)
-        assert rng_list.bit_generator.state == rng_stacked.bit_generator.state
-
     def test_observation_dtype(self):
         init = uniform_log_beliefs(5, 3)
         discrete = [DISC3, DiscreteFamily([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])] * 2 + [DISC3]
@@ -497,6 +499,15 @@ class TestSharing:
     def test_invalid_transmit_rejected_at_construction(self, transmit):
         with pytest.raises(ValidationError, match="transmit"):
             Sharing(transmit)
+
+    @pytest.mark.parametrize("self_aware", ["no", None, 0, 1, np.int64(1)])
+    def test_non_bool_self_aware_rejected_at_construction(self, self_aware):
+        with pytest.raises(ValidationError, match="^self_aware must be a bool"):
+            Sharing(0, self_aware)
+
+    @pytest.mark.parametrize("self_aware", [True, False, np.True_, np.False_])
+    def test_bool_self_aware_accepted(self, self_aware):
+        assert Sharing(0, self_aware) == Sharing(0, bool(self_aware))
 
     def test_rules_are_equal_by_their_two_fields(self):
         assert PartialSharing(1) == Sharing(1)

@@ -88,7 +88,7 @@ class TestConstruction:
         # a stack is built once and reused across steps, so no write may change it
         d = DiscreteFamily([[0.5, 0.5], [0.2, 0.8]])
         g = GaussianFamily([0.0, 1.0])
-        discrete, gaussian = stack_models([d, g, d], 3).groups
+        discrete, gaussian = stack_models([d, g, d], 3)
         tables = [discrete.cdf, discrete.log_pmf, discrete.support_size, discrete.agents,
                   gaussian.means, gaussian.agents]
         for table in tables:
@@ -97,8 +97,6 @@ class TestConstruction:
 
     def test_stack_repr_and_family_tables(self):
         d = DiscreteFamily([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
-        g = GaussianFamily([0.0, 1.0])
-        assert "StackedModels(groups=" in repr(stack_models([d, g, d], 3))
         np.testing.assert_array_equal(d.log_pmf, np.log(d.pmf)[None])
         cdf = np.cumsum(d.pmf, axis=1)
         cdf[:, -1] = np.inf
@@ -230,7 +228,7 @@ class TestLikelihood:
                 log_likelihood_row(model, bad)
 
     def test_grouped_batch_names_the_first_bad_value(self):
-        group = stack_models([DISC, DiscreteFamily([[0.5, 0.5], [0.1, 0.9]])], 2).groups[0]
+        group = stack_models([DISC, DiscreteFamily([[0.5, 0.5], [0.1, 0.9]])], 2)[0]
         # agent 1's support is {0, 1}: its 2.0 is off support, agent 0's is not
         np.testing.assert_array_equal(log_likelihood_rows(group, [2.0, 1.0]),
                                       [DISC.log_pmf[0, :, 2], np.log([0.5, 0.9])])
@@ -247,9 +245,8 @@ class TestLikelihood:
 
 GAUSS2 = GaussianFamily([0.0, 1.0])
 GROUPS = {
-    "gaussian_group": stack_models([GAUSS2, DISC], 2).groups[0],
-    "discrete_group": stack_models([GAUSS2, DISC], 2).groups[1],
-    "stack": stack_models([DISC, DISC], 2),
+    "gaussian_group": stack_models([GAUSS2, DISC], 2)[0],
+    "discrete_group": stack_models([GAUSS2, DISC], 2)[1],
 }
 
 
@@ -489,7 +486,7 @@ class TestSampling:
         if stacked:
             disc3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]])
             models = [GaussianFamily([0.0, 0.2, k]) for k in (1.0, 2.0, 3.0, 4.0)] + [disc3]
-            model = stack_models(models, 5).groups[0]
+            model = stack_models(models, 5)[0]
         ours, ref = np.random.default_rng(8), np.random.default_rng(8)
         for theta in (0, 2, 1):
             got = sample_observation(model, theta, ours, size=size)
@@ -536,7 +533,7 @@ class TestDiscreteRowTable:
                 [[0.2, 0.3, 0.1, 0.4], [0.4, 0.3, 0.2, 0.1]],
                 [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]]
         models = [DiscreteFamily(p) for p in pmfs]
-        group = stack_models(models, 3).groups[0]
+        group = stack_models(models, 3)[0]
         assert group.log_table.shape == (3 * 4, 2)
         for k, p in enumerate(pmfs):  # each agent's rows, then -inf padding
             rows = group.log_table[4 * k:4 * (k + 1)]
@@ -553,7 +550,7 @@ class TestDiscreteRowTable:
     def test_row_tables_are_read_only(self):
         fam = DiscreteFamily([[0.5, 0.5], [0.2, 0.8]])
         group = stack_models([fam, DiscreteFamily([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])],
-                             2).groups[0]
+                             2)[0]
         for table in (fam.log_table, group.log_table):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
@@ -563,6 +560,6 @@ class TestDiscreteRowTable:
         with pytest.raises(InvalidObservationError, match=r"^observation 3 outside discrete"):
             log_likelihood_rows(fam, [[0, 1], [3, 2]])
         # agent 0's support is {0, 1}: its 2 lies in the padding, not in agent 1's rows
-        group = stack_models([DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), fam], 2).groups[0]
+        group = stack_models([DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), fam], 2)[0]
         with pytest.raises(InvalidObservationError, match=r"^observation 2 outside discrete"):
             log_likelihood_rows(group, [[1, 2], [2, 0]])

@@ -347,10 +347,14 @@ class TestGenerator:
     ("n", lambda: generate_strongly_connected_adjacency(10.0, 0.5, np.random.default_rng(0))),
     ("n_agents", lambda: uniform_log_beliefs(10.0, 3)),
     ("n_hypotheses", lambda: uniform_log_beliefs(10, 3.0)),
+    ("n_agents", lambda: uniform_log_beliefs(-1, 3)),
+    ("n_agents", lambda: uniform_log_beliefs(0, 3)),
+    ("n_hypotheses", lambda: uniform_log_beliefs(3, 0)),
     ("count", lambda: MixtureSpec.uniform_complement(3.0, 0)),
     ("transmit", lambda: Sharing(1.0)),
 ], ids=["ring", "ring-bool", "star", "complete", "random", "beliefs-agents",
-        "beliefs-hypotheses", "complement", "sharing"])
+        "beliefs-hypotheses", "beliefs-negative-agents", "beliefs-no-agents",
+        "beliefs-no-hypotheses", "complement", "sharing"])
 def test_counts_must_be_integers(name, call):
     # one shared rule: a Python or numpy integer other than a bool
     with pytest.raises(ValidationError, match=f"^{name} must be"):
@@ -424,6 +428,12 @@ class TestSparseInput:
             with pytest.raises(DivisionDegeneracyError, match="agent 0 .* agent 1 listens"):
                 constant(csc_matrix(A), np.array([0.5, 0.5]))
             assert constant(csc_matrix(A_2X2), perron_vector(A_2X2)) == constant(A_2X2, perron_vector(A_2X2))
+
+    @pytest.mark.parametrize("form", [csc_matrix, csr_matrix], ids=["csc", "csr"])
+    @pytest.mark.parametrize("n", [2, network.SPARSE_SOLVE_MIN_AGENTS - 1])
+    def test_perron_vector_reads_sparse_input_below_the_cutoff(self, form, n):
+        A = A_2X2 if n == 2 else self.averaging(n)
+        assert perron_vector(form(A)).tobytes() == perron_vector(A).tobytes()
 
     @staticmethod
     def averaging(n):
