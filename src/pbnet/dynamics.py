@@ -6,14 +6,16 @@ iteration index, so linear-domain probabilities underflow within a few
 hundred steps; exponentiate only at the edges (export, verdicts). The mass
 spread over the non-transmitted hypotheses is a log-sum-exp of the *other*
 components rather than log(1 - exp(tx)), which stays finite even when the
-transmitted component is within one ulp of probability one. On many rows
-(``_FOLD_MIN_ROWS``), that log-sum-exp for a fixed tx, and the pooled rows'
-normalization under every rule, fold ``np.logaddexp`` across the columns in
-index order, one ufunc call per column over every row: the left fold
-``np.logaddexp.reduce`` makes, so the same bits, without the reduce's inner
-loop per row of only H entries. On fewer rows the one reduce call is cheaper
-and is kept, and argmax's spread, whose columns differ from row to row, is
-always one masked reduce.
+transmitted component is within one ulp of probability one. On many rows per
+table (``_SHIFT_MIN_ROWS``), that log-sum-exp for a fixed tx, and the pooled
+rows' normalization under every rule, are a max shift, m + log sum exp(x - m)
+with m the row's largest entry: a few vectorized ``np.maximum``, ``np.exp``,
+add and ``np.log`` passes over column views, where ``np.logaddexp`` is scalar
+libm code per entry. It rounds apart from the reduce by a few ulp. On fewer
+rows the one ``np.logaddexp.reduce`` call is cheaper and is kept, and argmax's
+spread, whose columns differ from row to row, is always one masked reduce.
+The form follows one table's agent count, so a stack of (N, H) tables steps
+each table bitwise as it steps alone.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -24,7 +26,7 @@ pooling (for any A) and the self-aware own - shared term (where it cancels).
 rejects bad inputs, and resolves its ``Sharing`` into a step plan, before the
 first draw, so the generator moves only for a valid run; it draws and checks
 each ``_BLOCK`` steps at once, and runs them with invalid-value warnings off,
-because ``np.logaddexp`` warns on the NaN that the check reports.
+because the log-sum-exps warn on the NaN or infinity that the check reports.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
 """
@@ -118,13 +120,22 @@ def check_log_beliefs(log_beliefs: np.ndarray) -> None:
     Raises instead of clamping; a violation means the engine lost positivity.
     The message names the first offending row: its agent for an (N, H) table
     (or one belief vector, agent 0), its index tuple for a stack of tables.
-    The exponentials are summed column by column, over every row at once.
+    The exponentials are added column by column in index order, one pass over
+    every row each. A table with no rows has nothing to check.
     """
     b = log_beliefs if getattr(log_beliefs, "ndim", 0) >= 2 else np.atleast_2d(log_beliefs)
+    if 0 in b.shape[:-1]:
+        return
     finite = np.isfinite(b)
     if not finite.all():
         raise NumericalError(f"{_first_row(~finite.all(axis=-1))}: non-finite log-belief entry")
-    off = np.abs(np.add.reduce(np.exp(b, order="F"), axis=-1) - 1.0)
+    h = b.shape[-1]
+    e = np.exp(b)
+    total = e[..., 0] + e[..., 1] if h >= 2 else e.sum(axis=-1)  # 0 with no column
+    for c in range(2, h):
+        total += e[..., c]
+    total -= 1.0
+    off = np.abs(total, out=total)
     if off.max() > BELIEF_SUM_TOL:
         bad = off > BELIEF_SUM_TOL
         raise NumericalError(f"{_first_row(bad)}: belief normalization off by {off[bad][0]:.3g}")
@@ -168,29 +179,36 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
     return out
 
 
-#: Rows (N, or every leading index of a stack) from which log-sum-exps fold
-#: over the columns instead of calling ``np.logaddexp.reduce``: a ufunc call
-#: per column costs more than the reduce's inner loop per row on few rows. The
-#: fold broke even near 40 rows (numpy 2.4 on a shared 2-core Xeon VM); folding
-#: on every size cost ``repro_grid`` (N = 10) about 27% of its wall time.
-_FOLD_MIN_ROWS = 64
+#: Rows per table (N, the agents of one (N, H) table, also in a stack) from
+#: which log-sum-exps take the max shift instead of ``np.logaddexp.reduce``:
+#: the shift's ufunc call per column costs more than the reduce's inner loop
+#: per row on few rows. Timed on trajectory rows at H = 3 (numpy 2.4, shared
+#: 2-core Xeon VM), the spread broke even near 64 rows and the pooled
+#: normalization between 96 and 128 on a ring; on the 100-agent random graph
+#: of ``hetero_random`` the shift cost about 5 us a step more than the reduce.
+_SHIFT_MIN_ROWS = 128
 
 
-def _logsumexp_columns(rows: np.ndarray, columns) -> np.ndarray:
-    """``np.logaddexp.reduce`` over ``columns`` of the last axis (ascending
-    ints), keeping that axis, made as one ``np.logaddexp`` call per column
-    over every row.
+def _logsumexp_shift(rows: np.ndarray, skip=None) -> np.ndarray:
+    """log sum_c exp(rows[..., c]) over the last axis, column ``skip``
+    left out, keeping that axis: the max shift m + log sum_c exp(x_c - m),
+    made as ``np.maximum``, ``np.exp``, ``+=`` and ``np.log`` passes over
+    column views, each over every row. Columns are added in index order.
 
-    The reduce folds left in index order from logaddexp's identity -inf, and
-    so does this, so the two agree bitwise, NaN and infinities included.
-    Folding a into -inf gives a + 0.0, which is a except that -0.0 turns
-    +0.0, so that is how the first column enters.
+    A NaN or +inf entry gives NaN, so a row holding one stays non-finite
+    once normalized; on finite rows no pass warns.
     """
-    first, *rest = columns
-    acc = rows[..., first:first + 1] + 0.0  # a new array, as if folded into -inf
-    for c in rest:
-        np.logaddexp(acc, rows[..., c:c + 1], out=acc)
-    return acc
+    first, *rest = [rows[..., c] for c in range(rows.shape[-1]) if c != skip]
+    shift = np.maximum(first, rest[0]) if rest else first.copy()
+    for column in rest[1:]:
+        np.maximum(shift, column, out=shift)
+    total = np.exp(first - shift)
+    term = np.empty_like(total)
+    for column in rest:
+        total += np.exp(np.subtract(column, shift, out=term), out=term)
+    np.log(total, out=total)
+    total += shift
+    return total[..., None]
 
 
 @dataclass(frozen=True)
@@ -199,26 +217,26 @@ class _Plan:
 
     transmit: Union[None, int, str]
     self_aware: bool
-    fold: bool  # at least _FOLD_MIN_ROWS rows: log-sum-exps fold over columns
-    others: Union[None, tuple, np.ndarray]  # a fixed tx's spread columns: ints to fold, else a mask
+    shift: bool  # at least _SHIFT_MIN_ROWS rows per table: max-shift log-sum-exps
+    others: Union[None, np.ndarray]  # a fixed tx's spread columns, as a mask
     log_rest: float  # log(H - 1)
 
 
 def _plan(sharing, shape) -> _Plan:
-    """``sharing`` resolved for rows of ``shape`` (..., H); a plan as it is."""
+    """``sharing`` resolved for rows of ``shape`` (..., H); a plan as it is.
+    The log-sum-exp form follows one table's agent count, ``shape[-2]``, so
+    a stack of tables steps each as it would step alone."""
     if isinstance(sharing, _Plan):
         return sharing
     h = shape[-1]
-    fold = int(np.prod(shape[:-1])) >= _FOLD_MIN_ROWS
+    shift = len(shape) >= 2 and shape[-2] >= _SHIFT_MIN_ROWS
     tx, fixed = sharing.transmit, _is_integer(sharing.transmit)
     if fixed and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
     if tx is None or h == 1:  # a single hypothesis has nothing to spread
-        return _Plan(None, sharing.self_aware, fold, None, 0.0)
-    others = None
-    if fixed:
-        others = tuple(c for c in range(h) if c != tx) if fold else np.arange(h) != tx
-    return _Plan(tx, sharing.self_aware, fold, others, np.log(h - 1))
+        return _Plan(None, sharing.self_aware, shift, None, 0.0)
+    others = np.arange(h) != tx if fixed else None
+    return _Plan(tx, sharing.self_aware, shift, others, np.log(h - 1))
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
@@ -235,8 +253,8 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
         rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=others, initial=-np.inf)
         rest -= plan.log_rest
         return np.where(others, rest, rows)
-    if plan.fold:
-        rest = _logsumexp_columns(rows, plan.others)
+    if plan.shift:
+        rest = _logsumexp_shift(rows, plan.transmit)
     else:
         rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=plan.others,
                                    initial=-np.inf)
@@ -253,18 +271,19 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
 
     Row k of the result is sum_l a_lk * shared_l. Self-aware: the a_kk term
     uses the agent's own unmodified belief instead of its modified one. The
-    rows are normalized here, so the inputs may carry a per-row shift, and the
-    caller runs :func:`check_log_beliefs`.
+    rows are normalized here, over the last axis, so the inputs may carry a
+    per-row shift, and the caller runs :func:`check_log_beliefs`. A (..., N, H)
+    stack of tables needs a dense ``net.pool``.
     """
     shared = np.asarray(log_shared, dtype=float)
     pooled = net.pool @ shared
     plan = _plan(sharing, pooled.shape)
     if plan.self_aware:
         pooled += net.diagonal[:, None] * (np.asarray(log_own, dtype=float) - shared)
-    if plan.fold:
-        pooled -= _logsumexp_columns(pooled, range(pooled.shape[1]))
+    if plan.shift:
+        pooled -= _logsumexp_shift(pooled)
     else:
-        pooled -= np.logaddexp.reduce(pooled, axis=1, keepdims=True)
+        pooled -= np.logaddexp.reduce(pooled, axis=-1, keepdims=True)
     return pooled
 
 

@@ -95,8 +95,9 @@ def perron_vector(matrix) -> np.ndarray:
     leading (N-1) x (N-1) block, which is nonsingular when A is irreducible
     (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
     agents the block is solved dense; from there on by sparse LU on a CSC
-    copy of A, so no N x N array is allocated. ``matrix`` is dense, or from
-    the cutoff on may be CSC already, as a Network stores it; below it,
+    copy of A, so no N x N array is allocated. ``matrix`` is dense or
+    scipy.sparse in any format; from the cutoff on, input that is not CSC
+    already, as a Network stores it, is read through ``_csc``, and below it
     sparse input is read densely.
     """
     n = matrix.shape[0]
@@ -105,7 +106,7 @@ def perron_vector(matrix) -> np.ndarray:
         A = np.asarray(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
         head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
     else:
-        if not issparse(matrix):
+        if not issparse(matrix) or matrix.format != "csc":
             matrix = _csc(matrix)
         block = identity(m, format="csc") - matrix[:m, :m]
         head = spsolve(block, matrix[:m, [m]].toarray().ravel())

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -686,6 +687,15 @@ class TestStepErrors:
         with pytest.raises(NumericalError, match="agent 1: belief normalization"):
             check_log_beliefs(np.log([[0.5, 0.5], [0.7, 0.7], [0.9, 0.9]]))
 
+    def test_check_passes_a_table_with_no_rows(self):
+        check_log_beliefs(np.zeros((0, 3)))
+        check_log_beliefs(np.zeros((2, 0, 3)))
+
+    def test_check_rejects_rows_with_no_hypotheses(self):
+        # nothing sums to 0, not 1
+        with pytest.raises(NumericalError, match="agent 0: belief normalization off by 1"):
+            check_log_beliefs(np.zeros((3, 0)))
+
     def test_check_reduces_over_the_last_axis_of_a_stack(self):
         check_log_beliefs(np.log(np.full((2, 5, 3), 1 / 3)))
         stack = np.log(np.full((2, 5, 3), 1 / 3))
@@ -698,51 +708,102 @@ class TestStepErrors:
 
 
 def reduce_reference(rows, where=None):
-    """The log-sum-exp the column fold replaces, as one reduce call."""
+    """The log-sum-exp below the cutoff, as one reduce call."""
     if where is None:
         return np.logaddexp.reduce(rows, axis=-1, keepdims=True)
     return np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=where, initial=-np.inf)
 
 
+def shift_reference(rows, where=None):
+    """The max-shift log-sum-exp from the cutoff on: m + log sum exp(x - m)
+    over the kept columns, the exponentials added in index order."""
+    kept = rows if where is None else rows[..., where]
+    m = kept.max(axis=-1, keepdims=True)
+    terms = np.exp(kept - m)
+    total = terms[..., :1]
+    for c in range(1, kept.shape[-1]):
+        total = total + terms[..., c:c + 1]
+    return m + np.log(total)
+
+
+def lse_paths(rows, tx=None):
+    """Both log-sum-exp paths, over every column or all but ``tx``."""
+    mask = None if tx is None else np.arange(rows.shape[-1]) != tx
+    return {"reduce": reduce_reference(rows, mask),
+            "shift": dynamics._logsumexp_shift(rows, tx)}
+
+
 class TestColumnFold:
+    """The two log-sum-exp forms: one reduce below ``_SHIFT_MIN_ROWS`` rows
+    per table, and the max shift over column views from there on."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(h=st.integers(1, 10), scale=st.sampled_from([1.0, 30.0, 1e3, 4e4]),
+           data=st.data())
+    def test_both_paths_match_a_40_digit_logsumexp(self, h, scale, data):
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        rows = scale * np.array(data.draw(
+            st.lists(st.lists(unit, min_size=h, max_size=h), min_size=1, max_size=8),
+            label="rows"))
+        if h >= 2 and data.draw(st.booleans(), label="tie"):
+            rows[:, data.draw(st.integers(1, h - 1), label="twin")] = rows[:, 0]
+        tx = data.draw(st.integers(0, h - 1), label="tx") if h >= 2 else None
+        eps = np.finfo(float).eps
+        for skip in {None, tx}:
+            kept = [c for c in range(h) if c != skip]
+            with mpmath.workdps(40):
+                exact = [mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(x)) for x in row[kept]))
+                         for row in rows]
+            bound = 4 * eps * np.maximum(1.0, np.abs(rows[:, kept]).max(axis=-1))
+            for path, got in lse_paths(rows, skip).items():
+                with mpmath.workdps(40):
+                    errors = [abs(mpmath.mpf(g) - e) for g, e in zip(got[:, 0], exact)]
+                assert all(err <= b for err, b in zip(errors, bound)), (path, skip)
+
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(n=st.integers(1, 300), h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            special=st.sampled_from([0.0, 0.02, 0.3]), data=st.data())
-    def test_fold_equals_the_reduce_bitwise(self, n, h, seed, special, data):
+    def test_non_finite_entries_leave_a_non_finite_row(self, n, h, seed, special, data):
         rng = np.random.default_rng(seed)
         rows = rng.normal(0.0, 30.0, (n, h))
         hit = rng.random((n, h)) < special
         rows[hit] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 0.0], hit.sum())
-        fold = dynamics._logsumexp_columns
-        tx = data.draw(st.integers(0, h - 1), label="tx")
+        tx = data.draw(st.integers(0, h - 1), label="tx") if h >= 2 else None
+        nan_rows = np.isnan(rows).any(axis=-1)
+        bad_rows = ~np.isfinite(rows).all(axis=-1)
         with np.errstate(invalid="ignore"):  # NaN entries, as a run steps them
-            assert fold(rows, range(h)).tobytes() == reduce_reference(rows).tobytes()
-            if h >= 2:
-                kept = [c for c in range(h) if c != tx]
-                assert (fold(rows, kept).tobytes()
-                        == reduce_reference(rows, np.arange(h) != tx).tobytes())
-            # a NaN among the summed entries stays NaN, so the block check still fires
-            nan_rows = np.isnan(rows).any(axis=-1)
-            normalized = rows - fold(rows, range(h))
-        assert np.isnan(normalized[nan_rows]).all()
-        if nan_rows.any():
-            with pytest.raises(NumericalError, match="non-finite"):
-                check_log_beliefs(normalized)
+            for path, lse in lse_paths(rows).items():
+                normalized = rows - lse
+                # a NaN among the summed entries stays NaN, so the block check still fires
+                assert np.isnan(lse[nan_rows]).all(), path
+                assert not np.isfinite(normalized[bad_rows]).all(axis=-1).any(), path
+                if bad_rows.any():
+                    with pytest.raises(NumericalError, match="non-finite"):
+                        check_log_beliefs(normalized)
+            if tx is not None:
+                kept_nan = np.isnan(rows[:, np.arange(h) != tx]).any(axis=-1)
+                for path, rest in lse_paths(rows, tx).items():
+                    assert np.isnan(rest[kept_nan]).all(), path
 
     def test_a_single_entry_enters_as_the_reduce_takes_it(self):
-        # the reduce folds from -inf, which turns -0.0 into +0.0
+        # the reduce folds from -inf, which turns -0.0 into +0.0; the shift
+        # adds log(exp(0)) = 0.0 to the entry, which does the same
         rows = np.array([[-0.0, 1.0], [2.0, -0.0]])
-        fold = dynamics._logsumexp_columns
+        shift = dynamics._logsumexp_shift
         for tx in (0, 1):
-            got = fold(rows, [1 - tx])
+            got = shift(rows, tx)
             assert got.tobytes() == reduce_reference(rows, np.arange(2) != tx).tobytes()
-        assert fold(rows[:, :1], [0]).tobytes() == reduce_reference(rows[:, :1]).tobytes()
-        assert fold(rows[:, :1], [0]).tobytes() == np.array([[0.0], [2.0]]).tobytes()
+        assert shift(rows[:, :1]).tobytes() == reduce_reference(rows[:, :1]).tobytes()
+        assert shift(rows[:, :1]).tobytes() == np.array([[0.0], [2.0]]).tobytes()
 
-    @pytest.mark.parametrize("n", [10, 63, 64, 200], ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize(
+        "n", sorted({10, 63, 64, 200, dynamics._SHIFT_MIN_ROWS - 1, dynamics._SHIFT_MIN_ROWS}),
+        ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_seams_equal_one_reduce_per_step_bitwise(self, n, rule):
-        # both sides of the row-count switch give the reduce's bits
+        # below the row-count switch the seams give the reduce's bits, from it
+        # on the max shift's; argmax's spread is one masked reduce at every size
+        lse = reduce_reference if n < dynamics._SHIFT_MIN_ROWS else shift_reference
         rng = np.random.default_rng(n)
         h = 4
         log_psi = rng.normal(0.0, 5.0, (n, h))
@@ -752,14 +813,32 @@ class TestColumnFold:
         if sharing.transmit is None:
             want = log_psi
         else:
-            others = (np.arange(h) != 2 if sharing.transmit == 2
+            fixed = sharing.transmit == 2
+            others = (np.arange(h) != 2 if fixed
                       else np.argmax(log_psi, axis=-1, keepdims=True) != np.arange(h))
-            rest = reduce_reference(log_psi, others) - np.log(h - 1)
+            rest = (lse if fixed else reduce_reference)(log_psi, others) - np.log(h - 1)
             want = np.where(others, rest, log_psi)
         assert shared.tobytes() == want.tobytes()
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         pooled = net.pool @ shared
         if sharing.self_aware:
             pooled += net.diagonal[:, None] * (log_psi - shared)
-        want = pooled - reduce_reference(pooled)
+        want = pooled - lse(pooled)
         assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 150)], ids=["7x10", "2x70", "2x150"])
+    @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
+    def test_a_stack_steps_each_table_as_it_steps_alone(self, b, n, strat):
+        # the path follows one table's agent count, and rows normalize over H
+        assert (n >= dynamics._SHIFT_MIN_ROWS) == (n == 150)
+        rng = np.random.default_rng(n)
+        log_psi = rng.normal(0.0, 5.0, (b, n, 3))
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        shared = modify_for_sharing(log_psi, strat)
+        pooled = combine_step(net, shared, log_psi, strat)
+        assert pooled.shape == (b, n, 3)
+        for k in range(b):
+            alone = modify_for_sharing(log_psi[k], strat)
+            assert shared[k].tobytes() == alone.tobytes()
+            assert pooled[k].tobytes() == combine_step(net, alone, log_psi[k], strat).tobytes()
+        check_log_beliefs(pooled)

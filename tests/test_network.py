@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, issparse
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, issparse, lil_matrix
 
 from pbnet import network
 from pbnet.dynamics import Sharing, SelfAwarePartialSharing, run_trajectory, uniform_log_beliefs
@@ -434,6 +434,14 @@ class TestSparseInput:
     def test_perron_vector_reads_sparse_input_below_the_cutoff(self, form, n):
         A = A_2X2 if n == 2 else self.averaging(n)
         assert perron_vector(form(A)).tobytes() == perron_vector(A).tobytes()
+
+    @pytest.mark.parametrize("form", [coo_matrix, csr_matrix, lil_matrix],
+                             ids=["coo", "csr", "lil"])
+    def test_perron_vector_reads_any_sparse_format_from_the_cutoff(self, form):
+        # a Network's stored CSC is solved as it is; any other format is made CSC
+        weights = build_averaging_matrix(ring_adjacency(250), 0.5).weights
+        assert weights.format == "csc"
+        assert perron_vector(form(weights)).tobytes() == perron_vector(weights).tobytes()
 
     @staticmethod
     def averaging(n):
