@@ -5,6 +5,15 @@ self-aware partial strategies and classify the expected limiting behavior.
 All conditions are *sufficient* only; margins inside the boundary tolerance
 yield ``Inconclusive`` rather than a guess. Margins are reported as
 left-minus-right of each inequality, on the KL scale.
+
+The predictors and :func:`theoretical_rate` read the family's divergence
+tables (see :func:`pbnet.likelihoods.kl_divergence`): ``point`` for
+D_KL[L(true)||L(tau)], ``complement`` for the divergence to the uniform
+mixture of every hypothesis but tx, and ``bound`` for the likelihood bound.
+Each table is built once per family, on its first read, so a sweep over
+every (true, tx) pair computes each divergence once. The checks keep their
+order: the indices, then an indistinguishable tx, then a Gaussian family's
+unbounded likelihood, and only then any mixture KL.
 """
 
 from __future__ import annotations
@@ -24,10 +33,8 @@ from .errors import (
 )
 from .likelihoods import (
     LikelihoodModel,
-    MixtureSpec,
     _check_index,
     kl_divergence,
-    likelihood_bound,
 )
 from .network import Network
 
@@ -92,7 +99,8 @@ def theoretical_rate(model: LikelihoodModel, true_index: int, tx_index: int) -> 
 
 
 def _kl_true_vs_tx(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
-    """D_KL[L(true)||L(tx)]. For tx != true a zero divergence raises here,
+    """D_KL[L(true)||L(tx)], the family's ``point`` entry, after the checks
+    :func:`kl_divergence` makes. For tx != true a zero divergence raises here,
     before any mixture KL runs; a Gaussian one needs a numerical rule."""
     d_tx = kl_divergence(model, true_index, tx_index)
     if tx_index != true_index and d_tx == 0.0:
@@ -103,9 +111,9 @@ def _kl_true_vs_tx(model: LikelihoodModel, true_index: int, tx_index: int) -> fl
 
 
 def _kl_true_vs_mixture(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
-    """D_KL[L(true)||uniform mixture of every hypothesis except tx]."""
-    mix = MixtureSpec.uniform_complement(model.hypothesis_count, tx_index)
-    return kl_divergence(model, true_index, mix)
+    """D_KL[L(true)||uniform mixture of every hypothesis except tx], the
+    family's ``complement`` entry, for indices :func:`_kl_true_vs_tx` checked."""
+    return model._complement_kl(true_index, tx_index)
 
 
 def _report(strategy, true_index, tx_index, d_tx, d_mix, predicted, values) -> RegimeReport:
@@ -165,10 +173,11 @@ def predict_self_aware_regime(
     d_tx = _kl_true_vs_tx(model, true_index, tx_index)
     if tx_index != true_index:
         # rejections come before the mixture KL, numerical for a Gaussian family
-        bound = likelihood_bound(model, tx_index)  # a Gaussian family raises
+        bound = float(model.bound[tx_index])  # a Gaussian family raises
     d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
-    # divergences to every hypothesis except tx: closed forms or exact sums
-    others = [kl_divergence(model, true_index, tau) for tau in range(h) if tau != tx_index]
+    # divergences to every hypothesis except tx, as floats in index order
+    others = model.point[true_index].tolist()
+    del others[tx_index]
     values = {}
 
     if tx_index == true_index:
@@ -284,7 +293,6 @@ def detect_convergence(
     if tx_index is not None:
         _check_index("tx", tx_index, h)
     tail = log_beliefs[t_max - window + 1:]
-    probs = np.exp(tail)
 
     log_thr = np.log(threshold)
     for theta in range(h):
@@ -292,6 +300,7 @@ def detect_convergence(
             return Verdict("converged_to", theta)
 
     if tx_index is not None and h >= 2:
+        probs = np.exp(tail)
         tx_gone = np.all(probs[:, :, tx_index] < TX_VANISH_TOL)
         others = [t for t in range(h) if t != tx_index]
         if tx_gone:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .errors import NumericalError, ValidationError, _check_integer, _is_integer
 from .likelihoods import (
@@ -273,10 +274,17 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     uses the agent's own unmodified belief instead of its modified one. The
     rows are normalized here, over the last axis, so the inputs may carry a
     per-row shift, and the caller runs :func:`check_log_beliefs`. A (..., N, H)
-    stack of tables needs a dense ``net.pool``.
+    stack of tables pools each table as it pools alone; a sparse ``net.pool``
+    takes the stack as one (N, ...·H) product, because it multiplies 2-D
+    operands only.
     """
     shared = np.asarray(log_shared, dtype=float)
-    pooled = net.pool @ shared
+    if shared.ndim > 2 and issparse(net.pool):
+        columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
+        pooled = (net.pool @ columns.reshape(net.size, -1)).reshape(columns.shape)
+        pooled = np.moveaxis(pooled, 0, -2)
+    else:
+        pooled = net.pool @ shared
     plan = _plan(sharing, pooled.shape)
     if plan.self_aware:
         pooled += net.diagonal[:, None] * (np.asarray(log_own, dtype=float) - shared)

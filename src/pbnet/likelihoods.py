@@ -3,7 +3,9 @@
 Two families are supported: unit-variance Gaussians (one mean per
 hypothesis) and strictly positive finite-support pmfs over {0..S-1}.
 Strict positivity of discrete rows is enforced at construction so that
-log-likelihood ratios are always finite and integrable.
+log-likelihood ratios are always finite and integrable. Each family also
+holds its divergence tables (``point``, ``complement``, ``bound``), built
+lazily on first read, which the regime predictors read.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -64,6 +66,70 @@ def _reject_first(x: np.ndarray, ok: np.ndarray, why: str) -> None:
         raise InvalidObservationError(f"observation {bad.item()!r} {why}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Divergences:
+    """The divergence tables of a likelihood family, none built at
+    construction, each built on its first read in one batched evaluation and
+    read-only from then on:
+
+    * ``point[t, u]`` = D_KL(L_t||L_u), (H, H): a Gaussian closed form;
+    * ``complement[t, x]`` = D_KL(L_t||uniform mixture of every hypothesis
+      but x), (H, H), for H >= 2: one Gaussian :func:`gauss_hermite_kl` call
+      over every pair;
+    * ``bound[x]``, the likelihood bound with x left out, (H,).
+
+    A Gaussian complement entry the rule does not certify runs the fallback
+    quadrature when it is read, for that entry alone; reading all of
+    ``complement`` resolves every entry.
+    """
+
+    @functools.cached_property
+    def point(self) -> np.ndarray:
+        return _read_only(self._point_table())
+
+    @functools.cached_property
+    def _complements(self) -> np.ndarray:
+        """``complement``, NaN where the rule left an entry uncertified;
+        writable, so that a read can store that entry's fallback value."""
+        h = self.hypothesis_count
+        if h < 2:
+            raise ValidationError("uniform complement needs at least 2 hypotheses")
+        if h == 2:  # the other hypothesis is the whole complement
+            return self.point[:, ::-1].copy()
+        return self._complement_table(np.where(np.eye(h, dtype=bool), 0.0, 1.0 / (h - 1)))
+
+    @property
+    def complement(self) -> np.ndarray:
+        for t, x in np.argwhere(np.isnan(self._complements)):
+            self._complement_kl(t, x)
+        return _read_only(self._complements.view())
+
+    def _complement_kl(self, true_index: int, excluded: int) -> float:
+        """``complement[true_index, excluded]`` for checked indices; an
+        uncertified entry is resolved here, by the fallback quadrature."""
+        value = self._complements[true_index, excluded]
+        if math.isnan(value):  # only the Gaussian rule leaves one
+            mix = MixtureSpec.uniform_complement(self.hypothesis_count, excluded)
+            value = self._complements[true_index, excluded] = self._quad_kl(true_index, mix)
+        return float(value)
+
+    def kl(self, p, q) -> float:
+        """D_KL[p||q]; a point or uniform-complement pair reads its table."""
+        p = _point_or_mixture(self, p)
+        q = _point_or_mixture(self, q)
+        if not isinstance(p, MixtureSpec):
+            if not isinstance(q, MixtureSpec):
+                return float(self.point[p, q])
+            others = self.hypothesis_count - 1
+            if np.count_nonzero(q.weights == 1.0 / others) == others:  # uniform
+                return self._complement_kl(p, q.excluded)
+        return self._mixture_kl(p, q)
+
+
 class GaussianGroup:
     """Unit-variance Gaussian agents of a per-agent model list: ``means``
     stacked (n, H), one row per agent, and ``agents``, their positions in the
@@ -102,12 +168,16 @@ class GaussianGroup:
         return loc + rng.standard_normal(loc.shape if size is None else size)
 
 
-class GaussianFamily(GaussianGroup):
+class GaussianFamily(GaussianGroup, _Divergences):
     """Unit-variance Gaussian observation model, one mean per hypothesis.
 
     The variance is fixed to 1; only the means distinguish hypotheses.
     Observations are real numbers. ``means`` is (H,), so that the group's
     ``log_rows`` and ``sample`` broadcast it over any agent and step axes.
+
+    An instance does not change once built; its divergence tables (see
+    ``_Divergences``) are built lazily and read-only. Reading ``bound``
+    raises UnboundedLikelihoodError: the log-likelihood ratios are unbounded.
     """
 
     def __init__(self, means: Sequence[float]):
@@ -122,13 +192,16 @@ class GaussianFamily(GaussianGroup):
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
 
-    def kl(self, p, q) -> float:
-        p = _point_or_mixture(self, p)
-        q = _point_or_mixture(self, q)
-        if not isinstance(p, MixtureSpec) and not isinstance(q, MixtureSpec):
-            diff = self.means[p] - self.means[q]
-            return 0.5 * float(diff * diff)
+    def _point_table(self) -> np.ndarray:
+        d = self.means[:, None] - self.means
+        return 0.5 * (d * d)
 
+    def _complement_table(self, weights: np.ndarray) -> np.ndarray:
+        # one rule evaluation: every L_t against every complement
+        points = np.eye(self.hypothesis_count)
+        return np.maximum(gauss_hermite_kl(self.means, points, weights), 0.0)
+
+    def _mixture_kl(self, p, q) -> float:
         value = gauss_hermite_kl(self.means, self._weights(p), self._weights(q))
         # no certificate: a kink of log q under p's mass slows the rule down
         return self._quad_kl(p, q) if value is None else max(value, 0.0)
@@ -143,14 +216,14 @@ class GaussianFamily(GaussianGroup):
 
     def _quad_kl(self, p, q) -> float:
         """The KL by adaptive quadrature over a truncated window."""
-        wp, wq = self._weights(p), self._weights(q)
+        lwp, lwq = _log_weights(self._weights(p)), _log_weights(self._weights(q))
         lo = float(self.means.min() - KL_QUAD_SIGMA_SPAN)
         hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
 
         def integrand(x):
             logs = self._log_density(x)  # quad's nodes are finite
-            lp = _log_mix(logs, wp)
-            return math.exp(lp) * (lp - _log_mix(logs, wq))
+            lp = _log_mix(logs, lwp)
+            return math.exp(lp) * (lp - _log_mix(logs, lwq))
 
         out = integrate.quad(
             integrand, lo, hi, epsabs=KL_QUAD_TOL, epsrel=1e-10, limit=200, full_output=1
@@ -166,8 +239,8 @@ class GaussianFamily(GaussianGroup):
             raise NumericalError(f"KL quadrature produced a negative value {value:.3g}")
         return max(value, 0.0)
 
-    def bound(self, excluded: int) -> float:
-        _check_hypothesis(self, excluded)
+    @property
+    def bound(self) -> np.ndarray:
         raise UnboundedLikelihoodError(
             "Gaussian log-likelihood ratios are unbounded; the boundedness "
             "constant exists only for finite-support families"
@@ -246,7 +319,7 @@ class DiscreteGroup:
         return int(idx[0]) if size is None else idx
 
 
-class DiscreteFamily(DiscreteGroup):
+class DiscreteFamily(DiscreteGroup, _Divergences):
     """Finite-support observation model: an H x S table of pmf rows.
 
     Every row must sum to 1 (within 1e-12) and every entry must be
@@ -254,6 +327,10 @@ class DiscreteFamily(DiscreteGroup):
 
     The tables are the group's for one agent: ``log_table`` is (S, H),
     ``log_pmf`` (1, H, S), ``cdf`` (H, S, 1), and ``support_size`` is S.
+
+    An instance does not change once built; its divergence tables (see
+    ``_Divergences``) are built lazily, by exact sums over the support, and
+    are read-only.
     """
 
     def __init__(self, pmf: Sequence[Sequence[float]]):
@@ -277,26 +354,37 @@ class DiscreteFamily(DiscreteGroup):
     def __repr__(self):
         return f"DiscreteFamily(pmf={self.pmf.tolist()})"
 
-    def kl(self, p, q) -> float:
-        p = self._pmf_of(p)
-        q = self._pmf_of(q)
-        # a mixture's entry can underflow to 0 on a positive table
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = p * (np.log(p) - np.log(q))
-        value = float(terms.sum())  # NaN only from a 0 in p, where 0 log 0 = 0
-        return float(np.where(p > 0, terms, 0.0).sum()) if math.isnan(value) else value
+    def _point_table(self) -> np.ndarray:
+        return _exact_kl(self.pmf[:, None], self.pmf)
+
+    def _complement_table(self, weights: np.ndarray) -> np.ndarray:
+        return _exact_kl(self.pmf[:, None], weights @ self.pmf)
+
+    def _mixture_kl(self, p, q) -> float:
+        return float(_exact_kl(self._pmf_of(p), self._pmf_of(q)))
 
     def _pmf_of(self, which) -> np.ndarray:
-        """Resolve an index or MixtureSpec into a pmf vector over the support."""
-        which = _point_or_mixture(self, which)
+        """The pmf vector over the support of an index or a MixtureSpec."""
         if isinstance(which, MixtureSpec):
             return which.weights @ self.pmf
         return self.pmf[which]
 
-    def bound(self, excluded: int) -> float:
-        _check_hypothesis(self, excluded)
-        logs = np.delete(self.log_pmf[0], excluded, axis=0)
-        return float(np.abs(logs[:, None] - logs[None, :]).max(initial=0.0))
+    @functools.cached_property
+    def bound(self) -> np.ndarray:
+        logs = self.log_pmf[0]
+        spread = np.abs(logs[:, None] - logs).max(axis=-1)  # each pair's largest |log ratio|
+        kept = ~np.eye(self.hypothesis_count, dtype=bool)  # kept[x, a]: a is not x
+        pairs = kept[:, :, None] & kept[:, None, :]
+        return _read_only(np.where(pairs, spread, 0.0).max(axis=(1, 2), initial=0.0))
+
+
+def _exact_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_s p log(p/q) over the last axis of pmfs that broadcast; an entry 0
+    of p adds nothing (0 log 0 = 0)."""
+    # a mixture's entry can underflow to 0 on a positive table
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log(p) - np.log(q))
+    return np.where(p > 0, terms, 0.0).sum(axis=-1)
 
 
 LikelihoodModel = Union[GaussianFamily, DiscreteFamily]
@@ -411,12 +499,25 @@ def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndar
     return model.log_rows(xi_array)
 
 
-def _log_mix(logs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """log sum_k weights[k] exp(logs[..., k]), over the positive weights only."""
-    active = np.flatnonzero(weights)
-    vals = logs[..., active] + np.log(weights[active])
-    peak = vals.max(axis=-1, keepdims=True)
-    return (peak + np.log(np.exp(vals - peak).sum(axis=-1, keepdims=True)))[..., 0]
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    """log of mixture weights, -inf at a zero weight."""
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
+
+
+def _log_mix(logs: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
+    """log sum_k exp(logs[k] + log_weights[k]) over the leading axis, the
+    components, for arrays that broadcast; a zero weight adds nothing.
+
+    A max shift, built one component at a time, in index order, so that no
+    array holds every component at once: a stack of mixtures over a stack of
+    nodes stays the size of one component's terms.
+    """
+    pairs = list(zip(logs, log_weights))
+    peak = pairs[0][0] + pairs[0][1]
+    for log, lw in pairs[1:]:
+        peak = np.maximum(peak, log + lw)
+    return peak + np.log(sum(np.exp(log + lw - peak) for log, lw in pairs))
 
 
 @functools.cache
@@ -434,23 +535,42 @@ def _hermite_rules():
     return nodes, weights
 
 
-def gauss_hermite_kl(means: np.ndarray, p_weights: np.ndarray, q_weights: np.ndarray):
-    """D_KL[p||q] for two mixtures of unit-variance Gaussians over ``means``,
-    or None when the rule cannot certify its value.
+def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
+    """D_KL[p||q] for mixtures of unit-variance Gaussians over ``means``, by a
+    rule that certifies each value it gives.
+
+    ``p_weights`` and ``q_weights`` are each one weight vector over the H
+    means, or a (K, H) stack of them. For two vectors the result is a float,
+    or None when the rule cannot certify it; otherwise it holds D_KL[p||q]
+    for every p and q of the stacks, of shape p's stack + q's stack, with NaN
+    where the rule cannot certify a pair.
 
     E_p[log p - log q] is summed on probabilists' Gauss-Hermite nodes centred
     on each component of p, so that a mixture p is the weighted sum of its
     per-component rules. The 80- and the 160-node rule come from one
-    evaluation over every node and component; the 160-node value is returned
-    when the two agree to within ``KL_QUAD_TOL``.
+    evaluation over every node, every component of each p and every q; the
+    160-node value stands when the two agree to within ``KL_QUAD_TOL``.
     """
     nodes, rule_weights = _hermite_rules()
-    comps = np.flatnonzero(p_weights)
-    x = (means[comps, None] + nodes)[..., None] - means  # (C, nodes, H)
-    logs = -0.5 * x * x  # the normalizing constant cancels in the ratio
-    ratio = _log_mix(logs, p_weights) - _log_mix(logs, q_weights)
-    coarse, fine = p_weights[comps] @ (ratio @ rule_weights)
-    return float(fine) if abs(coarse - fine) <= KL_QUAD_TOL else None
+    p_weights = np.asarray(p_weights, dtype=float)
+    q_weights = np.asarray(q_weights, dtype=float)
+    p, q = np.atleast_2d(p_weights, q_weights)
+    which, comps = np.nonzero(p)  # one term per component of each p, grouped by p
+    # (H, terms, nodes): the normalizing constant cancels in the ratio
+    x = (means[comps, None] + nodes) - means[:, None, None]
+    logs = -0.5 * x * x
+    log_p = _log_mix(logs, _log_weights(p.T[:, which, None]))  # (terms, nodes)
+    log_q = _log_mix(logs[:, :, None], _log_weights(q.T[:, None, :, None]))  # (terms, q, nodes)
+    ratio = log_p[:, None] - log_q
+    sums = (ratio.reshape(-1, nodes.size) @ rule_weights).reshape(ratio.shape[:2] + (2,))
+    sums *= p[which, comps][:, None, None]
+    starts = np.flatnonzero(np.diff(which, prepend=-1))
+    coarse, fine = np.moveaxis(np.add.reduceat(sums, starts, axis=0), -1, 0)
+    certified = np.abs(coarse - fine) <= KL_QUAD_TOL
+    if p_weights.ndim == q_weights.ndim == 1:
+        return float(fine[0, 0]) if certified[0, 0] else None
+    shape = p_weights.shape[:-1] + q_weights.shape[:-1]
+    return np.where(certified, fine, np.nan).reshape(shape)
 
 
 def _point_or_mixture(model: LikelihoodModel, which):
@@ -468,18 +588,27 @@ def _point_or_mixture(model: LikelihoodModel, which):
 def kl_divergence(model: LikelihoodModel, p, q) -> float:
     """D_KL between two observation distributions of the same model.
 
-    ``p`` and ``q`` are each a hypothesis index or a :class:`MixtureSpec`.
-    Discrete families use the exact finite sum. Gaussian point-vs-point uses
-    the closed form (m_p - m_q)^2 / 2. A mixture with one positive weight is
-    that hypothesis and takes the point forms. Any other Gaussian case
-    involving a mixture is E_p[log p - log q] by :func:`gauss_hermite_kl`,
-    whose 160-node value stands when the 80-node value agrees with it to
-    ``KL_QUAD_TOL``. When it does not (log q has a soft kink where its
+    ``p`` and ``q`` are each a hypothesis index or a :class:`MixtureSpec`. A
+    mixture with one positive weight is that hypothesis. A point pair returns
+    the family's ``point`` entry, and a point p against the uniform mixture
+    of every hypothesis but x (weights exactly 1/(H-1), as
+    :meth:`MixtureSpec.uniform_complement` makes them) returns its
+    ``complement`` entry, bitwise, so each such divergence has one value. The
+    tables are built on first read: discrete ones by the exact finite sums,
+    Gaussian points by the closed form (m_p - m_q)^2 / 2.
+
+    Every other pair, and each Gaussian complement entry, involves a mixture.
+    A discrete family takes the exact sum. A Gaussian one takes
+    E_p[log p - log q] by :func:`gauss_hermite_kl`, whose 160-node value
+    stands when the 80-node value agrees with it to ``KL_QUAD_TOL``; the
+    ``complement`` table comes from one such evaluation over every pair. When
+    the rule does not certify a value (log q has a soft kink where its
     dominant component switches, and the rule converges slowly when that kink
-    sits under p's mass), adaptive quadrature takes over, with absolute
-    tolerance ``KL_QUAD_TOL`` on a window ``KL_QUAD_SIGMA_SPAN`` standard
-    deviations beyond the extreme means, whose integrand is the family's own
-    ``log_rows`` mixed by p's and q's weights; if it cannot meet the tolerance,
+    sits under p's mass), adaptive quadrature takes over for that value alone,
+    and for a table entry only when it is read, with absolute tolerance
+    ``KL_QUAD_TOL`` on a window ``KL_QUAD_SIGMA_SPAN`` standard deviations
+    beyond the extreme means, whose integrand is the family's own ``log_rows``
+    mixed by p's and q's weights; if it cannot meet the tolerance,
     ``NumericalError`` is raised instead of returning a guess.
     """
     return _family(model).kl(p, q)
@@ -492,8 +621,11 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
     This is the boundedness constant used by the self-aware mislearning
     condition. It is finite only for discrete families; a Gaussian family
     raises UnboundedLikelihoodError, since its log-ratios are unbounded in xi.
+    It is the entry ``excluded`` of the family's ``bound`` table.
     """
-    return _family(model).bound(excluded)
+    model = _family(model)
+    _check_hypothesis(model, excluded)
+    return float(model.bound[excluded])
 
 
 def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Generator, size=None):

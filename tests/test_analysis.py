@@ -183,9 +183,11 @@ class TestPredictSelfAware:
         rule, quad = likelihoods.gauss_hermite_kl, likelihoods.integrate.quad
         monkeypatch.setattr(likelihoods, "gauss_hermite_kl", counted_rule)
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
-        rep = predict_self_aware_regime(GAUSS3, self.net, 0, 0)
+        # a fresh family: a family's tables outlive the test that built them
+        rep = predict_self_aware_regime(bundled_gaussian_family(), self.net, 0, 0)
         assert rep.predicted is Regime.TRUTH_LEARNING
-        # the complement mixture, shared with the uniform probe; the rule certifies it
+        # one rule evaluation builds the complement table, which the uniform
+        # probe shares; the rule certifies every entry
         assert calls == ["rule"]
 
     def test_gaussian_family_fine_when_tx_is_true(self):

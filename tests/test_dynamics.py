@@ -826,11 +826,14 @@ class TestColumnFold:
         want = pooled - lse(pooled)
         assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 150)], ids=["7x10", "2x70", "2x150"])
+    @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 150), (2, 250)],
+                             ids=["7x10", "2x70", "2x150", "2x250"])
     @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
     def test_a_stack_steps_each_table_as_it_steps_alone(self, b, n, strat):
-        # the path follows one table's agent count, and rows normalize over H
-        assert (n >= dynamics._SHIFT_MIN_ROWS) == (n == 150)
+        # the path follows one table's agent count, and rows normalize over H;
+        # from SPARSE_SOLVE_MIN_AGENTS agents on, the pool is sparse
+        assert (n >= dynamics._SHIFT_MIN_ROWS) == (n >= 150)
+        assert (n >= SPARSE_SOLVE_MIN_AGENTS) == (n == 250)
         rng = np.random.default_rng(n)
         log_psi = rng.normal(0.0, 5.0, (b, n, 3))
         net = build_averaging_matrix(ring_adjacency(n), 0.4)

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbnet import likelihoods
-from pbnet.analysis import theoretical_rate
+from pbnet.analysis import KL_MARGIN_TOL, predict_partial_regime, theoretical_rate
 from pbnet.errors import (
     InvalidObservationError,
     UnboundedLikelihoodError,
@@ -402,6 +404,101 @@ class TestKLDivergence:
         d_true_tx3 = kl_divergence(GAUSS3, 0, 2)
         d_true_mix3 = kl_divergence(GAUSS3, 0, MixtureSpec.uniform_complement(3, 2))
         assert d_true_tx3 - d_true_mix3 == pytest.approx(0.494, abs=0.002)
+
+
+# ---------------------------------------------------------------------------
+# divergence tables
+# ---------------------------------------------------------------------------
+
+class TestDivergenceTables:
+    def test_constructing_a_family_builds_no_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a divergence table was built at construction")
+
+        for cls in (GaussianFamily, DiscreteFamily):
+            for rule in ("_point_table", "_complement_table"):
+                monkeypatch.setattr(cls, rule, no_table)
+        for rule in ("gauss_hermite_kl", "_exact_kl", "_log_mix"):
+            monkeypatch.setattr(likelihoods, rule, no_table)
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=no_table))
+        families = [GaussianFamily([0.0, 0.2, 1.0]), DiscreteFamily(DISC3.pmf)]
+        stack_models(families + families, 4)
+        for fam in families:
+            assert not {"point", "_complements", "bound"} & vars(fam).keys()
+
+    @pytest.mark.parametrize("fam", [GaussianFamily([0.0, 0.2, 1.0, -0.7]),
+                                     DiscreteFamily(DISC3.pmf)], ids=["gaussian", "discrete"])
+    def test_tables_are_read_only_and_built_once(self, fam):
+        tables = [fam.point, fam.complement]
+        if isinstance(fam, DiscreteFamily):
+            tables.append(fam.bound)
+            assert fam.bound is fam.bound
+        assert fam.point is fam.point
+        for table in tables:
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            fam.point[0, 1] = 1.0
+
+    def test_entries_are_the_per_pair_divergences_bitwise(self):
+        for fam in (GaussianFamily([0.0, 0.2, 1.0, -0.7]), DiscreteFamily(DISC3.pmf)):
+            h = fam.hypothesis_count
+            for t in range(h):
+                for x in range(h):
+                    assert kl_divergence(fam, t, x) == fam.point[t, x]
+                    mix = MixtureSpec.uniform_complement(h, x)
+                    assert kl_divergence(fam, t, mix) == fam.complement[t, x]
+
+    def test_uncertified_entry_is_resolved_only_when_read(self, monkeypatch):
+        # two complement entries sit on a kink of log q; reading one runs one quadrature
+        fam = GaussianFamily([0.0, 3.0, 6.0, 9.0])
+        calls = []
+
+        def counted_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        quad = likelihoods.integrate.quad
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
+        assert kl_divergence(fam, 1, MixtureSpec.uniform_complement(4, 1)) > 0.0
+        assert len(calls) == 1
+        assert np.isnan(fam._complements[2, 2])
+        assert np.isfinite(fam.complement).all()
+        assert len(calls) == 2
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "discrete"]), h=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_relabeling_permutes_every_table(self, kind, h, seed, data):
+        rng = np.random.default_rng(seed)
+        perm = np.array(data.draw(st.permutations(range(h))))
+        if kind == "gaussian":
+            fam = GaussianFamily(rng.normal(0.0, 1.0, h))
+            moved = GaussianFamily(fam.means[perm])
+        else:
+            fam = DiscreteFamily(0.7 * rng.dirichlet(np.ones(4), h) + 0.3 / 4)
+            moved = DiscreteFamily(fam.pmf[perm])
+        # hypothesis i of ``moved`` is hypothesis perm[i] of ``fam``
+        pairs = np.ix_(perm, perm)
+        assert moved.point.tobytes() == fam.point[pairs].tobytes()
+        if kind == "discrete":
+            assert moved.bound.tobytes() == fam.bound[perm].tobytes()
+        else:
+            with pytest.raises(UnboundedLikelihoodError):
+                moved.bound
+        if h < 2:
+            return
+        np.testing.assert_allclose(moved.complement, fam.complement[pairs], rtol=1e-12, atol=0)
+        for t in range(h):
+            for x in range(h):
+                if x != t and fam.point[perm[t], perm[x]] == 0.0:
+                    continue  # indistinguishable: rejected either way
+                got = predict_partial_regime(moved, t, x)
+                want = predict_partial_regime(fam, perm[t], perm[x])
+                assert got.kl_true_vs_tx == want.kl_true_vs_tx
+                assert got.kl_true_vs_mixture == pytest.approx(want.kl_true_vs_mixture, rel=1e-12)
+                margin = next(iter(want.condition_values.values()))
+                if abs(abs(margin) - KL_MARGIN_TOL) > 1e-9:
+                    assert got.predicted is want.predicted
 
 
 # ---------------------------------------------------------------------------
