@@ -42,6 +42,7 @@ from scipy.sparse import issparse
 from .errors import NumericalError, ValidationError, _check_integer, _is_integer
 from .likelihoods import (
     LikelihoodModel,
+    _check_index,
     log_likelihood_row,
     log_likelihood_rows,
     sample_observation,
@@ -276,15 +277,21 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     per-row shift, and the caller runs :func:`check_log_beliefs`. A (..., N, H)
     stack of tables pools each table as it pools alone; a sparse ``net.pool``
     takes the stack as one (N, ...·H) product, because it multiplies 2-D
-    operands only.
+    operands only. Tables of another agent count than N raise
+    ValidationError, from the product's own shape error.
     """
     shared = np.asarray(log_shared, dtype=float)
-    if shared.ndim > 2 and issparse(net.pool):
-        columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
-        pooled = (net.pool @ columns.reshape(net.size, -1)).reshape(columns.shape)
-        pooled = np.moveaxis(pooled, 0, -2)
-    else:
-        pooled = net.pool @ shared
+    try:
+        if shared.ndim > 2 and issparse(net.pool):
+            columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
+            pooled = (net.pool @ columns.reshape(len(columns), -1)).reshape(columns.shape)
+            pooled = np.moveaxis(pooled, 0, -2)
+        else:
+            pooled = net.pool @ shared
+    except ValueError as exc:
+        raise ValidationError(
+            f"log-beliefs of shape {shared.shape} are not (..., N={net.size}, H)"
+        ) from exc
     plan = _plan(sharing, pooled.shape)
     if plan.self_aware:
         pooled += net.diagonal[:, None] * (np.asarray(log_own, dtype=float) - shared)
@@ -299,25 +306,31 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
 
 def _observe(groups: tuple, true_index: int, n_agents: int, steps: int, dtype, rng):
     """(steps, N) observations of ``dtype``, one per agent and step, and their
-    (steps, N, H) log-likelihoods, from the groups of :func:`stack_models`.
+    (steps, N, H) log-likelihoods, from the groups of :func:`stack_models`,
+    for a ``true_index`` the caller has checked.
 
     One group, a family or a list whose agents share one family type, draws
-    the block in one call, which equals ``steps`` per-step draws bitwise.
-    Several groups draw step by step and group by group, the order a single
-    step draws in, and score each group once per block.
+    the block in one :func:`sample_observation` call, which equals ``steps``
+    per-step draws bitwise. Several groups keep the order a single step draws
+    in, step by step and group by group, but each step makes only the raw
+    generator call of each group (its ``variates``), into that step's row of
+    the group's (steps, n) buffer. Once per block, each group maps its buffer
+    to observations (its ``observations``, the map its ``sample`` uses) and
+    scores them.
     """
     if len(groups) == 1:
         xi = sample_observation(groups[0], true_index, rng, size=(steps, n_agents))
         return xi, log_likelihood_rows(groups[0], xi)
-    xi = np.empty((steps, n_agents), dtype=dtype)
+    raws = [(group.variates(rng), np.empty((steps, group.agents.size))) for group in groups]
     for t in range(steps):
-        for group in groups:
-            xi[t, group.agents] = sample_observation(
-                group, true_index, rng, size=group.agents.size
-            )
+        for fill, raw in raws:
+            fill(out=raw[t])
+    xi = np.empty((steps, n_agents), dtype=dtype)
     table = np.empty((steps, n_agents, groups[0].hypothesis_count))
-    for group in groups:
-        table[:, group.agents] = log_likelihood_rows(group, xi[:, group.agents])
+    for group, (_, raw) in zip(groups, raws):
+        x = group.observations(true_index, raw)
+        xi[:, group.agents] = x
+        table[:, group.agents] = log_likelihood_rows(group, x)
     return xi, table
 
 
@@ -343,8 +356,9 @@ def run_iteration(
     inputs are validated before the draw, the draw is a one-step block, the
     result is checked, and an error names iteration 1 and the agent. With one
     model per agent, the agents are stacked by family type
-    (:func:`stack_models`) on every call, and the draws are made group by
-    group, each group in agent order. ``observed``, an (xi, loglik) pair of
+    (:func:`stack_models`) on every call, and the step draws group by group,
+    each group in agent order, what :func:`sample_observation` draws for that
+    group. ``observed``, an (xi, loglik) pair of
     the (N,) observations and their (N, H) log-likelihoods, is a row drawn
     ahead of time: the step then checks only the agent count, draws nothing,
     returns that xi and leaves the result unchecked, because
@@ -379,17 +393,20 @@ def run_trajectory(
     Observations are drawn and scored ``_BLOCK`` steps at a time, and each
     step goes through :func:`run_iteration` with its pre-drawn row. A single
     family, or a list whose agents share one family type, draws each block
-    in one call; mixed lists draw step by step, group by group. Either way
-    the generator yields what ``horizon`` calls of ``run_iteration`` without
-    ``observed`` would draw, so trajectories and observations equal that
-    loop's bitwise. The beliefs of each block are checked at once, after its
-    last step; a step past a bad one still runs, with invalid-value warnings
-    off. The error names the first failing step's iteration (1-based, as the
-    index into the result) and the first agent whose log-likelihood was
-    non-finite at that step, if any. The beliefs' shape, agent and hypothesis
-    counts and normalization are checked against the network and the models,
-    and a fixed tx against H, before the first draw. A lone
-    :func:`run_iteration` is this with ``horizon`` 1.
+    in one :func:`sample_observation` call. A list mixing family types makes
+    one raw generator call per group and step, in the groups' order, and maps
+    each group's block of draws to observations at once, by the map its
+    ``sample`` uses. Either way the generator yields what ``horizon`` calls
+    of ``run_iteration`` without ``observed`` would draw, so trajectories and
+    observations equal that loop's bitwise. The beliefs of each block are
+    checked at once, after its last step; a step past a bad one still runs,
+    with invalid-value warnings off. The error names the first failing step's
+    iteration (1-based, as the index into the result) and the first agent
+    whose log-likelihood was non-finite at that step, if any. The beliefs'
+    shape, agent and hypothesis counts and normalization are checked against
+    the network and the models, and ``true_index`` and a fixed tx against H,
+    before the first draw. A lone :func:`run_iteration` is this with
+    ``horizon`` 1.
     """
     _check_integer("horizon", horizon)
     if horizon < 1:
@@ -405,6 +422,7 @@ def run_trajectory(
         raise ValidationError(
             f"log-beliefs hold {h} hypotheses but the models {groups[0].hypothesis_count}"
         )
+    _check_index("hypothesis", true_index, h)
     dtype = np.result_type(*(g.dtype for g in groups))
     out = np.empty((horizon + 1, n, h))
     out[0] = init

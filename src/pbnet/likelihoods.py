@@ -135,7 +135,8 @@ class GaussianGroup:
     stacked (n, H), one row per agent, and ``agents``, their positions in the
     list, ascending. Both are read-only, like a family's tables, so a stack
     can be reused. ``log_rows`` and ``sample`` broadcast over the agent axis,
-    and over a step axis before it.
+    and over a step axis before it. ``sample`` is the hypothesis check, one
+    ``variates`` call and the ``observations`` map of its draws.
     """
 
     dtype = np.dtype(np.float64)
@@ -160,12 +161,23 @@ class GaussianGroup:
         d = np.asarray(x, dtype=float)[..., None] - self.means
         return -0.5 * d * d - _LOG_SQRT_2PI
 
-    def sample(self, theta: int, rng: np.random.Generator, size=None):
-        _check_hypothesis(self, theta)
+    @staticmethod
+    def variates(rng: np.random.Generator):
+        """The generator call whose draws ``observations`` maps: standard
+        normals."""
+        return rng.standard_normal
+
+    def observations(self, theta: int, z: np.ndarray) -> np.ndarray:
+        """Observations under hypothesis ``theta`` (checked) of standard
+        normals z, (..., n) for a group: loc + z."""
         # rng.normal(loc, 1.0, size) is loc + z bitwise, but an array loc sends
         # it through a slow scale check
-        loc = self.means[..., theta]
-        return loc + rng.standard_normal(loc.shape if size is None else size)
+        return self.means[..., theta] + z
+
+    def sample(self, theta: int, rng: np.random.Generator, size=None):
+        _check_hypothesis(self, theta)
+        z = self.variates(rng)(self.means.shape[:-1] if size is None else size)
+        return self.observations(theta, z)
 
 
 class GaussianFamily(GaussianGroup, _Divergences):
@@ -265,6 +277,8 @@ class DiscreteGroup:
     with ``size`` (steps, n) draws ``rng.random((steps, n))``, which consumes
     the stream exactly as ``steps`` draws of size n do, so a block of steps
     drawn at once equals the same steps drawn one at a time, bitwise.
+    ``sample`` is the hypothesis check, one ``variates`` call and the
+    ``observations`` map of its draws.
     """
 
     dtype = np.dtype(np.int64)
@@ -312,10 +326,21 @@ class DiscreteGroup:
                       "outside discrete support")
         return idx
 
+    @staticmethod
+    def variates(rng: np.random.Generator):
+        """The generator call whose draws ``observations`` maps: uniforms on
+        [0, 1)."""
+        return rng.random
+
+    def observations(self, theta: int, u: np.ndarray) -> np.ndarray:
+        """Observations under hypothesis ``theta`` (checked) of uniforms u,
+        (..., n) for a group: each agent's inverse-CDF point."""
+        return (self.cdf[theta] <= u[..., None, :]).sum(axis=-2)
+
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
-        u = rng.random(1 if size is None else size)  # random(1) is random()'s draw
-        idx = (self.cdf[theta] <= u[..., None, :]).sum(axis=-2)
+        u = self.variates(rng)(1 if size is None else size)  # random(1) is random()'s draw
+        idx = self.observations(theta, u)
         return int(idx[0]) if size is None else idx
 
 
@@ -638,5 +663,9 @@ def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Genera
     lookup so the same uniform stream yields the same observations everywhere.
     A (steps, n) block consumes the stream as ``steps`` draws of size n in
     turn and equals them bitwise, for a family and for a group alike.
+    A trajectory over a list mixing family types does not call this: it
+    makes each group's raw generator call (``variates``) itself, step by step
+    and group by group, and maps them by the group's ``observations``, as
+    this function does.
     """
     return model.sample(theta, rng, size)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -32,7 +33,9 @@ from pbnet.likelihoods import (
     GaussianFamily,
     MixtureSpec,
     log_likelihood,
+    log_likelihood_row,
     log_likelihood_rows,
+    sample_observation,
     stack_models,
 )
 from pbnet.network import (
@@ -145,6 +148,18 @@ class TestCombineStep:
         shared = np.log([[0.8, 0.2], [0.2, 0.8]])
         out = combine_step(net, shared, shared, PartialSharing(0))
         np.testing.assert_allclose(beliefs(out), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+
+    @pytest.mark.parametrize("n, shape", [
+        (10, (5, 3)), (10, (2, 5, 3)), (300, (5, 3)), (300, (2, 5, 3)), (300, (2, 150, 3)),
+    ], ids=["dense", "dense_stack", "sparse", "sparse_stack", "sparse_stack_of_n_entries"])
+    def test_agent_count_other_than_n_is_a_validation_error(self, n, shape):
+        # the last case holds N x H entries in all, which a reshape to N rows took
+        net = build_averaging_matrix(ring_adjacency(n), 0.5)
+        assert issparse(net.pool) == (n == 300)
+        rows = np.full(shape, -np.log(3.0))
+        match = rf"log-beliefs of shape {re.escape(str(shape))} are not \(\.\.\., N={n}, H\)"
+        with pytest.raises(ValidationError, match=match):
+            combine_step(net, rows, rows, FullSharing())
 
 
 class TestRunIteration:
@@ -365,6 +380,25 @@ class TestValidation:
                 run_iteration(uniform_log_beliefs(5, 3), RING5, models, 0, FullSharing(), rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("step", ["trajectory", "iteration"])
+    @pytest.mark.parametrize("form", ["family", "copies", "mixed"])
+    @pytest.mark.parametrize("true_index", [3, -1, True, 1.0],
+                             ids=["past_h", "negative", "bool", "float"])
+    def test_bad_true_index_rejected_before_any_draw(self, step, form, true_index):
+        # a mixed list maps its draws with the index unchecked, so the run
+        # must reject it before the generator moves
+        models = {"family": GAUSS3, "copies": [GAUSS3] * 5, "mixed": mixed_models(5)}[form]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="hypothesis index"):
+            if step == "trajectory":
+                run_trajectory(uniform_log_beliefs(5, 3), RING5, models, true_index,
+                               FullSharing(), 10, rng)
+            else:
+                run_iteration(uniform_log_beliefs(5, 3), RING5, models, true_index,
+                              FullSharing(), rng)
+        assert rng.bit_generator.state == state
+
     def test_horizon_positive(self):
         with pytest.raises(ValidationError):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0,
@@ -451,13 +485,14 @@ class TestStepKernel:
                           mixed_models(4), 0, FullSharing(), np.random.default_rng(0))
 
     def test_mixed_list_rejects_out_of_range_observation(self, monkeypatch):
-        draw = dynamics.sample_observation
+        # a mixed list maps each group's raw draws once per block, by the
+        # group's own map: shift the discrete group's off its support there
+        draw = DiscreteGroup.observations
 
-        def off_support(model, theta, rng, size=None):
-            x = draw(model, theta, rng, size)
-            return x + 10 if isinstance(model, DiscreteGroup) else x
+        def off_support(group, theta, u):
+            return draw(group, theta, u) + 10
 
-        monkeypatch.setattr(dynamics, "sample_observation", off_support)
+        monkeypatch.setattr(DiscreteGroup, "observations", off_support)
         with pytest.raises(InvalidObservationError):
             run_iteration(uniform_log_beliefs(5, 3), RING5,
                           mixed_models(5), 0, FullSharing(), np.random.default_rng(0))
@@ -586,6 +621,36 @@ class TestDrawContract:
         assert issparse(net.pool)
         models = random_models(form, "discrete", 300, 3, np.random.default_rng(300))
         assert_trajectory_is_the_step_loop(net, models, 0, SelfAwarePartialSharing(1), 65, 4)
+
+    @pytest.mark.parametrize("horizon", [1, 64, 65, 130])
+    @pytest.mark.parametrize("first", ["gaussian", "discrete"])
+    def test_mixed_list_draws_what_the_public_sampler_draws(self, horizon, first):
+        # the reference draws each step group by group, each group in one
+        # sample_observation call, and scores agent by agent
+        models = mixed_models(7)
+        if first == "discrete":
+            models = models[1:] + models[:1]
+        net = build_averaging_matrix(ring_adjacency(7), 0.5)
+        init, rule = uniform_log_beliefs(7, 3), SelfAwarePartialSharing(2)
+        rng = np.random.default_rng(horizon)
+        traj, obs = run_trajectory(init, net, models, 1, rule, horizon, rng,
+                                   keep_observations=True)
+        groups = stack_models(models, 7)
+        assert isinstance(groups[0], DiscreteGroup) == (first == "discrete")
+        ref_rng = np.random.default_rng(horizon)
+        log_b, states, draws = init, [init], []
+        for _ in range(horizon):
+            xi = np.empty(7)
+            for group in groups:
+                xi[group.agents] = sample_observation(group, 1, ref_rng, size=group.agents.size)
+            loglik = np.array([log_likelihood_row(m, x) for m, x in zip(models, xi)])
+            log_b, _ = run_iteration(log_b, net, models, 1, rule, ref_rng,
+                                     observed=(xi, loglik))
+            states.append(log_b)
+            draws.append(xi)
+        assert_bitwise(traj, np.stack(states))
+        assert_bitwise(obs, np.stack(draws))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestStepErrors:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pbnet import dynamics
-from pbnet.likelihoods import DiscreteFamily, GaussianFamily
+from pbnet.likelihoods import DiscreteFamily, DiscreteGroup, GaussianFamily, GaussianGroup
 from pbnet.network import build_averaging_matrix, ring_adjacency
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -71,25 +71,52 @@ GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
 DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
 
 
+class CountingGenerator:
+    """A generator whose two raw draw calls count themselves."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls["generator"] += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self._calls["generator"] += 1
+        return self._rng.random(*args, **kwargs)
+
+
 @pytest.mark.parametrize("models, groups", [
     (GAUSS3, 1), (DISC3, 1), ([DISC3] * 6, 1), ([GAUSS3, DISC3] * 3, 2),
 ], ids=["gaussian", "discrete", "copies", "mixed"])
 def test_seam_calls_per_trajectory(monkeypatch, models, groups):
     # perfbench divides every per-layer time by the dynamics.step count, so a
     # trajectory steps, modifies and combines once per iteration through the
-    # module attributes, and draws and scores per 64-step block
-    calls = {}
-    for name in ("run_iteration", "modify_for_sharing", "combine_step",
-                 "sample_observation", "log_likelihood_rows"):
-        def counted(*args, _fn=getattr(dynamics, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(dynamics, name, counted)
+    # module attributes, and scores per 64-step block; one group draws a
+    # block in one sample_observation call, while several make one raw
+    # generator call per group and step, which sample_observation does not
+    # see, and map them per block
+    seams = ("run_iteration", "modify_for_sharing", "combine_step",
+             "sample_observation", "log_likelihood_rows")
+    calls = dict.fromkeys(seams + ("generator", "map"), 0)
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in seams:
+        monkeypatch.setattr(dynamics, name, count(name, getattr(dynamics, name)))
+    for group in (GaussianGroup, DiscreteGroup):
+        monkeypatch.setattr(group, "observations", count("map", group.observations))
     net = build_averaging_matrix(ring_adjacency(6), 0.5)
+    rng = CountingGenerator(np.random.default_rng(0), calls)
     dynamics.run_trajectory(dynamics.uniform_log_beliefs(6, 3), net, models, 0,
-                            dynamics.PartialSharing(1), 130, np.random.default_rng(0))
+                            dynamics.PartialSharing(1), 130, rng)
     blocks = 3  # 64 + 64 + 2 steps
-    draws = blocks if groups == 1 else 130 * groups
     assert calls == {"run_iteration": 130, "modify_for_sharing": 130, "combine_step": 130,
-                     "sample_observation": draws,
+                     "sample_observation": blocks if groups == 1 else 0,
+                     "generator": blocks if groups == 1 else 130 * groups,
+                     "map": blocks * groups,
                      "log_likelihood_rows": blocks * groups}
