@@ -7,7 +7,7 @@ yield ``Inconclusive`` rather than a guess. Margins are reported as
 left-minus-right of each inequality, on the KL scale.
 
 The predictors and :func:`theoretical_rate` read the family's divergence
-tables (see :func:`pbnet.likelihoods.kl_divergence`): ``point`` for
+tables (see ``_Divergences`` in :mod:`pbnet.likelihoods`): ``point`` for
 D_KL[L(true)||L(tau)], ``complement`` for the divergence to the uniform
 mixture of every hypothesis but tx, and ``bound`` for the likelihood bound.
 Each table is built once per family, on its first read, so a sweep over

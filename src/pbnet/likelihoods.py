@@ -5,7 +5,9 @@ hypothesis) and strictly positive finite-support pmfs over {0..S-1}.
 Strict positivity of discrete rows is enforced at construction so that
 log-likelihood ratios are always finite and integrable. Each family also
 holds its divergence tables (``point``, ``complement``, ``bound``), built
-lazily on first read, which the regime predictors read.
+lazily on first read, which the regime predictors read. Divergences take
+hypothesis indices (:func:`kl_divergence`, a ``point`` entry) or mixture
+weights, one vector or a stack per side (:func:`mixture_kl`).
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -78,11 +79,14 @@ class _Divergences:
 
     * ``point[t, u]`` = D_KL(L_t||L_u), (H, H): a Gaussian closed form;
     * ``complement[t, x]`` = D_KL(L_t||uniform mixture of every hypothesis
-      but x), (H, H), for H >= 2: one Gaussian :func:`gauss_hermite_kl` call
-      over every pair;
+      but x), (H, H), for H >= 2: ``_mixture_table`` of the identity against
+      the uniform complements, so one Gaussian :func:`gauss_hermite_kl` call;
     * ``bound[x]``, the likelihood bound with x left out, (H,).
 
-    A Gaussian complement entry the rule does not certify runs the fallback
+    Each family's ``_mixture_table(P, Q)`` gives D_KL of every mixture of a
+    (K, H) weight stack P against every one of an (M, H) stack Q, (K, M), in
+    one evaluation: exact sums, or the Gaussian rule with NaN where it does
+    not certify an entry. Such an entry of ``complement`` runs the fallback
     quadrature when it is read, for that entry alone; reading all of
     ``complement`` resolves every entry.
     """
@@ -100,7 +104,7 @@ class _Divergences:
             raise ValidationError("uniform complement needs at least 2 hypotheses")
         if h == 2:  # the other hypothesis is the whole complement
             return self.point[:, ::-1].copy()
-        return self._complement_table(np.where(np.eye(h, dtype=bool), 0.0, 1.0 / (h - 1)))
+        return self._mixture_table(np.eye(h), _uniform_complements(h))
 
     @property
     def complement(self) -> np.ndarray:
@@ -113,21 +117,16 @@ class _Divergences:
         uncertified entry is resolved here, by the fallback quadrature."""
         value = self._complements[true_index, excluded]
         if math.isnan(value):  # only the Gaussian rule leaves one
-            mix = MixtureSpec.uniform_complement(self.hypothesis_count, excluded)
-            value = self._complements[true_index, excluded] = self._quad_kl(true_index, mix)
+            h = self.hypothesis_count
+            value = self._complements[true_index, excluded] = self._quad_kl(
+                np.eye(h)[true_index], _uniform_complements(h)[excluded])
         return float(value)
 
-    def kl(self, p, q) -> float:
-        """D_KL[p||q]; a point or uniform-complement pair reads its table."""
-        p = _point_or_mixture(self, p)
-        q = _point_or_mixture(self, q)
-        if not isinstance(p, MixtureSpec):
-            if not isinstance(q, MixtureSpec):
-                return float(self.point[p, q])
-            others = self.hypothesis_count - 1
-            if np.count_nonzero(q.weights == 1.0 / others) == others:  # uniform
-                return self._complement_kl(p, q.excluded)
-        return self._mixture_kl(p, q)
+
+def _uniform_complements(count: int) -> np.ndarray:
+    """(H, H) weights whose row x is the uniform mixture of every hypothesis
+    but x: 1/(H-1) off the diagonal, 0 on it."""
+    return np.where(np.eye(count, dtype=bool), 0.0, 1.0 / (count - 1))
 
 
 class GaussianGroup:
@@ -208,27 +207,13 @@ class GaussianFamily(GaussianGroup, _Divergences):
         d = self.means[:, None] - self.means
         return 0.5 * (d * d)
 
-    def _complement_table(self, weights: np.ndarray) -> np.ndarray:
-        # one rule evaluation: every L_t against every complement
-        points = np.eye(self.hypothesis_count)
-        return np.maximum(gauss_hermite_kl(self.means, points, weights), 0.0)
+    def _mixture_table(self, p_weights: np.ndarray, q_weights: np.ndarray) -> np.ndarray:
+        return np.maximum(gauss_hermite_kl(self.means, p_weights, q_weights), 0.0)
 
-    def _mixture_kl(self, p, q) -> float:
-        value = gauss_hermite_kl(self.means, self._weights(p), self._weights(q))
-        # no certificate: a kink of log q under p's mass slows the rule down
-        return self._quad_kl(p, q) if value is None else max(value, 0.0)
-
-    def _weights(self, which) -> np.ndarray:
-        """Full-length mixture weights of a hypothesis index or a MixtureSpec."""
-        if isinstance(which, MixtureSpec):
-            return which.weights
-        w = np.zeros(self.hypothesis_count)
-        w[which] = 1.0
-        return w
-
-    def _quad_kl(self, p, q) -> float:
-        """The KL by adaptive quadrature over a truncated window."""
-        lwp, lwq = _log_weights(self._weights(p)), _log_weights(self._weights(q))
+    def _quad_kl(self, p_weights: np.ndarray, q_weights: np.ndarray) -> float:
+        """The KL of two mixtures, one weight vector each, by adaptive
+        quadrature over a truncated window."""
+        lwp, lwq = _log_weights(p_weights), _log_weights(q_weights)
         lo = float(self.means.min() - KL_QUAD_SIGMA_SPAN)
         hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
 
@@ -382,17 +367,8 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     def _point_table(self) -> np.ndarray:
         return _exact_kl(self.pmf[:, None], self.pmf)
 
-    def _complement_table(self, weights: np.ndarray) -> np.ndarray:
-        return _exact_kl(self.pmf[:, None], weights @ self.pmf)
-
-    def _mixture_kl(self, p, q) -> float:
-        return float(_exact_kl(self._pmf_of(p), self._pmf_of(q)))
-
-    def _pmf_of(self, which) -> np.ndarray:
-        """The pmf vector over the support of an index or a MixtureSpec."""
-        if isinstance(which, MixtureSpec):
-            return which.weights @ self.pmf
-        return self.pmf[which]
+    def _mixture_table(self, p_weights: np.ndarray, q_weights: np.ndarray) -> np.ndarray:
+        return _exact_kl((p_weights @ self.pmf)[:, None], q_weights @ self.pmf)
 
     @functools.cached_property
     def bound(self) -> np.ndarray:
@@ -442,47 +418,6 @@ def stack_models(models, n_agents: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """A mixture of the likelihoods of every hypothesis except ``excluded``.
-
-    ``weights`` is a full-length vector over all H hypotheses whose entry at
-    ``excluded`` is zero; the rest are nonnegative and sum to one. The uniform
-    case (1/(H-1) each) is the averaged complement distribution used by the
-    convergence-rate formula. Weights with one positive entry, such as the
-    uniform complement at H = 2, are that single hypothesis, and KL takes its
-    point forms.
-    """
-
-    excluded: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
-            raise ValidationError("mixture weights must be a 1-D vector, length >= 2")
-        _check_index("excluded", self.excluded, w.size)
-        if np.any(w < 0):
-            raise ValidationError("mixture weights must be nonnegative")
-        if w[self.excluded] != 0.0:
-            raise ValidationError("mixture weight on the excluded hypothesis must be 0")
-        if not abs(w.sum() - 1.0) <= PMF_ROW_TOL:
-            raise ValidationError(f"mixture weights sum to {w.sum():.12g}, expected 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform_complement(cls, count: int, excluded: int) -> "MixtureSpec":
-        """Equal weights 1/(H-1) on every hypothesis other than ``excluded``."""
-        _check_integer("count", count)
-        if count < 2:
-            raise ValidationError("uniform complement needs at least 2 hypotheses")
-        # no item assignment, so that an invalid ``excluded`` meets the spec's
-        # own check rather than an IndexError
-        return cls(excluded, np.where(np.arange(count) == excluded, 0.0, 1.0 / (count - 1)))
-
-
 def _check_index(what: str, index, count: int) -> None:
     _check_integer(f"{what} index", index)
     if not 0 <= index < count:
@@ -491,6 +426,22 @@ def _check_index(what: str, index, count: int) -> None:
 
 def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
     _check_index("hypothesis", theta, model.hypothesis_count)
+
+
+def _check_weights(weights, count: int) -> np.ndarray:
+    """Mixture weights over ``count`` hypotheses as a float array, one vector
+    or a (K, H) stack, or ValidationError: each row must be finite,
+    nonnegative and sum to 1 within ``PMF_ROW_TOL``."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != count:
+        raise ValidationError(f"mixture weights of shape {w.shape} are not (H,) or (K, H), H = {count}")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValidationError("mixture weights must be finite and nonnegative")
+    sums = np.atleast_1d(w.sum(axis=-1))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PMF_ROW_TOL))
+    if bad.size:
+        raise ValidationError(f"mixture weights sum to {sums[bad[0]]:.12g}, expected 1")
+    return w
 
 
 def _family(model) -> LikelihoodModel:
@@ -565,10 +516,11 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     rule that certifies each value it gives.
 
     ``p_weights`` and ``q_weights`` are each one weight vector over the H
-    means, or a (K, H) stack of them. For two vectors the result is a float,
-    or None when the rule cannot certify it; otherwise it holds D_KL[p||q]
-    for every p and q of the stacks, of shape p's stack + q's stack, with NaN
-    where the rule cannot certify a pair.
+    means, or a (K, H) stack of them, checked as :func:`mixture_kl` checks
+    them. For two vectors the result is a float, or None when the rule
+    cannot certify it; otherwise it holds D_KL[p||q] for every p and q of the
+    stacks, of shape p's stack + q's stack, with NaN where the rule cannot
+    certify a pair.
 
     E_p[log p - log q] is summed on probabilists' Gauss-Hermite nodes centred
     on each component of p, so that a mixture p is the weighted sum of its
@@ -577,8 +529,8 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     160-node value stands when the two agree to within ``KL_QUAD_TOL``.
     """
     nodes, rule_weights = _hermite_rules()
-    p_weights = np.asarray(p_weights, dtype=float)
-    q_weights = np.asarray(q_weights, dtype=float)
+    p_weights = _check_weights(p_weights, len(means))
+    q_weights = _check_weights(q_weights, len(means))
     p, q = np.atleast_2d(p_weights, q_weights)
     which, comps = np.nonzero(p)  # one term per component of each p, grouped by p
     # (H, terms, nodes): the normalizing constant cancels in the ratio
@@ -598,45 +550,50 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     return np.where(certified, fine, np.nan).reshape(shape)
 
 
-def _point_or_mixture(model: LikelihoodModel, which):
-    """An index or a MixtureSpec, checked against the model; a mixture with
-    one positive weight is that hypothesis's index."""
-    if not isinstance(which, MixtureSpec):
-        _check_hypothesis(model, which)
-        return which
-    if which.weights.size != model.hypothesis_count:
-        raise ValidationError("mixture weights length does not match the model")
-    support = np.flatnonzero(which.weights)
-    return int(support[0]) if support.size == 1 else which
+def kl_divergence(model: LikelihoodModel, p: int, q: int) -> float:
+    """D_KL[L_p||L_q] between the observation distributions of two
+    hypotheses of one model: the family's ``point`` entry, bitwise.
 
-
-def kl_divergence(model: LikelihoodModel, p, q) -> float:
-    """D_KL between two observation distributions of the same model.
-
-    ``p`` and ``q`` are each a hypothesis index or a :class:`MixtureSpec`. A
-    mixture with one positive weight is that hypothesis. A point pair returns
-    the family's ``point`` entry, and a point p against the uniform mixture
-    of every hypothesis but x (weights exactly 1/(H-1), as
-    :meth:`MixtureSpec.uniform_complement` makes them) returns its
-    ``complement`` entry, bitwise, so each such divergence has one value. The
-    tables are built on first read: discrete ones by the exact finite sums,
-    Gaussian points by the closed form (m_p - m_q)^2 / 2.
-
-    Every other pair, and each Gaussian complement entry, involves a mixture.
-    A discrete family takes the exact sum. A Gaussian one takes
-    E_p[log p - log q] by :func:`gauss_hermite_kl`, whose 160-node value
-    stands when the 80-node value agrees with it to ``KL_QUAD_TOL``; the
-    ``complement`` table comes from one such evaluation over every pair. When
-    the rule does not certify a value (log q has a soft kink where its
-    dominant component switches, and the rule converges slowly when that kink
-    sits under p's mass), adaptive quadrature takes over for that value alone,
-    and for a table entry only when it is read, with absolute tolerance
-    ``KL_QUAD_TOL`` on a window ``KL_QUAD_SIGMA_SPAN`` standard deviations
-    beyond the extreme means, whose integrand is the family's own ``log_rows``
-    mixed by p's and q's weights; if it cannot meet the tolerance,
-    ``NumericalError`` is raised instead of returning a guess.
+    ``p`` and ``q`` are hypothesis indices, checked against the model. The
+    ``point`` table is built on the first read of any entry: a discrete
+    family's by the exact finite sums, a Gaussian one's by the closed form
+    (m_p - m_q)^2 / 2. A divergence between mixtures is :func:`mixture_kl`.
     """
-    return _family(model).kl(p, q)
+    model = _family(model)
+    _check_hypothesis(model, p)
+    _check_hypothesis(model, q)
+    return float(model.point[p, q])
+
+
+def mixture_kl(model: LikelihoodModel, p_weights, q_weights):
+    """D_KL[p||q] between mixtures of one model's observation distributions.
+
+    ``p_weights`` and ``q_weights`` are each one weight vector over the H
+    hypotheses or a (K, H) stack of them, each row finite, nonnegative and
+    summing to 1 within ``PMF_ROW_TOL`` (else ValidationError). For two
+    vectors the result is a float; otherwise it holds D_KL[p||q] for every p
+    and q of the stacks, of shape p's stack + q's stack.
+
+    A discrete family takes the exact finite sums. A Gaussian one takes one
+    :func:`gauss_hermite_kl` evaluation of both stacks. Where the rule does
+    not certify a value (log q has a soft kink where its dominant component
+    switches, and the rule converges slowly when that kink sits under p's
+    mass), adaptive quadrature takes over for that value alone, with absolute
+    tolerance ``KL_QUAD_TOL`` on a window ``KL_QUAD_SIGMA_SPAN`` standard
+    deviations beyond the extreme means, whose integrand is the family's own
+    ``log_rows`` mixed by p's and q's weights; if it cannot meet the
+    tolerance, ``NumericalError`` is raised instead of returning a guess.
+    """
+    model = _family(model)
+    p_weights = _check_weights(p_weights, model.hypothesis_count)
+    q_weights = _check_weights(q_weights, model.hypothesis_count)
+    p, q = np.atleast_2d(p_weights, q_weights)
+    table = model._mixture_table(p, q)
+    for i, j in np.argwhere(np.isnan(table)):  # only the Gaussian rule leaves one
+        table[i, j] = model._quad_kl(p[i], q[j])
+    if p_weights.ndim == q_weights.ndim == 1:
+        return float(table[0, 0])
+    return table.reshape(p_weights.shape[:-1] + q_weights.shape[:-1])
 
 
 def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:

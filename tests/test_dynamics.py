@@ -31,7 +31,6 @@ from pbnet.likelihoods import (
     DiscreteFamily,
     DiscreteGroup,
     GaussianFamily,
-    MixtureSpec,
     log_likelihood,
     log_likelihood_row,
     log_likelihood_rows,
@@ -256,12 +255,12 @@ class TestRecursionOracles:
         init = np.log(rng.dirichlet(np.ones(3), size=6))
         traj, obs = run_trajectory(init, net, GAUSS3, 0, PartialSharing(tx), 200,
                                    rng, keep_observations=True)
-        mix = MixtureSpec.uniform_complement(3, tx)
+        mix = np.array([0.5, 0.5, 0.0])  # uniform over the hypotheses other than tx
         ratios = traj[:, :, theta] - traj[:, :, tx]
         worst = 0.0
         for i in range(2, 201):
             rows = log_likelihood_rows(GAUSS3, obs[i - 1])
-            inc = np.log(np.exp(rows) @ mix.weights) - rows[:, tx]
+            inc = np.log(np.exp(rows) @ mix) - rows[:, tx]
             rhs = net.matrix.T @ (ratios[i - 1] + inc)
             worst = max(worst, float(np.max(np.abs(ratios[i] - rhs))))
         assert worst < 1e-8
@@ -273,11 +272,11 @@ class TestRecursionOracles:
         traj, obs = run_trajectory(uniform_log_beliefs(5, 3), net, GAUSS3, 0,
                                    PartialSharing(tx), 50, rng,
                                    keep_observations=True)
-        mix = MixtureSpec.uniform_complement(3, tx)
+        mix = np.array([0.5, 0.0, 0.5])  # uniform over the hypotheses other than tx
         ratios = traj[:, :, 0] - traj[:, :, tx]
         for i in range(1, 51):
             rows = log_likelihood_rows(GAUSS3, obs[i - 1])
-            inc = np.log(np.exp(rows) @ mix.weights) - rows[:, tx]
+            inc = np.log(np.exp(rows) @ mix) - rows[:, tx]
             rhs = net.matrix.T @ (ratios[i - 1] + inc)
             np.testing.assert_allclose(ratios[i], rhs, atol=1e-8)
 

@@ -17,19 +17,24 @@ from pbnet.errors import (
 from pbnet.likelihoods import (
     DiscreteFamily,
     GaussianFamily,
-    MixtureSpec,
     gauss_hermite_kl,
     kl_divergence,
     likelihood_bound,
     log_likelihood,
     log_likelihood_row,
     log_likelihood_rows,
+    mixture_kl,
     sample_observation,
     stack_models,
 )
 
 GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
 DISC = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+
+
+def uniform_complement(count, excluded):
+    """Weights 1/(H-1) on every hypothesis other than ``excluded``."""
+    return np.where(np.arange(count) == excluded, 0.0, 1.0 / (count - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +118,19 @@ class TestConstruction:
             GaussianFamily([0.0, math.inf])
 
     def test_mixture_validation(self):
-        MixtureSpec(0, np.array([0.0, 0.4, 0.6]))
-        with pytest.raises(ValidationError):
-            MixtureSpec(0, np.array([0.1, 0.4, 0.5]))  # weight on excluded
-        with pytest.raises(ValidationError):
-            MixtureSpec(1, np.array([0.5, 0.0, 0.4]))  # does not sum to 1
-        with pytest.raises(ValidationError):
-            MixtureSpec(1, np.array([-0.1, 0.0, 1.1]))
-        # an excluded index off the hypotheses, or no integer, is no IndexError
-        with pytest.raises(ValidationError, match="excluded index 5 out of range"):
-            MixtureSpec.uniform_complement(3, 5)
-        for excluded in (1.5, True):
-            with pytest.raises(ValidationError, match="excluded index must be an integer"):
-                MixtureSpec.uniform_complement(3, excluded)
+        for fam in (GAUSS3, DISC3):
+            mixture_kl(fam, [1.0, 0.0, 0.0], [0.0, 0.4, 0.6])
+            with pytest.raises(ValidationError, match="sum to 0.9"):
+                mixture_kl(fam, [1.0, 0.0, 0.0], [0.5, 0.0, 0.4])  # does not sum to 1
+            with pytest.raises(ValidationError, match="nonnegative"):
+                mixture_kl(fam, [-0.1, 0.0, 1.1], [1.0, 0.0, 0.0])
         with pytest.raises(ValidationError, match="hypothesis index must be an integer"):
             theoretical_rate(GAUSS3, 0, 1.5)
 
     def test_mixture_nan_weight_rejected(self):
-        with pytest.raises(ValidationError, match="sum to nan"):
-            MixtureSpec(0, np.array([0.0, math.nan, 0.5]))
+        for fam in (GAUSS3, DISC3):
+            with pytest.raises(ValidationError, match="finite"):
+                mixture_kl(fam, [1.0, 0.0, 0.0], np.array([0.0, math.nan, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +274,12 @@ DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
     lambda m, i: likelihood_bound(m, i),
 ], ids=["kl_divergence-p", "kl_divergence-q", "log_likelihood", "sample_observation",
         "likelihood_bound"])
-@pytest.mark.parametrize("index", [0.9, 1.5, 2.7, True])
+@pytest.mark.parametrize("index", [0.9, 1.5, 2.7, True, np.array([0.0, 1.0, 0.0])],
+                         ids=["0.9", "1.5", "2.7", "True", "weights"])
 @pytest.mark.parametrize("model", [GAUSS3, DISC3], ids=["gaussian", "discrete"])
 def test_hypothesis_index_must_be_an_integer(model, index, entry):
-    # a fraction is not truncated to an index, and a bool is no index
+    # a fraction is not truncated to an index, a bool is no index, and a
+    # weight vector is a mixture_kl operand
     with pytest.raises(ValidationError, match="hypothesis index must be an integer"):
         entry(model, index)
 
@@ -286,6 +287,24 @@ def test_hypothesis_index_must_be_an_integer(model, index, entry):
 def test_numpy_integer_is_a_hypothesis_index():
     assert kl_divergence(GAUSS3, np.int64(0), np.int32(2)) == kl_divergence(GAUSS3, 0, 2)
     assert likelihood_bound(DISC3, np.int8(2)) == likelihood_bound(DISC3, 2)
+
+
+@pytest.mark.parametrize("p, q", [
+    ([1.0, 0.0], [0.0, 1.0]),
+    ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    ([1.0, 0.0, 0.0], [-0.5, 1.0, 0.5]),
+    ([math.nan, 1.0, 0.0], [0.0, 1.0, 0.0]),
+    ([[[1.0, 0.0, 0.0]]], [0.0, 1.0, 0.0]),
+], ids=["wrong-length", "zero-sum", "negative", "nan", "three-axes"])
+@pytest.mark.parametrize("entry", [
+    lambda p, q: gauss_hermite_kl(GAUSS3.means, p, q),
+    lambda p, q: mixture_kl(GAUSS3, p, q),
+    lambda p, q: mixture_kl(DISC3, p, q),
+], ids=["gauss_hermite_kl", "mixture_kl-gaussian", "mixture_kl-discrete"])
+def test_bad_mixture_weights_rejected(entry, p, q):
+    # each was a wrong value, an IndexError, a RuntimeWarning or None before
+    with pytest.raises(ValidationError, match="^mixture weights"):
+        entry(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +319,15 @@ class TestKLDivergence:
     def test_self_kl_is_zero(self):
         assert kl_divergence(DISC, 0, 0) == 0.0
         assert kl_divergence(GAUSS3, 1, 1) == 0.0
-        spec = MixtureSpec.uniform_complement(3, 0)
-        assert kl_divergence(GAUSS3, spec, spec) <= 1e-6
+        mix = uniform_complement(3, 0)
+        assert mixture_kl(GAUSS3, mix, mix) <= 1e-6
 
     def test_discrete_exact_sum_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             pmf = rng.dirichlet(np.ones(4) * 2.0, size=3)
             fam = DiscreteFamily(pmf / pmf.sum(axis=1, keepdims=True))
-            spec = MixtureSpec.uniform_complement(3, 1)
-            got = kl_divergence(fam, 0, spec)
+            got = fam.complement[0, 1]
             want = brute_kl_discrete(fam.pmf[0], (fam.pmf[0] + fam.pmf[2]) / 2)
             assert got == pytest.approx(want, abs=1e-9)
             got_pp = kl_divergence(fam, 0, 2)
@@ -318,42 +336,46 @@ class TestKLDivergence:
             )
 
     @pytest.mark.parametrize("fam", [GAUSS3, DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])])
-    def test_vertex_mixture_is_the_point_bitwise(self, fam):
+    def test_vertex_mixture_is_the_point(self, fam):
+        # exact sums match bitwise; the rule is exact on two single Gaussians
+        # up to rounding
+        vertex = np.eye(3)
         for p in range(3):
             for q in range(3):
-                if q == p:
-                    continue
-                vertex = MixtureSpec(p, np.eye(3)[q])
-                assert kl_divergence(fam, p, vertex) == kl_divergence(fam, p, q)
-                assert kl_divergence(fam, vertex, p) == kl_divergence(fam, q, p)
+                want = kl_divergence(fam, p, q)
+                got = mixture_kl(fam, vertex[p], vertex[q])
+                if isinstance(fam, DiscreteFamily):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     def test_underflowed_mixture_entry_is_zero_mass(self):
         # each mixed entry 0.5 * 5e-324 rounds to 0, so p = (0, 1): 0 log 0 = 0
         fam = DiscreteFamily([[5e-324, 1.0], [5e-324, 1.0], [0.5, 0.5]])
-        p = MixtureSpec(2, [0.5, 0.5, 0])
+        p, point = [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert kl_divergence(fam, p, 2) == pytest.approx(math.log(2), rel=1e-15)
-            assert kl_divergence(fam, 2, p) == math.inf
+            assert mixture_kl(fam, p, point) == pytest.approx(math.log(2), rel=1e-15)
+            assert mixture_kl(fam, point, p) == math.inf
 
     def test_kl_nonnegative_random_families(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             means = rng.normal(0, 2, size=3)
             fam = GaussianFamily(means)
-            spec = MixtureSpec.uniform_complement(3, int(rng.integers(3)))
-            assert kl_divergence(fam, 0, spec) >= 0.0
-            assert kl_divergence(fam, spec, 0) >= 0.0
+            mix = uniform_complement(3, int(rng.integers(3)))
+            assert mixture_kl(fam, [1.0, 0.0, 0.0], mix) >= 0.0
+            assert mixture_kl(fam, mix, [1.0, 0.0, 0.0]) >= 0.0
 
     def test_quadrature_matches_dense_grid(self):
         # mixture as q
-        got = kl_divergence(GAUSS3, 0, MixtureSpec.uniform_complement(3, 1))
+        got = mixture_kl(GAUSS3, [1.0, 0, 0], uniform_complement(3, 1))
         want = trapezoid_kl(
             [0.0, 0.2, 1.0], np.array([1.0, 0, 0]), np.array([0.5, 0, 0.5])
         )
         assert got == pytest.approx(want, abs=5e-6)
         # mixture as p
-        got = kl_divergence(GAUSS3, MixtureSpec.uniform_complement(3, 0), 0)
+        got = mixture_kl(GAUSS3, uniform_complement(3, 0), [1.0, 0, 0])
         want = trapezoid_kl(
             [0.0, 0.2, 1.0], np.array([0, 0.5, 0.5]), np.array([1.0, 0, 0])
         )
@@ -366,19 +388,18 @@ class TestKLDivergence:
         for _ in range(3):
             fam = GaussianFamily(rng.normal(0.0, 1.0, h))
             for tx in range(h):
-                mix = MixtureSpec.uniform_complement(h, tx)
-                for p, q, p_w, q_w in ((0, mix, point[0], mix.weights),
-                                       (mix, tx, mix.weights, point[tx])):
+                mix = uniform_complement(h, tx)
+                for p_w, q_w in ((point[0], mix), (mix, point[tx])):
                     got = gauss_hermite_kl(fam.means, p_w, q_w)
                     assert got is not None  # certified
-                    assert got == pytest.approx(fam._quad_kl(p, q), abs=1e-8)
+                    assert got == pytest.approx(fam._quad_kl(p_w, q_w), abs=1e-8)
 
     def test_uncertified_rule_falls_back_to_quadrature(self, monkeypatch):
         # the complement's dominant component switches at x = 3, under p's mass
         fam = GaussianFamily([0.0, 3.0, 6.0])
-        mix = MixtureSpec.uniform_complement(3, 1)
-        assert gauss_hermite_kl(fam.means, np.eye(3)[1], mix.weights) is None
-        want = fam._quad_kl(1, mix)
+        mix = uniform_complement(3, 1)
+        assert gauss_hermite_kl(fam.means, np.eye(3)[1], mix) is None
+        want = fam._quad_kl(np.eye(3)[1], mix)
         calls = []
 
         def counted_quad(*args, **kwargs):
@@ -387,22 +408,22 @@ class TestKLDivergence:
 
         quad = likelihoods.integrate.quad
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
-        assert kl_divergence(fam, 1, mix) == want
+        assert mixture_kl(fam, np.eye(3)[1], mix) == want
         assert len(calls) == 1
 
     def test_uncertified_case_matches_dense_grid(self):
-        mix = MixtureSpec.uniform_complement(3, 1)
-        got = kl_divergence(GaussianFamily([0.0, 3.0, 6.0]), 1, mix)
-        want = trapezoid_kl([0.0, 3.0, 6.0], np.array([0, 1.0, 0]), mix.weights)
+        mix = uniform_complement(3, 1)
+        got = GaussianFamily([0.0, 3.0, 6.0]).complement[1, 1]
+        want = trapezoid_kl([0.0, 3.0, 6.0], np.array([0, 1.0, 0]), mix)
         assert got == pytest.approx(want, abs=5e-6)
 
     def test_reported_gaussian_margins(self):
         # unit-variance means (0, 0.2, 1): the two shared-hypothesis margins
         d_true_tx = kl_divergence(GAUSS3, 0, 1)
-        d_true_mix = kl_divergence(GAUSS3, 0, MixtureSpec.uniform_complement(3, 1))
+        d_true_mix = GAUSS3.complement[0, 1]
         assert d_true_tx - d_true_mix == pytest.approx(-0.091, abs=0.001)
         d_true_tx3 = kl_divergence(GAUSS3, 0, 2)
-        d_true_mix3 = kl_divergence(GAUSS3, 0, MixtureSpec.uniform_complement(3, 2))
+        d_true_mix3 = GAUSS3.complement[0, 2]
         assert d_true_tx3 - d_true_mix3 == pytest.approx(0.494, abs=0.002)
 
 
@@ -416,7 +437,7 @@ class TestDivergenceTables:
             raise AssertionError("a divergence table was built at construction")
 
         for cls in (GaussianFamily, DiscreteFamily):
-            for rule in ("_point_table", "_complement_table"):
+            for rule in ("_point_table", "_mixture_table"):
                 monkeypatch.setattr(cls, rule, no_table)
         for rule in ("gauss_hermite_kl", "_exact_kl", "_log_mix"):
             monkeypatch.setattr(likelihoods, rule, no_table)
@@ -442,11 +463,11 @@ class TestDivergenceTables:
     def test_entries_are_the_per_pair_divergences_bitwise(self):
         for fam in (GaussianFamily([0.0, 0.2, 1.0, -0.7]), DiscreteFamily(DISC3.pmf)):
             h = fam.hypothesis_count
+            complements = np.stack([uniform_complement(h, x) for x in range(h)])
+            assert mixture_kl(fam, np.eye(h), complements).tobytes() == fam.complement.tobytes()
             for t in range(h):
                 for x in range(h):
                     assert kl_divergence(fam, t, x) == fam.point[t, x]
-                    mix = MixtureSpec.uniform_complement(h, x)
-                    assert kl_divergence(fam, t, mix) == fam.complement[t, x]
 
     def test_uncertified_entry_is_resolved_only_when_read(self, monkeypatch):
         # two complement entries sit on a kink of log q; reading one runs one quadrature
@@ -459,7 +480,7 @@ class TestDivergenceTables:
 
         quad = likelihoods.integrate.quad
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
-        assert kl_divergence(fam, 1, MixtureSpec.uniform_complement(4, 1)) > 0.0
+        assert theoretical_rate(fam, 1, 1) < 0.0  # reads complement[1, 1]
         assert len(calls) == 1
         assert np.isnan(fam._complements[2, 2])
         assert np.isfinite(fam.complement).all()
@@ -485,6 +506,10 @@ class TestDivergenceTables:
         else:
             with pytest.raises(UnboundedLikelihoodError):
                 moved.bound
+        # a weight over fam's hypothesis perm[i] is a weight over moved's i
+        weights = rng.dirichlet(np.ones(h), 3)
+        np.testing.assert_allclose(mixture_kl(moved, weights[:, perm], weights[::-1, perm]),
+                                   mixture_kl(fam, weights, weights[::-1]), rtol=1e-12, atol=0)
         if h < 2:
             return
         np.testing.assert_allclose(moved.complement, fam.complement[pairs], rtol=1e-12, atol=0)

@@ -16,7 +16,7 @@ from pbnet.errors import (
     GraphGenerationError,
     ValidationError,
 )
-from pbnet.likelihoods import DiscreteFamily, MixtureSpec
+from pbnet.likelihoods import DiscreteFamily
 from pbnet.network import (
     Network,
     alpha_constant,
@@ -350,11 +350,10 @@ class TestGenerator:
     ("n_agents", lambda: uniform_log_beliefs(-1, 3)),
     ("n_agents", lambda: uniform_log_beliefs(0, 3)),
     ("n_hypotheses", lambda: uniform_log_beliefs(3, 0)),
-    ("count", lambda: MixtureSpec.uniform_complement(3.0, 0)),
     ("transmit", lambda: Sharing(1.0)),
 ], ids=["ring", "ring-bool", "star", "complete", "random", "beliefs-agents",
         "beliefs-hypotheses", "beliefs-negative-agents", "beliefs-no-agents",
-        "beliefs-no-hypotheses", "complement", "sharing"])
+        "beliefs-no-hypotheses", "sharing"])
 def test_counts_must_be_integers(name, call):
     # one shared rule: a Python or numpy integer other than a bool
     with pytest.raises(ValidationError, match=f"^{name} must be"):
