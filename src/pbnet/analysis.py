@@ -226,7 +226,7 @@ def _check_trajectory(log_beliefs) -> None:
 def measure_empirical_rate(
     log_beliefs: np.ndarray, theta: int, tx_index: int, burn_in: int
 ) -> float:
-    """Least-squares slope of agent 1's log mu(theta)/mu(tx) over iterations
+    """Least-squares slope of agent 0's log mu(theta)/mu(tx) over iterations
     (burn_in, end]. The trajectory array is (T+1, N, H) with index 0 holding
     the initial beliefs."""
     _check_trajectory(log_beliefs)
@@ -279,7 +279,7 @@ def detect_convergence(
     the last ``window`` iterations. uniform_split / oscillating require a tx
     index: the tx component must stay below 1e-3 for all agents over the
     window, with the remaining components either pinned at 1/(H-1) within
-    1e-3, or (oscillating) agent 1's log-ratio of the two lowest non-tx
+    1e-3, or (oscillating) agent 0's log-ratio of the two lowest non-tx
     hypotheses changing sign at least 3 times.
     """
     _check_trajectory(log_beliefs)

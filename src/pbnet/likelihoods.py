@@ -7,7 +7,10 @@ log-likelihood ratios are always finite and integrable. Each family also
 holds its divergence tables (``point``, ``complement``, ``bound``), built
 lazily on first read, which the regime predictors read. Divergences take
 hypothesis indices (:func:`kl_divergence`, a ``point`` entry) or mixture
-weights, one vector or a stack per side (:func:`mixture_kl`).
+weights, one vector or a stack per side (:func:`mixture_kl`). A Gaussian
+mixture divergence that the Gauss-Hermite rule cannot certify falls back to
+adaptive quadrature; ``scipy.integrate`` is imported on that first fallback
+only, so a process that never reaches it does not pay for loading it.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 import functools
 import math
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 
 from .errors import (
     InvalidObservationError,
@@ -41,6 +45,20 @@ KL_QUAD_TOL = 1e-6
 KL_QUAD_SIGMA_SPAN = 10.0
 
 PMF_ROW_TOL = 1e-12
+
+
+def _quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call: only the
+    fallback quadrature uses it, and ``scipy.integrate``, which loads
+    ``scipy.optimize`` with it, would otherwise add about a quarter to the
+    memory that importing pbnet takes."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
+#: The seam ``_quad_kl`` calls through; tests and tracing swap it out whole.
+integrate = SimpleNamespace(quad=_quad)
 
 
 def _numbers(xi) -> np.ndarray:
@@ -212,7 +230,8 @@ class GaussianFamily(GaussianGroup, _Divergences):
 
     def _quad_kl(self, p_weights: np.ndarray, q_weights: np.ndarray) -> float:
         """The KL of two mixtures, one weight vector each, by adaptive
-        quadrature over a truncated window."""
+        quadrature over a truncated window. ``scipy.integrate`` is loaded on
+        the first call, so a run that the rule fully certifies never loads it."""
         lwp, lwq = _log_weights(p_weights), _log_weights(q_weights)
         lo = float(self.means.min() - KL_QUAD_SIGMA_SPAN)
         hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
@@ -515,6 +534,7 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     """D_KL[p||q] for mixtures of unit-variance Gaussians over ``means``, by a
     rule that certifies each value it gives.
 
+    ``means`` is one finite number per hypothesis, ValidationError else.
     ``p_weights`` and ``q_weights`` are each one weight vector over the H
     means, or a (K, H) stack of them, checked as :func:`mixture_kl` checks
     them. For two vectors the result is a float, or None when the rule
@@ -528,6 +548,9 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     evaluation over every node, every component of each p and every q; the
     160-node value stands when the two agree to within ``KL_QUAD_TOL``.
     """
+    means = np.asarray(means, dtype=float)
+    if means.ndim != 1 or not np.isfinite(means).all():
+        raise ValidationError(f"means must be one finite value per hypothesis, got shape {means.shape}")
     nodes, rule_weights = _hermite_rules()
     p_weights = _check_weights(p_weights, len(means))
     q_weights = _check_weights(q_weights, len(means))

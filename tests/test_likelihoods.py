@@ -307,6 +307,24 @@ def test_bad_mixture_weights_rejected(entry, p, q):
         entry(p, q)
 
 
+@pytest.mark.parametrize("means", [
+    [0.0, 0.2, 1.0],
+    [0.0, math.inf, 1.0],
+    [0.0, math.nan, 1.0],
+    [[0.0, 0.2, 1.0]],
+    0.5,
+], ids=["list", "inf", "nan", "two-axes", "scalar"])
+def test_gauss_hermite_kl_checks_means(means):
+    # before, a list or a scalar raised TypeError, an inf mean gave 1.1931, a
+    # NaN one None, and two axes a weights error that said "H = 1"
+    p, q = [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]
+    if np.ndim(means) == 1 and np.isfinite(means).all():
+        assert gauss_hermite_kl(means, p, q) == gauss_hermite_kl(np.array(means), p, q)
+    else:
+        with pytest.raises(ValidationError, match="^means"):
+            gauss_hermite_kl(means, p, q)
+
+
 # ---------------------------------------------------------------------------
 # KL divergence
 # ---------------------------------------------------------------------------
