@@ -12,10 +12,12 @@ rows' normalization under every rule, are a max shift, m + log sum exp(x - m)
 with m the row's largest entry: a few vectorized ``np.maximum``, ``np.exp``,
 add and ``np.log`` passes over column views, where ``np.logaddexp`` is scalar
 libm code per entry. It rounds apart from the reduce by a few ulp. On fewer
-rows the one ``np.logaddexp.reduce`` call is cheaper and is kept, and argmax's
-spread, whose columns differ from row to row, is always one masked reduce.
-The form follows one table's agent count, so a stack of (N, H) tables steps
-each table bitwise as it steps alone.
+rows each is one ``np.logaddexp.reduce`` call or, where ``_folds`` finds that
+cheaper (a few columns, or many rows), a fold of ``np.logaddexp`` over column
+views in index order, which makes the reduce's calls and so gives its bits.
+Argmax's spread, whose columns differ from row to row, is always one masked
+reduce. The form follows one table's agent count, so a stack of (N, H) tables
+steps each table bitwise as it steps alone.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -29,6 +31,16 @@ each ``_BLOCK`` steps at once, and runs them with invalid-value warnings off,
 because the log-sum-exps warn on the NaN or infinity that the check reports.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
+
+Under full sharing and a fixed tx, the step itself allocates no array on a
+dense table below ``_SHIFT_MIN_ROWS`` (argmax's spread keeps its masked
+reduce and ``np.where``): the plan holds a workspace (psi, shared and pooled
+rows, one log-sum-exp per row, the self-aware term, the a_kk column and
+prebuilt column views), and the step's calls compute into it with ``out=``.
+A trajectory resolves one plan and passes it through the three seams on
+every step, so the workspace is reused and each step's rows are copied into
+the result; a public call with a ``Sharing`` resolves a fresh plan and so
+returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.sparse import issparse
 
 from .errors import NumericalError, ValidationError, _check_integer, _is_integer
 from .likelihoods import (
@@ -188,7 +199,35 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
 #: 2-core Xeon VM), the spread broke even near 64 rows and the pooled
 #: normalization between 96 and 128 on a ring; on the 100-agent random graph
 #: of ``hetero_random`` the shift cost about 5 us a step more than the reduce.
+#: Below it, a log-sum-exp over k >= 2 columns (a fixed tx's spread sums
+#: H - 1, the pooled normalization H) is a fold of k - 1 ``np.logaddexp``
+#: calls over column views (``_fold``) wherever those calls cost less than the
+#: one reduce (``_folds``): at most three columns on any table, any number
+#: from ``_FOLD_ANY_ROWS`` rows on. Timed the same way, with ``out=`` on both
+#: sides, the H = 3 spread took 1.6 against 4.1 us at 10 rows; the H = 3
+#: normalization 2.6 against 3.3 us at 10 rows and 6.2 against 14.0 at 100;
+#: at 50 rows the fold was cheaper up to H = 16 and at 100 up to H = 30, the
+#: widest timed. The fold and the reduce give the same bits, so the rule
+#: moves no output.
 _SHIFT_MIN_ROWS = 128
+_FOLD_ANY_ROWS = 48
+
+
+def _folds(rows: int, columns: int) -> bool:
+    """Whether a log-sum-exp over ``columns`` columns of a table of ``rows``
+    rows, below ``_SHIFT_MIN_ROWS``, is a ``_fold`` rather than one reduce."""
+    return columns >= 2 and (columns <= 3 or rows >= _FOLD_ANY_ROWS)
+
+
+def _fold(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> None:
+    """``np.logaddexp`` folded over ``first`` and one or more ``columns``, in
+    index order, into ``out``. It makes the calls the reduce over those
+    columns makes, so it has its bits, and those of the masked reduce from
+    ``initial=-inf``: that reduce's first call, ``logaddexp(-inf, x)``, only
+    turns -0.0 into +0.0, which the next call cannot tell apart."""
+    np.logaddexp(first, columns[0], out=out)
+    for column in columns[1:]:
+        np.logaddexp(out, column, out=out)
 
 
 def _logsumexp_shift(rows: np.ndarray, skip=None) -> np.ndarray:
@@ -213,58 +252,124 @@ def _logsumexp_shift(rows: np.ndarray, skip=None) -> np.ndarray:
     return total[..., None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Plan:
-    """A ``Sharing`` resolved for a shape of rows, once per trajectory."""
+    """A ``Sharing`` resolved for a shape of rows (..., N, H), and for a
+    combine also for a network, once per trajectory, with the workspace its
+    steps compute into.
+
+    ``psi``, ``shared``, ``pooled`` and the self-aware ``term`` have the
+    rows' shape; ``lse`` holds one log-sum-exp per row, as (..., N, 1): the
+    spread's rest, then the pooled rows' normalizer. ``spread`` is the
+    ``_fold`` of a fixed tx's spread, lse's (..., N) view and psi's other
+    columns, and ``normalize`` that of the pooled normalization, lse's view
+    and pooled's columns; each is empty where ``_folds`` keeps the reduce. ``kept`` is the (shared, psi) pair of tx columns.
+
+    Building a plan is most of what a lone :func:`run_iteration` adds to the
+    step, so it is kept small: each array is one ``np.empty`` call, which
+    costs less than a view into one allocation, and the class is a slotted,
+    unfrozen dataclass built by position (on the VM of the timings at
+    ``_SHIFT_MIN_ROWS``, a frozen one took about 4 us longer to build and
+    keywords about 1.5 us). Nothing reassigns a field once built.
+    """
 
     transmit: Union[None, int, str]
     self_aware: bool
     shift: bool  # at least _SHIFT_MIN_ROWS rows per table: max-shift log-sum-exps
-    others: Union[None, np.ndarray]  # a fixed tx's spread columns, as a mask
-    log_rest: float  # log(H - 1)
+    others: Union[None, np.ndarray]  # a fixed tx's reduced spread columns, as a mask
+    log_rest: np.ndarray  # log(H - 1), 0-d: a numpy scalar operand is converted per call
+    sparse: bool  # net.pool is sparse: its product is fresh, not ``pooled``
+    diagonal: Union[None, np.ndarray]  # net.diagonal[:, None], to a self-aware rule
+    psi: np.ndarray
+    shared: np.ndarray
+    pooled: np.ndarray
+    term: Union[None, np.ndarray]
+    lse: np.ndarray
+    spread: tuple
+    normalize: tuple
+    kept: tuple
 
 
-def _plan(sharing, shape) -> _Plan:
-    """``sharing`` resolved for rows of ``shape`` (..., H); a plan as it is.
-    The log-sum-exp form follows one table's agent count, ``shape[-2]``, so
-    a stack of tables steps each as it would step alone."""
+def _plan(sharing, rows, net=None) -> _Plan:
+    """``sharing`` resolved for rows of the shape (..., H) of ``rows``, an
+    array or array-like, and, given, for ``net``, whose agent count must be
+    that of the rows; a plan as it is, so a trajectory checks its rule once
+    and reads no shape. The log-sum-exp form follows one table's agent count,
+    ``shape[-2]``, so a stack of tables steps each as it would step alone."""
     if isinstance(sharing, _Plan):
         return sharing
+    if not isinstance(sharing, Sharing):
+        raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
+    shape = np.shape(rows)
+    if not shape:
+        raise ValidationError("log-beliefs must have a hypothesis axis")
+    if net is not None and (len(shape) < 2 or shape[-2] != net.size):
+        raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
-    shift = len(shape) >= 2 and shape[-2] >= _SHIFT_MIN_ROWS
+    n = shape[-2] if len(shape) >= 2 else 1
+    shift = n >= _SHIFT_MIN_ROWS
     tx, fixed = sharing.transmit, _is_integer(sharing.transmit)
     if fixed and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
-    if tx is None or h == 1:  # a single hypothesis has nothing to spread
-        return _Plan(None, sharing.self_aware, shift, None, 0.0)
-    others = np.arange(h) != tx if fixed else None
-    return _Plan(tx, sharing.self_aware, shift, others, np.log(h - 1))
+    if h == 1:  # a single hypothesis has nothing to spread
+        tx, fixed = None, False
+    aware = sharing.self_aware
+    sparse = net is not None and not isinstance(net.pool, np.ndarray)
+    psi, shared, pooled = np.empty(shape), np.empty(shape), np.empty(shape)
+    lse = np.empty((*shape[:-1], 1))
+    others, spread, normalize, kept = None, (), (), ()
+    if fixed:
+        kept = (shared[..., tx], psi[..., tx])
+        if not shift and _folds(n, h - 1):
+            spread = (lse[..., 0], *[psi[..., c] for c in range(h) if c != tx])
+        elif not shift:
+            others = np.arange(h) != tx
+    if not (shift or sparse) and _folds(n, h):
+        normalize = (lse[..., 0], *[pooled[..., c] for c in range(h)])
+    log_rest = np.asarray(np.log(h - 1.0) if tx is not None else 0.0)
+    return _Plan(
+        tx, aware, shift, others, log_rest, sparse,
+        net.diagonal[:, None] if aware and net is not None else None,
+        psi, shared, pooled, np.empty(shape) if aware else None, lse, spread, normalize, kept,
+    )
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     """Belief vector as reconstructed by receivers under the given rule: each
     row keeps its tx entry and splits the rest evenly, at the exact log of
-    (1 - psi_tx)/(H-1) computed from the surviving mass."""
-    rows = np.asarray(log_psi, dtype=float)
-    plan = _plan(sharing, rows.shape)
+    (1 - psi_tx)/(H-1) computed from the surviving mass.
+
+    The rows are read from the plan's ``psi``, where a step computes them;
+    rows from elsewhere, as a public call's, are copied there first, as
+    floats. Full sharing returns ``psi`` itself, and a fixed tx's spread is
+    made in ``shared``, so a call with a ``Sharing`` returns an array of its
+    own.
+    """
+    plan = _plan(sharing, log_psi)
+    psi = plan.psi
+    if log_psi is not psi:
+        psi[...] = log_psi
     if plan.transmit is None:
-        return rows.copy()
+        return psi
     if plan.transmit == "argmax":  # ties toward the lowest index
-        others = np.argmax(rows, axis=-1, keepdims=True) != np.arange(rows.shape[-1])
+        others = np.argmax(psi, axis=-1, keepdims=True) != np.arange(psi.shape[-1])
         # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
-        rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=others, initial=-np.inf)
+        rest = np.logaddexp.reduce(psi, axis=-1, keepdims=True, where=others, initial=-np.inf)
         rest -= plan.log_rest
-        return np.where(others, rest, rows)
+        return np.where(others, rest, psi)
     if plan.shift:
-        rest = _logsumexp_shift(rows, plan.transmit)
+        rest = _logsumexp_shift(psi, plan.transmit)
+    elif plan.spread:
+        _fold(*plan.spread)
+        rest = plan.lse
     else:
-        rest = np.logaddexp.reduce(rows, axis=-1, keepdims=True, where=plan.others,
-                                   initial=-np.inf)
+        rest = np.logaddexp.reduce(psi, axis=-1, keepdims=True, where=plan.others,
+                                   initial=-np.inf, out=plan.lse)
     rest -= plan.log_rest
-    out = np.empty_like(rows)
-    out[...] = rest
-    out[..., plan.transmit] = rows[..., plan.transmit]
-    return out
+    shared = plan.shared
+    shared[...] = rest
+    np.copyto(*plan.kept)
+    return shared
 
 
 def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
@@ -272,33 +377,41 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     """Log-linear pooling of the (modified) neighbor beliefs.
 
     Row k of the result is sum_l a_lk * shared_l. Self-aware: the a_kk term
-    uses the agent's own unmodified belief instead of its modified one. The
-    rows are normalized here, over the last axis, so the inputs may carry a
-    per-row shift, and the caller runs :func:`check_log_beliefs`. A (..., N, H)
-    stack of tables pools each table as it pools alone; a sparse ``net.pool``
-    takes the stack as one (N, ...·H) product, because it multiplies 2-D
-    operands only. Tables of another agent count than N raise
-    ValidationError, from the product's own shape error.
+    uses the agent's own unmodified belief, of the shared rows' shape,
+    instead of its modified one. The rows are normalized here, over the last
+    axis, so the inputs may carry a per-row shift, and the caller runs
+    :func:`check_log_beliefs`. A (..., N, H) stack of tables pools each table
+    as it pools alone; a dense ``net.pool`` multiplies into the plan's
+    ``pooled``, and a sparse one takes the stack as one (N, ...·H) product,
+    because it multiplies 2-D operands only. Tables of another agent count
+    than N raise ValidationError.
     """
     shared = np.asarray(log_shared, dtype=float)
-    try:
-        if shared.ndim > 2 and issparse(net.pool):
-            columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
-            pooled = (net.pool @ columns.reshape(len(columns), -1)).reshape(columns.shape)
-            pooled = np.moveaxis(pooled, 0, -2)
-        else:
-            pooled = net.pool @ shared
-    except ValueError as exc:
-        raise ValidationError(
-            f"log-beliefs of shape {shared.shape} are not (..., N={net.size}, H)"
-        ) from exc
-    plan = _plan(sharing, pooled.shape)
+    plan = _plan(sharing, shared, net)
+    if not plan.sparse:
+        pooled = np.matmul(net.pool, shared, out=plan.pooled)
+    elif shared.ndim > 2:
+        columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
+        pooled = (net.pool @ columns.reshape(len(columns), -1)).reshape(columns.shape)
+        pooled = np.moveaxis(pooled, 0, -2)
+    else:
+        pooled = net.pool @ shared
     if plan.self_aware:
-        pooled += net.diagonal[:, None] * (np.asarray(log_own, dtype=float) - shared)
+        own = np.asarray(log_own, dtype=float)
+        if own.shape != shared.shape:
+            raise ValidationError(
+                f"own log-beliefs of shape {own.shape} are not the shared rows' {shared.shape}"
+            )
+        term = np.subtract(own, shared, out=plan.term)
+        term *= plan.diagonal
+        pooled += term
     if plan.shift:
         pooled -= _logsumexp_shift(pooled)
+    elif plan.normalize:
+        _fold(*plan.normalize)
+        pooled -= plan.lse
     else:
-        pooled -= np.logaddexp.reduce(pooled, axis=-1, keepdims=True)
+        pooled -= np.logaddexp.reduce(pooled, axis=-1, keepdims=True, out=plan.lse)
     return pooled
 
 
@@ -360,21 +473,34 @@ def run_iteration(
     each group in agent order, what :func:`sample_observation` draws for that
     group. ``observed``, an (xi, loglik) pair of
     the (N,) observations and their (N, H) log-likelihoods, is a row drawn
-    ahead of time: the step then checks only the agent count, draws nothing,
-    returns that xi and leaves the result unchecked, because
-    :func:`run_trajectory` validates its inputs once and checks its steps
-    once per block. The posterior is pooled unnormalized (see the module
-    docstring).
+    ahead of time: the step then draws nothing, returns that xi and leaves
+    the result unchecked, because :func:`run_trajectory` validates its inputs
+    once and checks its steps once per block. It checks only what a wrong
+    call would otherwise turn into a numpy error or a silent broadcast: the
+    rule must be a ``Sharing`` (ValidationError), and the log-beliefs and
+    log-likelihoods must be arrays of one shape (N, H) with N the network's
+    agent count (ValidationError), compared as shape tuples. The posterior is
+    pooled unnormalized (see the module docstring), into the plan's workspace:
+    given the plan of a trajectory, the result is overwritten by its next
+    step.
     """
     if observed is None:
         out, obs = run_trajectory(log_beliefs, net, models, true_index, sharing, 1, rng,
                                   keep_observations=True)
         return out[1], obs[0]
-    if log_beliefs.shape[0] != net.size:
-        raise ValidationError("log-beliefs size does not match the network")
     xi, loglik = observed
-    log_psi = log_beliefs + loglik
-    return combine_step(net, modify_for_sharing(log_psi, sharing), log_psi, sharing), xi
+    try:
+        shape, scored = log_beliefs.shape, loglik.shape
+    except AttributeError:
+        raise ValidationError("the step takes log-beliefs and log-likelihoods as arrays") from None
+    plan = _plan(sharing, log_beliefs, net)
+    if not (len(shape) == 2 and shape == scored == plan.psi.shape):
+        raise ValidationError(
+            f"log-beliefs of shape {shape} and log-likelihoods of shape {scored} "
+            f"are not both (N={net.size}, H)"
+        )
+    log_psi = np.add(log_beliefs, loglik, out=plan.psi)
+    return combine_step(net, modify_for_sharing(log_psi, plan), log_psi, plan), xi
 
 
 def run_trajectory(
@@ -416,7 +542,7 @@ def run_trajectory(
         raise ValidationError(f"log-beliefs of shape {init.shape} are not (N={net.size}, H)")
     check_log_beliefs(init)
     n, h = init.shape
-    plan = _plan(sharing, init.shape)
+    plan = _plan(sharing, init, net)
     groups = stack_models(models, n)
     if groups[0].hypothesis_count != h:
         raise ValidationError(
@@ -433,13 +559,13 @@ def run_trajectory(
         xi, loglik = _observe(groups, true_index, n, steps, dtype, rng)
         if keep_observations:
             obs[start:start + steps] = xi
-        with np.errstate(invalid="ignore"):  # a NaN is reported by the block check
-            for j in range(steps):
-                log_b, _ = run_iteration(
-                    log_b, net, models, true_index, plan, rng, observed=(xi[j], loglik[j])
-                )
-                out[start + j + 1] = log_b
         block = out[start + 1:start + steps + 1]
+        with np.errstate(invalid="ignore"):  # a NaN is reported by the block check
+            for row, drawn, scored in zip(block, xi, loglik):
+                log_b, _ = run_iteration(
+                    log_b, net, models, true_index, plan, rng, observed=(drawn, scored)
+                )
+                row[...] = log_b
         try:
             check_log_beliefs(block.reshape(-1, h))
         except NumericalError:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -150,9 +151,12 @@ class TestCombineStep:
 
     @pytest.mark.parametrize("n, shape", [
         (10, (5, 3)), (10, (2, 5, 3)), (300, (5, 3)), (300, (2, 5, 3)), (300, (2, 150, 3)),
-    ], ids=["dense", "dense_stack", "sparse", "sparse_stack", "sparse_stack_of_n_entries"])
+        (10, (10,)),
+    ], ids=["dense", "dense_stack", "sparse", "sparse_stack", "sparse_stack_of_n_entries",
+            "one_row_of_n_entries"])
     def test_agent_count_other_than_n_is_a_validation_error(self, n, shape):
-        # the last case holds N x H entries in all, which a reshape to N rows took
+        # the sparse stack holds N x H entries in all, which a reshape to N
+        # rows took; one row of N entries was pooled and normalized over agents
         net = build_averaging_matrix(ring_adjacency(n), 0.5)
         assert issparse(net.pool) == (n == 300)
         rows = np.full(shape, -np.log(3.0))
@@ -410,6 +414,42 @@ class TestValidation:
             run_trajectory(uniform_log_beliefs(5, 3), RING5, GAUSS3, 0, FullSharing(), 2.0, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("rule", ["partial", None, 1], ids=["string", "none", "index"])
+    def test_a_rule_that_is_not_a_sharing_is_a_validation_error(self, rule):
+        rows = uniform_log_beliefs(5, 3)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        calls = [
+            lambda: modify_for_sharing(rows, rule),
+            lambda: combine_step(RING5, rows, rows, rule),
+            lambda: run_trajectory(rows, RING5, GAUSS3, 0, rule, 10, rng),
+            lambda: run_iteration(rows, RING5, GAUSS3, 0, rule, rng),
+            lambda: run_iteration(rows, RING5, GAUSS3, 0, rule, rng,
+                                  observed=(np.zeros(5), np.zeros((5, 3)))),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="sharing must be a Sharing"):
+                call()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("beliefs, loglik", [
+        ("list", (5, 3)), ("array", (5, 2)), ("array", (1, 3)), ("array", "list"),
+    ], ids=["list_beliefs", "fewer_hypotheses", "one_row", "list_loglik"])
+    def test_a_step_given_its_observations_rejects_other_shapes(self, beliefs, loglik):
+        # the one-row case broadcast silently before the step checked shapes
+        init = uniform_log_beliefs(5, 3)
+        scored = np.zeros((5, 3)).tolist() if loglik == "list" else np.zeros(loglik)
+        with pytest.raises(ValidationError):
+            run_iteration(init.tolist() if beliefs == "list" else init, RING5, GAUSS3, 0,
+                          PartialSharing(1), np.random.default_rng(0),
+                          observed=(np.zeros(5), scored))
+
+    @pytest.mark.parametrize("own", [(5, 2), (1, 3)], ids=["fewer_hypotheses", "one_row"])
+    def test_self_aware_own_rows_of_another_shape_are_a_validation_error(self, own):
+        rows = uniform_log_beliefs(5, 3)
+        with pytest.raises(ValidationError, match=r"own log-beliefs of shape \(\d, \d\)"):
+            combine_step(RING5, rows, np.zeros(own), SelfAwarePartialSharing(1))
+
 
 DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
 SHARINGS = [FullSharing(), PartialSharing(1), SelfAwarePartialSharing(1)]
@@ -505,6 +545,34 @@ class TestStepKernel:
         _, obs = run_trajectory(init, RING5, mixed_models(5), 0, FullSharing(), 5,
                                 np.random.default_rng(0), keep_observations=True)
         assert obs.dtype == np.float64
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("n", [10, 150, 250], ids=["fold", "shift", "sparse"])
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_public_calls_return_arrays_of_their_own(self, n, rule):
+        # a call with a Sharing resolves a plan of its own, so no workspace
+        # is shared between calls or with the caller's arrays
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        rng = np.random.default_rng(n)
+        init = uniform_log_beliefs(n, 3)
+        log_psi = rng.normal(0.0, 5.0, (n, 3))
+        loglik = rng.normal(0.0, 1.0, (n, 3))
+        sharing = rule(1)
+        results = []
+        for _ in range(2):
+            shared = modify_for_sharing(log_psi, sharing)
+            results += [
+                shared,
+                combine_step(net, shared, log_psi, sharing),
+                run_iteration(init, net, DISC3, 0, sharing, rng, observed=(None, loglik))[0],
+                *run_iteration(init, net, DISC3, 0, sharing, rng),
+                *run_trajectory(init, net, DISC3, 0, sharing, 3, rng, keep_observations=True),
+            ]
+        arrays = results + [init, log_psi, loglik]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestSharing:
@@ -859,36 +927,84 @@ class TestColumnFold:
             assert got.tobytes() == reduce_reference(rows, np.arange(2) != tx).tobytes()
         assert shift(rows[:, :1]).tobytes() == reduce_reference(rows[:, :1]).tobytes()
         assert shift(rows[:, :1]).tobytes() == np.array([[0.0], [2.0]]).tobytes()
+        # the spread of tx 0 on tables of 11 rows gives the masked reduce's
+        # bits on every single, pair and triple of special values (H = 2, 3
+        # and 4): the one kept column through the reduce, two and three
+        # through the fold from the first two, which also normalizes so
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 800.0, -800.0,
+                    1e-300, -1e-300]
+        with np.errstate(invalid="ignore"):
+            for k in (1, 2, 3):
+                kept = np.array(list(itertools.product(specials, repeat=k)))
+                rows = np.concatenate([np.full((len(kept), 1), -1.0), kept], axis=1)
+                rows = rows.reshape(-1, 11, k + 1)
+                assert bool(dynamics._plan(PartialSharing(0), rows).spread) == (k > 1)
+                others = np.arange(k + 1) != 0
+                want = np.where(others, reduce_reference(rows, others) - np.log(k), rows)
+                assert modify_for_sharing(rows, PartialSharing(0)).tobytes() == want.tobytes()
+                if k > 1:
+                    out = np.empty(len(kept))
+                    dynamics._fold(out, *kept.T)
+                    assert out.tobytes() == reduce_reference(kept)[:, 0].tobytes()
 
     @pytest.mark.parametrize(
-        "n", sorted({10, 63, 64, 200, dynamics._SHIFT_MIN_ROWS - 1, dynamics._SHIFT_MIN_ROWS}),
+        "n", sorted({10, 63, 64, 200, dynamics._FOLD_ANY_ROWS - 1, dynamics._FOLD_ANY_ROWS,
+                     dynamics._SHIFT_MIN_ROWS - 1, dynamics._SHIFT_MIN_ROWS}),
         ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_seams_equal_one_reduce_per_step_bitwise(self, n, rule):
-        # below the row-count switch the seams give the reduce's bits, from it
-        # on the max shift's; argmax's spread is one masked reduce at every size
+        # below the row-count switch the seams give the reduce's bits, whether
+        # they fold or reduce, from it on the max shift's; argmax's spread is
+        # one masked reduce at every size
         lse = reduce_reference if n < dynamics._SHIFT_MIN_ROWS else shift_reference
-        rng = np.random.default_rng(n)
-        h = 4
-        log_psi = rng.normal(0.0, 5.0, (n, h))
-        log_psi[0, 1] = log_psi[0, 2]  # an argmax tie
-        sharing = rule(2)
-        shared = modify_for_sharing(log_psi, sharing)
-        if sharing.transmit is None:
-            want = log_psi
-        else:
-            fixed = sharing.transmit == 2
-            others = (np.arange(h) != 2 if fixed
-                      else np.argmax(log_psi, axis=-1, keepdims=True) != np.arange(h))
-            rest = (lse if fixed else reduce_reference)(log_psi, others) - np.log(h - 1)
-            want = np.where(others, rest, log_psi)
-        assert shared.tobytes() == want.tobytes()
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
-        pooled = net.pool @ shared
-        if sharing.self_aware:
-            pooled += net.diagonal[:, None] * (log_psi - shared)
-        want = pooled - lse(pooled)
-        assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
+        for h in (2, 3, 4, 6):
+            rng = np.random.default_rng(n)
+            log_psi = rng.normal(0.0, 5.0, (n, h))
+            tie = (1, 2) if h > 2 else (0, 1)
+            log_psi[0, tie[0]] = log_psi[0, tie[1]]  # an argmax tie
+            tx = min(2, h - 1)
+            sharing = rule(tx)
+            shared = modify_for_sharing(log_psi, sharing)
+            if sharing.transmit is None:
+                want = log_psi
+            else:
+                fixed = sharing.transmit == tx
+                others = (np.arange(h) != tx if fixed
+                          else np.argmax(log_psi, axis=-1, keepdims=True) != np.arange(h))
+                rest = (lse if fixed else reduce_reference)(log_psi, others) - np.log(h - 1)
+                want = np.where(others, rest, log_psi)
+            assert shared.tobytes() == want.tobytes()
+            pooled = net.pool @ shared
+            if sharing.self_aware:
+                pooled += net.diagonal[:, None] * (log_psi - shared)
+            want = pooled - lse(pooled)
+            assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [10, dynamics._FOLD_ANY_ROWS - 1, dynamics._FOLD_ANY_ROWS],
+                             ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize("h", [2, 3, 4, 6], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("rule", [PartialSharing, SelfAwarePartialSharing],
+                             ids=["partial", "self_aware"])
+    def test_trajectory_steps_as_the_reduce_formulas_bitwise(self, n, h, rule):
+        # each step of a run, through the plan's workspace and whichever of
+        # fold and reduce the rule picks, equals the step written with
+        # net.pool @ shared, the masked reduce and pooled - reduce
+        rng = np.random.default_rng(10 * n + h)
+        fam = random_family("discrete", h, rng)
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        for tx in range(h):
+            traj, obs = run_trajectory(uniform_log_beliefs(n, h), net, fam, 0, rule(tx), 70,
+                                       np.random.default_rng(tx), keep_observations=True)
+            loglik = log_likelihood_rows(fam, obs)
+            others = np.arange(h) != tx
+            for t in range(70):
+                psi = traj[t] + loglik[t]
+                shared = np.where(others, reduce_reference(psi, others) - np.log(h - 1), psi)
+                pooled = net.pool @ shared
+                if rule is SelfAwarePartialSharing:
+                    pooled += net.diagonal[:, None] * (psi - shared)
+                assert_bitwise(traj[t + 1], pooled - reduce_reference(pooled))
 
     @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 150), (2, 250)],
                              ids=["7x10", "2x70", "2x150", "2x250"])
