@@ -12,12 +12,13 @@ rows' normalization under every rule, are a max shift, m + log sum exp(x - m)
 with m the row's largest entry: a few vectorized ``np.maximum``, ``np.exp``,
 add and ``np.log`` passes over column views, where ``np.logaddexp`` is scalar
 libm code per entry. It rounds apart from the reduce by a few ulp. On fewer
-rows each is one ``np.logaddexp.reduce`` call or, where ``_folds`` finds that
-cheaper (a few columns, or many rows), a fold of ``np.logaddexp`` over column
-views in index order, which makes the reduce's calls and so gives its bits.
-Argmax's spread, whose columns differ from row to row, is always one masked
-reduce. The form follows one table's agent count, so a stack of (N, H) tables
-steps each table bitwise as it steps alone.
+rows each is a fold of ``np.logaddexp`` over two or more column views in
+index order, which makes the calls of one ``np.logaddexp.reduce`` and so
+gives its bits, and one reduce over a single column (the spread at H = 2, the
+normalization at H = 1). Argmax's spread, whose columns differ from row to
+row, and a sparse pool's normalization are always one reduce. The form
+follows one table's agent count, so a stack of (N, H) tables steps each
+table bitwise as it steps alone.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -34,9 +35,10 @@ observations, it is the step itself, which ``run_trajectory`` calls.
 
 Under full sharing and a fixed tx, the step itself allocates no array on a
 dense table below ``_SHIFT_MIN_ROWS`` (argmax's spread keeps its masked
-reduce and ``np.where``): the plan holds a workspace (psi, shared and pooled
-rows, one log-sum-exp per row, the self-aware term, the a_kk column and
-prebuilt column views), and the step's calls compute into it with ``out=``.
+reduce and ``np.where``): the plan holds a workspace of the arrays its rule
+and pool write (psi, and where written the shared and pooled rows, one
+log-sum-exp per row, the self-aware term and the a_kk column, with prebuilt
+column views), and the step's calls compute into it with ``out=``.
 A trajectory resolves one plan and passes it through the three seams on
 every step, so the workspace is reused and each step's rows are copied into
 the result; a public call with a ``Sharing`` resolves a fresh plan and so
@@ -201,22 +203,14 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
 #: of ``hetero_random`` the shift cost about 5 us a step more than the reduce.
 #: Below it, a log-sum-exp over k >= 2 columns (a fixed tx's spread sums
 #: H - 1, the pooled normalization H) is a fold of k - 1 ``np.logaddexp``
-#: calls over column views (``_fold``) wherever those calls cost less than the
-#: one reduce (``_folds``): at most three columns on any table, any number
-#: from ``_FOLD_ANY_ROWS`` rows on. Timed the same way, with ``out=`` on both
-#: sides, the H = 3 spread took 1.6 against 4.1 us at 10 rows; the H = 3
-#: normalization 2.6 against 3.3 us at 10 rows and 6.2 against 14.0 at 100;
-#: at 50 rows the fold was cheaper up to H = 16 and at 100 up to H = 30, the
-#: widest timed. The fold and the reduce give the same bits, so the rule
-#: moves no output.
+#: calls over column views (``_fold``), which makes the reduce's calls and so
+#: gives its bits; a single column (the spread at H = 2, the normalization at
+#: H = 1) stays one reduce, where the fold cannot start. Timed the same way,
+#: with ``out=`` on both sides, the H = 3 spread took 1.6 against 4.1 us at 10
+#: rows and the H = 3 normalization 2.6 against 3.3 us at 10 rows and 6.2
+#: against 14.0 at 100. At 10 rows the reduce was cheaper from about five
+#: columns on, but no benchmark workload steps a table that small and wide.
 _SHIFT_MIN_ROWS = 128
-_FOLD_ANY_ROWS = 48
-
-
-def _folds(rows: int, columns: int) -> bool:
-    """Whether a log-sum-exp over ``columns`` columns of a table of ``rows``
-    rows, below ``_SHIFT_MIN_ROWS``, is a ``_fold`` rather than one reduce."""
-    return columns >= 2 and (columns <= 3 or rows >= _FOLD_ANY_ROWS)
 
 
 def _fold(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> None:
@@ -258,12 +252,16 @@ class _Plan:
     combine also for a network, once per trajectory, with the workspace its
     steps compute into.
 
-    ``psi``, ``shared``, ``pooled`` and the self-aware ``term`` have the
-    rows' shape; ``lse`` holds one log-sum-exp per row, as (..., N, 1): the
-    spread's rest, then the pooled rows' normalizer. ``spread`` is the
-    ``_fold`` of a fixed tx's spread, lse's (..., N) view and psi's other
-    columns, and ``normalize`` that of the pooled normalization, lse's view
-    and pooled's columns; each is empty where ``_folds`` keeps the reduce. ``kept`` is the (shared, psi) pair of tx columns.
+    ``psi`` has the rows' shape, and so do the arrays a step writes beyond
+    it, each built only where it is written: ``shared`` for a fixed tx,
+    ``pooled`` for a dense pool and the self-aware ``term`` for a self-aware
+    rule, both given a network. ``lse`` holds one log-sum-exp per row, as
+    (..., N, 1), below ``_SHIFT_MIN_ROWS``: the spread's rest, then the pooled
+    rows' normalizer. ``spread`` is the ``_fold`` of a fixed tx's spread over
+    two or more columns, lse's (..., N) view and psi's other columns, and
+    ``normalize`` that of the dense pooled normalization over two or more,
+    lse's view and pooled's columns; each is empty where the reduce or the
+    shift runs. ``kept`` is the (shared, psi) pair of tx columns.
 
     Building a plan is most of what a lone :func:`run_iteration` adds to the
     step, so it is kept small: each array is one ``np.empty`` call, which
@@ -276,15 +274,15 @@ class _Plan:
     transmit: Union[None, int, str]
     self_aware: bool
     shift: bool  # at least _SHIFT_MIN_ROWS rows per table: max-shift log-sum-exps
-    others: Union[None, np.ndarray]  # a fixed tx's reduced spread columns, as a mask
-    log_rest: np.ndarray  # log(H - 1), 0-d: a numpy scalar operand is converted per call
+    others: Union[None, np.ndarray]  # a fixed tx's one spread column at H = 2, as a mask
+    log_rest: Union[None, np.ndarray]  # log(H - 1), 0-d: -= converts a scalar per call
     sparse: bool  # net.pool is sparse: its product is fresh, not ``pooled``
     diagonal: Union[None, np.ndarray]  # net.diagonal[:, None], to a self-aware rule
     psi: np.ndarray
-    shared: np.ndarray
-    pooled: np.ndarray
+    shared: Union[None, np.ndarray]
+    pooled: Union[None, np.ndarray]
     term: Union[None, np.ndarray]
-    lse: np.ndarray
+    lse: Union[None, np.ndarray]
     spread: tuple
     normalize: tuple
     kept: tuple
@@ -314,23 +312,28 @@ def _plan(sharing, rows, net=None) -> _Plan:
     if h == 1:  # a single hypothesis has nothing to spread
         tx, fixed = None, False
     aware = sharing.self_aware
-    sparse = net is not None and not isinstance(net.pool, np.ndarray)
-    psi, shared, pooled = np.empty(shape), np.empty(shape), np.empty(shape)
-    lse = np.empty((*shape[:-1], 1))
+    psi = np.empty(shape)
+    shared = np.empty(shape) if fixed else None
+    lse = None if shift else np.empty(shape[:-1] + (1,))
+    sparse, pooled, term, diagonal = False, None, None, None
+    if net is not None:
+        sparse = not isinstance(net.pool, np.ndarray)
+        pooled = None if sparse else np.empty(shape)
+        if aware:
+            term, diagonal = np.empty(shape), net.diagonal[:, None]
     others, spread, normalize, kept = None, (), (), ()
     if fixed:
         kept = (shared[..., tx], psi[..., tx])
-        if not shift and _folds(n, h - 1):
+        if not shift and h > 2:
             spread = (lse[..., 0], *[psi[..., c] for c in range(h) if c != tx])
         elif not shift:
             others = np.arange(h) != tx
-    if not (shift or sparse) and _folds(n, h):
+    if pooled is not None and not shift and h > 1:
         normalize = (lse[..., 0], *[pooled[..., c] for c in range(h)])
-    log_rest = np.asarray(np.log(h - 1.0) if tx is not None else 0.0)
+    log_rest = None if tx is None else np.asarray(np.log(h - 1.0))
     return _Plan(
-        tx, aware, shift, others, log_rest, sparse,
-        net.diagonal[:, None] if aware and net is not None else None,
-        psi, shared, pooled, np.empty(shape) if aware else None, lse, spread, normalize, kept,
+        tx, aware, shift, others, log_rest, sparse, diagonal,
+        psi, shared, pooled, term, lse, spread, normalize, kept,
     )
 
 

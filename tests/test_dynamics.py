@@ -948,8 +948,7 @@ class TestColumnFold:
                     assert out.tobytes() == reduce_reference(kept)[:, 0].tobytes()
 
     @pytest.mark.parametrize(
-        "n", sorted({10, 63, 64, 200, dynamics._FOLD_ANY_ROWS - 1, dynamics._FOLD_ANY_ROWS,
-                     dynamics._SHIFT_MIN_ROWS - 1, dynamics._SHIFT_MIN_ROWS}),
+        "n", sorted({10, 63, 64, 200, dynamics._SHIFT_MIN_ROWS - 1, dynamics._SHIFT_MIN_ROWS}),
         ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_seams_equal_one_reduce_per_step_bitwise(self, n, rule):
@@ -981,7 +980,7 @@ class TestColumnFold:
             want = pooled - lse(pooled)
             assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [10, dynamics._FOLD_ANY_ROWS - 1, dynamics._FOLD_ANY_ROWS],
+    @pytest.mark.parametrize("n", [10, dynamics._SHIFT_MIN_ROWS - 1],
                              ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("h", [2, 3, 4, 6], ids=lambda h: f"H{h}")
     @pytest.mark.parametrize("rule", [PartialSharing, SelfAwarePartialSharing],
