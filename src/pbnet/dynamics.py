@@ -208,8 +208,9 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
 #: H = 1) stays one reduce, where the fold cannot start. Timed the same way,
 #: with ``out=`` on both sides, the H = 3 spread took 1.6 against 4.1 us at 10
 #: rows and the H = 3 normalization 2.6 against 3.3 us at 10 rows and 6.2
-#: against 14.0 at 100. At 10 rows the reduce was cheaper from about five
-#: columns on, but no benchmark workload steps a table that small and wide.
+#: against 14.0 at 100. At 10 rows the spread's reduce was cheaper from four
+#: columns on (2.8 against 3.5 us), but no benchmark workload steps a table
+#: that small and wide.
 _SHIFT_MIN_ROWS = 128
 
 
