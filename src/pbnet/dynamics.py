@@ -33,12 +33,16 @@ because the log-sum-exps warn on the NaN or infinity that the check reports.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
 
-Under full sharing and a fixed tx, the step itself allocates no array on a
-dense table below ``_SHIFT_MIN_ROWS`` (argmax's spread keeps its masked
-reduce and ``np.where``): the plan holds a workspace of the arrays its rule
-and pool write (psi, and where written the shared and pooled rows, one
-log-sum-exp per row, the self-aware term and the a_kk column, with prebuilt
-column views), and the step's calls compute into it with ``out=``.
+Under every rule, the step itself allocates no array on a dense table below
+``_SHIFT_MIN_ROWS`` (tested): the plan holds a workspace of the arrays its
+rule and pool write (psi, and where written the shared and pooled rows, one
+log-sum-exp per row and its copy across the row, the self-aware term and the
+a_kk column, argmax's kept column and mask, with prebuilt column views and
+fold calls), and the step's calls compute into it with ``out``. At ten
+agents a step costs what its numpy calls cost to enter, so each call takes
+its cheapest form that gives the same bits (see ``_Plan``): ``np.dot`` for
+one table, no (..., N, 1) operand broadcast over a row in a per-step ufunc,
+no ``np.copyto`` but argmax's masked one, and positional ``out``.
 A trajectory resolves one plan and passes it through the three seams on
 every step, so the workspace is reused and each step's rows are copied into
 the result; a public call with a ``Sharing`` resolves a fresh plan and so
@@ -203,26 +207,37 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
 #: of ``hetero_random`` the shift cost about 5 us a step more than the reduce.
 #: Below it, a log-sum-exp over k >= 2 columns (a fixed tx's spread sums
 #: H - 1, the pooled normalization H) is a fold of k - 1 ``np.logaddexp``
-#: calls over column views (``_fold``), which makes the reduce's calls and so
-#: gives its bits; a single column (the spread at H = 2, the normalization at
-#: H = 1) stays one reduce, where the fold cannot start. Timed the same way,
-#: with ``out=`` on both sides, the H = 3 spread took 1.6 against 4.1 us at 10
-#: rows and the H = 3 normalization 2.6 against 3.3 us at 10 rows and 6.2
-#: against 14.0 at 100. At 10 rows the spread's reduce was cheaper from four
-#: columns on (2.8 against 3.5 us), but no benchmark workload steps a table
-#: that small and wide.
+#: calls over column views (``_fold_calls``), which makes the reduce's calls
+#: and so gives its bits; a single column (the spread at H = 2, the
+#: normalization at H = 1) stays one reduce, where the fold cannot start.
+#: Timed the same way, with ``out=`` on both sides, the H = 3 spread took 1.6
+#: against 4.1 us at 10 rows and the H = 3 normalization 2.6 against 3.3 us at
+#: 10 rows and 6.2 against 14.0 at 100. At 10 rows the spread's reduce was
+#: cheaper from four columns on (2.8 against 3.5 us), but no benchmark workload
+#: steps a table that small and wide. Below it too, the pooled normalizer is
+#: copied across its row before the subtraction, and no per-step ufunc takes a
+#: (..., N, 1) operand, whose broadcast costs more than the copy (see
+#: ``_Plan``); from it on, the max shift keeps its (..., N, 1) subtraction.
 _SHIFT_MIN_ROWS = 128
 
 
+def _fold_calls(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> tuple:
+    """The ``np.logaddexp`` calls, as positional (x1, x2, out) triples, that
+    fold ``first`` and one or more ``columns`` in index order into ``out``. A
+    plan keeps them and a step runs them in a loop (a positional ``out``
+    costs less than the keyword; the loop less than a call of ``_fold``).
+    They make the calls the reduce over those columns makes, so they have its
+    bits, and those of the masked reduce from ``initial=-inf``: that reduce's
+    first call, ``logaddexp(-inf, x)``, only turns -0.0 into +0.0, which the
+    next call cannot tell apart."""
+    return ((first, columns[0], out),) + tuple((out, column, out) for column in columns[1:])
+
+
 def _fold(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> None:
-    """``np.logaddexp`` folded over ``first`` and one or more ``columns``, in
-    index order, into ``out``. It makes the calls the reduce over those
-    columns makes, so it has its bits, and those of the masked reduce from
-    ``initial=-inf``: that reduce's first call, ``logaddexp(-inf, x)``, only
-    turns -0.0 into +0.0, which the next call cannot tell apart."""
-    np.logaddexp(first, columns[0], out=out)
-    for column in columns[1:]:
-        np.logaddexp(out, column, out=out)
+    """``np.logaddexp`` folded over ``first`` and ``columns`` into ``out``:
+    the calls of :func:`_fold_calls`, run once, as a plan runs them."""
+    for args in _fold_calls(out, first, *columns):
+        np.logaddexp(*args)
 
 
 def _logsumexp_shift(rows: np.ndarray, skip=None) -> np.ndarray:
@@ -254,15 +269,36 @@ class _Plan:
     steps compute into.
 
     ``psi`` has the rows' shape, and so do the arrays a step writes beyond
-    it, each built only where it is written: ``shared`` for a fixed tx,
-    ``pooled`` for a dense pool and the self-aware ``term`` for a self-aware
-    rule, both given a network. ``lse`` holds one log-sum-exp per row, as
-    (..., N, 1), below ``_SHIFT_MIN_ROWS``: the spread's rest, then the pooled
-    rows' normalizer. ``spread`` is the ``_fold`` of a fixed tx's spread over
-    two or more columns, lse's (..., N) view and psi's other columns, and
-    ``normalize`` that of the dense pooled normalization over two or more,
-    lse's view and pooled's columns; each is empty where the reduce or the
-    shift runs. ``kept`` is the (shared, psi) pair of tx columns.
+    it, each built only where it is written: ``shared`` for a fixed tx or
+    argmax, ``pooled`` for a dense pool and the self-aware ``term`` for a self-aware
+    rule, both given a network. ``product`` is the dense pool's product,
+    ``np.dot`` for one (N, H) table and ``np.matmul`` for a stack, which
+    ``np.dot`` would contract otherwise. ``diagonal`` is the a_kk column
+    repeated over the H columns, (N, H), so that a stack broadcasts it only
+    over its leading axes. Below ``_SHIFT_MIN_ROWS``, ``lse`` holds one
+    log-sum-exp per row, as (..., N, 1): the spread's rest, then the pooled
+    rows' normalizer, which a dense pool copies across its row into
+    ``normalizer``, of the rows' shape, before subtracting it. ``spread``
+    holds the ``_fold_calls`` of a fixed tx's spread over two or more
+    columns, into lse's (..., N) view from psi's other columns, and
+    ``normalize`` those of the dense pooled normalization over two or more,
+    from pooled's columns; each is empty where the reduce or the shift runs.
+    ``kept`` is the (shared, psi) pair of tx columns. Argmax writes its
+    kept column into ``top`` and its spread columns into the mask
+    ``others``, its masked reduce into ``lse`` at any row count.
+
+    The step's calls take the cheapest form that gives the same bits: ``np.dot``
+    for one table, no (..., N, 1) operand broadcast over a row in a per-step
+    ufunc, and no ``np.copyto`` but argmax's masked one. Timed at 10 x 3 rows
+    (numpy 2.4.6, OpenBLAS 0.3.31, best of 7, one thread of a 2-core Xeon
+    VM): ``np.dot`` with ``out`` 1.0 us against 1.8 for ``np.matmul``; an
+    (N, 1) operand, which takes numpy's broadcast-stride path, 1.0 us in
+    ``pooled -= lse`` against 0.2 + 0.3 for the copy into ``normalizer`` and
+    a contiguous ``-=``, and 1.4 against 0.8 in the a_kk product; a view
+    assignment 0.1 us against 0.65 for ``np.copyto``, which goes through
+    numpy's Python-level dispatcher; a positional ``out`` about 0.15 us less
+    than the keyword, and a loop over a fold's calls 0.16 us less than a
+    call of ``_fold`` for one call and 0.3 for two.
 
     Building a plan is most of what a lone :func:`run_iteration` adds to the
     step, so it is kept small: each array is one ``np.empty`` call, which
@@ -275,15 +311,18 @@ class _Plan:
     transmit: Union[None, int, str]
     self_aware: bool
     shift: bool  # at least _SHIFT_MIN_ROWS rows per table: max-shift log-sum-exps
-    others: Union[None, np.ndarray]  # a fixed tx's one spread column at H = 2, as a mask
+    others: Union[None, np.ndarray]  # the spread columns, as a mask: a fixed tx's one at H = 2
+    top: Union[None, np.ndarray]  # argmax's kept column per row, (..., N, 1)
+    columns: Union[None, np.ndarray]  # arange(H), to argmax
     log_rest: Union[None, np.ndarray]  # log(H - 1), 0-d: -= converts a scalar per call
-    sparse: bool  # net.pool is sparse: its product is fresh, not ``pooled``
-    diagonal: Union[None, np.ndarray]  # net.diagonal[:, None], to a self-aware rule
+    product: object  # np.dot or np.matmul for a dense pool; None for a sparse one
+    diagonal: Union[None, np.ndarray]
     psi: np.ndarray
     shared: Union[None, np.ndarray]
     pooled: Union[None, np.ndarray]
     term: Union[None, np.ndarray]
     lse: Union[None, np.ndarray]
+    normalizer: Union[None, np.ndarray]
     spread: tuple
     normalize: tuple
     kept: tuple
@@ -314,27 +353,34 @@ def _plan(sharing, rows, net=None) -> _Plan:
         tx, fixed = None, False
     aware = sharing.self_aware
     psi = np.empty(shape)
-    shared = np.empty(shape) if fixed else None
-    lse = None if shift else np.empty(shape[:-1] + (1,))
-    sparse, pooled, term, diagonal = False, None, None, None
+    argmax = tx == "argmax"
+    shared = np.empty(shape) if fixed or argmax else None
+    lse = None if shift and not argmax else np.empty(shape[:-1] + (1,))
+    product, pooled, term, diagonal = None, None, None, None
     if net is not None:
-        sparse = not isinstance(net.pool, np.ndarray)
-        pooled = None if sparse else np.empty(shape)
+        if isinstance(net.pool, np.ndarray):
+            product, pooled = (np.dot if len(shape) == 2 else np.matmul), np.empty(shape)
         if aware:
-            term, diagonal = np.empty(shape), net.diagonal[:, None]
-    others, spread, normalize, kept = None, (), (), ()
+            term, diagonal = np.empty(shape), np.empty(shape[-2:])
+            diagonal[...] = net.diagonal[:, None]
+    others, normalizer, spread, normalize, kept = None, None, (), (), ()
+    top = columns = None
+    if argmax:
+        top, columns = np.empty(shape[:-1] + (1,), np.intp), np.arange(h)
+        others = np.empty(shape, bool)
     if fixed:
         kept = (shared[..., tx], psi[..., tx])
         if not shift and h > 2:
-            spread = (lse[..., 0], *[psi[..., c] for c in range(h) if c != tx])
+            spread = _fold_calls(lse[..., 0], *[psi[..., c] for c in range(h) if c != tx])
         elif not shift:
             others = np.arange(h) != tx
     if pooled is not None and not shift and h > 1:
-        normalize = (lse[..., 0], *[pooled[..., c] for c in range(h)])
+        normalizer = np.empty(shape)
+        normalize = _fold_calls(lse[..., 0], *[pooled[..., c] for c in range(h)])
     log_rest = None if tx is None else np.asarray(np.log(h - 1.0))
     return _Plan(
-        tx, aware, shift, others, log_rest, sparse, diagonal,
-        psi, shared, pooled, term, lse, spread, normalize, kept,
+        tx, aware, shift, others, top, columns, log_rest, product, diagonal,
+        psi, shared, pooled, term, lse, normalizer, spread, normalize, kept,
     )
 
 
@@ -345,9 +391,9 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
 
     The rows are read from the plan's ``psi``, where a step computes them;
     rows from elsewhere, as a public call's, are copied there first, as
-    floats. Full sharing returns ``psi`` itself, and a fixed tx's spread is
-    made in ``shared``, so a call with a ``Sharing`` returns an array of its
-    own.
+    floats. Full sharing returns ``psi`` itself, and a fixed tx's or argmax's
+    spread is made in ``shared``, so a call with a ``Sharing`` returns an
+    array of its own.
     """
     plan = _plan(sharing, log_psi)
     psi = plan.psi
@@ -356,23 +402,28 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     if plan.transmit is None:
         return psi
     if plan.transmit == "argmax":  # ties toward the lowest index
-        others = np.argmax(psi, axis=-1, keepdims=True) != np.arange(psi.shape[-1])
+        top, others, shared = plan.top, plan.others, plan.shared
+        np.argmax(psi, -1, top, keepdims=True)
+        np.not_equal(top, plan.columns, others)
         # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
-        rest = np.logaddexp.reduce(psi, axis=-1, keepdims=True, where=others, initial=-np.inf)
+        rest = np.logaddexp.reduce(psi, -1, None, plan.lse, True, -np.inf, others)
         rest -= plan.log_rest
-        return np.where(others, rest, psi)
+        shared[...] = psi
+        np.copyto(shared, rest, where=others)
+        return shared
     if plan.shift:
         rest = _logsumexp_shift(psi, plan.transmit)
     elif plan.spread:
-        _fold(*plan.spread)
+        for args in plan.spread:
+            np.logaddexp(*args)
         rest = plan.lse
     else:
-        rest = np.logaddexp.reduce(psi, axis=-1, keepdims=True, where=plan.others,
-                                   initial=-np.inf, out=plan.lse)
+        rest = np.logaddexp.reduce(psi, -1, None, plan.lse, True, -np.inf, plan.others)
     rest -= plan.log_rest
     shared = plan.shared
     shared[...] = rest
-    np.copyto(*plan.kept)
+    kept, source = plan.kept
+    kept[...] = source
     return shared
 
 
@@ -390,10 +441,12 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     because it multiplies 2-D operands only. Tables of another agent count
     than N raise ValidationError.
     """
-    shared = np.asarray(log_shared, dtype=float)
-    plan = _plan(sharing, shared, net)
-    if not plan.sparse:
-        pooled = np.matmul(net.pool, shared, out=plan.pooled)
+    plan = _plan(sharing, log_shared, net)
+    shared = log_shared
+    if shared is not plan.psi and shared is not plan.shared:
+        shared = np.asarray(shared, dtype=float)
+    if plan.product is not None:
+        pooled = plan.product(net.pool, shared, plan.pooled)
     elif shared.ndim > 2:
         columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
         pooled = (net.pool @ columns.reshape(len(columns), -1)).reshape(columns.shape)
@@ -401,21 +454,24 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     else:
         pooled = net.pool @ shared
     if plan.self_aware:
-        own = np.asarray(log_own, dtype=float)
+        own = log_own if log_own is plan.psi else np.asarray(log_own, dtype=float)
         if own.shape != shared.shape:
             raise ValidationError(
                 f"own log-beliefs of shape {own.shape} are not the shared rows' {shared.shape}"
             )
-        term = np.subtract(own, shared, out=plan.term)
+        term = np.subtract(own, shared, plan.term)
         term *= plan.diagonal
         pooled += term
     if plan.shift:
         pooled -= _logsumexp_shift(pooled)
     elif plan.normalize:
-        _fold(*plan.normalize)
-        pooled -= plan.lse
+        for args in plan.normalize:
+            np.logaddexp(*args)
+        normalizer = plan.normalizer
+        normalizer[...] = plan.lse
+        pooled -= normalizer
     else:
-        pooled -= np.logaddexp.reduce(pooled, axis=-1, keepdims=True, out=plan.lse)
+        pooled -= np.logaddexp.reduce(pooled, -1, None, plan.lse, True)
     return pooled
 
 
@@ -503,7 +559,7 @@ def run_iteration(
             f"log-beliefs of shape {shape} and log-likelihoods of shape {scored} "
             f"are not both (N={net.size}, H)"
         )
-    log_psi = np.add(log_beliefs, loglik, out=plan.psi)
+    log_psi = np.add(log_beliefs, loglik, plan.psi)
     return combine_step(net, modify_for_sharing(log_psi, plan), log_psi, plan), xi
 
 
@@ -565,9 +621,9 @@ def run_trajectory(
             obs[start:start + steps] = xi
         block = out[start + 1:start + steps + 1]
         with np.errstate(invalid="ignore"):  # a NaN is reported by the block check
-            for row, drawn, scored in zip(block, xi, loglik):
+            for row, scored in zip(block, loglik):  # obs keeps xi; the step returns it unread
                 log_b, _ = run_iteration(
-                    log_b, net, models, true_index, plan, rng, observed=(drawn, scored)
+                    log_b, net, models, true_index, plan, rng, observed=(None, scored)
                 )
                 row[...] = log_b
         try:

@@ -338,8 +338,15 @@ class DiscreteGroup:
 
     def observations(self, theta: int, u: np.ndarray) -> np.ndarray:
         """Observations under hypothesis ``theta`` (checked) of uniforms u,
-        (..., n) for a group: each agent's inverse-CDF point."""
-        return (self.cdf[theta] <= u[..., None, :]).sum(axis=-2)
+        (..., n) for a group: each agent's inverse-CDF point, the count of
+        its cdf entries <= u, added one cdf row at a time. The last row is
+        +inf for every agent and adds nothing, so it is skipped (at S = 1
+        the first row is that row: 0 for every u)."""
+        cdf = self.cdf[theta]
+        idx = (cdf[0] <= u).astype(np.int64)
+        for row in cdf[1:-1]:
+            idx += row <= u
+        return idx
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -575,6 +577,54 @@ class TestWorkspace:
                 assert not np.shares_memory(a, b)
 
 
+    @pytest.mark.parametrize("n", [10, 100], ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize("h", [2, 3, 4], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_a_planned_dense_step_allocates_no_numpy_buffer(self, n, h, rule):
+        # 64 steps given one plan, on a dense pool below the max-shift rows;
+        # at every bytecode of pbnet.dynamics at which the traced total has
+        # grown, numpy's tracemalloc domain must hold no buffer made since
+        # the steps began (a buffer made and freed inside one numpy call,
+        # such as a copy numpy takes of an overlapping source, is not seen)
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        rng = np.random.default_rng(n + h)
+        log_b = uniform_log_beliefs(n, h)
+        plan = dynamics._plan(rule(1), log_b, net)
+        rows = [(None, scored) for scored in rng.normal(0.0, 1.0, (65, n, h))]
+        log_b, _ = run_iteration(log_b, net, DISC3, 0, plan, rng, observed=rows[0])
+        domain, source = np.lib.tracemalloc_domain, dynamics.__file__
+        seen, last = [], [0]
+
+        def bytecode(frame, event, arg):
+            if event == "opcode":
+                total = tracemalloc.get_traced_memory()[0]
+                if total > last[0]:
+                    traces = tracemalloc.take_snapshot().traces
+                    seen.append(sum(trace.domain == domain for trace in traces))
+                last[0] = total
+            return bytecode
+
+        def calls(frame, event, arg):
+            if frame.f_code.co_filename == source:
+                frame.f_trace_opcodes = True
+                return bytecode
+            return None
+
+        tracing, tracer = tracemalloc.is_tracing(), sys.gettrace()
+        if not tracing:
+            tracemalloc.start()
+        sys.settrace(calls)
+        try:
+            for row in rows[1:]:
+                log_b, _ = run_iteration(log_b, net, DISC3, 0, plan, rng, observed=row)
+        finally:
+            sys.settrace(tracer)
+            if not tracing:
+                tracemalloc.stop()
+        assert seen and max(seen) == 0
+        check_log_beliefs(log_b)
+
+
 class TestSharing:
     @pytest.mark.parametrize("old, fields", [
         (FullSharing(), (None, False)),
@@ -980,26 +1030,29 @@ class TestColumnFold:
             want = pooled - lse(pooled)
             assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [10, dynamics._SHIFT_MIN_ROWS - 1],
+    @pytest.mark.parametrize("n", [10, 100, dynamics._SHIFT_MIN_ROWS - 1],
                              ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("h", [2, 3, 4, 6], ids=lambda h: f"H{h}")
-    @pytest.mark.parametrize("rule", [PartialSharing, SelfAwarePartialSharing],
-                             ids=["partial", "self_aware"])
+    @pytest.mark.parametrize("rule", [FullSharing, PartialSharing, SelfAwarePartialSharing],
+                             ids=["full", "partial", "self_aware"])
     def test_trajectory_steps_as_the_reduce_formulas_bitwise(self, n, h, rule):
-        # each step of a run, through the plan's workspace and whichever of
-        # fold and reduce the rule picks, equals the step written with
-        # net.pool @ shared, the masked reduce and pooled - reduce
+        # each step of a run, through the plan's workspace, its np.dot pool
+        # product and whichever of fold and reduce the rule picks, equals the
+        # step written with net.pool @ shared, the masked reduce and
+        # pooled - reduce
         rng = np.random.default_rng(10 * n + h)
         fam = random_family("discrete", h, rng)
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
-        for tx in range(h):
-            traj, obs = run_trajectory(uniform_log_beliefs(n, h), net, fam, 0, rule(tx), 70,
-                                       np.random.default_rng(tx), keep_observations=True)
+        for tx in range(h) if rule is not FullSharing else [None]:
+            sharing = rule() if tx is None else rule(tx)
+            traj, obs = run_trajectory(uniform_log_beliefs(n, h), net, fam, 0, sharing, 70,
+                                       np.random.default_rng(tx or 0), keep_observations=True)
             loglik = log_likelihood_rows(fam, obs)
             others = np.arange(h) != tx
             for t in range(70):
                 psi = traj[t] + loglik[t]
-                shared = np.where(others, reduce_reference(psi, others) - np.log(h - 1), psi)
+                shared = psi if tx is None else np.where(
+                    others, reduce_reference(psi, others) - np.log(h - 1), psi)
                 pooled = net.pool @ shared
                 if rule is SelfAwarePartialSharing:
                     pooled += net.diagonal[:, None] * (psi - shared)

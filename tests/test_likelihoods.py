@@ -649,6 +649,28 @@ class TestSampling:
         np.testing.assert_array_equal(sample_observation(fam, 0, TopUniform(), size=3), [9] * 3)
         assert sample_observation(fam, 0, TopUniform()) == 9
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_observations_count_as_the_comparison_cube(self, seed):
+        # groups of mixed support sizes, with single-point agents and agents
+        # padded to the widest support, map uniforms, some equal to a cdf
+        # entry, as the (..., S, n) cube of comparisons summed over S
+        rng = np.random.default_rng(seed)
+        h = int(rng.integers(1, 4))
+        sizes = rng.integers(1, 6, size=int(rng.integers(2, 8)))
+        sizes[rng.integers(len(sizes))] = 1
+        models = [DiscreteFamily(rng.dirichlet(np.ones(s), size=h)) for s in sizes]
+        for model in (stack_models(models, len(models))[0], *models):
+            n = model.cdf.shape[-1]
+            for theta in range(h):
+                u = rng.random((5, 4, n))
+                finite = np.isfinite(model.cdf[theta, 0])
+                u[0, 0, finite] = model.cdf[theta, 0, finite]
+                for batch in (u, u[0], u[0, 0]):
+                    got = model.observations(theta, batch)
+                    want = (model.cdf[theta] <= batch[..., None, :]).sum(axis=-2)
+                    assert got.dtype == want.dtype == np.int64
+                    np.testing.assert_array_equal(got, want)
+
 
 class TestDiscreteRowTable:
     """``log_rows`` is one ``np.take`` of whole rows of the (n·S, H) table."""
