@@ -221,16 +221,20 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
 _SHIFT_MIN_ROWS = 128
 
 
-def _fold_calls(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> tuple:
+def _fold_calls(out: np.ndarray, first: np.ndarray, second: np.ndarray,
+                *rest: np.ndarray) -> list:
     """The ``np.logaddexp`` calls, as positional (x1, x2, out) triples, that
-    fold ``first`` and one or more ``columns`` in index order into ``out``. A
+    fold ``first``, ``second`` and the ``rest`` in index order into ``out``. A
     plan keeps them and a step runs them in a loop (a positional ``out``
     costs less than the keyword; the loop less than a call of ``_fold``).
     They make the calls the reduce over those columns makes, so they have its
     bits, and those of the masked reduce from ``initial=-inf``: that reduce's
     first call, ``logaddexp(-inf, x)``, only turns -0.0 into +0.0, which the
     next call cannot tell apart."""
-    return ((first, columns[0], out),) + tuple((out, column, out) for column in columns[1:])
+    calls = [(first, second, out)]
+    for column in rest:
+        calls.append((out, column, out))
+    return calls
 
 
 def _fold(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> None:
@@ -323,8 +327,8 @@ class _Plan:
     term: Union[None, np.ndarray]
     lse: Union[None, np.ndarray]
     normalizer: Union[None, np.ndarray]
-    spread: tuple
-    normalize: tuple
+    spread: Sequence[tuple]
+    normalize: Sequence[tuple]
     kept: tuple
 
 
@@ -363,8 +367,8 @@ def _plan(sharing, rows, net=None) -> _Plan:
         if aware:
             term, diagonal = np.empty(shape), np.empty(shape[-2:])
             diagonal[...] = net.diagonal[:, None]
-    others, normalizer, spread, normalize, kept = None, None, (), (), ()
-    top = columns = None
+    others = top = columns = normalizer = None
+    spread, normalize, kept = (), (), ()
     if argmax:
         top, columns = np.empty(shape[:-1] + (1,), np.intp), np.arange(h)
         others = np.empty(shape, bool)
