@@ -446,9 +446,7 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     than N raise ValidationError.
     """
     plan = _plan(sharing, log_shared, net)
-    shared = log_shared
-    if shared is not plan.psi and shared is not plan.shared:
-        shared = np.asarray(shared, dtype=float)
+    shared = np.asarray(log_shared, dtype=float)
     if plan.product is not None:
         pooled = plan.product(net.pool, shared, plan.pooled)
     elif shared.ndim > 2:
@@ -458,7 +456,7 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     else:
         pooled = net.pool @ shared
     if plan.self_aware:
-        own = log_own if log_own is plan.psi else np.asarray(log_own, dtype=float)
+        own = np.asarray(log_own, dtype=float)
         if own.shape != shared.shape:
             raise ValidationError(
                 f"own log-beliefs of shape {own.shape} are not the shared rows' {shared.shape}"

@@ -583,9 +583,10 @@ class TestWorkspace:
     def test_a_planned_dense_step_allocates_no_numpy_buffer(self, n, h, rule):
         # 64 steps given one plan, on a dense pool below the max-shift rows;
         # at every bytecode of pbnet.dynamics at which the traced total has
-        # grown, numpy's tracemalloc domain must hold no buffer made since
-        # the steps began (a buffer made and freed inside one numpy call,
-        # such as a copy numpy takes of an overlapping source, is not seen)
+        # grown, numpy's tracemalloc domain must hold no more buffers than it
+        # held just before the steps began (a buffer made and freed inside
+        # one numpy call, such as a copy numpy takes of an overlapping
+        # source, is not seen)
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         rng = np.random.default_rng(n + h)
         log_b = uniform_log_beliefs(n, h)
@@ -613,6 +614,7 @@ class TestWorkspace:
         tracing, tracer = tracemalloc.is_tracing(), sys.gettrace()
         if not tracing:
             tracemalloc.start()
+        before = sum(trace.domain == domain for trace in tracemalloc.take_snapshot().traces)
         sys.settrace(calls)
         try:
             for row in rows[1:]:
@@ -621,7 +623,7 @@ class TestWorkspace:
             sys.settrace(tracer)
             if not tracing:
                 tracemalloc.stop()
-        assert seen and max(seen) == 0
+        assert seen and max(seen) <= before
         check_log_beliefs(log_b)
 
 
