@@ -6,19 +6,22 @@ iteration index, so linear-domain probabilities underflow within a few
 hundred steps; exponentiate only at the edges (export, verdicts). The mass
 spread over the non-transmitted hypotheses is a log-sum-exp of the *other*
 components rather than log(1 - exp(tx)), which stays finite even when the
-transmitted component is within one ulp of probability one. On many rows per
-table (``_SHIFT_MIN_ROWS``), that log-sum-exp for a fixed tx, and the pooled
-rows' normalization under every rule, are a max shift, m + log sum exp(x - m)
-with m the row's largest entry: a few vectorized ``np.maximum``, ``np.exp``,
-add and ``np.log`` passes over column views, where ``np.logaddexp`` is scalar
-libm code per entry. It rounds apart from the reduce by a few ulp. On fewer
-rows each is a fold of ``np.logaddexp`` over two or more column views in
-index order, which makes the calls of one ``np.logaddexp.reduce`` and so
-gives its bits, and one reduce over a single column (the spread at H = 2, the
-normalization at H = 1). Argmax's spread, whose columns differ from row to
-row, and a sparse pool's normalization are always one reduce. The form
-follows one table's agent count, so a stack of (N, H) tables steps each
-table bitwise as it steps alone.
+transmitted component is within one ulp of probability one.
+
+Each log-sum-exp of a step (a fixed tx's spread, argmax's spread and the
+pooled rows' normalization) is a list of calls that the step plan builds once
+and the step runs into the plan's workspace. Which calls follows one table's
+agent count alone, so a stack of (N, H) tables steps each table bitwise as it
+steps alone. From ``_SHIFT_MIN_ROWS`` rows per table on, a fixed tx's spread
+and the normalization, under every rule and pool, are the max shift
+m + log sum exp(x - m) with m the row's largest entry: a few vectorized
+``np.maximum``, ``np.exp``, add and ``np.log`` passes over column views, where
+``np.logaddexp`` is scalar libm code per entry. It rounds apart from the
+reduce by a few ulp. On fewer rows each is a fold of ``np.logaddexp`` over two
+or more column views in index order, which makes the calls of one
+``np.logaddexp.reduce`` and so gives its bits, or one reduce over a single
+column (the spread at H = 2, the normalization at H = 1). Argmax's spread,
+whose columns differ from row to row, is one masked reduce at every size.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -33,25 +36,27 @@ because the log-sum-exps warn on the NaN or infinity that the check reports.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
 
-Under every rule, the step itself allocates no array on a dense table below
-``_SHIFT_MIN_ROWS`` (tested): the plan holds a workspace of the arrays its
-rule and pool write (psi, and where written the shared and pooled rows, one
-log-sum-exp per row and its copy across the row, the self-aware term and the
-a_kk column, argmax's kept column and mask, with prebuilt column views and
-fold calls), and the step's calls compute into it with ``out``. At ten
-agents a step costs what its numpy calls cost to enter, so each call takes
-its cheapest form that gives the same bits (see ``_Plan``): ``np.dot`` for
-one table, no (..., N, 1) operand broadcast over a row in a per-step ufunc,
-no ``np.copyto`` but argmax's masked one, and positional ``out``.
-A trajectory resolves one plan and passes it through the three seams on
-every step, so the workspace is reused and each step's rows are copied into
-the result; a public call with a ``Sharing`` resolves a fresh plan and so
-returns fresh arrays.
+Under every rule, a planned step on a dense pool allocates no array (tested
+on both sides of ``_SHIFT_MIN_ROWS``): the plan holds a workspace of the
+arrays its rule and pool write (psi, and where written the shared and pooled
+rows, one log-sum-exp per row and its copy across the row, the max shift's
+scratch columns, the self-aware term and the a_kk table, argmax's kept column
+and mask) with the calls that write them, and the seams run those calls and
+branch on the rule alone. A sparse pool's product is made by scipy and copied
+into the workspace. At ten agents a step costs what its numpy calls cost to
+enter, so each call takes its cheapest form that gives the same bits (see
+``_Plan``): ``np.dot`` for one table, no (..., N, 1) operand broadcast over a
+row in a per-step ufunc, no ``np.copyto`` but argmax's masked one, and
+positional ``out``. A trajectory resolves one plan and passes it through the
+three seams on every step, so the workspace is reused and each step's rows are
+copied into the result; a public call with a ``Sharing`` resolves a fresh plan
+and so returns fresh arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -175,19 +180,6 @@ def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
     return np.full((n_agents, n_hypotheses), -np.log(n_hypotheses))
 
 
-def log_beliefs_from_table(table) -> np.ndarray:
-    """Validate and log a linear-domain (N, H) belief table."""
-    t = np.asarray(table, dtype=float)
-    if t.ndim != 2:
-        raise ValidationError("initial beliefs must be a 2-D table")
-    if np.any(t <= 0):
-        raise ValidationError("initial beliefs must be strictly positive")
-    sums = t.sum(axis=1)
-    if not np.all(np.abs(sums - 1.0) <= BELIEF_SUM_TOL):
-        raise ValidationError("initial belief rows must sum to 1")
-    return np.log(t)
-
-
 # -- the three algorithm steps ------------------------------------------------
 
 def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.ndarray:
@@ -199,97 +191,111 @@ def bayesian_update(log_belief: np.ndarray, model: LikelihoodModel, xi) -> np.nd
 
 
 #: Rows per table (N, the agents of one (N, H) table, also in a stack) from
-#: which log-sum-exps take the max shift instead of ``np.logaddexp.reduce``:
-#: the shift's ufunc call per column costs more than the reduce's inner loop
-#: per row on few rows. Timed on trajectory rows at H = 3 (numpy 2.4, shared
+#: which log-sum-exps take the max shift instead of the reduce's calls: the
+#: shift's ufunc call per column costs more than the reduce's inner loop per
+#: row on few rows. Timed on trajectory rows at H = 3 (numpy 2.4, shared
 #: 2-core Xeon VM), the spread broke even near 64 rows and the pooled
 #: normalization between 96 and 128 on a ring; on the 100-agent random graph
 #: of ``hetero_random`` the shift cost about 5 us a step more than the reduce.
 #: Below it, a log-sum-exp over k >= 2 columns (a fixed tx's spread sums
 #: H - 1, the pooled normalization H) is a fold of k - 1 ``np.logaddexp``
-#: calls over column views (``_fold_calls``), which makes the reduce's calls
-#: and so gives its bits; a single column (the spread at H = 2, the
-#: normalization at H = 1) stays one reduce, where the fold cannot start.
-#: Timed the same way, with ``out=`` on both sides, the H = 3 spread took 1.6
-#: against 4.1 us at 10 rows and the H = 3 normalization 2.6 against 3.3 us at
-#: 10 rows and 6.2 against 14.0 at 100. At 10 rows the spread's reduce was
-#: cheaper from four columns on (2.8 against 3.5 us), but no benchmark workload
-#: steps a table that small and wide. Below it too, the pooled normalizer is
-#: copied across its row before the subtraction, and no per-step ufunc takes a
-#: (..., N, 1) operand, whose broadcast costs more than the copy (see
-#: ``_Plan``); from it on, the max shift keeps its (..., N, 1) subtraction.
+#: calls over column views, which makes the reduce's calls and so gives its
+#: bits; a single column (the spread at H = 2, the normalization at H = 1)
+#: stays one reduce, where the fold cannot start. Timed the same way, with
+#: ``out=`` on both sides, the H = 3 spread took 1.6 against 4.1 us at 10 rows
+#: and the H = 3 normalization 2.6 against 3.3 us at 10 rows and 6.2 against
+#: 14.0 at 100. At 10 rows the spread's reduce was cheaper from four columns on
+#: (2.8 against 3.5 us), but no benchmark workload steps a table that small and
+#: wide. ``_plan`` alone reads it; the seams run whichever calls it built.
 _SHIFT_MIN_ROWS = 128
 
 
 def _fold_calls(out: np.ndarray, first: np.ndarray, second: np.ndarray,
                 *rest: np.ndarray) -> list:
-    """The ``np.logaddexp`` calls, as positional (x1, x2, out) triples, that
-    fold ``first``, ``second`` and the ``rest`` in index order into ``out``. A
-    plan keeps them and a step runs them in a loop (a positional ``out``
-    costs less than the keyword; the loop less than a call of ``_fold``).
-    They make the calls the reduce over those columns makes, so they have its
-    bits, and those of the masked reduce from ``initial=-inf``: that reduce's
-    first call, ``logaddexp(-inf, x)``, only turns -0.0 into +0.0, which the
-    next call cannot tell apart."""
-    calls = [(first, second, out)]
+    """The ``np.logaddexp`` calls, as (function, positional (x1, x2, out))
+    pairs, that fold ``first``, ``second`` and the ``rest`` in index order
+    into ``out`` (a positional ``out`` costs less than the keyword). They make
+    the calls the reduce over those columns makes, so they have its bits, and
+    those of the masked reduce from ``initial=-inf``: that reduce's first
+    call, ``logaddexp(-inf, x)``, only turns -0.0 into +0.0, which the next
+    call cannot tell apart."""
+    calls = [(np.logaddexp, (first, second, out))]
     for column in rest:
-        calls.append((out, column, out))
+        calls.append((np.logaddexp, (out, column, out)))
     return calls
 
 
-def _fold(out: np.ndarray, first: np.ndarray, *columns: np.ndarray) -> None:
-    """``np.logaddexp`` folded over ``first`` and ``columns`` into ``out``:
-    the calls of :func:`_fold_calls`, run once, as a plan runs them."""
-    for args in _fold_calls(out, first, *columns):
-        np.logaddexp(*args)
+def _shift_calls(out: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> list:
+    """The calls of the max shift m + log sum_c exp(x_c - m) over ``first``
+    and the ``rest`` into ``out``, with m their largest entry per row: the
+    ``np.maximum``, ``np.subtract``, ``np.exp``, ``np.add`` and ``np.log``
+    passes over column views, each over every row, the exponentials added in
+    index order, into two scratch arrays of ``out``'s shape. ``np.maximum``
+    takes ``out`` by keyword, a positional one being deprecated there.
 
-
-def _logsumexp_shift(rows: np.ndarray, skip=None) -> np.ndarray:
-    """log sum_c exp(rows[..., c]) over the last axis, column ``skip``
-    left out, keeping that axis: the max shift m + log sum_c exp(x_c - m),
-    made as ``np.maximum``, ``np.exp``, ``+=`` and ``np.log`` passes over
-    column views, each over every row. Columns are added in index order.
-
-    A NaN or +inf entry gives NaN, so a row holding one stays non-finite
-    once normalized; on finite rows no pass warns.
+    A NaN or +inf entry gives NaN, so a row holding one stays non-finite once
+    normalized; on finite rows no pass warns. It rounds apart from the reduce
+    by a few ulp; a single column x gives 0.0 + x, as the reduce from -inf.
     """
-    first, *rest = [rows[..., c] for c in range(rows.shape[-1]) if c != skip]
-    shift = np.maximum(first, rest[0]) if rest else first.copy()
-    for column in rest[1:]:
-        np.maximum(shift, column, out=shift)
-    total = np.exp(first - shift)
-    term = np.empty_like(total)
+    shift, term = np.empty_like(out), np.empty_like(out)
+    maximum = partial(np.maximum, out=shift)
+    calls = [(maximum, (first, rest[0])) if rest else (np.copyto, (shift, first))]
+    calls += [(maximum, (shift, column)) for column in rest[1:]]
+    calls.append((np.subtract, (first, shift, out)))
+    calls.append((np.exp, (out, out)))
     for column in rest:
-        total += np.exp(np.subtract(column, shift, out=term), out=term)
-    np.log(total, out=total)
-    total += shift
-    return total[..., None]
+        calls += [(np.subtract, (column, shift, term)), (np.exp, (term, term)),
+                  (np.add, (out, term, out))]
+    return calls + [(np.log, (out, out)), (np.add, (out, shift, out))]
+
+
+def _lse_calls(rows: np.ndarray, out: np.ndarray, shift: bool, skip=None) -> list:
+    """The calls that write log sum_c exp(rows[..., c]) over the last axis,
+    column ``skip`` left out, into ``out`` of the rows' shape less that axis:
+    with ``shift``, the max shift (:func:`_shift_calls`); otherwise a fold
+    over two or more columns (:func:`_fold_calls`), or the one reduce over a
+    single column, masked from -inf where ``skip`` is left out, as argmax's
+    spread is."""
+    columns = [rows[..., c] for c in range(rows.shape[-1]) if c != skip]
+    if shift:
+        return _shift_calls(out, *columns)
+    if len(columns) > 1:
+        return _fold_calls(out, *columns)
+    mask = () if skip is None else (False, -np.inf, np.arange(rows.shape[-1]) != skip)
+    return [(np.logaddexp.reduce, (rows, -1, None, out, *mask))]
+
+
+def _sparse_product(pool, shared: np.ndarray, out: np.ndarray) -> None:
+    """``pool @ shared`` into ``out`` for a sparse pool, which multiplies 2-D
+    operands only: a (..., N, H) stack is one (N, ...·H) product, whose
+    columns are the tables' columns, each summed as it is alone."""
+    columns = shared.swapaxes(0, -2)  # (N, ..., H)
+    product = pool @ columns.reshape(len(columns), -1)
+    out.swapaxes(0, -2)[...] = product.reshape(columns.shape)
 
 
 @dataclass(slots=True)
 class _Plan:
     """A ``Sharing`` resolved for a shape of rows (..., N, H), and for a
     combine also for a network, once per trajectory, with the workspace its
-    steps compute into.
+    steps compute into and the calls they make there.
 
     ``psi`` has the rows' shape, and so do the arrays a step writes beyond
     it, each built only where it is written: ``shared`` for a fixed tx or
-    argmax, ``pooled`` for a dense pool and the self-aware ``term`` for a self-aware
-    rule, both given a network. ``product`` is the dense pool's product,
-    ``np.dot`` for one (N, H) table and ``np.matmul`` for a stack, which
-    ``np.dot`` would contract otherwise. ``diagonal`` is the a_kk column
-    repeated over the H columns, (N, H), so that a stack broadcasts it only
-    over its leading axes. Below ``_SHIFT_MIN_ROWS``, ``lse`` holds one
-    log-sum-exp per row, as (..., N, 1): the spread's rest, then the pooled
-    rows' normalizer, which a dense pool copies across its row into
-    ``normalizer``, of the rows' shape, before subtracting it. ``spread``
-    holds the ``_fold_calls`` of a fixed tx's spread over two or more
-    columns, into lse's (..., N) view from psi's other columns, and
-    ``normalize`` those of the dense pooled normalization over two or more,
-    from pooled's columns; each is empty where the reduce or the shift runs.
-    ``kept`` is the (shared, psi) pair of tx columns. Argmax writes its
-    kept column into ``top`` and its spread columns into the mask
-    ``others``, its masked reduce into ``lse`` at any row count.
+    argmax; ``pooled``, ``normalizer`` and, for a self-aware rule, ``term``
+    given a network. ``lse``, (..., N, 1), holds one log-sum-exp per row: the
+    spread's rest, then the pooled rows' normalizer, which is copied across
+    its row into ``normalizer`` before the subtraction. ``spread`` and
+    ``normalize`` are the (function, args) calls that write them into
+    ``lse``: a fixed tx's spread from psi's other columns and the
+    normalization from pooled's columns (:func:`_lse_calls`), and argmax's
+    spread as its ``np.argmax``, ``np.not_equal`` into the mask ``others``
+    and the masked reduce. ``product`` writes the pool product into ``pooled``: ``np.dot``
+    for one dense (N, H) table, ``np.matmul`` for a dense stack, which
+    ``np.dot`` would contract otherwise, and :func:`_sparse_product` for a
+    sparse pool. ``diagonal`` is the a_kk column repeated over the H columns,
+    (N, H), so that a stack broadcasts it only over its leading axes.
+    ``kept`` is a fixed tx's (shared, psi) pair of tx columns.
 
     The step's calls take the cheapest form that gives the same bits: ``np.dot``
     for one table, no (..., N, 1) operand broadcast over a row in a per-step
@@ -301,8 +307,8 @@ class _Plan:
     a contiguous ``-=``, and 1.4 against 0.8 in the a_kk product; a view
     assignment 0.1 us against 0.65 for ``np.copyto``, which goes through
     numpy's Python-level dispatcher; a positional ``out`` about 0.15 us less
-    than the keyword, and a loop over a fold's calls 0.16 us less than a
-    call of ``_fold`` for one call and 0.3 for two.
+    than the keyword, and a loop over prebuilt calls 0.16 us less than a
+    function that makes them, for one call, and 0.3 for two.
 
     Building a plan is most of what a lone :func:`run_iteration` adds to the
     step, so it is kept small: each array is one ``np.empty`` call, which
@@ -314,18 +320,15 @@ class _Plan:
 
     transmit: Union[None, int, str]
     self_aware: bool
-    shift: bool  # at least _SHIFT_MIN_ROWS rows per table: max-shift log-sum-exps
-    others: Union[None, np.ndarray]  # the spread columns, as a mask: a fixed tx's one at H = 2
-    top: Union[None, np.ndarray]  # argmax's kept column per row, (..., N, 1)
-    columns: Union[None, np.ndarray]  # arange(H), to argmax
+    others: Union[None, np.ndarray]  # argmax's spread columns, as a mask
     log_rest: Union[None, np.ndarray]  # log(H - 1), 0-d: -= converts a scalar per call
-    product: object  # np.dot or np.matmul for a dense pool; None for a sparse one
+    product: object  # writes pool @ shared into pooled, given a network
     diagonal: Union[None, np.ndarray]
     psi: np.ndarray
     shared: Union[None, np.ndarray]
     pooled: Union[None, np.ndarray]
     term: Union[None, np.ndarray]
-    lse: Union[None, np.ndarray]
+    lse: np.ndarray
     normalizer: Union[None, np.ndarray]
     spread: Sequence[tuple]
     normalize: Sequence[tuple]
@@ -348,8 +351,7 @@ def _plan(sharing, rows, net=None) -> _Plan:
     if net is not None and (len(shape) < 2 or shape[-2] != net.size):
         raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
-    n = shape[-2] if len(shape) >= 2 else 1
-    shift = n >= _SHIFT_MIN_ROWS
+    shift = len(shape) >= 2 and shape[-2] >= _SHIFT_MIN_ROWS
     tx, fixed = sharing.transmit, _is_integer(sharing.transmit)
     if fixed and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
@@ -359,31 +361,29 @@ def _plan(sharing, rows, net=None) -> _Plan:
     psi = np.empty(shape)
     argmax = tx == "argmax"
     shared = np.empty(shape) if fixed or argmax else None
-    lse = None if shift and not argmax else np.empty(shape[:-1] + (1,))
-    product, pooled, term, diagonal = None, None, None, None
+    lse = np.empty(shape[:-1] + (1,))
+    product = pooled = normalizer = term = diagonal = others = None
+    spread, normalize, kept = (), (), ()
     if net is not None:
-        if isinstance(net.pool, np.ndarray):
-            product, pooled = (np.dot if len(shape) == 2 else np.matmul), np.empty(shape)
+        dense = isinstance(net.pool, np.ndarray)
+        product = (np.dot if len(shape) == 2 else np.matmul) if dense else _sparse_product
+        pooled, normalizer = np.empty(shape), np.empty(shape)
+        normalize = _lse_calls(pooled, lse[..., 0], shift)
         if aware:
             term, diagonal = np.empty(shape), np.empty(shape[-2:])
             diagonal[...] = net.diagonal[:, None]
-    others = top = columns = normalizer = None
-    spread, normalize, kept = (), (), ()
-    if argmax:
-        top, columns = np.empty(shape[:-1] + (1,), np.intp), np.arange(h)
-        others = np.empty(shape, bool)
     if fixed:
         kept = (shared[..., tx], psi[..., tx])
-        if not shift and h > 2:
-            spread = _fold_calls(lse[..., 0], *[psi[..., c] for c in range(h) if c != tx])
-        elif not shift:
-            others = np.arange(h) != tx
-    if pooled is not None and not shift and h > 1:
-        normalizer = np.empty(shape)
-        normalize = _fold_calls(lse[..., 0], *[pooled[..., c] for c in range(h)])
+        spread = _lse_calls(psi, lse[..., 0], shift, tx)
+    elif argmax:  # ties toward the lowest index
+        top, others = np.empty(shape[:-1], np.intp), np.empty(shape, bool)
+        # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
+        spread = [(np.argmax, (psi, -1, top)),
+                  (np.not_equal, (top[..., None], np.arange(h), others)),
+                  (np.logaddexp.reduce, (psi, -1, None, lse, True, -np.inf, others))]
     log_rest = None if tx is None else np.asarray(np.log(h - 1.0))
     return _Plan(
-        tx, aware, shift, others, top, columns, log_rest, product, diagonal,
+        tx, aware, others, log_rest, product, diagonal,
         psi, shared, pooled, term, lse, normalizer, spread, normalize, kept,
     )
 
@@ -405,29 +405,18 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
         psi[...] = log_psi
     if plan.transmit is None:
         return psi
-    if plan.transmit == "argmax":  # ties toward the lowest index
-        top, others, shared = plan.top, plan.others, plan.shared
-        np.argmax(psi, -1, top, keepdims=True)
-        np.not_equal(top, plan.columns, others)
-        # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
-        rest = np.logaddexp.reduce(psi, -1, None, plan.lse, True, -np.inf, others)
-        rest -= plan.log_rest
-        shared[...] = psi
-        np.copyto(shared, rest, where=others)
-        return shared
-    if plan.shift:
-        rest = _logsumexp_shift(psi, plan.transmit)
-    elif plan.spread:
-        for args in plan.spread:
-            np.logaddexp(*args)
-        rest = plan.lse
-    else:
-        rest = np.logaddexp.reduce(psi, -1, None, plan.lse, True, -np.inf, plan.others)
+    for function, args in plan.spread:
+        function(*args)
+    rest = plan.lse
     rest -= plan.log_rest
     shared = plan.shared
-    shared[...] = rest
-    kept, source = plan.kept
-    kept[...] = source
+    if plan.others is None:  # a fixed tx
+        shared[...] = rest
+        kept, source = plan.kept
+        kept[...] = source
+    else:
+        shared[...] = psi
+        np.copyto(shared, rest, where=plan.others)
     return shared
 
 
@@ -440,21 +429,13 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     instead of its modified one. The rows are normalized here, over the last
     axis, so the inputs may carry a per-row shift, and the caller runs
     :func:`check_log_beliefs`. A (..., N, H) stack of tables pools each table
-    as it pools alone; a dense ``net.pool`` multiplies into the plan's
-    ``pooled``, and a sparse one takes the stack as one (N, ...·H) product,
-    because it multiplies 2-D operands only. Tables of another agent count
-    than N raise ValidationError.
+    as it pools alone, into the plan's ``pooled``. Tables of another agent
+    count than N raise ValidationError.
     """
     plan = _plan(sharing, log_shared, net)
     shared = np.asarray(log_shared, dtype=float)
-    if plan.product is not None:
-        pooled = plan.product(net.pool, shared, plan.pooled)
-    elif shared.ndim > 2:
-        columns = np.moveaxis(shared, -2, 0)  # (N, ..., H)
-        pooled = (net.pool @ columns.reshape(len(columns), -1)).reshape(columns.shape)
-        pooled = np.moveaxis(pooled, 0, -2)
-    else:
-        pooled = net.pool @ shared
+    pooled = plan.pooled
+    plan.product(net.pool, shared, pooled)
     if plan.self_aware:
         own = np.asarray(log_own, dtype=float)
         if own.shape != shared.shape:
@@ -464,16 +445,11 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
         term = np.subtract(own, shared, plan.term)
         term *= plan.diagonal
         pooled += term
-    if plan.shift:
-        pooled -= _logsumexp_shift(pooled)
-    elif plan.normalize:
-        for args in plan.normalize:
-            np.logaddexp(*args)
-        normalizer = plan.normalizer
-        normalizer[...] = plan.lse
-        pooled -= normalizer
-    else:
-        pooled -= np.logaddexp.reduce(pooled, -1, None, plan.lse, True)
+    for function, args in plan.normalize:
+        function(*args)
+    normalizer = plan.normalizer
+    normalizer[...] = plan.lse
+    pooled -= normalizer
     return pooled
 
 

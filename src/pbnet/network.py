@@ -326,13 +326,6 @@ def ring_adjacency(n: int) -> np.ndarray:
     return adj
 
 
-def complete_adjacency(n: int) -> np.ndarray:
-    _check_integer("n", n)
-    if n < 2:
-        raise ValidationError("complete preset needs at least 2 nodes")
-    return np.ones((n, n), dtype=bool)
-
-
 def star_adjacency(n: int) -> np.ndarray:
     """Hub node 0 linked both ways with every spoke; self-loops everywhere."""
     _check_integer("n", n)

@@ -22,7 +22,6 @@ from pbnet.dynamics import (
     bayesian_update,
     check_log_beliefs,
     combine_step,
-    log_beliefs_from_table,
     log_normalize,
     modify_for_sharing,
     run_iteration,
@@ -309,16 +308,6 @@ class TestRecursionOracles:
 
 
 class TestValidation:
-    def test_initial_table_checks(self):
-        with pytest.raises(ValidationError):
-            log_beliefs_from_table([[0.5, 0.5], [1.0, 0.0]])
-        with pytest.raises(ValidationError):
-            log_beliefs_from_table([[0.6, 0.5]])
-
-    def test_initial_table_rejects_nan(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            log_beliefs_from_table([[np.nan, 0.5], [0.5, 0.5]])
-
     def test_check_log_beliefs_rejects_nan(self):
         with pytest.raises(NumericalError):
             check_log_beliefs(np.array([[0.0, np.nan]]))
@@ -577,11 +566,12 @@ class TestWorkspace:
                 assert not np.shares_memory(a, b)
 
 
-    @pytest.mark.parametrize("n", [10, 100], ids=lambda n: f"N{n}")
-    @pytest.mark.parametrize("h", [2, 3, 4], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("h, n", [(h, n) for h in (2, 3, 4) for n in (10, 100)] + [(3, 150)],
+                             ids=["H2-N10", "H2-N100", "H3-N10", "H3-N100", "H4-N10", "H4-N100",
+                                  "H3-N150"])
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_a_planned_dense_step_allocates_no_numpy_buffer(self, n, h, rule):
-        # 64 steps given one plan, on a dense pool below the max-shift rows;
+        # 64 steps given one plan, on a dense pool below and from the max-shift rows;
         # at every bytecode of pbnet.dynamics at which the traced total has
         # grown, numpy's tracemalloc domain must hold no more buffers than it
         # held just before the steps began (a buffer made and freed inside
@@ -910,11 +900,18 @@ def shift_reference(rows, where=None):
     return m + np.log(total)
 
 
+def shift_lse(rows, tx=None):
+    """The max-shift calls a plan runs, over every column or all but ``tx``."""
+    out = np.empty(rows.shape[:-1] + (1,))
+    for function, args in dynamics._lse_calls(rows, out[..., 0], True, tx):
+        function(*args)
+    return out
+
+
 def lse_paths(rows, tx=None):
     """Both log-sum-exp paths, over every column or all but ``tx``."""
     mask = None if tx is None else np.arange(rows.shape[-1]) != tx
-    return {"reduce": reduce_reference(rows, mask),
-            "shift": dynamics._logsumexp_shift(rows, tx)}
+    return {"reduce": reduce_reference(rows, mask), "shift": shift_lse(rows, tx)}
 
 
 class TestColumnFold:
@@ -973,7 +970,7 @@ class TestColumnFold:
         # the reduce folds from -inf, which turns -0.0 into +0.0; the shift
         # adds log(exp(0)) = 0.0 to the entry, which does the same
         rows = np.array([[-0.0, 1.0], [2.0, -0.0]])
-        shift = dynamics._logsumexp_shift
+        shift = shift_lse
         for tx in (0, 1):
             got = shift(rows, tx)
             assert got.tobytes() == reduce_reference(rows, np.arange(2) != tx).tobytes()
@@ -990,13 +987,15 @@ class TestColumnFold:
                 kept = np.array(list(itertools.product(specials, repeat=k)))
                 rows = np.concatenate([np.full((len(kept), 1), -1.0), kept], axis=1)
                 rows = rows.reshape(-1, 11, k + 1)
-                assert bool(dynamics._plan(PartialSharing(0), rows).spread) == (k > 1)
+                first = dynamics._plan(PartialSharing(0), rows).spread[0][0]
+                assert first == (np.logaddexp if k > 1 else np.logaddexp.reduce)
                 others = np.arange(k + 1) != 0
                 want = np.where(others, reduce_reference(rows, others) - np.log(k), rows)
                 assert modify_for_sharing(rows, PartialSharing(0)).tobytes() == want.tobytes()
                 if k > 1:
                     out = np.empty(len(kept))
-                    dynamics._fold(out, *kept.T)
+                    for function, args in dynamics._fold_calls(out, *kept.T):
+                        function(*args)
                     assert out.tobytes() == reduce_reference(kept)[:, 0].tobytes()
 
     @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from pbnet.network import (
     Network,
     alpha_constant,
     build_averaging_matrix,
-    complete_adjacency,
     generate_strongly_connected_adjacency,
     is_strongly_connected,
     mislearning_weight_sum,
@@ -60,7 +59,7 @@ class TestConnectivity:
         assert not is_strongly_connected(adj)
 
     def test_presets_are_strongly_connected(self):
-        for build in (ring_adjacency, complete_adjacency, star_adjacency):
+        for build in (ring_adjacency, star_adjacency):
             adj = build(7)
             assert is_strongly_connected(adj)
             assert np.all(np.diag(adj))
@@ -214,7 +213,7 @@ class TestAveragingMatrix:
         np.testing.assert_allclose(net.perron, [0.5, 0.5], atol=1e-12)
 
     def test_three_node_complete(self):
-        net = build_averaging_matrix(complete_adjacency(3), 0.5)
+        net = build_averaging_matrix(np.ones((3, 3), bool), 0.5)
         off = net.matrix[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, 0.25, atol=0)
         np.testing.assert_allclose(net.perron, [1 / 3] * 3, atol=1e-12)
@@ -249,7 +248,7 @@ class TestAveragingMatrix:
             np.testing.assert_array_equal(net.matrix != 0, adj)
 
     def test_requires_self_loops_everywhere(self):
-        adj = complete_adjacency(3).copy()
+        adj = np.ones((3, 3), bool)
         adj[1, 1] = False
         with pytest.raises(ValidationError, match="self-loop"):
             build_averaging_matrix(adj, 0.5)
@@ -343,7 +342,6 @@ class TestGenerator:
     ("n", lambda: ring_adjacency(10.0)),
     ("n", lambda: ring_adjacency(True)),
     ("n", lambda: star_adjacency(10.0)),
-    ("n", lambda: complete_adjacency(10.0)),
     ("n", lambda: generate_strongly_connected_adjacency(10.0, 0.5, np.random.default_rng(0))),
     ("n_agents", lambda: uniform_log_beliefs(10.0, 3)),
     ("n_hypotheses", lambda: uniform_log_beliefs(10, 3.0)),
@@ -351,7 +349,7 @@ class TestGenerator:
     ("n_agents", lambda: uniform_log_beliefs(0, 3)),
     ("n_hypotheses", lambda: uniform_log_beliefs(3, 0)),
     ("transmit", lambda: Sharing(1.0)),
-], ids=["ring", "ring-bool", "star", "complete", "random", "beliefs-agents",
+], ids=["ring", "ring-bool", "star", "random", "beliefs-agents",
         "beliefs-hypotheses", "beliefs-negative-agents", "beliefs-no-agents",
         "beliefs-no-hypotheses", "sharing"])
 def test_counts_must_be_integers(name, call):
