@@ -8,17 +8,25 @@ spread over the non-transmitted hypotheses is a log-sum-exp of the *other*
 components rather than log(1 - exp(tx)), which stays finite even when the
 transmitted component is within one ulp of probability one.
 
+A step past the Bayes update is two lists of (function, args) calls that the
+step plan (``_Plan``) builds once for its rule, its shape of rows and its
+network, bound to the plan's workspace and to the network's pool and a_kk
+table: ``modify`` makes the shared rows from the posterior ``psi``, and
+``combine`` pools them and normalizes. :func:`modify_for_sharing` and
+:func:`combine_step` copy rows from outside the plan into it and run their
+list; the one thing a seam asks of the rule is whether a combine reads the
+caller's own rows.
+
 Each log-sum-exp of a step (a fixed tx's spread, argmax's spread and the
-pooled rows' normalization) is a list of calls that the step plan builds once
-and the step runs into the plan's workspace. Which calls follows one table's
-agent count alone, so a stack of (N, H) tables steps each table bitwise as it
-steps alone. From ``_SHIFT_MIN_ROWS`` rows per table on, a fixed tx's spread
-and the normalization, under every rule and pool, are the max shift
-m + log sum exp(x - m) with m the row's largest entry: a few vectorized
-``np.maximum``, ``np.exp``, add and ``np.log`` passes over column views, where
-``np.logaddexp`` is scalar libm code per entry. It rounds apart from the
-reduce by a few ulp. On fewer rows each is a fold of ``np.logaddexp`` over two
-or more column views in index order, which makes the calls of one
+pooled rows' normalization) is a run of calls within those lists. Which calls
+follows one table's agent count alone, so a stack of (N, H) tables steps each
+table bitwise as it steps alone. From ``_SHIFT_MIN_ROWS`` rows per table on, a
+fixed tx's spread and the normalization, under every rule and pool, are the
+max shift m + log sum exp(x - m) with m the row's largest entry: a few
+vectorized ``np.maximum``, ``np.exp``, add and ``np.log`` passes over column
+views, where ``np.logaddexp`` is scalar libm code per entry. It rounds apart
+from the reduce by a few ulp. On fewer rows each is a fold of ``np.logaddexp``
+over two or more column views in index order, which makes the calls of one
 ``np.logaddexp.reduce`` and so gives its bits, or one reduce over a single
 column (the spread at H = 2, the normalization at H = 1). Argmax's spread,
 whose columns differ from row to row, is one masked reduce at every size.
@@ -37,26 +45,23 @@ because the log-sum-exps warn on the NaN or infinity that the check reports.
 observations, it is the step itself, which ``run_trajectory`` calls.
 
 Under every rule, a planned step on a dense pool allocates no array (tested
-on both sides of ``_SHIFT_MIN_ROWS``): the plan holds a workspace of the
-arrays its rule and pool write (psi, and where written the shared and pooled
-rows, one log-sum-exp per row and its copy across the row, the max shift's
-scratch columns, the self-aware term and the a_kk table, argmax's kept column
-and mask) with the calls that write them, and the seams run those calls and
-branch on the rule alone. A sparse pool's product is made by scipy and copied
-into the workspace. At ten agents a step costs what its numpy calls cost to
-enter, so each call takes its cheapest form that gives the same bits (see
+on both sides of ``_SHIFT_MIN_ROWS``): every array its calls write is the
+plan's. A sparse pool's product is made by scipy and copied into the
+workspace. At ten agents a step costs what its numpy calls cost to enter, so
+each call takes its cheapest form that gives the same bits (timed in
 ``_Plan``): ``np.dot`` for one table, no (..., N, 1) operand broadcast over a
-row in a per-step ufunc, no ``np.copyto`` but argmax's masked one, and
-positional ``out``. A trajectory resolves one plan and passes it through the
-three seams on every step, so the workspace is reused and each step's rows are
-copied into the result; a public call with a ``Sharing`` resolves a fresh plan
-and so returns fresh arrays.
+row in a per-step ufunc, a view assignment rather than ``np.copyto`` but for
+argmax's masked one, and positional ``out``. A trajectory resolves one plan
+and passes it through the three seams on every step, so the workspace is
+reused and each step's rows are copied into the result; a public call with a
+``Sharing`` resolves a fresh plan and so returns fresh arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import setitem
 from typing import Sequence, Union
 
 import numpy as np
@@ -277,25 +282,28 @@ def _sparse_product(pool, shared: np.ndarray, out: np.ndarray) -> None:
 @dataclass(slots=True)
 class _Plan:
     """A ``Sharing`` resolved for a shape of rows (..., N, H), and for a
-    combine also for a network, once per trajectory, with the workspace its
-    steps compute into and the calls they make there.
+    combine also for a network, once per trajectory: the workspace a step
+    computes into and the two lists of (function, args) calls it makes there,
+    bound to that workspace and to the network's pool and a_kk table.
 
-    ``psi`` has the rows' shape, and so do the arrays a step writes beyond
-    it, each built only where it is written: ``shared`` for a fixed tx or
-    argmax; ``pooled``, ``normalizer`` and, for a self-aware rule, ``term``
-    given a network. ``lse``, (..., N, 1), holds one log-sum-exp per row: the
-    spread's rest, then the pooled rows' normalizer, which is copied across
-    its row into ``normalizer`` before the subtraction. ``spread`` and
-    ``normalize`` are the (function, args) calls that write them into
-    ``lse``: a fixed tx's spread from psi's other columns and the
-    normalization from pooled's columns (:func:`_lse_calls`), and argmax's
-    spread as its ``np.argmax``, ``np.not_equal`` into the mask ``others``
-    and the masked reduce. ``product`` writes the pool product into ``pooled``: ``np.dot``
-    for one dense (N, H) table, ``np.matmul`` for a dense stack, which
-    ``np.dot`` would contract otherwise, and :func:`_sparse_product` for a
-    sparse pool. ``diagonal`` is the a_kk column repeated over the H columns,
-    (N, H), so that a stack broadcasts it only over its leading axes.
-    ``kept`` is a fixed tx's (shared, psi) pair of tx columns.
+    ``psi`` holds the posterior rows, ``shared`` the rows the rule sends
+    (``psi`` itself only under full sharing that is not self-aware) and
+    ``pooled``, given a network, the combined rows; each has the rows' shape.
+    ``modify`` writes ``shared`` from ``psi``: a fixed tx's log-sum-exp of
+    its other columns (:func:`_lse_calls`), or argmax's ``np.argmax``,
+    ``np.not_equal`` into a mask and masked reduce, into one (..., N, 1)
+    entry per row; the ``np.subtract`` of log(H - 1); then a fixed tx writes
+    that entry across its row of ``shared`` and the kept tx column over it,
+    where argmax copies psi and runs the masked ``np.copyto``. Full sharing
+    makes no call, or, self-aware, one copy of psi. ``combine`` writes
+    ``pooled``: the pool product (``np.dot`` for one dense (N, H) table,
+    ``np.matmul`` for a dense stack, which ``np.dot`` would contract
+    otherwise, :func:`_sparse_product` for a sparse pool); under a
+    self-aware rule a_kk * (psi - shared) added in, a_kk an (N, H) table so
+    that a stack broadcasts it only over its leading axes; the pooled rows'
+    log-sum-exp into the same per-row entry, copied across its row and
+    subtracted. ``aware`` tells a combine that it reads the caller's own
+    rows into ``psi``.
 
     The step's calls take the cheapest form that gives the same bits: ``np.dot``
     for one table, no (..., N, 1) operand broadcast over a row in a per-step
@@ -303,8 +311,8 @@ class _Plan:
     (numpy 2.4.6, OpenBLAS 0.3.31, best of 7, one thread of a 2-core Xeon
     VM): ``np.dot`` with ``out`` 1.0 us against 1.8 for ``np.matmul``; an
     (N, 1) operand, which takes numpy's broadcast-stride path, 1.0 us in
-    ``pooled -= lse`` against 0.2 + 0.3 for the copy into ``normalizer`` and
-    a contiguous ``-=``, and 1.4 against 0.8 in the a_kk product; a view
+    ``pooled -= lse`` against 0.2 + 0.3 for the copy across the row and a
+    contiguous subtraction, and 1.4 against 0.8 in the a_kk product; a view
     assignment 0.1 us against 0.65 for ``np.copyto``, which goes through
     numpy's Python-level dispatcher; a positional ``out`` about 0.15 us less
     than the keyword, and a loop over prebuilt calls 0.16 us less than a
@@ -318,21 +326,12 @@ class _Plan:
     keywords about 1.5 us). Nothing reassigns a field once built.
     """
 
-    transmit: Union[None, int, str]
-    self_aware: bool
-    others: Union[None, np.ndarray]  # argmax's spread columns, as a mask
-    log_rest: Union[None, np.ndarray]  # log(H - 1), 0-d: -= converts a scalar per call
-    product: object  # writes pool @ shared into pooled, given a network
-    diagonal: Union[None, np.ndarray]
+    aware: bool
     psi: np.ndarray
-    shared: Union[None, np.ndarray]
+    shared: np.ndarray
     pooled: Union[None, np.ndarray]
-    term: Union[None, np.ndarray]
-    lse: np.ndarray
-    normalizer: Union[None, np.ndarray]
-    spread: Sequence[tuple]
-    normalize: Sequence[tuple]
-    kept: tuple
+    modify: Sequence[tuple]
+    combine: Sequence[tuple]
 
 
 def _plan(sharing, rows, net=None) -> _Plan:
@@ -346,46 +345,48 @@ def _plan(sharing, rows, net=None) -> _Plan:
     if not isinstance(sharing, Sharing):
         raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
     shape = np.shape(rows)
-    if not shape:
-        raise ValidationError("log-beliefs must have a hypothesis axis")
+    if not shape or not shape[-1]:
+        raise ValidationError(f"log-beliefs of shape {shape} hold no hypothesis")
     if net is not None and (len(shape) < 2 or shape[-2] != net.size):
         raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
     shift = len(shape) >= 2 and shape[-2] >= _SHIFT_MIN_ROWS
-    tx, fixed = sharing.transmit, _is_integer(sharing.transmit)
-    if fixed and tx >= h:
+    tx, aware = sharing.transmit, sharing.self_aware
+    if _is_integer(tx) and tx >= h:
         raise ValidationError(f"tx index {tx} out of range for H={h}")
     if h == 1:  # a single hypothesis has nothing to spread
-        tx, fixed = None, False
-    aware = sharing.self_aware
-    psi = np.empty(shape)
-    argmax = tx == "argmax"
-    shared = np.empty(shape) if fixed or argmax else None
-    lse = np.empty(shape[:-1] + (1,))
-    product = pooled = normalizer = term = diagonal = others = None
-    spread, normalize, kept = (), (), ()
+        tx = None
+    psi, lse = np.empty(shape), np.empty(shape[:-1] + (1,))
+    shared = psi if tx is None and not aware else np.empty(shape)
+    if tx is None:
+        modify = [] if shared is psi else [(setitem, (shared, ..., psi))]
+    else:
+        if tx == "argmax":  # ties toward the lowest index
+            top, others = np.empty(shape[:-1], np.intp), np.empty(shape, bool)
+            # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
+            modify = [(np.argmax, (psi, -1, top)),
+                      (np.not_equal, (top[..., None], np.arange(h), others)),
+                      (np.logaddexp.reduce, (psi, -1, None, lse, True, -np.inf, others))]
+            write = [(setitem, (shared, ..., psi)), (np.copyto, (shared, lse, "same_kind", others))]
+        else:
+            modify = _lse_calls(psi, lse[..., 0], shift, tx)
+            write = [(setitem, (shared, ..., lse)), (setitem, (shared[..., tx], ..., psi[..., tx]))]
+        log_rest = np.asarray(np.log(h - 1.0))  # 0-d: the subtraction converts a scalar per call
+        modify += [(np.subtract, (lse, log_rest, lse)), *write]
+    pooled, combine = None, []
     if net is not None:
         dense = isinstance(net.pool, np.ndarray)
         product = (np.dot if len(shape) == 2 else np.matmul) if dense else _sparse_product
         pooled, normalizer = np.empty(shape), np.empty(shape)
-        normalize = _lse_calls(pooled, lse[..., 0], shift)
+        combine.append((product, (net.pool, shared, pooled)))
         if aware:
             term, diagonal = np.empty(shape), np.empty(shape[-2:])
             diagonal[...] = net.diagonal[:, None]
-    if fixed:
-        kept = (shared[..., tx], psi[..., tx])
-        spread = _lse_calls(psi, lse[..., 0], shift, tx)
-    elif argmax:  # ties toward the lowest index
-        top, others = np.empty(shape[:-1], np.intp), np.empty(shape, bool)
-        # logaddexp(-inf, a) is a + 0.0, so the masked-out entries add nothing
-        spread = [(np.argmax, (psi, -1, top)),
-                  (np.not_equal, (top[..., None], np.arange(h), others)),
-                  (np.logaddexp.reduce, (psi, -1, None, lse, True, -np.inf, others))]
-    log_rest = None if tx is None else np.asarray(np.log(h - 1.0))
-    return _Plan(
-        tx, aware, others, log_rest, product, diagonal,
-        psi, shared, pooled, term, lse, normalizer, spread, normalize, kept,
-    )
+            combine += [(np.subtract, (psi, shared, term)), (np.multiply, (term, diagonal, term)),
+                        (np.add, (pooled, term, pooled))]
+        combine += _lse_calls(pooled, lse[..., 0], shift)
+        combine += [(setitem, (normalizer, ..., lse)), (np.subtract, (pooled, normalizer, pooled))]
+    return _Plan(aware, psi, shared, pooled, modify, combine)
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
@@ -395,29 +396,16 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
 
     The rows are read from the plan's ``psi``, where a step computes them;
     rows from elsewhere, as a public call's, are copied there first, as
-    floats. Full sharing returns ``psi`` itself, and a fixed tx's or argmax's
-    spread is made in ``shared``, so a call with a ``Sharing`` returns an
-    array of its own.
+    floats. The result is the plan's ``shared``, which is ``psi`` itself
+    only under full sharing that is not self-aware, so a call with a
+    ``Sharing`` returns an array of its own.
     """
     plan = _plan(sharing, log_psi)
-    psi = plan.psi
-    if log_psi is not psi:
-        psi[...] = log_psi
-    if plan.transmit is None:
-        return psi
-    for function, args in plan.spread:
+    if log_psi is not plan.psi:
+        plan.psi[...] = log_psi
+    for function, args in plan.modify:
         function(*args)
-    rest = plan.lse
-    rest -= plan.log_rest
-    shared = plan.shared
-    if plan.others is None:  # a fixed tx
-        shared[...] = rest
-        kept, source = plan.kept
-        kept[...] = source
-    else:
-        shared[...] = psi
-        np.copyto(shared, rest, where=plan.others)
-    return shared
+    return plan.shared
 
 
 def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
@@ -426,31 +414,27 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
 
     Row k of the result is sum_l a_lk * shared_l. Self-aware: the a_kk term
     uses the agent's own unmodified belief, of the shared rows' shape,
-    instead of its modified one. The rows are normalized here, over the last
-    axis, so the inputs may carry a per-row shift, and the caller runs
-    :func:`check_log_beliefs`. A (..., N, H) stack of tables pools each table
-    as it pools alone, into the plan's ``pooled``. Tables of another agent
-    count than N raise ValidationError.
+    instead of its modified one; other rules do not read ``log_own``. The
+    rows are normalized here, over the last axis, so the inputs may carry a
+    per-row shift, and the caller runs :func:`check_log_beliefs`. A
+    (..., N, H) stack of tables pools each table as it pools alone. Rows that
+    are not the plan's own are copied into its ``shared`` and ``psi`` first,
+    as floats, and the result is the plan's ``pooled``. Tables of another
+    agent count than N raise ValidationError.
     """
     plan = _plan(sharing, log_shared, net)
-    shared = np.asarray(log_shared, dtype=float)
-    pooled = plan.pooled
-    plan.product(net.pool, shared, pooled)
-    if plan.self_aware:
-        own = np.asarray(log_own, dtype=float)
-        if own.shape != shared.shape:
+    if log_shared is not plan.shared:
+        plan.shared[...] = log_shared
+    if plan.aware and log_own is not plan.psi:
+        if np.shape(log_own) != plan.psi.shape:
             raise ValidationError(
-                f"own log-beliefs of shape {own.shape} are not the shared rows' {shared.shape}"
+                f"own log-beliefs of shape {np.shape(log_own)} are not the shared rows' "
+                f"{plan.psi.shape}"
             )
-        term = np.subtract(own, shared, plan.term)
-        term *= plan.diagonal
-        pooled += term
-    for function, args in plan.normalize:
+        plan.psi[...] = log_own
+    for function, args in plan.combine:
         function(*args)
-    normalizer = plan.normalizer
-    normalizer[...] = plan.lse
-    pooled -= normalizer
-    return pooled
+    return plan.pooled
 
 
 # -- full iteration -----------------------------------------------------------

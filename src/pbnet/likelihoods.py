@@ -473,16 +473,10 @@ def _check_weights(weights, count: int) -> np.ndarray:
 def _family(model) -> LikelihoodModel:
     """``model`` if it is one likelihood family, else ValidationError. A
     group of :func:`stack_models` scores and samples in batches, but has no
-    single scalar score, divergence or bound."""
+    one-observation row, divergence or bound."""
     if type(model) not in _GROUP_OF:  # the two families, as stack_models accepts them
         raise ValidationError(f"expected one likelihood family, got {type(model).__name__}")
     return model
-
-
-def log_likelihood(model: LikelihoodModel, theta: int, xi) -> float:
-    """log L(xi | theta) for a single hypothesis and observation."""
-    _check_hypothesis(model, theta)
-    return log_likelihood_row(model, xi)[theta]
 
 
 def log_likelihood_row(model: LikelihoodModel, xi) -> np.ndarray:
@@ -494,7 +488,7 @@ def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndar
     """(n, H) matrix of log-likelihoods for a batch of observations; for a
     group of :func:`stack_models`, row i scores observation i under the
     model of the group's i-th agent. A (steps, n) block of observations gives
-    (steps, n, H). The batch obeys the scalar scorers' value rules: a
+    (steps, n, H). The batch obeys :func:`log_likelihood_row`'s value rules: a
     non-numeric batch, a non-finite Gaussian observation or a discrete one
     off its agent's support raises InvalidObservationError, which names the
     first bad value."""

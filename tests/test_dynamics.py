@@ -33,7 +33,6 @@ from pbnet.likelihoods import (
     DiscreteFamily,
     DiscreteGroup,
     GaussianFamily,
-    log_likelihood,
     log_likelihood_row,
     log_likelihood_rows,
     sample_observation,
@@ -299,7 +298,7 @@ class TestRecursionOracles:
         worst = 0.0
         for i in range(1, 201):
             inc = np.array([
-                log_likelihood(GAUSS3, ta, x) - log_likelihood(GAUSS3, tb, x)
+                log_likelihood_row(GAUSS3, x)[ta] - log_likelihood_row(GAUSS3, x)[tb]
                 for x in obs[i - 1]
             ])
             rhs = akk * (ratios[i - 1] + inc)
@@ -440,6 +439,20 @@ class TestValidation:
         rows = uniform_log_beliefs(5, 3)
         with pytest.raises(ValidationError, match=r"own log-beliefs of shape \(\d, \d\)"):
             combine_step(RING5, rows, np.zeros(own), SelfAwarePartialSharing(1))
+
+    @pytest.mark.parametrize("n", [10, 150], ids=["fold", "shift"])
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_a_table_with_no_hypothesis_is_a_validation_error(self, n, rule):
+        # a zero-length hypothesis axis once gave an empty table, a bare
+        # TypeError or ValueError, or an invalid-value warning by rule and N
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        rows = np.zeros((n, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: modify_for_sharing(rows, rule(0)),
+                         lambda: combine_step(net, rows, rows, rule(0))):
+                with pytest.raises(ValidationError, match=rf"shape \({n}, 0\) hold no hypothesis"):
+                    call()
 
 
 DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
@@ -987,7 +1000,7 @@ class TestColumnFold:
                 kept = np.array(list(itertools.product(specials, repeat=k)))
                 rows = np.concatenate([np.full((len(kept), 1), -1.0), kept], axis=1)
                 rows = rows.reshape(-1, 11, k + 1)
-                first = dynamics._plan(PartialSharing(0), rows).spread[0][0]
+                first = dynamics._plan(PartialSharing(0), rows).modify[0][0]
                 assert first == (np.logaddexp if k > 1 else np.logaddexp.reduce)
                 others = np.arange(k + 1) != 0
                 want = np.where(others, reduce_reference(rows, others) - np.log(k), rows)
@@ -1030,6 +1043,19 @@ class TestColumnFold:
                 pooled += net.diagonal[:, None] * (log_psi - shared)
             want = pooled - lse(pooled)
             assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [10, 150, 250], ids=["fold", "shift", "sparse"])
+    def test_full_self_aware_sharing_pools_own_rows_apart_from_the_shared(self, n):
+        # under Sharing(None, self_aware=True) the plan keeps the shared rows
+        # apart from psi, so own rows that differ from them enter a_kk's term
+        lse = reduce_reference if n < dynamics._SHIFT_MIN_ROWS else shift_reference
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        shared, own = np.random.default_rng(n).normal(0.0, 5.0, (2, n, 3))
+        pooled = net.pool @ shared
+        pooled += net.diagonal[:, None] * (own - shared)
+        want = pooled - lse(pooled)
+        got = combine_step(net, shared, own, Sharing(None, self_aware=True))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [10, 100, dynamics._SHIFT_MIN_ROWS - 1],
                              ids=lambda n: f"N{n}")

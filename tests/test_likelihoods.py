@@ -20,7 +20,6 @@ from pbnet.likelihoods import (
     gauss_hermite_kl,
     kl_divergence,
     likelihood_bound,
-    log_likelihood,
     log_likelihood_row,
     log_likelihood_rows,
     mixture_kl,
@@ -139,22 +138,22 @@ class TestConstruction:
 
 class TestLikelihood:
     def test_gaussian_density_at_mean(self):
-        assert log_likelihood(GaussianFamily([0.0]), 0, 0.0) == pytest.approx(
+        assert log_likelihood_row(GaussianFamily([0.0]), 0.0)[0] == pytest.approx(
             -0.5 * math.log(2 * math.pi), rel=1e-12
         )
-        assert log_likelihood(GaussianFamily([1.0]), 0, 1.0) == pytest.approx(
+        assert log_likelihood_row(GaussianFamily([1.0]), 1.0)[0] == pytest.approx(
             -0.5 * math.log(2 * math.pi), rel=1e-12
         )
 
     def test_discrete_rejects_out_of_support(self):
         with pytest.raises(InvalidObservationError):
-            log_likelihood(DISC, 0, 3)
+            log_likelihood_row(DISC, 3)[0]
         with pytest.raises(InvalidObservationError):
-            log_likelihood(DISC, 0, -1)
+            log_likelihood_row(DISC, -1)[0]
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("score", [
-        lambda xi: log_likelihood(DISC, 0, xi),
+        lambda xi: log_likelihood_row(DISC, xi)[0],
         lambda xi: log_likelihood_row(DISC, xi),
     ], ids=["log_likelihood", "log_likelihood_row"])
     def test_discrete_rejects_non_finite(self, score, xi):
@@ -162,8 +161,8 @@ class TestLikelihood:
             score(xi)
 
     @pytest.mark.parametrize("score", [
-        lambda: log_likelihood(DISC, 0, None),
-        lambda: log_likelihood(GAUSS3, 0, None),
+        lambda: log_likelihood_row(DISC, None)[0],
+        lambda: log_likelihood_row(GAUSS3, None)[0],
         lambda: log_likelihood_row(GAUSS3, "x"),
         lambda: log_likelihood_row(DISC, "x"),
     ], ids=["discrete-log_likelihood", "gaussian-log_likelihood", "gaussian-row",
@@ -174,7 +173,7 @@ class TestLikelihood:
 
     @pytest.mark.parametrize("xi", ["1.5", b"2", bytearray(b"0.3")], ids=["str", "bytes", "bytearray"])
     @pytest.mark.parametrize("score", [
-        lambda xi: log_likelihood(GAUSS3, 0, xi),
+        lambda xi: log_likelihood_row(GAUSS3, xi)[0],
         lambda xi: log_likelihood_row(GAUSS3, xi),
     ], ids=["log_likelihood", "log_likelihood_row"])
     def test_gaussian_rejects_numeric_text(self, score, xi):
@@ -184,12 +183,12 @@ class TestLikelihood:
 
     def test_gaussian_rejects_non_finite(self):
         with pytest.raises(InvalidObservationError):
-            log_likelihood(GAUSS3, 0, math.nan)
+            log_likelihood_row(GAUSS3, math.nan)[0]
 
     def test_row_matches_scalar(self):
         row = log_likelihood_row(GAUSS3, 0.37)
         for theta in range(3):
-            assert row[theta] == pytest.approx(log_likelihood(GAUSS3, theta, 0.37))
+            assert row[theta] == pytest.approx(log_likelihood_rows(GAUSS3, [0.37])[0, theta])
         rows = log_likelihood_rows(DISC, np.array([0, 2, 1]))
         assert rows.shape == (3, 2)
         assert rows[1, 0] == pytest.approx(math.log(0.2))
@@ -207,7 +206,7 @@ class TestLikelihood:
             for xi in observations:
                 want = log_likelihood_rows(fam, [xi])[0]
                 row = log_likelihood_row(fam, xi)
-                scalars = np.array([log_likelihood(fam, theta, xi) for theta in range(h)])
+                scalars = np.array([log_likelihood_row(fam, xi)[theta] for theta in range(h)])
                 for got in (row, scalars):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
@@ -239,7 +238,8 @@ class TestLikelihood:
     @pytest.mark.parametrize("xi", [[1.0], bytearray(b"1")], ids=["list", "bytearray"])
     @pytest.mark.parametrize("model", [GAUSS3, DISC], ids=["gaussian", "discrete"])
     def test_scalar_scorers_take_one_observation(self, model, xi):
-        for score in (lambda: log_likelihood_row(model, xi), lambda: log_likelihood(model, 0, xi)):
+        for score in (lambda: log_likelihood_row(model, xi),
+                      lambda: log_likelihood_row(model, xi)[0]):
             with pytest.raises(InvalidObservationError):
                 score()
 
@@ -254,9 +254,8 @@ GROUPS = {
 @pytest.mark.parametrize("entry", [
     lambda m: kl_divergence(m, 0, 1),
     lambda m: likelihood_bound(m, 0),
-    lambda m: log_likelihood(m, 0, 0),
     lambda m: log_likelihood_row(m, 0),
-], ids=["kl_divergence", "likelihood_bound", "log_likelihood", "log_likelihood_row"])
+], ids=["kl_divergence", "likelihood_bound", "log_likelihood_row"])
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_single_model_entry_points_reject_stacked_models(entry, name):
     with pytest.raises(ValidationError, match="expected one likelihood family"):
@@ -269,10 +268,9 @@ DISC3 = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
 @pytest.mark.parametrize("entry", [
     lambda m, i: kl_divergence(m, i, 1),
     lambda m, i: kl_divergence(m, 0, i),
-    lambda m, i: log_likelihood(m, i, 0),
     lambda m, i: sample_observation(m, i, np.random.default_rng(0)),
     lambda m, i: likelihood_bound(m, i),
-], ids=["kl_divergence-p", "kl_divergence-q", "log_likelihood", "sample_observation",
+], ids=["kl_divergence-p", "kl_divergence-q", "sample_observation",
         "likelihood_bound"])
 @pytest.mark.parametrize("index", [0.9, 1.5, 2.7, True, np.array([0.0, 1.0, 0.0])],
                          ids=["0.9", "1.5", "2.7", "True", "weights"])
