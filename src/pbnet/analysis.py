@@ -10,10 +10,13 @@ The predictors and :func:`theoretical_rate` read the family's divergence
 tables (see ``_Divergences`` in :mod:`pbnet.likelihoods`): ``point`` for
 D_KL[L(true)||L(tau)], ``complement`` for the divergence to the uniform
 mixture of every hypothesis but tx, and ``bound`` for the likelihood bound.
-Each table is built once per family, on its first read, so a sweep over
-every (true, tx) pair computes each divergence once. The checks keep their
-order: the indices, then an indistinguishable tx, then a Gaussian family's
-unbounded likelihood, and only then any mixture KL.
+Each table is built whole, once per family, on its first read, so a sweep
+over every (true, tx) pair computes each divergence once; the first read of
+a Gaussian ``complement`` entry also resolves every entry of that table that
+the Gauss-Hermite rule leaves uncertified. The predictors read public tables
+only. The checks keep their order: the indices, then an indistinguishable
+tx, then a Gaussian family's unbounded likelihood, and only then any mixture
+KL.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def _kl_true_vs_tx(model: LikelihoodModel, true_index: int, tx_index: int) -> fl
 def _kl_true_vs_mixture(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
     """D_KL[L(true)||uniform mixture of every hypothesis except tx], the
     family's ``complement`` entry, for indices :func:`_kl_true_vs_tx` checked."""
-    return model._complement_kl(true_index, tx_index)
+    return float(model.complement[true_index, tx_index])
 
 
 def _report(strategy, true_index, tx_index, d_tx, d_mix, predicted, values) -> RegimeReport:

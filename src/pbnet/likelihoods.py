@@ -4,13 +4,14 @@ Two families are supported: unit-variance Gaussians (one mean per
 hypothesis) and strictly positive finite-support pmfs over {0..S-1}.
 Strict positivity of discrete rows is enforced at construction so that
 log-likelihood ratios are always finite and integrable. Each family also
-holds its divergence tables (``point``, ``complement``, ``bound``), built
-lazily on first read, which the regime predictors read. Divergences take
-hypothesis indices (:func:`kl_divergence`, a ``point`` entry) or mixture
-weights, one vector or a stack per side (:func:`mixture_kl`). A Gaussian
-mixture divergence that the Gauss-Hermite rule cannot certify falls back to
-adaptive quadrature; ``scipy.integrate`` is imported on that first fallback
-only, so a process that never reaches it does not pay for loading it.
+holds its divergence tables (``point``, ``complement``, ``bound``), each
+built whole on its first read, which the regime predictors read. Divergences
+take hypothesis indices (:func:`kl_divergence`, a ``point`` entry) or mixture
+weights, one vector or a stack per side (:func:`mixture_kl`, which also
+builds ``complement``). A Gaussian mixture divergence that the Gauss-Hermite
+rule cannot certify falls back to adaptive quadrature, in :func:`mixture_kl`
+alone; ``scipy.integrate`` is imported on that first fallback only, so a
+process that never reaches it does not pay for loading it.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -24,7 +25,6 @@ from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     InvalidObservationError,
@@ -97,16 +97,17 @@ class _Divergences:
 
     * ``point[t, u]`` = D_KL(L_t||L_u), (H, H): a Gaussian closed form;
     * ``complement[t, x]`` = D_KL(L_t||uniform mixture of every hypothesis
-      but x), (H, H), for H >= 2: ``_mixture_table`` of the identity against
-      the uniform complements, so one Gaussian :func:`gauss_hermite_kl` call;
+      but x), (H, H), for H >= 2: :func:`mixture_kl` of the identity against
+      the uniform complements, so one Gaussian :func:`gauss_hermite_kl` call
+      (at H = 2, ``point`` with its columns swapped);
     * ``bound[x]``, the likelihood bound with x left out, (H,).
 
     Each family's ``_mixture_table(P, Q)`` gives D_KL of every mixture of a
     (K, H) weight stack P against every one of an (M, H) stack Q, (K, M), in
     one evaluation: exact sums, or the Gaussian rule with NaN where it does
-    not certify an entry. Such an entry of ``complement`` runs the fallback
-    quadrature when it is read, for that entry alone; reading all of
-    ``complement`` resolves every entry.
+    not certify an entry. ``complement`` is :func:`mixture_kl` of those two
+    stacks, so every entry the rule leaves uncertified runs the fallback
+    quadrature when the table is built, on the first read of any entry.
     """
 
     @functools.cached_property
@@ -114,31 +115,13 @@ class _Divergences:
         return _read_only(self._point_table())
 
     @functools.cached_property
-    def _complements(self) -> np.ndarray:
-        """``complement``, NaN where the rule left an entry uncertified;
-        writable, so that a read can store that entry's fallback value."""
+    def complement(self) -> np.ndarray:
         h = self.hypothesis_count
         if h < 2:
             raise ValidationError("uniform complement needs at least 2 hypotheses")
         if h == 2:  # the other hypothesis is the whole complement
-            return self.point[:, ::-1].copy()
-        return self._mixture_table(np.eye(h), _uniform_complements(h))
-
-    @property
-    def complement(self) -> np.ndarray:
-        for t, x in np.argwhere(np.isnan(self._complements)):
-            self._complement_kl(t, x)
-        return _read_only(self._complements.view())
-
-    def _complement_kl(self, true_index: int, excluded: int) -> float:
-        """``complement[true_index, excluded]`` for checked indices; an
-        uncertified entry is resolved here, by the fallback quadrature."""
-        value = self._complements[true_index, excluded]
-        if math.isnan(value):  # only the Gaussian rule leaves one
-            h = self.hypothesis_count
-            value = self._complements[true_index, excluded] = self._quad_kl(
-                np.eye(h)[true_index], _uniform_complements(h)[excluded])
-        return float(value)
+            return self.point[:, ::-1]
+        return _read_only(mixture_kl(self, np.eye(h), _uniform_complements(h)))
 
 
 def _uniform_complements(count: int) -> np.ndarray:
@@ -523,9 +506,10 @@ def _hermite_rules():
     rule, scaled to sum to 1: E[f(Z)] for Z ~ N(0, 1) is about
     f(nodes) @ weights. Built on first use, so that a run with no Gaussian
     mixture KL does not pay for the eigensolver behind it."""
-    rules = [np.polynomial.hermite_e.hermegauss(n) for n in (80, 160)]
-    nodes = np.concatenate([x for x, _ in rules])
-    weights = linalg.block_diag(*[(w / w.sum())[:, None] for _, w in rules])
+    (x80, w80), (x160, w160) = (np.polynomial.hermite_e.hermegauss(n) for n in (80, 160))
+    nodes = np.concatenate([x80, x160])
+    weights = np.zeros((nodes.size, 2))
+    weights[:80, 0], weights[80:, 1] = w80 / w80.sum(), w160 / w160.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -607,6 +591,10 @@ def mixture_kl(model: LikelihoodModel, p_weights, q_weights):
     deviations beyond the extreme means, whose integrand is the family's own
     ``log_rows`` mixed by p's and q's weights; if it cannot meet the
     tolerance, ``NumericalError`` is raised instead of returning a guess.
+    Every uncertified value of the stacks is resolved before the result is
+    returned; a family's ``complement`` is this function of the identity
+    against the uniform complements, so its uncertified entries are resolved
+    when the table is built.
     """
     model = _family(model)
     p_weights = _check_weights(p_weights, model.hypothesis_count)

@@ -19,10 +19,8 @@ from pbnet.dynamics import (
     PartialSharing,
     SelfAwarePartialSharing,
     Sharing,
-    bayesian_update,
     check_log_beliefs,
     combine_step,
-    log_normalize,
     modify_for_sharing,
     run_iteration,
     run_trajectory,
@@ -60,26 +58,6 @@ def beliefs(log_b):
     return np.exp(log_b)
 
 
-class TestBayesianUpdate:
-    def test_symmetric_likelihoods_keep_uniform(self):
-        fam = DiscreteFamily([[0.5, 0.5], [0.5, 0.5]])
-        prior = np.log([0.5, 0.5])
-        post = bayesian_update(prior, fam, 0)
-        np.testing.assert_allclose(beliefs(post), [0.5, 0.5], atol=1e-15)
-
-    def test_direct_bayes_arithmetic(self):
-        # likelihood row at xi=0 is (0.8, 0.2): 0.5*0.8 / (0.5*0.8 + 0.5*0.2)
-        post = bayesian_update(np.log([0.5, 0.5]), DISC2, 0)
-        np.testing.assert_allclose(beliefs(post), [0.8, 0.2], atol=1e-12)
-
-    def test_point_mass_like_prior_stays_positive(self):
-        eps = 1e-12
-        post = bayesian_update(np.log([1 - eps, eps]), DISC2, 1)
-        assert np.all(np.isfinite(post))
-        assert math.exp(post[1]) > 0
-        assert np.exp(post).sum() == pytest.approx(1.0, abs=1e-9)
-
-
 class TestModifyForSharing:
     def test_already_uniform_remainder_is_identity(self):
         psi = np.log([0.6, 0.2, 0.2])
@@ -91,7 +69,8 @@ class TestModifyForSharing:
         np.testing.assert_allclose(beliefs(out), [0.6, 0.2, 0.2], atol=1e-12)
 
     def test_two_hypotheses_identity_is_exact(self):
-        psi = log_normalize(np.log([0.7, 0.3]))
+        psi = np.log([0.7, 0.3])
+        psi -= np.logaddexp.reduce(psi)
         out = modify_for_sharing(psi, PartialSharing(0))
         np.testing.assert_array_equal(out, psi)
 
@@ -100,7 +79,8 @@ class TestModifyForSharing:
         np.testing.assert_allclose(beliefs(out), [0.4, 0.3, 0.3], atol=1e-12)
 
     def test_full_is_identity(self):
-        psi = log_normalize(np.log([0.5, 0.25, 0.25]))
+        psi = np.log([0.5, 0.25, 0.25])
+        psi -= np.logaddexp.reduce(psi)
         np.testing.assert_array_equal(modify_for_sharing(psi, FullSharing()), psi)
 
     def test_stable_when_tx_mass_is_one_ulp_from_unity(self):
@@ -127,7 +107,8 @@ class TestModifyForSharing:
 class TestCombineStep:
     def test_single_agent_identity(self):
         net = Network.from_matrix([[1.0]])
-        psi = log_normalize(np.log([0.6, 0.3, 0.1])).reshape(1, 3)
+        psi = np.log([[0.6, 0.3, 0.1]])
+        psi -= np.logaddexp.reduce(psi, axis=-1, keepdims=True)
         for strat in (FullSharing(), SelfAwarePartialSharing(1)):
             shared = modify_for_sharing(psi, strat)
             out = combine_step(net, shared, psi, strat)
@@ -139,7 +120,8 @@ class TestCombineStep:
         np.testing.assert_allclose(out, shared, atol=1e-12)
 
     def test_identical_inputs_fixed_point(self):
-        psi = np.tile(log_normalize(np.log([0.5, 0.3, 0.2])), (5, 1))
+        row = np.log([0.5, 0.3, 0.2])
+        psi = np.tile(row - np.logaddexp.reduce(row), (5, 1))
         out = combine_step(RING5, psi, psi, PartialSharing(2))
         np.testing.assert_allclose(out, psi, atol=1e-12)
 
@@ -452,6 +434,21 @@ class TestValidation:
             for call in (lambda: modify_for_sharing(rows, rule(0)),
                          lambda: combine_step(net, rows, rows, rule(0))):
                 with pytest.raises(ValidationError, match=rf"shape \({n}, 0\) hold no hypothesis"):
+                    call()
+
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_rows_that_are_not_a_numeric_table_are_a_validation_error(self, rule):
+        # numpy once raised a bare ValueError from the shape read (ragged
+        # rows) or from the copy into the workspace (text)
+        net = Network.from_matrix([[0.5, 0.5], [0.5, 0.5]])
+        good = np.log([[0.6, 0.4], [0.3, 0.7]])
+        for rows in ([[0.0, 1.0], [0.0]], [["a", "b"], ["c", "d"]]):
+            calls = [lambda: modify_for_sharing(rows, rule(0)),
+                     lambda: combine_step(net, rows, good, rule(0))]
+            if rule(0).self_aware:  # only a self-aware combine reads the own rows
+                calls.append(lambda: combine_step(net, good, rows, rule(0)))
+            for call in calls:
+                with pytest.raises(ValidationError, match="not a table of numbers"):
                     call()
 
 

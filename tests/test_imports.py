@@ -2,7 +2,8 @@
 exemption is a name the benchmark's traced run wraps as a module attribute
 (perfbench/workloads.py, TRACE_TARGETS): such a seam is kept on purpose, so
 the benchmark's tracing still finds it when the module itself stops reading
-it. And ``scipy.integrate`` stays unloaded until a divergence needs the
+it. ``dynamics.log_likelihood_row`` is such a seam, kept for tracing only: no
+step reads it. And ``scipy.integrate`` stays unloaded until a divergence needs the
 fallback quadrature."""
 
 import ast

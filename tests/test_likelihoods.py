@@ -461,7 +461,7 @@ class TestDivergenceTables:
         families = [GaussianFamily([0.0, 0.2, 1.0]), DiscreteFamily(DISC3.pmf)]
         stack_models(families + families, 4)
         for fam in families:
-            assert not {"point", "_complements", "bound"} & vars(fam).keys()
+            assert not {"point", "complement", "bound"} & vars(fam).keys()
 
     @pytest.mark.parametrize("fam", [GaussianFamily([0.0, 0.2, 1.0, -0.7]),
                                      DiscreteFamily(DISC3.pmf)], ids=["gaussian", "discrete"])
@@ -485,8 +485,9 @@ class TestDivergenceTables:
                 for x in range(h):
                     assert kl_divergence(fam, t, x) == fam.point[t, x]
 
-    def test_uncertified_entry_is_resolved_only_when_read(self, monkeypatch):
-        # two complement entries sit on a kink of log q; reading one runs one quadrature
+    def test_uncertified_entries_are_resolved_once_on_the_first_read(self, monkeypatch):
+        # two complement entries sit on a kink of log q; reading any entry
+        # builds the table, which runs the quadrature for both
         fam = GaussianFamily([0.0, 3.0, 6.0, 9.0])
         calls = []
 
@@ -497,10 +498,13 @@ class TestDivergenceTables:
         quad = likelihoods.integrate.quad
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
         assert theoretical_rate(fam, 1, 1) < 0.0  # reads complement[1, 1]
-        assert len(calls) == 1
-        assert np.isnan(fam._complements[2, 2])
-        assert np.isfinite(fam.complement).all()
         assert len(calls) == 2
+        table = fam.complement
+        assert len(calls) == 2
+        assert np.isfinite(table).all()
+        h = fam.hypothesis_count
+        complements = np.stack([uniform_complement(h, x) for x in range(h)])
+        assert table.tobytes() == mixture_kl(fam, np.eye(h), complements).tobytes()
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(kind=st.sampled_from(["gaussian", "discrete"]), h=st.integers(1, 7),
