@@ -38,9 +38,15 @@ pooling (for any A) and the self-aware own - shared term (where it cancels).
 
 ``run_trajectory`` is the one path that validates, draws and checks: it
 rejects bad inputs, and resolves its ``Sharing`` into a step plan, before the
-first draw, so the generator moves only for a valid run; it draws and checks
-each ``_BLOCK`` steps at once, and runs them with invalid-value warnings off,
-because the log-sum-exps warn on the NaN or infinity that the check reports.
+first draw, so the generator moves only for a valid run; it draws, scores and
+checks a block of steps at once, and runs them with invalid-value warnings
+off, because the log-sum-exps warn on the NaN or infinity that the check
+reports. A block is at most ``_BLOCK`` = 64 steps and, past one step, at most
+``_BLOCK_DOUBLES`` = 2^16 log-likelihoods (512 KiB). Its temporaries are made
+afresh on every block, so large ones were page-faulted in afresh each time,
+and a 64-step block was 154 MB per buffer at 10^5 agents. A block draws what
+its steps would draw one at a time, so its length changes no bit of a run.
+
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
 
@@ -79,9 +85,20 @@ from .network import Network
 
 BELIEF_SUM_TOL = 1e-9
 
-#: Steps whose observations ``run_trajectory`` draws and scores at once. It
-#: caps the side buffer of log-likelihoods at _BLOCK * N * H doubles.
+#: A block of ``run_trajectory`` draws, scores and checks at once at most
+#: _BLOCK steps and, past one step, at most _BLOCK_DOUBLES log-likelihoods
+#: (steps * N * H doubles, 512 KiB): min(_BLOCK, _BLOCK_DOUBLES // (N * H))
+#: steps, at least one. Each block makes its temporaries afresh, and past the
+#: allocator's reuse size they were page-faulted in afresh on every block: at
+#: a fixed 64 steps and H = 3 a (64, N, H) buffer was 1.5 MiB at N = 1000 and
+#: 154 MB at 10^5 agents. Tables up to N * H = 1024 keep 64-step blocks; the
+#: 1000-ring at H = 3 takes 21, and from 10923 agents on at H = 3 a block is
+#: one step. On the 1000-ring (thread CPU, 150 steps) budgets of 2^12 and
+#: 2^14 timed about 45% and 10% slower, numpy's per-call cost being paid per
+#: block, and 2^17 ran as fast but peaked 1.6 MiB higher; without the step
+#: cap the benchmark's 100-agent mixed list peaked about 1 MiB higher.
 _BLOCK = 64
+_BLOCK_DOUBLES = 2**16
 
 
 # -- sharing rules ------------------------------------------------------------
@@ -450,7 +467,12 @@ def _observe(groups: tuple, true_index: int, n_agents: int, steps: int, dtype, r
     generator call of each group (its ``variates``), into that step's row of
     the group's (steps, n) buffer. Once per block, each group maps its buffer
     to observations (its ``observations``, the map its ``sample`` uses) and
-    scores them.
+    scores them. Its log-likelihoods go into the block's table through a
+    (steps, N * H) view, one fancy index on the last axis per group: indexing
+    the agent axis of (steps, N, H) copied each H-entry row through numpy's
+    strided subspace loop at about twice the cost, and a join in group order
+    gathered back by ``np.take`` cost as little but held one more
+    (steps, N, H) buffer.
     """
     if len(groups) == 1:
         xi = sample_observation(groups[0], true_index, rng, size=(steps, n_agents))
@@ -459,12 +481,14 @@ def _observe(groups: tuple, true_index: int, n_agents: int, steps: int, dtype, r
     for t in range(steps):
         for fill, raw in raws:
             fill(out=raw[t])
-    xi = np.empty((steps, n_agents), dtype=dtype)
-    table = np.empty((steps, n_agents, groups[0].hypothesis_count))
+    h = groups[0].hypothesis_count
+    xi, table = np.empty((steps, n_agents), dtype=dtype), np.empty((steps, n_agents, h))
+    entries = table.reshape(steps, -1)  # agent k's entries of a step are k*H ... k*H + H - 1
     for group, (_, raw) in zip(groups, raws):
         x = group.observations(true_index, raw)
         xi[:, group.agents] = x
-        table[:, group.agents] = log_likelihood_rows(group, x)
+        columns = (group.agents[:, None] * h + np.arange(h)).ravel()
+        entries[:, columns] = log_likelihood_rows(group, x).reshape(steps, -1)
     return xi, table
 
 
@@ -537,17 +561,23 @@ def run_trajectory(
     """Run ``horizon`` iterations; return ((horizon+1, N, H) log-beliefs,
     observations or None). Index 0 holds the initial beliefs.
 
-    Observations are drawn and scored ``_BLOCK`` steps at a time, and each
-    step goes through :func:`run_iteration` with its pre-drawn row. A single
-    family, or a list whose agents share one family type, draws each block
-    in one :func:`sample_observation` call. A list mixing family types makes
-    one raw generator call per group and step, in the groups' order, and maps
-    each group's block of draws to observations at once, by the map its
-    ``sample`` uses. Either way the generator yields what ``horizon`` calls
-    of ``run_iteration`` without ``observed`` would draw, so trajectories and
-    observations equal that loop's bitwise. The beliefs of each block are
-    checked at once, after its last step; a step past a bad one still runs,
-    with invalid-value warnings off. The error names the first failing step's
+    Observations are drawn and scored a block of steps at a time, and each
+    step goes through :func:`run_iteration` with its pre-drawn row. A block
+    is ``_BLOCK`` = 64 steps, or fewer where N * H > 1024: at most 2^16
+    log-likelihoods (``_BLOCK_DOUBLES``), and at least one step. So a block's
+    temporaries stay small enough to be reused rather than page-faulted in
+    afresh on every block, as a 64-step block's were at N = 1000, and no
+    buffer grows with the step count at 10^5 agents, where a 64-step one was
+    154 MB. A single family, or a list whose agents share one family type,
+    draws each block in one :func:`sample_observation` call. A list mixing
+    family types makes one raw generator call per group and step, in the
+    groups' order, and maps each group's block of draws to observations at
+    once, by the map its ``sample`` uses. Either way the generator yields
+    what ``horizon`` calls of ``run_iteration`` without ``observed`` would
+    draw, so trajectories and observations equal that loop's bitwise,
+    whatever the block length. The beliefs of each block are checked at
+    once, after its last step; a step past a bad one still runs, with
+    invalid-value warnings off. The error names the first failing step's
     iteration (1-based, as the index into the result) and the first agent
     whose log-likelihood was non-finite at that step, if any. The beliefs'
     shape, agent and hypothesis counts and normalization are checked against
@@ -575,8 +605,9 @@ def run_trajectory(
     out[0] = init
     obs = np.empty((horizon, n), dtype=dtype) if keep_observations else None
     log_b = init
-    for start in range(0, horizon, _BLOCK):
-        steps = min(_BLOCK, horizon - start)
+    block_steps = min(_BLOCK, max(1, _BLOCK_DOUBLES // (n * h)))
+    for start in range(0, horizon, block_steps):
+        steps = min(block_steps, horizon - start)
         xi, loglik = _observe(groups, true_index, n, steps, dtype, rng)
         if keep_observations:
             obs[start:start + steps] = xi

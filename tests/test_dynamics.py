@@ -891,6 +891,111 @@ class TestStepErrors:
             check_log_beliefs(stack)
 
 
+RING400 = build_averaging_matrix(ring_adjacency(400), 0.5)  # 400 x 3 = 1200 doubles a step
+STEPS400 = 54  # 2**16 // 1200
+HORIZONS = [1, 54, 55, 109, 130]
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls ``run_trajectory`` makes to each of ``names``, as
+    dynamics reads them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(dynamics, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+class TestBlockBudget:
+    # past 2**16 log-likelihoods a block is shorter than 64 steps: the 400-ring
+    # at H = 3 takes 54-step blocks; below the budget blocks stay 64 steps
+
+    @pytest.mark.parametrize("rule, form", [
+        *[(rule, "family") for rule in STEP_RULES],
+        (PartialSharing, "copies"), (PartialSharing, "mixed"),
+        (STEP_RULES[4], "mixed")],
+        ids=[*(f"{r}-family" for r in RULE_IDS), "partial-copies", "partial-mixed",
+             "max_belief_self_aware-mixed"])
+    def test_short_blocks_equal_the_step_loop_bitwise(self, rule, form):
+        # one loop of lone steps serves every horizon: a horizon's run is its prefix
+        models = random_models(form, "gaussian" if form == "copies" else "discrete", 400, 3,
+                               np.random.default_rng(400))
+        sharing = rule(1)
+        init = uniform_log_beliefs(400, 3)
+        loop_rng = np.random.default_rng(7)
+        log_b, states, draws, generator = init, [init], [], []
+        for _ in range(max(HORIZONS)):
+            log_b, xi = run_iteration(log_b, RING400, models, 2, sharing, loop_rng)
+            states.append(log_b)
+            draws.append(xi)
+            generator.append(loop_rng.bit_generator.state)
+        for horizon in HORIZONS:
+            rng = np.random.default_rng(7)
+            traj, obs = run_trajectory(init, RING400, models, 2, sharing, horizon, rng,
+                                       keep_observations=True)
+            assert_bitwise(traj, np.stack(states[:horizon + 1]))
+            assert_bitwise(obs, np.stack(draws[:horizon]))
+            assert rng.bit_generator.state == generator[horizon - 1]
+
+    @pytest.mark.parametrize("iteration", [54, 55, 108, 109])
+    def test_nan_names_the_iteration_and_the_agent_across_short_blocks(self, monkeypatch,
+                                                                        iteration):
+        score = dynamics.log_likelihood_rows
+        seen = [0]  # observation rows scored so far
+
+        def nan_at_iteration(model, xi):
+            table = score(model, xi)
+            row = iteration - 1 - seen[0]
+            if 0 <= row < len(table):
+                table[row, 3] = np.nan
+            seen[0] += len(table)
+            return table
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", nan_at_iteration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the ring pools agent 3's NaN into its neighbours 2, 3 and 4 only
+            with pytest.raises(NumericalError, match=rf"^iteration {iteration}: agent 3 scored "
+                               r"a non-finite log-likelihood; agent 2: non-finite log-belief"):
+                run_trajectory(uniform_log_beliefs(400, 3), RING400, DISC3, 0, PartialSharing(1),
+                               130, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_draw_score_and_check_run_once_per_block(self, monkeypatch, horizon):
+        calls = count_calls(monkeypatch,
+                            ["sample_observation", "log_likelihood_rows", "check_log_beliefs"])
+        run_trajectory(uniform_log_beliefs(400, 3), RING400, DISC3, 0, PartialSharing(1),
+                       horizon, np.random.default_rng(0))
+        blocks = math.ceil(horizon / STEPS400)
+        # the check also reads the initial beliefs once
+        assert calls == {"sample_observation": blocks, "log_likelihood_rows": blocks,
+                         "check_log_beliefs": 1 + blocks}
+
+    @pytest.mark.parametrize("n, h, steps", [
+        (5, 3, 64), (512, 2, 64), (205, 5, 63), (400, 3, 54), (1000, 3, 21), (2000, 17, 1)],
+        ids=["5x3", "512x2_at_budget", "205x5_past_budget", "400x3", "1000x3", "2000x17"])
+    def test_every_block_fits_the_budget_or_is_one_step(self, monkeypatch, n, h, steps):
+        score, blocks = dynamics.log_likelihood_rows, []
+
+        def recorded(model, xi):
+            blocks.append(xi.shape)
+            return score(model, xi)
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", recorded)
+        horizon = 130 if steps > 1 else 3
+        fam = GaussianFamily(0.1 * np.arange(h))
+        net = build_averaging_matrix(ring_adjacency(n), 0.5)
+        run_trajectory(uniform_log_beliefs(n, h), net, fam, 0, PartialSharing(1), horizon,
+                       np.random.default_rng(0))
+        lengths = [shape[0] for shape in blocks]
+        assert lengths == [steps] * (horizon // steps) + [horizon % steps] * (horizon % steps > 0)
+        assert all(shape[1] == n for shape in blocks)
+        assert all(k * n * h <= dynamics._BLOCK_DOUBLES or k == 1 for k in lengths)
+        assert (steps == 64) == (n * h <= 1024)
+
+
 def reduce_reference(rows, where=None):
     """The log-sum-exp below the cutoff, as one reduce call."""
     if where is None:
