@@ -33,6 +33,7 @@ from .errors import (
     MeasurementError,
     ValidationError,
     _check_integer,
+    _numbers,
 )
 from .likelihoods import (
     LikelihoodModel,
@@ -220,10 +221,11 @@ def predict_self_aware_regime(
 
 def _check_trajectory(log_beliefs) -> None:
     """ValidationError unless ``log_beliefs`` is a (T+1, N, H) array with no
-    empty axis."""
+    empty axis, of numbers by the number rule (``errors._numbers``)."""
     shape = getattr(log_beliefs, "shape", None)
     if shape is None or len(shape) != 3 or 0 in shape:
         raise ValidationError(f"log-beliefs must be a (T+1, N, H) array, got shape {shape}")
+    _numbers("log-beliefs", log_beliefs)
 
 
 def measure_empirical_rate(
@@ -283,11 +285,13 @@ def detect_convergence(
     index: the tx component must stay below 1e-3 for all agents over the
     window, with the remaining components either pinned at 1/(H-1) within
     1e-3, or (oscillating) agent 0's log-ratio of the two lowest non-tx
-    hypotheses changing sign at least 3 times.
+    hypotheses changing sign at least 3 times. ``threshold`` is one number,
+    read by the number rule (``errors._numbers``).
     """
     _check_trajectory(log_beliefs)
-    if not 0.5 < threshold < 1.0:
-        raise ValidationError("threshold must lie in (0.5, 1)")
+    threshold = _numbers("threshold", threshold, float)[()]
+    if threshold.ndim or not 0.5 < threshold < 1.0:
+        raise ValidationError(f"threshold must be one number in (0.5, 1), got {threshold}")
     t_max = log_beliefs.shape[0] - 1
     _check_integer("window", window)
     if window < 1 or window > t_max:

@@ -72,7 +72,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _check_integer, _is_integer
+from .errors import NumericalError, ValidationError, _check_integer, _is_integer, _numbers
 from .likelihoods import (
     LikelihoodModel,
     _check_index,
@@ -161,9 +161,10 @@ def check_log_beliefs(log_beliefs: np.ndarray) -> None:
     The message names the first offending row: its agent for an (N, H) table
     (or one belief vector, agent 0), its index tuple for a stack of tables.
     The exponentials are added column by column in index order, one pass over
-    every row each. A table with no rows has nothing to check.
+    every row each. A table with no rows has nothing to check. Entries that
+    are not numbers (``errors._numbers``) raise ValidationError.
     """
-    b = log_beliefs if getattr(log_beliefs, "ndim", 0) >= 2 else np.atleast_2d(log_beliefs)
+    b = np.atleast_2d(_numbers("log-beliefs", log_beliefs))
     if 0 in b.shape[:-1]:
         return
     finite = np.isfinite(b)
@@ -337,28 +338,18 @@ class _Plan:
     combine: Sequence[tuple]
 
 
-def _table(rows) -> np.ndarray:
-    """Log-belief rows, an array or array-like, as floats, as a copy into the
-    workspace reads them; ValidationError where numpy cannot, for rows of
-    unequal lengths or entries that are not numbers. A float array passes as
-    it is."""
-    try:
-        return np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"log-beliefs are not a table of numbers: {exc}") from None
-
-
 def _plan(sharing, rows, net=None) -> _Plan:
     """``sharing`` resolved for rows of the shape (..., H) of ``rows``, an
-    array or array-like, and, given, for ``net``, whose agent count must be
-    that of the rows; a plan as it is, so a trajectory checks its rule once
-    and reads no shape. The log-sum-exp form follows one table's agent count,
-    ``shape[-2]``, so a stack of tables steps each as it would step alone."""
+    array or array-like read by the number rule (``errors._numbers``), and,
+    given, for ``net``, whose agent count must be that of the rows; a plan as
+    it is, so a trajectory checks its rule once and reads no shape. The
+    log-sum-exp form follows one table's agent count, ``shape[-2]``, so a
+    stack of tables steps each as it would step alone."""
     if isinstance(sharing, _Plan):
         return sharing
     if not isinstance(sharing, Sharing):
         raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
-    shape = _table(rows).shape
+    shape = _numbers("log-beliefs", rows).shape
     if not shape or not shape[-1]:
         raise ValidationError(f"log-beliefs of shape {shape} hold no hypothesis")
     if net is not None and (len(shape) < 2 or shape[-2] != net.size):
@@ -409,8 +400,9 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     (1 - psi_tx)/(H-1) computed from the surviving mass.
 
     The rows are read from the plan's ``psi``, where a step computes them;
-    rows from elsewhere, as a public call's, are copied there first, as
-    floats, and rows that are not a table of numbers raise ValidationError.
+    rows from elsewhere, as a public call's, are read by the number rule
+    (``errors._numbers``: ragged rows, text or object entries raise
+    ValidationError) and copied there first.
     The result is the plan's ``shared``, which is ``psi`` itself
     only under full sharing that is not self-aware, so a call with a
     ``Sharing`` returns an array of its own.
@@ -434,15 +426,15 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     per-row shift, and the caller runs :func:`check_log_beliefs`. A
     (..., N, H) stack of tables pools each table as it pools alone. Rows that
     are not the plan's own are copied into its ``shared`` and ``psi`` first,
-    as floats, and the result is the plan's ``pooled``. Rows that are not a
-    table of numbers, and tables of another agent count than N, raise
-    ValidationError.
+    and the result is the plan's ``pooled``. Rows that are not a table of
+    numbers by the number rule (``errors._numbers``), and tables of another
+    agent count than N, raise ValidationError.
     """
     plan = _plan(sharing, log_shared, net)
     if log_shared is not plan.shared:
         plan.shared[...] = log_shared
     if plan.aware and log_own is not plan.psi:
-        own = _table(log_own)
+        own = _numbers("own log-beliefs", log_own)
         if own.shape != plan.psi.shape:
             raise ValidationError(
                 f"own log-beliefs of shape {own.shape} are not the shared rows' {plan.psi.shape}"
@@ -579,16 +571,17 @@ def run_trajectory(
     once, after its last step; a step past a bad one still runs, with
     invalid-value warnings off. The error names the first failing step's
     iteration (1-based, as the index into the result) and the first agent
-    whose log-likelihood was non-finite at that step, if any. The beliefs'
-    shape, agent and hypothesis counts and normalization are checked against
-    the network and the models, and ``true_index`` and a fixed tx against H,
-    before the first draw. A lone :func:`run_iteration` is this with
+    whose log-likelihood was non-finite at that step, if any. The beliefs are
+    read by the number rule (``errors._numbers``), and their shape, agent and
+    hypothesis counts and normalization are checked against the network and
+    the models, and ``true_index`` and a fixed tx against H, before the first
+    draw. A lone :func:`run_iteration` is this with
     ``horizon`` 1.
     """
     _check_integer("horizon", horizon)
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    init = np.asarray(initial_log_beliefs, dtype=float)
+    init = _numbers("log-beliefs", initial_log_beliefs, float)
     if init.ndim != 2 or init.shape[0] != net.size:
         raise ValidationError(f"log-beliefs of shape {init.shape} are not (N={net.size}, H)")
     check_log_beliefs(init)

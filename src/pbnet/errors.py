@@ -1,5 +1,10 @@
-"""Exception hierarchy, and the one integer rule every index and count the
-package takes goes through.
+"""Exception hierarchy, and the two rules every caller input goes through.
+
+An index or a count is a Python or numpy integer other than a bool
+(``_check_integer``). An array, or a real-valued parameter, holds bool,
+integer or float entries (``_numbers``): it is read with no dtype, so text,
+"0.5" included, is no number, and ragged rows or object entries raise a typed
+error naming the argument instead of a bare numpy one.
 
 There is no command-line entry point yet; the one planned in ROADMAP item 4
 is to map these onto exit codes: ValidationError -> 1, NumericalError -> 2,
@@ -74,3 +79,18 @@ def _check_integer(name: str, value) -> None:
     """ValidationError naming ``name`` unless ``value`` is an integer."""
     if not _is_integer(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _numbers(what: str, value, dtype=None, error=ValidationError) -> np.ndarray:
+    """``value`` as an array of numbers, cast to ``dtype`` when given, or
+    ``error`` naming ``what``: when numpy cannot build the array (rows of
+    unequal lengths) or its entries are not bool, integer or float. The
+    value is read with no dtype, so text is never parsed; a float array
+    passes as it is."""
+    try:
+        x = np.asarray(value)
+    except ValueError:
+        raise error(f"{what}: not a table of numbers, rows of unequal lengths") from None
+    if x.dtype.kind not in "biuf":
+        raise error(f"{what}: not a table of numbers, {x.dtype} entries")
+    return x if dtype is None else x.astype(dtype, copy=False)

@@ -32,6 +32,7 @@ from .errors import (
     UnboundedLikelihoodError,
     ValidationError,
     _check_integer,
+    _numbers,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -61,18 +62,11 @@ def _quad(*args, **kwargs):
 integrate = SimpleNamespace(quad=_quad)
 
 
-def _numbers(xi) -> np.ndarray:
-    """A batch of observations as an array of numbers (bool, integer or
-    float), or InvalidObservationError."""
-    x = np.asarray(xi)
-    if x.dtype.kind not in "biuf":
-        raise InvalidObservationError(f"observations must be numbers, got {x.dtype} entries")
-    return x
-
-
 def _one(xi) -> list:
-    """One observation as a batch of one, or InvalidObservationError."""
-    if np.ndim(xi) != 0:  # a sequence, or a bytearray, would score as a batch
+    """One observation as a batch of one, or InvalidObservationError: its
+    shape is read by the number rule (``errors._numbers``)."""
+    # a sequence, or a bytearray, would score as a batch
+    if _numbers("observations", xi, error=InvalidObservationError).ndim != 0:
         raise InvalidObservationError(f"expected one observation, got {xi!r}")
     return [xi]
 
@@ -152,13 +146,13 @@ class GaussianGroup:
         return int(self.means.shape[-1])
 
     def log_rows(self, xi) -> np.ndarray:
-        x = _numbers(xi).astype(float, copy=False)
+        x = _numbers("observations", xi, float, InvalidObservationError)
         _reject_first(x, np.isfinite(x), "is not a finite number")
         return self._log_density(x)
 
     def _log_density(self, x) -> np.ndarray:
         """``log_rows`` of observations known to be finite numbers."""
-        d = np.asarray(x, dtype=float)[..., None] - self.means
+        d = np.asarray(x)[..., None] - self.means  # a float array, or a float of quad's
         return -0.5 * d * d - _LOG_SQRT_2PI
 
     @staticmethod
@@ -185,7 +179,8 @@ class GaussianFamily(GaussianGroup, _Divergences):
 
     The variance is fixed to 1; only the means distinguish hypotheses.
     Observations are real numbers. ``means`` is (H,), so that the group's
-    ``log_rows`` and ``sample`` broadcast it over any agent and step axes.
+    ``log_rows`` and ``sample`` broadcast it over any agent and step axes; it
+    is checked as :func:`gauss_hermite_kl` checks it (``_check_means``).
 
     An instance does not change once built; its divergence tables (see
     ``_Divergences``) are built lazily and read-only. Reading ``bound``
@@ -193,13 +188,7 @@ class GaussianFamily(GaussianGroup, _Divergences):
     """
 
     def __init__(self, means: Sequence[float]):
-        arr = np.asarray(means, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("means must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("Gaussian means must be finite")
-        arr.setflags(write=False)
-        self.means = arr
+        self.means = _read_only(_check_means(means))
 
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
@@ -263,7 +252,8 @@ class DiscreteGroup:
     broadcast over the agent axis, and over a step axis before it: ``sample``
     with ``size`` (steps, n) draws ``rng.random((steps, n))``, which consumes
     the stream exactly as ``steps`` draws of size n do, so a block of steps
-    drawn at once equals the same steps drawn one at a time, bitwise.
+    drawn at once equals the same steps drawn one at a time, bitwise; with no
+    ``size`` a group draws one observation per agent, as ``size`` n does.
     ``sample`` is the hypothesis check, one ``variates`` call and the
     ``observations`` map of its draws.
     """
@@ -306,7 +296,7 @@ class DiscreteGroup:
     def _support_index(self, xi) -> np.ndarray:
         """Observations as int64 indices into each agent's support, or
         InvalidObservationError naming the first that is no support point."""
-        x = _numbers(xi)
+        x = _numbers("observations", xi, error=InvalidObservationError)
         with np.errstate(invalid="ignore"):  # a NaN or an infinity casts to junk, rejected below
             idx = x.astype(np.int64, copy=False)
         _reject_first(x, (idx == x) & (idx >= 0) & (idx < self.support_size),
@@ -333,13 +323,16 @@ class DiscreteGroup:
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_hypothesis(self, theta)
-        u = self.variates(rng)(1 if size is None else size)  # random(1) is random()'s draw
+        agents = np.shape(self.support_size)  # (n,) for a group, () for a family
+        # a family draws random(1), which is random()'s draw
+        u = self.variates(rng)((agents or 1) if size is None else size)
         idx = self.observations(theta, u)
-        return int(idx[0]) if size is None else idx
+        return int(idx[0]) if size is None and not agents else idx
 
 
 class DiscreteFamily(DiscreteGroup, _Divergences):
-    """Finite-support observation model: an H x S table of pmf rows.
+    """Finite-support observation model: an H x S table of pmf rows, read by
+    the number rule (``errors._numbers``) as floats.
 
     Every row must sum to 1 (within 1e-12) and every entry must be
     strictly positive, which keeps all log-likelihood ratios finite.
@@ -353,7 +346,7 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     """
 
     def __init__(self, pmf: Sequence[Sequence[float]]):
-        table = np.asarray(pmf, dtype=float)
+        table = _numbers("pmf", pmf, float)
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValidationError("pmf must be a 2-D table with at least one row")
         row_sums = table.sum(axis=1)
@@ -365,8 +358,7 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
         if (table <= 0.0).any():
             r, s = map(int, np.argwhere(table <= 0.0)[0])
             raise ValidationError(f"pmf entry [{r}][{s}] must be strictly positive")
-        table.setflags(write=False)
-        self.pmf = table
+        self.pmf = _read_only(table)
         self.support_size = table.shape[1]
         self._tabulate([table])
 
@@ -437,11 +429,22 @@ def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
     _check_index("hypothesis", theta, model.hypothesis_count)
 
 
+def _check_means(means) -> np.ndarray:
+    """Gaussian means, read by the number rule (``errors._numbers``) as
+    floats, one finite value per hypothesis, or ValidationError: the one
+    check of :class:`GaussianFamily` and :func:`gauss_hermite_kl`."""
+    arr = _numbers("means", means, float)
+    if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
+        raise ValidationError(f"means must be one finite value per hypothesis, got {means!r}")
+    return arr
+
+
 def _check_weights(weights, count: int) -> np.ndarray:
-    """Mixture weights over ``count`` hypotheses as a float array, one vector
-    or a (K, H) stack, or ValidationError: each row must be finite,
-    nonnegative and sum to 1 within ``PMF_ROW_TOL``."""
-    w = np.asarray(weights, dtype=float)
+    """Mixture weights over ``count`` hypotheses, read by the number rule
+    (``errors._numbers``) as floats, one vector or a (K, H) stack, or
+    ValidationError: each row must be finite, nonnegative and sum to 1 within
+    ``PMF_ROW_TOL``."""
+    w = _numbers("mixture weights", weights, float)
     if w.ndim not in (1, 2) or w.shape[-1] != count:
         raise ValidationError(f"mixture weights of shape {w.shape} are not (H,) or (K, H), H = {count}")
     if not (np.isfinite(w) & (w >= 0)).all():
@@ -472,9 +475,9 @@ def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndar
     group of :func:`stack_models`, row i scores observation i under the
     model of the group's i-th agent. A (steps, n) block of observations gives
     (steps, n, H). The batch obeys :func:`log_likelihood_row`'s value rules: a
-    non-numeric batch, a non-finite Gaussian observation or a discrete one
-    off its agent's support raises InvalidObservationError, which names the
-    first bad value."""
+    batch that is not a table of numbers (``errors._numbers``: text is none),
+    a non-finite Gaussian observation or a discrete one off its agent's
+    support raises InvalidObservationError, which names the first bad value."""
     return model.log_rows(xi_array)
 
 
@@ -519,7 +522,8 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     """D_KL[p||q] for mixtures of unit-variance Gaussians over ``means``, by a
     rule that certifies each value it gives.
 
-    ``means`` is one finite number per hypothesis, ValidationError else.
+    ``means`` is one finite number per hypothesis, read by the number rule
+    (``errors._numbers``), ValidationError else.
     ``p_weights`` and ``q_weights`` are each one weight vector over the H
     means, or a (K, H) stack of them, checked as :func:`mixture_kl` checks
     them. For two vectors the result is a float, or None when the rule
@@ -533,9 +537,7 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     evaluation over every node, every component of each p and every q; the
     160-node value stands when the two agree to within ``KL_QUAD_TOL``.
     """
-    means = np.asarray(means, dtype=float)
-    if means.ndim != 1 or not np.isfinite(means).all():
-        raise ValidationError(f"means must be one finite value per hypothesis, got shape {means.shape}")
+    means = _check_means(means)
     nodes, rule_weights = _hermite_rules()
     p_weights = _check_weights(p_weights, len(means))
     q_weights = _check_weights(q_weights, len(means))

@@ -28,6 +28,7 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
     _check_integer,
+    _numbers,
 )
 
 COLUMN_SUM_TOL = 1e-12
@@ -39,10 +40,10 @@ SPARSE_SOLVE_MIN_AGENTS = 200
 
 
 def is_strongly_connected(adjacency) -> bool:
-    """Whether a directed 0/1 adjacency, dense, or sparse with one stored
-    entry per edge, has one strongly connected component."""
-    if not issparse(adjacency):
-        adjacency = np.asarray(adjacency, dtype=bool)
+    """Whether a directed 0/1 adjacency, dense (read by the number rule,
+    ``errors._numbers``), or sparse with one stored entry per edge, has one
+    strongly connected component."""
+    adjacency = adjacency if issparse(adjacency) else _numbers("adjacency", adjacency, bool)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValidationError("adjacency must be a square matrix")
     n_comp, _ = connected_components(
@@ -65,16 +66,18 @@ def _entries(matrix) -> tuple:
 
 
 def _csc(matrix, dtype=float):
-    """CSC copy of a dense or scipy.sparse matrix with sorted indices and
-    no stored zeros, so its stored entries are exactly its nonzeros.
+    """CSC copy of a dense array of numbers or a scipy.sparse matrix with
+    sorted indices and no stored zeros, so its stored entries are exactly its
+    nonzeros.
 
-    A dense input converts from its nonzeros (``_entries``) in O(nnz). A
+    A dense input, which its callers have read by the number rule
+    (``errors._numbers``), converts from its nonzeros (``_entries``). A
     sparse input has its duplicates summed and its explicit zeros dropped,
     and is never made dense.
     """
     if not issparse(matrix):
-        rows, cols, values = _entries(np.asarray(matrix, dtype=dtype))
-        return csc_matrix((values, (rows, cols)), shape=np.shape(matrix))
+        rows, cols, values = _entries(matrix.astype(dtype, copy=False))
+        return csc_matrix((values, (rows, cols)), shape=matrix.shape)
     out = csc_matrix(matrix, dtype=dtype, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
@@ -82,10 +85,11 @@ def _csc(matrix, dtype=float):
 
 
 def _graph(adjacency):
-    """A dense or scipy.sparse adjacency as a boolean array or a ``_csc``
-    copy, which ``_entries`` reads and which index alike: a nonzero entry is
-    an edge, a stored zero is none."""
-    return _csc(adjacency, bool) if issparse(adjacency) else np.asarray(adjacency, dtype=bool)
+    """A dense or scipy.sparse adjacency as a boolean array, read by the
+    number rule (``errors._numbers``), or a ``_csc`` copy, which ``_entries``
+    reads and which index alike: a nonzero entry is an edge, a stored zero is
+    none."""
+    return _csc(adjacency, bool) if issparse(adjacency) else _numbers("adjacency", adjacency, bool)
 
 
 def perron_vector(matrix) -> np.ndarray:
@@ -96,14 +100,16 @@ def perron_vector(matrix) -> np.ndarray:
     (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
     agents the block is solved dense; from there on by sparse LU on a CSC
     copy of A, so no N x N array is allocated. ``matrix`` is dense or
-    scipy.sparse in any format; from the cutoff on, input that is not CSC
-    already, as a Network stores it, is read through ``_csc``, and below it
-    sparse input is read densely.
+    scipy.sparse in any format, a dense one an array or array-like read by the
+    number rule (``errors._numbers``) as floats; from the cutoff on, input
+    that is not CSC already, as a Network stores it, is read through
+    ``_csc``, and below it sparse input is read densely.
     """
+    matrix = matrix if issparse(matrix) else _numbers("combination matrix", matrix, float)
     n = matrix.shape[0]
     m = n - 1
     if n < SPARSE_SOLVE_MIN_AGENTS:
-        A = np.asarray(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
+        A = matrix.toarray().astype(float, copy=False) if issparse(matrix) else matrix
         head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
     else:
         if not issparse(matrix) or matrix.format != "csc":
@@ -124,10 +130,12 @@ def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
     product with A is needed. An agent with a_mm >= 1 drops out; that is only
     sound when nobody listens to it, which is the one check that reads A's
     entries (``_entries``); a matrix with no such agent is never scanned.
-    ``matrix`` is dense or scipy.sparse. The error names the lowest listener,
-    then the lowest agent it hears with full self-weight.
+    ``matrix`` is dense or scipy.sparse, and a dense one and ``perron`` are
+    read by the number rule (``errors._numbers``) as floats. The error names
+    the lowest listener, then the lowest agent it hears with full self-weight.
     """
-    d = (matrix if issparse(matrix) else np.asarray(matrix, dtype=float)).diagonal()
+    matrix = matrix if issparse(matrix) else _numbers("combination matrix", matrix, float)
+    d = matrix.diagonal()
     full = d >= 1.0
     if full.any():
         rows, cols, _ = _entries(_csc(matrix))  # column by column, rows ascending
@@ -136,7 +144,7 @@ def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
             m, l = rows[heard[0]], cols[heard[0]]
             raise DivisionDegeneracyError(f"agent {m} has full self-weight but agent {l} listens to it")
     w = np.where(d < 1.0, d if self_weighted else 1.0, 0.0)
-    return float(w @ perron)
+    return float(w @ _numbers("perron", perron, float))
 
 
 def alpha_constant(matrix, perron: np.ndarray) -> float:
@@ -205,16 +213,18 @@ class Network:
     @classmethod
     def from_matrix(cls, matrix, adjacency=None) -> "Network":
         """Validate A and derive its constants. ``matrix`` and ``adjacency``
-        may each be dense or scipy.sparse. A given ``adjacency`` only checks
-        that no nonzero weight sits off its edges; the graph the network
-        keeps and checks for strong connectivity is A's nonzeros.
+        may each be dense, read by the number rule (``errors._numbers``), or
+        scipy.sparse. A given ``adjacency`` only checks that no nonzero
+        weight sits off its edges; the graph the network keeps and checks
+        for strong connectivity is A's nonzeros.
 
         A is copied once into its stored form (see Network), a CSC copy with
         no stored zeros (``_csc``) from SPARSE_SOLVE_MIN_AGENTS agents on.
         Every check reads A's nonzeros by ``_entries`` (O(nnz) from the cutoff
         on), and a given adjacency is indexed at them; a stored zero is no edge.
         """
-        shape = np.shape(matrix)
+        matrix = matrix if issparse(matrix) else _numbers("combination matrix", matrix, float)
+        shape = matrix.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValidationError("combination matrix must be square")
         n = shape[0]
@@ -233,9 +243,10 @@ class Network:
                 f"column {bad[0]} sums to {colsums[bad[0]]:.12g}; columns must sum to 1"
             )
         if adjacency is not None:
-            if np.shape(adjacency) != shape:
+            graph = _graph(adjacency)
+            if graph.shape != shape:
                 raise ValidationError("adjacency shape does not match the matrix")
-            if not np.all(_graph(adjacency)[rows, cols]):
+            if not np.all(graph[rows, cols]):
                 raise ValidationError("nonzero weight on a non-edge")
         if not is_strongly_connected(weights):
             raise ConnectivityError("graph is not strongly connected")
@@ -278,19 +289,21 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
 
     n_k is the neighborhood size of agent k including itself. Requires a
     self-loop at every node and at least one other neighbor per node.
-    ``adjacency`` is dense or scipy.sparse; its edges are read once, by
-    ``_entries``. Every weight is positive, so A's nonzeros are exactly the
-    edges. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A;
+    ``adjacency`` is dense or scipy.sparse, read by ``_graph``, and its edges
+    are read once, by ``_entries``; ``self_weight`` is one number, read by the
+    number rule (``errors._numbers``). Every weight is positive, so A's
+    nonzeros are exactly the edges. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A;
     from there on they go straight into CSC, and no N x N array is made.
     """
-    shape = np.shape(adjacency)
+    graph = _graph(adjacency)
+    shape = graph.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("adjacency must be a square matrix")
-    lam = float(self_weight)
-    if not 0.0 < lam < 1.0:
-        raise ValidationError(f"self-weight must lie in (0, 1), got {lam}")
+    lam = _numbers("self-weight", self_weight, float)[()]
+    if lam.ndim or not 0.0 < lam < 1.0:
+        raise ValidationError(f"self-weight must be one number in (0, 1), got {lam}")
     n = shape[0]
-    rows, cols, _ = _entries(_graph(adjacency))
+    rows, cols, _ = _entries(graph)
     loops = rows == cols
     looped = np.bincount(cols[loops], minlength=n)
     if not looped.all():
@@ -344,13 +357,14 @@ def generate_strongly_connected_adjacency(
     n: int, edge_probability: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Random directed graph with all self-loops, resampled until strongly
-    connected. Deterministic given the generator state."""
+    connected. Deterministic given the generator state. ``edge_probability``
+    is one number, read by the number rule (``errors._numbers``)."""
     _check_integer("n", n)
     if n < 1:
         raise ValidationError("need at least one node")
-    p = float(edge_probability)
-    if not 0.0 < p <= 1.0:
-        raise ValidationError(f"edge probability must lie in (0, 1], got {p}")
+    p = _numbers("edge probability", edge_probability, float)[()]
+    if p.ndim or not 0.0 < p <= 1.0:
+        raise ValidationError(f"edge probability must be one number in (0, 1], got {p}")
     for _ in range(GENERATION_MAX_ATTEMPTS):
         adj = rng.random((n, n)) < p
         np.fill_diagonal(adj, True)

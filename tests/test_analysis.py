@@ -360,3 +360,10 @@ def test_out_of_range_index_is_a_validation_error(measure, name):
 def test_trajectory_must_be_three_dimensional(measure, log_b):
     with pytest.raises(ValidationError, match=r"^log-beliefs must be a \(T\+1, N, H\)"):
         measure(log_b)
+
+
+def test_amplitude_over_a_non_finite_log_ratio_is_a_measurement_error():
+    log_b = np.full((10, 1, 2), np.log(0.5))
+    log_b[-1, 0, 1] = -np.inf
+    with pytest.raises(MeasurementError, match="^non-finite log-ratio in trajectory"):
+        oscillation_amplitude(log_b, 0, 1, window=5)

@@ -1206,3 +1206,22 @@ class TestColumnFold:
             assert shared[k].tobytes() == alone.tobytes()
             assert pooled[k].tobytes() == combine_step(net, alone, log_psi[k], strat).tobytes()
         check_log_beliefs(pooled)
+
+
+def test_a_block_failure_no_step_explains_stands_as_it_is(monkeypatch):
+    # should the search for the first failing step find none, the block
+    # check's own error is raised
+    score = dynamics.log_likelihood_rows
+
+    def nan_at_agent_3(model, xi):
+        table = score(model, xi)
+        table[0, 3] = np.nan
+        return table
+
+    monkeypatch.setattr(dynamics, "log_likelihood_rows", nan_at_agent_3)
+    monkeypatch.setattr(dynamics, "_raise_first_failure", lambda *args: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^agent 0: non-finite log-belief"):
+            run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1), 1,
+                           np.random.default_rng(0))

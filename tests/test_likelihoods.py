@@ -11,6 +11,7 @@ from pbnet import likelihoods
 from pbnet.analysis import KL_MARGIN_TOL, predict_partial_regime, theoretical_rate
 from pbnet.errors import (
     InvalidObservationError,
+    NumericalError,
     UnboundedLikelihoodError,
     ValidationError,
 )
@@ -727,3 +728,60 @@ class TestDiscreteRowTable:
         group = stack_models([DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), fam], 2)[0]
         with pytest.raises(InvalidObservationError, match=r"^observation 2 outside discrete"):
             log_likelihood_rows(group, [[1, 2], [2, 0]])
+
+
+# ---------------------------------------------------------------------------
+# rejections no other test reaches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", [GaussianFamily([0.0]), DiscreteFamily([[1.0]])],
+                         ids=["gaussian", "discrete"])
+def test_complement_needs_two_hypotheses(family):
+    with pytest.raises(ValidationError, match="^uniform complement needs at least 2 hypotheses"):
+        family.complement
+
+
+@pytest.mark.parametrize("means", [[[0.0, 1.0]], []], ids=["two-axes", "empty"])
+def test_gaussian_family_takes_one_mean_per_hypothesis(means):
+    # one check with gauss_hermite_kl's
+    with pytest.raises(ValidationError, match="^means must be one finite value per hypothesis"):
+        GaussianFamily(means)
+
+
+@pytest.mark.parametrize("out, match", [
+    ((0.5, 1e-9, {}, "the integral is probably divergent"),
+     "^KL quadrature failed: the integral is probably divergent"),
+    ((0.5, 1e-3), "^KL quadrature error estimate 0.001 exceeds tolerance 1e-06"),
+    ((-1.0, 1e-9), "^KL quadrature produced a negative value -1"),
+], ids=["message", "error-estimate", "negative"])
+def test_fallback_quadrature_failure_is_a_numerical_error(monkeypatch, out, match):
+    # the rule leaves this pair uncertified (see the fallback test above), so
+    # mixture_kl runs the quadrature, here a stand-in that returns ``out``
+    fam = GaussianFamily([0.0, 3.0, 6.0])
+    monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=lambda *a, **k: out))
+    with pytest.raises(NumericalError, match=match):
+        mixture_kl(fam, np.eye(3)[1], uniform_complement(3, 1))
+
+
+def test_discrete_family_takes_a_table():
+    with pytest.raises(ValidationError, match="^pmf must be a 2-D table"):
+        DiscreteFamily([0.5, 0.5])
+
+
+def test_stack_models_rejects_a_non_family_and_mixed_hypothesis_counts():
+    with pytest.raises(ValidationError, match="^agent 1 has no likelihood family: 'x'"):
+        stack_models([DISC, "x"], 2)
+    with pytest.raises(ValidationError, match="^per-agent models must share one hypothesis count"):
+        stack_models([DISC, GAUSS3], 2)
+
+
+def test_discrete_group_draws_one_observation_per_agent():
+    # with no size it drew one uniform and returned agent 0's observation, an int
+    models = [DISC, DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), DISC,
+              DiscreteFamily([[0.2, 0.2, 0.2, 0.4], [0.4, 0.2, 0.2, 0.2]])]
+    group = stack_models(models, 4)[0]
+    alone, sized = np.random.default_rng(8), np.random.default_rng(8)
+    got, want = group.sample(1, alone), group.sample(1, sized, size=4)
+    assert got.shape == (4,) and got.tobytes() == want.tobytes()
+    assert alone.bit_generator.state == sized.bit_generator.state
+    assert isinstance(DISC.sample(1, alone), int)  # a family still draws one int

@@ -14,6 +14,7 @@ from pbnet.errors import (
     DegenerateDegreeError,
     DivisionDegeneracyError,
     GraphGenerationError,
+    NonConvergenceError,
     ValidationError,
 )
 from pbnet.likelihoods import DiscreteFamily
@@ -531,3 +532,41 @@ class TestSparseInput:
         assert peak < 5 * 2**20
         assert net.size == n and net.pool.nnz == 3 * n
         np.testing.assert_allclose(net.perron, 1.0 / n, rtol=1e-10, atol=0)
+
+
+# rejections no other test reaches
+
+@pytest.mark.parametrize("call", [
+    lambda: is_strongly_connected(np.ones((2, 3), bool)),
+    lambda: build_averaging_matrix(np.ones((2, 3), bool), 0.5),
+    lambda: Network.from_matrix(np.full((2, 3), 0.5)),
+], ids=["is_strongly_connected", "build_averaging_matrix", "from_matrix"])
+def test_matrices_must_be_square(call):
+    with pytest.raises(ValidationError, match="^(adjacency|combination matrix) must be .*square"):
+        call()
+
+
+def test_adjacency_of_another_shape_is_rejected():
+    with pytest.raises(ValidationError, match="^adjacency shape does not match the matrix"):
+        Network.from_matrix(A_2X2, adjacency=np.ones((3, 3), bool))
+
+
+def test_a_perron_vector_failing_its_checks_is_a_non_convergence_error(monkeypatch):
+    solve = network.perron_vector
+    monkeypatch.setattr(network, "perron_vector", lambda matrix: np.array([0.5, 0.5]))
+    with pytest.raises(NonConvergenceError, match="^Perron residual 0.05 exceeds 1e-10"):
+        Network.from_matrix(A_2X2)
+    monkeypatch.setattr(network, "perron_vector", lambda matrix: -solve(matrix))
+    with pytest.raises(NonConvergenceError, match="^Perron vector has non-positive entries"):
+        Network.from_matrix(A_2X2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ring_adjacency(1), "^ring preset needs at least 2 nodes"),
+    (lambda: star_adjacency(1), "^star preset needs at least 2 nodes"),
+    (lambda: generate_strongly_connected_adjacency(0, 0.5, np.random.default_rng(0)),
+     "^need at least one node"),
+], ids=["ring", "star", "random"])
+def test_graph_builders_reject_too_few_nodes(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
