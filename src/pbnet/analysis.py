@@ -17,12 +17,21 @@ the Gauss-Hermite rule leaves uncertified. The predictors read public tables
 only. The checks keep their order: the indices, then an indistinguishable
 tx, then a Gaussian family's unbounded likelihood, and only then any mixture
 KL.
+
+Each rule is written once. ``_called`` turns (margin, regime) pairs into the
+one regime whose margin clears KL_MARGIN_TOL, Inconclusive, or an
+InconsistentConditionsError; both predictors call through it. ``_tail``
+checks a window and takes the trajectory's last rows, and ``_log_ratio``
+reads one agent's log-ratio and rejects a non-finite one; the measurements
+read trajectories through them. ``RegimeReport.to_dict`` is built from the
+dataclass fields, with only the wire forms of the indices and the regime
+written out.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -78,18 +87,10 @@ class RegimeReport:
     empirical: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        """JSON form; hypothesis indices are 1-based on the wire."""
-        return {
-            "strategy": self.strategy,
-            "true_index": self.true_index + 1,
-            "tx_index": self.tx_index + 1,
-            "kl_true_vs_tx": self.kl_true_vs_tx,
-            "kl_true_vs_mixture": self.kl_true_vs_mixture,
-            "rate": self.rate,
-            "predicted": self.predicted.value,
-            "condition_values": dict(self.condition_values),
-            "empirical": self.empirical,
-        }
+        """JSON form: every field in field order, copied; hypothesis indices
+        are 1-based on the wire and the regime is its string."""
+        return {**asdict(self), "true_index": self.true_index + 1,
+                "tx_index": self.tx_index + 1, "predicted": self.predicted.value}
 
 
 def theoretical_rate(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
@@ -120,6 +121,17 @@ def _kl_true_vs_mixture(model: LikelihoodModel, true_index: int, tx_index: int) 
     return float(model.complement[true_index, tx_index])
 
 
+def _called(*conditions) -> Regime:
+    """The regime of the one (margin, regime) pair whose margin is above
+    KL_MARGIN_TOL, or Inconclusive when none is. Two such pairs predict
+    contradictory limits: InconsistentConditionsError."""
+    called = [regime for margin, regime in conditions if margin > KL_MARGIN_TOL]
+    if len(called) > 1:
+        names = " and ".join(regime.value for regime in called)
+        raise InconsistentConditionsError(f"the sufficient conditions of {names} both fired")
+    return called[0] if called else Regime.INCONCLUSIVE
+
+
 def _report(strategy, true_index, tx_index, d_tx, d_mix, predicted, values) -> RegimeReport:
     return RegimeReport(
         strategy, true_index, tx_index, d_tx, d_mix, d_tx - d_mix, predicted, values
@@ -137,21 +149,14 @@ def predict_partial_regime(
     """
     d_tx = _kl_true_vs_tx(model, true_index, tx_index)
     d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
-    values = {}
     if tx_index == true_index:
-        values["thm1_true"] = d_mix
-        predicted = Regime.TRUTH_LEARNING if d_mix > KL_MARGIN_TOL else Regime.INCONCLUSIVE
+        values = {"thm1_true": d_mix}
+        predicted = _called((d_mix, Regime.TRUTH_LEARNING))
     else:
         # margin of mixture-vs-tx divergence: positive means tx is the easier
         # explanation and absorbs the belief
-        margin = d_mix - d_tx
-        values["thm1_ratio"] = margin
-        if margin > KL_MARGIN_TOL:
-            predicted = Regime.MISLEARN_TX
-        elif margin < -KL_MARGIN_TOL:
-            predicted = Regime.UNIFORM_SPLIT
-        else:
-            predicted = Regime.INCONCLUSIVE
+        values = {"thm1_ratio": d_mix - d_tx}
+        predicted = _called((d_mix - d_tx, Regime.MISLEARN_TX), (d_tx - d_mix, Regime.UNIFORM_SPLIT))
     return _report("partial", true_index, tx_index, d_tx, d_mix, predicted, values)
 
 
@@ -200,20 +205,8 @@ def predict_self_aware_regime(
         values["lem3"] = d_tx - (net.alpha / (h - 1)) * sum(others)
         values["likelihood_bound"] = bound
         values["lem4"] = d_mix - d_tx - bound * net.weight_sum
-
-        zero_fires = values["lem3"] > KL_MARGIN_TOL
-        one_fires = values["lem4"] > KL_MARGIN_TOL
-        if zero_fires and one_fires:
-            raise InconsistentConditionsError(
-                "both self-aware sufficient conditions fired; they predict "
-                "contradictory limits"
-            )
-        if zero_fires:
-            predicted = Regime.SUFFICIENT_COND_ZERO
-        elif one_fires:
-            predicted = Regime.SUFFICIENT_COND_ONE
-        else:
-            predicted = Regime.INCONCLUSIVE
+        predicted = _called((values["lem3"], Regime.SUFFICIENT_COND_ZERO),
+                            (values["lem4"], Regime.SUFFICIENT_COND_ONE))
     return _report("self_aware_partial", true_index, tx_index, d_tx, d_mix, predicted, values)
 
 
@@ -226,6 +219,25 @@ def _check_trajectory(log_beliefs) -> None:
     if shape is None or len(shape) != 3 or 0 in shape:
         raise ValidationError(f"log-beliefs must be a (T+1, N, H) array, got shape {shape}")
     _numbers("log-beliefs", log_beliefs)
+
+
+def _tail(log_beliefs, window, least: int):
+    """The last ``window`` rows of a checked trajectory; ValidationError
+    unless ``window`` is an integer in [least, T]."""
+    t_max = log_beliefs.shape[0] - 1
+    _check_integer("window", window)
+    if window < least or window > t_max:
+        raise ValidationError(f"window must lie in [{least}, {t_max}]")
+    return log_beliefs[t_max - window + 1:]
+
+
+def _log_ratio(rows, agent: int, a: int, b: int) -> np.ndarray:
+    """One agent's log mu(a)/mu(b) over ``rows``; MeasurementError unless
+    every entry is finite."""
+    series = rows[:, agent, a] - rows[:, agent, b]
+    if not np.all(np.isfinite(series)):
+        raise MeasurementError("non-finite log-ratio in trajectory")
+    return series
 
 
 def measure_empirical_rate(
@@ -245,11 +257,8 @@ def measure_empirical_rate(
     t_max = log_beliefs.shape[0] - 1
     if t_max <= burn_in:
         raise ValidationError(f"trajectory length {t_max} must exceed burn-in {burn_in}")
-    iters = np.arange(burn_in + 1, t_max + 1)
-    series = log_beliefs[iters, 0, theta] - log_beliefs[iters, 0, tx_index]
-    if not np.all(np.isfinite(series)):
-        raise MeasurementError("non-finite log-ratio in trajectory")
-    slope, _ = np.polyfit(iters, series, 1)
+    series = _log_ratio(log_beliefs[burn_in + 1:], 0, theta, tx_index)
+    slope, _ = np.polyfit(np.arange(burn_in + 1, t_max + 1), series, 1)
     return float(slope)
 
 
@@ -292,14 +301,10 @@ def detect_convergence(
     threshold = _numbers("threshold", threshold, float)[()]
     if threshold.ndim or not 0.5 < threshold < 1.0:
         raise ValidationError(f"threshold must be one number in (0.5, 1), got {threshold}")
-    t_max = log_beliefs.shape[0] - 1
-    _check_integer("window", window)
-    if window < 1 or window > t_max:
-        raise ValidationError(f"window must lie in [1, {t_max}]")
+    tail = _tail(log_beliefs, window, 1)
     h = log_beliefs.shape[2]
     if tx_index is not None:
         _check_index("tx", tx_index, h)
-    tail = log_beliefs[t_max - window + 1:]
 
     log_thr = np.log(threshold)
     for theta in range(h):
@@ -329,17 +334,8 @@ def oscillation_amplitude(
     """Standard deviation of one agent's log mu(a)/mu(b) over the last
     ``window`` iterations."""
     _check_trajectory(log_beliefs)
-    t_max = log_beliefs.shape[0] - 1
-    _check_integer("window", window)
-    if window < 2 or window > t_max:
-        raise ValidationError(f"window must lie in [2, {t_max}]")
+    tail = _tail(log_beliefs, window, 2)
     _check_index("agent", agent, log_beliefs.shape[1])
     _check_index("theta_a", theta_a, log_beliefs.shape[2])
     _check_index("theta_b", theta_b, log_beliefs.shape[2])
-    series = (
-        log_beliefs[t_max - window + 1:, agent, theta_a]
-        - log_beliefs[t_max - window + 1:, agent, theta_b]
-    )
-    if not np.all(np.isfinite(series)):
-        raise MeasurementError("non-finite log-ratio in trajectory")
-    return float(np.std(series))
+    return float(np.std(_log_ratio(tail, agent, theta_a, theta_b)))

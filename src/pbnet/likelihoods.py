@@ -182,13 +182,14 @@ class GaussianFamily(GaussianGroup, _Divergences):
     ``log_rows`` and ``sample`` broadcast it over any agent and step axes; it
     is checked as :func:`gauss_hermite_kl` checks it (``_check_means``).
 
-    An instance does not change once built; its divergence tables (see
-    ``_Divergences``) are built lazily and read-only. Reading ``bound``
+    An instance does not change once built: it keeps a read-only copy of
+    ``means``, and a caller's array stays writeable. Its divergence tables
+    (see ``_Divergences``) are built lazily and read-only. Reading ``bound``
     raises UnboundedLikelihoodError: the log-likelihood ratios are unbounded.
     """
 
     def __init__(self, means: Sequence[float]):
-        self.means = _read_only(_check_means(means))
+        self.means = _read_only(_check_means(means).copy())
 
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
@@ -340,7 +341,8 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     The tables are the group's for one agent: ``log_table`` is (S, H),
     ``log_pmf`` (1, H, S), ``cdf`` (H, S, 1), and ``support_size`` is S.
 
-    An instance does not change once built; its divergence tables (see
+    An instance does not change once built: it keeps a read-only copy of
+    ``pmf``, and a caller's array stays writeable. Its divergence tables (see
     ``_Divergences``) are built lazily, by exact sums over the support, and
     are read-only.
     """
@@ -358,7 +360,7 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
         if (table <= 0.0).any():
             r, s = map(int, np.argwhere(table <= 0.0)[0])
             raise ValidationError(f"pmf entry [{r}][{s}] must be strictly positive")
-        self.pmf = _read_only(table)
+        self.pmf = _read_only(table.copy())
         self.support_size = table.shape[1]
         self._tabulate([table])
 

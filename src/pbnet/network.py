@@ -39,13 +39,22 @@ PERRON_RESIDUAL_TOL = 1e-10
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
+def _square(what: str, matrix, dtype):
+    """A scipy.sparse ``matrix`` as it is, or a dense one read by the number
+    rule (``errors._numbers``) as ``dtype``; ValidationError naming ``what``
+    unless it is 2-D and square. Sparse input is not canonicalized: its stored
+    zeros stay stored."""
+    matrix = matrix if issparse(matrix) else _numbers(what, matrix, dtype)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"{what} must be a square matrix")
+    return matrix
+
+
 def is_strongly_connected(adjacency) -> bool:
-    """Whether a directed 0/1 adjacency, dense (read by the number rule,
-    ``errors._numbers``), or sparse with one stored entry per edge, has one
-    strongly connected component."""
-    adjacency = adjacency if issparse(adjacency) else _numbers("adjacency", adjacency, bool)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise ValidationError("adjacency must be a square matrix")
+    """Whether a directed 0/1 adjacency, a square matrix dense or sparse
+    (``_square``) with one stored entry per edge, has one strongly connected
+    component."""
+    adjacency = _square("adjacency", adjacency, bool)
     n_comp, _ = connected_components(
         csr_matrix(adjacency), directed=True, connection="strong"
     )
@@ -85,11 +94,11 @@ def _csc(matrix, dtype=float):
 
 
 def _graph(adjacency):
-    """A dense or scipy.sparse adjacency as a boolean array, read by the
-    number rule (``errors._numbers``), or a ``_csc`` copy, which ``_entries``
-    reads and which index alike: a nonzero entry is an edge, a stored zero is
-    none."""
-    return _csc(adjacency, bool) if issparse(adjacency) else _numbers("adjacency", adjacency, bool)
+    """A square adjacency (``_square``), dense as a boolean array or sparse
+    as a ``_csc`` copy, which ``_entries`` reads and which index alike: a
+    nonzero entry is an edge, a stored zero is none."""
+    adjacency = _square("adjacency", adjacency, bool)
+    return _csc(adjacency, bool) if issparse(adjacency) else adjacency
 
 
 def perron_vector(matrix) -> np.ndarray:
@@ -99,13 +108,13 @@ def perron_vector(matrix) -> np.ndarray:
     leading (N-1) x (N-1) block, which is nonsingular when A is irreducible
     (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
     agents the block is solved dense; from there on by sparse LU on a CSC
-    copy of A, so no N x N array is allocated. ``matrix`` is dense or
-    scipy.sparse in any format, a dense one an array or array-like read by the
-    number rule (``errors._numbers``) as floats; from the cutoff on, input
-    that is not CSC already, as a Network stores it, is read through
-    ``_csc``, and below it sparse input is read densely.
+    copy of A, so no N x N array is allocated. ``matrix`` is square, dense or
+    scipy.sparse in any format, a dense one an array or array-like read by
+    ``_square`` as floats; from the cutoff on, input that is not CSC already,
+    as a Network stores it, is read through ``_csc``, and below it sparse
+    input is read densely.
     """
-    matrix = matrix if issparse(matrix) else _numbers("combination matrix", matrix, float)
+    matrix = _square("combination matrix", matrix, float)
     n = matrix.shape[0]
     m = n - 1
     if n < SPARSE_SOLVE_MIN_AGENTS:
@@ -130,12 +139,16 @@ def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
     product with A is needed. An agent with a_mm >= 1 drops out; that is only
     sound when nobody listens to it, which is the one check that reads A's
     entries (``_entries``); a matrix with no such agent is never scanned.
-    ``matrix`` is dense or scipy.sparse, and a dense one and ``perron`` are
-    read by the number rule (``errors._numbers``) as floats. The error names
-    the lowest listener, then the lowest agent it hears with full self-weight.
+    ``matrix`` is square, dense or scipy.sparse (``_square``), and ``perron``
+    is read by the number rule (``errors._numbers``) as N floats. The error
+    names the lowest listener, then the lowest agent it hears with full
+    self-weight.
     """
-    matrix = matrix if issparse(matrix) else _numbers("combination matrix", matrix, float)
+    matrix = _square("combination matrix", matrix, float)
     d = matrix.diagonal()
+    perron = _numbers("perron", perron, float)
+    if perron.shape != d.shape:
+        raise ValidationError(f"perron must hold {d.size} entries, got shape {perron.shape}")
     full = d >= 1.0
     if full.any():
         rows, cols, _ = _entries(_csc(matrix))  # column by column, rows ascending
@@ -144,7 +157,7 @@ def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
             m, l = rows[heard[0]], cols[heard[0]]
             raise DivisionDegeneracyError(f"agent {m} has full self-weight but agent {l} listens to it")
     w = np.where(d < 1.0, d if self_weighted else 1.0, 0.0)
-    return float(w @ _numbers("perron", perron, float))
+    return float(w @ perron)
 
 
 def alpha_constant(matrix, perron: np.ndarray) -> float:
@@ -213,20 +226,18 @@ class Network:
     @classmethod
     def from_matrix(cls, matrix, adjacency=None) -> "Network":
         """Validate A and derive its constants. ``matrix`` and ``adjacency``
-        may each be dense, read by the number rule (``errors._numbers``), or
-        scipy.sparse. A given ``adjacency`` only checks that no nonzero
-        weight sits off its edges; the graph the network keeps and checks
-        for strong connectivity is A's nonzeros.
+        are each a square matrix, dense or scipy.sparse (``_square``). A
+        given ``adjacency`` only checks that no nonzero weight sits off its
+        edges; the graph the network keeps and checks for strong
+        connectivity is A's nonzeros.
 
         A is copied once into its stored form (see Network), a CSC copy with
         no stored zeros (``_csc``) from SPARSE_SOLVE_MIN_AGENTS agents on.
         Every check reads A's nonzeros by ``_entries`` (O(nnz) from the cutoff
         on), and a given adjacency is indexed at them; a stored zero is no edge.
         """
-        matrix = matrix if issparse(matrix) else _numbers("combination matrix", matrix, float)
+        matrix = _square("combination matrix", matrix, float)
         shape = matrix.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValidationError("combination matrix must be square")
         n = shape[0]
         if n >= SPARSE_SOLVE_MIN_AGENTS:
             weights = _csc(matrix)
@@ -297,8 +308,6 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     """
     graph = _graph(adjacency)
     shape = graph.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValidationError("adjacency must be a square matrix")
     lam = _numbers("self-weight", self_weight, float)[()]
     if lam.ndim or not 0.0 < lam < 1.0:
         raise ValidationError(f"self-weight must be one number in (0, 1), got {lam}")

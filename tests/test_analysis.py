@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -119,6 +120,21 @@ class TestPredictPartial:
 class TestPredictSelfAware:
     def setup_method(self):
         self.net = build_averaging_matrix(ring_adjacency(10), 0.03)
+
+    def test_report_json_round_trip(self):
+        rep = predict_self_aware_regime(DISC3, self.net, 0, 1)
+        rep.empirical = {"slope": -0.25, "verdict": Verdict("uniform_split").to_dict()}
+        d = rep.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert list(d) == [f.name for f in dataclasses.fields(rep)]
+        assert d["strategy"] == "self_aware_partial" and d["predicted"] == "SufficientCondOne"
+        assert d["true_index"] == 1 and d["tx_index"] == 2  # 1-based on the wire
+        for name in ("kl_true_vs_tx", "kl_true_vs_mixture", "rate", "empirical"):
+            assert d[name] == getattr(rep, name)
+        assert list(d["condition_values"]) == ["lem3", "likelihood_bound", "lem4"]
+        assert d["condition_values"] == rep.condition_values
+        assert d["condition_values"] is not rep.condition_values
+        assert d["empirical"]["verdict"] == {"kind": "uniform_split", "theta": None}
 
     def test_truth_learning_probes(self):
         rep = predict_self_aware_regime(DISC3, self.net, 0, 0)

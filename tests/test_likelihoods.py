@@ -785,3 +785,19 @@ def test_discrete_group_draws_one_observation_per_agent():
     assert got.shape == (4,) and got.tobytes() == want.tobytes()
     assert alone.bit_generator.state == sized.bit_generator.state
     assert isinstance(DISC.sample(1, alone), int)  # a family still draws one int
+
+
+@pytest.mark.parametrize("build, values, attribute", [
+    (GaussianFamily, [0.0, 1.0, 2.5], "means"),
+    (DiscreteFamily, [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]], "pmf"),
+], ids=["gaussian", "discrete"])
+def test_family_freezes_a_copy_of_the_callers_array(build, values, attribute):
+    # the family's own array is read-only; the caller's stays writeable, and
+    # writing to it changes nothing the family holds or derives
+    caller = np.array(values)
+    family = build(caller)
+    point = family.point.copy()
+    assert caller.flags.writeable and not getattr(family, attribute).flags.writeable
+    caller[...] = caller[::-1]
+    np.testing.assert_array_equal(getattr(family, attribute), values)
+    np.testing.assert_array_equal(family.point, point)

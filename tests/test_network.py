@@ -540,10 +540,26 @@ class TestSparseInput:
     lambda: is_strongly_connected(np.ones((2, 3), bool)),
     lambda: build_averaging_matrix(np.ones((2, 3), bool), 0.5),
     lambda: Network.from_matrix(np.full((2, 3), 0.5)),
-], ids=["is_strongly_connected", "build_averaging_matrix", "from_matrix"])
+    lambda: perron_vector(np.full((2, 3), 0.5)),
+    lambda: alpha_constant(np.full((2, 3), 0.5), np.full(2, 0.5)),
+    lambda: mislearning_weight_sum(np.full((2, 3), 0.5), np.full(2, 0.5)),
+    lambda: perron_vector(np.full(2, 0.5)),
+    lambda: alpha_constant(np.full(2, 0.5), np.full(2, 0.5)),
+    lambda: mislearning_weight_sum(np.full(2, 0.5), np.full(2, 0.5)),
+], ids=["is_strongly_connected", "build_averaging_matrix", "from_matrix", "perron_vector",
+        "alpha_constant", "mislearning_weight_sum", "perron_vector-1d", "alpha_constant-1d",
+        "mislearning_weight_sum-1d"])
 def test_matrices_must_be_square(call):
     with pytest.raises(ValidationError, match="^(adjacency|combination matrix) must be .*square"):
         call()
+
+
+@pytest.mark.parametrize("constant", [alpha_constant, mislearning_weight_sum])
+@pytest.mark.parametrize("perron", [[0.5, 0.25, 0.25], [1.0], np.full((2, 1), 0.5), 0.5],
+                         ids=["longer", "shorter", "column", "scalar"])
+def test_perron_vector_must_hold_one_entry_per_agent(constant, perron):
+    with pytest.raises(ValidationError, match="^perron must hold 2 entries, got shape"):
+        constant(A_2X2, perron)
 
 
 def test_adjacency_of_another_shape_is_rejected():
