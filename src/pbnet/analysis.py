@@ -15,8 +15,9 @@ over every (true, tx) pair computes each divergence once; the first read of
 a Gaussian ``complement`` entry also resolves every entry of that table that
 the Gauss-Hermite rule leaves uncertified. The predictors read public tables
 only. The checks keep their order: the indices, then an indistinguishable
-tx, then a Gaussian family's unbounded likelihood, and only then any mixture
-KL.
+tx, then the network, then a Gaussian family's unbounded likelihood, and
+only then any mixture KL. Every index, window and burn-in is checked by the
+integer rule (``errors._check_integer``).
 
 Each rule is written once. ``_called`` turns (margin, regime) pairs into the
 one regime whose margin clears KL_MARGIN_TOL, Inconclusive, or an
@@ -44,12 +45,8 @@ from .errors import (
     _check_integer,
     _numbers,
 )
-from .likelihoods import (
-    LikelihoodModel,
-    _check_index,
-    kl_divergence,
-)
-from .network import Network
+from .likelihoods import LikelihoodModel, kl_divergence
+from .network import Network, _network
 
 #: Condition margins closer to the boundary than this are not called.
 KL_MARGIN_TOL = 1e-3
@@ -176,12 +173,16 @@ def predict_self_aware_regime(
     complement-mixture divergence exceeds the tx divergence plus
     bound * weight_sum; requires the finite likelihood bound, hence a
     discrete family. Neither firing yields Inconclusive: the conditions are
-    sufficient, not exhaustive.
+    sufficient, not exhaustive. ``net`` must be a Network, of two or more
+    agents when tx != true (ValidationError else).
     """
-    h = model.hypothesis_count
     d_tx = _kl_true_vs_tx(model, true_index, tx_index)
+    h = model.hypothesis_count
+    _network(net)
     if tx_index != true_index:
         # rejections come before the mixture KL, numerical for a Gaussian family
+        if net.size < 2:  # alpha and weight_sum are 0: both conditions would fire
+            raise ValidationError("the tx != true conditions need a network of 2 or more agents")
         bound = float(model.bound[tx_index])  # a Gaussian family raises
     d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
     # divergences to every hypothesis except tx, as floats in index order
@@ -224,11 +225,8 @@ def _check_trajectory(log_beliefs) -> None:
 def _tail(log_beliefs, window, least: int):
     """The last ``window`` rows of a checked trajectory; ValidationError
     unless ``window`` is an integer in [least, T]."""
-    t_max = log_beliefs.shape[0] - 1
-    _check_integer("window", window)
-    if window < least or window > t_max:
-        raise ValidationError(f"window must lie in [{least}, {t_max}]")
-    return log_beliefs[t_max - window + 1:]
+    _check_integer("window", window, least, log_beliefs.shape[0] - 1)
+    return log_beliefs[-window:]
 
 
 def _log_ratio(rows, agent: int, a: int, b: int) -> np.ndarray:
@@ -245,18 +243,15 @@ def measure_empirical_rate(
 ) -> float:
     """Least-squares slope of agent 0's log mu(theta)/mu(tx) over iterations
     (burn_in, end]. The trajectory array is (T+1, N, H) with index 0 holding
-    the initial beliefs."""
+    the initial beliefs; ``burn_in`` lies in [0, T - 2], so that the fit has
+    two points or more."""
     _check_trajectory(log_beliefs)
     if theta == tx_index:
         raise ValidationError("rate is defined for theta != tx")
-    _check_index("theta", theta, log_beliefs.shape[2])
-    _check_index("tx", tx_index, log_beliefs.shape[2])
-    _check_integer("burn-in", burn_in)
-    if burn_in < 0:
-        raise ValidationError(f"burn-in must be >= 0, got {burn_in}")
-    t_max = log_beliefs.shape[0] - 1
-    if t_max <= burn_in:
-        raise ValidationError(f"trajectory length {t_max} must exceed burn-in {burn_in}")
+    h, t_max = log_beliefs.shape[2], log_beliefs.shape[0] - 1
+    _check_integer("theta index", theta, 0, h - 1)
+    _check_integer("tx index", tx_index, 0, h - 1)
+    _check_integer("burn-in", burn_in, 0, t_max - 2)  # a slope needs two points
     series = _log_ratio(log_beliefs[burn_in + 1:], 0, theta, tx_index)
     slope, _ = np.polyfit(np.arange(burn_in + 1, t_max + 1), series, 1)
     return float(slope)
@@ -304,7 +299,7 @@ def detect_convergence(
     tail = _tail(log_beliefs, window, 1)
     h = log_beliefs.shape[2]
     if tx_index is not None:
-        _check_index("tx", tx_index, h)
+        _check_integer("tx index", tx_index, 0, h - 1)
 
     log_thr = np.log(threshold)
     for theta in range(h):
@@ -335,7 +330,8 @@ def oscillation_amplitude(
     ``window`` iterations."""
     _check_trajectory(log_beliefs)
     tail = _tail(log_beliefs, window, 2)
-    _check_index("agent", agent, log_beliefs.shape[1])
-    _check_index("theta_a", theta_a, log_beliefs.shape[2])
-    _check_index("theta_b", theta_b, log_beliefs.shape[2])
+    _, n, h = log_beliefs.shape
+    _check_integer("agent index", agent, 0, n - 1)
+    _check_integer("theta_a index", theta_a, 0, h - 1)
+    _check_integer("theta_b index", theta_b, 0, h - 1)
     return float(np.std(_log_ratio(tail, agent, theta_a, theta_b)))

@@ -75,13 +75,12 @@ import numpy as np
 from .errors import NumericalError, ValidationError, _check_integer, _is_integer, _numbers
 from .likelihoods import (
     LikelihoodModel,
-    _check_index,
     log_likelihood_row,  # read by no step: kept as the benchmark's traced seam
     log_likelihood_rows,
     sample_observation,
     stack_models,
 )
-from .network import Network
+from .network import Network, _network
 
 BELIEF_SUM_TOL = 1e-9
 
@@ -191,9 +190,7 @@ def _first_row(bad: np.ndarray) -> str:
 
 def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
     for name, count in (("n_agents", n_agents), ("n_hypotheses", n_hypotheses)):
-        _check_integer(name, count)
-        if count < 1:
-            raise ValidationError(f"{name} must be >= 1, got {count}")
+        _check_integer(name, count, 1)
     return np.full((n_agents, n_hypotheses), -np.log(n_hypotheses))
 
 
@@ -341,14 +338,17 @@ class _Plan:
 def _plan(sharing, rows, net=None) -> _Plan:
     """``sharing`` resolved for rows of the shape (..., H) of ``rows``, an
     array or array-like read by the number rule (``errors._numbers``), and,
-    given, for ``net``, whose agent count must be that of the rows; a plan as
-    it is, so a trajectory checks its rule once and reads no shape. The
-    log-sum-exp form follows one table's agent count, ``shape[-2]``, so a
-    stack of tables steps each as it would step alone."""
+    given, for ``net``, a Network whose agent count must be that of the rows
+    (ValidationError else); a plan as it is, so a trajectory checks its rule
+    once and reads no shape. The log-sum-exp form follows one table's agent
+    count, ``shape[-2]``, so a stack of tables steps each as it would step
+    alone."""
     if isinstance(sharing, _Plan):
         return sharing
     if not isinstance(sharing, Sharing):
         raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
+    if net is not None:
+        _network(net)
     shape = _numbers("log-beliefs", rows).shape
     if not shape or not shape[-1]:
         raise ValidationError(f"log-beliefs of shape {shape} hold no hypothesis")
@@ -571,16 +571,15 @@ def run_trajectory(
     once, after its last step; a step past a bad one still runs, with
     invalid-value warnings off. The error names the first failing step's
     iteration (1-based, as the index into the result) and the first agent
-    whose log-likelihood was non-finite at that step, if any. The beliefs are
-    read by the number rule (``errors._numbers``), and their shape, agent and
-    hypothesis counts and normalization are checked against the network and
-    the models, and ``true_index`` and a fixed tx against H, before the first
-    draw. A lone :func:`run_iteration` is this with
-    ``horizon`` 1.
+    whose log-likelihood was non-finite at that step, if any. ``net`` must be
+    a Network (ValidationError else). The beliefs are read by the number rule
+    (``errors._numbers``), and their shape, agent and hypothesis counts and
+    normalization are checked against the network and the models, and
+    ``true_index`` and a fixed tx against H, before the first draw. A lone
+    :func:`run_iteration` is this with ``horizon`` 1.
     """
-    _check_integer("horizon", horizon)
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    _check_integer("horizon", horizon, 1)
+    _network(net)
     init = _numbers("log-beliefs", initial_log_beliefs, float)
     if init.ndim != 2 or init.shape[0] != net.size:
         raise ValidationError(f"log-beliefs of shape {init.shape} are not (N={net.size}, H)")
@@ -592,7 +591,7 @@ def run_trajectory(
         raise ValidationError(
             f"log-beliefs hold {h} hypotheses but the models {groups[0].hypothesis_count}"
         )
-    _check_index("hypothesis", true_index, h)
+    _check_integer("hypothesis index", true_index, 0, h - 1)
     dtype = np.result_type(*(g.dtype for g in groups))
     out = np.empty((horizon + 1, n, h))
     out[0] = init

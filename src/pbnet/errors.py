@@ -1,10 +1,13 @@
 """Exception hierarchy, and the two rules every caller input goes through.
 
-An index or a count is a Python or numpy integer other than a bool
-(``_check_integer``). An array, or a real-valued parameter, holds bool,
-integer or float entries (``_numbers``): it is read with no dtype, so text,
-"0.5" included, is no number, and ragged rows or object entries raise a typed
-error naming the argument instead of a bare numpy one.
+An index, a count, a window or a burn-in is a Python or numpy integer other
+than a bool, within the bounds its caller gives (``_check_integer``). Below
+its least value the error reads ``<name> must be >= <least>, got <value>``,
+and above its most ``<name> <value> out of range [<least>, <most>]``. An
+array, or a real-valued parameter, holds bool, integer or float entries
+(``_numbers``): it is read with no dtype, so text, "0.5" included, is no
+number, and ragged rows or object entries raise a typed error naming the
+argument instead of a bare numpy one.
 
 There is no command-line entry point yet; the one planned in ROADMAP item 4
 is to map these onto exit codes: ValidationError -> 1, NumericalError -> 2,
@@ -75,10 +78,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_integer(name: str, value) -> None:
-    """ValidationError naming ``name`` unless ``value`` is an integer."""
+def _check_integer(name: str, value, least=None, most=None) -> None:
+    """ValidationError naming ``name`` unless ``value`` is an integer, at
+    least ``least`` and at most ``most`` where they are given; a caller that
+    gives ``most`` gives ``least`` too."""
     if not _is_integer(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} {value} out of range [{least}, {most}]")
 
 
 def _numbers(what: str, value, dtype=None, error=ValidationError) -> np.ndarray:

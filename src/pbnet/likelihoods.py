@@ -169,7 +169,7 @@ class GaussianGroup:
         return self.means[..., theta] + z
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
-        _check_hypothesis(self, theta)
+        _check_integer("hypothesis index", theta, 0, self.hypothesis_count - 1)
         z = self.variates(rng)(self.means.shape[:-1] if size is None else size)
         return self.observations(theta, z)
 
@@ -323,7 +323,7 @@ class DiscreteGroup:
         return idx
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
-        _check_hypothesis(self, theta)
+        _check_integer("hypothesis index", theta, 0, self.hypothesis_count - 1)
         agents = np.shape(self.support_size)  # (n,) for a group, () for a family
         # a family draws random(1), which is random()'s draw
         u = self.variates(rng)((agents or 1) if size is None else size)
@@ -421,16 +421,6 @@ def stack_models(models, n_agents: int) -> tuple:
     )
 
 
-def _check_index(what: str, index, count: int) -> None:
-    _check_integer(f"{what} index", index)
-    if not 0 <= index < count:
-        raise ValidationError(f"{what} index {index} out of range [0, {count - 1}]")
-
-
-def _check_hypothesis(model: LikelihoodModel, theta: int) -> None:
-    _check_index("hypothesis", theta, model.hypothesis_count)
-
-
 def _check_means(means) -> np.ndarray:
     """Gaussian means, read by the number rule (``errors._numbers``) as
     floats, one finite value per hypothesis, or ValidationError: the one
@@ -458,12 +448,14 @@ def _check_weights(weights, count: int) -> np.ndarray:
     return w
 
 
-def _family(model) -> LikelihoodModel:
-    """``model`` if it is one likelihood family, else ValidationError. A
-    group of :func:`stack_models` scores and samples in batches, but has no
-    one-observation row, divergence or bound."""
-    if type(model) not in _GROUP_OF:  # the two families, as stack_models accepts them
-        raise ValidationError(f"expected one likelihood family, got {type(model).__name__}")
+def _family(model, groups: bool = False) -> LikelihoodModel:
+    """``model`` if it is one likelihood family, or with ``groups`` also a
+    group of :func:`stack_models`, else ValidationError. A group scores and
+    samples in batches, but has no one-observation row, divergence or bound."""
+    kinds = (*_GROUP_OF, *_GROUP_OF.values()) if groups else _GROUP_OF
+    if type(model) not in kinds:  # as stack_models accepts them: no subclass, no stand-in
+        what = "a likelihood family or group" if groups else "one likelihood family"
+        raise ValidationError(f"expected {what}, got {type(model).__name__}")
     return model
 
 
@@ -479,8 +471,9 @@ def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndar
     (steps, n, H). The batch obeys :func:`log_likelihood_row`'s value rules: a
     batch that is not a table of numbers (``errors._numbers``: text is none),
     a non-finite Gaussian observation or a discrete one off its agent's
-    support raises InvalidObservationError, which names the first bad value."""
-    return model.log_rows(xi_array)
+    support raises InvalidObservationError, which names the first bad value.
+    Any other ``model`` raises ValidationError."""
+    return _family(model, groups=True).log_rows(xi_array)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -572,8 +565,8 @@ def kl_divergence(model: LikelihoodModel, p: int, q: int) -> float:
     (m_p - m_q)^2 / 2. A divergence between mixtures is :func:`mixture_kl`.
     """
     model = _family(model)
-    _check_hypothesis(model, p)
-    _check_hypothesis(model, q)
+    for index in (p, q):
+        _check_integer("hypothesis index", index, 0, model.hypothesis_count - 1)
     return float(model.point[p, q])
 
 
@@ -622,7 +615,7 @@ def likelihood_bound(model: LikelihoodModel, excluded: int) -> float:
     It is the entry ``excluded`` of the family's ``bound`` table.
     """
     model = _family(model)
-    _check_hypothesis(model, excluded)
+    _check_integer("hypothesis index", excluded, 0, model.hypothesis_count - 1)
     return float(model.bound[excluded])
 
 
@@ -639,6 +632,7 @@ def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Genera
     A trajectory over a list mixing family types does not call this: it
     makes each group's raw generator call (``variates``) itself, step by step
     and group by group, and maps them by the group's ``observations``, as
-    this function does.
+    this function does. Any ``model`` but a family or a group raises
+    ValidationError; ``rng`` is not checked, only called.
     """
-    return model.sample(theta, rng, size)
+    return _family(model, groups=True).sample(theta, rng, size)

@@ -295,6 +295,13 @@ class Network:
         }
 
 
+def _network(net) -> Network:
+    """``net`` if it is a :class:`Network`, else ValidationError."""
+    if not isinstance(net, Network):
+        raise ValidationError(f"expected a Network, got {type(net).__name__}")
+    return net
+
+
 def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     """Averaging-rule network: a_kk = lam, a_lk = (1-lam)/(n_k - 1).
 

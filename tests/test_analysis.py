@@ -31,7 +31,7 @@ from pbnet.errors import (
 from pbnet import likelihoods
 from pbnet.fixtures import bundled_discrete_family, bundled_gaussian_family
 from pbnet.likelihoods import DiscreteFamily, GaussianFamily, kl_divergence, mixture_kl
-from pbnet.network import build_averaging_matrix, ring_adjacency
+from pbnet.network import Network, build_averaging_matrix, ring_adjacency
 
 GAUSS3 = bundled_gaussian_family()
 DISC3 = bundled_discrete_family()
@@ -218,6 +218,16 @@ class TestPredictSelfAware:
         with pytest.raises(InconsistentConditionsError):
             predict_self_aware_regime(fam, broken, 0, 1)
 
+    def test_one_agent_network_rejected_for_tx_other_than_true(self):
+        # alpha and weight_sum are 0 on one agent, so both conditions would fire
+        one = Network.from_matrix([[1.0]])
+        fam = bundled_discrete_family()
+        with pytest.raises(ValidationError, match="network of 2 or more agents"):
+            predict_self_aware_regime(fam, one, 0, 1)
+        assert "complement" not in vars(fam)  # rejected before any mixture KL
+        assert predict_self_aware_regime(fam, one, 0, 0) == predict_self_aware_regime(
+            fam, self.net, 0, 0)
+
     def test_margins_monotone_in_self_weight(self):
         # over an averaging-rule grid: alpha stays 1 so the lem3 margin is
         # constant; the lem4 right side grows with lambda so its margin falls
@@ -275,6 +285,13 @@ class TestEmpiricalRate:
             measure_empirical_rate(log_b, 0, 1, -5)
         with pytest.raises(ValidationError, match="burn-in must be an integer, got 1.5"):
             measure_empirical_rate(log_b, 0, 1, 1.5)
+
+    def test_one_point_fit_rejected(self):
+        # a slope needs two points: the burn-in lies in [0, T - 2]
+        log_b = np.log(np.full((11, 1, 2), 0.5))
+        with pytest.raises(ValidationError, match=r"^burn-in 9 out of range \[0, 8\]$"):
+            measure_empirical_rate(log_b, 0, 1, 9)
+        assert measure_empirical_rate(log_b, 0, 1, 8) == 0.0
 
     def test_non_finite_raises(self):
         log_b = np.zeros((21, 1, 2))

@@ -283,6 +283,12 @@ def test_hypothesis_index_must_be_an_integer(model, index, entry):
         entry(model, index)
 
 
+def test_family_repr():
+    assert repr(GaussianFamily(means=[0.0, 1.5])) == "GaussianFamily(means=[0.0, 1.5])"
+    assert repr(DiscreteFamily([[0.5, 0.5], [0.25, 0.75]])) == (
+        "DiscreteFamily(pmf=[[0.5, 0.5], [0.25, 0.75]])")
+
+
 def test_numpy_integer_is_a_hypothesis_index():
     assert kl_divergence(GAUSS3, np.int64(0), np.int32(2)) == kl_divergence(GAUSS3, 0, 2)
     assert likelihood_bound(DISC3, np.int8(2)) == likelihood_bound(DISC3, 2)
