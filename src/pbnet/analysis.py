@@ -21,12 +21,14 @@ integer rule (``errors._check_integer``).
 
 Each rule is written once. ``_called`` turns (margin, regime) pairs into the
 one regime whose margin clears KL_MARGIN_TOL, Inconclusive, or an
-InconsistentConditionsError; both predictors call through it. ``_tail``
+InconsistentConditionsError; both predictors call through it.
+``_iterations`` rejects a trajectory too short for its reader, naming its
+iteration count, before any window or burn-in range could be empty; ``_tail``
 checks a window and takes the trajectory's last rows, and ``_log_ratio``
 reads one agent's log-ratio and rejects a non-finite one; the measurements
 read trajectories through them. ``RegimeReport.to_dict`` is built from the
-dataclass fields, with only the wire forms of the indices and the regime
-written out.
+dataclass fields, with only the wire forms of the indices (Python ints) and
+the regime written out.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ class RegimeReport:
 
     def to_dict(self) -> dict:
         """JSON form: every field in field order, copied; hypothesis indices
-        are 1-based on the wire and the regime is its string."""
-        return {**asdict(self), "true_index": self.true_index + 1,
-                "tx_index": self.tx_index + 1, "predicted": self.predicted.value}
+        are 1-based Python ints on the wire, whatever integer type the caller
+        passed, and the regime is its string."""
+        return {**asdict(self), "true_index": int(self.true_index) + 1,
+                "tx_index": int(self.tx_index) + 1, "predicted": self.predicted.value}
 
 
 def theoretical_rate(model: LikelihoodModel, true_index: int, tx_index: int) -> float:
@@ -222,10 +225,22 @@ def _check_trajectory(log_beliefs) -> None:
     _numbers("log-beliefs", log_beliefs)
 
 
+def _iterations(log_beliefs, least: int) -> int:
+    """T of a checked (T+1, N, H) trajectory; ValidationError naming T unless
+    it is at least ``least``, the fewest iterations the reader needs."""
+    t_max = log_beliefs.shape[0] - 1
+    if t_max < least:
+        raise ValidationError(
+            f"the trajectory holds T = {t_max} iterations, fewer than the {least} this reader needs"
+        )
+    return t_max
+
+
 def _tail(log_beliefs, window, least: int):
     """The last ``window`` rows of a checked trajectory; ValidationError
-    unless ``window`` is an integer in [least, T]."""
-    _check_integer("window", window, least, log_beliefs.shape[0] - 1)
+    unless T is at least ``least`` (``_iterations``) and ``window`` is an
+    integer in [least, T]."""
+    _check_integer("window", window, least, _iterations(log_beliefs, least))
     return log_beliefs[-window:]
 
 
@@ -248,10 +263,11 @@ def measure_empirical_rate(
     _check_trajectory(log_beliefs)
     if theta == tx_index:
         raise ValidationError("rate is defined for theta != tx")
-    h, t_max = log_beliefs.shape[2], log_beliefs.shape[0] - 1
+    h = log_beliefs.shape[2]
     _check_integer("theta index", theta, 0, h - 1)
     _check_integer("tx index", tx_index, 0, h - 1)
-    _check_integer("burn-in", burn_in, 0, t_max - 2)  # a slope needs two points
+    t_max = _iterations(log_beliefs, 2)  # a slope needs two points
+    _check_integer("burn-in", burn_in, 0, t_max - 2)
     series = _log_ratio(log_beliefs[burn_in + 1:], 0, theta, tx_index)
     slope, _ = np.polyfit(np.arange(burn_in + 1, t_max + 1), series, 1)
     return float(slope)
@@ -267,7 +283,7 @@ class Verdict:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "theta": None if self.theta is None else self.theta + 1,
+            "theta": None if self.theta is None else int(self.theta) + 1,
         }
 
 

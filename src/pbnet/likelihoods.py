@@ -9,9 +9,9 @@ built whole on its first read, which the regime predictors read. Divergences
 take hypothesis indices (:func:`kl_divergence`, a ``point`` entry) or mixture
 weights, one vector or a stack per side (:func:`mixture_kl`, which also
 builds ``complement``). A Gaussian mixture divergence that the Gauss-Hermite
-rule cannot certify falls back to adaptive quadrature, in :func:`mixture_kl`
-alone; ``scipy.integrate`` is imported on that first fallback only, so a
-process that never reaches it does not pay for loading it.
+rule cannot certify falls back to pbnet's own composite Gauss-Legendre rule,
+in :func:`mixture_kl` alone. Both rules give a value only with one
+certificate: their coarse and fine sums agree within ``KL_QUAD_TOL``.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -37,9 +37,10 @@ from .errors import (
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-#: Absolute tolerance of a Gaussian KL that involves a mixture. The
-#: Gauss-Hermite rule's value stands only when its 80- and 160-node sums agree
-#: to within it; the fallback quadrature must reach it by its own error estimate.
+#: Absolute tolerance of a Gaussian KL that involves a mixture, and the one
+#: certificate of every such value: the Gauss-Hermite rule's 160-node sum stands
+#: only when its 80-node sum agrees with it to within it, and the fallback
+#: rule's 48-node sum only when its 24-node sum does.
 KL_QUAD_TOL = 1e-6
 #: Window half-width of the fallback quadrature, in standard deviations beyond
 #: the extreme means.
@@ -48,17 +49,18 @@ KL_QUAD_SIGMA_SPAN = 10.0
 PMF_ROW_TOL = 1e-12
 
 
-def _quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call: only the
-    fallback quadrature uses it, and ``scipy.integrate``, which loads
-    ``scipy.optimize`` with it, would otherwise add about a quarter to the
-    memory that importing pbnet takes."""
-    from scipy.integrate import quad
+def _quad(f, edges: np.ndarray) -> list:
+    """The composite Gauss-Legendre rule of the fallback quadrature: the 24-
+    and the 48-node sums of ``f`` over every panel between consecutive
+    ``edges``, as ``[coarse, fine]``. ``f`` maps a (panels, nodes) array of
+    points to their values."""
+    half, mid = np.diff(edges)[:, None] / 2, (edges[1:] + edges[:-1])[:, None] / 2
+    rules = (np.polynomial.legendre.leggauss(n) for n in (24, 48))
+    return [float(np.sum(half * w * f(mid + half * x))) for x, w in rules]
 
-    return quad(*args, **kwargs)
 
-
-#: The seam ``_quad_kl`` calls through; tests and tracing swap it out whole.
+#: The seam ``_quad_kl`` calls through, once per uncertified value; tests and
+#: tracing swap it out whole.
 integrate = SimpleNamespace(quad=_quad)
 
 
@@ -136,10 +138,8 @@ class GaussianGroup:
     dtype = np.dtype(np.float64)
 
     def __init__(self, agents: np.ndarray, models: Sequence["GaussianFamily"]):
-        self.agents = agents
-        self.means = np.stack([m.means for m in models])
-        for a in (self.agents, self.means):
-            a.setflags(write=False)
+        self.agents = _read_only(agents)
+        self.means = _read_only(np.stack([m.means for m in models]))
 
     @property
     def hypothesis_count(self) -> int:
@@ -152,7 +152,7 @@ class GaussianGroup:
 
     def _log_density(self, x) -> np.ndarray:
         """``log_rows`` of observations known to be finite numbers."""
-        d = np.asarray(x)[..., None] - self.means  # a float array, or a float of quad's
+        d = x[..., None] - self.means
         return -0.5 * d * d - _LOG_SQRT_2PI
 
     @staticmethod
@@ -202,31 +202,41 @@ class GaussianFamily(GaussianGroup, _Divergences):
         return np.maximum(gauss_hermite_kl(self.means, p_weights, q_weights), 0.0)
 
     def _quad_kl(self, p_weights: np.ndarray, q_weights: np.ndarray) -> float:
-        """The KL of two mixtures, one weight vector each, by adaptive
-        quadrature over a truncated window. ``scipy.integrate`` is loaded on
-        the first call, so a run that the rule fully certifies never loads it."""
-        lwp, lwq = _log_weights(p_weights), _log_weights(q_weights)
-        lo = float(self.means.min() - KL_QUAD_SIGMA_SPAN)
-        hi = float(self.means.max() + KL_QUAD_SIGMA_SPAN)
+        """The KL of two mixtures, one weight vector each: the integral of
+        p (log p - log q) over a truncated window by the composite rule
+        (``integrate.quad``). Its 48-node value stands when the 24-node value
+        agrees within ``KL_QUAD_TOL``.
+
+        The panels are at most 2 wide, and break at each kink of log q, where
+        the two components that lead q cross. A kink between components
+        ``gap`` apart is about 1/gap wide (log q has poles pi/gap off the real
+        axis there), so the panels also halve toward it, from 1 down to no less
+        than 4/gap: each panel then lies far from the poles for its width."""
+        m, lwp, lwq = self.means, _log_weights(p_weights), _log_weights(q_weights)
+        lo, hi = m.min() - KL_QUAD_SIGMA_SPAN, m.max() + KL_QUAD_SIGMA_SPAN
+        lines = lwq - m * m / 2  # component k of q leads where lines[k] + m[k] x is largest
+        with np.errstate(divide="ignore", invalid="ignore"):  # equal means, zero weights
+            cross = (lines - lines[:, None]) / (m[:, None] - m)
+            kink = lines[:, None] + m[:, None] * cross >= (lines + m * cross[..., None]).max(-1)
+        kink &= (lo < cross) & (cross < hi)
+        halves = 2.0 ** -np.arange(30)  # 1, 1/2, 1/4, ...: offsets from a kink
+        halves = np.where(halves * np.abs(m[:, None] - m)[kink, None] >= 4, halves, np.nan)
+        near = (cross[kink, None] + np.concatenate([halves, -halves], axis=1)).ravel()
+        grid = np.linspace(lo, hi, math.ceil((hi - lo) / 2) + 1)
+        edges = np.union1d(grid, np.append(cross[kink], near[(lo < near) & (near < hi)]))
 
         def integrand(x):
-            logs = self._log_density(x)  # quad's nodes are finite
+            logs = np.moveaxis(self._log_density(x), -1, 0)  # the nodes are finite
             lp = _log_mix(logs, lwp)
-            return math.exp(lp) * (lp - _log_mix(logs, lwq))
+            return np.exp(lp) * (lp - _log_mix(logs, lwq))
 
-        out = integrate.quad(
-            integrand, lo, hi, epsabs=KL_QUAD_TOL, epsrel=1e-10, limit=200, full_output=1
-        )
-        if len(out) > 3:  # an error message element is appended on trouble
-            raise NumericalError(f"KL quadrature failed: {out[3]}")
-        value, abserr = out[0], out[1]
-        if abserr > KL_QUAD_TOL:
-            raise NumericalError(
-                f"KL quadrature error estimate {abserr:.3g} exceeds tolerance {KL_QUAD_TOL:.3g}"
-            )
-        if value < -KL_QUAD_TOL:
-            raise NumericalError(f"KL quadrature produced a negative value {value:.3g}")
-        return max(value, 0.0)
+        coarse, fine = integrate.quad(integrand, edges)
+        if abs(fine - coarse) > KL_QUAD_TOL:
+            raise NumericalError(f"KL quadrature error estimate {abs(fine - coarse):.3g} "
+                                 f"exceeds tolerance {KL_QUAD_TOL:.3g}")
+        if fine < -KL_QUAD_TOL:
+            raise NumericalError(f"KL quadrature produced a negative value {fine:.3g}")
+        return max(fine, 0.0)
 
     @property
     def bound(self) -> np.ndarray:
@@ -262,11 +272,9 @@ class DiscreteGroup:
     dtype = np.dtype(np.int64)
 
     def __init__(self, agents: np.ndarray, models: Sequence["DiscreteFamily"]):
-        self.agents = agents
-        self.support_size = np.array([m.support_size for m in models])
+        self.agents = _read_only(agents)
+        self.support_size = _read_only(np.array([m.support_size for m in models]))
         self._tabulate([m.pmf for m in models])
-        for a in (self.agents, self.support_size):
-            a.setflags(write=False)
 
     def _tabulate(self, pmfs) -> None:
         """Set the read-only ``log_table``, ``log_pmf`` and ``cdf`` of pmf
@@ -508,9 +516,7 @@ def _hermite_rules():
     nodes = np.concatenate([x80, x160])
     weights = np.zeros((nodes.size, 2))
     weights[:80, 0], weights[80:, 1] = w80 / w80.sum(), w160 / w160.sum()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _read_only(nodes), _read_only(weights)
 
 
 def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
@@ -583,11 +589,13 @@ def mixture_kl(model: LikelihoodModel, p_weights, q_weights):
     :func:`gauss_hermite_kl` evaluation of both stacks. Where the rule does
     not certify a value (log q has a soft kink where its dominant component
     switches, and the rule converges slowly when that kink sits under p's
-    mass), adaptive quadrature takes over for that value alone, with absolute
-    tolerance ``KL_QUAD_TOL`` on a window ``KL_QUAD_SIGMA_SPAN`` standard
-    deviations beyond the extreme means, whose integrand is the family's own
-    ``log_rows`` mixed by p's and q's weights; if it cannot meet the
-    tolerance, ``NumericalError`` is raised instead of returning a guess.
+    mass), pbnet's composite Gauss-Legendre rule takes over for that value
+    alone, on a window ``KL_QUAD_SIGMA_SPAN`` standard deviations beyond the
+    extreme means, with panels broken at those kinks; its integrand is the
+    family's own log-density mixed by p's and q's weights. Both rules
+    certify a value one way: its coarse and fine sums agree within
+    ``KL_QUAD_TOL``. A value the composite rule cannot certify raises
+    ``NumericalError`` instead of returning a guess.
     Every uncertified value of the stacks is resolved before the result is
     returned; a family's ``complement`` is this function of the identity
     against the uniform complements, so its uncertified entries are resolved

@@ -395,6 +395,30 @@ def test_trajectory_must_be_three_dimensional(measure, log_b):
         measure(log_b)
 
 
+@pytest.mark.parametrize("measure, log_b, iterations, least", [
+    (lambda b: oscillation_amplitude(b, 0, 1, 2), np.zeros((2, 1, 2)), 1, 2),
+    (lambda b: measure_empirical_rate(b, 0, 1, 0), np.zeros((2, 1, 2)), 1, 2),
+    (lambda b: detect_convergence(b, window=1), np.zeros((1, 1, 2)), 0, 1),
+], ids=["amplitude", "rate", "convergence"])
+def test_a_trajectory_too_short_for_its_reader_names_its_length(measure, log_b, iterations, least):
+    # no window or burn-in fits, so the error names the trajectory, not an empty range
+    message = f"the trajectory holds T = {iterations} iterations, fewer than the {least} this reader needs"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        measure(log_b)
+
+
+def test_json_forms_take_numpy_indices():
+    # the integer rule accepts numpy integers; the wire forms write Python ints
+    net = build_averaging_matrix(ring_adjacency(10), 0.03)
+    reports = [predict_partial_regime(GAUSS3, np.int64(0), np.int64(1)),
+               predict_self_aware_regime(DISC3, net, np.int64(0), np.int32(1))]
+    for d in [rep.to_dict() for rep in reports]:
+        assert json.loads(json.dumps(d)) == d
+        assert (d["true_index"], d["tx_index"]) == (1, 2)
+    d = Verdict("converged_to", np.int64(2)).to_dict()
+    assert json.loads(json.dumps(d)) == d == {"kind": "converged_to", "theta": 3}
+
+
 def test_amplitude_over_a_non_finite_log_ratio_is_a_measurement_error():
     log_b = np.full((10, 1, 2), np.log(0.5))
     log_b[-1, 0, 1] = -np.inf

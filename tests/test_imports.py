@@ -3,8 +3,8 @@ exemption is a name the benchmark's traced run wraps as a module attribute
 (perfbench/workloads.py, TRACE_TARGETS): such a seam is kept on purpose, so
 the benchmark's tracing still finds it when the module itself stops reading
 it. ``dynamics.log_likelihood_row`` is such a seam, kept for tracing only: no
-step reads it. And ``scipy.integrate`` stays unloaded until a divergence needs the
-fallback quadrature."""
+step reads it. And pbnet never loads ``scipy.integrate``: its fallback
+quadrature is its own composite Gauss-Legendre rule."""
 
 import ast
 import json
@@ -76,19 +76,18 @@ FOOTPRINT_SCRIPT = textwrap.dedent("""
     init = dynamics.uniform_log_beliefs(6, 3)
     dynamics.run_trajectory(init, net, fixtures.bundled_gaussian_family(), 0,
                             dynamics.PartialSharing(1), 10, np.random.default_rng(1))
-    before = "scipy.integrate" in sys.modules
-    # the rule cannot certify this entry, so reading it runs the quadrature
+    # the Gauss-Hermite rule cannot certify this entry, so reading it runs the
+    # fallback quadrature
     report = analysis.predict_partial_regime(likelihoods.GaussianFamily([0, 3, 6]), 1, 1)
-    print(json.dumps([before, "scipy.integrate" in sys.modules, report.kl_true_vs_mixture]))
+    print(json.dumps(["scipy.integrate" in sys.modules, report.kl_true_vs_mixture]))
 """)
 
 
-def test_scipy_integrate_loads_only_for_the_fallback_quadrature():
+def test_pbnet_never_loads_scipy_integrate():
     # a fresh interpreter: this test session may have loaded it already
     done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], cwd=ROOT / "src",
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded_before, loaded_after, value = json.loads(done.stdout)
-    assert not loaded_before, "loaded with no fallback quadrature"
-    assert loaded_after
+    loaded, value = json.loads(done.stdout)
+    assert not loaded, "scipy.integrate loaded by the fallback quadrature"
     assert abs(value - 2.693351976604167) <= 1e-9
