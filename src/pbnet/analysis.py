@@ -45,6 +45,7 @@ from .errors import (
     MeasurementError,
     ValidationError,
     _check_integer,
+    _in_interval,
     _numbers,
 )
 from .likelihoods import LikelihoodModel, kl_divergence
@@ -305,13 +306,11 @@ def detect_convergence(
     index: the tx component must stay below 1e-3 for all agents over the
     window, with the remaining components either pinned at 1/(H-1) within
     1e-3, or (oscillating) agent 0's log-ratio of the two lowest non-tx
-    hypotheses changing sign at least 3 times. ``threshold`` is one number,
-    read by the number rule (``errors._numbers``).
+    hypotheses changing sign at least 3 times. ``threshold`` is one number in
+    (0.5, 1) (``errors._in_interval``).
     """
     _check_trajectory(log_beliefs)
-    threshold = _numbers("threshold", threshold, float)[()]
-    if threshold.ndim or not 0.5 < threshold < 1.0:
-        raise ValidationError(f"threshold must be one number in (0.5, 1), got {threshold}")
+    threshold = _in_interval("threshold", threshold, 0.5, 1)
     tail = _tail(log_beliefs, window, 1)
     h = log_beliefs.shape[2]
     if tx_index is not None:

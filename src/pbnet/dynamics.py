@@ -94,8 +94,12 @@ BELIEF_SUM_TOL = 1e-9
 #: 1000-ring at H = 3 takes 21, and from 10923 agents on at H = 3 a block is
 #: one step. On the 1000-ring (thread CPU, 150 steps) budgets of 2^12 and
 #: 2^14 timed about 45% and 10% slower, numpy's per-call cost being paid per
-#: block, and 2^17 ran as fast but peaked 1.6 MiB higher; without the step
-#: cap the benchmark's 100-agent mixed list peaked about 1 MiB higher.
+#: block, and 2^17 ran as fast but peaked 1.6 MiB higher. Without the step
+#: cap (10 alternating pairs of ``perfbench/run.py --seconds 20``, seed 1,
+#: 2-core Xeon VM, numpy 2.4.6), ``hetero_random``'s 218-step blocks ran
+#: slower in 10 of 10 pairs (wall_s median 0.0469 against 0.0441 s) and
+#: peaked 1.1 MiB higher in all 10, while ``repro_grid``'s 10-agent ring ran
+#: faster in 9 of 10 (0.2260 against 0.2385 s) at the same peak.
 _BLOCK = 64
 _BLOCK_DOUBLES = 2**16
 
@@ -357,8 +361,8 @@ def _plan(sharing, rows, net=None) -> _Plan:
     h = shape[-1]
     shift = len(shape) >= 2 and shape[-2] >= _SHIFT_MIN_ROWS
     tx, aware = sharing.transmit, sharing.self_aware
-    if _is_integer(tx) and tx >= h:
-        raise ValidationError(f"tx index {tx} out of range for H={h}")
+    if _is_integer(tx):
+        _check_integer("tx index", tx, 0, h - 1)
     if h == 1:  # a single hypothesis has nothing to spread
         tx = None
     psi, lse = np.empty(shape), np.empty(shape[:-1] + (1,))

@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the two rules every caller input goes through.
+"""Exception hierarchy, and the rules every caller input goes through; no
+other module restates one.
 
 An index, a count, a window or a burn-in is a Python or numpy integer other
 than a bool, within the bounds its caller gives (``_check_integer``). Below
@@ -7,7 +8,13 @@ and above its most ``<name> <value> out of range [<least>, <most>]``. An
 array, or a real-valued parameter, holds bool, integer or float entries
 (``_numbers``): it is read with no dtype, so text, "0.5" included, is no
 number, and ragged rows or object entries raise a typed error naming the
-argument instead of a bare numpy one.
+argument instead of a bare numpy one. A real-valued parameter is one number
+in an open interval, or one closed above (``_in_interval``): else the error
+reads ``<name> must be one number in (<low>, <high>), got <value>``, with
+``]`` for a closed end. A vector that must sum to 1 (a pmf row, a mixture
+weight row, a column of a combination matrix) does so within ``SUM_TOL``
+(``_sums_to_one``), NaN sums failing: else the error names the first bad one,
+``<what> <i> sums to <sum>, expected 1``.
 
 There is no command-line entry point yet; the one planned in ROADMAP item 4
 is to map these onto exit codes: ValidationError -> 1, NumericalError -> 2,
@@ -15,6 +22,10 @@ AcceptanceFailure -> 3.
 """
 
 import numpy as np
+
+#: How far from 1 a pmf row, a mixture weight row or a column of a combination
+#: matrix may sum.
+SUM_TOL = 1e-12
 
 
 class PbnetError(Exception):
@@ -103,3 +114,23 @@ def _numbers(what: str, value, dtype=None, error=ValidationError) -> np.ndarray:
     if x.dtype.kind not in "biuf":
         raise error(f"{what}: not a table of numbers, {x.dtype} entries")
     return x if dtype is None else x.astype(dtype, copy=False)
+
+
+def _in_interval(name: str, value, low, high, closed: bool = False):
+    """``value`` as one float, read by the number rule (``_numbers``), in
+    (``low``, ``high``), or (``low``, ``high``] when ``closed``; else
+    ValidationError naming ``name``, a NaN included."""
+    x = _numbers(name, value, float)[()]
+    if x.ndim or not (low < x and (x <= high if closed else x < high)):
+        raise ValidationError(
+            f"{name} must be one number in ({low}, {high}{']' if closed else ')'}, got {x}"
+        )
+    return x
+
+
+def _sums_to_one(what: str, sums: np.ndarray) -> None:
+    """ValidationError naming the first of ``sums`` farther than ``SUM_TOL``
+    from 1, or NaN, as ``<what> <i>``."""
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= SUM_TOL))
+    if bad.size:
+        raise ValidationError(f"{what} {bad[0]} sums to {sums[bad[0]]:.12g}, expected 1")

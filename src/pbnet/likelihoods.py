@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
     _check_integer,
     _numbers,
+    _sums_to_one,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -46,17 +47,30 @@ KL_QUAD_TOL = 1e-6
 #: the extreme means.
 KL_QUAD_SIGMA_SPAN = 10.0
 
-PMF_ROW_TOL = 1e-12
+
+@functools.cache
+def _rules(gauss, coarse: int, fine: int):
+    """The ``coarse``- and ``fine``-node rules of ``gauss`` (numpy's
+    ``hermegauss`` or ``leggauss``) in one node vector, so that one
+    evaluation serves both, and one weight column per rule, scaled to sum to
+    1. Built once, on first use, so that a run with no Gaussian mixture KL
+    does not pay for the eigensolver behind them."""
+    (xc, wc), (xf, wf) = gauss(coarse), gauss(fine)
+    nodes = np.concatenate([xc, xf])
+    weights = np.zeros((nodes.size, 2))
+    weights[:coarse, 0], weights[coarse:, 1] = wc / wc.sum(), wf / wf.sum()
+    return _read_only(nodes), _read_only(weights)
 
 
 def _quad(f, edges: np.ndarray) -> list:
     """The composite Gauss-Legendre rule of the fallback quadrature: the 24-
     and the 48-node sums of ``f`` over every panel between consecutive
-    ``edges``, as ``[coarse, fine]``. ``f`` maps a (panels, nodes) array of
-    points to their values."""
-    half, mid = np.diff(edges)[:, None] / 2, (edges[1:] + edges[:-1])[:, None] / 2
-    rules = (np.polynomial.legendre.leggauss(n) for n in (24, 48))
-    return [float(np.sum(half * w * f(mid + half * x))) for x, w in rules]
+    ``edges``, as ``[coarse, fine]``, from one evaluation of ``f`` over both
+    rules' nodes. ``f`` maps a (panels, nodes) array of points to their
+    values."""
+    nodes, weights = _rules(np.polynomial.legendre.leggauss, 24, 48)
+    width, mid = np.diff(edges)[:, None], (edges[1:] + edges[:-1])[:, None] / 2
+    return (width * (f(mid + width / 2 * nodes) @ weights)).sum(axis=0).tolist()
 
 
 #: The seam ``_quad_kl`` calls through, once per uncertified value; tests and
@@ -79,6 +93,28 @@ def _reject_first(x: np.ndarray, ok: np.ndarray, why: str) -> None:
     if not ok.all():
         bad = np.broadcast_to(x, ok.shape)[~ok][0]
         raise InvalidObservationError(f"observation {bad.item()!r} {why}")
+
+
+def _agent_axis(what: str, shape: tuple, agents: tuple, error) -> None:
+    """``error`` naming ``what`` unless ``shape``, of a batch of observations
+    or of a draw, ends in the agent shape ``agents`` of a group, (n,); a
+    family's () takes any shape."""
+    if agents and shape[-1:] != agents:
+        raise error(f"{what} {shape}: a group of {agents[0]} agents takes (..., {agents[0]})")
+
+
+def _draw_shape(size, agents: tuple) -> tuple:
+    """The shape a ``sample`` with agent shape ``agents`` draws: ``agents``
+    when ``size`` is None, else ``size``, an integer or a tuple or list of
+    them, each at least 0 (``errors._check_integer``), whose last entry is a
+    group's agent count; ValidationError else, before any draw."""
+    if size is None:
+        return agents
+    shape = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+    for entry in shape:
+        _check_integer("size", entry, 0)
+    _agent_axis("size", shape, agents, ValidationError)
+    return shape
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -147,6 +183,8 @@ class GaussianGroup:
 
     def log_rows(self, xi) -> np.ndarray:
         x = _numbers("observations", xi, float, InvalidObservationError)
+        _agent_axis("observations of shape", x.shape, self.means.shape[:-1],
+                    InvalidObservationError)
         _reject_first(x, np.isfinite(x), "is not a finite number")
         return self._log_density(x)
 
@@ -170,7 +208,7 @@ class GaussianGroup:
 
     def sample(self, theta: int, rng: np.random.Generator, size=None):
         _check_integer("hypothesis index", theta, 0, self.hypothesis_count - 1)
-        z = self.variates(rng)(self.means.shape[:-1] if size is None else size)
+        z = self.variates(rng)(_draw_shape(size, self.means.shape[:-1]))
         return self.observations(theta, z)
 
 
@@ -212,7 +250,8 @@ class GaussianFamily(GaussianGroup, _Divergences):
         ``gap`` apart is about 1/gap wide (log q has poles pi/gap off the real
         axis there), so the panels also halve toward it, from 1 down to no less
         than 4/gap: each panel then lies far from the poles for its width."""
-        m, lwp, lwq = self.means, _log_weights(p_weights), _log_weights(q_weights)
+        m, mixed = self.means, p_weights > 0  # p mixes only its nonzero-weight components
+        lwp, lwq = np.log(p_weights[mixed]), _log_weights(q_weights)
         lo, hi = m.min() - KL_QUAD_SIGMA_SPAN, m.max() + KL_QUAD_SIGMA_SPAN
         lines = lwq - m * m / 2  # component k of q leads where lines[k] + m[k] x is largest
         with np.errstate(divide="ignore", invalid="ignore"):  # equal means, zero weights
@@ -227,7 +266,7 @@ class GaussianFamily(GaussianGroup, _Divergences):
 
         def integrand(x):
             logs = np.moveaxis(self._log_density(x), -1, 0)  # the nodes are finite
-            lp = _log_mix(logs, lwp)
+            lp = _log_mix(logs[mixed], lwp)
             return np.exp(lp) * (lp - _log_mix(logs, lwq))
 
         coarse, fine = integrate.quad(integrand, edges)
@@ -306,6 +345,8 @@ class DiscreteGroup:
         """Observations as int64 indices into each agent's support, or
         InvalidObservationError naming the first that is no support point."""
         x = _numbers("observations", xi, error=InvalidObservationError)
+        _agent_axis("observations of shape", x.shape, np.shape(self.support_size),
+                    InvalidObservationError)
         with np.errstate(invalid="ignore"):  # a NaN or an infinity casts to junk, rejected below
             idx = x.astype(np.int64, copy=False)
         _reject_first(x, (idx == x) & (idx >= 0) & (idx < self.support_size),
@@ -334,7 +375,7 @@ class DiscreteGroup:
         _check_integer("hypothesis index", theta, 0, self.hypothesis_count - 1)
         agents = np.shape(self.support_size)  # (n,) for a group, () for a family
         # a family draws random(1), which is random()'s draw
-        u = self.variates(rng)((agents or 1) if size is None else size)
+        u = self.variates(rng)((agents or 1) if size is None else _draw_shape(size, agents))
         idx = self.observations(theta, u)
         return int(idx[0]) if size is None and not agents else idx
 
@@ -343,7 +384,7 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     """Finite-support observation model: an H x S table of pmf rows, read by
     the number rule (``errors._numbers``) as floats.
 
-    Every row must sum to 1 (within 1e-12) and every entry must be
+    Every row must sum to 1 (``errors._sums_to_one``) and every entry must be
     strictly positive, which keeps all log-likelihood ratios finite.
 
     The tables are the group's for one agent: ``log_table`` is (S, H),
@@ -359,12 +400,7 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
         table = _numbers("pmf", pmf, float)
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValidationError("pmf must be a 2-D table with at least one row")
-        row_sums = table.sum(axis=1)
-        bad = np.where(~(np.abs(row_sums - 1.0) <= PMF_ROW_TOL))[0]
-        if bad.size:
-            raise ValidationError(
-                f"pmf row {bad[0]} sums to {row_sums[bad[0]]:.12g}, expected 1"
-            )
+        _sums_to_one("pmf row", table.sum(axis=1))
         if (table <= 0.0).any():
             r, s = map(int, np.argwhere(table <= 0.0)[0])
             raise ValidationError(f"pmf entry [{r}][{s}] must be strictly positive")
@@ -442,17 +478,14 @@ def _check_means(means) -> np.ndarray:
 def _check_weights(weights, count: int) -> np.ndarray:
     """Mixture weights over ``count`` hypotheses, read by the number rule
     (``errors._numbers``) as floats, one vector or a (K, H) stack, or
-    ValidationError: each row must be finite, nonnegative and sum to 1 within
-    ``PMF_ROW_TOL``."""
+    ValidationError: each row must be finite, nonnegative and sum to 1
+    (``errors._sums_to_one``)."""
     w = _numbers("mixture weights", weights, float)
     if w.ndim not in (1, 2) or w.shape[-1] != count:
         raise ValidationError(f"mixture weights of shape {w.shape} are not (H,) or (K, H), H = {count}")
     if not (np.isfinite(w) & (w >= 0)).all():
         raise ValidationError("mixture weights must be finite and nonnegative")
-    sums = np.atleast_1d(w.sum(axis=-1))
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PMF_ROW_TOL))
-    if bad.size:
-        raise ValidationError(f"mixture weights sum to {sums[bad[0]]:.12g}, expected 1")
+    _sums_to_one("mixture weights row", np.atleast_1d(w.sum(axis=-1)))
     return w
 
 
@@ -479,8 +512,9 @@ def log_likelihood_rows(model: LikelihoodModel, xi_array: np.ndarray) -> np.ndar
     (steps, n, H). The batch obeys :func:`log_likelihood_row`'s value rules: a
     batch that is not a table of numbers (``errors._numbers``: text is none),
     a non-finite Gaussian observation or a discrete one off its agent's
-    support raises InvalidObservationError, which names the first bad value.
-    Any other ``model`` raises ValidationError."""
+    support raises InvalidObservationError, which names the first bad value,
+    as does a group's batch whose last axis is not its agent count (a family
+    scores any shape). Any other ``model`` raises ValidationError."""
     return _family(model, groups=True).log_rows(xi_array)
 
 
@@ -505,20 +539,6 @@ def _log_mix(logs: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
     return peak + np.log(sum(np.exp(log + lw - peak) for log, lw in pairs))
 
 
-@functools.cache
-def _hermite_rules():
-    """Probabilists' Gauss-Hermite rules of 80 and 160 nodes in one node
-    vector, so that one evaluation serves both, and one weight column per
-    rule, scaled to sum to 1: E[f(Z)] for Z ~ N(0, 1) is about
-    f(nodes) @ weights. Built on first use, so that a run with no Gaussian
-    mixture KL does not pay for the eigensolver behind it."""
-    (x80, w80), (x160, w160) = (np.polynomial.hermite_e.hermegauss(n) for n in (80, 160))
-    nodes = np.concatenate([x80, x160])
-    weights = np.zeros((nodes.size, 2))
-    weights[:80, 0], weights[80:, 1] = w80 / w80.sum(), w160 / w160.sum()
-    return _read_only(nodes), _read_only(weights)
-
-
 def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     """D_KL[p||q] for mixtures of unit-variance Gaussians over ``means``, by a
     rule that certifies each value it gives.
@@ -539,7 +559,8 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     160-node value stands when the two agree to within ``KL_QUAD_TOL``.
     """
     means = _check_means(means)
-    nodes, rule_weights = _hermite_rules()
+    # probabilists' rules: E[f(Z)] for Z ~ N(0, 1) is about f(nodes) @ rule_weights
+    nodes, rule_weights = _rules(np.polynomial.hermite_e.hermegauss, 80, 160)
     p_weights = _check_weights(p_weights, len(means))
     q_weights = _check_weights(q_weights, len(means))
     p, q = np.atleast_2d(p_weights, q_weights)
@@ -581,7 +602,7 @@ def mixture_kl(model: LikelihoodModel, p_weights, q_weights):
 
     ``p_weights`` and ``q_weights`` are each one weight vector over the H
     hypotheses or a (K, H) stack of them, each row finite, nonnegative and
-    summing to 1 within ``PMF_ROW_TOL`` (else ValidationError). For two
+    summing to 1 (``errors._sums_to_one``; else ValidationError). For two
     vectors the result is a float; otherwise it holds D_KL[p||q] for every p
     and q of the stacks, of shape p's stack + q's stack.
 
@@ -641,6 +662,8 @@ def sample_observation(model: LikelihoodModel, theta: int, rng: np.random.Genera
     makes each group's raw generator call (``variates``) itself, step by step
     and group by group, and maps them by the group's ``observations``, as
     this function does. Any ``model`` but a family or a group raises
-    ValidationError; ``rng`` is not checked, only called.
+    ValidationError, as does a ``size`` that is not an integer or a tuple or
+    list of them, each at least 0, or, for a group, does not end in its agent
+    count, before any draw; ``rng`` is not checked, only called.
     """
     return _family(model, groups=True).sample(theta, rng, size)

@@ -12,13 +12,14 @@ neighbor of k (an edge l -> k, "k listens to l").
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, identity, issparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .errors import (
     ConnectivityError,
@@ -28,10 +29,11 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
     _check_integer,
+    _in_interval,
     _numbers,
+    _sums_to_one,
 )
 
-COLUMN_SUM_TOL = 1e-12
 PERRON_RESIDUAL_TOL = 1e-10
 #: From this many agents on, a Network keeps A only as a CSC matrix, built and
 #: checked in O(nnz) with no N x N array, and the Perron system is solved by
@@ -112,19 +114,28 @@ def perron_vector(matrix) -> np.ndarray:
     scipy.sparse in any format, a dense one an array or array-like read by
     ``_square`` as floats; from the cutoff on, input that is not CSC already,
     as a Network stores it, is read through ``_csc``, and below it sparse
-    input is read densely.
+    input is read densely. A matrix with no agent raises ValidationError, and
+    an exactly singular block NonConvergenceError, dense or sparse.
     """
     matrix = _square("combination matrix", matrix, float)
     n = matrix.shape[0]
+    if n == 0:
+        raise ValidationError("combination matrix has no agent")
     m = n - 1
     if n < SPARSE_SOLVE_MIN_AGENTS:
         A = matrix.toarray().astype(float, copy=False) if issparse(matrix) else matrix
-        head = np.linalg.solve(np.eye(m) - A[:m, :m], A[:m, m])
+        solve, block, rhs = np.linalg.solve, np.eye(m) - A[:m, :m], A[:m, m]
     else:
         if not issparse(matrix) or matrix.format != "csc":
             matrix = _csc(matrix)
         block = identity(m, format="csc") - matrix[:m, :m]
-        head = spsolve(block, matrix[:m, [m]].toarray().ravel())
+        solve, rhs = spsolve, matrix[:m, [m]].toarray().ravel()
+    try:
+        with warnings.catch_warnings():  # spsolve warns, and returns NaNs, on a singular block
+            warnings.simplefilter("error", MatrixRankWarning)
+            head = solve(block, rhs)
+    except (np.linalg.LinAlgError, MatrixRankWarning):
+        raise NonConvergenceError(f"the leading {m} x {m} block of I - A is singular") from None
     v = np.append(head, 1.0)
     return v / v.sum()
 
@@ -247,12 +258,7 @@ class Network:
         if (values < 0).any():
             raise ValidationError("combination weights must be nonnegative")
         # per column in row order, as sum(axis=0) adds a dense A: the same sums
-        colsums = np.bincount(cols, values, minlength=n)
-        bad = np.flatnonzero(~(np.abs(colsums - 1.0) <= COLUMN_SUM_TOL))
-        if bad.size:
-            raise ValidationError(
-                f"column {bad[0]} sums to {colsums[bad[0]]:.12g}; columns must sum to 1"
-            )
+        _sums_to_one("column", np.bincount(cols, values, minlength=n))
         if adjacency is not None:
             graph = _graph(adjacency)
             if graph.shape != shape:
@@ -308,16 +314,14 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     n_k is the neighborhood size of agent k including itself. Requires a
     self-loop at every node and at least one other neighbor per node.
     ``adjacency`` is dense or scipy.sparse, read by ``_graph``, and its edges
-    are read once, by ``_entries``; ``self_weight`` is one number, read by the
-    number rule (``errors._numbers``). Every weight is positive, so A's
+    are read once, by ``_entries``; ``self_weight`` is one number in (0, 1)
+    (``errors._in_interval``). Every weight is positive, so A's
     nonzeros are exactly the edges. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A;
     from there on they go straight into CSC, and no N x N array is made.
     """
     graph = _graph(adjacency)
     shape = graph.shape
-    lam = _numbers("self-weight", self_weight, float)[()]
-    if lam.ndim or not 0.0 < lam < 1.0:
-        raise ValidationError(f"self-weight must be one number in (0, 1), got {lam}")
+    lam = _in_interval("self-weight", self_weight, 0, 1)
     n = shape[0]
     rows, cols, _ = _entries(graph)
     loops = rows == cols
@@ -345,9 +349,7 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
 
 def ring_adjacency(n: int) -> np.ndarray:
     """Bidirectional ring with self-loops."""
-    _check_integer("n", n)
-    if n < 2:
-        raise ValidationError("ring preset needs at least 2 nodes")
+    _check_integer("n", n, 2)
     adj = np.eye(n, dtype=bool)
     k = np.arange(n)
     adj[k, (k + 1) % n] = True
@@ -357,9 +359,7 @@ def ring_adjacency(n: int) -> np.ndarray:
 
 def star_adjacency(n: int) -> np.ndarray:
     """Hub node 0 linked both ways with every spoke; self-loops everywhere."""
-    _check_integer("n", n)
-    if n < 2:
-        raise ValidationError("star preset needs at least 2 nodes")
+    _check_integer("n", n, 2)
     adj = np.eye(n, dtype=bool)
     adj[0, :] = True
     adj[:, 0] = True
@@ -374,13 +374,9 @@ def generate_strongly_connected_adjacency(
 ) -> np.ndarray:
     """Random directed graph with all self-loops, resampled until strongly
     connected. Deterministic given the generator state. ``edge_probability``
-    is one number, read by the number rule (``errors._numbers``)."""
-    _check_integer("n", n)
-    if n < 1:
-        raise ValidationError("need at least one node")
-    p = _numbers("edge probability", edge_probability, float)[()]
-    if p.ndim or not 0.0 < p <= 1.0:
-        raise ValidationError(f"edge probability must be one number in (0, 1], got {p}")
+    is one number in (0, 1] (``errors._in_interval``)."""
+    _check_integer("n", n, 1)
+    p = _in_interval("edge probability", edge_probability, 0, 1, closed=True)
     for _ in range(GENERATION_MAX_ATTEMPTS):
         adj = rng.random((n, n)) < p
         np.fill_diagonal(adj, True)

@@ -1,7 +1,10 @@
-"""The rules for integer and object arguments. Every index, count, window and
-burn-in goes through one integer rule (``errors._check_integer``), which
-words its two bounds one way everywhere; a model or a network argument of
-another type raises ValidationError rather than a bare AttributeError."""
+"""The rules for integer, real, sum-to-one and object arguments. Every index,
+count, window and burn-in goes through one integer rule
+(``errors._check_integer``), which words its two bounds one way everywhere;
+every real-valued parameter through one interval rule
+(``errors._in_interval``) and every vector that sums to 1 through one sum
+rule (``errors._sums_to_one``); a model or a network argument of another
+type raises ValidationError rather than a bare AttributeError."""
 
 import re
 
@@ -27,9 +30,15 @@ from pbnet.likelihoods import (
     kl_divergence,
     likelihood_bound,
     log_likelihood_rows,
+    mixture_kl,
     sample_observation,
 )
-from pbnet.network import build_averaging_matrix, ring_adjacency
+from pbnet.network import (
+    Network,
+    build_averaging_matrix,
+    generate_strongly_connected_adjacency,
+    ring_adjacency,
+)
 
 NET = build_averaging_matrix(ring_adjacency(3), 0.5)
 DISC = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
@@ -84,5 +93,43 @@ def test_integer_bounds_have_one_wording(call, message):
 ], ids=["self_aware_model", "self_aware_net", "combine_step", "run_trajectory",
         "run_iteration", "log_likelihood_rows", "sample_observation"])
 def test_model_and_network_arguments_are_checked(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_averaging_matrix(NET.matrix > 0, 1.0),
+     "self-weight must be one number in (0, 1), got 1.0"),
+    (lambda: build_averaging_matrix(NET.matrix > 0, np.nan),
+     "self-weight must be one number in (0, 1), got nan"),
+    (lambda: generate_strongly_connected_adjacency(3, 0, rng()),
+     "edge probability must be one number in (0, 1], got 0.0"),
+    (lambda: generate_strongly_connected_adjacency(3, 1.5, rng()),
+     "edge probability must be one number in (0, 1], got 1.5"),
+    (lambda: detect_convergence(TRAJ, threshold=0.5, window=2),
+     "threshold must be one number in (0.5, 1), got 0.5"),
+    (lambda: detect_convergence(TRAJ, threshold=[0.9, 0.9], window=2),
+     "threshold must be one number in (0.5, 1), got [0.9 0.9]"),
+], ids=["self_weight_high", "self_weight_nan", "edge_probability_low", "edge_probability_high",
+        "threshold_open_end", "threshold_two_numbers"])
+def test_real_parameters_have_one_interval_wording(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_interval_closed_above_takes_its_end():
+    adjacency = generate_strongly_connected_adjacency(3, 1, rng())
+    assert adjacency.all()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DiscreteFamily([[0.5, 0.5], [0.5, 0.4]]), "pmf row 1 sums to 0.9, expected 1"),
+    (lambda: mixture_kl(DISC, [1.0, 0.0, 0.0], [[0.0, 0.5, 0.5], [0.2, 0.2, 0.2]]),
+     "mixture weights row 1 sums to 0.6, expected 1"),
+    (lambda: Network.from_matrix([[0.5, 0.5], [0.5, 0.6]]), "column 1 sums to 1.1, expected 1"),
+    (lambda: Network.from_matrix([[np.nan, 0.5], [0.5, 0.5]]),
+     "column 0 sums to nan, expected 1"),
+], ids=["pmf_row", "mixture_row", "column", "nan_column"])
+def test_vectors_that_sum_to_one_have_one_wording(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -141,7 +142,8 @@ class TestConstruction:
     def test_mixture_validation(self):
         for fam in (GAUSS3, DISC3):
             mixture_kl(fam, [1.0, 0.0, 0.0], [0.0, 0.4, 0.6])
-            with pytest.raises(ValidationError, match="sum to 0.9"):
+            with pytest.raises(ValidationError,
+                               match="^mixture weights row 0 sums to 0.9, expected 1$"):
                 mixture_kl(fam, [1.0, 0.0, 0.0], [0.5, 0.0, 0.4])  # does not sum to 1
             with pytest.raises(ValidationError, match="nonnegative"):
                 mixture_kl(fam, [-0.1, 0.0, 1.1], [1.0, 0.0, 0.0])
@@ -851,3 +853,66 @@ def test_family_freezes_a_copy_of_the_callers_array(build, values, attribute):
     caller[...] = caller[::-1]
     np.testing.assert_array_equal(getattr(family, attribute), values)
     np.testing.assert_array_equal(family.point, point)
+
+
+@pytest.mark.parametrize("family", [GAUSS3, DiscreteFamily([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])],
+                         ids=["gaussian", "discrete"])
+@pytest.mark.parametrize("shape", [(5, 7), (5, 1), (7,), ()], ids=["wide", "one", "flat", "scalar"])
+def test_group_batch_of_another_agent_count_is_invalid(family, shape):
+    # (5, 7) raised numpy's broadcast ValueError; (5, 1) scored each step's
+    # one observation for all 3 agents
+    group = stack_models([family] * 3, 3)[0]
+    message = f"observations of shape {shape}: a group of 3 agents takes (..., 3)"
+    with pytest.raises(InvalidObservationError, match=f"^{re.escape(message)}$"):
+        log_likelihood_rows(group, np.zeros(shape, int))
+    assert log_likelihood_rows(group, np.zeros((5, 3), int)).shape == (5, 3, 3)
+    assert log_likelihood_rows(family, np.zeros((5, 7), int)).shape == (5, 7, 3)  # any shape
+
+
+@pytest.mark.parametrize("family", [GAUSS3, DiscreteFamily([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])],
+                         ids=["gaussian", "discrete"])
+@pytest.mark.parametrize("size, shape", [((5, 1), "(5, 1)"), (5, "(5,)"), ([4, 2], "(4, 2)")],
+                         ids=["one", "flat", "list"])
+@pytest.mark.parametrize("draw", ["public", "group"])
+def test_group_draw_of_another_agent_count_is_rejected_before_any_draw(family, size, shape, draw):
+    # (5, 1) gave each step's single draw to all 3 agents
+    group = stack_models([family] * 3, 3)[0]
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    message = f"size {shape}: a group of 3 agents takes (..., 3)"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        if draw == "public":
+            sample_observation(group, 0, rng, size=size)
+        else:
+            group.sample(0, rng, size)
+    assert rng.bit_generator.state == state
+    assert sample_observation(group, 0, rng, size=(5, 3)).shape == (5, 3)
+    assert np.shape(sample_observation(family, 0, rng, size=(5, 1))) == (5, 1)  # any shape
+
+
+@pytest.mark.parametrize("model", ["family", "group"])
+@pytest.mark.parametrize("size, message", [
+    (-1, "size must be >= 0, got -1"),
+    (2.0, "size must be an integer, got 2.0"),
+    (True, "size must be an integer, got True"),
+    ((2, -3), "size must be >= 0, got -3"),
+    ("3", "size must be an integer, got '3'"),
+], ids=["negative", "float", "bool", "entry", "text"])
+def test_draw_size_goes_through_the_integer_rule(model, size, message):
+    # -1 raised numpy's ValueError, 2.0 and True its TypeError
+    chosen = GAUSS3 if model == "family" else stack_models([GAUSS3] * 3, 3)[0]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        sample_observation(chosen, 0, np.random.default_rng(0), size=size)
+
+
+def test_quadrature_rules_are_built_once():
+    # _quad called numpy's leggauss twice on every call
+    family = GaussianFamily([0.0, 3.0, 6.0])
+    p, q = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5])
+    value = family._quad_kl(p, q)
+    gauss_hermite_kl(family.means, p, q)
+    built = likelihoods._rules.cache_info().misses
+    for _ in range(3):
+        assert family._quad_kl(p, q) == value
+        gauss_hermite_kl(family.means, p, q)
+    assert likelihoods._rules.cache_info().misses == built

@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, issparse, lil_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, identity, issparse, lil_matrix
 
 from pbnet import network
 from pbnet.dynamics import Sharing, SelfAwarePartialSharing, run_trajectory, uniform_log_beliefs
@@ -577,11 +578,31 @@ def test_a_perron_vector_failing_its_checks_is_a_non_convergence_error(monkeypat
         Network.from_matrix(A_2X2)
 
 
+@pytest.mark.parametrize("matrix, size", [
+    (np.eye(2), 1),
+    (identity(300, format="csc"), 299),
+], ids=["dense", "sparse"])
+def test_a_singular_perron_system_is_a_non_convergence_error(matrix, size):
+    # numpy raised its LinAlgError, and spsolve returned NaNs with a MatrixRankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError,
+                           match=f"^the leading {size} x {size} block of I - A is singular$"):
+            perron_vector(matrix)
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((0, 0)), csc_matrix((0, 0))], ids=["dense", "sparse"])
+def test_a_matrix_with_no_agent_has_no_perron_vector(matrix):
+    # numpy raised a "negative dimensions" ValueError
+    with pytest.raises(ValidationError, match="^combination matrix has no agent$"):
+        perron_vector(matrix)
+
+
 @pytest.mark.parametrize("call, match", [
-    (lambda: ring_adjacency(1), "^ring preset needs at least 2 nodes"),
-    (lambda: star_adjacency(1), "^star preset needs at least 2 nodes"),
+    (lambda: ring_adjacency(1), "^n must be >= 2, got 1$"),
+    (lambda: star_adjacency(1), "^n must be >= 2, got 1$"),
     (lambda: generate_strongly_connected_adjacency(0, 0.5, np.random.default_rng(0)),
-     "^need at least one node"),
+     "^n must be >= 1, got 0$"),
 ], ids=["ring", "star", "random"])
 def test_graph_builders_reject_too_few_nodes(call, match):
     with pytest.raises(ValidationError, match=match):
