@@ -528,15 +528,46 @@ def _log_mix(logs: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
     """log sum_k exp(logs[k] + log_weights[k]) over the leading axis, the
     components, for arrays that broadcast; a zero weight adds nothing.
 
-    A max shift, built one component at a time, in index order, so that no
-    array holds every component at once: a stack of mixtures over a stack of
-    nodes stays the size of one component's terms.
+    A max shift per entry, built one component at a time, in index order, so
+    that no array holds every component at once. Two callers: the fallback
+    quadrature's integrand, and the rows :func:`_log_mix_shared` recomputes.
     """
     pairs = list(zip(logs, log_weights))
     peak = pairs[0][0] + pairs[0][1]
     for log, lw in pairs[1:]:
         peak = np.maximum(peak, log + lw)
     return peak + np.log(sum(np.exp(log + lw - peak) for log, lw in pairs))
+
+
+def _log_mix_shared(logs: np.ndarray, weights: np.ndarray, shifted: np.ndarray,
+                    peak: np.ndarray) -> np.ndarray:
+    """log sum_k weights[k] exp(logs[k]) over the leading axis, the
+    components, for arrays that broadcast, given ``shifted`` = exp(logs -
+    peak) under one ``peak`` shared by every component.
+
+    Each mixture is a multiply-add over the components in index order, so
+    that equal weight rows mix to equal bits, and its log plus ``peak`` is
+    the result. A row (of the last axis, the nodes) whose mixture falls below
+    the smallest normal float at any node lost digits to the shared shift, as
+    when its weights leave out the component that sets the peak there: it is
+    recomputed by :func:`_log_mix`, whose values it then equals bitwise.
+    """
+    mix = weights[0] * shifted[0]
+    for w, s in zip(weights[1:], shifted[1:]):
+        mix += w * s
+    low = (mix < np.finfo(float).tiny).any(axis=-1)
+    with np.errstate(divide="ignore"):  # a mixture that underflows to 0, recomputed below
+        result = np.log(mix, out=mix)
+    result += peak
+    if low.any():
+        rows = np.nonzero(low)
+        entries = (len(logs),) + low.shape
+
+        def row_entries(a):
+            return np.broadcast_to(a, entries + a.shape[-1:])[(slice(None), *rows)]
+
+        result[rows] = _log_mix(row_entries(logs), row_entries(_log_weights(weights)))
+    return result
 
 
 def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
@@ -557,6 +588,17 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     per-component rules. The 80- and the 160-node rule come from one
     evaluation over every node, every component of each p and every q; the
     160-node value stands when the two agree to within ``KL_QUAD_TOL``.
+
+    A term is one nonzero component of one p, T of them in all, over the
+    nodes, N = 240: the H component log-densities are (H, T, N). Each (term,
+    node) is shifted once, by its largest component log-density, and
+    exponentiated once, so the rule takes H T N exponentials whatever the
+    number Q of q mixtures. Every p row, (T, N), and every q row, (T, Q, N),
+    is then a multiply-add of those over the H components in index order
+    (:func:`_log_mix_shared`): identical weight rows give identical bits, so
+    D_KL[w||w] is exactly 0. A row whose mixture underflows at any node is
+    recomputed by :func:`_log_mix`, so no value loses digits to the shared
+    shift: each differs from a per-entry shift's by rounding alone.
     """
     means = _check_means(means)
     # probabilists' rules: E[f(Z)] for Z ~ N(0, 1) is about f(nodes) @ rule_weights
@@ -567,10 +609,14 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     which, comps = np.nonzero(p)  # one term per component of each p, grouped by p
     # (H, terms, nodes): the normalizing constant cancels in the ratio
     x = (means[comps, None] + nodes) - means[:, None, None]
-    logs = -0.5 * x * x
-    log_p = _log_mix(logs, _log_weights(p.T[:, which, None]))  # (terms, nodes)
-    log_q = _log_mix(logs[:, :, None], _log_weights(q.T[:, None, :, None]))  # (terms, q, nodes)
-    ratio = log_p[:, None] - log_q
+    logs = -0.5 * x
+    logs *= x
+    peak = logs.max(axis=0)
+    shifted = np.exp(np.subtract(logs, peak, out=x), out=x)  # in place: fewer fresh pages
+    log_p = _log_mix_shared(logs, p.T[:, which, None], shifted, peak)  # (terms, nodes)
+    log_q = _log_mix_shared(logs[:, :, None], q.T[:, None, :, None],
+                            shifted[:, :, None], peak[:, None])
+    ratio = np.subtract(log_p[:, None], log_q, out=log_q)  # (terms, q, nodes)
     sums = (ratio.reshape(-1, nodes.size) @ rule_weights).reshape(ratio.shape[:2] + (2,))
     sums *= p[which, comps][:, None, None]
     starts = np.flatnonzero(np.diff(which, prepend=-1))

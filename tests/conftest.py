@@ -1,6 +1,18 @@
 import warnings
+from pathlib import Path
 
 import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, imported read-only: the benchmark's pools."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    return workloads
 
 
 @pytest.hookimpl(wrapper=True)

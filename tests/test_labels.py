@@ -2,24 +2,12 @@
 that a change to the predictors fails fast. Every pool entry of each family
 class must give its committed label string (perfbench/labels.json), so a
 divergence-table value that flips a label fails here; the pool and the codes
-come from perfbench/workloads.py, imported read-only."""
+come from perfbench/workloads.py, imported read-only (the ``workloads``
+fixture of conftest.py)."""
 
 import json
-from pathlib import Path
-
-import pytest
 
 from pbnet.errors import UnboundedLikelihoodError
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        import workloads
-    return workloads
 
 
 def test_every_pool_entry_matches_committed_labels(workloads):

@@ -74,6 +74,32 @@ def scipy_quad_kl(means, p_weights, q_weights):
     return value
 
 
+def component_logs(means, comps):
+    """(H, terms, nodes) component log-densities, less the constant, on the
+    Gauss-Hermite nodes centred on the means ``comps``, as the rule sets them."""
+    nodes, _ = likelihoods._rules(np.polynomial.hermite_e.hermegauss, 80, 160)
+    x = (means[comps, None] + nodes) - means[:, None, None]
+    return -0.5 * x * x
+
+
+def per_entry_shift_kl(means, p_weights, q_weights):
+    """The Gauss-Hermite rule on (K, H) and (M, H) stacks with every (term,
+    mixture, node) entry shifted by its own largest term
+    (``likelihoods._log_mix``): (K, M), NaN where the 80- and the 160-node
+    sums differ by more than ``KL_QUAD_TOL``."""
+    _, rule_weights = likelihoods._rules(np.polynomial.hermite_e.hermegauss, 80, 160)
+    p, q = np.asarray(p_weights), np.asarray(q_weights)
+    which, comps = np.nonzero(p)
+    logs = component_logs(np.asarray(means), comps)
+    log_p = likelihoods._log_mix(logs, likelihoods._log_weights(p.T[:, which, None]))
+    log_q = likelihoods._log_mix(logs[:, :, None],
+                                 likelihoods._log_weights(q.T[:, None, :, None]))
+    sums = (log_p[:, None] - log_q) @ rule_weights * p[which, comps][:, None, None]
+    starts = np.flatnonzero(np.diff(which, prepend=-1))
+    coarse, fine = np.moveaxis(np.add.reduceat(sums, starts, axis=0), -1, 0)
+    return np.where(np.abs(coarse - fine) <= likelihoods.KL_QUAD_TOL, fine, np.nan)
+
+
 def brute_kl_discrete(p_vec, q_vec):
     total = 0.0
     for ps, qs in zip(p_vec, q_vec):
@@ -495,6 +521,70 @@ class TestKLDivergence:
         d_true_tx3 = kl_divergence(GAUSS3, 0, 2)
         d_true_mix3 = GAUSS3.complement[0, 2]
         assert d_true_tx3 - d_true_mix3 == pytest.approx(0.494, abs=0.002)
+
+
+class TestSharedShift:
+    """gauss_hermite_kl shifts each (term, node) once and mixes every weight
+    row by multiply-adds; the per-entry shift it replaced is the reference,
+    NaN (uncertified) where the rule's is (assert_allclose's equal_nan)."""
+
+    def test_pool_complements_match_the_per_entry_shift(self, workloads, monkeypatch):
+        families = [workloads.pool_family(kind, h, index)
+                    for kind, h in workloads.SWEEP_CLASSES if kind == "gaussian"
+                    for index in range(workloads.POOL_SIZE)]
+        assert len(families) == 24
+        tables = [family.complement for family in families]
+        for family in families:
+            h = family.hypothesis_count
+            got = gauss_hermite_kl(family.means, np.eye(h), likelihoods._uniform_complements(h))
+            want = per_entry_shift_kl(family.means, np.eye(h), likelihoods._uniform_complements(h))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", per_entry_shift_kl)
+        for family, table in zip(families, tables):
+            want = GaussianFamily(family.means).complement
+            np.testing.assert_allclose(table, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("h", [10, 20])
+    def test_stacks_match_the_per_entry_shift(self, h):
+        rng = np.random.default_rng(h)
+        means = rng.normal(0.0, 2.0, h)
+        p = np.vstack([rng.dirichlet(np.ones(h), 5), np.eye(h)[:3]])
+        q = np.vstack([rng.dirichlet(np.ones(h), 7), likelihoods._uniform_complements(h)[:3]])
+        got, want = gauss_hermite_kl(means, p, q), per_entry_shift_kl(means, p, q)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("h", [3, 10, 20])
+    def test_identical_rows_give_exactly_zero(self, h):
+        rng = np.random.default_rng(h)
+        w = np.vstack([rng.dirichlet(np.ones(h), 6), np.eye(h)[:2],
+                       likelihoods._uniform_complements(h)[:2]])
+        table = gauss_hermite_kl(rng.normal(0.0, 2.0, h), w, w)
+        assert (np.diag(table) == 0.0).all()
+
+    @pytest.mark.parametrize("means, uncertified", [([-40.0, 0.0, 40.0], 1),
+                                                    ([0.0, 30.0, 60.0, 90.0], 2)])
+    def test_underflowing_rows_certify_as_the_per_entry_shift_does(self, means, uncertified):
+        # a complement that leaves out p's own component underflows under the
+        # shared shift, at nodes where that component sets the peak
+        h = len(means)
+        p, q = np.eye(h), likelihoods._uniform_complements(h)
+        got, want = gauss_hermite_kl(means, p, q), per_entry_shift_kl(np.array(means), p, q)
+        assert np.isnan(got).sum() == uncertified
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_underflowing_rows_are_recomputed_per_entry(self):
+        logs = component_logs(np.array([0.0, 30.0, 60.0, 90.0]), np.arange(4))
+        peak = logs.max(axis=0)
+        weights = likelihoods._uniform_complements(4).T[:, None, :, None]
+        got = likelihoods._log_mix_shared(logs[:, :, None], weights,
+                                          np.exp(logs - peak)[:, :, None], peak[:, None])
+        want = likelihoods._log_mix(logs[:, :, None], likelihoods._log_weights(weights))
+        # the (term, q) rows whose mixture, shifted by the peak, is below the
+        # smallest normal float at some node
+        low = (want - peak[:, None] < math.log(np.finfo(float).tiny)).any(axis=-1)
+        assert 0 < low.sum() < low.size
+        np.testing.assert_array_equal(got[low], want[low])
+        np.testing.assert_allclose(got[~low], want[~low], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
