@@ -41,11 +41,13 @@ rejects bad inputs, and resolves its ``Sharing`` into a step plan, before the
 first draw, so the generator moves only for a valid run; it draws, scores and
 checks a block of steps at once, and runs them with invalid-value warnings
 off, because the log-sum-exps warn on the NaN or infinity that the check
-reports. A block is at most ``_BLOCK`` = 64 steps and, past one step, at most
-``_BLOCK_DOUBLES`` = 2^16 log-likelihoods (512 KiB). Its temporaries are made
-afresh on every block, so large ones were page-faulted in afresh each time,
-and a 64-step block was 154 MB per buffer at 10^5 agents. A block draws what
-its steps would draw one at a time, so its length changes no bit of a run.
+reports. A block is at most ``_BLOCK`` = 64 steps and, past one step, at
+most ``_BLOCK_DOUBLES`` = 2^16 log-likelihoods (512 KiB); a run of at most a
+quarter of that budget, 2^14 log-likelihoods in all, is one block whatever
+its step count. Its temporaries are made afresh on every block, so large
+ones were page-faulted in afresh each time, and a 64-step block was 154 MB
+per buffer at 10^5 agents. A block draws what its steps would draw one at a
+time, so its length changes no bit of a run.
 
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
@@ -60,7 +62,11 @@ row in a per-step ufunc, a view assignment rather than ``np.copyto`` but for
 argmax's masked one, and positional ``out``. A trajectory resolves one plan
 and passes it through the three seams on every step, so the workspace is
 reused and each step's rows are copied into the result; a public call with a
-``Sharing`` resolves a fresh plan and so returns fresh arrays.
+``Sharing`` resolves a fresh plan and so returns fresh arrays. Given the
+trajectory's plan, a seam trusts it: its rows are the plan's own and its
+shapes are those the trajectory checked, so a step copies and compares
+nothing; the seams still run once per step, each through its module
+attribute.
 """
 
 from __future__ import annotations
@@ -94,12 +100,21 @@ BELIEF_SUM_TOL = 1e-9
 #: 1000-ring at H = 3 takes 21, and from 10923 agents on at H = 3 a block is
 #: one step. On the 1000-ring (thread CPU, 150 steps) budgets of 2^12 and
 #: 2^14 timed about 45% and 10% slower, numpy's per-call cost being paid per
-#: block, and 2^17 ran as fast but peaked 1.6 MiB higher. Without the step
-#: cap (10 alternating pairs of ``perfbench/run.py --seconds 20``, seed 1,
-#: 2-core Xeon VM, numpy 2.4.6), ``hetero_random``'s 218-step blocks ran
-#: slower in 10 of 10 pairs (wall_s median 0.0469 against 0.0441 s) and
-#: peaked 1.1 MiB higher in all 10, while ``repro_grid``'s 10-agent ring ran
-#: faster in 9 of 10 (0.2260 against 0.2385 s) at the same peak.
+#: block, and 2^17 ran as fast but peaked 1.6 MiB higher.
+#: A run whose log-likelihoods are at most _BLOCK_DOUBLES // 4 in all
+#: (horizon * N * H <= 2^14 doubles, 128 KiB, glibc's default mapping
+#: threshold) is one block, so ``repro_grid``'s 10 x 3 runs of 300 steps pay
+#: one block's numpy calls instead of five. The deciding property is the
+#: run's size, not its family mix: with ru_minflt over 10 runs after 10
+#: warm-up runs in one process (discrete family, partial sharing, H = 3), a
+#: one-block run faulted its heap in afresh on every run from about 24000
+#: doubles on (28 agents at 300 steps, 10 agents at 800), and 109-step
+#: blocks of 2^14 doubles at 50 agents faulted 150 pages a run, while
+#: 64-step blocks and one-block runs up to 2^14 doubles faulted none. An
+#: unbounded step count gave ``hetero_random``'s mixed 100-agent list
+#: 218-step blocks, slower in 10 of 10 pairs of ``perfbench/run.py``, and
+#: one-family runs of 50 to 150 agents at 300 steps 2-11% slower (see
+#: ``BENCH_37.json``).
 _BLOCK = 64
 _BLOCK_DOUBLES = 2**16
 
@@ -343,12 +358,9 @@ def _plan(sharing, rows, net=None) -> _Plan:
     """``sharing`` resolved for rows of the shape (..., H) of ``rows``, an
     array or array-like read by the number rule (``errors._numbers``), and,
     given, for ``net``, a Network whose agent count must be that of the rows
-    (ValidationError else); a plan as it is, so a trajectory checks its rule
-    once and reads no shape. The log-sum-exp form follows one table's agent
+    (ValidationError else). The log-sum-exp form follows one table's agent
     count, ``shape[-2]``, so a stack of tables steps each as it would step
     alone."""
-    if isinstance(sharing, _Plan):
-        return sharing
     if not isinstance(sharing, Sharing):
         raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
     if net is not None:
@@ -403,16 +415,18 @@ def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
     row keeps its tx entry and splits the rest evenly, at the exact log of
     (1 - psi_tx)/(H-1) computed from the surviving mass.
 
-    The rows are read from the plan's ``psi``, where a step computes them;
-    rows from elsewhere, as a public call's, are read by the number rule
-    (``errors._numbers``: ragged rows, text or object entries raise
-    ValidationError) and copied there first.
-    The result is the plan's ``shared``, which is ``psi`` itself
+    Given a step's plan, the rows are its ``psi``, where the step computed
+    them, and are not read again. A call with a ``Sharing`` resolves a plan
+    for its rows, read by the number rule (``errors._numbers``: ragged rows,
+    text or object entries raise ValidationError), and copies them into its
+    ``psi`` first. The result is the plan's ``shared``, which is ``psi`` itself
     only under full sharing that is not self-aware, so a call with a
     ``Sharing`` returns an array of its own.
     """
-    plan = _plan(sharing, log_psi)
-    if log_psi is not plan.psi:
+    if isinstance(sharing, _Plan):  # a step's own plan: the rows are its psi
+        plan = sharing
+    else:
+        plan = _plan(sharing, log_psi)
         plan.psi[...] = log_psi
     for function, args in plan.modify:
         function(*args)
@@ -428,22 +442,26 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     instead of its modified one; other rules do not read ``log_own``. The
     rows are normalized here, over the last axis, so the inputs may carry a
     per-row shift, and the caller runs :func:`check_log_beliefs`. A
-    (..., N, H) stack of tables pools each table as it pools alone. Rows that
-    are not the plan's own are copied into its ``shared`` and ``psi`` first,
-    and the result is the plan's ``pooled``. Rows that are not a table of
+    (..., N, H) stack of tables pools each table as it pools alone. Given a
+    step's plan, the rows are its ``shared`` and ``psi`` and nothing is read
+    or checked; a call with a ``Sharing`` resolves a plan for its rows and
+    network and copies them into its ``shared`` and, self-aware, its ``psi``
+    first. The result is the plan's ``pooled``. Rows that are not a table of
     numbers by the number rule (``errors._numbers``), and tables of another
     agent count than N, raise ValidationError.
     """
-    plan = _plan(sharing, log_shared, net)
-    if log_shared is not plan.shared:
+    if isinstance(sharing, _Plan):  # a step's own plan: the rows are its shared and psi
+        plan = sharing
+    else:
+        plan = _plan(sharing, log_shared, net)
         plan.shared[...] = log_shared
-    if plan.aware and log_own is not plan.psi:
-        own = _numbers("own log-beliefs", log_own)
-        if own.shape != plan.psi.shape:
-            raise ValidationError(
-                f"own log-beliefs of shape {own.shape} are not the shared rows' {plan.psi.shape}"
-            )
-        plan.psi[...] = log_own
+        if plan.aware:
+            own = _numbers("own log-beliefs", log_own)
+            if own.shape != plan.psi.shape:
+                raise ValidationError(
+                    f"own log-beliefs of shape {own.shape} are not the shared rows' {plan.psi.shape}"
+                )
+            plan.psi[...] = log_own
     for function, args in plan.combine:
         function(*args)
     return plan.pooled
@@ -516,30 +534,36 @@ def run_iteration(
     the (N,) observations and their (N, H) log-likelihoods, is a row drawn
     ahead of time: the step then draws nothing, returns that xi and leaves
     the result unchecked, because :func:`run_trajectory` validates its inputs
-    once and checks its steps once per block. It checks only what a wrong
-    call would otherwise turn into a numpy error or a silent broadcast: the
-    rule must be a ``Sharing`` (ValidationError), and the log-beliefs and
-    log-likelihoods must be arrays of one shape (N, H) with N the network's
-    agent count (ValidationError), compared as shape tuples. The posterior is
-    pooled unnormalized (see the module docstring), into the plan's workspace:
-    given the plan of a trajectory, the result is overwritten by its next
-    step.
+    once and checks its steps once per block. Given a ``Sharing``, it checks
+    only what a wrong call would otherwise turn into a numpy error or a
+    silent broadcast: the log-beliefs and log-likelihoods must be arrays of
+    one shape (N, H) with N the network's agent count (ValidationError),
+    compared as shape tuples, and a rule that is no ``Sharing`` raises
+    ValidationError. Given the plan of a trajectory, which built and checked
+    the arrays, it checks nothing: it adds the log-likelihoods into the
+    plan's ``psi`` and hands the plan to :func:`modify_for_sharing` and
+    :func:`combine_step`. The posterior is pooled unnormalized (see the
+    module docstring), into the plan's workspace: given the plan of a
+    trajectory, the result is overwritten by its next step.
     """
     if observed is None:
         out, obs = run_trajectory(log_beliefs, net, models, true_index, sharing, 1, rng,
                                   keep_observations=True)
         return out[1], obs[0]
     xi, loglik = observed
-    try:
-        shape, scored = log_beliefs.shape, loglik.shape
-    except AttributeError:
-        raise ValidationError("the step takes log-beliefs and log-likelihoods as arrays") from None
-    plan = _plan(sharing, log_beliefs, net)
-    if not (len(shape) == 2 and shape == scored == plan.psi.shape):
-        raise ValidationError(
-            f"log-beliefs of shape {shape} and log-likelihoods of shape {scored} "
-            f"are not both (N={net.size}, H)"
-        )
+    if isinstance(sharing, _Plan):  # a trajectory's: it built and checked these arrays
+        plan = sharing
+    else:
+        try:
+            shape, scored = log_beliefs.shape, loglik.shape
+        except AttributeError:
+            raise ValidationError("the step takes log-beliefs and log-likelihoods as arrays") from None
+        plan = _plan(sharing, log_beliefs, net)
+        if not (len(shape) == 2 and shape == scored == plan.psi.shape):
+            raise ValidationError(
+                f"log-beliefs of shape {shape} and log-likelihoods of shape {scored} "
+                f"are not both (N={net.size}, H)"
+            )
     log_psi = np.add(log_beliefs, loglik, plan.psi)
     return combine_step(net, modify_for_sharing(log_psi, plan), log_psi, plan), xi
 
@@ -558,17 +582,21 @@ def run_trajectory(
     observations or None). Index 0 holds the initial beliefs.
 
     Observations are drawn and scored a block of steps at a time, and each
-    step goes through :func:`run_iteration` with its pre-drawn row. A block
-    is ``_BLOCK`` = 64 steps, or fewer where N * H > 1024: at most 2^16
-    log-likelihoods (``_BLOCK_DOUBLES``), and at least one step. So a block's
-    temporaries stay small enough to be reused rather than page-faulted in
-    afresh on every block, as a 64-step block's were at N = 1000, and no
-    buffer grows with the step count at 10^5 agents, where a 64-step one was
-    154 MB. A single family, or a list whose agents share one family type,
-    draws each block in one :func:`sample_observation` call. A list mixing
-    family types makes one raw generator call per group and step, in the
-    groups' order, and maps each group's block of draws to observations at
-    once, by the map its ``sample`` uses. Either way the generator yields
+    step goes through :func:`run_iteration` with its pre-drawn row and the
+    trajectory's plan, which the step and its seams trust, so a step checks
+    no shape and copies no rows between them. A block is ``_BLOCK`` = 64
+    steps, or fewer where N * H > 1024: at most 2^16 log-likelihoods
+    (``_BLOCK_DOUBLES``), and at least one step. So a block's temporaries
+    stay small enough to be reused rather than page-faulted in afresh on
+    every block, as a 64-step block's were at N = 1000, and no buffer grows
+    with the step count at 10^5 agents, where a 64-step one was 154 MB. A run
+    of at most 2^14 log-likelihoods in all, as a 10 x 3 run of up to 546
+    steps, is one block (see ``_BLOCK``). A single family, or a list whose
+    agents share one family type, draws each block in one
+    :func:`sample_observation` call. A list mixing family types makes one
+    raw generator call per group and step, in the groups' order, and maps
+    each group's block of draws to observations at once, by the map its
+    ``sample`` uses. Either way the generator yields
     what ``horizon`` calls of ``run_iteration`` without ``observed`` would
     draw, so trajectories and observations equal that loop's bitwise,
     whatever the block length. The beliefs of each block are checked at
@@ -602,6 +630,8 @@ def run_trajectory(
     obs = np.empty((horizon, n), dtype=dtype) if keep_observations else None
     log_b = init
     block_steps = min(_BLOCK, max(1, _BLOCK_DOUBLES // (n * h)))
+    if horizon * n * h <= _BLOCK_DOUBLES // 4:  # a small run is one block: see _BLOCK
+        block_steps = horizon
     for start in range(0, horizon, block_steps):
         steps = min(block_steps, horizon - start)
         xi, loglik = _observe(groups, true_index, n, steps, dtype, rng)

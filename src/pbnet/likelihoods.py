@@ -237,7 +237,7 @@ class GaussianFamily(GaussianGroup, _Divergences):
         return 0.5 * (d * d)
 
     def _mixture_table(self, p_weights: np.ndarray, q_weights: np.ndarray) -> np.ndarray:
-        return np.maximum(gauss_hermite_kl(self.means, p_weights, q_weights), 0.0)
+        return np.maximum(_gauss_hermite_table(self.means, p_weights, q_weights), 0.0)
 
     def _quad_kl(self, p_weights: np.ndarray, q_weights: np.ndarray) -> float:
         """The KL of two mixtures, one weight vector each: the integral of
@@ -601,11 +601,21 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     shift: each differs from a per-entry shift's by rounding alone.
     """
     means = _check_means(means)
-    # probabilists' rules: E[f(Z)] for Z ~ N(0, 1) is about f(nodes) @ rule_weights
-    nodes, rule_weights = _rules(np.polynomial.hermite_e.hermegauss, 80, 160)
     p_weights = _check_weights(p_weights, len(means))
     q_weights = _check_weights(q_weights, len(means))
-    p, q = np.atleast_2d(p_weights, q_weights)
+    table = _gauss_hermite_table(means, *np.atleast_2d(p_weights, q_weights))
+    if p_weights.ndim == q_weights.ndim == 1:
+        return None if np.isnan(table[0, 0]) else float(table[0, 0])
+    return table.reshape(p_weights.shape[:-1] + q_weights.shape[:-1])
+
+
+def _gauss_hermite_table(means: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`gauss_hermite_kl` of a (K, H) stack ``p`` against an (M, H)
+    stack ``q``, (K, M), NaN where the rule does not certify a pair, for
+    means and weights already checked (a family's ``_mixture_table``, which
+    :func:`mixture_kl` calls with the stacks it checked)."""
+    # probabilists' rules: E[f(Z)] for Z ~ N(0, 1) is about f(nodes) @ rule_weights
+    nodes, rule_weights = _rules(np.polynomial.hermite_e.hermegauss, 80, 160)
     which, comps = np.nonzero(p)  # one term per component of each p, grouped by p
     # (H, terms, nodes): the normalizing constant cancels in the ratio
     x = (means[comps, None] + nodes) - means[:, None, None]
@@ -621,11 +631,7 @@ def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
     sums *= p[which, comps][:, None, None]
     starts = np.flatnonzero(np.diff(which, prepend=-1))
     coarse, fine = np.moveaxis(np.add.reduceat(sums, starts, axis=0), -1, 0)
-    certified = np.abs(coarse - fine) <= KL_QUAD_TOL
-    if p_weights.ndim == q_weights.ndim == 1:
-        return float(fine[0, 0]) if certified[0, 0] else None
-    shape = p_weights.shape[:-1] + q_weights.shape[:-1]
-    return np.where(certified, fine, np.nan).reshape(shape)
+    return np.where(np.abs(coarse - fine) <= KL_QUAD_TOL, fine, np.nan)
 
 
 def kl_divergence(model: LikelihoodModel, p: int, q: int) -> float:
@@ -653,15 +659,16 @@ def mixture_kl(model: LikelihoodModel, p_weights, q_weights):
     and q of the stacks, of shape p's stack + q's stack.
 
     A discrete family takes the exact finite sums. A Gaussian one takes one
-    :func:`gauss_hermite_kl` evaluation of both stacks. Where the rule does
-    not certify a value (log q has a soft kink where its dominant component
-    switches, and the rule converges slowly when that kink sits under p's
-    mass), pbnet's composite Gauss-Legendre rule takes over for that value
-    alone, on a window ``KL_QUAD_SIGMA_SPAN`` standard deviations beyond the
-    extreme means, with panels broken at those kinks; its integrand is the
-    family's own log-density mixed by p's and q's weights. Both rules
-    certify a value one way: its coarse and fine sums agree within
-    ``KL_QUAD_TOL``. A value the composite rule cannot certify raises
+    evaluation of :func:`gauss_hermite_kl`'s rule over both stacks, which
+    reads them as checked here, so each stack is checked once. Where the
+    rule does not certify a value (log q has a soft kink where its dominant
+    component switches, and the rule converges slowly when that kink sits
+    under p's mass), pbnet's composite Gauss-Legendre rule takes over for
+    that value alone, on a window ``KL_QUAD_SIGMA_SPAN`` standard deviations
+    beyond the extreme means, with panels broken at those kinks; its
+    integrand is the family's own log-density mixed by p's and q's weights.
+    Both rules certify a value one way: its coarse and fine sums agree
+    within ``KL_QUAD_TOL``. A value the composite rule cannot certify raises
     ``NumericalError`` instead of returning a guess.
     Every uncertified value of the stacks is resolved before the result is
     returned; a family's ``complement`` is this function of the identity

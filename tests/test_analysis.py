@@ -101,7 +101,7 @@ class TestPredictPartial:
         def no_rule(*args, **kwargs):
             raise AssertionError("the Gauss-Hermite rule ran for a rejected input")
 
-        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", no_rule)
+        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", no_rule)
         with pytest.raises(IndistinguishableHypothesesError):
             predict_partial_regime(GaussianFamily([0.0, 0.0, 1.0]), 0, 1)
 
@@ -179,7 +179,7 @@ class TestPredictSelfAware:
         def no_rule(*args, **kwargs):
             raise AssertionError("the Gauss-Hermite rule ran for a rejected input")
 
-        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", no_rule)
+        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", no_rule)
         with pytest.raises(UnboundedLikelihoodError):
             predict_self_aware_regime(GAUSS3, self.net, 0, 1)
 
@@ -194,8 +194,8 @@ class TestPredictSelfAware:
             calls.append("quad")
             return quad(*args, **kwargs)
 
-        rule, quad = likelihoods.gauss_hermite_kl, likelihoods.integrate.quad
-        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", counted_rule)
+        rule, quad = likelihoods._gauss_hermite_table, likelihoods.integrate.quad
+        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", counted_rule)
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
         # a fresh family: a family's tables outlive the test that built them
         rep = predict_self_aware_regime(bundled_gaussian_family(), self.net, 0, 0)

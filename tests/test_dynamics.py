@@ -811,10 +811,12 @@ class TestStepErrors:
                 run_iteration(uniform_log_beliefs(5, 3), RING5, DISC3, 0, rule(1),
                               np.random.default_rng(0))
 
-    @pytest.mark.parametrize("iteration", [64, 65, 130],
+    @pytest.mark.parametrize("iteration", [64, 65, 1093],
                              ids=["block_end", "block_start", "partial_block_end"])
     def test_nan_names_the_iteration_within_a_block(self, monkeypatch, iteration):
-        # beliefs are checked once per 64-step block; the error still names the step
+        # beliefs are checked once per 64-step block, 1093 steps being past
+        # one block's 2**14 log-likelihoods at 5 x 3; the error still names
+        # the step
         score = dynamics.log_likelihood_rows
         seen = [0]  # observation rows scored so far
 
@@ -832,7 +834,7 @@ class TestStepErrors:
             with pytest.raises(NumericalError, match=rf"^iteration {iteration}: agent 3 scored "
                                r"a non-finite log-likelihood; agent 0: non-finite log-belief"):
                 run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
-                               130, np.random.default_rng(0))
+                               1093, np.random.default_rng(0))
 
     @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
     def test_zero_probability_names_the_first_step(self, monkeypatch, strat):
@@ -853,7 +855,7 @@ class TestStepErrors:
                 run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, strat, 10,
                                np.random.default_rng(0))
 
-    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130, 1092, 1093])
     def test_check_runs_once_per_block(self, monkeypatch, horizon):
         calls = {}
         for name in ("run_iteration", "check_log_beliefs"):
@@ -863,9 +865,11 @@ class TestStepErrors:
             monkeypatch.setattr(dynamics, name, counted)
         run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1),
                        horizon, np.random.default_rng(0))
-        # the initial beliefs, then each stored block
-        assert calls == {"run_iteration": horizon,
-                         "check_log_beliefs": 1 + math.ceil(horizon / 64)}
+        # the initial beliefs, then each stored block: a run of up to
+        # 2**14 // 15 = 1092 steps at 5 x 3 is one block, a longer one 64-step
+        # blocks
+        blocks = 1 if horizon <= 1092 else math.ceil(horizon / 64)
+        assert calls == {"run_iteration": horizon, "check_log_beliefs": 1 + blocks}
 
     def test_check_names_the_first_bad_row(self):
         with pytest.raises(NumericalError, match="agent 1: belief normalization"):
@@ -910,7 +914,8 @@ def count_calls(monkeypatch, names):
 
 class TestBlockBudget:
     # past 2**16 log-likelihoods a block is shorter than 64 steps: the 400-ring
-    # at H = 3 takes 54-step blocks; below the budget blocks stay 64 steps
+    # at H = 3 takes 54-step blocks; below the budget blocks stay 64 steps, and
+    # a run of at most 2**14 log-likelihoods in all is one block
 
     @pytest.mark.parametrize("rule, form", [
         *[(rule, "family") for rule in STEP_RULES],
@@ -973,10 +978,13 @@ class TestBlockBudget:
         assert calls == {"sample_observation": blocks, "log_likelihood_rows": blocks,
                          "check_log_beliefs": 1 + blocks}
 
-    @pytest.mark.parametrize("n, h, steps", [
-        (5, 3, 64), (512, 2, 64), (205, 5, 63), (400, 3, 54), (1000, 3, 21), (2000, 17, 1)],
-        ids=["5x3", "512x2_at_budget", "205x5_past_budget", "400x3", "1000x3", "2000x17"])
-    def test_every_block_fits_the_budget_or_is_one_step(self, monkeypatch, n, h, steps):
+    @pytest.mark.parametrize("n, h, horizon, steps", [
+        (5, 3, 1093, 64), (5, 3, 1092, 1092), (512, 2, 130, 64), (205, 5, 130, 63),
+        (400, 3, 130, 54), (1000, 3, 130, 21), (2000, 17, 3, 1)],
+        ids=["5x3", "5x3_one_block", "512x2_at_budget", "205x5_past_budget", "400x3",
+             "1000x3", "2000x17"])
+    def test_every_block_fits_the_budget_or_is_one_step(self, monkeypatch, n, h, horizon,
+                                                        steps):
         score, blocks = dynamics.log_likelihood_rows, []
 
         def recorded(model, xi):
@@ -984,7 +992,6 @@ class TestBlockBudget:
             return score(model, xi)
 
         monkeypatch.setattr(dynamics, "log_likelihood_rows", recorded)
-        horizon = 130 if steps > 1 else 3
         fam = GaussianFamily(0.1 * np.arange(h))
         net = build_averaging_matrix(ring_adjacency(n), 0.5)
         run_trajectory(uniform_log_beliefs(n, h), net, fam, 0, PartialSharing(1), horizon,
@@ -993,7 +1000,47 @@ class TestBlockBudget:
         assert lengths == [steps] * (horizon // steps) + [horizon % steps] * (horizon % steps > 0)
         assert all(shape[1] == n for shape in blocks)
         assert all(k * n * h <= dynamics._BLOCK_DOUBLES or k == 1 for k in lengths)
-        assert (steps == 64) == (n * h <= 1024)
+        small = horizon * n * h <= dynamics._BLOCK_DOUBLES // 4
+        assert (steps == horizon) == small
+        assert small or (steps == 64) == (n * h <= 1024)
+
+    @pytest.mark.parametrize("form", ["family", "mixed"])
+    @pytest.mark.parametrize("n", [6, 50, 400])
+    def test_the_run_size_not_the_family_mix_sets_the_blocks(self, monkeypatch, n, form):
+        # 130 steps: one block on the 6-ring (2340 log-likelihoods), 64 + 64 + 2
+        # steps on the 50-ring (19500), the budget's 54 + 54 + 22 on the
+        # 400-ring; each group scores each block once
+        score, blocks = dynamics.log_likelihood_rows, []
+
+        def recorded(model, xi):
+            blocks.append(xi.shape[0])
+            return score(model, xi)
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", recorded)
+        models = random_models(form, "discrete", n, 3, np.random.default_rng(n))
+        net = build_averaging_matrix(ring_adjacency(n), 0.5)
+        run_trajectory(uniform_log_beliefs(n, 3), net, models, 0, PartialSharing(1), 130,
+                       np.random.default_rng(0))
+        lengths = {6: [130], 50: [64, 64, 2], 400: [54, 54, 22]}[n]
+        assert blocks == [k for k in lengths for _ in range(2 if form == "mixed" else 1)]
+
+    @pytest.mark.parametrize("form", ["family", "copies", "mixed"])
+    def test_a_10_ring_run_of_300_steps_is_one_block_and_the_step_loop(self, monkeypatch,
+                                                                       form):
+        score, blocks = dynamics.log_likelihood_rows, []
+
+        def recorded(model, xi):
+            blocks.append(xi.shape[0])
+            return score(model, xi)
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", recorded)
+        net = build_averaging_matrix(ring_adjacency(10), 0.3)
+        models = random_models(form, "discrete", 10, 3, np.random.default_rng(10))
+        assert_trajectory_is_the_step_loop(net, models, 0, SelfAwarePartialSharing(1), 300, 3)
+        # the trajectory's one block, then the loop's 300 one-step blocks, each
+        # scored once per group
+        groups = 2 if form == "mixed" else 1
+        assert blocks == [300] * groups + [1] * (300 * groups)
 
 
 def reduce_reference(rows, where=None):

@@ -539,7 +539,7 @@ class TestSharedShift:
             got = gauss_hermite_kl(family.means, np.eye(h), likelihoods._uniform_complements(h))
             want = per_entry_shift_kl(family.means, np.eye(h), likelihoods._uniform_complements(h))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        monkeypatch.setattr(likelihoods, "gauss_hermite_kl", per_entry_shift_kl)
+        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", per_entry_shift_kl)
         for family, table in zip(families, tables):
             want = GaussianFamily(family.means).complement
             np.testing.assert_allclose(table, want, rtol=1e-12, atol=0)
@@ -599,7 +599,7 @@ class TestDivergenceTables:
         for cls in (GaussianFamily, DiscreteFamily):
             for rule in ("_point_table", "_mixture_table"):
                 monkeypatch.setattr(cls, rule, no_table)
-        for rule in ("gauss_hermite_kl", "_exact_kl", "_log_mix"):
+        for rule in ("_gauss_hermite_table", "_exact_kl", "_log_mix"):
             monkeypatch.setattr(likelihoods, rule, no_table)
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=no_table))
         families = [GaussianFamily([0.0, 0.2, 1.0]), DiscreteFamily(DISC3.pmf)]
@@ -1006,3 +1006,37 @@ def test_quadrature_rules_are_built_once():
         assert family._quad_kl(p, q) == value
         gauss_hermite_kl(family.means, p, q)
     assert likelihoods._rules.cache_info().misses == built
+
+
+def test_mixture_kl_checks_each_weight_stack_once(monkeypatch, workloads):
+    # mixture_kl checks both stacks and runs the rule unchecked; the public
+    # rule keeps its own two checks. The complements equal the public rule's
+    # table, clipped at 0, with the fallback where it certifies no value.
+    checks = [0]
+    check = likelihoods._check_weights
+
+    def counted(*args):
+        checks[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(likelihoods, "_check_weights", counted)
+    # the rule leaves one entry of the last family uncertified (TestSharedShift)
+    families = [workloads.pool_family("gaussian", h, index) for h in (3, 5, 10)
+                for index in range(2)] + [GaussianFamily([-40.0, 0.0, 40.0])]
+    uncertified = 0
+    for family in families:
+        h = family.hypothesis_count
+        p, q = np.eye(h), likelihoods._uniform_complements(h)
+        checks[0] = 0
+        got = mixture_kl(family, p, q)
+        assert checks[0] == 2
+        checks[0] = 0
+        want = np.maximum(gauss_hermite_kl(family.means, p, q), 0.0)
+        assert checks[0] == 2
+        for i, j in np.argwhere(np.isnan(want)):
+            want[i, j] = family._quad_kl(p[i], q[j])
+            uncertified += 1
+        assert got.tobytes() == want.tobytes()
+        assert GaussianFamily(family.means).complement.tobytes() == want.tobytes()
+    assert uncertified == 1
+

@@ -87,15 +87,16 @@ class CountingGenerator:
 
 
 @pytest.mark.parametrize("models, groups", [
-    (GAUSS3, 1), (DISC3, 1), ([DISC3] * 6, 1), ([GAUSS3, DISC3] * 3, 2),
+    (GAUSS3, 1), (DISC3, 1), ([DISC3] * 60, 1), ([GAUSS3, DISC3] * 30, 2),
 ], ids=["gaussian", "discrete", "copies", "mixed"])
 def test_seam_calls_per_trajectory(monkeypatch, models, groups):
     # perfbench divides every per-layer time by the dynamics.step count, so a
     # trajectory steps, modifies and combines once per iteration through the
-    # module attributes, and scores per 64-step block; one group draws a
-    # block in one sample_observation call, while several make one raw
-    # generator call per group and step, which sample_observation does not
-    # see, and map them per block
+    # module attributes, and scores per block, here per 64-step block of a
+    # run past 2**14 log-likelihoods; one group draws a block in one
+    # sample_observation call, while several make one raw generator call per
+    # group and step, which sample_observation does not see, and map them
+    # per block
     seams = ("run_iteration", "modify_for_sharing", "combine_step",
              "sample_observation", "log_likelihood_rows")
     calls = dict.fromkeys(seams + ("generator", "map"), 0)
@@ -110,9 +111,9 @@ def test_seam_calls_per_trajectory(monkeypatch, models, groups):
         monkeypatch.setattr(dynamics, name, count(name, getattr(dynamics, name)))
     for group in (GaussianGroup, DiscreteGroup):
         monkeypatch.setattr(group, "observations", count("map", group.observations))
-    net = build_averaging_matrix(ring_adjacency(6), 0.5)
+    net = build_averaging_matrix(ring_adjacency(60), 0.5)
     rng = CountingGenerator(np.random.default_rng(0), calls)
-    dynamics.run_trajectory(dynamics.uniform_log_beliefs(6, 3), net, models, 0,
+    dynamics.run_trajectory(dynamics.uniform_log_beliefs(60, 3), net, models, 0,
                             dynamics.PartialSharing(1), 130, rng)
     blocks = 3  # 64 + 64 + 2 steps
     assert calls == {"run_iteration": 130, "modify_for_sharing": 130, "combine_step": 130,
