@@ -20,16 +20,18 @@ caller's own rows.
 Each log-sum-exp of a step (a fixed tx's spread, argmax's spread and the
 pooled rows' normalization) is a run of calls within those lists. Which calls
 follows one table's agent count alone, so a stack of (N, H) tables steps each
-table bitwise as it steps alone. From ``_SHIFT_MIN_ROWS`` rows per table on, a
-fixed tx's spread and the normalization, under every rule and pool, are the
-max shift m + log sum exp(x - m) with m the row's largest entry: a few
-vectorized ``np.maximum``, ``np.exp``, add and ``np.log`` passes over column
-views, where ``np.logaddexp`` is scalar libm code per entry. It rounds apart
-from the reduce by a few ulp. On fewer rows each is a fold of ``np.logaddexp``
-over two or more column views in index order, which makes the calls of one
-``np.logaddexp.reduce`` and so gives its bits, or one reduce over a single
-column (the spread at H = 2, the normalization at H = 1). Argmax's spread,
-whose columns differ from row to row, is one masked reduce at every size.
+table bitwise as it steps alone, and one count decides, the one from which a
+network's pool is sparse (``network.SPARSE_SOLVE_MIN_AGENTS``). Below it, a
+fixed tx's spread and the normalization, under every rule, are a fold of
+``np.logaddexp`` over column views in index order, which makes the calls of
+one ``np.logaddexp.reduce`` and so gives its bits; a single column (the
+spread at H = 2, the normalization at H = 1) is the reduce's one call, whose
+bits are the entry + 0.0. From it on they are the max shift
+m + log sum exp(x - m) with m the row's largest entry: a few vectorized
+``np.maximum``, ``np.exp``, add and ``np.log`` passes over column views, where
+``np.logaddexp`` is scalar libm code per entry. It rounds apart from the
+reduce by a few ulp. Argmax's spread, whose columns differ from row to row,
+is one masked reduce at every size.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -52,8 +54,8 @@ time, so its length changes no bit of a run.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
 
-Under every rule, a planned step on a dense pool allocates no array (tested
-on both sides of ``_SHIFT_MIN_ROWS``): every array its calls write is the
+Under every rule, a planned step on a dense pool allocates no array, and
+neither do the max shift's calls (both tested): every array they write is the
 plan's. A sparse pool's product is made by scipy and copied into the
 workspace. At ten agents a step costs what its numpy calls cost to enter, so
 each call takes its cheapest form that gives the same bits (timed in
@@ -86,7 +88,7 @@ from .likelihoods import (
     sample_observation,
     stack_models,
 )
-from .network import Network, _network
+from .network import SPARSE_SOLVE_MIN_AGENTS, Network, _network
 
 BELIEF_SUM_TOL = 1e-9
 
@@ -215,39 +217,18 @@ def uniform_log_beliefs(n_agents: int, n_hypotheses: int) -> np.ndarray:
 
 # -- the three algorithm steps ------------------------------------------------
 
-#: Rows per table (N, the agents of one (N, H) table, also in a stack) from
-#: which log-sum-exps take the max shift instead of the reduce's calls: the
-#: shift's ufunc call per column costs more than the reduce's inner loop per
-#: row on few rows. Timed on trajectory rows at H = 3 (numpy 2.4, shared
-#: 2-core Xeon VM), the spread broke even near 64 rows and the pooled
-#: normalization between 96 and 128 on a ring; on the 100-agent random graph
-#: of ``hetero_random`` the shift cost about 5 us a step more than the reduce.
-#: Below it, a log-sum-exp over k >= 2 columns (a fixed tx's spread sums
-#: H - 1, the pooled normalization H) is a fold of k - 1 ``np.logaddexp``
-#: calls over column views, which makes the reduce's calls and so gives its
-#: bits; a single column (the spread at H = 2, the normalization at H = 1)
-#: stays one reduce, where the fold cannot start. Timed the same way, with
-#: ``out=`` on both sides, the H = 3 spread took 1.6 against 4.1 us at 10 rows
-#: and the H = 3 normalization 2.6 against 3.3 us at 10 rows and 6.2 against
-#: 14.0 at 100. At 10 rows the spread's reduce was cheaper from four columns on
-#: (2.8 against 3.5 us), but no benchmark workload steps a table that small and
-#: wide. ``_plan`` alone reads it; the seams run whichever calls it built.
-_SHIFT_MIN_ROWS = 128
-
-
-def _fold_calls(out: np.ndarray, first: np.ndarray, second: np.ndarray,
-                *rest: np.ndarray) -> list:
-    """The ``np.logaddexp`` calls, as (function, positional (x1, x2, out))
-    pairs, that fold ``first``, ``second`` and the ``rest`` in index order
-    into ``out`` (a positional ``out`` costs less than the keyword). They make
-    the calls the reduce over those columns makes, so they have its bits, and
-    those of the masked reduce from ``initial=-inf``: that reduce's first
-    call, ``logaddexp(-inf, x)``, only turns -0.0 into +0.0, which the next
-    call cannot tell apart."""
-    calls = [(np.logaddexp, (first, second, out))]
-    for column in rest:
-        calls.append((np.logaddexp, (out, column, out)))
-    return calls
+def _fold_calls(out: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> list:
+    """The calls, as (function, positional (x1, x2, out)) pairs, that fold
+    ``first`` and the ``rest`` in index order into ``out`` (a positional
+    ``out`` costs less than the keyword): ``np.logaddexp`` of the first two,
+    then of ``out`` and each next column. They make the calls the reduce over
+    those columns makes, so they have its bits, and those of the masked
+    reduce from ``initial=-inf``: that reduce's first call,
+    ``logaddexp(-inf, x)``, only turns -0.0 into +0.0, which the next call
+    cannot tell apart. A single column x is that first call alone, whose bits
+    are x + 0.0, and so one ``np.add``."""
+    calls = [(np.logaddexp, (first, rest[0], out)) if rest else (np.add, (first, 0.0, out))]
+    return calls + [(np.logaddexp, (out, column, out)) for column in rest[1:]]
 
 
 def _shift_calls(out: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> list:
@@ -277,17 +258,10 @@ def _shift_calls(out: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> list:
 def _lse_calls(rows: np.ndarray, out: np.ndarray, shift: bool, skip=None) -> list:
     """The calls that write log sum_c exp(rows[..., c]) over the last axis,
     column ``skip`` left out, into ``out`` of the rows' shape less that axis:
-    with ``shift``, the max shift (:func:`_shift_calls`); otherwise a fold
-    over two or more columns (:func:`_fold_calls`), or the one reduce over a
-    single column, masked from -inf where ``skip`` is left out, as argmax's
-    spread is."""
+    with ``shift``, the max shift (:func:`_shift_calls`), otherwise the fold
+    (:func:`_fold_calls`), which gives the reduce's bits."""
     columns = [rows[..., c] for c in range(rows.shape[-1]) if c != skip]
-    if shift:
-        return _shift_calls(out, *columns)
-    if len(columns) > 1:
-        return _fold_calls(out, *columns)
-    mask = () if skip is None else (False, -np.inf, np.arange(rows.shape[-1]) != skip)
-    return [(np.logaddexp.reduce, (rows, -1, None, out, *mask))]
+    return (_shift_calls if shift else _fold_calls)(out, *columns)
 
 
 def _sparse_product(pool, shared: np.ndarray, out: np.ndarray) -> None:
@@ -341,9 +315,9 @@ class _Plan:
     Building a plan is most of what a lone :func:`run_iteration` adds to the
     step, so it is kept small: each array is one ``np.empty`` call, which
     costs less than a view into one allocation, and the class is a slotted,
-    unfrozen dataclass built by position (on the VM of the timings at
-    ``_SHIFT_MIN_ROWS``, a frozen one took about 4 us longer to build and
-    keywords about 1.5 us). Nothing reassigns a field once built.
+    unfrozen dataclass built by position (on a shared 2-core Xeon VM with
+    numpy 2.4, a frozen one took about 4 us longer to build and keywords
+    about 1.5 us). Nothing reassigns a field once built.
     """
 
     aware: bool
@@ -371,7 +345,7 @@ def _plan(sharing, rows, net=None) -> _Plan:
     if net is not None and (len(shape) < 2 or shape[-2] != net.size):
         raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
-    shift = len(shape) >= 2 and shape[-2] >= _SHIFT_MIN_ROWS
+    shift = len(shape) >= 2 and shape[-2] >= SPARSE_SOLVE_MIN_AGENTS
     tx, aware = sharing.transmit, sharing.self_aware
     if _is_integer(tx):
         _check_integer("tx index", tx, 0, h - 1)

@@ -38,6 +38,13 @@ PERRON_RESIDUAL_TOL = 1e-10
 #: From this many agents on, a Network keeps A only as a CSC matrix, built and
 #: checked in O(nnz) with no N x N array, and the Perron system is solved by
 #: sparse LU; the step's pooling and the constants read that form (see Network).
+#: Its second reader is the step's log-sum-exp (``dynamics._plan``), by a
+#: table's agent count: below it a fold of ``np.logaddexp`` over the columns,
+#: with the reduce's bits, from it on the max shift. So one count decides
+#: whether a table is large. Timed by one 150-step run on a ring, discrete
+#: fixture, H = 3, thread CPU, 16 paired samples (numpy 2.4, shared 2-core Xeon
+#: VM), the fold took 0.85-0.98 of the shift's time from 128 to 199 rows under
+#: every rule, and 1.22-1.28 at 1000 (1.04 under argmax).
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 

@@ -27,6 +27,7 @@ from pbnet.dynamics import (
     uniform_log_beliefs,
 )
 from pbnet.errors import InvalidObservationError, NumericalError, ValidationError
+from pbnet.fixtures import bundled_discrete_family, bundled_gaussian_family
 from pbnet.likelihoods import (
     DiscreteFamily,
     DiscreteGroup,
@@ -287,6 +288,47 @@ class TestRecursionOracles:
             worst = max(worst, float(np.max(np.abs(ratios[i] - rhs))))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("tx", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["gaussian", "discrete", "mixed_list"])
+    def test_partial_sharing_is_full_sharing_on_the_lumped_family(self, case, tx):
+        # receivers spread the non-tx mass evenly, so from uniform beliefs the
+        # non-tx columns stay equal and their mass evolves as one hypothesis
+        # whose likelihood is the uniform mixture of theirs: the run is full
+        # sharing on the two hypotheses [tx, bucket], stepped here by pbnet's
+        # own full-sharing path on the lumped log-likelihoods of the stored
+        # observations
+        rng = np.random.default_rng(31 + tx)
+        if case == "mixed_list":  # a non-symmetric random network
+            n, models = 12, mixed_models(12)
+            adj = generate_strongly_connected_adjacency(n, 0.3, rng)
+            weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+            net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+            assert not np.allclose(net.matrix, net.matrix.T)
+        else:
+            n, net = 10, build_averaging_matrix(ring_adjacency(10), 0.3)
+            fixture = bundled_gaussian_family if case == "gaussian" else bundled_discrete_family
+            models = [fixture()] * n
+        h, horizon = 3, 300
+        traj, obs = run_trajectory(uniform_log_beliefs(n, h), net, models, 0, PartialSharing(tx),
+                                   horizon, rng, keep_observations=True)
+        loglik = np.empty((horizon, n, h))
+        for group in stack_models(models, n):
+            loglik[:, group.agents] = log_likelihood_rows(group, obs[:, group.agents])
+        others = np.arange(h) != tx
+        lumped_loglik = np.stack(
+            [loglik[..., tx], np.logaddexp.reduce(loglik[..., others], axis=-1) - np.log(h - 1)],
+            axis=-1)
+        lumped = np.log(np.tile([1.0 / h, (h - 1.0) / h], (n, 1)))
+        worst = 0.0
+        for t in range(horizon):
+            # given its row, the step reads no model, true index or generator
+            lumped, _ = run_iteration(lumped, net, None, None, FullSharing(), None,
+                                      observed=(None, lumped_loglik[t]))
+            mass = np.stack([traj[t + 1][:, tx],
+                             np.logaddexp.reduce(traj[t + 1][:, others], axis=-1)], axis=-1)
+            worst = max(worst, float(np.max(np.abs(lumped - mass))))
+        assert worst < 1e-12
+
 
 class TestValidation:
     def test_check_log_beliefs_rejects_nan(self):
@@ -422,7 +464,7 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"own log-beliefs of shape \(\d, \d\)"):
             combine_step(RING5, rows, np.zeros(own), SelfAwarePartialSharing(1))
 
-    @pytest.mark.parametrize("n", [10, 150], ids=["fold", "shift"])
+    @pytest.mark.parametrize("n", [10, 250], ids=["fold", "shift"])
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_a_table_with_no_hypothesis_is_a_validation_error(self, n, rule):
         # a zero-length hypothesis axis once gave an empty table, a bare
@@ -549,7 +591,7 @@ class TestStepKernel:
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("n", [10, 150, 250], ids=["fold", "shift", "sparse"])
+    @pytest.mark.parametrize("n", [10, 199, 250], ids=["fold", "fold_199", "shift"])
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_public_calls_return_arrays_of_their_own(self, n, rule):
         # a call with a Sharing resolves a plan of its own, so no workspace
@@ -576,55 +618,88 @@ class TestWorkspace:
                 assert not np.shares_memory(a, b)
 
 
-    @pytest.mark.parametrize("h, n", [(h, n) for h in (2, 3, 4) for n in (10, 100)] + [(3, 150)],
+    @pytest.mark.parametrize("h, n", [(h, n) for h in (2, 3, 4) for n in (10, 100)] + [(3, 199)],
                              ids=["H2-N10", "H2-N100", "H3-N10", "H3-N100", "H4-N10", "H4-N100",
-                                  "H3-N150"])
+                                  "H3-N199"])
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_a_planned_dense_step_allocates_no_numpy_buffer(self, n, h, rule):
-        # 64 steps given one plan, on a dense pool below and from the max-shift rows;
-        # at every bytecode of pbnet.dynamics at which the traced total has
-        # grown, numpy's tracemalloc domain must hold no more buffers than it
-        # held just before the steps began (a buffer made and freed inside
-        # one numpy call, such as a copy numpy takes of an overlapping
-        # source, is not seen)
+        # 64 steps given one plan, on a dense pool, up to its largest size
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         rng = np.random.default_rng(n + h)
         log_b = uniform_log_beliefs(n, h)
         plan = dynamics._plan(rule(1), log_b, net)
         rows = [(None, scored) for scored in rng.normal(0.0, 1.0, (65, n, h))]
         log_b, _ = run_iteration(log_b, net, DISC3, 0, plan, rng, observed=rows[0])
-        domain, source = np.lib.tracemalloc_domain, dynamics.__file__
-        seen, last = [], [0]
 
-        def bytecode(frame, event, arg):
-            if event == "opcode":
-                total = tracemalloc.get_traced_memory()[0]
-                if total > last[0]:
-                    traces = tracemalloc.take_snapshot().traces
-                    seen.append(sum(trace.domain == domain for trace in traces))
-                last[0] = total
-            return bytecode
-
-        def calls(frame, event, arg):
-            if frame.f_code.co_filename == source:
-                frame.f_trace_opcodes = True
-                return bytecode
-            return None
-
-        tracing, tracer = tracemalloc.is_tracing(), sys.gettrace()
-        if not tracing:
-            tracemalloc.start()
-        before = sum(trace.domain == domain for trace in tracemalloc.take_snapshot().traces)
-        sys.settrace(calls)
-        try:
+        def steps(log_b):
             for row in rows[1:]:
                 log_b, _ = run_iteration(log_b, net, DISC3, 0, plan, rng, observed=row)
-        finally:
-            sys.settrace(tracer)
-            if not tracing:
-                tracemalloc.stop()
-        assert seen and max(seen) <= before
-        check_log_beliefs(log_b)
+            return log_b
+
+        check_log_beliefs(assert_no_numpy_buffer_is_made(steps, log_b))
+
+    @pytest.mark.parametrize("h", [2, 3, 4], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("rule", [PartialSharing, SelfAwarePartialSharing],
+                             ids=["partial", "self_aware"])
+    def test_the_max_shift_allocates_no_numpy_buffer(self, h, rule):
+        # a fixed tx's spread, 64 times, on the max shift's rows of a plan
+        # built without a network (whose sparse product is scipy's)
+        n = 250
+        plan = dynamics._plan(rule(1), np.empty((n, h)))
+        assert np.exp in [function for function, _ in plan.modify]  # the shift's, not the fold's
+        rng = np.random.default_rng(h)
+        plan.psi[...] = rng.normal(0.0, 5.0, (n, h))
+        scores = rng.normal(0.0, 1.0, (64, n, h))
+
+        def spreads():
+            for scored in scores:
+                np.add(plan.psi, scored, plan.psi)
+                modify_for_sharing(None, plan)
+            return plan.shared
+
+        shared = assert_no_numpy_buffer_is_made(spreads)
+        others = np.arange(h) != 1
+        want = np.where(others, shift_reference(plan.psi, others) - np.log(h - 1), plan.psi)
+        assert shared.tobytes() == want.tobytes()
+
+
+def assert_no_numpy_buffer_is_made(run, *args):
+    """``run(*args)``, traced: at every bytecode of pbnet.dynamics at which
+    the traced total has grown, numpy's tracemalloc domain must hold no more
+    buffers than it held just before the call (a buffer made and freed inside
+    one numpy call, such as a copy numpy takes of an overlapping source, is
+    not seen). Returns what ``run`` returns."""
+    domain, source = np.lib.tracemalloc_domain, dynamics.__file__
+    seen, last = [], [0]
+
+    def bytecode(frame, event, arg):
+        if event == "opcode":
+            total = tracemalloc.get_traced_memory()[0]
+            if total > last[0]:
+                traces = tracemalloc.take_snapshot().traces
+                seen.append(sum(trace.domain == domain for trace in traces))
+            last[0] = total
+        return bytecode
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename == source:
+            frame.f_trace_opcodes = True
+            return bytecode
+        return None
+
+    tracing, tracer = tracemalloc.is_tracing(), sys.gettrace()
+    if not tracing:
+        tracemalloc.start()
+    before = sum(trace.domain == domain for trace in tracemalloc.take_snapshot().traces)
+    sys.settrace(calls)
+    try:
+        result = run(*args)
+    finally:
+        sys.settrace(tracer)
+        if not tracing:
+            tracemalloc.stop()
+    assert seen and max(seen) <= before
+    return result
 
 
 class TestSharing:
@@ -1077,8 +1152,9 @@ def lse_paths(rows, tx=None):
 
 
 class TestColumnFold:
-    """The two log-sum-exp forms: one reduce below ``_SHIFT_MIN_ROWS`` rows
-    per table, and the max shift over column views from there on."""
+    """The two log-sum-exp forms: the fold, with the reduce's bits, below
+    ``SPARSE_SOLVE_MIN_AGENTS`` rows per table, and the max shift over column
+    views from there on."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(h=st.integers(1, 10), scale=st.sampled_from([1.0, 30.0, 1e3, 4e4]),
@@ -1130,7 +1206,8 @@ class TestColumnFold:
 
     def test_a_single_entry_enters_as_the_reduce_takes_it(self):
         # the reduce folds from -inf, which turns -0.0 into +0.0; the shift
-        # adds log(exp(0)) = 0.0 to the entry, which does the same
+        # adds log(exp(0)) = 0.0 to the entry and the fold adds 0.0, which
+        # do the same
         rows = np.array([[-0.0, 1.0], [2.0, -0.0]])
         shift = shift_lse
         for tx in (0, 1):
@@ -1140,8 +1217,8 @@ class TestColumnFold:
         assert shift(rows[:, :1]).tobytes() == np.array([[0.0], [2.0]]).tobytes()
         # the spread of tx 0 on tables of 11 rows gives the masked reduce's
         # bits on every single, pair and triple of special values (H = 2, 3
-        # and 4): the one kept column through the reduce, two and three
-        # through the fold from the first two, which also normalizes so
+        # and 4): the fold of the kept columns, one np.add for one column,
+        # which also normalizes so
         specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 800.0, -800.0,
                     1e-300, -1e-300]
         with np.errstate(invalid="ignore"):
@@ -1150,25 +1227,32 @@ class TestColumnFold:
                 rows = np.concatenate([np.full((len(kept), 1), -1.0), kept], axis=1)
                 rows = rows.reshape(-1, 11, k + 1)
                 first = dynamics._plan(PartialSharing(0), rows).modify[0][0]
-                assert first == (np.logaddexp if k > 1 else np.logaddexp.reduce)
+                assert first == (np.logaddexp if k > 1 else np.add)
                 others = np.arange(k + 1) != 0
                 want = np.where(others, reduce_reference(rows, others) - np.log(k), rows)
                 assert modify_for_sharing(rows, PartialSharing(0)).tobytes() == want.tobytes()
-                if k > 1:
-                    out = np.empty(len(kept))
-                    for function, args in dynamics._fold_calls(out, *kept.T):
-                        function(*args)
-                    assert out.tobytes() == reduce_reference(kept)[:, 0].tobytes()
+                out = np.empty(len(kept))
+                for function, args in dynamics._fold_calls(out, *kept.T):
+                    function(*args)
+                assert out.tobytes() == reduce_reference(kept)[:, 0].tobytes()
+            # an H = 1 table normalizes its one column by that one np.add: a
+            # stack of one-agent tables, whose pool passes each special value
+            net = Network.from_matrix([[1.0]])
+            shared = np.array(specials).reshape(-1, 1, 1)
+            pooled = net.pool @ shared
+            want = pooled - reduce_reference(pooled)
+            got = combine_step(net, shared, shared, FullSharing())
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "n", sorted({10, 63, 64, 200, dynamics._SHIFT_MIN_ROWS - 1, dynamics._SHIFT_MIN_ROWS}),
+        "n", [10, 63, 64, 128, SPARSE_SOLVE_MIN_AGENTS - 1, SPARSE_SOLVE_MIN_AGENTS, 250],
         ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_seams_equal_one_reduce_per_step_bitwise(self, n, rule):
-        # below the row-count switch the seams give the reduce's bits, whether
-        # they fold or reduce, from it on the max shift's; argmax's spread is
-        # one masked reduce at every size
-        lse = reduce_reference if n < dynamics._SHIFT_MIN_ROWS else shift_reference
+        # below the sparse pool's agent count the seams fold, with the
+        # reduce's bits, from it on they give the max shift's; argmax's
+        # spread is one masked reduce at every size
+        lse = reduce_reference if n < SPARSE_SOLVE_MIN_AGENTS else shift_reference
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         for h in (2, 3, 4, 6):
             rng = np.random.default_rng(n)
@@ -1193,11 +1277,12 @@ class TestColumnFold:
             want = pooled - lse(pooled)
             assert combine_step(net, shared, log_psi, sharing).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [10, 150, 250], ids=["fold", "shift", "sparse"])
+    @pytest.mark.parametrize("n", [10, SPARSE_SOLVE_MIN_AGENTS - 1, 250],
+                             ids=["fold", "fold_199", "shift"])
     def test_full_self_aware_sharing_pools_own_rows_apart_from_the_shared(self, n):
         # under Sharing(None, self_aware=True) the plan keeps the shared rows
         # apart from psi, so own rows that differ from them enter a_kk's term
-        lse = reduce_reference if n < dynamics._SHIFT_MIN_ROWS else shift_reference
+        lse = reduce_reference if n < SPARSE_SOLVE_MIN_AGENTS else shift_reference
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         shared, own = np.random.default_rng(n).normal(0.0, 5.0, (2, n, 3))
         pooled = net.pool @ shared
@@ -1206,14 +1291,14 @@ class TestColumnFold:
         got = combine_step(net, shared, own, Sharing(None, self_aware=True))
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [10, 100, dynamics._SHIFT_MIN_ROWS - 1],
+    @pytest.mark.parametrize("n", [10, 100, SPARSE_SOLVE_MIN_AGENTS - 1],
                              ids=lambda n: f"N{n}")
     @pytest.mark.parametrize("h", [2, 3, 4, 6], ids=lambda h: f"H{h}")
     @pytest.mark.parametrize("rule", [FullSharing, PartialSharing, SelfAwarePartialSharing],
                              ids=["full", "partial", "self_aware"])
     def test_trajectory_steps_as_the_reduce_formulas_bitwise(self, n, h, rule):
         # each step of a run, through the plan's workspace, its np.dot pool
-        # product and whichever of fold and reduce the rule picks, equals the
+        # product and the fold of every rule, equals the
         # step written with net.pool @ shared, the masked reduce and
         # pooled - reduce
         rng = np.random.default_rng(10 * n + h)
@@ -1234,13 +1319,13 @@ class TestColumnFold:
                     pooled += net.diagonal[:, None] * (psi - shared)
                 assert_bitwise(traj[t + 1], pooled - reduce_reference(pooled))
 
-    @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 150), (2, 250)],
-                             ids=["7x10", "2x70", "2x150", "2x250"])
+    @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 199), (2, 250)],
+                             ids=["7x10", "2x70", "2x199", "2x250"])
     @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
     def test_a_stack_steps_each_table_as_it_steps_alone(self, b, n, strat):
         # the path follows one table's agent count, and rows normalize over H;
-        # from SPARSE_SOLVE_MIN_AGENTS agents on, the pool is sparse
-        assert (n >= dynamics._SHIFT_MIN_ROWS) == (n >= 150)
+        # from SPARSE_SOLVE_MIN_AGENTS agents on, the pool is sparse and the
+        # log-sum-exps take the max shift
         assert (n >= SPARSE_SOLVE_MIN_AGENTS) == (n == 250)
         rng = np.random.default_rng(n)
         log_psi = rng.normal(0.0, 5.0, (b, n, 3))
