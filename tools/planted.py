@@ -63,15 +63,19 @@ def outcomes(tree: Path, tests: list) -> dict:
     subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                     "--rootdir", str(tree), f"--junitxml={report}", *tests],
                    cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    # the report names tests/test_x.py::TestY::test_z[p] as classname
+    # "tests.test_x.TestY" and name "test_z[p]"
+    named = {}
+    for test in tests:
+        path, *scope, name = test.split("::")
+        named[".".join([path.removesuffix(".py").replace("/", "."), *scope]), name] = test
     found = {test: [] for test in tests}
     if report.exists():
         for case in ET.parse(report).iter("testcase"):
-            # classname "tests.test_dynamics.TestRecursionOracles", name "test_x[param]"
-            module, _, cls = case.get("classname").rpartition(".")
-            node = f"{module.replace('.', '/')}.py::{cls}::{case.get('name').split('[')[0]}"
-            passed = all(case.find(tag) is None for tag in ("failure", "error", "skipped"))
-            if node in found:
-                found[node].append(passed)
+            test = named.get((case.get("classname"), case.get("name").split("[")[0]))
+            if test is not None:
+                found[test].append(all(case.find(tag) is None
+                                       for tag in ("failure", "error", "skipped")))
         report.unlink()
     return found
 
