@@ -5,13 +5,15 @@ hypothesis) and strictly positive finite-support pmfs over {0..S-1}.
 Strict positivity of discrete rows is enforced at construction so that
 log-likelihood ratios are always finite and integrable. Each family also
 holds its divergence tables (``point``, ``complement``, ``bound``), each
-built whole on its first read, which the regime predictors read. Divergences
-take hypothesis indices (:func:`kl_divergence`, a ``point`` entry) or mixture
-weights, one vector or a stack per side (:func:`mixture_kl`, which also
-builds ``complement``). A Gaussian mixture divergence that the Gauss-Hermite
-rule cannot certify falls back to pbnet's own composite Gauss-Legendre rule,
-in :func:`mixture_kl` alone. Both rules give a value only with one
-certificate: their coarse and fine sums agree within ``KL_QUAD_TOL``.
+built whole on its first read, which the regime predictors read; a discrete
+family builds its scoring and sampling tables on first read too.
+Divergences take hypothesis indices (:func:`kl_divergence`, a ``point``
+entry) or mixture weights, one vector or a stack per side
+(:func:`mixture_kl`, which also builds ``complement``). A Gaussian mixture
+divergence that the Gauss-Hermite rule cannot certify falls back to pbnet's
+own composite Gauss-Legendre rule, in :func:`mixture_kl` alone. Both rules
+give a value only with one certificate: their coarse and fine sums agree
+within ``KL_QUAD_TOL``.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -189,9 +191,13 @@ class GaussianGroup:
         return self._log_density(x)
 
     def _log_density(self, x) -> np.ndarray:
-        """``log_rows`` of observations known to be finite numbers."""
+        """``log_rows`` of observations known to be finite numbers:
+        -0.5 * d * d - log sqrt(2 pi), d = x - mean, in two buffers."""
         d = x[..., None] - self.means
-        return -0.5 * d * d - _LOG_SQRT_2PI
+        out = np.multiply(d, -0.5)
+        out *= d
+        out -= _LOG_SQRT_2PI
+        return out
 
     @staticmethod
     def variates(rng: np.random.Generator):
@@ -389,6 +395,10 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
 
     The tables are the group's for one agent: ``log_table`` is (S, H),
     ``log_pmf`` (1, H, S), ``cdf`` (H, S, 1), and ``support_size`` is S.
+    They are built together, read-only, on the first read of any of them,
+    which a score, a draw or ``bound`` makes; a family in a per-agent list
+    is scored by its group (:func:`stack_models`), built from ``pmf``, and
+    never builds its own.
 
     An instance does not change once built: it keeps a read-only copy of
     ``pmf``, and a caller's array stays writeable. Its divergence tables (see
@@ -406,10 +416,20 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
             raise ValidationError(f"pmf entry [{r}][{s}] must be strictly positive")
         self.pmf = _read_only(table.copy())
         self.support_size = table.shape[1]
-        self._tabulate([table])
+
+    def __getattr__(self, name):
+        # reached only while the group's tables are not built
+        if name not in ("log_table", "log_pmf", "cdf", "_row_start"):
+            raise AttributeError(f"'DiscreteFamily' object has no attribute {name!r}")
+        self._tabulate([self.pmf])
+        return getattr(self, name)
 
     def __repr__(self):
         return f"DiscreteFamily(pmf={self.pmf.tolist()})"
+
+    @property
+    def hypothesis_count(self) -> int:
+        return int(self.pmf.shape[0])
 
     def _point_table(self) -> np.ndarray:
         return _exact_kl(self.pmf[:, None], self.pmf)

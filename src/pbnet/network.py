@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, identity, issparse
+from scipy.sparse import csc_matrix, csr_array, identity, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
@@ -60,13 +60,34 @@ def _square(what: str, matrix, dtype):
 
 
 def is_strongly_connected(adjacency) -> bool:
-    """Whether a directed 0/1 adjacency, a square matrix dense or sparse
-    (``_square``) with one stored entry per edge, has one strongly connected
-    component."""
+    """Whether a directed adjacency, a square matrix dense or sparse
+    (``_square``), has one strongly connected component.
+
+    A dense matrix's edges are its nonzeros; a sparse matrix's are its stored
+    entries, a stored zero or a duplicate included. The check hands
+    ``connected_components`` one float64 CSR array, so scipy converts
+    neither format nor values: built from a dense matrix's nonzeros, or from
+    a CSR's own index arrays, or from a CSC's, read as the CSR of its
+    transpose, whose strong components are the same; any other sparse format
+    is converted to CSR once. An edge stored twice is summed into one on a
+    copy first.
+    """
     adjacency = _square("adjacency", adjacency, bool)
-    n_comp, _ = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
-    )
+    n = adjacency.shape[0]
+    if not issparse(adjacency):
+        rows, indices = np.divmod(np.flatnonzero(adjacency), n)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    else:
+        if adjacency.format not in ("csr", "csc"):
+            adjacency = adjacency.tocsr()
+        if not adjacency.has_canonical_format:
+            # scipy miscounts, or never returns, on an edge stored twice
+            adjacency = adjacency.copy()
+            adjacency.sum_duplicates()
+        indptr, indices = adjacency.indptr, adjacency.indices
+    # csr_matrix would scan the indices to downcast them; csr_array takes them
+    graph = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    n_comp, _ = connected_components(graph, directed=True, connection="strong")
     return int(n_comp) == 1
 
 

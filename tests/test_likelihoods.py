@@ -195,6 +195,32 @@ class TestLikelihood:
             -0.5 * math.log(2 * math.pi), rel=1e-12
         )
 
+    @staticmethod
+    def expression_density(x, means):
+        d = x[..., None] - means
+        return -0.5 * d * d - likelihoods._LOG_SQRT_2PI
+
+    def test_gaussian_density_is_the_expression_bitwise_on_a_block(self):
+        rng = np.random.default_rng(4)
+        group = stack_models([GaussianFamily(m) for m in rng.normal(0, 2, (50, 3))], 50)[0]
+        x = rng.normal(0, 3, (64, 50))
+        got, want = group._log_density(x), self.expression_density(x, group.means)
+        assert got.shape == (64, 50, 3) and got.tobytes() == want.tobytes()
+
+    def test_gaussian_density_is_the_expression_bitwise_on_quadrature_points(self, monkeypatch):
+        # the fallback rule's (panels, nodes) points, on the pair the
+        # Gauss-Hermite rule leaves uncertified
+        fam, points = GaussianFamily([0.0, 3.0, 6.0]), []
+
+        def quad(f, edges):
+            return likelihoods._quad(lambda x: points.append(x) or f(x), edges)
+
+        monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=quad))
+        mixture_kl(fam, np.eye(3)[1], uniform_complement(3, 1))
+        (x,) = points
+        got, want = fam._log_density(x), self.expression_density(x, fam.means)
+        assert x.ndim == 2 and got.tobytes() == want.tobytes()
+
     def test_discrete_rejects_out_of_support(self):
         with pytest.raises(InvalidObservationError):
             log_likelihood_row(DISC, 3)[0]
@@ -871,6 +897,45 @@ class TestDiscreteRowTable:
         group = stack_models([DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), fam], 2)[0]
         with pytest.raises(InvalidObservationError, match=r"^observation 2 outside discrete"):
             log_likelihood_rows(group, [[1, 2], [2, 0]])
+
+
+class TestLazyFamilyTables:
+    """A discrete family builds its group tables on their first read."""
+
+    TABLES = ("log_table", "log_pmf", "cdf", "_row_start")
+    PMF = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]]
+
+    def test_a_fresh_family_holds_no_table(self):
+        fam = DiscreteFamily(self.PMF)
+        assert not set(self.TABLES) & set(vars(fam))
+        assert fam.hypothesis_count == 3 and not set(self.TABLES) & set(vars(fam))
+
+    @pytest.mark.parametrize("read", [
+        lambda fam: log_likelihood_rows(fam, [0, 2]),
+        lambda fam: sample_observation(fam, 1, np.random.default_rng(0)),
+        lambda fam: fam.bound,
+    ], ids=["score", "draw", "bound"])
+    def test_the_first_read_builds_the_one_agent_group_tables(self, read):
+        fam = DiscreteFamily(self.PMF)
+        group = likelihoods.DiscreteGroup(np.array([0]), [fam])
+        read(fam)
+        assert set(self.TABLES) <= set(vars(fam))
+        for name in self.TABLES:
+            got, want = getattr(fam, name), getattr(group, name)
+            assert not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_stacking_and_divergences_build_no_family_table(self):
+        rng = np.random.default_rng(5)
+        families = [DiscreteFamily(rng.dirichlet(np.ones(4), 3)) for _ in range(50)]
+        stack_models(families, 50)
+        for fam in families:
+            kl_divergence(fam, 0, 1)
+        assert not any(set(self.TABLES) & set(vars(fam)) for fam in families)
+
+    def test_another_missing_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'DiscreteFamily' object has no attribute 'x'"):
+            DiscreteFamily(self.PMF).x
 
 
 # ---------------------------------------------------------------------------

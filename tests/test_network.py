@@ -48,7 +48,65 @@ def path_adjacency(n):
     return adj
 
 
+def closure_is_connected(edges: np.ndarray) -> bool:
+    """Reference check: whether every node reaches every other, by squaring
+    the Boolean reachability matrix (the edges and the diagonal) until it
+    stops growing."""
+    reach = edges | np.eye(len(edges), dtype=bool)
+    while True:
+        step = reach.astype(np.float32)
+        grown = step @ step > 0
+        if (grown == reach).all():
+            return bool(reach.all())
+        reach = grown
+
+
+def adjacency_forms(edges: np.ndarray, rng) -> dict:
+    """``edges`` as every input form the check takes. Dense forms hold a
+    nonzero at each edge; sparse forms store each edge once or twice, some
+    entries with value 0, and nothing else, so that their stored entries are
+    the edges."""
+    n = len(edges)
+    rows, cols = np.nonzero(edges)
+    twice = rng.random(rows.size) < 0.3
+    rows, cols = np.concatenate([rows, rows[twice]]), np.concatenate([cols, cols[twice]])
+    values = rng.choice([0.0, 1.0, -2.5], size=rows.size)
+
+    def compressed(build, major, minor):
+        order = np.lexsort((minor, major))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(major, minlength=n))))
+        return build((values[order], minor[order], indptr), shape=(n, n))
+
+    weights = np.where(edges, rng.choice([1, -3, 7], size=edges.shape), 0)
+    coo = coo_matrix((values, (rows, cols)), shape=(n, n))
+    return {"bool": edges, "int": weights, "float": 0.25 * weights, "coo": coo,
+            "csr": compressed(csr_matrix, rows, cols), "csc": compressed(csc_matrix, cols, rows),
+            "lil": lil_matrix(coo)}
+
+
 class TestConnectivity:
+    @pytest.mark.parametrize("sizes", [range(1, 31), [250]], ids=["1-30", "250"])
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(p=st.sampled_from([0.0, 0.004, 0.05, 0.2, 0.5]), cycle=st.booleans(),
+           drops=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_a_boolean_closure_reference(self, sizes, p, cycle, drops, seed, data):
+        # a random graph, over a cycle through every node less a few of its
+        # edges when ``cycle``, so that both answers come up at every size;
+        # 250 nodes lie past SPARSE_SOLVE_MIN_AGENTS
+        n = data.draw(st.sampled_from(sizes))
+        rng = np.random.default_rng(seed)
+        edges = rng.random((n, n)) < p
+        if cycle:
+            order = rng.permutation(n)
+            kept = np.ones(n, bool)
+            kept[rng.integers(0, n, drops)] = False
+            edges[order[kept], np.roll(order, -1)[kept]] = True
+        want = closure_is_connected(edges)
+        forms = adjacency_forms(edges, rng)
+        assert forms["csr"].nnz >= edges.sum() and forms["lil"].nnz == edges.sum()
+        for name, adjacency in forms.items():
+            assert is_strongly_connected(adjacency) is want, name
+
     def test_cycle_is_strongly_connected(self):
         adj = np.zeros((4, 4), dtype=bool)
         for k in range(4):

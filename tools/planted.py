@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DYNAMICS = "src/pbnet/dynamics.py"
+NETWORK = "src/pbnet/network.py"
 RECURSIONS = "tests/test_dynamics.py::TestRecursionOracles::"
 
 # (name, file, exact old text, new text, the tests each of which must fail)
@@ -52,6 +53,10 @@ DEFECTS = [
      [RECURSIONS + "test_partial_log_ratio_recursion",
       RECURSIONS + "test_partial_recursion_from_first_step_with_uniform_init",
       RECURSIONS + "test_partial_sharing_is_full_sharing_on_the_lumped_family"]),
+    ("weak connectivity taken for strong", NETWORK,
+     'connection="strong"',
+     'connection="weak"',
+     ["tests/test_network.py::TestConnectivity::test_matches_a_boolean_closure_reference"]),
 ]
 
 
