@@ -170,8 +170,8 @@ def predict_self_aware_regime(
     from the true likelihood. tx != true: two mutually exclusive sufficient
     conditions are checked. "lem3": the tx belief collapses to zero and the
     others oscillate, when D_KL[L(true)||L(tx)] exceeds alpha/(H-1) times the
-    summed divergences to the other hypotheses. As defined here alpha is 1
-    on every network of two or more agents (see
+    summed divergences to the other hypotheses. alpha is exactly 1.0 on
+    every network of two or more agents (see
     :func:`pbnet.network.alpha_constant`), so lem3 does not depend on the
     network. "lem4": the tx belief collapses to one, when the
     complement-mixture divergence exceeds the tx divergence plus

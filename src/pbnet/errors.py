@@ -52,10 +52,6 @@ class DegenerateDegreeError(ValidationError):
     """Averaging rule cannot distribute the off-self mass (isolated node)."""
 
 
-class DivisionDegeneracyError(ValidationError):
-    """Some agent has full self-weight while others still listen to it."""
-
-
 class IndistinguishableHypothesesError(ValidationError):
     """Two distinct hypotheses induce the same observation distribution."""
 

@@ -24,7 +24,6 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from .errors import (
     ConnectivityError,
     DegenerateDegreeError,
-    DivisionDegeneracyError,
     GraphGenerationError,
     NonConvergenceError,
     ValidationError,
@@ -59,36 +58,40 @@ def _square(what: str, matrix, dtype):
     return matrix
 
 
+def _one_strong_component(indices, indptr) -> bool:
+    """Whether the graph held as the index arrays of a CSR, or of a CSC read
+    as the CSR of its transpose, whose strong components are the same, has
+    one strongly connected component. scipy is handed one float64 CSR array,
+    so it converts neither format nor values; the arrays hold each edge once."""
+    n = indptr.size - 1
+    # csr_matrix would scan the indices to downcast them; csr_array takes them
+    graph = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    return int(n_comp) == 1
+
+
 def is_strongly_connected(adjacency) -> bool:
     """Whether a directed adjacency, a square matrix dense or sparse
     (``_square``), has one strongly connected component.
 
     A dense matrix's edges are its nonzeros; a sparse matrix's are its stored
-    entries, a stored zero or a duplicate included. The check hands
-    ``connected_components`` one float64 CSR array, so scipy converts
-    neither format nor values: built from a dense matrix's nonzeros, or from
-    a CSR's own index arrays, or from a CSC's, read as the CSR of its
-    transpose, whose strong components are the same; any other sparse format
-    is converted to CSR once. An edge stored twice is summed into one on a
-    copy first.
+    entries, a stored zero or a duplicate included. The check
+    (``_one_strong_component``) reads a dense matrix's nonzeros, or a CSR's
+    or a CSC's own index arrays; any other sparse format is converted to CSR
+    once. An edge stored twice is summed into one on a copy first.
     """
     adjacency = _square("adjacency", adjacency, bool)
-    n = adjacency.shape[0]
     if not issparse(adjacency):
+        n = adjacency.shape[0]
         rows, indices = np.divmod(np.flatnonzero(adjacency), n)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    else:
-        if adjacency.format not in ("csr", "csc"):
-            adjacency = adjacency.tocsr()
-        if not adjacency.has_canonical_format:
-            # scipy miscounts, or never returns, on an edge stored twice
-            adjacency = adjacency.copy()
-            adjacency.sum_duplicates()
-        indptr, indices = adjacency.indptr, adjacency.indices
-    # csr_matrix would scan the indices to downcast them; csr_array takes them
-    graph = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return int(n_comp) == 1
+        return _one_strong_component(indices, np.searchsorted(rows, np.arange(n + 1)))
+    if adjacency.format not in ("csr", "csc"):
+        adjacency = adjacency.tocsr()
+    if not adjacency.has_canonical_format:
+        # scipy miscounts, or never returns, on an edge stored twice
+        adjacency = adjacency.copy()
+        adjacency.sum_duplicates()
+    return _one_strong_component(adjacency.indices, adjacency.indptr)
 
 
 def _entries(matrix) -> tuple:
@@ -168,47 +171,31 @@ def perron_vector(matrix) -> np.ndarray:
     return v / v.sum()
 
 
-def _listener_sum(matrix, perron: np.ndarray, self_weighted: bool) -> float:
-    """sum_l v_l * sum_{m != l} a_ml * w_m, where w_m = 1 / (1 - a_mm), times
-    a_mm when ``self_weighted``.
-
-    Swapping the sums gives sum_m w_m * ((A v)_m - a_mm v_m), and A v = v
-    turns the bracket into (1 - a_mm) v_m, which w_m cancels: the sum is
-    sum_{m : a_mm < 1} v_m, each term times a_mm when ``self_weighted``. So no
-    product with A is needed. An agent with a_mm >= 1 drops out; that is only
-    sound when nobody listens to it, which is the one check that reads A's
-    entries (``_entries``); a matrix with no such agent is never scanned.
-    ``matrix`` is square, dense or scipy.sparse (``_square``), and ``perron``
-    is read by the number rule (``errors._numbers``) as N floats. The error
-    names the lowest listener, then the lowest agent it hears with full
-    self-weight.
-    """
+def _self_weights(matrix, perron) -> tuple:
+    """(diag(A), v): ``matrix`` is square, dense or scipy.sparse
+    (``_square``), and ``perron`` is read by the number rule
+    (``errors._numbers``) as N floats."""
     matrix = _square("combination matrix", matrix, float)
     d = matrix.diagonal()
     perron = _numbers("perron", perron, float)
     if perron.shape != d.shape:
         raise ValidationError(f"perron must hold {d.size} entries, got shape {perron.shape}")
-    full = d >= 1.0
-    if full.any():
-        rows, cols, _ = _entries(_csc(matrix))  # column by column, rows ascending
-        heard = np.flatnonzero(full[rows] & (rows != cols))
-        if heard.size:
-            m, l = rows[heard[0]], cols[heard[0]]
-            raise DivisionDegeneracyError(f"agent {m} has full self-weight but agent {l} listens to it")
-    w = np.where(d < 1.0, d if self_weighted else 1.0, 0.0)
-    return float(w @ perron)
+    return d, perron
 
 
 def alpha_constant(matrix, perron: np.ndarray) -> float:
-    """sum_l v_l * sum_{n != l} a_{nl} / (1 - a_{nn}).
+    """sum_l v_l * sum_{n != l} a_{nl} / (1 - a_{nn}), which is exactly 1.0
+    on every network ``Network.from_matrix`` accepts with N >= 2 agents, and
+    0.0 for a single agent.
 
-    By A v = v this is sum_{n : a_nn < 1} v_n (see ``_listener_sum``). A
-    strongly connected network of N >= 2 agents has no a_nn = 1, since
-    agent n would then hear nobody; so alpha is sum(v) = 1 for every network
-    ``Network.from_matrix`` accepts with N >= 2, whatever its weights, and 0
-    for a single agent. As defined here it does not depend on the graph.
+    Swapping the sums gives sum_n ((A v)_n - a_nn v_n) / (1 - a_nn), and
+    A v = v makes each term v_n, so the sum is sum(v) = 1. No a_nn is 1 on
+    a strongly connected network of N >= 2 agents, since agent n would then
+    hear nobody. So alpha depends on neither the weights nor the graph:
+    ``matrix`` and ``perron`` are only checked (``_self_weights``).
     """
-    return _listener_sum(matrix, perron, self_weighted=False)
+    d, _ = _self_weights(matrix, perron)
+    return 1.0 if d.size > 1 else 0.0
 
 
 def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
@@ -216,11 +203,14 @@ def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
 
     The network-dependent factor of the self-aware mislearning condition
     (it gets multiplied by the likelihood bound). By A v = v it is
-    sum_{n : a_nn < 1} a_nn v_n, which is diag(A) @ v for every accepted
-    network with N >= 2 (see ``alpha_constant``). For an averaging-rule
-    matrix with self-weight lam every a_nn is lam, so it is exactly lam.
+    diag(A) @ v on every accepted network with N >= 2 agents (see
+    ``alpha_constant``), and 0.0 for a single agent. The diagonal is copied
+    before the product: a dense A's is a strided view, whose product can
+    differ in the last bit. For an averaging-rule matrix with self-weight lam
+    every a_nn is lam, so it is lam * sum(v): lam up to the rounding of sum(v).
     """
-    return _listener_sum(matrix, perron, self_weighted=True)
+    d, v = _self_weights(matrix, perron)
+    return float(d.copy() @ v) if d.size > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -234,10 +224,11 @@ class Network:
     read-only form; from the cutoff on it is built on first read and cached,
     and nothing in pbnet reads it. ``pool`` is A.T in the form the step
     multiplies by, ``pool @ shared``: the dense transposed view below the
-    cutoff, from it on CSR with no copy. The strong-connectivity check, the
-    Perron solve (dense or sparse LU by the same cutoff) and its residual all
-    read ``weights``. ``diagonal`` holds the self-weights a_kk; ``alpha`` and
-    ``weight_sum`` are closed forms in it and ``perron``.
+    cutoff, from it on CSR with no copy. The Perron solve (dense or sparse
+    LU by the same cutoff) and its residual read ``weights``. ``diagonal``
+    holds the self-weights a_kk. ``alpha`` is exactly 1.0, or 0.0 for a
+    single agent (``alpha_constant``), and ``weight_sum`` is diagonal @ perron
+    (``mislearning_weight_sum``).
 
     Immutable after construction; safe to share across concurrent runs.
     """
@@ -272,8 +263,11 @@ class Network:
 
         A is copied once into its stored form (see Network), a CSC copy with
         no stored zeros (``_csc``) from SPARSE_SOLVE_MIN_AGENTS agents on.
-        Every check reads A's nonzeros by ``_entries`` (O(nnz) from the cutoff
-        on), and a given adjacency is indexed at them; a stored zero is no edge.
+        Every check reads A's nonzeros, found once by ``_entries`` (O(nnz)
+        from the cutoff on), and a given adjacency is indexed at them; a
+        stored zero is no edge. The strong-connectivity check
+        (``_one_strong_component``) takes them as they are: a dense A's in
+        row-major order, or the CSC's own index arrays.
         """
         matrix = _square("combination matrix", matrix, float)
         shape = matrix.shape
@@ -293,7 +287,11 @@ class Network:
                 raise ValidationError("adjacency shape does not match the matrix")
             if not np.all(graph[rows, cols]):
                 raise ValidationError("nonzero weight on a non-edge")
-        if not is_strongly_connected(weights):
+        if issparse(weights):
+            indices, indptr = weights.indices, weights.indptr
+        else:
+            indices, indptr = cols, np.searchsorted(rows, np.arange(n + 1))
+        if not _one_strong_component(indices, indptr):
             raise ConnectivityError("graph is not strongly connected")
         diagonal = weights.diagonal().copy()
         if not np.any(diagonal > 0):

@@ -13,7 +13,6 @@ from pbnet.dynamics import Sharing, SelfAwarePartialSharing, run_trajectory, uni
 from pbnet.errors import (
     ConnectivityError,
     DegenerateDegreeError,
-    DivisionDegeneracyError,
     GraphGenerationError,
     NonConvergenceError,
     ValidationError,
@@ -46,6 +45,11 @@ def path_adjacency(n):
     i = np.arange(n - 1)
     adj[i, i + 1] = adj[i + 1, i] = True
     return adj
+
+
+def column_stochastic(adj, rng):
+    weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+    return weights / weights.sum(axis=0)
 
 
 def closure_is_connected(edges: np.ndarray) -> bool:
@@ -84,23 +88,36 @@ def adjacency_forms(edges: np.ndarray, rng) -> dict:
             "lil": lil_matrix(coo)}
 
 
+def over_random_patterns(test):
+    """Run ``test(self, sizes, p, cycle, drops, seed, data)`` on 30 derandomized
+    draws of ``random_pattern``'s arguments per size range: 1-30 nodes, and
+    250, past SPARSE_SOLVE_MIN_AGENTS."""
+    test = given(p=st.sampled_from([0.0, 0.004, 0.05, 0.2, 0.5]), cycle=st.booleans(),
+                 drops=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), data=st.data())(test)
+    test = settings(derandomize=True, max_examples=30, deadline=None)(test)
+    return pytest.mark.parametrize("sizes", [range(1, 31), [250]], ids=["1-30", "250"])(test)
+
+
+def random_pattern(sizes, p, cycle, drops, seed, data) -> tuple:
+    """(edges, rng): a random graph on a drawn size, over a cycle through
+    every node less a few of its edges when ``cycle``, so that both answers
+    of a connectivity check come up at every size; and the generator that
+    drew it."""
+    n = data.draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(seed)
+    edges = rng.random((n, n)) < p
+    if cycle:
+        order = rng.permutation(n)
+        kept = np.ones(n, bool)
+        kept[rng.integers(0, n, drops)] = False
+        edges[order[kept], np.roll(order, -1)[kept]] = True
+    return edges, rng
+
+
 class TestConnectivity:
-    @pytest.mark.parametrize("sizes", [range(1, 31), [250]], ids=["1-30", "250"])
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(p=st.sampled_from([0.0, 0.004, 0.05, 0.2, 0.5]), cycle=st.booleans(),
-           drops=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @over_random_patterns
     def test_matches_a_boolean_closure_reference(self, sizes, p, cycle, drops, seed, data):
-        # a random graph, over a cycle through every node less a few of its
-        # edges when ``cycle``, so that both answers come up at every size;
-        # 250 nodes lie past SPARSE_SOLVE_MIN_AGENTS
-        n = data.draw(st.sampled_from(sizes))
-        rng = np.random.default_rng(seed)
-        edges = rng.random((n, n)) < p
-        if cycle:
-            order = rng.permutation(n)
-            kept = np.ones(n, bool)
-            kept[rng.integers(0, n, drops)] = False
-            edges[order[kept], np.roll(order, -1)[kept]] = True
+        edges, rng = random_pattern(sizes, p, cycle, drops, seed, data)
         want = closure_is_connected(edges)
         forms = adjacency_forms(edges, rng)
         assert forms["csr"].nnz >= edges.sum() and forms["lil"].nnz == edges.sum()
@@ -189,28 +206,8 @@ class TestDerivedConstants:
         v = np.array([1.0])
         assert alpha_constant(A, v) == 0.0
         assert mislearning_weight_sum(A, v) == 0.0
-
-    def test_division_degeneracy(self):
-        # agent 0 keeps everything, agent 1 still listens to it
-        A = np.array([[1.0, 0.3], [0.0, 0.7]])
-        v = np.array([0.5, 0.5])
-        with pytest.raises(DivisionDegeneracyError):
-            alpha_constant(A, v)
-        with pytest.raises(DivisionDegeneracyError):
-            mislearning_weight_sum(A, v)
-
-    def test_division_degeneracy_names_the_lowest_listener(self):
-        # agents 0 and 1 keep everything; agent 2 listens to 1, agent 3 to 0
-        A = np.array([[1.0, 0.0, 0.0, 0.5],
-                      [0.0, 1.0, 0.5, 0.0],
-                      [0.0, 0.0, 0.5, 0.0],
-                      [0.0, 0.0, 0.0, 0.5]])
-        v = np.full(4, 0.25)
-        for matrix in (A, csc_matrix(A), csr_matrix(A)):
-            for constant in (alpha_constant, mislearning_weight_sum):
-                with pytest.raises(DivisionDegeneracyError) as err:
-                    constant(matrix, v)
-                assert str(err.value) == "agent 1 has full self-weight but agent 2 listens to it"
+        net = Network.from_matrix(A)
+        assert (net.alpha, net.weight_sum) == (0.0, 0.0)
 
     def test_no_full_self_weight_reads_no_rows(self, monkeypatch):
         def scan(matrix):
@@ -264,6 +261,30 @@ class TestDerivedConstants:
         net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
         assert net.alpha == pytest.approx(1.0, abs=1e-12)
         assert net.weight_sum == pytest.approx(net.diagonal @ net.perron, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 199, 200, 1000])
+    @pytest.mark.parametrize("kind", ["ring", "path", "star", "random", "weights"])
+    def test_exact_constants(self, kind, n):
+        # A dense below SPARSE_SOLVE_MIN_AGENTS, CSC from it on; the reference
+        # is the general sum over the agents with a_nn < 1
+        rng = np.random.default_rng(n)
+        form = np.asarray if n < network.SPARSE_SOLVE_MIN_AGENTS else csc_matrix
+        builder = {"ring": ring_adjacency, "path": path_adjacency, "star": star_adjacency}.get(kind)
+        if builder is None:
+            adj = generate_strongly_connected_adjacency(n, min(1.0, 4.0 * np.log(n) / n), rng)
+        else:
+            adj = builder(n)
+        if kind == "weights":
+            net = Network.from_matrix(form(column_stochastic(adj, rng)))
+        else:
+            lam = float(rng.uniform(0.01, 0.99))
+            net = build_averaging_matrix(form(adj), lam)
+            assert net.weight_sum == pytest.approx(lam, rel=1e-14)
+        d, v = net.diagonal, net.perron
+        assert net.alpha == 1.0
+        assert net.weight_sum == float(np.where(d < 1.0, d, 0.0) @ v)
+        for matrix in (net.matrix, net.weights):
+            assert mislearning_weight_sum(matrix, v) == net.weight_sum
 
 
 class TestAveragingMatrix:
@@ -356,6 +377,36 @@ class TestFromMatrix:
         with pytest.raises(ConnectivityError):
             Network.from_matrix(np.eye(2), adjacency=np.ones((2, 2), dtype=bool))
 
+    @over_random_patterns
+    def test_connectivity_matches_a_boolean_closure_reference(self, sizes, p, cycle, drops, seed,
+                                                              data):
+        # the patterns with a self-loop at every node, weighted and given
+        # dense and as CSC: rejected exactly when the reference says no
+        edges, rng = random_pattern(sizes, p, cycle, drops, seed, data)
+        want = closure_is_connected(edges)
+        np.fill_diagonal(edges, True)
+        A = column_stochastic(edges, rng)
+        for matrix in (A, csc_matrix(A)):
+            try:
+                Network.from_matrix(matrix)
+            except ConnectivityError:
+                assert not want
+            else:
+                assert want
+
+    def test_builds_without_the_public_connectivity_check(self, monkeypatch):
+        # A's nonzeros are found once per build: from_matrix never calls
+        # is_strongly_connected, which finds them again
+        def scan(adjacency):
+            raise AssertionError("is_strongly_connected was called")
+
+        ring = build_averaging_matrix(ring_adjacency(10), 0.5).matrix
+        monkeypatch.setattr(network, "is_strongly_connected", scan)
+        assert Network.from_matrix(ring).size == 10
+        assert build_averaging_matrix(csc_matrix(ring_adjacency(1000)), 0.5).size == 1000
+        with pytest.raises(ConnectivityError):
+            Network.from_matrix([[1.0, 0.5], [0.0, 0.5]])
+
     def test_single_agent(self):
         net = Network.from_matrix([[1.0]])
         assert net.size == 1
@@ -434,11 +485,6 @@ def test_ring_adjacency_equals_the_node_loop(n):
     np.testing.assert_array_equal(adj, old_ring_adjacency(n))
 
 
-def column_stochastic(adj, rng):
-    weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
-    return weights / weights.sum(axis=0)
-
-
 class TestSparseInput:
     """From SPARSE_SOLVE_MIN_AGENTS on a Network keeps A as CSC;
     scipy.sparse input must give what the same dense input gives."""
@@ -479,11 +525,7 @@ class TestSparseInput:
         np.testing.assert_array_equal(*runs)
 
     def test_constants_take_sparse_input(self):
-        # agent 0 keeps everything, agent 1 still listens to it
-        A = np.array([[1.0, 0.3], [0.0, 0.7]])
         for constant in (alpha_constant, mislearning_weight_sum):
-            with pytest.raises(DivisionDegeneracyError, match="agent 0 .* agent 1 listens"):
-                constant(csc_matrix(A), np.array([0.5, 0.5]))
             assert constant(csc_matrix(A_2X2), perron_vector(A_2X2)) == constant(A_2X2, perron_vector(A_2X2))
 
     @pytest.mark.parametrize("form", [csc_matrix, csr_matrix], ids=["csc", "csr"])

@@ -56,7 +56,8 @@ DEFECTS = [
     ("weak connectivity taken for strong", NETWORK,
      'connection="strong"',
      'connection="weak"',
-     ["tests/test_network.py::TestConnectivity::test_matches_a_boolean_closure_reference"]),
+     ["tests/test_network.py::TestConnectivity::test_matches_a_boolean_closure_reference",
+      "tests/test_network.py::TestFromMatrix::test_connectivity_matches_a_boolean_closure_reference"]),
 ]
 
 
