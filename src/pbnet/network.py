@@ -147,6 +147,10 @@ def perron_vector(matrix) -> np.ndarray:
     as a Network stores it, is read through ``_csc``, and below it sparse
     input is read densely. A matrix with no agent raises ValidationError, and
     an exactly singular block NonConvergenceError, dense or sparse.
+
+    ``Network.from_matrix`` calls it on every build, and so does
+    ``build_averaging_matrix`` on a graph that is not balanced; an averaging
+    build on a balanced graph takes its closed form instead.
     """
     matrix = _square("combination matrix", matrix, float)
     n = matrix.shape[0]
@@ -224,8 +228,10 @@ class Network:
     read-only form; from the cutoff on it is built on first read and cached,
     and nothing in pbnet reads it. ``pool`` is A.T in the form the step
     multiplies by, ``pool @ shared``: the dense transposed view below the
-    cutoff, from it on CSR with no copy. The Perron solve (dense or sparse
-    LU by the same cutoff) and its residual read ``weights``. ``diagonal``
+    cutoff, from it on CSR with no copy. The Perron vector is solved (dense
+    or sparse LU by the same cutoff) or, for an averaging network on a
+    balanced graph, taken in closed form (``build_averaging_matrix``); either
+    way its residual on ``weights`` certifies it. ``diagonal``
     holds the self-weights a_kk. ``alpha`` is exactly 1.0, or 0.0 for a
     single agent (``alpha_constant``), and ``weight_sum`` is diagonal @ perron
     (``mislearning_weight_sum``).
@@ -259,7 +265,18 @@ class Network:
         are each a square matrix, dense or scipy.sparse (``_square``). A
         given ``adjacency`` only checks that no nonzero weight sits off its
         edges; the graph the network keeps and checks for strong
-        connectivity is A's nonzeros.
+        connectivity is A's nonzeros. The Perron vector is always solved for
+        (``perron_vector``); only ``build_averaging_matrix`` on a balanced
+        graph proposes it in closed form instead (see ``_build``).
+        """
+        return cls._build(matrix, adjacency)
+
+    @classmethod
+    def _build(cls, matrix, adjacency=None, proposal=None) -> "Network":
+        """``from_matrix``, with the Perron vector ``proposal`` in place of
+        the solve when one is given. Either vector must pass the same
+        certificate, max|A v - v| <= PERRON_RESIDUAL_TOL and v > 0, or the
+        build raises NonConvergenceError: a wrong proposal is never kept.
 
         A is copied once into its stored form (see Network), a CSC copy with
         no stored zeros (``_csc``) from SPARSE_SOLVE_MIN_AGENTS agents on.
@@ -296,7 +313,7 @@ class Network:
         diagonal = weights.diagonal().copy()
         if not np.any(diagonal > 0):
             raise ValidationError("at least one agent must have a positive self-loop")
-        v = perron_vector(weights)
+        v = perron_vector(weights) if proposal is None else proposal
         residual = np.max(np.abs(weights @ v - v))
         if not residual <= PERRON_RESIDUAL_TOL:
             raise NonConvergenceError(
@@ -344,6 +361,17 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     (``errors._in_interval``). Every weight is positive, so A's
     nonzeros are exactly the edges. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A;
     from there on they go straight into CSC, and no N x N array is made.
+
+    On a balanced graph, where every node is heard by as many nodes as it
+    hears (every undirected graph, a ring, path or star included, and
+    balanced digraphs such as a directed cycle), the Perron vector is
+    v_k = (n_k - 1) / sum_j (n_j - 1), exact up to one rounding per entry:
+    (A v)_l is lam v_l plus, for each of the n_l - 1 other nodes k that hear
+    l, a_lk v_k = (1 - lam) / sum_j (n_j - 1). On an undirected graph it is
+    the stationary law of the reversible walk. The build proposes that
+    vector and certifies it by the residual and sign checks every network
+    passes (``Network._build``), with no solve. A graph that is not balanced
+    is solved (``perron_vector``), as ``Network.from_matrix`` does.
     """
     graph = _graph(adjacency)
     shape = graph.shape
@@ -368,13 +396,18 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
         A[rows, cols] = weights
     else:
         A = csc_matrix((weights, (rows, cols)), shape=shape)
-    return Network.from_matrix(A)
+    # balanced when every node's row count (listeners) equals its column
+    # count (degrees): then A v = v at v proportional to degrees - 1
+    balanced = np.array_equal(np.bincount(rows, minlength=n), degrees)
+    heard = degrees - 1
+    return Network._build(A, proposal=heard / heard.sum() if balanced else None)
 
 
 # -- adjacency builders ------------------------------------------------------
 
 def ring_adjacency(n: int) -> np.ndarray:
-    """Bidirectional ring with self-loops."""
+    """Bidirectional ring with self-loops. Balanced: every node hears and is
+    heard by itself and its two neighbours."""
     _check_integer("n", n, 2)
     adj = np.eye(n, dtype=bool)
     k = np.arange(n)
@@ -384,7 +417,9 @@ def ring_adjacency(n: int) -> np.ndarray:
 
 
 def star_adjacency(n: int) -> np.ndarray:
-    """Hub node 0 linked both ways with every spoke; self-loops everywhere."""
+    """Hub node 0 linked both ways with every spoke; self-loops everywhere.
+    Balanced, as every undirected graph: each node is heard by as many nodes
+    as it hears."""
     _check_integer("n", n, 2)
     adj = np.eye(n, dtype=bool)
     adj[0, :] = True

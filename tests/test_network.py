@@ -47,6 +47,80 @@ def path_adjacency(n):
     return adj
 
 
+def directed_cycle_adjacency(n):
+    """A directed cycle 0 -> 1 -> ... -> n-1 -> 0 with self-loops: balanced,
+    not symmetric."""
+    adj = np.eye(n, dtype=bool)
+    k = np.arange(n)
+    adj[k, (k + 1) % n] = True
+    return adj
+
+
+def two_cycles_adjacency(n):
+    """Two directed cycles with self-loops that share node 0, one through
+    nodes 1 .. n//2 - 1 and one through n//2 .. n-1: balanced, not symmetric,
+    node 0 hears and is heard by three nodes and every other node by two."""
+    adj = np.eye(n, dtype=bool)
+    for cycle in (np.arange(n // 2), np.r_[0, n // 2:n]):
+        adj[cycle, np.roll(cycle, -1)] = True
+    return adj
+
+
+def high_precision_averaging_perron(adj, lam) -> np.ndarray:
+    """The averaging rule's Perron vector on the graph ``adj``, solved at 30
+    digits. A is built from the graph, each weight (1 - lam)/(n_k - 1) at 30
+    digits, so the rounding of a float A does not enter. (A - I) v = 0 with
+    its last equation replaced by sum(v) = 1, as in
+    ``test_matches_high_precision_solve``, is solved by Gaussian elimination
+    over the nonzeros: pivots in order of fewest entries, the sum last, so
+    that a ring, a path or a star fills in O(N) entries."""
+    n = len(adj)
+    tails, heads = np.nonzero(adj)  # A[tail, head] is head's weight on tail
+    degrees = np.bincount(heads, minlength=n)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        rows = [{} for _ in range(n)]
+        for l, k in zip(tails.tolist(), heads.tolist()):
+            rows[l][k] = lam - 1 if l == k else (1 - lam) / int(degrees[k] - 1)
+        rows[-1] = dict.fromkeys(range(n), mpmath.mpf(1))
+        rhs = [mpmath.mpf(0)] * (n - 1) + [mpmath.mpf(1)]
+        order = sorted(range(n - 1), key=lambda k: len(rows[k])) + [n - 1]
+        holders = [set() for _ in range(n)]  # the rows, not yet pivots, that hold a column
+        for r, row in enumerate(rows):
+            for c in row:
+                holders[c].add(r)
+        for p in order:
+            pivot = rows[p]
+            for c in pivot:
+                holders[c].discard(p)
+            for r in holders[p]:
+                row = rows[r]
+                factor = row.pop(p) / pivot[p]
+                for c, x in pivot.items():
+                    if c != p:
+                        holders[c].add(r)
+                        row[c] = row.get(c, 0) - factor * x
+                rhs[r] -= factor * rhs[p]
+        v = [None] * n
+        for p in reversed(order):
+            rest = mpmath.fsum(x * v[c] for c, x in rows[p].items() if c != p)
+            v[p] = (rhs[p] - rest) / rows[p][p]
+        return np.array(v, dtype=float)
+
+
+def count_solves(monkeypatch) -> list:
+    """Count calls of ``network.perron_vector``, through the module
+    attribute that the builds call: the list that gets each call's matrix."""
+    calls, solve = [], network.perron_vector
+
+    def counted(matrix):
+        calls.append(matrix)
+        return solve(matrix)
+
+    monkeypatch.setattr(network, "perron_vector", counted)
+    return calls
+
+
 def column_stochastic(adj, rng):
     weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
     return weights / weights.sum(axis=0)
@@ -190,6 +264,38 @@ class TestPerron:
                 exact = mpmath.lu_solve(system, mpmath.matrix([0] * (n - 1) + [1]))
                 exact = np.array(exact.tolist(), dtype=float).ravel()
             np.testing.assert_allclose(perron_vector(A), exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [10, network.SPARSE_SOLVE_MIN_AGENTS - 1,
+                                   network.SPARSE_SOLVE_MIN_AGENTS, 1000])
+    @pytest.mark.parametrize("kind", ["ring", "path", "star", "directed cycle", "two cycles"])
+    def test_balanced_builds_take_the_closed_form(self, kind, n, monkeypatch):
+        # every node heard by as many nodes as it hears: v is proportional to
+        # n_k - 1 and is certified with no solve; dense below the cutoff, CSC
+        # from it on. The reference builds A at 30 digits: the Perron vector
+        # of the rounded float A, which the LU solve finds, lies up to 5e-11
+        # from it on the 1000-path at lam = 0.3, about N^2 times the rounding.
+        adj = {"ring": ring_adjacency, "path": path_adjacency, "star": star_adjacency,
+               "directed cycle": directed_cycle_adjacency,
+               "two cycles": two_cycles_adjacency}[kind](n)
+        assert (adj.sum(axis=0) == adj.sum(axis=1)).all()
+        form = np.asarray if n < network.SPARSE_SOLVE_MIN_AGENTS else csc_matrix
+        calls = count_solves(monkeypatch)
+        net = build_averaging_matrix(form(adj), 0.3)
+        assert calls == []
+        exact = high_precision_averaging_perron(adj, 0.3)
+        np.testing.assert_allclose(net.perron, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [10, network.SPARSE_SOLVE_MIN_AGENTS - 1,
+                                   network.SPARSE_SOLVE_MIN_AGENTS, 300])
+    def test_unbalanced_builds_solve_once(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        adj = generate_strongly_connected_adjacency(n, min(0.5, 4.0 * np.log(n) / n), rng)
+        assert (adj.sum(axis=0) != adj.sum(axis=1)).any()
+        form = np.asarray if n < network.SPARSE_SOLVE_MIN_AGENTS else csc_matrix
+        calls = count_solves(monkeypatch)
+        net = build_averaging_matrix(form(adj), float(rng.uniform(0.05, 0.95)))
+        assert len(calls) == 1
+        assert net.perron.tobytes() == perron_vector(net.weights).tobytes()
 
 
 class TestDerivedConstants:
@@ -676,6 +782,20 @@ def test_a_perron_vector_failing_its_checks_is_a_non_convergence_error(monkeypat
     monkeypatch.setattr(network, "perron_vector", lambda matrix: -solve(matrix))
     with pytest.raises(NonConvergenceError, match="^Perron vector has non-positive entries"):
         Network.from_matrix(A_2X2)
+
+
+@pytest.mark.parametrize("n", [10, 250])
+def test_a_wrong_proposed_perron_vector_fails_its_certificate(n):
+    # the closed form proposed for a graph that is not balanced is rejected
+    # by the residual every solved vector passes; so is a vector below 0
+    rng = np.random.default_rng(n)
+    adj = generate_strongly_connected_adjacency(n, 0.3 if n < 100 else 0.05, rng)
+    weights = build_averaging_matrix(adj, 0.5).weights
+    heard = adj.sum(axis=0) - 1
+    with pytest.raises(NonConvergenceError, match=r"^Perron residual \S+ exceeds 1e-10$"):
+        Network._build(weights, proposal=heard / heard.sum())
+    with pytest.raises(NonConvergenceError, match="^Perron vector has non-positive entries"):
+        Network._build(weights, proposal=-perron_vector(weights))
 
 
 @pytest.mark.parametrize("matrix, size", [

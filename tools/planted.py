@@ -58,6 +58,10 @@ DEFECTS = [
      'connection="weak"',
      ["tests/test_network.py::TestConnectivity::test_matches_a_boolean_closure_reference",
       "tests/test_network.py::TestFromMatrix::test_connectivity_matches_a_boolean_closure_reference"]),
+    ("closed-form Perron vector proposed for an unbalanced graph", NETWORK,
+     "np.array_equal(np.bincount(rows, minlength=n), degrees)",
+     "np.array_equal(np.bincount(cols, minlength=n), degrees)",
+     ["tests/test_network.py::TestPerron::test_unbalanced_builds_solve_once"]),
 ]
 
 
