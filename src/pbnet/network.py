@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_array, identity, issparse
+from scipy.sparse import coo_matrix, csc_matrix, csr_array, identity, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
@@ -35,8 +35,10 @@ from .errors import (
 
 PERRON_RESIDUAL_TOL = 1e-10
 #: From this many agents on, a Network keeps A only as a CSC matrix, built and
-#: checked in O(nnz) with no N x N array, and the Perron system is solved by
-#: sparse LU; the step's pooling and the constants read that form (see Network).
+#: checked in O(nnz) with no N x N array (``_stored``, the one place the form is
+#: chosen), and ``perron_vector`` solves by sparse LU (an averaging build on a
+#: balanced graph solves nothing, see ``build_averaging_matrix``); the step's
+#: pooling and the constants read that form (see Network).
 #: Its second reader is the step's log-sum-exp (``dynamics._plan``), by a
 #: table's agent count: below it a fold of ``np.logaddexp`` over the columns,
 #: with the reduce's bits, from it on the max shift. So one count decides
@@ -95,43 +97,46 @@ def is_strongly_connected(adjacency) -> bool:
 
 
 def _entries(matrix) -> tuple:
-    """(rows, cols, values) of a matrix's nonzeros: a dense array's in
-    row-major order, or a CSC matrix's stored entries in storage order, which
-    ``_csc`` makes exactly its nonzeros. Every check on A or on a graph reads
-    them, at every size."""
-    if issparse(matrix):
-        cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
-        return matrix.indices, cols, matrix.data
-    # a flat scan of a boolean mask is far cheaper than np.nonzero on floats
-    flat = np.flatnonzero(matrix.astype(bool, copy=False))
-    return (*np.divmod(flat, matrix.shape[1]), matrix.ravel()[flat])
+    """(rows, cols, values, indptr) of a square matrix's nonzeros in CSC
+    order: column by column, rows ascending, with ``indptr`` the columns'
+    starts. Every build reads A or a graph through it, once.
 
-
-def _csc(matrix, dtype=float):
-    """CSC copy of a dense array of numbers or a scipy.sparse matrix with
-    sorted indices and no stored zeros, so its stored entries are exactly its
-    nonzeros.
-
-    A dense input, which its callers have read by the number rule
-    (``errors._numbers``), converts from its nonzeros (``_entries``). A
-    sparse input has its duplicates summed and its explicit zeros dropped,
-    and is never made dense.
+    A scipy.sparse matrix in any format is copied once into CSC, its
+    duplicates summed in its own dtype and its stored zeros dropped, and is
+    never made dense: a stored zero, or entries that sum to zero, are no
+    nonzero. A dense array, which its callers have read by the number rule
+    (``errors._numbers``), is scanned as a boolean mask: below
+    SPARSE_SOLVE_MIN_AGENTS agents the mask of its transpose, whose
+    row-major order is A's column order; from there on its own mask, whose
+    nonzeros are then read as COO input, since a strided N x N copy would
+    cost more than scipy's O(nnz) conversion to CSC.
     """
+    n = matrix.shape[0]
+    # a flat scan of a boolean mask is far cheaper than np.nonzero on floats
     if not issparse(matrix):
-        rows, cols, values = _entries(matrix.astype(dtype, copy=False))
-        return csc_matrix((values, (rows, cols)), shape=matrix.shape)
-    out = csc_matrix(matrix, dtype=dtype, copy=True)
-    out.sum_duplicates()
-    out.eliminate_zeros()
+        if n < SPARSE_SOLVE_MIN_AGENTS:
+            cols, rows = np.divmod(np.flatnonzero(matrix.T.astype(bool, order="C")), n)
+            return rows, cols, matrix[rows, cols], cols.searchsorted(np.arange(n + 1))
+        flat = np.flatnonzero(matrix.astype(bool, copy=False))
+        matrix = coo_matrix((matrix.ravel()[flat], np.divmod(flat, n)), shape=(n, n))
+    matrix = csc_matrix(matrix, copy=True)
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    indptr = matrix.indptr
+    return matrix.indices, np.repeat(np.arange(n), np.diff(indptr)), matrix.data, indptr
+
+
+def _stored(rows, cols, values, indptr):
+    """The entries of ``_entries`` as the form a Network keeps A in, as
+    floats: a dense array below SPARSE_SOLVE_MIN_AGENTS agents, from there
+    on a CSC matrix built on the ordered entries as they are, with no sort
+    and no N x N array."""
+    n = indptr.size - 1
+    if n >= SPARSE_SOLVE_MIN_AGENTS:
+        return csc_matrix((values, rows, indptr), shape=(n, n), dtype=float)
+    out = np.zeros((n, n))
+    out[rows, cols] = values
     return out
-
-
-def _graph(adjacency):
-    """A square adjacency (``_square``), dense as a boolean array or sparse
-    as a ``_csc`` copy, which ``_entries`` reads and which index alike: a
-    nonzero entry is an edge, a stored zero is none."""
-    adjacency = _square("adjacency", adjacency, bool)
-    return _csc(adjacency, bool) if issparse(adjacency) else adjacency
 
 
 def perron_vector(matrix) -> np.ndarray:
@@ -144,9 +149,10 @@ def perron_vector(matrix) -> np.ndarray:
     copy of A, so no N x N array is allocated. ``matrix`` is square, dense or
     scipy.sparse in any format, a dense one an array or array-like read by
     ``_square`` as floats; from the cutoff on, input that is not CSC already,
-    as a Network stores it, is read through ``_csc``, and below it sparse
-    input is read densely. A matrix with no agent raises ValidationError, and
-    an exactly singular block NonConvergenceError, dense or sparse.
+    as a Network stores it, is read by ``_entries`` and made CSC by
+    ``_stored``, and below it sparse input is read densely. A matrix with no
+    agent raises ValidationError, and an exactly singular block
+    NonConvergenceError, dense or sparse.
 
     ``Network.from_matrix`` calls it on every build, and so does
     ``build_averaging_matrix`` on a graph that is not balanced; an averaging
@@ -162,7 +168,7 @@ def perron_vector(matrix) -> np.ndarray:
         solve, block, rhs = np.linalg.solve, np.eye(m) - A[:m, :m], A[:m, m]
     else:
         if not issparse(matrix) or matrix.format != "csc":
-            matrix = _csc(matrix)
+            matrix = _stored(*_entries(matrix))
         block = identity(m, format="csc") - matrix[:m, :m]
         solve, rhs = spsolve, matrix[:m, [m]].toarray().ravel()
     try:
@@ -221,9 +227,9 @@ def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
 class Network:
     """Validated network: combination matrix and derived constants.
 
-    ``weights`` is A in the form it is stored: a dense array below
-    SPARSE_SOLVE_MIN_AGENTS agents, a CSC matrix from there on, so that no
-    N x N array is built or kept. Its nonzeros are the graph; a declared
+    ``weights`` is A in the form it is stored (``_stored``): a dense array
+    below SPARSE_SOLVE_MIN_AGENTS agents, a CSC matrix from there on, so that
+    no N x N array is built or kept. Its nonzeros are the graph; a declared
     adjacency is checked against them and not kept. ``matrix`` is A's dense,
     read-only form; from the cutoff on it is built on first read and cached,
     and nothing in pbnet reads it. ``pool`` is A.T in the form the step
@@ -265,50 +271,43 @@ class Network:
         are each a square matrix, dense or scipy.sparse (``_square``). A
         given ``adjacency`` only checks that no nonzero weight sits off its
         edges; the graph the network keeps and checks for strong
-        connectivity is A's nonzeros. The Perron vector is always solved for
-        (``perron_vector``); only ``build_averaging_matrix`` on a balanced
-        graph proposes it in closed form instead (see ``_build``).
-        """
-        return cls._build(matrix, adjacency)
-
-    @classmethod
-    def _build(cls, matrix, adjacency=None, proposal=None) -> "Network":
-        """``from_matrix``, with the Perron vector ``proposal`` in place of
-        the solve when one is given. Either vector must pass the same
-        certificate, max|A v - v| <= PERRON_RESIDUAL_TOL and v > 0, or the
-        build raises NonConvergenceError: a wrong proposal is never kept.
-
-        A is copied once into its stored form (see Network), a CSC copy with
-        no stored zeros (``_csc``) from SPARSE_SOLVE_MIN_AGENTS agents on.
-        Every check reads A's nonzeros, found once by ``_entries`` (O(nnz)
-        from the cutoff on), and a given adjacency is indexed at them; a
-        stored zero is no edge. The strong-connectivity check
-        (``_one_strong_component``) takes them as they are: a dense A's in
-        row-major order, or the CSC's own index arrays.
+        connectivity is A's nonzeros. A is read once (``_entries``) and its
+        entries are handed to ``_build``. The Perron vector is always solved
+        for (``perron_vector``); only ``build_averaging_matrix`` on a balanced
+        graph proposes it in closed form instead.
         """
         matrix = _square("combination matrix", matrix, float)
-        shape = matrix.shape
-        n = shape[0]
-        if n >= SPARSE_SOLVE_MIN_AGENTS:
-            weights = _csc(matrix)
-        else:  # a float copy, which nothing else holds
-            weights = np.array(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
-        rows, cols, values = _entries(weights)
+        return cls._build(*_entries(matrix), adjacency)
+
+    @classmethod
+    def _build(cls, rows, cols, values, indptr, adjacency=None, proposal=None) -> "Network":
+        """A Network from A's nonzeros in CSC order (``_entries``), with the
+        Perron vector ``proposal`` in place of the solve when one is given.
+        Either vector must pass the same certificate, max|A v - v| <=
+        PERRON_RESIDUAL_TOL and v > 0, or the build raises
+        NonConvergenceError: a wrong proposal is never kept.
+
+        A is made once into its stored form (``_stored``, see Network).
+        Every other check reads the entries; a given adjacency is read by
+        ``_entries`` too, and A is indexed at its edges. The
+        strong-connectivity check (``_one_strong_component``) takes the rows
+        and ``indptr`` as they are, A's CSC index arrays.
+        """
+        n = indptr.size - 1
         if (values < 0).any():
             raise ValidationError("combination weights must be nonnegative")
         # per column in row order, as sum(axis=0) adds a dense A: the same sums
         _sums_to_one("column", np.bincount(cols, values, minlength=n))
+        weights = _stored(rows, cols, values, indptr)
         if adjacency is not None:
-            graph = _graph(adjacency)
-            if graph.shape != shape:
+            graph = _square("adjacency", adjacency, bool)
+            if graph.shape != (n, n):
                 raise ValidationError("adjacency shape does not match the matrix")
-            if not np.all(graph[rows, cols]):
+            tails, heads, _, _ = _entries(graph)
+            # every nonzero weight is on an edge when the edges hold them all
+            if np.count_nonzero(weights[tails, heads]) < values.size:
                 raise ValidationError("nonzero weight on a non-edge")
-        if issparse(weights):
-            indices, indptr = weights.indices, weights.indptr
-        else:
-            indices, indptr = cols, np.searchsorted(rows, np.arange(n + 1))
-        if not _one_strong_component(indices, indptr):
+        if not _one_strong_component(rows, indptr):
             raise ConnectivityError("graph is not strongly connected")
         diagonal = weights.diagonal().copy()
         if not np.any(diagonal > 0):
@@ -356,11 +355,13 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
 
     n_k is the neighborhood size of agent k including itself. Requires a
     self-loop at every node and at least one other neighbor per node.
-    ``adjacency`` is dense or scipy.sparse, read by ``_graph``, and its edges
-    are read once, by ``_entries``; ``self_weight`` is one number in (0, 1)
-    (``errors._in_interval``). Every weight is positive, so A's
-    nonzeros are exactly the edges. Below SPARSE_SOLVE_MIN_AGENTS nodes the weights fill a dense A;
-    from there on they go straight into CSC, and no N x N array is made.
+    ``adjacency`` is dense or scipy.sparse (``_square``), and its edges are
+    read once, by ``_entries``; ``self_weight`` is one number in (0, 1)
+    (``errors._in_interval``). Every weight is positive, so A's nonzeros are
+    exactly the edges, in the graph's CSC order: the build hands them to
+    ``Network._build`` as A's entries, makes no matrix of its own and never
+    reads A back. ``_stored`` keeps them dense below SPARSE_SOLVE_MIN_AGENTS
+    nodes and as CSC from there on, with no N x N array.
 
     On a balanced graph, where every node is heard by as many nodes as it
     hears (every undirected graph, a ring, path or star included, and
@@ -373,17 +374,16 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     passes (``Network._build``), with no solve. A graph that is not balanced
     is solved (``perron_vector``), as ``Network.from_matrix`` does.
     """
-    graph = _graph(adjacency)
-    shape = graph.shape
+    graph = _square("adjacency", adjacency, bool)
     lam = _in_interval("self-weight", self_weight, 0, 1)
-    n = shape[0]
-    rows, cols, _ = _entries(graph)
+    n = graph.shape[0]
+    rows, cols, _, indptr = _entries(graph)
     loops = rows == cols
     looped = np.bincount(cols[loops], minlength=n)
     if not looped.all():
         missing = int(np.argmin(looped))
         raise ValidationError(f"averaging rule needs a self-loop at every node; node {missing} has none")
-    degrees = np.bincount(cols, minlength=n)  # includes self
+    degrees = np.diff(indptr)  # includes self
     if np.any(degrees == 1):
         lonely = int(np.flatnonzero(degrees == 1)[0])
         raise DegenerateDegreeError(
@@ -391,16 +391,12 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
         )
     weights = ((1.0 - lam) / (degrees - 1))[cols]
     weights[loops] = lam
-    if n < SPARSE_SOLVE_MIN_AGENTS:
-        A = np.zeros((n, n))
-        A[rows, cols] = weights
-    else:
-        A = csc_matrix((weights, (rows, cols)), shape=shape)
     # balanced when every node's row count (listeners) equals its column
     # count (degrees): then A v = v at v proportional to degrees - 1
     balanced = np.array_equal(np.bincount(rows, minlength=n), degrees)
     heard = degrees - 1
-    return Network._build(A, proposal=heard / heard.sum() if balanced else None)
+    return Network._build(rows, cols, weights, indptr,
+                          proposal=heard / heard.sum() if balanced else None)
 
 
 # -- adjacency builders ------------------------------------------------------

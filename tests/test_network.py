@@ -121,6 +121,20 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+def count_reads(monkeypatch) -> list:
+    """Count calls of ``network._entries``, the one reader of A and of a
+    graph, through the module attribute that the builds call: the list that
+    gets each call's matrix."""
+    calls, read = [], network._entries
+
+    def counted(matrix):
+        calls.append(matrix)
+        return read(matrix)
+
+    monkeypatch.setattr(network, "_entries", counted)
+    return calls
+
+
 def column_stochastic(adj, rng):
     weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
     return weights / weights.sum(axis=0)
@@ -513,6 +527,25 @@ class TestFromMatrix:
         with pytest.raises(ConnectivityError):
             Network.from_matrix([[1.0, 0.5], [0.0, 0.5]])
 
+    @pytest.mark.parametrize("n", [10, 250])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_one_read_per_build(self, n, sparse, monkeypatch):
+        # an averaging build reads its graph once and hands the entries on,
+        # so it never reads A; from_matrix reads A once and a given
+        # adjacency once, balanced graph or not
+        form = csc_matrix if sparse else np.asarray
+        rng = np.random.default_rng(n)
+        calls = count_reads(monkeypatch)
+        for adj in (ring_adjacency(n), generate_strongly_connected_adjacency(n, 8.0 / n, rng)):
+            adj = form(adj)
+            weights = form(build_averaging_matrix(adj, 0.5).matrix)
+            for build, read in ((lambda: build_averaging_matrix(adj, 0.5), [adj]),
+                                (lambda: Network.from_matrix(weights), [weights]),
+                                (lambda: Network.from_matrix(weights, adjacency=adj), [weights, adj])):
+                calls.clear()
+                build()
+                assert [id(matrix) for matrix in calls] == [id(matrix) for matrix in read]
+
     def test_single_agent(self):
         net = Network.from_matrix([[1.0]])
         assert net.size == 1
@@ -724,6 +757,44 @@ class TestSparseInput:
                 build_averaging_matrix(csr_matrix(adj), 0.5)
             assert str(sparse.value) == str(dense.value)
 
+    @staticmethod
+    def cancelling_forms(n) -> dict:
+        """The n-ring with a non-edge (0, n // 2) stored twice, as 1.0 and
+        -1.0, in COO, CSR and CSC, the same entries summed in LIL, and the
+        dense summed pattern: every form holds the ring's graph."""
+        rows, cols = np.nonzero(ring_adjacency(n))
+        rows, cols = np.append(rows, [0, 0]), np.append(cols, [n // 2, n // 2])
+        values = np.append(np.ones(rows.size - 2), [1.0, -1.0])
+
+        def compressed(build, major, minor):
+            order = np.lexsort((minor, major))
+            indptr = np.searchsorted(major[order], np.arange(n + 1))
+            return build((values[order], minor[order], indptr), shape=(n, n))
+
+        coo = coo_matrix((values, (rows, cols)), shape=(n, n))
+        forms = {"coo": coo, "csr": compressed(csr_matrix, rows, cols),
+                 "csc": compressed(csc_matrix, cols, rows), "lil": lil_matrix(coo),
+                 "dense": coo.toarray()}
+        assert forms["csr"].nnz == forms["csc"].nnz == coo.nnz == 3 * n + 2
+        return forms
+
+    @pytest.mark.parametrize("n", [10, 250])
+    def test_a_zero_sum_is_no_edge_in_every_format(self, n):
+        # two stored entries that sum to zero are no edge, whatever the
+        # format: summed in the input's dtype, not cast to bool first
+        ring = build_averaging_matrix(ring_adjacency(n), 0.5)
+        off_edge = ring.matrix.copy()
+        off_edge[0, n // 2] = 0.1
+        off_edge[n // 2, n // 2] -= 0.1
+        for name, adj in self.cancelling_forms(n).items():
+            net = build_averaging_matrix(adj, 0.5)
+            np.testing.assert_array_equal(net.matrix, ring.matrix, err_msg=name)
+            np.testing.assert_array_equal(net.perron, ring.perron, err_msg=name)
+            assert Network.from_matrix(ring.matrix, adjacency=adj).perron.tobytes() \
+                == Network.from_matrix(ring.matrix).perron.tobytes(), name
+            with pytest.raises(ValidationError, match="^nonzero weight on a non-edge$"):
+                Network.from_matrix(off_edge, adjacency=adj)
+
     def test_sparse_ring_allocates_no_dense_matrix(self):
         # a dense float A of 5000 agents would be 200 MB
         n = 5000
@@ -793,9 +864,9 @@ def test_a_wrong_proposed_perron_vector_fails_its_certificate(n):
     weights = build_averaging_matrix(adj, 0.5).weights
     heard = adj.sum(axis=0) - 1
     with pytest.raises(NonConvergenceError, match=r"^Perron residual \S+ exceeds 1e-10$"):
-        Network._build(weights, proposal=heard / heard.sum())
+        Network._build(*network._entries(weights), proposal=heard / heard.sum())
     with pytest.raises(NonConvergenceError, match="^Perron vector has non-positive entries"):
-        Network._build(weights, proposal=-perron_vector(weights))
+        Network._build(*network._entries(weights), proposal=-perron_vector(weights))
 
 
 @pytest.mark.parametrize("matrix, size", [
