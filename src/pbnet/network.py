@@ -46,6 +46,9 @@ PERRON_RESIDUAL_TOL = 1e-10
 #: fixture, H = 3, thread CPU, 16 paired samples (numpy 2.4, shared 2-core Xeon
 #: VM), the fold took 0.85-0.98 of the shift's time from 128 to 199 rows under
 #: every rule, and 1.22-1.28 at 1000 (1.04 under argmax).
+#: Its third reader is the ring, path and star builders (``_adjacency``): below
+#: it a dense bool array, from it on a bool CSC matrix built in O(N), so a
+#: graph large enough to be stored sparse is never made N x N first.
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
@@ -240,7 +243,8 @@ class Network:
     way its residual on ``weights`` certifies it. ``diagonal``
     holds the self-weights a_kk. ``alpha`` is exactly 1.0, or 0.0 for a
     single agent (``alpha_constant``), and ``weight_sum`` is diagonal @ perron
-    (``mislearning_weight_sum``).
+    (``mislearning_weight_sum``); a build writes both closed forms from its
+    checked diagonal and Perron vector, with no call of either function.
 
     Immutable after construction; safe to share across concurrent runs.
     """
@@ -296,8 +300,12 @@ class Network:
         n = indptr.size - 1
         if (values < 0).any():
             raise ValidationError("combination weights must be nonnegative")
-        # per column in row order, as sum(axis=0) adds a dense A: the same sums
-        _sums_to_one("column", np.bincount(cols, values, minlength=n))
+        # each column summed pairwise by reduceat, as np.sum adds: added in
+        # sequence, the 10^5 weights of a 10^5-star's hub drift 2e-12 from 1
+        filled = indptr[:-1] < indptr[1:]
+        sums = np.zeros(n)
+        sums[filled] = np.add.reduceat(values, indptr[:-1][filled])
+        _sums_to_one("column", sums)
         weights = _stored(rows, cols, values, indptr)
         if adjacency is not None:
             graph = _square("adjacency", adjacency, bool)
@@ -323,13 +331,16 @@ class Network:
         parts = (weights.data, weights.indices, weights.indptr) if issparse(weights) else (weights,)
         for arr in (diagonal, v, *parts):
             arr.setflags(write=False)
+        # the closed forms of alpha_constant and mislearning_weight_sum, from
+        # the diagonal and v checked above (diagonal is a contiguous copy)
+        several = n > 1
         return cls(
             weights=weights,
             pool=weights.T,
             diagonal=diagonal,
             perron=v,
-            alpha=alpha_constant(weights, v),
-            weight_sum=mislearning_weight_sum(weights, v),
+            alpha=1.0 if several else 0.0,
+            weight_sum=float(diagonal @ v) if several else 0.0,
         )
 
     def describe(self) -> dict:
@@ -401,26 +412,70 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
 
 # -- adjacency builders ------------------------------------------------------
 
-def ring_adjacency(n: int) -> np.ndarray:
-    """Bidirectional ring with self-loops. Balanced: every node hears and is
-    heard by itself and its two neighbours."""
-    _check_integer("n", n, 2)
-    adj = np.eye(n, dtype=bool)
-    k = np.arange(n)
-    adj[k, (k + 1) % n] = True
-    adj[(k + 1) % n, k] = True
+def _adjacency(rows, indptr):
+    """The graph with CSC index arrays ``rows`` (ascending within each
+    column) and ``indptr``, in the form the builders return: below
+    SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a bool
+    CSC matrix on these arrays as they are, with no N x N array and no sort."""
+    n = indptr.size - 1
+    if n >= SPARSE_SOLVE_MIN_AGENTS:
+        return csc_matrix((np.ones(rows.size, dtype=bool), rows, indptr), shape=(n, n))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, np.repeat(np.arange(n), np.diff(indptr))] = True
     return adj
 
 
-def star_adjacency(n: int) -> np.ndarray:
+def _tridiagonal(n: int) -> np.ndarray:
+    """Rows k - 1, k, k + 1 of each column k, column after column, as int32,
+    an index type scipy takes as it is. The first row is -1 and the last n,
+    which each builder drops or wraps round."""
+    return (np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 0, 1], np.int32)).ravel()
+
+
+def ring_adjacency(n: int):
+    """Bidirectional ring with self-loops. Balanced: every node hears and is
+    heard by itself and its two neighbours.
+
+    Below SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a
+    bool CSC matrix with canonical format, built in O(n) (``_adjacency``)."""
+    _check_integer("n", n, 2)
+    if n == 2:  # both neighbours of a node are the other node
+        return path_adjacency(2)
+    rows = _tridiagonal(n)
+    # columns 0 and n - 1 wrap round: rows (0, 1, n - 1) and (0, n - 2, n - 1)
+    rows[:3] = 0, 1, n - 1
+    rows[-3:] = 0, n - 2, n - 1
+    return _adjacency(rows, np.arange(0, 3 * n + 1, 3, dtype=np.int32))
+
+
+def path_adjacency(n: int):
+    """Path 0 - 1 - ... - (n - 1), linked both ways, with self-loops.
+    Balanced, as every undirected graph.
+
+    Below SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a
+    bool CSC matrix with canonical format, built in O(n) (``_adjacency``)."""
+    _check_integer("n", n, 2)
+    # column 0 holds rows (0, 1), column n - 1 rows (n - 2, n - 1)
+    indptr = np.maximum(3 * np.arange(n + 1, dtype=np.int32) - 1, 0)
+    indptr[-1] -= 1
+    return _adjacency(_tridiagonal(n)[1:-1], indptr)
+
+
+def star_adjacency(n: int):
     """Hub node 0 linked both ways with every spoke; self-loops everywhere.
     Balanced, as every undirected graph: each node is heard by as many nodes
-    as it hears."""
+    as it hears.
+
+    Below SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a
+    bool CSC matrix with canonical format, built in O(n) (``_adjacency``)."""
     _check_integer("n", n, 2)
-    adj = np.eye(n, dtype=bool)
-    adj[0, :] = True
-    adj[:, 0] = True
-    return adj
+    # column 0 holds every row, spoke k rows (0, k)
+    rows = np.zeros(3 * n - 2, np.int32)
+    rows[:n] = np.arange(n)
+    rows[n + 1::2] = np.arange(1, n)
+    indptr = np.arange(n - 2, 3 * n - 1, 2, dtype=np.int32)
+    indptr[0] = 0
+    return _adjacency(rows, indptr)
 
 
 GENERATION_MAX_ATTEMPTS = 1000

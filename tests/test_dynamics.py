@@ -528,6 +528,7 @@ class TestStepKernel:
         # a ring with random weights: A is not symmetric, its diagonal not constant
         strat = rule(1)
         adj = ring_adjacency(n)
+        adj = adj.toarray() if issparse(adj) else adj
         weights = np.where(adj, np.random.default_rng(n).uniform(0.1, 1.0, adj.shape), 0.0)
         net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
         assert issparse(net.pool) == (n >= SPARSE_SOLVE_MIN_AGENTS)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -38,6 +39,11 @@ A_2X2 = np.array([[0.8, 0.3], [0.2, 0.7]])
 
 def random_connected_adjacency(rng, n):
     return generate_strongly_connected_adjacency(n, 0.4, rng)
+
+
+def as_dense(adj):
+    """A builder's output as a dense array: CSC from SPARSE_SOLVE_MIN_AGENTS on."""
+    return adj.toarray() if issparse(adj) else adj
 
 
 def path_adjacency(n):
@@ -288,9 +294,9 @@ class TestPerron:
         # from it on. The reference builds A at 30 digits: the Perron vector
         # of the rounded float A, which the LU solve finds, lies up to 5e-11
         # from it on the 1000-path at lam = 0.3, about N^2 times the rounding.
-        adj = {"ring": ring_adjacency, "path": path_adjacency, "star": star_adjacency,
-               "directed cycle": directed_cycle_adjacency,
-               "two cycles": two_cycles_adjacency}[kind](n)
+        adj = as_dense({"ring": ring_adjacency, "path": path_adjacency, "star": star_adjacency,
+                        "directed cycle": directed_cycle_adjacency,
+                        "two cycles": two_cycles_adjacency}[kind](n))
         assert (adj.sum(axis=0) == adj.sum(axis=1)).all()
         form = np.asarray if n < network.SPARSE_SOLVE_MIN_AGENTS else csc_matrix
         calls = count_solves(monkeypatch)
@@ -536,7 +542,7 @@ class TestFromMatrix:
         form = csc_matrix if sparse else np.asarray
         rng = np.random.default_rng(n)
         calls = count_reads(monkeypatch)
-        for adj in (ring_adjacency(n), generate_strongly_connected_adjacency(n, 8.0 / n, rng)):
+        for adj in (as_dense(ring_adjacency(n)), generate_strongly_connected_adjacency(n, 8.0 / n, rng)):
             adj = form(adj)
             weights = form(build_averaging_matrix(adj, 0.5).matrix)
             for build, read in ((lambda: build_averaging_matrix(adj, 0.5), [adj]),
@@ -592,6 +598,7 @@ class TestGenerator:
     ("n", lambda: ring_adjacency(10.0)),
     ("n", lambda: ring_adjacency(True)),
     ("n", lambda: star_adjacency(10.0)),
+    ("n", lambda: network.path_adjacency(10.0)),
     ("n", lambda: generate_strongly_connected_adjacency(10.0, 0.5, np.random.default_rng(0))),
     ("n_agents", lambda: uniform_log_beliefs(10.0, 3)),
     ("n_hypotheses", lambda: uniform_log_beliefs(10, 3.0)),
@@ -599,7 +606,7 @@ class TestGenerator:
     ("n_agents", lambda: uniform_log_beliefs(0, 3)),
     ("n_hypotheses", lambda: uniform_log_beliefs(3, 0)),
     ("transmit", lambda: Sharing(1.0)),
-], ids=["ring", "ring-bool", "star", "random", "beliefs-agents",
+], ids=["ring", "ring-bool", "star", "path", "random", "beliefs-agents",
         "beliefs-hypotheses", "beliefs-negative-agents", "beliefs-no-agents",
         "beliefs-no-hypotheses", "sharing"])
 def test_counts_must_be_integers(name, call):
@@ -619,9 +626,76 @@ def old_ring_adjacency(n):
 
 @pytest.mark.parametrize("n", [2, 3, 10, 1000])
 def test_ring_adjacency_equals_the_node_loop(n):
-    adj = ring_adjacency(n)
+    adj = as_dense(ring_adjacency(n))
     assert adj.dtype == bool
     np.testing.assert_array_equal(adj, old_ring_adjacency(n))
+
+
+def hub_star_adjacency(n):
+    # node 0 linked both ways with every node, self-loops everywhere
+    adj = np.eye(n, dtype=bool)
+    adj[0, :] = True
+    adj[:, 0] = True
+    return adj
+
+
+BUILDERS = {"ring": (ring_adjacency, old_ring_adjacency),
+            "path": (network.path_adjacency, path_adjacency),
+            "star": (star_adjacency, hub_star_adjacency)}
+
+
+class TestBuilderForms:
+    """The ring, path and star builders return a dense bool array below
+    SPARSE_SOLVE_MIN_AGENTS nodes and a bool CSC matrix from there on."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, network.SPARSE_SOLVE_MIN_AGENTS - 1,
+                                   network.SPARSE_SOLVE_MIN_AGENTS,
+                                   network.SPARSE_SOLVE_MIN_AGENTS + 1, 1000])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_form_and_pattern(self, kind, n):
+        build, reference = BUILDERS[kind]
+        adj, want = build(n), reference(n)
+        if n < network.SPARSE_SOLVE_MIN_AGENTS:
+            assert type(adj) is np.ndarray and adj.dtype == bool and adj.flags.c_contiguous
+            assert adj.shape == want.shape and adj.tobytes() == want.tobytes()
+            return
+        assert isinstance(adj, csc_matrix) and adj.format == "csc" and adj.dtype == bool
+        # sorted rows within each column, no duplicate, no stored zero
+        fresh = csc_matrix((adj.data, adj.indices, adj.indptr), shape=adj.shape)
+        assert fresh.has_canonical_format
+        assert adj.nnz == np.count_nonzero(want) and adj.data.all()
+        np.testing.assert_array_equal(adj.toarray(), want)
+
+    @pytest.mark.parametrize("n", [network.SPARSE_SOLVE_MIN_AGENTS, 250, 1000])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_builds_from_the_output_equal_the_dense_builds_bitwise(self, kind, n):
+        adj = BUILDERS[kind][0](n)
+        sparse, dense = build_averaging_matrix(adj, 0.3), build_averaging_matrix(adj.toarray(), 0.3)
+        for name in ("perron", "diagonal"):
+            assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(sparse.pool, part).tobytes() == getattr(dense.pool, part).tobytes()
+        assert (sparse.alpha, sparse.weight_sum) == (dense.alpha, dense.weight_sum)
+
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_a_hundred_thousand_nodes_build_from_the_output(self, kind, monkeypatch):
+        # a dense bool N x N array would be 9.3 GiB, a float A 75 GiB; the
+        # balanced graph takes the closed-form Perron vector with no solve
+        n = 10**5
+        calls = count_solves(monkeypatch)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            net = build_averaging_matrix(BUILDERS[kind][0](n), 0.5)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1.0
+        assert peak < 64 * 2**20
+        assert calls == []
+        assert net.size == n and net.pool.nnz == 3 * n - (kind != "ring") * 2
+        assert (net.alpha, net.weight_sum) == (1.0, float(net.diagonal @ net.perron))
 
 
 class TestSparseInput:
@@ -640,7 +714,7 @@ class TestSparseInput:
         if adj is None:
             adj = generate_strongly_connected_adjacency(n, 4.0 * np.log(n) / n, rng)
         else:
-            adj = adj(n)
+            adj = as_dense(adj(n))
         return build_averaging_matrix(to(adj), 0.3)
 
     @pytest.mark.parametrize("n", [200, 250, 1000])
@@ -711,7 +785,7 @@ class TestSparseInput:
             (negative, None, ValidationError),
             (nan, None, ValidationError),
             (bad_sum, None, ValidationError),
-            (off_edge, ring_adjacency(n), ValidationError),
+            (off_edge, as_dense(ring_adjacency(n)), ValidationError),
             (cycle, None, ValidationError),
         ]
 
@@ -744,9 +818,9 @@ class TestSparseInput:
 
     @pytest.mark.parametrize("n", [10, 250])
     def test_builder_errors_match_dense(self, n):
-        no_loop = ring_adjacency(n)
+        no_loop = as_dense(ring_adjacency(n))
         no_loop[7, 7] = False
-        lonely = ring_adjacency(n)
+        lonely = as_dense(ring_adjacency(n))
         lonely[:, 3] = False
         lonely[3, 3] = True
         for adj, error, match in ((no_loop, ValidationError, "node 7 has none"),
@@ -762,7 +836,7 @@ class TestSparseInput:
         """The n-ring with a non-edge (0, n // 2) stored twice, as 1.0 and
         -1.0, in COO, CSR and CSC, the same entries summed in LIL, and the
         dense summed pattern: every form holds the ring's graph."""
-        rows, cols = np.nonzero(ring_adjacency(n))
+        rows, cols = np.nonzero(as_dense(ring_adjacency(n)))
         rows, cols = np.append(rows, [0, 0]), np.append(cols, [n // 2, n // 2])
         values = np.append(np.ones(rows.size - 2), [1.0, -1.0])
 
@@ -892,9 +966,10 @@ def test_a_matrix_with_no_agent_has_no_perron_vector(matrix):
 @pytest.mark.parametrize("call, match", [
     (lambda: ring_adjacency(1), "^n must be >= 2, got 1$"),
     (lambda: star_adjacency(1), "^n must be >= 2, got 1$"),
+    (lambda: network.path_adjacency(1), "^n must be >= 2, got 1$"),
     (lambda: generate_strongly_connected_adjacency(0, 0.5, np.random.default_rng(0)),
      "^n must be >= 1, got 0$"),
-], ids=["ring", "star", "random"])
+], ids=["ring", "star", "path", "random"])
 def test_graph_builders_reject_too_few_nodes(call, match):
     with pytest.raises(ValidationError, match=match):
         call()

@@ -1,7 +1,7 @@
 """Print the steps per block of ``run_trajectory``, and the minor page faults
 and peak RSS of one trajectory, on four rings: 10 agents, 1000 agents, and
-20000 agents built from a CSC adjacency (a dense one would be 400 MB), each
-of the bundled discrete family, and 100 agents of a list that alternates the
+20000 agents, whose ``ring_adjacency`` is CSC (a dense one would be 400 MB),
+each of the bundled discrete family, and 100 agents of a list that alternates the
 bundled Gaussian and discrete families. So the table shows each block rule:
 a run of at most 2^14 log-likelihoods in all is one block (the 10-ring's 150
 steps), a larger one takes 64-step blocks whatever its family mix (the mixed
@@ -31,17 +31,6 @@ HORIZON = 150
 WARMUPS = 3
 
 
-def ring(n: int):
-    """The bidirectional ring with self-loops, as a CSC adjacency."""
-    import numpy as np
-    from scipy.sparse import csc_matrix
-
-    k = np.arange(n)
-    rows = np.concatenate([k, k, (k + 1) % n])
-    cols = np.concatenate([k, (k + 1) % n, k])
-    return csc_matrix((np.ones(3 * n, dtype=bool), (rows, cols)), shape=(n, n))
-
-
 def measure(n: int, models: str) -> None:
     """Print one line of the table for the ring of ``n`` agents, whose
     ``models`` are the discrete "family" or a "mixed" list."""
@@ -49,9 +38,9 @@ def measure(n: int, models: str) -> None:
 
     import numpy as np
     from pbnet import dynamics, fixtures
-    from pbnet.network import build_averaging_matrix
+    from pbnet.network import build_averaging_matrix, ring_adjacency
 
-    net = build_averaging_matrix(ring(n), 0.5)
+    net = build_averaging_matrix(ring_adjacency(n), 0.5)
     fam = fixtures.bundled_discrete_family()
     if models == "mixed":
         fam = [fixtures.bundled_gaussian_family(), fam] * (n // 2)
