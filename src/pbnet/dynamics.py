@@ -96,27 +96,19 @@ BELIEF_SUM_TOL = 1e-9
 #: _BLOCK steps and, past one step, at most _BLOCK_DOUBLES log-likelihoods
 #: (steps * N * H doubles, 512 KiB): min(_BLOCK, _BLOCK_DOUBLES // (N * H))
 #: steps, at least one. Each block makes its temporaries afresh, and past the
-#: allocator's reuse size they were page-faulted in afresh on every block: at
-#: a fixed 64 steps and H = 3 a (64, N, H) buffer was 1.5 MiB at N = 1000 and
-#: 154 MB at 10^5 agents. Tables up to N * H = 1024 keep 64-step blocks; the
-#: 1000-ring at H = 3 takes 21, and from 10923 agents on at H = 3 a block is
-#: one step. On the 1000-ring (thread CPU, 150 steps) budgets of 2^12 and
-#: 2^14 timed about 45% and 10% slower, numpy's per-call cost being paid per
-#: block, and 2^17 ran as fast but peaked 1.6 MiB higher.
+#: allocator's reuse size they were page-faulted in afresh on every block, so
+#: a large table gets short blocks whose buffers are reused; a smaller budget
+#: pays numpy's per-call cost on more blocks, a larger one peaks higher
+#: (``BENCH_30.json``, ``block_budget_choice``).
 #: A run whose log-likelihoods are at most _BLOCK_DOUBLES // 4 in all
 #: (horizon * N * H <= 2^14 doubles, 128 KiB, glibc's default mapping
 #: threshold) is one block, so ``repro_grid``'s 10 x 3 runs of 300 steps pay
 #: one block's numpy calls instead of five. The deciding property is the
-#: run's size, not its family mix: with ru_minflt over 10 runs after 10
-#: warm-up runs in one process (discrete family, partial sharing, H = 3), a
-#: one-block run faulted its heap in afresh on every run from about 24000
-#: doubles on (28 agents at 300 steps, 10 agents at 800), and 109-step
-#: blocks of 2^14 doubles at 50 agents faulted 150 pages a run, while
-#: 64-step blocks and one-block runs up to 2^14 doubles faulted none. An
-#: unbounded step count gave ``hetero_random``'s mixed 100-agent list
-#: 218-step blocks, slower in 10 of 10 pairs of ``perfbench/run.py``, and
-#: one-family runs of 50 to 150 agents at 300 steps 2-11% slower (see
-#: ``BENCH_37.json``).
+#: run's size, not its family mix: larger one-block runs, and runs of several
+#: longer blocks, faulted their heap in afresh on every run, and an unbounded
+#: step count made mixed and one-family runs of 50 to 150 agents slower
+#: (page-fault counts and timings in ``BENCH_37.json``, ``faults`` and
+#: ``rejected_rule``).
 _BLOCK = 64
 _BLOCK_DOUBLES = 2**16
 
@@ -301,23 +293,17 @@ class _Plan:
 
     The step's calls take the cheapest form that gives the same bits: ``np.dot``
     for one table, no (..., N, 1) operand broadcast over a row in a per-step
-    ufunc, and no ``np.copyto`` but argmax's masked one. Timed at 10 x 3 rows
-    (numpy 2.4.6, OpenBLAS 0.3.31, best of 7, one thread of a 2-core Xeon
-    VM): ``np.dot`` with ``out`` 1.0 us against 1.8 for ``np.matmul``; an
-    (N, 1) operand, which takes numpy's broadcast-stride path, 1.0 us in
-    ``pooled -= lse`` against 0.2 + 0.3 for the copy across the row and a
-    contiguous subtraction, and 1.4 against 0.8 in the a_kk product; a view
-    assignment 0.1 us against 0.65 for ``np.copyto``, which goes through
-    numpy's Python-level dispatcher; a positional ``out`` about 0.15 us less
-    than the keyword, and a loop over prebuilt calls 0.16 us less than a
-    function that makes them, for one call, and 0.3 for two.
+    ufunc (numpy's broadcast-stride path), no ``np.copyto`` but argmax's
+    masked one (it goes through numpy's Python-level dispatcher), a
+    positional ``out`` and a loop over prebuilt calls; each form was timed
+    against the one it replaced (``BENCH_25.json``, ``step_form_measurements``).
 
     Building a plan is most of what a lone :func:`run_iteration` adds to the
     step, so it is kept small: each array is one ``np.empty`` call, which
     costs less than a view into one allocation, and the class is a slotted,
-    unfrozen dataclass built by position (on a shared 2-core Xeon VM with
-    numpy 2.4, a frozen one took about 4 us longer to build and keywords
-    about 1.5 us). Nothing reassigns a field once built.
+    unfrozen dataclass built by position, which builds faster than a frozen
+    one or keywords (plan build times in ``BENCH_27.json``,
+    ``lone_run_iteration``). Nothing reassigns a field once built.
     """
 
     aware: bool
@@ -345,6 +331,7 @@ def _plan(sharing, rows, net=None) -> _Plan:
     if net is not None and (len(shape) < 2 or shape[-2] != net.size):
         raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
+    # fold below the cutoff, max shift from it on: timed in BENCH_38.json (band)
     shift = len(shape) >= 2 and shape[-2] >= SPARSE_SOLVE_MIN_AGENTS
     tx, aware = sharing.transmit, sharing.self_aware
     if _is_integer(tx):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, csr_array, identity, issparse
+from scipy.sparse import csc_matrix, csr_array, identity, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
@@ -34,21 +34,10 @@ from .errors import (
 )
 
 PERRON_RESIDUAL_TOL = 1e-10
-#: From this many agents on, a Network keeps A only as a CSC matrix, built and
-#: checked in O(nnz) with no N x N array (``_stored``, the one place the form is
-#: chosen), and ``perron_vector`` solves by sparse LU (an averaging build on a
-#: balanced graph solves nothing, see ``build_averaging_matrix``); the step's
-#: pooling and the constants read that form (see Network).
-#: Its second reader is the step's log-sum-exp (``dynamics._plan``), by a
-#: table's agent count: below it a fold of ``np.logaddexp`` over the columns,
-#: with the reduce's bits, from it on the max shift. So one count decides
-#: whether a table is large. Timed by one 150-step run on a ring, discrete
-#: fixture, H = 3, thread CPU, 16 paired samples (numpy 2.4, shared 2-core Xeon
-#: VM), the fold took 0.85-0.98 of the shift's time from 128 to 199 rows under
-#: every rule, and 1.22-1.28 at 1000 (1.04 under argmax).
-#: Its third reader is the ring, path and star builders (``_adjacency``): below
-#: it a dense bool array, from it on a bool CSC matrix built in O(N), so a
-#: graph large enough to be stored sparse is never made N x N first.
+#: One count decides whether a matrix or a table is large. Its readers:
+#: ``_stored``, where A or a builder's graph takes its form: dense below it, CSC from it on.
+#: ``perron_vector``, which solves that form: a dense block below it, sparse LU from it on.
+#: ``dynamics._plan``, the step's log-sum-exp: a fold below it, the max shift from it on.
 SPARSE_SOLVE_MIN_AGENTS = 200
 
 
@@ -84,6 +73,10 @@ def is_strongly_connected(adjacency) -> bool:
     (``_one_strong_component``) reads a dense matrix's nonzeros, or a CSR's
     or a CSC's own index arrays; any other sparse format is converted to CSR
     once. An edge stored twice is summed into one on a copy first.
+
+    A build drops stored zeros instead (``_entries``), so a sparse graph
+    joined only by stored zeros passes this check and then raises
+    ConnectivityError in ``Network.from_matrix``.
     """
     adjacency = _square("adjacency", adjacency, bool)
     if not issparse(adjacency):
@@ -100,45 +93,46 @@ def is_strongly_connected(adjacency) -> bool:
 
 
 def _entries(matrix) -> tuple:
-    """(rows, cols, values, indptr) of a square matrix's nonzeros in CSC
-    order: column by column, rows ascending, with ``indptr`` the columns'
-    starts. Every build reads A or a graph through it, once.
+    """(rows, values, indptr) of a square matrix's nonzeros, the index, data
+    and column-start arrays of its CSC form: column by column, rows
+    ascending (``_columns`` gives each entry's column). Every build reads A
+    or a graph through it, once.
 
     A scipy.sparse matrix in any format is copied once into CSC, its
     duplicates summed in its own dtype and its stored zeros dropped, and is
     never made dense: a stored zero, or entries that sum to zero, are no
     nonzero. A dense array, which its callers have read by the number rule
-    (``errors._numbers``), is scanned as a boolean mask: below
-    SPARSE_SOLVE_MIN_AGENTS agents the mask of its transpose, whose
-    row-major order is A's column order; from there on its own mask, whose
-    nonzeros are then read as COO input, since a strided N x N copy would
-    cost more than scipy's O(nnz) conversion to CSC.
+    (``errors._numbers``), is scanned at every size as the boolean mask of
+    its transpose, whose row-major order is A's column order.
     """
     n = matrix.shape[0]
-    # a flat scan of a boolean mask is far cheaper than np.nonzero on floats
     if not issparse(matrix):
-        if n < SPARSE_SOLVE_MIN_AGENTS:
-            cols, rows = np.divmod(np.flatnonzero(matrix.T.astype(bool, order="C")), n)
-            return rows, cols, matrix[rows, cols], cols.searchsorted(np.arange(n + 1))
-        flat = np.flatnonzero(matrix.astype(bool, copy=False))
-        matrix = coo_matrix((matrix.ravel()[flat], np.divmod(flat, n)), shape=(n, n))
+        # a flat scan of a boolean mask is far cheaper than np.nonzero on floats
+        cols, rows = np.divmod(np.flatnonzero(matrix.T.astype(bool, order="C")), n)
+        return rows, matrix[rows, cols], cols.searchsorted(np.arange(n + 1))
     matrix = csc_matrix(matrix, copy=True)
     matrix.sum_duplicates()
     matrix.eliminate_zeros()
-    indptr = matrix.indptr
-    return matrix.indices, np.repeat(np.arange(n), np.diff(indptr)), matrix.data, indptr
+    return matrix.indices, matrix.data, matrix.indptr
 
 
-def _stored(rows, cols, values, indptr):
-    """The entries of ``_entries`` as the form a Network keeps A in, as
-    floats: a dense array below SPARSE_SOLVE_MIN_AGENTS agents, from there
-    on a CSC matrix built on the ordered entries as they are, with no sort
-    and no N x N array."""
+def _columns(indptr) -> np.ndarray:
+    """The column of each entry of a CSC matrix whose columns start at ``indptr``."""
+    return np.repeat(np.arange(indptr.size - 1), indptr[1:] - indptr[:-1])
+
+
+def _stored(rows, values, indptr):
+    """The square matrix with CSC arrays ``rows`` (ascending within each
+    column), ``values`` and ``indptr``, in ``values``' dtype and in the one
+    form pbnet keeps a matrix in, a Network's A and a ring, path or star
+    builder's graph alike: below SPARSE_SOLVE_MIN_AGENTS agents a dense
+    array, from there on a CSC matrix on these arrays as they are, with no
+    sort and no N x N array."""
     n = indptr.size - 1
     if n >= SPARSE_SOLVE_MIN_AGENTS:
-        return csc_matrix((values, rows, indptr), shape=(n, n), dtype=float)
-    out = np.zeros((n, n))
-    out[rows, cols] = values
+        return csc_matrix((values, rows, indptr), shape=(n, n))
+    out = np.zeros((n, n), values.dtype)
+    out[rows, _columns(indptr)] = values
     return out
 
 
@@ -147,15 +141,15 @@ def perron_vector(matrix) -> np.ndarray:
 
     Fixing v_N = 1 leaves (I - A)' v' = A[:N-1, N-1], with (I - A)' the
     leading (N-1) x (N-1) block, which is nonsingular when A is irreducible
-    (its weighted graph strongly connected). Below SPARSE_SOLVE_MIN_AGENTS
-    agents the block is solved dense; from there on by sparse LU on a CSC
-    copy of A, so no N x N array is allocated. ``matrix`` is square, dense or
+    (its weighted graph strongly connected). ``matrix`` is square, dense or
     scipy.sparse in any format, a dense one an array or array-like read by
-    ``_square`` as floats; from the cutoff on, input that is not CSC already,
-    as a Network stores it, is read by ``_entries`` and made CSC by
-    ``_stored``, and below it sparse input is read densely. A matrix with no
-    agent raises ValidationError, and an exactly singular block
-    NonConvergenceError, dense or sparse.
+    ``_square`` as floats. Input not already in the form a Network stores A
+    in (dense below SPARSE_SOLVE_MIN_AGENTS agents, CSC from there on) is
+    read by ``_entries`` and stored by ``_stored`` as floats; the block is
+    then solved dense, or by sparse LU on the CSC form, so no N x N array is
+    allocated from the cutoff on. A matrix with no agent raises
+    ValidationError, and an exactly singular block NonConvergenceError,
+    dense or sparse.
 
     ``Network.from_matrix`` calls it on every build, and so does
     ``build_averaging_matrix`` on a graph that is not balanced; an averaging
@@ -165,15 +159,16 @@ def perron_vector(matrix) -> np.ndarray:
     n = matrix.shape[0]
     if n == 0:
         raise ValidationError("combination matrix has no agent")
+    # stored as a Network stores A (``_stored``) unless in that form already
+    if getattr(matrix, "format", "dense") != ("csc" if n >= SPARSE_SOLVE_MIN_AGENTS else "dense"):
+        rows, values, indptr = _entries(matrix)
+        matrix = _stored(rows, values.astype(float, copy=False), indptr)
     m = n - 1
-    if n < SPARSE_SOLVE_MIN_AGENTS:
-        A = matrix.toarray().astype(float, copy=False) if issparse(matrix) else matrix
-        solve, block, rhs = np.linalg.solve, np.eye(m) - A[:m, :m], A[:m, m]
-    else:
-        if not issparse(matrix) or matrix.format != "csc":
-            matrix = _stored(*_entries(matrix))
+    if issparse(matrix):
         block = identity(m, format="csc") - matrix[:m, :m]
         solve, rhs = spsolve, matrix[:m, [m]].toarray().ravel()
+    else:
+        solve, block, rhs = np.linalg.solve, np.eye(m) - matrix[:m, :m], matrix[:m, m]
     try:
         with warnings.catch_warnings():  # spsolve warns, and returns NaNs, on a singular block
             warnings.simplefilter("error", MatrixRankWarning)
@@ -186,14 +181,23 @@ def perron_vector(matrix) -> np.ndarray:
 
 def _self_weights(matrix, perron) -> tuple:
     """(diag(A), v): ``matrix`` is square, dense or scipy.sparse
-    (``_square``), and ``perron`` is read by the number rule
-    (``errors._numbers``) as N floats."""
+    (``_square``), its diagonal returned as a contiguous copy, and
+    ``perron`` is read by the number rule (``errors._numbers``) as N floats."""
     matrix = _square("combination matrix", matrix, float)
-    d = matrix.diagonal()
+    d = matrix.diagonal().copy()
     perron = _numbers("perron", perron, float)
     if perron.shape != d.shape:
         raise ValidationError(f"perron must hold {d.size} entries, got shape {perron.shape}")
     return d, perron
+
+
+def _closed_forms(diagonal, perron) -> tuple:
+    """(alpha, weight_sum) of a network with self-weights ``diagonal``, a
+    contiguous array, and Perron vector ``perron``: (1.0, diagonal @ perron)
+    with N >= 2 agents, (0.0, 0.0) with one (see ``alpha_constant`` and
+    ``mislearning_weight_sum``). A dense A's diagonal is a strided view,
+    whose product can differ in the last bit, hence the contiguous copy."""
+    return (1.0, float(diagonal @ perron)) if diagonal.size > 1 else (0.0, 0.0)
 
 
 def alpha_constant(matrix, perron: np.ndarray) -> float:
@@ -205,10 +209,10 @@ def alpha_constant(matrix, perron: np.ndarray) -> float:
     A v = v makes each term v_n, so the sum is sum(v) = 1. No a_nn is 1 on
     a strongly connected network of N >= 2 agents, since agent n would then
     hear nobody. So alpha depends on neither the weights nor the graph:
-    ``matrix`` and ``perron`` are only checked (``_self_weights``).
+    ``matrix`` and ``perron`` are only checked (``_self_weights``) before
+    the closed form (``_closed_forms``).
     """
-    d, _ = _self_weights(matrix, perron)
-    return 1.0 if d.size > 1 else 0.0
+    return _closed_forms(*_self_weights(matrix, perron))[0]
 
 
 def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
@@ -217,34 +221,34 @@ def mislearning_weight_sum(matrix, perron: np.ndarray) -> float:
     The network-dependent factor of the self-aware mislearning condition
     (it gets multiplied by the likelihood bound). By A v = v it is
     diag(A) @ v on every accepted network with N >= 2 agents (see
-    ``alpha_constant``), and 0.0 for a single agent. The diagonal is copied
-    before the product: a dense A's is a strided view, whose product can
-    differ in the last bit. For an averaging-rule matrix with self-weight lam
-    every a_nn is lam, so it is lam * sum(v): lam up to the rounding of sum(v).
+    ``alpha_constant``), and 0.0 for a single agent (``_closed_forms``). For
+    an averaging-rule matrix with self-weight lam every a_nn is lam, so it is
+    lam * sum(v): lam up to the rounding of sum(v).
     """
-    d, v = _self_weights(matrix, perron)
-    return float(d.copy() @ v) if d.size > 1 else 0.0
+    return _closed_forms(*_self_weights(matrix, perron))[1]
 
 
 @dataclass(frozen=True)
 class Network:
     """Validated network: combination matrix and derived constants.
 
-    ``weights`` is A in the form it is stored (``_stored``): a dense array
-    below SPARSE_SOLVE_MIN_AGENTS agents, a CSC matrix from there on, so that
-    no N x N array is built or kept. Its nonzeros are the graph; a declared
-    adjacency is checked against them and not kept. ``matrix`` is A's dense,
-    read-only form; from the cutoff on it is built on first read and cached,
-    and nothing in pbnet reads it. ``pool`` is A.T in the form the step
-    multiplies by, ``pool @ shared``: the dense transposed view below the
-    cutoff, from it on CSR with no copy. The Perron vector is solved (dense
-    or sparse LU by the same cutoff) or, for an averaging network on a
-    balanced graph, taken in closed form (``build_averaging_matrix``); either
-    way its residual on ``weights`` certifies it. ``diagonal``
-    holds the self-weights a_kk. ``alpha`` is exactly 1.0, or 0.0 for a
-    single agent (``alpha_constant``), and ``weight_sum`` is diagonal @ perron
-    (``mislearning_weight_sum``); a build writes both closed forms from its
-    checked diagonal and Perron vector, with no call of either function.
+    ``weights`` is A in the form it is stored (``_stored``, as floats): a
+    dense array below SPARSE_SOLVE_MIN_AGENTS agents, a CSC matrix from
+    there on, so that no N x N array is built or kept. Its nonzeros are the
+    graph; a declared adjacency is checked against them and not kept.
+    ``matrix`` is A's dense, read-only form; from the cutoff on it is built
+    on first read and cached, and nothing in pbnet reads it. ``pool`` is A.T
+    in the form the step multiplies by, ``pool @ shared``: the dense
+    transposed view below the cutoff, from it on CSR with no copy. The
+    Perron vector is solved (dense or sparse LU by the same cutoff) or, for
+    an averaging network on a balanced graph, taken in closed form
+    (``build_averaging_matrix``); either way its residual on ``weights``
+    certifies it. ``diagonal`` holds the self-weights a_kk. ``alpha`` is
+    exactly 1.0, or 0.0 for a single agent (``alpha_constant``), and
+    ``weight_sum`` is diagonal @ perron (``mislearning_weight_sum``); a
+    build takes both from the one closed form (``_closed_forms``) on its
+    checked diagonal and Perron vector, with no call of either public
+    function.
 
     Immutable after construction; safe to share across concurrent runs.
     """
@@ -276,26 +280,27 @@ class Network:
         given ``adjacency`` only checks that no nonzero weight sits off its
         edges; the graph the network keeps and checks for strong
         connectivity is A's nonzeros. A is read once (``_entries``) and its
-        entries are handed to ``_build``. The Perron vector is always solved
-        for (``perron_vector``); only ``build_averaging_matrix`` on a balanced
+        CSC arrays are handed to ``_build``, which stores A as floats
+        (``_stored``). The Perron vector is always solved for
+        (``perron_vector``); only ``build_averaging_matrix`` on a balanced
         graph proposes it in closed form instead.
         """
         matrix = _square("combination matrix", matrix, float)
         return cls._build(*_entries(matrix), adjacency)
 
     @classmethod
-    def _build(cls, rows, cols, values, indptr, adjacency=None, proposal=None) -> "Network":
-        """A Network from A's nonzeros in CSC order (``_entries``), with the
-        Perron vector ``proposal`` in place of the solve when one is given.
-        Either vector must pass the same certificate, max|A v - v| <=
+    def _build(cls, rows, values, indptr, adjacency=None, proposal=None) -> "Network":
+        """A Network from A's CSC arrays (``_entries``), with the Perron
+        vector ``proposal`` in place of the solve when one is given. Either
+        vector must pass the same certificate, max|A v - v| <=
         PERRON_RESIDUAL_TOL and v > 0, or the build raises
         NonConvergenceError: a wrong proposal is never kept.
 
-        A is made once into its stored form (``_stored``, see Network).
-        Every other check reads the entries; a given adjacency is read by
-        ``_entries`` too, and A is indexed at its edges. The
-        strong-connectivity check (``_one_strong_component``) takes the rows
-        and ``indptr`` as they are, A's CSC index arrays.
+        A is made once into its stored form, its values as floats
+        (``_stored``, see Network). Every other check reads the entries; a
+        given adjacency is read by ``_entries`` too, and A is indexed at its
+        edges. The strong-connectivity check (``_one_strong_component``)
+        takes the rows and ``indptr`` as they are, A's CSC index arrays.
         """
         n = indptr.size - 1
         if (values < 0).any():
@@ -306,14 +311,14 @@ class Network:
         sums = np.zeros(n)
         sums[filled] = np.add.reduceat(values, indptr[:-1][filled])
         _sums_to_one("column", sums)
-        weights = _stored(rows, cols, values, indptr)
+        weights = _stored(rows, values.astype(float, copy=False), indptr)
         if adjacency is not None:
             graph = _square("adjacency", adjacency, bool)
             if graph.shape != (n, n):
                 raise ValidationError("adjacency shape does not match the matrix")
-            tails, heads, _, _ = _entries(graph)
+            tails, _, starts = _entries(graph)
             # every nonzero weight is on an edge when the edges hold them all
-            if np.count_nonzero(weights[tails, heads]) < values.size:
+            if np.count_nonzero(weights[tails, _columns(starts)]) < values.size:
                 raise ValidationError("nonzero weight on a non-edge")
         if not _one_strong_component(rows, indptr):
             raise ConnectivityError("graph is not strongly connected")
@@ -331,17 +336,9 @@ class Network:
         parts = (weights.data, weights.indices, weights.indptr) if issparse(weights) else (weights,)
         for arr in (diagonal, v, *parts):
             arr.setflags(write=False)
-        # the closed forms of alpha_constant and mislearning_weight_sum, from
-        # the diagonal and v checked above (diagonal is a contiguous copy)
-        several = n > 1
-        return cls(
-            weights=weights,
-            pool=weights.T,
-            diagonal=diagonal,
-            perron=v,
-            alpha=1.0 if several else 0.0,
-            weight_sum=float(diagonal @ v) if several else 0.0,
-        )
+        alpha, weight_sum = _closed_forms(diagonal, v)
+        return cls(weights=weights, pool=weights.T, diagonal=diagonal, perron=v,
+                   alpha=alpha, weight_sum=weight_sum)
 
     def describe(self) -> dict:
         """Plain-Python summary of the network and its derived constants."""
@@ -388,7 +385,8 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     graph = _square("adjacency", adjacency, bool)
     lam = _in_interval("self-weight", self_weight, 0, 1)
     n = graph.shape[0]
-    rows, cols, _, indptr = _entries(graph)
+    rows, _, indptr = _entries(graph)
+    cols = _columns(indptr)
     loops = rows == cols
     looped = np.bincount(cols[loops], minlength=n)
     if not looped.all():
@@ -406,24 +404,10 @@ def build_averaging_matrix(adjacency, self_weight: float) -> Network:
     # count (degrees): then A v = v at v proportional to degrees - 1
     balanced = np.array_equal(np.bincount(rows, minlength=n), degrees)
     heard = degrees - 1
-    return Network._build(rows, cols, weights, indptr,
-                          proposal=heard / heard.sum() if balanced else None)
+    return Network._build(rows, weights, indptr, proposal=heard / heard.sum() if balanced else None)
 
 
 # -- adjacency builders ------------------------------------------------------
-
-def _adjacency(rows, indptr):
-    """The graph with CSC index arrays ``rows`` (ascending within each
-    column) and ``indptr``, in the form the builders return: below
-    SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a bool
-    CSC matrix on these arrays as they are, with no N x N array and no sort."""
-    n = indptr.size - 1
-    if n >= SPARSE_SOLVE_MIN_AGENTS:
-        return csc_matrix((np.ones(rows.size, dtype=bool), rows, indptr), shape=(n, n))
-    adj = np.zeros((n, n), dtype=bool)
-    adj[rows, np.repeat(np.arange(n), np.diff(indptr))] = True
-    return adj
-
 
 def _tridiagonal(n: int) -> np.ndarray:
     """Rows k - 1, k, k + 1 of each column k, column after column, as int32,
@@ -437,7 +421,7 @@ def ring_adjacency(n: int):
     heard by itself and its two neighbours.
 
     Below SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a
-    bool CSC matrix with canonical format, built in O(n) (``_adjacency``)."""
+    bool CSC matrix with canonical format, built in O(n) (``_stored``)."""
     _check_integer("n", n, 2)
     if n == 2:  # both neighbours of a node are the other node
         return path_adjacency(2)
@@ -445,7 +429,7 @@ def ring_adjacency(n: int):
     # columns 0 and n - 1 wrap round: rows (0, 1, n - 1) and (0, n - 2, n - 1)
     rows[:3] = 0, 1, n - 1
     rows[-3:] = 0, n - 2, n - 1
-    return _adjacency(rows, np.arange(0, 3 * n + 1, 3, dtype=np.int32))
+    return _stored(rows, np.ones(rows.size, bool), np.arange(0, 3 * n + 1, 3, dtype=np.int32))
 
 
 def path_adjacency(n: int):
@@ -453,12 +437,12 @@ def path_adjacency(n: int):
     Balanced, as every undirected graph.
 
     Below SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a
-    bool CSC matrix with canonical format, built in O(n) (``_adjacency``)."""
+    bool CSC matrix with canonical format, built in O(n) (``_stored``)."""
     _check_integer("n", n, 2)
     # column 0 holds rows (0, 1), column n - 1 rows (n - 2, n - 1)
     indptr = np.maximum(3 * np.arange(n + 1, dtype=np.int32) - 1, 0)
     indptr[-1] -= 1
-    return _adjacency(_tridiagonal(n)[1:-1], indptr)
+    return _stored(_tridiagonal(n)[1:-1], np.ones(3 * n - 2, bool), indptr)
 
 
 def star_adjacency(n: int):
@@ -467,7 +451,7 @@ def star_adjacency(n: int):
     as it hears.
 
     Below SPARSE_SOLVE_MIN_AGENTS nodes a dense bool array, from there on a
-    bool CSC matrix with canonical format, built in O(n) (``_adjacency``)."""
+    bool CSC matrix with canonical format, built in O(n) (``_stored``)."""
     _check_integer("n", n, 2)
     # column 0 holds every row, spoke k rows (0, k)
     rows = np.zeros(3 * n - 2, np.int32)
@@ -475,7 +459,7 @@ def star_adjacency(n: int):
     rows[n + 1::2] = np.arange(1, n)
     indptr = np.arange(n - 2, 3 * n - 1, 2, dtype=np.int32)
     indptr[0] = 0
-    return _adjacency(rows, indptr)
+    return _stored(rows, np.ones(rows.size, bool), indptr)
 
 
 GENERATION_MAX_ATTEMPTS = 1000

@@ -410,6 +410,7 @@ class TestDerivedConstants:
         assert net.alpha == 1.0
         assert net.weight_sum == float(np.where(d < 1.0, d, 0.0) @ v)
         for matrix in (net.matrix, net.weights):
+            assert alpha_constant(matrix, v) == net.alpha
             assert mislearning_weight_sum(matrix, v) == net.weight_sum
 
 
@@ -670,12 +671,15 @@ class TestBuilderForms:
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_builds_from_the_output_equal_the_dense_builds_bitwise(self, kind, n):
         adj = BUILDERS[kind][0](n)
-        sparse, dense = build_averaging_matrix(adj, 0.3), build_averaging_matrix(adj.toarray(), 0.3)
-        for name in ("perron", "diagonal"):
-            assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes()
-        for part in ("data", "indices", "indptr"):
-            assert getattr(sparse.pool, part).tobytes() == getattr(dense.pool, part).tobytes()
-        assert (sparse.alpha, sparse.weight_sum) == (dense.alpha, dense.weight_sum)
+        sparse = build_averaging_matrix(adj, 0.3)
+        # the dense read is one scan on either memory order
+        for array in (adj.toarray(), np.ascontiguousarray(adj.toarray())):
+            dense = build_averaging_matrix(array, 0.3)
+            for name in ("perron", "diagonal"):
+                assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes()
+            for part in ("data", "indices", "indptr"):
+                assert getattr(sparse.pool, part).tobytes() == getattr(dense.pool, part).tobytes()
+            assert (sparse.alpha, sparse.weight_sum) == (dense.alpha, dense.weight_sum)
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_a_hundred_thousand_nodes_build_from_the_output(self, kind, monkeypatch):
