@@ -31,7 +31,11 @@ m + log sum exp(x - m) with m the row's largest entry: a few vectorized
 ``np.maximum``, ``np.exp``, add and ``np.log`` passes over column views, where
 ``np.logaddexp`` is scalar libm code per entry. It rounds apart from the
 reduce by a few ulp. Argmax's spread, whose columns differ from row to row,
-is one masked reduce at every size.
+is one masked reduce at every size. From the cutoff on, at H <= 3, a fixed
+tx's spread is written into the shared rows, and the pooled rows' normalizer
+subtracted, one (..., N) column view at a time; below it, or at more
+hypotheses, each is one (..., N, 1) entry broadcast over the rows, which
+costs less there. The bits are the same.
 
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
@@ -54,10 +58,13 @@ time, so its length changes no bit of a run.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
 
-Under every rule, a planned step on a dense pool allocates no array, and
-neither do the max shift's calls (both tested): every array they write is the
-plan's. A sparse pool's product is made by scipy and copied into the
-workspace. At ten agents a step costs what its numpy calls cost to enter, so
+Under every rule, a planned step allocates no array, on a dense pool or a
+sparse one, and neither do the max shift's calls (all tested): every array
+they write is the plan's. A sparse pool's product is scipy's own
+``<format>_matvecs`` kernel, the one ``pool @ x`` runs, called on the pool's
+arrays straight into the zero-filled workspace (:func:`_product_calls`), so
+it gives ``pool @ x``'s bits without its dispatch, its fresh result and a
+copy back. At ten agents a step costs what its numpy calls cost to enter, so
 each call takes its cheapest form that gives the same bits (timed in
 ``_Plan``): ``np.dot`` for one table, no (..., N, 1) operand broadcast over a
 row in a per-step ufunc, a view assignment rather than ``np.copyto`` but for
@@ -256,13 +263,25 @@ def _lse_calls(rows: np.ndarray, out: np.ndarray, shift: bool, skip=None) -> lis
     return (_shift_calls if shift else _fold_calls)(out, *columns)
 
 
-def _sparse_product(pool, shared: np.ndarray, out: np.ndarray) -> None:
-    """``pool @ shared`` into ``out`` for a sparse pool, which multiplies 2-D
-    operands only: a (..., N, H) stack is one (N, ...·H) product, whose
-    columns are the tables' columns, each summed as it is alone."""
-    columns = shared.swapaxes(0, -2)  # (N, ..., H)
-    product = pool @ columns.reshape(len(columns), -1)
-    out.swapaxes(0, -2)[...] = product.reshape(columns.shape)
+def _product_calls(pool, rows: np.ndarray, out: np.ndarray) -> list:
+    """The calls that write ``pool @ rows`` into ``out``, for a sparse pool
+    and C-contiguous (N, K) ``rows`` and ``out``: a zero-fill of ``out``, then
+    scipy's own ``<pool.format>_matvecs`` kernel on the pool's arrays and the
+    two raveled views. That kernel is what ``pool @ rows`` runs after its
+    dispatch, into a fresh zeroed result, so the calls give its bits and make
+    no array; it is picked by the pool's format, as scipy picks it.
+
+    ``scipy.sparse._sparsetools`` is a private scipy module. It is looked up
+    here, when a sparse pool's plan is built, so that pbnet still imports
+    without it; ``test_sparse_pool_product_is_scipys_bitwise`` fails if a
+    scipy release moves it or changes the kernel's bits."""
+    from scipy.sparse import _sparsetools
+
+    kernel = getattr(_sparsetools, pool.format + "_matvecs")
+    (m, n), vectors = pool.shape, rows.shape[1]
+    return [(out.fill, (0.0,)),
+            (kernel, (m, n, vectors, pool.indptr, pool.indices, pool.data,
+                      rows.ravel(), out.ravel()))]
 
 
 @dataclass(slots=True)
@@ -284,12 +303,19 @@ class _Plan:
     makes no call, or, self-aware, one copy of psi. ``combine`` writes
     ``pooled``: the pool product (``np.dot`` for one dense (N, H) table,
     ``np.matmul`` for a dense stack, which ``np.dot`` would contract
-    otherwise, :func:`_sparse_product` for a sparse pool); under a
+    otherwise; for a sparse pool the zero-fill and kernel of
+    :func:`_product_calls` on each (N, H) table, in place); under a
     self-aware rule a_kk * (psi - shared) added in, a_kk an (N, H) table so
     that a stack broadcasts it only over its leading axes; the pooled rows'
-    log-sum-exp into the same per-row entry, copied across its row and
-    subtracted. ``aware`` tells a combine that it reads the caller's own
-    rows into ``psi``.
+    log-sum-exp into the same per-row entry, subtracted from each row.
+    From SPARSE_SOLVE_MIN_AGENTS rows on at H <= 3, one ``setitem`` per
+    column of ``shared`` writes a fixed tx's spread and one ``np.subtract``
+    per column of ``pooled`` the normalization, each reading the entry as a
+    (..., N) view. Otherwise the spread writes the entry across its row of
+    ``shared``, and the normalization copies it across its row of a
+    normalizer table that it subtracts, one (..., N, 1) broadcast each.
+    ``aware`` tells a combine that it reads the caller's own rows into
+    ``psi``.
 
     The step's calls take the cheapest form that gives the same bits: ``np.dot``
     for one table, no (..., N, 1) operand broadcast over a row in a per-step
@@ -319,7 +345,8 @@ def _plan(sharing, rows, net=None) -> _Plan:
     array or array-like read by the number rule (``errors._numbers``), and,
     given, for ``net``, a Network whose agent count must be that of the rows
     (ValidationError else). The log-sum-exp form follows one table's agent
-    count, ``shape[-2]``, so a stack of tables steps each as it would step
+    count, ``shape[-2]``, and the spread write's and the normalization's its
+    shape, ``shape[-2:]``, so a stack of tables steps each as it would step
     alone."""
     if not isinstance(sharing, Sharing):
         raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
@@ -333,12 +360,16 @@ def _plan(sharing, rows, net=None) -> _Plan:
     h = shape[-1]
     # fold below the cutoff, max shift from it on: timed in BENCH_38.json (band)
     shift = len(shape) >= 2 and shape[-2] >= SPARSE_SOLVE_MIN_AGENTS
+    # the spread write and normalization by column where that beats one
+    # (..., N, 1) broadcast: timed in BENCH_46.json (write_forms, below_cutoff)
+    by_column = shift and h <= 3
     tx, aware = sharing.transmit, sharing.self_aware
     if _is_integer(tx):
         _check_integer("tx index", tx, 0, h - 1)
     if h == 1:  # a single hypothesis has nothing to spread
         tx = None
     psi, lse = np.empty(shape), np.empty(shape[:-1] + (1,))
+    entry = lse[..., 0]
     shared = psi if tx is None and not aware else np.empty(shape)
     if tx is None:
         modify = [] if shared is psi else [(setitem, (shared, ..., psi))]
@@ -351,23 +382,33 @@ def _plan(sharing, rows, net=None) -> _Plan:
                       (np.logaddexp.reduce, (psi, -1, None, lse, True, -np.inf, others))]
             write = [(setitem, (shared, ..., psi)), (np.copyto, (shared, lse, "same_kind", others))]
         else:
-            modify = _lse_calls(psi, lse[..., 0], shift, tx)
-            write = [(setitem, (shared, ..., lse)), (setitem, (shared[..., tx], ..., psi[..., tx]))]
+            modify = _lse_calls(psi, entry, shift, tx)
+            if by_column:
+                write = [(setitem, (shared[..., c], ..., entry)) for c in range(h) if c != tx]
+            else:
+                write = [(setitem, (shared, ..., lse))]
+            write.append((setitem, (shared[..., tx], ..., psi[..., tx])))
         log_rest = np.asarray(np.log(h - 1.0))  # 0-d: the subtraction converts a scalar per call
         modify += [(np.subtract, (lse, log_rest, lse)), *write]
     pooled, combine = None, []
     if net is not None:
-        dense = isinstance(net.pool, np.ndarray)
-        product = (np.dot if len(shape) == 2 else np.matmul) if dense else _sparse_product
-        pooled, normalizer = np.empty(shape), np.empty(shape)
-        combine.append((product, (net.pool, shared, pooled)))
+        pool, pooled = net.pool, np.empty(shape)
+        if isinstance(pool, np.ndarray):
+            combine = [(np.dot if len(shape) == 2 else np.matmul, (pool, shared, pooled))]
+        else:  # each (N, H) table of a stack is C-contiguous, and [()] is one table
+            combine = [call for table in np.ndindex(shape[:-2])
+                       for call in _product_calls(pool, shared[table], pooled[table])]
         if aware:
             term, diagonal = np.empty(shape), np.empty(shape[-2:])
             diagonal[...] = net.diagonal[:, None]
             combine += [(np.subtract, (psi, shared, term)), (np.multiply, (term, diagonal, term)),
                         (np.add, (pooled, term, pooled))]
-        combine += _lse_calls(pooled, lse[..., 0], shift)
-        combine += [(setitem, (normalizer, ..., lse)), (np.subtract, (pooled, normalizer, pooled))]
+        combine += _lse_calls(pooled, entry, shift)
+        if by_column:
+            combine += [(np.subtract, (pooled[..., c], entry, pooled[..., c])) for c in range(h)]
+        else:
+            normalizer = np.empty(shape)
+            combine += [(setitem, (normalizer, ..., lse)), (np.subtract, (pooled, normalizer, pooled))]
     return _Plan(aware, psi, shared, pooled, modify, combine)
 
 

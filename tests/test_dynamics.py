@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from operator import setitem
 
 import mpmath
 import numpy as np
@@ -544,6 +545,27 @@ class TestStepKernel:
             want = pooled - np.log(np.exp(pooled).sum(axis=1, keepdims=True))
             np.testing.assert_allclose(traj[i], want, rtol=0, atol=1e-12)
 
+    def test_sparse_pool_product_is_scipys_bitwise(self):
+        # a random graph with random weights: A is not symmetric, so a kernel
+        # that read the pool's arrays in another format's order would differ
+        rng = np.random.default_rng(300)
+        adj = generate_strongly_connected_adjacency(300, 0.02, rng)
+        weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+        net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+        assert issparse(net.pool) and (net.pool != net.pool.T).nnz
+        for shape in [(300, 3), (2, 300, 3)]:
+            shared = rng.normal(0.0, 5.0, shape)
+            product = np.stack([net.pool @ table for table in shared.reshape(-1, 300, 3)])
+            product = product.reshape(shape)
+            got = combine_step(net, shared, None, FullSharing())
+            assert got.tobytes() == (product - shift_reference(product)).tobytes()
+        # scipy picks the kernel by the pool's format, and so does the step
+        for pool in (net.pool, net.pool.tocsc()):
+            rows, out = rng.normal(0.0, 5.0, (300, 3)), np.full((300, 3), np.nan)
+            for function, args in dynamics._product_calls(pool, rows, out):
+                function(*args)
+            assert out.tobytes() == (pool @ rows).tobytes()
+
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_large_log_likelihood_gaps_stay_normalized(self, rule):
         # means 25 apart: per-step log-likelihood gaps reach about 400, the
@@ -639,12 +661,49 @@ class TestWorkspace:
 
         check_log_beliefs(assert_no_numpy_buffer_is_made(steps, log_b))
 
+    @pytest.mark.parametrize("h", [3, 5], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("n", [250, 1000], ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
+    def test_a_planned_sparse_step_allocates_no_numpy_buffer(self, n, h, rule):
+        # 64 steps given one plan, on a sparse pool, whose product scipy's
+        # kernel writes into the plan's workspace; at H = 3 the spread write
+        # and normalization go by column, at H = 5 by broadcast
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        assert issparse(net.pool)
+        rng = np.random.default_rng(n + h)
+        log_b = uniform_log_beliefs(n, h)
+        plan = dynamics._plan(rule(1), log_b, net)
+        rows = [(None, scored) for scored in rng.normal(0.0, 1.0, (65, n, h))]
+        log_b, _ = run_iteration(log_b, net, DISC3, 0, plan, rng, observed=rows[0])
+
+        def steps(log_b):
+            for row in rows[1:]:
+                log_b, _ = run_iteration(log_b, net, DISC3, 0, plan, rng, observed=row)
+            return log_b
+
+        check_log_beliefs(assert_no_numpy_buffer_is_made(steps, log_b))
+
+    @pytest.mark.parametrize("n, h, by_column", [(199, 3, False), (200, 2, True), (200, 3, True),
+                                                 (1000, 4, False), (1000, 5, False)],
+                             ids=["N199-H3", "N200-H2", "N200-H3", "N1000-H4", "N1000-H5"])
+    def test_large_tables_of_few_hypotheses_write_by_column(self, n, h, by_column):
+        # a fixed tx's spread and the normalization: one setitem of the
+        # (N, 1) entry over the (N, H) rows, or one call per (N,) column
+        net = build_averaging_matrix(ring_adjacency(n), 0.4)
+        plan = dynamics._plan(PartialSharing(1), np.empty((n, h)), net)
+        spread = [args[0].shape for function, args in plan.modify if function is setitem]
+        normalizer = [args[0].shape for function, args in plan.combine if function is setitem]
+        if by_column:
+            assert spread == [(n,)] * h and normalizer == []
+        else:
+            assert spread == [(n, h), (n,)] and normalizer == [(n, h)]
+
     @pytest.mark.parametrize("h", [2, 3, 4], ids=lambda h: f"H{h}")
     @pytest.mark.parametrize("rule", [PartialSharing, SelfAwarePartialSharing],
                              ids=["partial", "self_aware"])
     def test_the_max_shift_allocates_no_numpy_buffer(self, h, rule):
         # a fixed tx's spread, 64 times, on the max shift's rows of a plan
-        # built without a network (whose sparse product is scipy's)
+        # built without a network, so with no pool product
         n = 250
         plan = dynamics._plan(rule(1), np.empty((n, h)))
         assert np.exp in [function for function, _ in plan.modify]  # the shift's, not the fold's
