@@ -144,20 +144,18 @@ def predict_partial_regime(
 ) -> RegimeReport:
     """Regime of the partial strategy for a homogeneous model.
 
-    tx = true: truth learning iff the complement-mixture divergence is
-    positive. tx != true: the sign of the rate decides between collapse onto
-    tx and a uniform split over the other hypotheses.
+    One comparison of the mixture and the tx divergences: a positive
+    d_mix - d_tx means tx is the easier explanation and absorbs the belief
+    (at tx = true, truth learning), a negative one a uniform split over the
+    hypotheses other than tx. At tx = true, d_tx is the ``point`` table's
+    diagonal, exactly 0.0, so the margin is d_mix and no split can be called.
     """
     d_tx = _kl_true_vs_tx(model, true_index, tx_index)
     d_mix = _kl_true_vs_mixture(model, true_index, tx_index)
-    if tx_index == true_index:
-        values = {"thm1_true": d_mix}
-        predicted = _called((d_mix, Regime.TRUTH_LEARNING))
-    else:
-        # margin of mixture-vs-tx divergence: positive means tx is the easier
-        # explanation and absorbs the belief
-        values = {"thm1_ratio": d_mix - d_tx}
-        predicted = _called((d_mix - d_tx, Regime.MISLEARN_TX), (d_tx - d_mix, Regime.UNIFORM_SPLIT))
+    learned = tx_index == true_index
+    values = {"thm1_true" if learned else "thm1_ratio": d_mix - d_tx}
+    predicted = _called((d_mix - d_tx, Regime.TRUTH_LEARNING if learned else Regime.MISLEARN_TX),
+                        (d_tx - d_mix, Regime.UNIFORM_SPLIT))
     return _report("partial", true_index, tx_index, d_tx, d_mix, predicted, values)
 
 
@@ -306,8 +304,10 @@ def detect_convergence(
     index: the tx component must stay below 1e-3 for all agents over the
     window, with the remaining components either pinned at 1/(H-1) within
     1e-3, or (oscillating) agent 0's log-ratio of the two lowest non-tx
-    hypotheses changing sign at least 3 times. ``threshold`` is one number in
-    (0.5, 1) (``errors._in_interval``).
+    hypotheses changing sign at least 3 times; a non-finite entry of that
+    log-ratio raises MeasurementError (``_log_ratio``), as it does for
+    :func:`measure_empirical_rate` and :func:`oscillation_amplitude`.
+    ``threshold`` is one number in (0.5, 1) (``errors._in_interval``).
     """
     _check_trajectory(log_beliefs)
     threshold = _in_interval("threshold", threshold, 0.5, 1)
@@ -330,8 +330,7 @@ def detect_convergence(
             if np.all(np.abs(probs[:, :, others] - target) <= UNIFORM_SPLIT_TOL):
                 return Verdict("uniform_split")
             if len(others) >= 2:
-                a, b = others[0], others[1]
-                series = tail[:, 0, a] - tail[:, 0, b]
+                series = _log_ratio(tail, 0, others[0], others[1])
                 changes = int(np.sum(series[:-1] * series[1:] < 0))
                 if changes >= MIN_SIGN_CHANGES:
                     return Verdict("oscillating")

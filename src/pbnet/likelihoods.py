@@ -10,10 +10,12 @@ family builds its scoring and sampling tables on first read too.
 Divergences take hypothesis indices (:func:`kl_divergence`, a ``point``
 entry) or mixture weights, one vector or a stack per side
 (:func:`mixture_kl`, which also builds ``complement``). A Gaussian mixture
-divergence that the Gauss-Hermite rule cannot certify falls back to pbnet's
-own composite Gauss-Legendre rule, in :func:`mixture_kl` alone. Both rules
-give a value only with one certificate: their coarse and fine sums agree
-within ``KL_QUAD_TOL``.
+divergence is summed by a Gauss-Hermite rule (``GaussianFamily._mixture_table``);
+one that rule cannot certify falls back to pbnet's own composite
+Gauss-Legendre rule, in :func:`mixture_kl` alone. Both rules give a value
+only with one certificate: their coarse and fine sums agree within
+``KL_QUAD_TOL``. Both, and the scorers, read the one Gaussian log-density,
+:func:`_log_normal`.
 
 All indices are 0-based inside the library; only the ``to_dict`` forms
 of the analysis results write hypothesis indices 1-based.
@@ -132,8 +134,8 @@ class _Divergences:
     * ``point[t, u]`` = D_KL(L_t||L_u), (H, H): a Gaussian closed form;
     * ``complement[t, x]`` = D_KL(L_t||uniform mixture of every hypothesis
       but x), (H, H), for H >= 2: :func:`mixture_kl` of the identity against
-      the uniform complements, so one Gaussian :func:`gauss_hermite_kl` call
-      (at H = 2, ``point`` with its columns swapped);
+      the uniform complements, so one evaluation of a Gaussian family's
+      Gauss-Hermite rule (at H = 2, ``point`` with its columns swapped);
     * ``bound[x]``, the likelihood bound with x left out, (H,).
 
     Each family's ``_mixture_table(P, Q)`` gives D_KL of every mixture of a
@@ -164,6 +166,16 @@ def _uniform_complements(count: int) -> np.ndarray:
     return np.where(np.eye(count, dtype=bool), 0.0, 1.0 / (count - 1))
 
 
+def _log_normal(d: np.ndarray) -> np.ndarray:
+    """The one unit-variance Gaussian log-density, at offsets d = x - mean,
+    in one fresh buffer: -0.5 * d * d - log sqrt(2 pi), in that order. Each
+    caller forms d in its own layout."""
+    out = np.multiply(d, -0.5)
+    out *= d
+    out -= _LOG_SQRT_2PI
+    return out
+
+
 class GaussianGroup:
     """Unit-variance Gaussian agents of a per-agent model list: ``means``
     stacked (n, H), one row per agent, and ``agents``, their positions in the
@@ -192,12 +204,8 @@ class GaussianGroup:
 
     def _log_density(self, x) -> np.ndarray:
         """``log_rows`` of observations known to be finite numbers:
-        -0.5 * d * d - log sqrt(2 pi), d = x - mean, in two buffers."""
-        d = x[..., None] - self.means
-        out = np.multiply(d, -0.5)
-        out *= d
-        out -= _LOG_SQRT_2PI
-        return out
+        :func:`_log_normal` of d = x - mean, in two buffers."""
+        return _log_normal(x[..., None] - self.means)
 
     @staticmethod
     def variates(rng: np.random.Generator):
@@ -223,8 +231,9 @@ class GaussianFamily(GaussianGroup, _Divergences):
 
     The variance is fixed to 1; only the means distinguish hypotheses.
     Observations are real numbers. ``means`` is (H,), so that the group's
-    ``log_rows`` and ``sample`` broadcast it over any agent and step axes; it
-    is checked as :func:`gauss_hermite_kl` checks it (``_check_means``).
+    ``log_rows`` and ``sample`` broadcast it over any agent and step axes. It
+    is read by the number rule (``errors._numbers``) as floats, one finite
+    value per hypothesis, or ValidationError.
 
     An instance does not change once built: it keeps a read-only copy of
     ``means``, and a caller's array stays writeable. Its divergence tables
@@ -233,7 +242,10 @@ class GaussianFamily(GaussianGroup, _Divergences):
     """
 
     def __init__(self, means: Sequence[float]):
-        self.means = _read_only(_check_means(means).copy())
+        arr = _numbers("means", means, float)
+        if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
+            raise ValidationError(f"means must be one finite value per hypothesis, got {means!r}")
+        self.means = _read_only(arr.copy())
 
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
@@ -242,8 +254,47 @@ class GaussianFamily(GaussianGroup, _Divergences):
         d = self.means[:, None] - self.means
         return 0.5 * (d * d)
 
-    def _mixture_table(self, p_weights: np.ndarray, q_weights: np.ndarray) -> np.ndarray:
-        return np.maximum(_gauss_hermite_table(self.means, p_weights, q_weights), 0.0)
+    def _mixture_table(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """D_KL[p||q] of every mixture of a checked (K, H) weight stack ``p``
+        against every one of a checked (M, H) stack ``q``, (K, M), clipped at
+        0, by a rule that certifies each value it gives: NaN where it does
+        not, which :func:`mixture_kl` fills by ``_quad_kl``.
+
+        E_p[log p - log q] is summed on probabilists' Gauss-Hermite nodes
+        centred on each component of p, so that a mixture p is the weighted
+        sum of its per-component rules. The 80- and the 160-node rule come
+        from one evaluation over every node, every component of each p and
+        every q; the 160-node value stands when the two agree to within
+        ``KL_QUAD_TOL``.
+
+        A term is one nonzero component of one p, T of them in all, over the
+        nodes, N = 240: the H component log-densities (:func:`_log_normal`)
+        are (H, T, N). Each (term, node) is shifted once, by its largest
+        component log-density, and exponentiated once, so the rule takes
+        H T N exponentials whatever the number Q of q mixtures. Every p row,
+        (T, N), and every q row, (T, Q, N), is then a multiply-add of those
+        over the H components in index order (:func:`_log_mix_shared`):
+        identical weight rows give identical bits, so D_KL[w||w] is exactly
+        0. A row whose mixture underflows at any node is recomputed by
+        :func:`_log_mix`, so no value loses digits to the shared shift: each
+        differs from a per-entry shift's by rounding alone.
+        """
+        # probabilists' rules: E[f(Z)] for Z ~ N(0, 1) is about f(nodes) @ rule_weights
+        nodes, rule_weights = _rules(np.polynomial.hermite_e.hermegauss, 80, 160)
+        which, comps = np.nonzero(p)  # one term per component of each p, grouped by p
+        x = (self.means[comps, None] + nodes) - self.means[:, None, None]  # (H, terms, nodes)
+        logs = _log_normal(x)
+        peak = logs.max(axis=0)
+        shifted = np.exp(np.subtract(logs, peak, out=x), out=x)  # in place: fewer fresh pages
+        log_p = _log_mix_shared(logs, p.T[:, which, None], shifted, peak)  # (terms, nodes)
+        log_q = _log_mix_shared(logs[:, :, None], q.T[:, None, :, None],
+                                shifted[:, :, None], peak[:, None])
+        ratio = np.subtract(log_p[:, None], log_q, out=log_q)  # (terms, q, nodes)
+        sums = (ratio.reshape(-1, nodes.size) @ rule_weights).reshape(ratio.shape[:2] + (2,))
+        sums *= p[which, comps][:, None, None]
+        starts = np.flatnonzero(np.diff(which, prepend=-1))
+        coarse, fine = np.moveaxis(np.add.reduceat(sums, starts, axis=0), -1, 0)
+        return np.maximum(np.where(np.abs(coarse - fine) <= KL_QUAD_TOL, fine, np.nan), 0.0)
 
     def _quad_kl(self, p_weights: np.ndarray, q_weights: np.ndarray) -> float:
         """The KL of two mixtures, one weight vector each: the integral of
@@ -485,16 +536,6 @@ def stack_models(models, n_agents: int) -> tuple:
     )
 
 
-def _check_means(means) -> np.ndarray:
-    """Gaussian means, read by the number rule (``errors._numbers``) as
-    floats, one finite value per hypothesis, or ValidationError: the one
-    check of :class:`GaussianFamily` and :func:`gauss_hermite_kl`."""
-    arr = _numbers("means", means, float)
-    if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
-        raise ValidationError(f"means must be one finite value per hypothesis, got {means!r}")
-    return arr
-
-
 def _check_weights(weights, count: int) -> np.ndarray:
     """Mixture weights over ``count`` hypotheses, read by the number rule
     (``errors._numbers``) as floats, one vector or a (K, H) stack, or
@@ -590,70 +631,6 @@ def _log_mix_shared(logs: np.ndarray, weights: np.ndarray, shifted: np.ndarray,
     return result
 
 
-def gauss_hermite_kl(means: np.ndarray, p_weights, q_weights):
-    """D_KL[p||q] for mixtures of unit-variance Gaussians over ``means``, by a
-    rule that certifies each value it gives.
-
-    ``means`` is one finite number per hypothesis, read by the number rule
-    (``errors._numbers``), ValidationError else.
-    ``p_weights`` and ``q_weights`` are each one weight vector over the H
-    means, or a (K, H) stack of them, checked as :func:`mixture_kl` checks
-    them. For two vectors the result is a float, or None when the rule
-    cannot certify it; otherwise it holds D_KL[p||q] for every p and q of the
-    stacks, of shape p's stack + q's stack, with NaN where the rule cannot
-    certify a pair.
-
-    E_p[log p - log q] is summed on probabilists' Gauss-Hermite nodes centred
-    on each component of p, so that a mixture p is the weighted sum of its
-    per-component rules. The 80- and the 160-node rule come from one
-    evaluation over every node, every component of each p and every q; the
-    160-node value stands when the two agree to within ``KL_QUAD_TOL``.
-
-    A term is one nonzero component of one p, T of them in all, over the
-    nodes, N = 240: the H component log-densities are (H, T, N). Each (term,
-    node) is shifted once, by its largest component log-density, and
-    exponentiated once, so the rule takes H T N exponentials whatever the
-    number Q of q mixtures. Every p row, (T, N), and every q row, (T, Q, N),
-    is then a multiply-add of those over the H components in index order
-    (:func:`_log_mix_shared`): identical weight rows give identical bits, so
-    D_KL[w||w] is exactly 0. A row whose mixture underflows at any node is
-    recomputed by :func:`_log_mix`, so no value loses digits to the shared
-    shift: each differs from a per-entry shift's by rounding alone.
-    """
-    means = _check_means(means)
-    p_weights = _check_weights(p_weights, len(means))
-    q_weights = _check_weights(q_weights, len(means))
-    table = _gauss_hermite_table(means, *np.atleast_2d(p_weights, q_weights))
-    if p_weights.ndim == q_weights.ndim == 1:
-        return None if np.isnan(table[0, 0]) else float(table[0, 0])
-    return table.reshape(p_weights.shape[:-1] + q_weights.shape[:-1])
-
-
-def _gauss_hermite_table(means: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`gauss_hermite_kl` of a (K, H) stack ``p`` against an (M, H)
-    stack ``q``, (K, M), NaN where the rule does not certify a pair, for
-    means and weights already checked (a family's ``_mixture_table``, which
-    :func:`mixture_kl` calls with the stacks it checked)."""
-    # probabilists' rules: E[f(Z)] for Z ~ N(0, 1) is about f(nodes) @ rule_weights
-    nodes, rule_weights = _rules(np.polynomial.hermite_e.hermegauss, 80, 160)
-    which, comps = np.nonzero(p)  # one term per component of each p, grouped by p
-    # (H, terms, nodes): the normalizing constant cancels in the ratio
-    x = (means[comps, None] + nodes) - means[:, None, None]
-    logs = -0.5 * x
-    logs *= x
-    peak = logs.max(axis=0)
-    shifted = np.exp(np.subtract(logs, peak, out=x), out=x)  # in place: fewer fresh pages
-    log_p = _log_mix_shared(logs, p.T[:, which, None], shifted, peak)  # (terms, nodes)
-    log_q = _log_mix_shared(logs[:, :, None], q.T[:, None, :, None],
-                            shifted[:, :, None], peak[:, None])
-    ratio = np.subtract(log_p[:, None], log_q, out=log_q)  # (terms, q, nodes)
-    sums = (ratio.reshape(-1, nodes.size) @ rule_weights).reshape(ratio.shape[:2] + (2,))
-    sums *= p[which, comps][:, None, None]
-    starts = np.flatnonzero(np.diff(which, prepend=-1))
-    coarse, fine = np.moveaxis(np.add.reduceat(sums, starts, axis=0), -1, 0)
-    return np.where(np.abs(coarse - fine) <= KL_QUAD_TOL, fine, np.nan)
-
-
 def kl_divergence(model: LikelihoodModel, p: int, q: int) -> float:
     """D_KL[L_p||L_q] between the observation distributions of two
     hypotheses of one model: the family's ``point`` entry, bitwise.
@@ -679,14 +656,16 @@ def mixture_kl(model: LikelihoodModel, p_weights, q_weights):
     and q of the stacks, of shape p's stack + q's stack.
 
     A discrete family takes the exact finite sums. A Gaussian one takes one
-    evaluation of :func:`gauss_hermite_kl`'s rule over both stacks, which
-    reads them as checked here, so each stack is checked once. Where the
-    rule does not certify a value (log q has a soft kink where its dominant
-    component switches, and the rule converges slowly when that kink sits
-    under p's mass), pbnet's composite Gauss-Legendre rule takes over for
-    that value alone, on a window ``KL_QUAD_SIGMA_SPAN`` standard deviations
-    beyond the extreme means, with panels broken at those kinks; its
-    integrand is the family's own log-density mixed by p's and q's weights.
+    evaluation of its Gauss-Hermite rule (``GaussianFamily._mixture_table``)
+    over both stacks, which reads them as checked here, so each stack is
+    checked once. Where the rule does not certify a value (log q has a soft
+    kink where its dominant component switches, and the rule converges
+    slowly when that kink sits under p's mass), pbnet's composite
+    Gauss-Legendre rule takes over for that value alone, on a window
+    ``KL_QUAD_SIGMA_SPAN`` standard deviations beyond the extreme means, with
+    panels broken at those kinks; its integrand is the family's own
+    log-density mixed by p's and q's weights. This is the one public mixture
+    divergence.
     Both rules certify a value one way: its coarse and fine sums agree
     within ``KL_QUAD_TOL``. A value the composite rule cannot certify raises
     ``NumericalError`` instead of returning a guess.

@@ -101,7 +101,7 @@ class TestPredictPartial:
         def no_rule(*args, **kwargs):
             raise AssertionError("the Gauss-Hermite rule ran for a rejected input")
 
-        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", no_rule)
+        monkeypatch.setattr(GaussianFamily, "_mixture_table", no_rule)
         with pytest.raises(IndistinguishableHypothesesError):
             predict_partial_regime(GaussianFamily([0.0, 0.0, 1.0]), 0, 1)
 
@@ -179,7 +179,7 @@ class TestPredictSelfAware:
         def no_rule(*args, **kwargs):
             raise AssertionError("the Gauss-Hermite rule ran for a rejected input")
 
-        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", no_rule)
+        monkeypatch.setattr(GaussianFamily, "_mixture_table", no_rule)
         with pytest.raises(UnboundedLikelihoodError):
             predict_self_aware_regime(GAUSS3, self.net, 0, 1)
 
@@ -194,8 +194,8 @@ class TestPredictSelfAware:
             calls.append("quad")
             return quad(*args, **kwargs)
 
-        rule, quad = likelihoods._gauss_hermite_table, likelihoods.integrate.quad
-        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", counted_rule)
+        rule, quad = GaussianFamily._mixture_table, likelihoods.integrate.quad
+        monkeypatch.setattr(GaussianFamily, "_mixture_table", counted_rule)
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=counted_quad))
         # a fresh family: a family's tables outlive the test that built them
         rep = predict_self_aware_regime(bundled_gaussian_family(), self.net, 0, 0)
@@ -417,6 +417,20 @@ def test_json_forms_take_numpy_indices():
         assert (d["true_index"], d["tx_index"]) == (1, 2)
     d = Verdict("converged_to", np.int64(2)).to_dict()
     assert json.loads(json.dumps(d)) == d == {"kind": "converged_to", "theta": 3}
+
+
+@pytest.mark.parametrize("measure", [
+    lambda b: detect_convergence(b, window=10, tx_index=2),
+    lambda b: measure_empirical_rate(b, 0, 1, 9),
+    lambda b: oscillation_amplitude(b, 0, 1, 10),
+], ids=["convergence", "rate", "amplitude"])
+def test_the_readers_agree_on_a_non_finite_log_ratio(measure):
+    # agent 0's mu(0) is exactly 0 every other step: detect_convergence read
+    # the log-ratio's flips to -inf as sign changes, and called it oscillating
+    frames = np.log([[0.999, 0.0005, 0.0005], [1.0, 0.9995, 0.0005]] * 10)[:, None]
+    frames[1::2, 0, 0] = -np.inf
+    with pytest.raises(MeasurementError, match="^non-finite log-ratio in trajectory"):
+        measure(frames)
 
 
 def test_amplitude_over_a_non_finite_log_ratio_is_a_measurement_error():

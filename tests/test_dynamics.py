@@ -44,6 +44,7 @@ from pbnet.network import (
     build_averaging_matrix,
     generate_strongly_connected_adjacency,
     ring_adjacency,
+    star_adjacency,
 )
 
 GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
@@ -312,9 +313,7 @@ class TestRecursionOracles:
         h, horizon = 3, 300
         traj, obs = run_trajectory(uniform_log_beliefs(n, h), net, models, 0, PartialSharing(tx),
                                    horizon, rng, keep_observations=True)
-        loglik = np.empty((horizon, n, h))
-        for group in stack_models(models, n):
-            loglik[:, group.agents] = log_likelihood_rows(group, obs[:, group.agents])
+        loglik = stored_log_likelihoods(models, obs, h)
         others = np.arange(h) != tx
         lumped_loglik = np.stack(
             [loglik[..., tx], np.logaddexp.reduce(loglik[..., others], axis=-1) - np.log(h - 1)],
@@ -329,6 +328,55 @@ class TestRecursionOracles:
                              np.logaddexp.reduce(traj[t + 1][:, others], axis=-1)], axis=-1)
             worst = max(worst, float(np.max(np.abs(lumped - mass))))
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("rule", [PartialSharing(1), PartialSharing(2), FullSharing()],
+                             ids=["partial_tx1", "partial_tx2", "full"])
+    @pytest.mark.parametrize("case", ["gaussian", "discrete", "mixed_list", "mixed_list_random"])
+    def test_perron_weighted_log_odds_is_a_random_walk(self, case, rule):
+        # each rule steps y(t) = A^T (y(t-1) + Z(t)), and A v = v for the
+        # Perron vector v, so v^T y(t) - v^T y(t-1) = v^T Z(t) exactly: under
+        # partial sharing y = log mu(0)/mu(tx) and Z = log mix(xi) - log L(xi|tx),
+        # mix the uniform mixture of the hypotheses but tx (exact from uniform
+        # beliefs on), under full sharing y = log mu(0)/mu(1) and
+        # Z = log L(xi|0) - log L(xi|1). Only a non-symmetric A tells A^T from A.
+        rng = np.random.default_rng(26)
+        if case == "mixed_list_random":
+            n = 12
+            adj = generate_strongly_connected_adjacency(n, 0.3, rng)
+            weights = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+            net = Network.from_matrix(weights / weights.sum(axis=0), adjacency=adj)
+        else:
+            n, net = 10, build_averaging_matrix(star_adjacency(10), 0.3)
+        assert not np.allclose(net.matrix, net.matrix.T)
+        if case.startswith("mixed_list"):
+            models = mixed_models(n)
+        else:
+            fixture = bundled_gaussian_family if case == "gaussian" else bundled_discrete_family
+            models = [fixture()] * n
+        h, horizon = 3, 200
+        traj, obs = run_trajectory(uniform_log_beliefs(n, h), net, models, 0, rule, horizon,
+                                   rng, keep_observations=True)
+        loglik = stored_log_likelihoods(models, obs, h)
+        tx = rule.transmit
+        if tx is None:
+            y, z = traj[..., 0] - traj[..., 1], loglik[..., 0] - loglik[..., 1]
+        else:
+            others = np.arange(h) != tx
+            y = traj[..., 0] - traj[..., tx]
+            z = (np.logaddexp.reduce(loglik[..., others], axis=-1) - np.log(h - 1)
+                 - loglik[..., tx])
+        walk = y @ net.perron
+        residual = np.abs(np.diff(walk) - z @ net.perron)
+        assert (residual <= 1e-12 * np.maximum(1.0, np.abs(walk[1:]))).all()
+
+
+def stored_log_likelihoods(models, obs, h):
+    """(horizon, n, H) log-likelihoods of a run's stored observations under
+    a per-agent model list, scored group by group."""
+    loglik = np.empty(obs.shape + (h,))
+    for group in stack_models(models, obs.shape[1]):
+        loglik[:, group.agents] = log_likelihood_rows(group, obs[:, group.agents])
+    return loglik
 
 
 class TestValidation:

@@ -19,7 +19,6 @@ from pbnet.errors import (
 from pbnet.likelihoods import (
     DiscreteFamily,
     GaussianFamily,
-    gauss_hermite_kl,
     kl_divergence,
     likelihood_bound,
     log_likelihood_row,
@@ -98,6 +97,15 @@ def per_entry_shift_kl(means, p_weights, q_weights):
     starts = np.flatnonzero(np.diff(which, prepend=-1))
     coarse, fine = np.moveaxis(np.add.reduceat(sums, starts, axis=0), -1, 0)
     return np.where(np.abs(coarse - fine) <= likelihoods.KL_QUAD_TOL, fine, np.nan)
+
+
+def gauss_hermite(means, p_weights, q_weights):
+    """The Gauss-Hermite rule of ``GaussianFamily(means)`` on weight vectors
+    or stacks, shaped as the stacks: NaN where it certifies no value, clipped
+    at 0."""
+    p, q = np.asarray(p_weights, float), np.asarray(q_weights, float)
+    table = GaussianFamily(means)._mixture_table(*np.atleast_2d(p, q))
+    return table.reshape(p.shape[:-1] + q.shape[:-1])[()]
 
 
 def brute_kl_discrete(p_vec, q_vec):
@@ -377,10 +385,9 @@ def test_numpy_integer_is_a_hypothesis_index():
     ([[[1.0, 0.0, 0.0]]], [0.0, 1.0, 0.0]),
 ], ids=["wrong-length", "zero-sum", "negative", "nan", "three-axes"])
 @pytest.mark.parametrize("entry", [
-    lambda p, q: gauss_hermite_kl(GAUSS3.means, p, q),
     lambda p, q: mixture_kl(GAUSS3, p, q),
     lambda p, q: mixture_kl(DISC3, p, q),
-], ids=["gauss_hermite_kl", "mixture_kl-gaussian", "mixture_kl-discrete"])
+], ids=["mixture_kl-gaussian", "mixture_kl-discrete"])
 def test_bad_mixture_weights_rejected(entry, p, q):
     # each was a wrong value, an IndexError, a RuntimeWarning or None before
     with pytest.raises(ValidationError, match="^mixture weights"):
@@ -393,16 +400,16 @@ def test_bad_mixture_weights_rejected(entry, p, q):
     [0.0, math.nan, 1.0],
     [[0.0, 0.2, 1.0]],
     0.5,
-], ids=["list", "inf", "nan", "two-axes", "scalar"])
-def test_gauss_hermite_kl_checks_means(means):
-    # before, a list or a scalar raised TypeError, an inf mean gave 1.1931, a
-    # NaN one None, and two axes a weights error that said "H = 1"
-    p, q = [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]
-    if np.ndim(means) == 1 and np.isfinite(means).all():
-        assert gauss_hermite_kl(means, p, q) == gauss_hermite_kl(np.array(means), p, q)
+    [],
+], ids=["list", "inf", "nan", "two-axes", "scalar", "empty"])
+def test_gaussian_family_checks_means(means):
+    # the one check of the means, which the Gauss-Hermite rule reads unchecked
+    if np.ndim(means) == 1 and np.size(means) and np.isfinite(means).all():
+        assert GaussianFamily(means).means.tolist() == list(means)
     else:
-        with pytest.raises(ValidationError, match="^means"):
-            gauss_hermite_kl(means, p, q)
+        with pytest.raises(ValidationError,
+                           match="^means must be one finite value per hypothesis"):
+            GaussianFamily(means)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +495,15 @@ class TestKLDivergence:
             for tx in range(h):
                 mix = uniform_complement(h, tx)
                 for p_w, q_w in ((point[0], mix), (mix, point[tx])):
-                    got = gauss_hermite_kl(fam.means, p_w, q_w)
-                    assert got is not None  # certified
+                    got = gauss_hermite(fam.means, p_w, q_w)
+                    assert not np.isnan(got)  # certified
                     assert got == pytest.approx(fam._quad_kl(p_w, q_w), abs=1e-8)
 
     def test_uncertified_rule_falls_back_to_quadrature(self, monkeypatch):
         # the complement's dominant component switches at x = 3, under p's mass
         fam = GaussianFamily([0.0, 3.0, 6.0])
         mix = uniform_complement(3, 1)
-        assert gauss_hermite_kl(fam.means, np.eye(3)[1], mix) is None
+        assert np.isnan(gauss_hermite(fam.means, np.eye(3)[1], mix))
         want = fam._quad_kl(np.eye(3)[1], mix)
         calls = []
 
@@ -550,9 +557,10 @@ class TestKLDivergence:
 
 
 class TestSharedShift:
-    """gauss_hermite_kl shifts each (term, node) once and mixes every weight
-    row by multiply-adds; the per-entry shift it replaced is the reference,
-    NaN (uncertified) where the rule's is (assert_allclose's equal_nan)."""
+    """The Gauss-Hermite rule shifts each (term, node) once and mixes every
+    weight row by multiply-adds; the per-entry shift it replaced is the
+    reference, NaN (uncertified) where the rule's is (assert_allclose's
+    equal_nan)."""
 
     def test_pool_complements_match_the_per_entry_shift(self, workloads, monkeypatch):
         families = [workloads.pool_family(kind, h, index)
@@ -562,10 +570,11 @@ class TestSharedShift:
         tables = [family.complement for family in families]
         for family in families:
             h = family.hypothesis_count
-            got = gauss_hermite_kl(family.means, np.eye(h), likelihoods._uniform_complements(h))
+            got = gauss_hermite(family.means, np.eye(h), likelihoods._uniform_complements(h))
             want = per_entry_shift_kl(family.means, np.eye(h), likelihoods._uniform_complements(h))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        monkeypatch.setattr(likelihoods, "_gauss_hermite_table", per_entry_shift_kl)
+        monkeypatch.setattr(GaussianFamily, "_mixture_table",
+                            lambda self, p, q: np.maximum(per_entry_shift_kl(self.means, p, q), 0.0))
         for family, table in zip(families, tables):
             want = GaussianFamily(family.means).complement
             np.testing.assert_allclose(table, want, rtol=1e-12, atol=0)
@@ -576,16 +585,30 @@ class TestSharedShift:
         means = rng.normal(0.0, 2.0, h)
         p = np.vstack([rng.dirichlet(np.ones(h), 5), np.eye(h)[:3]])
         q = np.vstack([rng.dirichlet(np.ones(h), 7), likelihoods._uniform_complements(h)[:3]])
-        got, want = gauss_hermite_kl(means, p, q), per_entry_shift_kl(means, p, q)
+        got, want = gauss_hermite(means, p, q), per_entry_shift_kl(means, p, q)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("h", [3, 10, 20])
-    def test_identical_rows_give_exactly_zero(self, h):
+    def test_identical_rows_give_exactly_zero(self, h, monkeypatch):
+        # the table is clipped at 0, so the mixtures themselves are compared:
+        # each term's p row equals its own mixture's q row bitwise
+        mixed = []
+
+        def recorded(*args):
+            result = mix(*args)
+            mixed.append(result.copy())  # the rule writes its ratio into q's rows
+            return result
+
+        mix = likelihoods._log_mix_shared
+        monkeypatch.setattr(likelihoods, "_log_mix_shared", recorded)
         rng = np.random.default_rng(h)
         w = np.vstack([rng.dirichlet(np.ones(h), 6), np.eye(h)[:2],
                        likelihoods._uniform_complements(h)[:2]])
-        table = gauss_hermite_kl(rng.normal(0.0, 2.0, h), w, w)
+        table = gauss_hermite(rng.normal(0.0, 2.0, h), w, w)
         assert (np.diag(table) == 0.0).all()
+        log_p, log_q = mixed  # (terms, nodes) and (terms, q, nodes)
+        which, _ = np.nonzero(w)
+        assert log_p.tobytes() == log_q[np.arange(which.size), which].tobytes()
 
     @pytest.mark.parametrize("means, uncertified", [([-40.0, 0.0, 40.0], 1),
                                                     ([0.0, 30.0, 60.0, 90.0], 2)])
@@ -594,7 +617,7 @@ class TestSharedShift:
         # shared shift, at nodes where that component sets the peak
         h = len(means)
         p, q = np.eye(h), likelihoods._uniform_complements(h)
-        got, want = gauss_hermite_kl(means, p, q), per_entry_shift_kl(np.array(means), p, q)
+        got, want = gauss_hermite(means, p, q), per_entry_shift_kl(np.array(means), p, q)
         assert np.isnan(got).sum() == uncertified
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -625,7 +648,7 @@ class TestDivergenceTables:
         for cls in (GaussianFamily, DiscreteFamily):
             for rule in ("_point_table", "_mixture_table"):
                 monkeypatch.setattr(cls, rule, no_table)
-        for rule in ("_gauss_hermite_table", "_exact_kl", "_log_mix"):
+        for rule in ("_exact_kl", "_log_mix"):
             monkeypatch.setattr(likelihoods, rule, no_table)
         monkeypatch.setattr(likelihoods, "integrate", SimpleNamespace(quad=no_table))
         families = [GaussianFamily([0.0, 0.2, 1.0]), DiscreteFamily(DISC3.pmf)]
@@ -949,13 +972,6 @@ def test_complement_needs_two_hypotheses(family):
         family.complement
 
 
-@pytest.mark.parametrize("means", [[[0.0, 1.0]], []], ids=["two-axes", "empty"])
-def test_gaussian_family_takes_one_mean_per_hypothesis(means):
-    # one check with gauss_hermite_kl's
-    with pytest.raises(ValidationError, match="^means must be one finite value per hypothesis"):
-        GaussianFamily(means)
-
-
 @pytest.mark.parametrize("out, match", [
     ([0.5, 0.501], "^KL quadrature error estimate 0.001 exceeds tolerance 1e-06"),
     ([-1.0, -1.0], "^KL quadrature produced a negative value -1"),
@@ -1065,18 +1081,18 @@ def test_quadrature_rules_are_built_once():
     family = GaussianFamily([0.0, 3.0, 6.0])
     p, q = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5])
     value = family._quad_kl(p, q)
-    gauss_hermite_kl(family.means, p, q)
+    gauss_hermite(family.means, p, q)
     built = likelihoods._rules.cache_info().misses
     for _ in range(3):
         assert family._quad_kl(p, q) == value
-        gauss_hermite_kl(family.means, p, q)
+        gauss_hermite(family.means, p, q)
     assert likelihoods._rules.cache_info().misses == built
 
 
 def test_mixture_kl_checks_each_weight_stack_once(monkeypatch, workloads):
-    # mixture_kl checks both stacks and runs the rule unchecked; the public
-    # rule keeps its own two checks. The complements equal the public rule's
-    # table, clipped at 0, with the fallback where it certifies no value.
+    # mixture_kl checks both stacks and runs the rule unchecked. The
+    # complements equal the rule's table with the fallback where it
+    # certifies no value.
     checks = [0]
     check = likelihoods._check_weights
 
@@ -1095,9 +1111,7 @@ def test_mixture_kl_checks_each_weight_stack_once(monkeypatch, workloads):
         checks[0] = 0
         got = mixture_kl(family, p, q)
         assert checks[0] == 2
-        checks[0] = 0
-        want = np.maximum(gauss_hermite_kl(family.means, p, q), 0.0)
-        assert checks[0] == 2
+        want = family._mixture_table(p, q)
         for i, j in np.argwhere(np.isnan(want)):
             want[i, j] = family._quad_kl(p[i], q[j])
             uncertified += 1

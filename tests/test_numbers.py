@@ -24,7 +24,6 @@ from pbnet.errors import InvalidObservationError, ValidationError
 from pbnet.likelihoods import (
     DiscreteFamily,
     GaussianFamily,
-    gauss_hermite_kl,
     log_likelihood_row,
     log_likelihood_rows,
     mixture_kl,
@@ -75,12 +74,8 @@ ENTRIES = {
     "log_likelihood_row": ("observations", InvalidObservationError,
                            lambda x: log_likelihood_row(GAUSS, x), np.array(0.5)),
     "GaussianFamily": ("means", ValidationError, GaussianFamily, GAUSS.means),
-    "gauss_hermite_kl-means": ("means", ValidationError,
-                               lambda x: gauss_hermite_kl(x, P, P), GAUSS.means),
     "DiscreteFamily": ("pmf", ValidationError, DiscreteFamily, DISC.pmf),
     "mixture_kl": ("mixture weights", ValidationError, lambda x: mixture_kl(DISC, x, P), P),
-    "gauss_hermite_kl-weights": ("mixture weights", ValidationError,
-                                 lambda x: gauss_hermite_kl(GAUSS.means, P, x), P),
     "is_strongly_connected": ("adjacency", ValidationError, is_strongly_connected, EDGES),
     "from_matrix-adjacency": ("adjacency", ValidationError,
                               lambda x: Network.from_matrix(A2, adjacency=x), EDGES),

@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DYNAMICS = "src/pbnet/dynamics.py"
 NETWORK = "src/pbnet/network.py"
+LIKELIHOODS = "src/pbnet/likelihoods.py"
 RECURSIONS = "tests/test_dynamics.py::TestRecursionOracles::"
 
 # (name, file, exact old text, new text, the tests each of which must fail)
@@ -62,6 +63,18 @@ DEFECTS = [
      "np.array_equal(np.bincount(rows, minlength=n), degrees)",
      "np.array_equal(np.bincount(cols, minlength=n), degrees)",
      ["tests/test_network.py::TestPerron::test_unbalanced_builds_solve_once"]),
+    ("pool transposed: A in place of its transpose", NETWORK,
+     "pool=weights.T",
+     "pool=weights",
+     [RECURSIONS + "test_perron_weighted_log_odds_is_a_random_walk"]),
+    # one density serves the scorers and the Gauss-Hermite rule, so one
+    # wrong constant fails a scorer test and a rule test
+    ("Gaussian log-density with -0.25 d^2", LIKELIHOODS,
+     "np.multiply(d, -0.5)",
+     "np.multiply(d, -0.25)",
+     ["tests/test_likelihoods.py::TestLikelihood::"
+      "test_gaussian_density_is_the_expression_bitwise_on_a_block",
+      "tests/test_likelihoods.py::TestSharedShift::test_stacks_match_the_per_entry_shift"]),
 ]
 
 
