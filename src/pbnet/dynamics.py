@@ -182,13 +182,15 @@ def check_log_beliefs(log_beliefs: np.ndarray) -> None:
     The exponentials are added column by column in index order, one pass over
     every row each. A table with no rows has nothing to check. Entries that
     are not numbers (``errors._numbers``) raise ValidationError.
+
+    A table that passes is read twice: the sums, and its least entry. A NaN
+    or +inf entry fails the sum test, and the least entry catches a -inf one,
+    whose row may still exp-sum to 1. Only a table that fails is scanned for
+    non-finite entries, which are reported before any normalization.
     """
     b = np.atleast_2d(_numbers("log-beliefs", log_beliefs))
     if 0 in b.shape[:-1]:
         return
-    finite = np.isfinite(b)
-    if not finite.all():
-        raise NumericalError(f"{_first_row(~finite.all(axis=-1))}: non-finite log-belief entry")
     h = b.shape[-1]
     e = np.exp(b)
     total = e[..., 0] + e[..., 1] if h >= 2 else e.sum(axis=-1)  # 0 with no column
@@ -196,9 +198,13 @@ def check_log_beliefs(log_beliefs: np.ndarray) -> None:
         total += e[..., c]
     total -= 1.0
     off = np.abs(total, out=total)
-    if off.max() > BELIEF_SUM_TOL:
-        bad = off > BELIEF_SUM_TOL
-        raise NumericalError(f"{_first_row(bad)}: belief normalization off by {off[bad][0]:.3g}")
+    if off.max() <= BELIEF_SUM_TOL and b.min() > -np.inf:
+        return
+    finite = np.isfinite(b)
+    if not finite.all():
+        raise NumericalError(f"{_first_row(~finite.all(axis=-1))}: non-finite log-belief entry")
+    bad = off > BELIEF_SUM_TOL
+    raise NumericalError(f"{_first_row(bad)}: belief normalization off by {off[bad][0]:.3g}")
 
 
 def _first_row(bad: np.ndarray) -> str:
@@ -471,10 +477,12 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
 
 # -- full iteration -----------------------------------------------------------
 
-def _observe(groups: tuple, true_index: int, n_agents: int, steps: int, dtype, rng):
-    """(steps, N) observations of ``dtype``, one per agent and step, and their
-    (steps, N, H) log-likelihoods, from the groups of :func:`stack_models`,
-    for a ``true_index`` the caller has checked.
+def _observe(groups: tuple, columns, true_index: int, n_agents: int, steps: int, rng,
+             kept) -> np.ndarray:
+    """(steps, N, H) log-likelihoods of one observation per agent and step,
+    from the groups of :func:`stack_models`, for a ``true_index`` the caller
+    has checked; the (steps, N) observations are written into ``kept``, or,
+    when it is None, not assembled.
 
     One group, a family or a list whose agents share one family type, draws
     the block in one :func:`sample_observation` call, which equals ``steps``
@@ -484,28 +492,29 @@ def _observe(groups: tuple, true_index: int, n_agents: int, steps: int, dtype, r
     the group's (steps, n) buffer. Once per block, each group maps its buffer
     to observations (its ``observations``, the map its ``sample`` uses) and
     scores them. Its log-likelihoods go into the block's table through a
-    (steps, N * H) view, one fancy index on the last axis per group: indexing
-    the agent axis of (steps, N, H) copied each H-entry row through numpy's
-    strided subspace loop at about twice the cost, and a join in group order
-    gathered back by ``np.take`` cost as little but held one more
-    (steps, N, H) buffer.
+    (steps, N * H) view, one fancy index on the last axis per group, by that
+    group's ``columns``, which the trajectory maps once: indexing the agent
+    axis of (steps, N, H) copied each H-entry row through numpy's strided
+    subspace loop at about twice the cost, and a join in group order gathered
+    back by ``np.take`` cost as little but held one more (steps, N, H) buffer.
     """
     if len(groups) == 1:
         xi = sample_observation(groups[0], true_index, rng, size=(steps, n_agents))
-        return xi, log_likelihood_rows(groups[0], xi)
+        if kept is not None:
+            kept[...] = xi
+        return log_likelihood_rows(groups[0], xi)
     raws = [(group.variates(rng), np.empty((steps, group.agents.size))) for group in groups]
     for t in range(steps):
         for fill, raw in raws:
             fill(out=raw[t])
-    h = groups[0].hypothesis_count
-    xi, table = np.empty((steps, n_agents), dtype=dtype), np.empty((steps, n_agents, h))
-    entries = table.reshape(steps, -1)  # agent k's entries of a step are k*H ... k*H + H - 1
-    for group, (_, raw) in zip(groups, raws):
+    table = np.empty((steps, n_agents, groups[0].hypothesis_count))
+    entries = table.reshape(steps, -1)
+    for group, group_columns, (_, raw) in zip(groups, columns, raws):
         x = group.observations(true_index, raw)
-        xi[:, group.agents] = x
-        columns = (group.agents[:, None] * h + np.arange(h)).ravel()
-        entries[:, columns] = log_likelihood_rows(group, x).reshape(steps, -1)
-    return xi, table
+        if kept is not None:
+            kept[:, group.agents] = x
+        entries[:, group_columns] = log_likelihood_rows(group, x).reshape(steps, -1)
+    return table
 
 
 def run_iteration(
@@ -598,7 +607,8 @@ def run_trajectory(
     :func:`sample_observation` call. A list mixing family types makes one
     raw generator call per group and step, in the groups' order, and maps
     each group's block of draws to observations at once, by the map its
-    ``sample`` uses. Either way the generator yields
+    ``sample`` uses, and scatters them into the agent order of the result
+    only when ``keep_observations``. Either way the generator yields
     what ``horizon`` calls of ``run_iteration`` without ``observed`` would
     draw, so trajectories and observations equal that loop's bitwise,
     whatever the block length. The beliefs of each block are checked at
@@ -626,6 +636,9 @@ def run_trajectory(
             f"log-beliefs hold {h} hypotheses but the models {groups[0].hypothesis_count}"
         )
     _check_integer("hypothesis index", true_index, 0, h - 1)
+    # each group's entries of a step, agent k's being k*H ... k*H + H - 1
+    columns = None if len(groups) == 1 else [
+        (group.agents[:, None] * h + np.arange(h)).ravel() for group in groups]
     dtype = np.result_type(*(g.dtype for g in groups))
     out = np.empty((horizon + 1, n, h))
     out[0] = init
@@ -636,9 +649,8 @@ def run_trajectory(
         block_steps = horizon
     for start in range(0, horizon, block_steps):
         steps = min(block_steps, horizon - start)
-        xi, loglik = _observe(groups, true_index, n, steps, dtype, rng)
-        if keep_observations:
-            obs[start:start + steps] = xi
+        kept = obs[start:start + steps] if keep_observations else None
+        loglik = _observe(groups, columns, true_index, n, steps, rng, kept)
         block = out[start + 1:start + steps + 1]
         with np.errstate(invalid="ignore"):  # a NaN is reported by the block check
             for row, scored in zip(block, loglik):  # obs keeps xi; the step returns it unread

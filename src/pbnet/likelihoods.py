@@ -374,20 +374,23 @@ class DiscreteGroup:
 
     def _tabulate(self, pmfs) -> None:
         """Set the read-only ``log_table``, ``log_pmf`` and ``cdf`` of pmf
-        tables, one per agent."""
-        n, h, s = len(pmfs), pmfs[0].shape[0], max(p.shape[1] for p in pmfs)
-        padded = np.zeros((n, h, s))
-        for i, p in enumerate(pmfs):
-            padded[i, :, : p.shape[1]] = p
+        tables, one per agent. The tables are filled in ``log_table``'s
+        (agent, support point, hypothesis) layout, each by one mask over
+        (agent, support point): the agents' own points, then, in the cdf,
+        each agent's points from its last one on."""
+        n, h = len(pmfs), pmfs[0].shape[0]
+        support = np.array([p.shape[1] for p in pmfs])
+        s = int(support.max())
+        points = np.arange(s)
+        padded = np.zeros((n, s, h))
+        padded[points < support[:, None]] = np.concatenate([p.T for p in pmfs])
         with np.errstate(divide="ignore"):  # the padding's 0
-            log_pmf = np.log(padded)
-        self.log_table = np.ascontiguousarray(log_pmf.transpose(0, 2, 1)).reshape(n * s, h)
+            self.log_table = np.log(padded).reshape(n * s, h)
         self.log_pmf = self.log_table.reshape(n, s, h).transpose(0, 2, 1)
         self._row_start = np.arange(n) * s
-        cdf = padded.cumsum(axis=2)
-        for i, p in enumerate(pmfs):  # +inf from each agent's last entry on
-            cdf[i, :, p.shape[1] - 1:] = np.inf
-        self.cdf = np.ascontiguousarray(cdf.transpose(1, 2, 0))
+        cdf = padded.cumsum(axis=1)
+        cdf[points >= support[:, None] - 1] = np.inf
+        self.cdf = np.ascontiguousarray(cdf.transpose(2, 1, 0))
         for a in (self.log_table, self.log_pmf, self._row_start, self.cdf):
             a.setflags(write=False)
 
@@ -400,14 +403,18 @@ class DiscreteGroup:
 
     def _support_index(self, xi) -> np.ndarray:
         """Observations as int64 indices into each agent's support, or
-        InvalidObservationError naming the first that is no support point."""
+        InvalidObservationError naming the first that is no support point.
+        Observations that are int64 already, as a trajectory's own draws
+        are, are their own indices, and are only bounds-checked."""
         x = _numbers("observations", xi, error=InvalidObservationError)
         _agent_axis("observations of shape", x.shape, np.shape(self.support_size),
                     InvalidObservationError)
         with np.errstate(invalid="ignore"):  # a NaN or an infinity casts to junk, rejected below
             idx = x.astype(np.int64, copy=False)
-        _reject_first(x, (idx == x) & (idx >= 0) & (idx < self.support_size),
-                      "outside discrete support")
+        ok = (idx >= 0) & (idx < self.support_size)
+        if idx is not x:  # a cast: a fraction or junk differs from its source
+            ok &= idx == x
+        _reject_first(x, ok, "outside discrete support")
         return idx
 
     @staticmethod
@@ -483,7 +490,11 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
         return int(self.pmf.shape[0])
 
     def _point_table(self) -> np.ndarray:
-        return _exact_kl(self.pmf[:, None], self.pmf)
+        """:func:`_exact_kl` of every pmf row against every one, bitwise,
+        without its guards: a pmf is strictly positive, so each log is taken
+        once and no term is 0 log 0."""
+        logs = np.log(self.pmf)
+        return (self.pmf[:, None] * (logs[:, None] - logs)).sum(-1)
 
     def _mixture_table(self, p_weights: np.ndarray, q_weights: np.ndarray) -> np.ndarray:
         return _exact_kl((p_weights @ self.pmf)[:, None], q_weights @ self.pmf)
@@ -641,8 +652,9 @@ def kl_divergence(model: LikelihoodModel, p: int, q: int) -> float:
     (m_p - m_q)^2 / 2. A divergence between mixtures is :func:`mixture_kl`.
     """
     model = _family(model)
+    last = model.hypothesis_count - 1
     for index in (p, q):
-        _check_integer("hypothesis index", index, 0, model.hypothesis_count - 1)
+        _check_integer("hypothesis index", index, 0, last)
     return float(model.point[p, q])
 
 

@@ -954,6 +954,20 @@ class TestDrawContract:
         assert_bitwise(obs, np.stack(draws))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_mixed_list_does_not_depend_on_kept_observations(self):
+        # 60 x 3 over 130 steps is three blocks: 64, 64 and 2 steps
+        models = random_models("mixed", "discrete", 60, 3, np.random.default_rng(60))
+        assert len(stack_models(models, 60)) == 2
+        net = build_averaging_matrix(ring_adjacency(60), 0.5)
+        assert_trajectory_is_the_step_loop(net, models, 1, FullSharing(), 130, 9)
+        init, rngs = uniform_log_beliefs(60, 3), [np.random.default_rng(9) for _ in range(2)]
+        kept_traj, obs = run_trajectory(init, net, models, 1, FullSharing(), 130, rngs[0],
+                                        keep_observations=True)
+        traj, none = run_trajectory(init, net, models, 1, FullSharing(), 130, rngs[1])
+        assert_bitwise(traj, kept_traj)
+        assert obs.shape == (130, 60) and none is None
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
 
 class TestStepErrors:
     def test_nan_names_the_iteration_and_the_agent(self, monkeypatch):
@@ -1075,6 +1089,23 @@ class TestStepErrors:
             check_log_beliefs(stack)
         stack[0, 2, 1] = np.nan
         with pytest.raises(NumericalError, match=r"^row \(0, 2\): non-finite log-belief"):
+            check_log_beliefs(stack)
+
+    def test_one_pass_check_keeps_its_rules(self):
+        # a passing table is read by its sums and its least entry alone; a
+        # table that fails still reports non-finite entries first
+        table = np.log(np.full((3, 3), 1 / 3))
+        table[1] = [0.0, -np.inf, -np.inf]  # exp-sums to exactly 1
+        with pytest.raises(NumericalError, match=r"^agent 1: non-finite log-belief entry$"):
+            check_log_beliefs(table)
+        for bad in (np.inf, np.nan):
+            table = np.log(np.full((3, 3), 1 / 3))
+            table[2, 1] = bad
+            with pytest.raises(NumericalError, match=r"^agent 2: non-finite log-belief entry$"):
+                check_log_beliefs(table)
+        stack = np.log(np.full((2, 4, 3), 1 / 3))
+        stack[1, 2] = [-np.inf, 0.0, -np.inf]
+        with pytest.raises(NumericalError, match=r"^row \(1, 2\): non-finite log-belief entry$"):
             check_log_beliefs(stack)
 
 

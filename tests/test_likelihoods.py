@@ -669,6 +669,19 @@ class TestDivergenceTables:
         with pytest.raises(ValueError):
             fam.point[0, 1] = 1.0
 
+    def test_discrete_point_is_the_guarded_exact_sum_bitwise(self):
+        # a pmf is strictly positive, so the point table drops _exact_kl's
+        # zero guard and second log; its bits must not move
+        rng = np.random.default_rng(48)
+        pmfs = [DISC3.pmf, [[1.0], [1.0]], [[1e-300, 1.0 - 1e-300], [0.5, 0.5]]]
+        pmfs += [0.8 * rng.dirichlet(np.full(s, 2.0), h) + 0.2 / s
+                 for h, s in ((1, 3), (3, 4), (5, 2), (7, 9))]
+        for pmf in pmfs:
+            fam = DiscreteFamily(pmf)
+            want = likelihoods._exact_kl(fam.pmf[:, None], fam.pmf)
+            assert fam.point.shape == want.shape and fam.point.dtype == want.dtype
+            assert fam.point.tobytes() == want.tobytes()
+
     def test_entries_are_the_per_pair_divergences_bitwise(self):
         for fam in (GaussianFamily([0.0, 0.2, 1.0, -0.7]), DiscreteFamily(DISC3.pmf)):
             h = fam.hypothesis_count
