@@ -99,9 +99,9 @@ def theoretical_rate(model: LikelihoodModel, true_index: int, tx_index: int) -> 
 
     Positive: the transmitted component decays (its log-ratio grows); negative:
     the transmitted hypothesis absorbs all belief under partial sharing.
+    It is the ``rate`` of :func:`predict_partial_regime`'s report.
     """
-    d_tx = _kl_true_vs_tx(model, true_index, tx_index)
-    return d_tx - _kl_true_vs_mixture(model, true_index, tx_index)
+    return predict_partial_regime(model, true_index, tx_index).rate
 
 
 def _kl_true_vs_tx(model: LikelihoodModel, true_index: int, tx_index: int) -> float:

@@ -8,74 +8,26 @@ spread over the non-transmitted hypotheses is a log-sum-exp of the *other*
 components rather than log(1 - exp(tx)), which stays finite even when the
 transmitted component is within one ulp of probability one.
 
-A step past the Bayes update is two lists of (function, args) calls that the
-step plan (``_Plan``) builds once for its rule, its shape of rows and its
-network, bound to the plan's workspace and to the network's pool and a_kk
-table: ``modify`` makes the shared rows from the posterior ``psi``, and
-``combine`` pools them and normalizes. :func:`modify_for_sharing` and
-:func:`combine_step` copy rows from outside the plan into it and run their
-list; the one thing a seam asks of the rule is whether a combine reads the
-caller's own rows.
-
-Each log-sum-exp of a step (a fixed tx's spread, argmax's spread and the
-pooled rows' normalization) is a run of calls within those lists. Which calls
-follows one table's agent count alone, so a stack of (N, H) tables steps each
-table bitwise as it steps alone, and one count decides, the one from which a
-network's pool is sparse (``network.SPARSE_SOLVE_MIN_AGENTS``). Below it, a
-fixed tx's spread and the normalization, under every rule, are a fold of
-``np.logaddexp`` over column views in index order, which makes the calls of
-one ``np.logaddexp.reduce`` and so gives its bits; a single column (the
-spread at H = 2, the normalization at H = 1) is the reduce's one call, whose
-bits are the entry + 0.0. From it on they are the max shift
-m + log sum exp(x - m) with m the row's largest entry: a few vectorized
-``np.maximum``, ``np.exp``, add and ``np.log`` passes over column views, where
-``np.logaddexp`` is scalar libm code per entry. It rounds apart from the
-reduce by a few ulp. Argmax's spread, whose columns differ from row to row,
-is one masked reduce at every size. From the cutoff on, at H <= 3, a fixed
-tx's spread is written into the shared rows, and the pooled rows' normalizer
-subtracted, one (..., N) column view at a time; below it, or at more
-hypotheses, each is one (..., N, 1) entry broadcast over the rows, which
-costs less there. The bits are the same.
-
 A step pools the posterior unnormalized: the normalization of the pooled rows
 cancels its normalizer exactly, because a per-row shift passes through the
 spread (the kept entry and the log-sum-exp of the rest both move), argmax,
 pooling (for any A) and the self-aware own - shared term (where it cancels).
 
-``run_trajectory`` is the one path that validates, draws and checks: it
-rejects bad inputs, and resolves its ``Sharing`` into a step plan, before the
-first draw, so the generator moves only for a valid run; it draws, scores and
-checks a block of steps at once, and runs them with invalid-value warnings
-off, because the log-sum-exps warn on the NaN or infinity that the check
-reports. A block is at most ``_BLOCK`` = 64 steps and, past one step, at
-most ``_BLOCK_DOUBLES`` = 2^16 log-likelihoods (512 KiB); a run of at most a
-quarter of that budget, 2^14 log-likelihoods in all, is one block whatever
-its step count. Its temporaries are made afresh on every block, so large
-ones were page-faulted in afresh each time, and a 64-step block was 154 MB
-per buffer at 10^5 agents. A block draws what its steps would draw one at a
-time, so its length changes no bit of a run.
+Each rule of a step is stated once, where the code decides it:
 
+* the step plan, its two call lists and their call forms, the
+  allocation-free step, and what a seam trusts of a plan: ``_Plan``;
+* the form of each log-sum-exp, a fold of ``np.logaddexp`` or the max shift:
+  :func:`_lse_calls`;
+* the form of a fixed tx's spread write and of the normalization, column by
+  column or one broadcast entry: the ``by_column`` line of ``_plan``;
+* a sparse pool's product: :func:`_product_calls`;
+* the length of a block of steps: ``_BLOCK``;
+* how a block draws and scores its observations: :func:`_observe`.
+
+``run_trajectory`` is the one path that validates, draws and checks.
 ``run_iteration`` called alone is a one-step ``run_trajectory``; given its
 observations, it is the step itself, which ``run_trajectory`` calls.
-
-Under every rule, a planned step allocates no array, on a dense pool or a
-sparse one, and neither do the max shift's calls (all tested): every array
-they write is the plan's. A sparse pool's product is scipy's own
-``<format>_matvecs`` kernel, the one ``pool @ x`` runs, called on the pool's
-arrays straight into the zero-filled workspace (:func:`_product_calls`), so
-it gives ``pool @ x``'s bits without its dispatch, its fresh result and a
-copy back. At ten agents a step costs what its numpy calls cost to enter, so
-each call takes its cheapest form that gives the same bits (timed in
-``_Plan``): ``np.dot`` for one table, no (..., N, 1) operand broadcast over a
-row in a per-step ufunc, a view assignment rather than ``np.copyto`` but for
-argmax's masked one, and positional ``out``. A trajectory resolves one plan
-and passes it through the three seams on every step, so the workspace is
-reused and each step's rows are copied into the result; a public call with a
-``Sharing`` resolves a fresh plan and so returns fresh arrays. Given the
-trajectory's plan, a seam trusts it: its rows are the plan's own and its
-shapes are those the trajectory checked, so a step copies and compares
-nothing; the seams still run once per step, each through its module
-attribute.
 """
 
 from __future__ import annotations
@@ -102,15 +54,18 @@ BELIEF_SUM_TOL = 1e-9
 #: A block of ``run_trajectory`` draws, scores and checks at once at most
 #: _BLOCK steps and, past one step, at most _BLOCK_DOUBLES log-likelihoods
 #: (steps * N * H doubles, 512 KiB): min(_BLOCK, _BLOCK_DOUBLES // (N * H))
-#: steps, at least one. Each block makes its temporaries afresh, and past the
-#: allocator's reuse size they were page-faulted in afresh on every block, so
-#: a large table gets short blocks whose buffers are reused; a smaller budget
-#: pays numpy's per-call cost on more blocks, a larger one peaks higher
-#: (``BENCH_30.json``, ``block_budget_choice``).
+#: steps, fewer than _BLOCK where N * H > 1024, and at least one. Each block
+#: makes its temporaries afresh, and past the allocator's reuse size they were
+#: page-faulted in afresh on every block, as a 64-step block's were at
+#: N = 1000, so a large table gets short blocks whose buffers are reused, and
+#: no buffer grows with the step count (a 64-step block's was 154 MB at 10^5
+#: agents); a smaller budget pays numpy's per-call cost on more blocks, a
+#: larger one peaks higher (``BENCH_30.json``, ``block_budget_choice``).
 #: A run whose log-likelihoods are at most _BLOCK_DOUBLES // 4 in all
 #: (horizon * N * H <= 2^14 doubles, 128 KiB, glibc's default mapping
-#: threshold) is one block, so ``repro_grid``'s 10 x 3 runs of 300 steps pay
-#: one block's numpy calls instead of five. The deciding property is the
+#: threshold), as a 10 x 3 run of up to 546 steps, is one block whatever its
+#: step count, so ``repro_grid``'s 10 x 3 runs of 300 steps pay one block's
+#: numpy calls instead of five. The deciding property is the
 #: run's size, not its family mix: larger one-block runs, and runs of several
 #: longer blocks, faulted their heap in afresh on every run, and an unbounded
 #: step count made mixed and one-family runs of 50 to 150 agents slower
@@ -262,9 +217,24 @@ def _shift_calls(out: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> list:
 
 def _lse_calls(rows: np.ndarray, out: np.ndarray, shift: bool, skip=None) -> list:
     """The calls that write log sum_c exp(rows[..., c]) over the last axis,
-    column ``skip`` left out, into ``out`` of the rows' shape less that axis:
-    with ``shift``, the max shift (:func:`_shift_calls`), otherwise the fold
-    (:func:`_fold_calls`), which gives the reduce's bits."""
+    column ``skip`` left out, into ``out`` of the rows' shape less that axis.
+
+    Every log-sum-exp of a step but argmax's spread (a fixed tx's spread and
+    the pooled rows' normalization, under every rule) is a run of these
+    calls, and one count decides their form: ``_plan`` sets ``shift`` when a
+    table's agent count, ``shape[-2]``, is at least the count from which a
+    network's pool is sparse (``network.SPARSE_SOLVE_MIN_AGENTS``). Below it,
+    the fold (:func:`_fold_calls`), which makes the calls of one
+    ``np.logaddexp.reduce`` and so gives its bits; a single column (the
+    spread at H = 2, the normalization at H = 1) is the reduce's one call,
+    whose bits are the entry + 0.0. From it on, the max shift
+    (:func:`_shift_calls`), m + log sum exp(x - m) with m the row's largest
+    entry: a few vectorized ``np.maximum``, ``np.exp``, add and ``np.log``
+    passes over column views, where ``np.logaddexp`` is scalar libm code per
+    entry. It rounds apart from the reduce by a few ulp. In the band of
+    128-199 rows the fold timed as fast as the shift or faster
+    (``BENCH_38.json``, ``band``). Argmax's spread, whose columns differ from
+    row to row, is one masked reduce at every size (``_Plan``)."""
     columns = [rows[..., c] for c in range(rows.shape[-1]) if c != skip]
     return (_shift_calls if shift else _fold_calls)(out, *columns)
 
@@ -275,7 +245,8 @@ def _product_calls(pool, rows: np.ndarray, out: np.ndarray) -> list:
     scipy's own ``<pool.format>_matvecs`` kernel on the pool's arrays and the
     two raveled views. That kernel is what ``pool @ rows`` runs after its
     dispatch, into a fresh zeroed result, so the calls give its bits and make
-    no array; it is picked by the pool's format, as scipy picks it.
+    no array, and nothing is copied back into the workspace; it is picked by
+    the pool's format, as scipy picks it.
 
     ``scipy.sparse._sparsetools`` is a private scipy module. It is looked up
     here, when a sparse pool's plan is built, so that pbnet still imports
@@ -304,31 +275,38 @@ class _Plan:
     its other columns (:func:`_lse_calls`), or argmax's ``np.argmax``,
     ``np.not_equal`` into a mask and masked reduce, into one (..., N, 1)
     entry per row; the ``np.subtract`` of log(H - 1); then a fixed tx writes
-    that entry across its row of ``shared`` and the kept tx column over it,
-    where argmax copies psi and runs the masked ``np.copyto``. Full sharing
-    makes no call, or, self-aware, one copy of psi. ``combine`` writes
-    ``pooled``: the pool product (``np.dot`` for one dense (N, H) table,
-    ``np.matmul`` for a dense stack, which ``np.dot`` would contract
-    otherwise; for a sparse pool the zero-fill and kernel of
-    :func:`_product_calls` on each (N, H) table, in place); under a
-    self-aware rule a_kk * (psi - shared) added in, a_kk an (N, H) table so
-    that a stack broadcasts it only over its leading axes; the pooled rows'
-    log-sum-exp into the same per-row entry, subtracted from each row.
-    From SPARSE_SOLVE_MIN_AGENTS rows on at H <= 3, one ``setitem`` per
-    column of ``shared`` writes a fixed tx's spread and one ``np.subtract``
-    per column of ``pooled`` the normalization, each reading the entry as a
-    (..., N) view. Otherwise the spread writes the entry across its row of
-    ``shared``, and the normalization copies it across its row of a
-    normalizer table that it subtracts, one (..., N, 1) broadcast each.
-    ``aware`` tells a combine that it reads the caller's own rows into
-    ``psi``.
+    that entry across its row of ``shared`` (``_plan``'s ``by_column``) and
+    the kept tx column over it, where argmax copies psi and runs the masked
+    ``np.copyto``. Full sharing makes no call, or, self-aware, one copy of
+    psi. ``combine`` writes ``pooled``: the pool product (``np.dot`` for one
+    dense (N, H) table, ``np.matmul`` for a dense stack, which ``np.dot``
+    would contract otherwise; for a sparse pool :func:`_product_calls` on
+    each (N, H) table, in place); under a self-aware rule a_kk * (psi -
+    shared) added in, a_kk an (N, H) table so that a stack broadcasts it only
+    over its leading axes; the pooled rows' log-sum-exp into the same per-row
+    entry, subtracted from each row (``by_column`` again).
 
-    The step's calls take the cheapest form that gives the same bits: ``np.dot``
-    for one table, no (..., N, 1) operand broadcast over a row in a per-step
-    ufunc (numpy's broadcast-stride path), no ``np.copyto`` but argmax's
-    masked one (it goes through numpy's Python-level dispatcher), a
-    positional ``out`` and a loop over prebuilt calls; each form was timed
-    against the one it replaced (``BENCH_25.json``, ``step_form_measurements``).
+    A seam given a ``Sharing`` resolves a fresh plan, copies the caller's
+    rows into it and runs its list, so a public call returns arrays of its
+    own; the one thing a seam asks of the rule is whether a combine reads the
+    caller's own rows into ``psi``, ``Sharing.self_aware``. A trajectory
+    resolves one plan and passes it through the three seams on every step, so
+    the workspace is reused and each step's rows are copied into the result.
+    Given the trajectory's plan, a seam trusts it: its rows are the plan's own
+    and its shapes are those the trajectory checked, so a step copies and
+    compares nothing; the seams still run once per step, each through its
+    module attribute.
+
+    Under every rule, a planned step allocates no array, on a dense pool or a
+    sparse one, and neither do the max shift's calls (all tested): every
+    array they write is the plan's. At ten agents a step costs what its numpy
+    calls cost to enter, so each call takes the cheapest form that gives the
+    same bits: ``np.dot`` for one table, no (..., N, 1) operand broadcast
+    over a row in a per-step ufunc (numpy's broadcast-stride path), no
+    ``np.copyto`` but argmax's masked one (it goes through numpy's
+    Python-level dispatcher), a positional ``out`` and a loop over prebuilt
+    calls; each form was timed against the one it replaced
+    (``BENCH_25.json``, ``step_form_measurements``).
 
     Building a plan is most of what a lone :func:`run_iteration` adds to the
     step, so it is kept small: each array is one ``np.empty`` call, which
@@ -338,7 +316,6 @@ class _Plan:
     ``lone_run_iteration``). Nothing reassigns a field once built.
     """
 
-    aware: bool
     psi: np.ndarray
     shared: np.ndarray
     pooled: Union[None, np.ndarray]
@@ -350,10 +327,8 @@ def _plan(sharing, rows, net=None) -> _Plan:
     """``sharing`` resolved for rows of the shape (..., H) of ``rows``, an
     array or array-like read by the number rule (``errors._numbers``), and,
     given, for ``net``, a Network whose agent count must be that of the rows
-    (ValidationError else). The log-sum-exp form follows one table's agent
-    count, ``shape[-2]``, and the spread write's and the normalization's its
-    shape, ``shape[-2:]``, so a stack of tables steps each as it would step
-    alone."""
+    (ValidationError else). Every form it picks follows one table's shape,
+    ``shape[-2:]``, so a stack of tables steps each as it would step alone."""
     if not isinstance(sharing, Sharing):
         raise ValidationError(f"sharing must be a Sharing, got {sharing!r}")
     if net is not None:
@@ -364,10 +339,14 @@ def _plan(sharing, rows, net=None) -> _Plan:
     if net is not None and (len(shape) < 2 or shape[-2] != net.size):
         raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
-    # fold below the cutoff, max shift from it on: timed in BENCH_38.json (band)
-    shift = len(shape) >= 2 and shape[-2] >= SPARSE_SOLVE_MIN_AGENTS
-    # the spread write and normalization by column where that beats one
-    # (..., N, 1) broadcast: timed in BENCH_46.json (write_forms, below_cutoff)
+    shift = len(shape) >= 2 and shape[-2] >= SPARSE_SOLVE_MIN_AGENTS  # see _lse_calls
+    # From the cutoff on, at H <= 3, a fixed tx's spread is written into the
+    # shared rows, and the pooled rows' normalizer subtracted, one (..., N)
+    # column view at a time. Below it, or at more hypotheses, the spread
+    # writes its entry across its row of ``shared``, and the normalization
+    # copies it across its row of a normalizer table that it subtracts, one
+    # (..., N, 1) broadcast each, which costs less there. The bits are the
+    # same. Timed in BENCH_46.json (write_forms, below_cutoff).
     by_column = shift and h <= 3
     tx, aware = sharing.transmit, sharing.self_aware
     if _is_integer(tx):
@@ -415,7 +394,7 @@ def _plan(sharing, rows, net=None) -> _Plan:
         else:
             normalizer = np.empty(shape)
             combine += [(setitem, (normalizer, ..., lse)), (np.subtract, (pooled, normalizer, pooled))]
-    return _Plan(aware, psi, shared, pooled, modify, combine)
+    return _Plan(psi, shared, pooled, modify, combine)
 
 
 def modify_for_sharing(log_psi: np.ndarray, sharing: Sharing) -> np.ndarray:
@@ -463,7 +442,7 @@ def combine_step(net: Network, log_shared: np.ndarray, log_own: np.ndarray,
     else:
         plan = _plan(sharing, log_shared, net)
         plan.shared[...] = log_shared
-        if plan.aware:
+        if sharing.self_aware:
             own = _numbers("own log-beliefs", log_own)
             if own.shape != plan.psi.shape:
                 raise ValidationError(
@@ -484,13 +463,15 @@ def _observe(groups: tuple, columns, true_index: int, n_agents: int, steps: int,
     has checked; the (steps, N) observations are written into ``kept``, or,
     when it is None, not assembled.
 
-    One group, a family or a list whose agents share one family type, draws
-    the block in one :func:`sample_observation` call, which equals ``steps``
-    per-step draws bitwise. Several groups keep the order a single step draws
-    in, step by step and group by group, but each step makes only the raw
-    generator call of each group (its ``variates``), into that step's row of
-    the group's (steps, n) buffer. Once per block, each group maps its buffer
-    to observations (its ``observations``, the map its ``sample`` uses) and
+    The draw contract: a block draws, bitwise, what its steps would draw one
+    at a time, so its length changes no bit of a run. One group, a family or a
+    list whose agents share one family type, draws the block in one
+    :func:`sample_observation` call, which equals ``steps`` per-step draws
+    bitwise. Several groups keep the order a single step draws in, step by
+    step and group by group, but each step makes only the raw generator call
+    of each group (its ``variates``), into that step's row of the group's
+    (steps, n) buffer. Once per block, each group maps its buffer to
+    observations (its ``observations``, the map its ``sample`` uses) and
     scores them. Its log-likelihoods go into the block's table through a
     (steps, N * H) view, one fancy index on the last axis per group, by that
     group's ``columns``, which the trajectory maps once: indexing the agent
@@ -539,23 +520,22 @@ def run_iteration(
     inputs are validated before the draw, the draw is a one-step block, the
     result is checked, and an error names iteration 1 and the agent. With one
     model per agent, the agents are stacked by family type
-    (:func:`stack_models`) on every call, and the step draws group by group,
-    each group in agent order, what :func:`sample_observation` draws for that
-    group. ``observed``, an (xi, loglik) pair of
-    the (N,) observations and their (N, H) log-likelihoods, is a row drawn
-    ahead of time: the step then draws nothing, returns that xi and leaves
-    the result unchecked, because :func:`run_trajectory` validates its inputs
-    once and checks its steps once per block. Given a ``Sharing``, it checks
-    only what a wrong call would otherwise turn into a numpy error or a
-    silent broadcast: the log-beliefs and log-likelihoods must be arrays of
-    one shape (N, H) with N the network's agent count (ValidationError),
-    compared as shape tuples, and a rule that is no ``Sharing`` raises
-    ValidationError. Given the plan of a trajectory, which built and checked
-    the arrays, it checks nothing: it adds the log-likelihoods into the
-    plan's ``psi`` and hands the plan to :func:`modify_for_sharing` and
-    :func:`combine_step`. The posterior is pooled unnormalized (see the
-    module docstring), into the plan's workspace: given the plan of a
-    trajectory, the result is overwritten by its next step.
+    (:func:`stack_models`) on every call, and the step draws as a trajectory's
+    block does (:func:`_observe`). ``observed``, an (xi, loglik) pair of the
+    (N,) observations and their (N, H) log-likelihoods, is a row drawn ahead
+    of time: the step then draws nothing, returns that xi and leaves the
+    result unchecked, because :func:`run_trajectory` validates its inputs once
+    and checks its steps once per block. Given a ``Sharing``, it checks only
+    what a wrong call would otherwise turn into a numpy error or a silent
+    broadcast: the log-beliefs and log-likelihoods must be arrays of one shape
+    (N, H) with N the network's agent count (ValidationError), compared as
+    shape tuples, and a rule that is no ``Sharing`` raises ValidationError.
+    Given the plan of a trajectory, which built and checked the arrays, it
+    checks nothing (``_Plan``): it adds the log-likelihoods into the plan's
+    ``psi`` and hands the plan to :func:`modify_for_sharing` and
+    :func:`combine_step`. The posterior is pooled unnormalized (see the module
+    docstring), into the plan's workspace: given the plan of a trajectory, the
+    result is overwritten by its next step.
     """
     if observed is None:
         out, obs = run_trajectory(log_beliefs, net, models, true_index, sharing, 1, rng,
@@ -592,35 +572,27 @@ def run_trajectory(
     """Run ``horizon`` iterations; return ((horizon+1, N, H) log-beliefs,
     observations or None). Index 0 holds the initial beliefs.
 
-    Observations are drawn and scored a block of steps at a time, and each
-    step goes through :func:`run_iteration` with its pre-drawn row and the
-    trajectory's plan, which the step and its seams trust, so a step checks
-    no shape and copies no rows between them. A block is ``_BLOCK`` = 64
-    steps, or fewer where N * H > 1024: at most 2^16 log-likelihoods
-    (``_BLOCK_DOUBLES``), and at least one step. So a block's temporaries
-    stay small enough to be reused rather than page-faulted in afresh on
-    every block, as a 64-step block's were at N = 1000, and no buffer grows
-    with the step count at 10^5 agents, where a 64-step one was 154 MB. A run
-    of at most 2^14 log-likelihoods in all, as a 10 x 3 run of up to 546
-    steps, is one block (see ``_BLOCK``). A single family, or a list whose
-    agents share one family type, draws each block in one
-    :func:`sample_observation` call. A list mixing family types makes one
-    raw generator call per group and step, in the groups' order, and maps
-    each group's block of draws to observations at once, by the map its
-    ``sample`` uses, and scatters them into the agent order of the result
-    only when ``keep_observations``. Either way the generator yields
-    what ``horizon`` calls of ``run_iteration`` without ``observed`` would
-    draw, so trajectories and observations equal that loop's bitwise,
-    whatever the block length. The beliefs of each block are checked at
-    once, after its last step; a step past a bad one still runs, with
-    invalid-value warnings off. The error names the first failing step's
-    iteration (1-based, as the index into the result) and the first agent
-    whose log-likelihood was non-finite at that step, if any. ``net`` must be
-    a Network (ValidationError else). The beliefs are read by the number rule
-    (``errors._numbers``), and their shape, agent and hypothesis counts and
-    normalization are checked against the network and the models, and
-    ``true_index`` and a fixed tx against H, before the first draw. A lone
-    :func:`run_iteration` is this with ``horizon`` 1.
+    ``net`` must be a Network (ValidationError else). The beliefs are read
+    by the number rule (``errors._numbers``), and their shape, agent and
+    hypothesis counts and normalization are checked against the network and
+    the models, and ``true_index`` and a fixed tx against H, and the
+    ``Sharing`` is resolved into the step plan (``_Plan``), all before the
+    first draw, so the generator moves only for a valid run.
+
+    Observations are drawn and scored a block of steps at a time (its
+    length: ``_BLOCK``; its draws: :func:`_observe`), and each step goes
+    through :func:`run_iteration` with its pre-drawn row and the trajectory's
+    plan, which the step and its seams trust. The observations are assembled
+    in agent order only when ``keep_observations``. The generator yields what
+    ``horizon`` calls of ``run_iteration`` without ``observed`` would draw,
+    so trajectories and observations equal that loop's bitwise, whatever the
+    block length. The beliefs of each block are checked at once, after its
+    last step; a step past a bad one still runs, with invalid-value warnings
+    off, because the log-sum-exps warn on the NaN or infinity that the check
+    reports. The error names the first failing step's iteration (1-based, as
+    the index into the result) and the first agent whose log-likelihood was
+    non-finite at that step, if any. A lone :func:`run_iteration` is this
+    with ``horizon`` 1.
     """
     _check_integer("horizon", horizon, 1)
     _network(net)

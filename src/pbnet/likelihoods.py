@@ -136,12 +136,17 @@ class _Divergences:
       but x), (H, H), for H >= 2: :func:`mixture_kl` of the identity against
       the uniform complements, so one evaluation of a Gaussian family's
       Gauss-Hermite rule (at H = 2, ``point`` with its columns swapped);
-    * ``bound[x]``, the likelihood bound with x left out, (H,).
+    * ``bound[x]``, the likelihood bound with x left out, (H,): the largest
+      |log L(xi|a) - log L(xi|b)| over the support and a, b != x, from a
+      discrete family's pmf alone; a Gaussian family's ``_bound_table``
+      raises UnboundedLikelihoodError, on every read, since a cached
+      property caches no exception.
 
-    Each family's ``_mixture_table(P, Q)`` gives D_KL of every mixture of a
-    (K, H) weight stack P against every one of an (M, H) stack Q, (K, M), in
-    one evaluation: exact sums, or the Gaussian rule with NaN where it does
-    not certify an entry. ``complement`` is :func:`mixture_kl` of those two
+    So no divergence table reads a scoring table. Each family's
+    ``_mixture_table(P, Q)`` gives D_KL of every mixture of a (K, H) weight
+    stack P against every one of an (M, H) stack Q, (K, M), in one
+    evaluation: exact sums, or the Gaussian rule with NaN where it does not
+    certify an entry. ``complement`` is :func:`mixture_kl` of those two
     stacks, so every entry the rule leaves uncertified runs the fallback
     quadrature when the table is built, on the first read of any entry.
     """
@@ -158,6 +163,10 @@ class _Divergences:
         if h == 2:  # the other hypothesis is the whole complement
             return self.point[:, ::-1]
         return _read_only(mixture_kl(self, np.eye(h), _uniform_complements(h)))
+
+    @functools.cached_property
+    def bound(self) -> np.ndarray:
+        return _read_only(self._bound_table())
 
 
 def _uniform_complements(count: int) -> np.ndarray:
@@ -190,10 +199,7 @@ class GaussianGroup:
     def __init__(self, agents: np.ndarray, models: Sequence["GaussianFamily"]):
         self.agents = _read_only(agents)
         self.means = _read_only(np.stack([m.means for m in models]))
-
-    @property
-    def hypothesis_count(self) -> int:
-        return int(self.means.shape[-1])
+        self.hypothesis_count = models[0].hypothesis_count
 
     def log_rows(self, xi) -> np.ndarray:
         x = _numbers("observations", xi, float, InvalidObservationError)
@@ -246,6 +252,7 @@ class GaussianFamily(GaussianGroup, _Divergences):
         if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
             raise ValidationError(f"means must be one finite value per hypothesis, got {means!r}")
         self.means = _read_only(arr.copy())
+        self.hypothesis_count = arr.size
 
     def __repr__(self):
         return f"GaussianFamily(means={self.means.tolist()})"
@@ -334,8 +341,7 @@ class GaussianFamily(GaussianGroup, _Divergences):
             raise NumericalError(f"KL quadrature produced a negative value {fine:.3g}")
         return max(fine, 0.0)
 
-    @property
-    def bound(self) -> np.ndarray:
+    def _bound_table(self) -> np.ndarray:
         raise UnboundedLikelihoodError(
             "Gaussian log-likelihood ratios are unbounded; the boundedness "
             "constant exists only for finite-support families"
@@ -370,6 +376,7 @@ class DiscreteGroup:
     def __init__(self, agents: np.ndarray, models: Sequence["DiscreteFamily"]):
         self.agents = _read_only(agents)
         self.support_size = _read_only(np.array([m.support_size for m in models]))
+        self.hypothesis_count = models[0].hypothesis_count
         self._tabulate([m.pmf for m in models])
 
     def _tabulate(self, pmfs) -> None:
@@ -378,8 +385,8 @@ class DiscreteGroup:
         (agent, support point, hypothesis) layout, each by one mask over
         (agent, support point): the agents' own points, then, in the cdf,
         each agent's points from its last one on."""
-        n, h = len(pmfs), pmfs[0].shape[0]
-        support = np.array([p.shape[1] for p in pmfs])
+        n, h = len(pmfs), self.hypothesis_count
+        support = np.atleast_1d(self.support_size)
         s = int(support.max())
         points = np.arange(s)
         padded = np.zeros((n, s, h))
@@ -393,10 +400,6 @@ class DiscreteGroup:
         self.cdf = np.ascontiguousarray(cdf.transpose(2, 1, 0))
         for a in (self.log_table, self.log_pmf, self._row_start, self.cdf):
             a.setflags(write=False)
-
-    @property
-    def hypothesis_count(self) -> int:
-        return int(self.log_pmf.shape[1])
 
     def log_rows(self, xi) -> np.ndarray:
         return np.take(self.log_table, self._support_index(xi) + self._row_start, axis=0)
@@ -454,9 +457,9 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     The tables are the group's for one agent: ``log_table`` is (S, H),
     ``log_pmf`` (1, H, S), ``cdf`` (H, S, 1), and ``support_size`` is S.
     They are built together, read-only, on the first read of any of them,
-    which a score, a draw or ``bound`` makes; a family in a per-agent list
-    is scored by its group (:func:`stack_models`), built from ``pmf``, and
-    never builds its own.
+    which a score or a draw makes, never a divergence table; a family in a
+    per-agent list is scored by its group (:func:`stack_models`), built from
+    ``pmf``, and never builds its own.
 
     An instance does not change once built: it keeps a read-only copy of
     ``pmf``, and a caller's array stays writeable. Its divergence tables (see
@@ -474,6 +477,7 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
             raise ValidationError(f"pmf entry [{r}][{s}] must be strictly positive")
         self.pmf = _read_only(table.copy())
         self.support_size = table.shape[1]
+        self.hypothesis_count = table.shape[0]
 
     def __getattr__(self, name):
         # reached only while the group's tables are not built
@@ -485,10 +489,6 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     def __repr__(self):
         return f"DiscreteFamily(pmf={self.pmf.tolist()})"
 
-    @property
-    def hypothesis_count(self) -> int:
-        return int(self.pmf.shape[0])
-
     def _point_table(self) -> np.ndarray:
         """:func:`_exact_kl` of every pmf row against every one, bitwise,
         without its guards: a pmf is strictly positive, so each log is taken
@@ -499,13 +499,12 @@ class DiscreteFamily(DiscreteGroup, _Divergences):
     def _mixture_table(self, p_weights: np.ndarray, q_weights: np.ndarray) -> np.ndarray:
         return _exact_kl((p_weights @ self.pmf)[:, None], q_weights @ self.pmf)
 
-    @functools.cached_property
-    def bound(self) -> np.ndarray:
-        logs = self.log_pmf[0]
+    def _bound_table(self) -> np.ndarray:
+        logs = np.log(self.pmf)
         spread = np.abs(logs[:, None] - logs).max(axis=-1)  # each pair's largest |log ratio|
         kept = ~np.eye(self.hypothesis_count, dtype=bool)  # kept[x, a]: a is not x
         pairs = kept[:, :, None] & kept[:, None, :]
-        return _read_only(np.where(pairs, spread, 0.0).max(axis=(1, 2), initial=0.0))
+        return np.where(pairs, spread, 0.0).max(axis=(1, 2), initial=0.0)
 
 
 def _exact_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:

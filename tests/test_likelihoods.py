@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbnet import likelihoods
-from pbnet.analysis import KL_MARGIN_TOL, predict_partial_regime, theoretical_rate
+from pbnet.analysis import (
+    KL_MARGIN_TOL,
+    predict_partial_regime,
+    predict_self_aware_regime,
+    theoretical_rate,
+)
 from pbnet.errors import (
     InvalidObservationError,
     NumericalError,
@@ -27,6 +32,7 @@ from pbnet.likelihoods import (
     sample_observation,
     stack_models,
 )
+from pbnet.network import build_averaging_matrix, ring_adjacency
 
 GAUSS3 = GaussianFamily([0.0, 0.2, 1.0])
 DISC = DiscreteFamily([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
@@ -949,8 +955,7 @@ class TestLazyFamilyTables:
     @pytest.mark.parametrize("read", [
         lambda fam: log_likelihood_rows(fam, [0, 2]),
         lambda fam: sample_observation(fam, 1, np.random.default_rng(0)),
-        lambda fam: fam.bound,
-    ], ids=["score", "draw", "bound"])
+    ], ids=["score", "draw"])
     def test_the_first_read_builds_the_one_agent_group_tables(self, read):
         fam = DiscreteFamily(self.PMF)
         group = likelihoods.DiscreteGroup(np.array([0]), [fam])
@@ -968,6 +973,17 @@ class TestLazyFamilyTables:
         for fam in families:
             kl_divergence(fam, 0, 1)
         assert not any(set(self.TABLES) & set(vars(fam)) for fam in families)
+
+    def test_no_divergence_read_builds_a_scoring_table(self):
+        # every divergence table is built from the pmf alone
+        fam = DiscreteFamily(self.PMF)
+        fam.point, fam.complement, fam.bound
+        net = build_averaging_matrix(ring_adjacency(3), 0.5)
+        for true_index in range(3):
+            for tx in range(3):
+                predict_partial_regime(fam, true_index, tx)
+                predict_self_aware_regime(fam, net, true_index, tx)
+        assert not set(self.TABLES) & set(vars(fam))
 
     def test_another_missing_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="'DiscreteFamily' object has no attribute 'x'"):
