@@ -19,8 +19,9 @@ Each rule of a step is stated once, where the code decides it:
   allocation-free step, and what a seam trusts of a plan: ``_Plan``;
 * the form of each log-sum-exp, a fold of ``np.logaddexp`` or the max shift:
   :func:`_lse_calls`;
-* the form of a fixed tx's spread write and of the normalization, column by
-  column or one broadcast entry: the ``by_column`` line of ``_plan``;
+* the form of the normalization, column by column or one broadcast entry:
+  ``_plan``'s ``shift`` test, the agent count that picks each log-sum-exp's
+  form (a fixed tx's spread is written column by column at every size);
 * a sparse pool's product: :func:`_product_calls`;
 * the length of a block of steps: ``_BLOCK``;
 * how a block draws and scores its observations: :func:`_observe`.
@@ -275,16 +276,18 @@ class _Plan:
     its other columns (:func:`_lse_calls`), or argmax's ``np.argmax``,
     ``np.not_equal`` into a mask and masked reduce, into one (..., N, 1)
     entry per row; the ``np.subtract`` of log(H - 1); then a fixed tx writes
-    that entry across its row of ``shared`` (``_plan``'s ``by_column``) and
-    the kept tx column over it, where argmax copies psi and runs the masked
-    ``np.copyto``. Full sharing makes no call, or, self-aware, one copy of
-    psi. ``combine`` writes ``pooled``: the pool product (``np.dot`` for one
+    ``shared`` one (..., N) column view at a time, the kept tx column from
+    ``psi`` and every other from that entry, where argmax copies psi and runs
+    the masked ``np.copyto``. Full sharing makes no call, or, self-aware, one
+    copy of psi. ``combine`` writes ``pooled``: the pool product (``np.dot`` for one
     dense (N, H) table, ``np.matmul`` for a dense stack, which ``np.dot``
     would contract otherwise; for a sparse pool :func:`_product_calls` on
     each (N, H) table, in place); under a self-aware rule a_kk * (psi -
     shared) added in, a_kk an (N, H) table so that a stack broadcasts it only
     over its leading axes; the pooled rows' log-sum-exp into the same per-row
-    entry, subtracted from each row (``by_column`` again).
+    entry, subtracted from each row: one ``np.subtract`` per column from the
+    sparse cutoff on, and below it one subtraction of a normalizer table the
+    entry is copied across (``_plan``'s ``shift``).
 
     A seam given a ``Sharing`` resolves a fresh plan, copies the caller's
     rows into it and runs its list, so a public call returns arrays of its
@@ -340,14 +343,6 @@ def _plan(sharing, rows, net=None) -> _Plan:
         raise ValidationError(f"log-beliefs of shape {shape} are not (..., N={net.size}, H)")
     h = shape[-1]
     shift = len(shape) >= 2 and shape[-2] >= SPARSE_SOLVE_MIN_AGENTS  # see _lse_calls
-    # From the cutoff on, at H <= 3, a fixed tx's spread is written into the
-    # shared rows, and the pooled rows' normalizer subtracted, one (..., N)
-    # column view at a time. Below it, or at more hypotheses, the spread
-    # writes its entry across its row of ``shared``, and the normalization
-    # copies it across its row of a normalizer table that it subtracts, one
-    # (..., N, 1) broadcast each, which costs less there. The bits are the
-    # same. Timed in BENCH_46.json (write_forms, below_cutoff).
-    by_column = shift and h <= 3
     tx, aware = sharing.transmit, sharing.self_aware
     if _is_integer(tx):
         _check_integer("tx index", tx, 0, h - 1)
@@ -368,11 +363,8 @@ def _plan(sharing, rows, net=None) -> _Plan:
             write = [(setitem, (shared, ..., psi)), (np.copyto, (shared, lse, "same_kind", others))]
         else:
             modify = _lse_calls(psi, entry, shift, tx)
-            if by_column:
-                write = [(setitem, (shared[..., c], ..., entry)) for c in range(h) if c != tx]
-            else:
-                write = [(setitem, (shared, ..., lse))]
-            write.append((setitem, (shared[..., tx], ..., psi[..., tx])))
+            write = [(setitem, (shared[..., c], ..., psi[..., c] if c == tx else entry))
+                     for c in range(h)]
         log_rest = np.asarray(np.log(h - 1.0))  # 0-d: the subtraction converts a scalar per call
         modify += [(np.subtract, (lse, log_rest, lse)), *write]
     pooled, combine = None, []
@@ -389,7 +381,9 @@ def _plan(sharing, rows, net=None) -> _Plan:
             combine += [(np.subtract, (psi, shared, term)), (np.multiply, (term, diagonal, term)),
                         (np.add, (pooled, term, pooled))]
         combine += _lse_calls(pooled, entry, shift)
-        if by_column:
+        # by column from the cutoff on; below it, the column form read
+        # repro_grid 1.20x the broadcast (BENCH_46.json, below_cutoff)
+        if shift:
             combine += [(np.subtract, (pooled[..., c], entry, pooled[..., c])) for c in range(h)]
         else:
             normalizer = np.empty(shape)

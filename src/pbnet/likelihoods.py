@@ -443,7 +443,8 @@ class DiscreteGroup:
         agents = np.shape(self.support_size)  # (n,) for a group, () for a family
         # a family draws random(1), which is random()'s draw
         u = self.variates(rng)((agents or 1) if size is None else _draw_shape(size, agents))
-        idx = self.observations(theta, u)
+        # a family's (H, S, 1) cdf adds an axis to u's shape, () included
+        idx = self.observations(theta, u).reshape(np.shape(u))
         return int(idx[0]) if size is None and not agents else idx
 
 

@@ -689,9 +689,10 @@ class TestWorkspace:
                 assert not np.shares_memory(a, b)
 
 
-    @pytest.mark.parametrize("h, n", [(h, n) for h in (2, 3, 4) for n in (10, 100)] + [(3, 199)],
+    @pytest.mark.parametrize("h, n", [(h, n) for h in (2, 3, 4) for n in (10, 100)]
+                             + [(3, 199), (10, 10)],
                              ids=["H2-N10", "H2-N100", "H3-N10", "H3-N100", "H4-N10", "H4-N100",
-                                  "H3-N199"])
+                                  "H3-N199", "H10-N10"])
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_a_planned_dense_step_allocates_no_numpy_buffer(self, n, h, rule):
         # 64 steps given one plan, on a dense pool, up to its largest size
@@ -714,8 +715,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("rule", STEP_RULES, ids=RULE_IDS)
     def test_a_planned_sparse_step_allocates_no_numpy_buffer(self, n, h, rule):
         # 64 steps given one plan, on a sparse pool, whose product scipy's
-        # kernel writes into the plan's workspace; at H = 3 the spread write
-        # and normalization go by column, at H = 5 by broadcast
+        # kernel writes into the plan's workspace; the spread write and the
+        # normalization go by column
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         assert issparse(net.pool)
         rng = np.random.default_rng(n + h)
@@ -731,20 +732,24 @@ class TestWorkspace:
 
         check_log_beliefs(assert_no_numpy_buffer_is_made(steps, log_b))
 
-    @pytest.mark.parametrize("n, h, by_column", [(199, 3, False), (200, 2, True), (200, 3, True),
-                                                 (1000, 4, False), (1000, 5, False)],
-                             ids=["N199-H3", "N200-H2", "N200-H3", "N1000-H4", "N1000-H5"])
-    def test_large_tables_of_few_hypotheses_write_by_column(self, n, h, by_column):
-        # a fixed tx's spread and the normalization: one setitem of the
-        # (N, 1) entry over the (N, H) rows, or one call per (N,) column
+    @pytest.mark.parametrize("h", [2, 3, 5, 10], ids=lambda h: f"H{h}")
+    @pytest.mark.parametrize("n", [10, 199, 200, 1000], ids=lambda n: f"N{n}")
+    def test_the_spread_writes_by_column_and_the_normalization_by_agent_count(self, n, h):
+        # a fixed tx's spread is one setitem per (N,) column at every size;
+        # the normalization is one subtract per column from the sparse cutoff
+        # on, and below it one setitem of the (N, 1) entry over an (N, H)
+        # normalizer table and one subtract
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         plan = dynamics._plan(PartialSharing(1), np.empty((n, h)), net)
         spread = [args[0].shape for function, args in plan.modify if function is setitem]
         normalizer = [args[0].shape for function, args in plan.combine if function is setitem]
-        if by_column:
-            assert spread == [(n,)] * h and normalizer == []
+        subtracts = [args[2].shape for function, args in plan.combine
+                     if function is np.subtract and np.shares_memory(args[2], plan.pooled)]
+        assert spread == [(n,)] * h
+        if n >= SPARSE_SOLVE_MIN_AGENTS:
+            assert normalizer == [] and subtracts == [(n,)] * h
         else:
-            assert spread == [(n, h), (n,)] and normalizer == [(n, h)]
+            assert normalizer == [(n, h)] and subtracts == [(n, h)]
 
     @pytest.mark.parametrize("h", [2, 3, 4], ids=lambda h: f"H{h}")
     @pytest.mark.parametrize("rule", [PartialSharing, SelfAwarePartialSharing],
@@ -1458,20 +1463,22 @@ class TestColumnFold:
                     pooled += net.diagonal[:, None] * (psi - shared)
                 assert_bitwise(traj[t + 1], pooled - reduce_reference(pooled))
 
-    @pytest.mark.parametrize("b, n", [(7, 10), (2, 70), (2, 199), (2, 250)],
-                             ids=["7x10", "2x70", "2x199", "2x250"])
+    @pytest.mark.parametrize("b, n, h", [(b, n, h) for h in (3, 5)
+                                         for b, n in ((7, 10), (2, 70), (2, 199), (2, 250))],
+                             ids=["7x10", "2x70", "2x199", "2x250",
+                                  "7x10-H5", "2x70-H5", "2x199-H5", "2x250-H5"])
     @pytest.mark.parametrize("strat", SHARINGS, ids=["full", "partial", "self_aware"])
-    def test_a_stack_steps_each_table_as_it_steps_alone(self, b, n, strat):
+    def test_a_stack_steps_each_table_as_it_steps_alone(self, b, n, h, strat):
         # the path follows one table's agent count, and rows normalize over H;
-        # from SPARSE_SOLVE_MIN_AGENTS agents on, the pool is sparse and the
-        # log-sum-exps take the max shift
+        # from SPARSE_SOLVE_MIN_AGENTS agents on, the pool is sparse, the
+        # log-sum-exps take the max shift and the normalization goes by column
         assert (n >= SPARSE_SOLVE_MIN_AGENTS) == (n == 250)
         rng = np.random.default_rng(n)
-        log_psi = rng.normal(0.0, 5.0, (b, n, 3))
+        log_psi = rng.normal(0.0, 5.0, (b, n, h))
         net = build_averaging_matrix(ring_adjacency(n), 0.4)
         shared = modify_for_sharing(log_psi, strat)
         pooled = combine_step(net, shared, log_psi, strat)
-        assert pooled.shape == (b, n, 3)
+        assert pooled.shape == (b, n, h)
         for k in range(b):
             alone = modify_for_sharing(log_psi[k], strat)
             assert shared[k].tobytes() == alone.tobytes()

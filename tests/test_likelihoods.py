@@ -824,6 +824,11 @@ class TestSampling:
         flat = sample_observation(fam, 1, np.random.default_rng(4), size=6)
         shaped = sample_observation(fam, 1, np.random.default_rng(4), size=(2, 3))
         np.testing.assert_array_equal(shaped, flat.reshape(2, 3))
+        # size=() is one draw of shape (), as numpy's, though a discrete
+        # family's cdf is (H, S, 1)
+        draw = sample_observation(fam, 1, np.random.default_rng(4), size=())
+        one = sample_observation(fam, 1, np.random.default_rng(4), size=1)
+        assert np.shape(draw) == () and draw == one[0]
 
     def test_scalar_draw(self):
         rng = np.random.default_rng(1)

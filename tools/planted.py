@@ -54,6 +54,11 @@ DEFECTS = [
      [RECURSIONS + "test_partial_log_ratio_recursion",
       RECURSIONS + "test_partial_recursion_from_first_step_with_uniform_init",
       RECURSIONS + "test_partial_sharing_is_full_sharing_on_the_lumped_family"]),
+    ("the spread entry written over the kept tx column", DYNAMICS,
+     "psi[..., c] if c == tx else entry",
+     "entry",
+     [RECURSIONS + "test_partial_log_ratio_recursion",
+      RECURSIONS + "test_partial_sharing_is_full_sharing_on_the_lumped_family"]),
     ("weak connectivity taken for strong", NETWORK,
      'connection="strong"',
      'connection="weak"',
