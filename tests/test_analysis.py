@@ -293,6 +293,19 @@ class TestEmpiricalRate:
             measure_empirical_rate(log_b, 0, 1, 9)
         assert measure_empirical_rate(log_b, 0, 1, 8) == 0.0
 
+    @pytest.mark.parametrize("points, burn_in", [(240, 60), (241, 0), (2, 0)])
+    def test_closed_form_slope_is_least_squares(self, points, burn_in):
+        # the closed form against numpy's own least squares, on a noisy series
+        rng = np.random.default_rng(points)
+        t = np.arange(burn_in + points + 1)
+        log_b = np.zeros((t.size, 2, 3))
+        log_b[:, 0, 2] = 0.03 * t + rng.normal(0, 1, t.size)
+        log_b[:, 0, 0] = rng.normal(0, 0.1, t.size)
+        slope = measure_empirical_rate(log_b, 2, 0, burn_in)
+        series = log_b[burn_in + 1:, 0, 2] - log_b[burn_in + 1:, 0, 0]
+        want = np.polyfit(t[burn_in + 1:], series, 1)[0]
+        assert slope == pytest.approx(want, rel=1e-12)
+
     def test_non_finite_raises(self):
         log_b = np.zeros((21, 1, 2))
         log_b[15, 0, 0] = -np.inf
@@ -373,8 +386,11 @@ class TestOscillationAmplitude:
     (lambda b: oscillation_amplitude(b, 0, 1, 5, agent=9), "agent index 9"),
     (lambda b: oscillation_amplitude(b, 0, 3, 5), "theta_b index 3"),
     (lambda b: oscillation_amplitude(b, 0.5, 1, 5), "theta_a index must be an integer"),
+    # both indices are checked before theta != tx is
+    (lambda b: measure_empirical_rate(b, 5, 5, 5), r"theta index 5 out of range \[0, 2\]"),
+    (lambda b: measure_empirical_rate(b, 1.5, 1.5, 0), "theta index must be an integer, got 1.5"),
 ], ids=["rate_theta", "rate_tx", "convergence_tx", "amplitude_agent", "amplitude_theta",
-        "amplitude_fraction"])
+        "amplitude_fraction", "rate_equal_out_of_range", "rate_equal_fractions"])
 def test_out_of_range_index_is_a_validation_error(measure, name):
     log_b = synth_beliefs([[0.5, 0.3, 0.2]] * 2, 20)
     with pytest.raises(ValidationError, match=name):

@@ -24,6 +24,7 @@ from pbnet.dynamics import (
     combine_step,
     modify_for_sharing,
     run_iteration,
+    run_replicas,
     run_trajectory,
     uniform_log_beliefs,
 )
@@ -1503,3 +1504,91 @@ def test_a_block_failure_no_step_explains_stands_as_it_is(monkeypatch):
         with pytest.raises(NumericalError, match="^agent 0: non-finite log-belief"):
             run_trajectory(uniform_log_beliefs(5, 3), RING5, DISC3, 0, PartialSharing(1), 1,
                            np.random.default_rng(0))
+
+
+REPLICA_RULES = [FullSharing(), PartialSharing(1), SelfAwarePartialSharing(1), MaxBeliefSharing()]
+
+
+class TestReplicas:
+    @pytest.mark.parametrize("n", [10, 150, 300])
+    @pytest.mark.parametrize("form", ["gaussian", "discrete", "mixed"])
+    @pytest.mark.parametrize("rule", REPLICA_RULES, ids=["full", "partial", "self_aware",
+                                                         "max_belief"])
+    def test_every_replica_is_its_run_bitwise(self, rule, form, n):
+        # 300 agents give a sparse pool and the max shift; each replica draws
+        # from its own generator and leaves it where its run leaves it
+        net = build_averaging_matrix(ring_adjacency(n), 0.3)
+        models = (mixed_models(n) if form == "mixed"
+                  else random_family(form, 3, np.random.default_rng(n)))
+        init = uniform_log_beliefs(n, 3)
+        rngs = [np.random.default_rng([n, r]) for r in range(3)]
+        stack = run_replicas(init, net, models, 0, rule, 40, rngs)
+        assert stack.shape == (3, 41, n, 3)
+        for r, rng in enumerate(rngs):
+            alone = np.random.default_rng([n, r])
+            assert_bitwise(stack[r], run_trajectory(init, net, models, 0, rule, 40, alone)[0])
+            assert rng.bit_generator.state == alone.bit_generator.state
+
+    def test_one_generator_is_the_trajectory(self):
+        init = uniform_log_beliefs(5, 3)
+        one = run_replicas(init, RING5, GAUSS3, 1, PartialSharing(2), 70,
+                           (np.random.default_rng(5),))
+        traj, _ = run_trajectory(init, RING5, GAUSS3, 1, PartialSharing(2), 70,
+                                 np.random.default_rng(5))
+        assert_bitwise(one, traj[None])
+
+    def test_models_stack_once_and_each_block_is_checked_once(self, monkeypatch):
+        # 400 x 3 takes 54-step blocks: 54 + 54 + 22 steps over 130
+        calls = count_calls(monkeypatch, ["stack_models", "check_log_beliefs", "_observe"])
+        run_replicas(uniform_log_beliefs(400, 3), RING400, [DISC3] * 400, 0, PartialSharing(1),
+                     130, [np.random.default_rng(r) for r in range(3)])
+        assert calls == {"stack_models": 1, "check_log_beliefs": 1 + 3, "_observe": 3 * 3}
+
+    @pytest.mark.parametrize("net, iteration, first", [
+        (RING5, 70, 0), (RING400, 109, 2)], ids=["one_block", "third_block"])
+    def test_nan_names_the_replica_the_iteration_and_the_agent(self, monkeypatch, net,
+                                                               iteration, first):
+        # NaNs in replica 2 at the iteration and in replica 0 one step later:
+        # the first failing iteration is named, then its replica and agent
+        score, seen, planted = dynamics.log_likelihood_rows, [0] * 3, {2: (0, 3), 0: (1, 1)}
+        calls = [0]
+
+        def nan_in_two_replicas(model, xi):
+            table = score(model, xi)
+            replica = calls[0] % 3
+            calls[0] += 1
+            if replica in planted:
+                later, agent = planted[replica]
+                row = iteration - 1 + later - seen[replica]
+                if 0 <= row < len(table):
+                    table[row, agent] = np.nan
+            seen[replica] += len(table)
+            return table
+
+        monkeypatch.setattr(dynamics, "log_likelihood_rows", nan_in_two_replicas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^replica 2, iteration {iteration}: agent 3 "
+                               rf"scored a non-finite log-likelihood; agent {first}: non-finite"):
+                run_replicas(uniform_log_beliefs(net.size, 3), net, DISC3, 0, PartialSharing(1),
+                             130, [np.random.default_rng(r) for r in range(3)])
+
+    @pytest.mark.parametrize("case", ["no_generator", "one_generator_bare", "rule",
+                                      "agents", "hypotheses"])
+    def test_checks_run_before_any_draw(self, case):
+        rngs = [np.random.default_rng(r) for r in range(2)]
+        states = [rng.bit_generator.state for rng in rngs]
+        init, rule, given = uniform_log_beliefs(5, 3), PartialSharing(1), rngs
+        if case == "no_generator":
+            given = []
+        elif case == "one_generator_bare":
+            given = rngs[0]
+        elif case == "rule":
+            rule = "partial"
+        elif case == "agents":
+            init = uniform_log_beliefs(4, 3)
+        else:
+            init = uniform_log_beliefs(5, 2)
+        with pytest.raises(ValidationError):
+            run_replicas(init, RING5, GAUSS3, 0, rule, 10, given)
+        assert [rng.bit_generator.state for rng in rngs] == states

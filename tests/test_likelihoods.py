@@ -1032,6 +1032,37 @@ def test_stack_models_rejects_a_non_family_and_mixed_hypothesis_counts():
         stack_models([DISC, GAUSS3], 2)
 
 
+def test_stack_models_keeps_a_lists_groups():
+    # the same families give the same groups, a list or a tuple, mutated or
+    # not; one family swapped gives fresh groups
+    models = [GAUSS3, DiscreteFamily(np.full((3, 2), 0.5)), GAUSS3]
+    first = stack_models(models, 3)
+    assert all(a is b for a, b in zip(first, stack_models(tuple(models), 3)))
+    models[2] = GaussianFamily([0.0, 0.2, 1.0])
+    swapped = stack_models(models, 3)
+    assert not any(a is b for a, b in zip(first, swapped))
+    assert [g.agents.tolist() for g in swapped] == [[0, 2], [1]]
+
+
+def test_stack_models_keeps_a_bounded_number_of_lists():
+    lists = [[GaussianFamily([0.0, 0.1 * k])] * 2 for k in range(likelihoods._STACKS_KEPT + 1)]
+    first = stack_models(lists[0], 2)
+    for models in lists[1:]:
+        stack_models(models, 2)
+    assert stack_models(lists[-1], 2)[0] is stack_models(lists[-1], 2)[0]
+    assert stack_models(lists[0], 2)[0] is not first[0]
+
+
+def test_stack_models_checks_every_call():
+    # an array entry, unhashable, is named by its agent before any key is made,
+    # and the mixed-count error, which no cache keeps, is raised on every call
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^agent 1 has no likelihood family: array"):
+            stack_models([DISC, np.zeros(3)], 2)
+        with pytest.raises(ValidationError, match="^per-agent models must share one hypothesis"):
+            stack_models([DISC, GAUSS3], 2)
+
+
 def test_discrete_group_draws_one_observation_per_agent():
     # with no size it drew one uniform and returned agent 0's observation, an int
     models = [DISC, DiscreteFamily([[0.5, 0.5], [0.1, 0.9]]), DISC,

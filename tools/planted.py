@@ -85,6 +85,10 @@ DEFECTS = [
      "if off.max() <= BELIEF_SUM_TOL and b.min() > -np.inf:",
      "if off.max() <= BELIEF_SUM_TOL:",
      ["tests/test_dynamics.py::TestStepErrors::test_one_pass_check_keeps_its_rules"]),
+    ("every replica draws from the first generator", DYNAMICS,
+     "_observe(groups, columns, true_index, n, steps, rng, kept) for rng in rngs]",
+     "_observe(groups, columns, true_index, n, steps, rngs[0], kept) for rng in rngs]",
+     ["tests/test_dynamics.py::TestReplicas::test_every_replica_is_its_run_bitwise"]),
 ]
 
 
